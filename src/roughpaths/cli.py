@@ -271,11 +271,15 @@ def cmd_explosion_demo(cfg: dict, out: str, seed: int) -> bool:
 def cmd_growth_demo(cfg: dict, out: str, seed: int) -> bool:
     field = field_from_config(cfg["field"])
     x = driver_from_config(cfg["driver"], seed)
-    gd = geometricity_defect(x)
     scfg = _solver_config(cfg)
-    rep = growth_bound_check(field, x, np.asarray(cfg["a"], dtype=float),
-                             float(cfg["T"]), scfg,
-                             lambdas=tuple(cfg["lambdas"]))
+    try:
+        rep = growth_bound_check(field, x, np.asarray(cfg["a"], dtype=float),
+                                 float(cfg["T"]), scfg,
+                                 lambdas=tuple(cfg["lambdas"]))
+    except ValueError as exc:
+        # bad lambdas, a non-geometric driver or a mismatched state: all
+        # come from the config
+        raise ConfigError(str(exc)) from exc
     omega = float(cfg["T"])
     rows = [(r["lam"], r["pvar"], r["pvar"] ** scfg.p * omega, r["sup_y"],
              r["log_sup"], int(r["explosion"])) for r in rep.rows]
@@ -290,7 +294,7 @@ def cmd_growth_demo(cfg: dict, out: str, seed: int) -> bool:
               xlabel="||x||^p * omega(0,T)", ylabel="log(sup|y|+1)")
     _report([
         f"growth-demo  field={cfg['field'].get('name')}  "
-        f"geometricity defect={gd:.2e}",
+        f"geometricity defect={rep.geometricity_defect:.2e}",
         f"  explosions             : "
         + ("NONE -> PASS" if not rep.any_explosion
            else "DETECTED -> FAIL (falsifies the geometric growth bound)"),
@@ -468,13 +472,16 @@ def cmd_lift(cfg: dict, out: str, seed: int) -> bool:
     write_roughpath_csv(rp, dest)
     cd = chen_defect(rp)
     gd = geometricity_defect(rp)
-    ok = cd <= 1e-12 and gd <= 1e-12
+    # both defects are roundoff in the level-2 values, so the bound
+    # follows their scale; paths with |level2| <= 1 get an absolute 1e-12
+    bound = 1e-12 * max(1.0, float(np.max(np.abs(rp.level2), initial=0.0)))
+    ok = cd <= bound and gd <= bound
     _report([f"lift  {cfg['input']} -> {dest}",
              f"  points={rp.n_points}  m={rp.m}",
              f"  chen defect            : {cd:.2e} -> "
-             + ("PASS" if cd <= 1e-12 else "FAIL"),
+             + ("PASS" if cd <= bound else "FAIL"),
              f"  geometricity defect    : {gd:.2e} -> "
-             + ("PASS" if gd <= 1e-12 else "FAIL")], out)
+             + ("PASS" if gd <= bound else "FAIL")], out)
     return ok
 
 

@@ -47,11 +47,6 @@ __all__ = [
     "blowup_json",
 ]
 
-# Driver grids up to this size get an exact p-variation diagnostic;
-# larger grids skip it (the scan is quadratic in the grid size).
-_PVAR_DIAG_LIMIT = 4200
-
-
 class FieldEvaluationError(RuntimeError):
     """A field produced NaN/Inf during stepping."""
 
@@ -106,6 +101,14 @@ class BlowupRecord:
 
 @dataclass
 class RDESolution:
+    """Solution on its mesh, with the cross integral against the driver.
+
+    diagnostics holds "step_count", the number of steps taken (fewer
+    than the mesh has when a threshold crossing ends the solve).  The
+    solver computes no other diagnostic: measures of the driver, such as
+    pvar_norm or geometricity_defect, are for the caller to ask for.
+    """
+
     times: np.ndarray          # (K+1,)
     y: np.ndarray              # (K+1, d)
     x1: np.ndarray             # (K+1, m) driver level 1 at solution times
@@ -270,44 +273,8 @@ def _davie_loop(x: RoughPath, f: VectorField, a, T: float,
     chain = np.einsum("kd,km->kdm", traj[:-1] - traj[0], du)
     cross = np.zeros((last + 1, d, m))
     np.cumsum(cross_inc + chain, axis=0, out=cross[1:])
-    diag = {
-        "step_count": last,
-        "driver_pvar": (pvar_norm(x, cfg.p)
-                        if x.n_points <= _PVAR_DIAG_LIMIT else None),
-        "max_step_defect": _sampled_step_defect(x, f, traj, times_out, young),
-    }
-    return RDESolution(times_out, traj, u_abs, cross, blow, diag)
-
-
-def _sampled_step_defect(x, f, traj, mesh, young, max_samples: int = 64):
-    """Max |one step minus two half steps| over a sample of steps."""
-    K = len(mesh) - 1
-    if K < 1:
-        return 0.0
-    stride = max(1, K // max_samples)
-    worst = 0.0
-    d, m = f.d, f.m
-    for i in range(0, K, stride):
-        t0, t1 = mesh[i], mesh[i + 1]
-        tm = 0.5 * (t0 + t1)
-        y0 = traj[i]
-
-        def step(yv, s, t):
-            u, b = _partial_increment(x, s, t)
-            fe = f.eval(yv)
-            gr = f.grad(yv)
-            out = yv + fe @ u + _so_matrix(f, fe, gr, d, m) @ b.ravel()
-            if young is not None:
-                h2, beta = young
-                db = beta.at(t) - beta.at(s)
-                out = out + h2.eval(yv).reshape(d, m * m) @ db.ravel()
-            return out
-
-        full = step(y0, t0, t1)
-        half = step(step(y0, t0, tm), tm, t1)
-        if np.isfinite(full).all() and np.isfinite(half).all():
-            worst = max(worst, float(np.max(np.abs(full - half))))
-    return worst
+    return RDESolution(times_out, traj, u_abs, cross, blow,
+                       {"step_count": last})
 
 
 def solve_rde(x: RoughPath, f: VectorField, a, T: float,
@@ -433,6 +400,7 @@ class GrowthReport:
     min_slack: float
     any_explosion: bool
     passed: bool
+    geometricity_defect: float  # of the undilated driver
 
 
 def growth_bound_check(f: VectorField, x: RoughPath, a, T: float,
@@ -446,23 +414,37 @@ def growth_bound_check(f: VectorField, x: RoughPath, a, T: float,
     intercept lifted to cover every run (reported slack >= 0).  Any
     explosion under a geometric driver is a falsification event and
     fails the report.
+
+    The driver is scanned once: each row's pvar is lam * ||x||.  The
+    p-variation norm is homogeneous under dilation, since u(s,t) scales
+    by lam and b(s,t) by lam^2, so both parts of the norm scale by lam.
+    For dyadic lam (powers of two) this equals pvar_norm(dilate(x, lam))
+    bit for bit; otherwise up to rounding.  lambdas must be a non-empty
+    sequence of finite positive numbers (lam = 0 against an infinite
+    norm would give NaN).
     """
     from .rough_paths import dilate  # local import to avoid cycle noise
 
+    lambdas = list(lambdas)
+    if not lambdas:
+        raise ValueError("lambdas must not be empty")
+    for lam in lambdas:
+        if not (math.isfinite(lam) and lam > 0):
+            raise ValueError(f"lambdas must be finite and positive, got {lam!r}")
     cfg = cfg or SolverConfig()
     gd = geometricity_defect(x)
     if gd > geometricity_tol:
         raise ValueError(f"driver is not geometric (defect {gd:.2e})")
     omega = float(x.control(0.0, T))
+    base = pvar_norm(x, cfg.p)
     rows = []
     any_explosion = False
     for lam in lambdas:
-        xl = dilate(x, lam)
-        sol = solve_rde(xl, f, a, T, cfg)
+        sol = solve_rde(dilate(x, lam), f, a, T, cfg)
         sup_y = sol.sup_norm()
         rows.append({
             "lam": lam,
-            "pvar": pvar_norm(xl, cfg.p),
+            "pvar": lam * base,
             "sup_y": sup_y,
             "log_sup": math.log(sup_y + 1.0),
             "explosion": sol.blowup is not None,
@@ -478,7 +460,7 @@ def growth_bound_check(f: VectorField, x: RoughPath, a, T: float,
     slack = c1 + c2 * s - g
     passed = (not any_explosion) and bool(np.all(slack >= -1e-9))
     return GrowthReport(rows, c1, c2, float(np.min(slack)), any_explosion,
-                        passed)
+                        passed, gd)
 
 
 # ---------------------------------------------------------------------------

@@ -56,12 +56,19 @@ __all__ = [
 # beyond it the defect routines fall back to documented envelopes/samples.
 _EXACT_SCAN_LIMIT = 4200
 
+# Start points per block of the p-variation scan: each block is one
+# (rows, later points) array pass, which amortises the per-row numpy
+# overhead without building arrays much larger than one row of level 2.
+_PVAR_BLOCK_ROWS = 16
+
 
 class Control:
     """Superadditive two-parameter function omega(s, t) >= 0.
 
     Wraps a vectorized callable; omega(t, t) must be 0 and
-    omega(s, u) + omega(u, t) <= omega(s, t) for s <= u <= t.
+    omega(s, u) + omega(u, t) <= omega(s, t) for s <= u <= t.  The
+    callable must broadcast: scans call it with a column of start times
+    against a row of end times and expect the 2-d array of values back.
     """
 
     def __init__(self, fn):
@@ -154,6 +161,9 @@ class RoughPath:
         Accepts a scalar or an array of times inside [times[0], times[-1]];
         returns (level1, level2) with a leading axis matching t's shape.
         """
+        if self.n_points < 2:
+            raise ValueError("a one-point path has no interval to "
+                             "interpolate on")
         tq = np.atleast_1d(np.asarray(t, dtype=float))
         if tq.min() < self.times[0] - 1e-12 or tq.max() > self.times[-1] + 1e-12:
             raise ValueError("query time outside the path's time range")
@@ -355,6 +365,11 @@ def pvar_norm(rp: RoughPath, p: float) -> float:
     Smallest C with |u(s,t)| <= C w(s,t)^(1/p) and
     ||b(s,t)||_F <= C^2 w(s,t)^(2/p) over all grid pairs s < t.
     Returns inf when some pair has zero control but a nonzero increment.
+
+    The pairs are scanned in blocks of _PVAR_BLOCK_ROWS start points
+    against every later point; each pair gets the same floating-point
+    operations as a scan of one start point at a time, so the result
+    does not depend on the block size.
     """
     if not (2.0 <= p < 3.0):
         raise ValueError("p must lie in [2, 3)")
@@ -363,16 +378,24 @@ def pvar_norm(rp: RoughPath, p: float) -> float:
     c1 = 0.0
     c2sq = 0.0
     infinite = False
-    for i in range(n - 1):
-        du = u[i + 1:] - u[i]
-        db = b[i + 1:] - b[i] - np.einsum("i,kj->kij", u[i], du)
-        w = np.asarray(rp.control(t[i], t[i + 1:]), dtype=float)
-        n1 = np.linalg.norm(du, axis=1)
-        n2 = np.linalg.norm(db.reshape(len(db), -1), axis=1)
+    for i0 in range(0, n - 1, _PVAR_BLOCK_ROWS):
+        i1 = min(i0 + _PVAR_BLOCK_ROWS, n - 1)
+        rows = np.arange(i0, i1)
+        # columns i0+1 .. n-1; pair (i, j) is live only when j > i
+        live = np.arange(i0 + 1, n)[None, :] > rows[:, None]
+        du = u[None, i0 + 1:] - u[i0:i1, None]
+        db = (b[None, i0 + 1:] - b[i0:i1, None]
+              - u[i0:i1, None, :, None] * du[:, :, None, :])
+        s = t[i0:i1, None]
+        # dead pairs are queried at (s, s), where every control is 0
+        w = np.asarray(rp.control(s, np.maximum(s, t[None, i0 + 1:])),
+                       dtype=float)
+        n1 = np.linalg.norm(du, axis=2)
+        n2 = np.linalg.norm(db.reshape(db.shape[:2] + (-1,)), axis=2)
         zero = w <= 0.0
-        if np.any(zero & ((n1 > 0) | (n2 > 0))):
+        if np.any(live & zero & ((n1 > 0) | (n2 > 0))):
             infinite = True
-        wz = np.where(zero, np.inf, w)
+        wz = np.where(zero | ~live, np.inf, w)
         c1 = max(c1, float(np.max(n1 / wz ** (1.0 / p), initial=0.0)))
         c2sq = max(c2sq, float(np.max(n2 / wz ** (2.0 / p), initial=0.0)))
     if infinite:

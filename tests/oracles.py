@@ -78,3 +78,29 @@ def riemann_stieltjes(g_vals, d_vals):
     g = np.asarray(g_vals, dtype=float)
     d = np.asarray(d_vals, dtype=float)
     return float(np.sum(g[:-1] * np.diff(d)))
+
+
+def pvar_norm_pairs(times, level1, level2, control, p):
+    """Grid p-variation norm by visiting every pair s < t on its own.
+
+    Each pair gets the same per-element operations as the library's scan
+    (difference, outer-product correction, Euclidean norms, control to
+    the power 1/p and 2/p), so the two agree exactly, not just closely.
+    """
+    n = len(times)
+    c1 = 0.0
+    c2sq = 0.0
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            du = level1[j] - level1[i]
+            db = level2[j] - level2[i] - np.outer(level1[i], du)
+            n1 = np.linalg.norm(du, axis=0)
+            n2 = np.linalg.norm(db.ravel(), axis=0)
+            w = np.asarray(control(times[i], times[j]), dtype=float)
+            if w <= 0.0:
+                if n1 > 0 or n2 > 0:
+                    return np.inf
+                continue
+            c1 = max(c1, float(n1 / w ** (1.0 / p)))
+            c2sq = max(c2sq, float(n2 / w ** (2.0 / p)))
+    return max(c1, float(np.sqrt(c2sq)))

@@ -97,6 +97,21 @@ def test_lift_and_solve_commands(tmp_path):
     assert sol[0] == "t,y1"
 
 
+def test_lift_bound_scales_with_level2(tmp_path):
+    # 2048 unit steps reach |level2| ~ 2e3; the geometricity defect
+    # (3.6e-12) is roundoff at that scale, over an absolute 1e-12
+    rng = np.random.default_rng(0)
+    pts = np.vstack([np.zeros(2), np.cumsum(rng.normal(size=(2048, 2)),
+                                            axis=0)])
+    times = np.linspace(0.0, 1.0, 2049)
+    src = tmp_path / "walk.csv"
+    np.savetxt(src, np.column_stack([times, pts]), fmt="%.17g",
+               delimiter=",", header="t,x1,x2", comments="")
+    assert run(tmp_path, "lift", {"input": str(src)}) == 0
+    report = (tmp_path / "out" / "report.txt").read_text()
+    assert "FAIL" not in report
+
+
 def test_solve_reports_blowup(tmp_path):
     cfg = {
         "field": {"name": "linear", "A": 8.0},
@@ -123,6 +138,12 @@ def test_bad_config_exits_two(tmp_path, capsys):
     assert run(tmp_path, "convergence", {"meshes": [100]}) == 2
     assert "power of two" in capsys.readouterr().err
     assert run(tmp_path, "lift", {}) == 2
+
+
+def test_growth_demo_bad_lambdas_exit_two(tmp_path, capsys):
+    assert run(tmp_path, "growth-demo", {"lambdas": [1.0, 0.0]}) == 2
+    assert "lambdas" in capsys.readouterr().err
+    assert run(tmp_path, "growth-demo", {"lambdas": []}, name="empty") == 2
 
 
 def test_failing_check_exits_one(tmp_path):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from roughpaths.rough_paths import (decompose, dilate, lift_piecewise_linear,
-                                    pure_area_path, recompose)
+from roughpaths.rough_paths import (decompose, dilate, geometricity_defect,
+                                    lift_piecewise_linear, pure_area_path,
+                                    pvar_norm, recompose)
 from roughpaths.rde_solver import (FieldEvaluationError, SolverConfig,
                                    adaptive_partition, apriori_sup_bound,
                                    blowup_json, growth_bound_check,
@@ -29,6 +30,21 @@ def random_polyline(rng, n=6, m=1, T=1.0, scale=0.3):
 
 # ---------------------------------------------------------------------------
 # basic correctness
+
+
+def test_solve_computes_no_driver_pvar(monkeypatch):
+    # the p-variation scan is quadratic in the driver's grid; a solve
+    # reports only its step count and leaves driver measures to callers
+    import roughpaths.rde_solver as rde_solver
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_rde called pvar_norm")
+
+    monkeypatch.setattr(rde_solver, "pvar_norm", refuse)
+    x, _ = random_polyline(np.random.default_rng(3), n=50)
+    sol = solve_rde(x, tanh_field(1, 1), np.array([0.2]), 1.0,
+                    SolverConfig(base_mesh=128))
+    assert sol.diagnostics == {"step_count": 128}
 
 
 def test_zero_field_is_constant():
@@ -310,6 +326,30 @@ def test_growth_check_zero_driver():
                              5.0, SolverConfig(base_mesh=256))
     for row in rep.rows:
         assert row["sup_y"] == pytest.approx(1.0)
+
+
+def test_growth_rows_pvar_matches_dilated_scans():
+    rng = np.random.default_rng(72)
+    x, _ = random_polyline(rng, n=40, m=2, T=5.0, scale=0.12)
+    rep = growth_bound_check(zero_field(2, 2), x,
+                             np.array([1.0, 0.0]), 5.0,
+                             SolverConfig(base_mesh=64),
+                             lambdas=(1.0, 2.0, 4.0, 8.0, 3.7))
+    assert rep.geometricity_defect == geometricity_defect(x)
+    for row in rep.rows[:4]:
+        assert row["pvar"] == pvar_norm(dilate(x, row["lam"]), 2.0)
+    lam = rep.rows[4]["lam"]
+    assert rep.rows[4]["pvar"] == pytest.approx(
+        pvar_norm(dilate(x, lam), 2.0), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("lambdas", [(), (1.0, 0.0), (-2.0,),
+                                     (1.0, float("inf")), (float("nan"),)])
+def test_growth_check_rejects_bad_lambdas(lambdas):
+    x = lift_piecewise_linear(np.array([[0.0], [0.3]]), [0.0, 1.0])
+    with pytest.raises(ValueError, match="lambdas"):
+        growth_bound_check(counterexample_field(), x, np.array([1.0, 0.0]),
+                           1.0, SolverConfig(base_mesh=16), lambdas=lambdas)
 
 
 def test_growth_check_rejects_nongeometric_driver():

@@ -11,7 +11,7 @@ from roughpaths.rough_paths import (AreaDrift, Control, HolderControl,
                                     write_roughpath_csv)
 from roughpaths.tensor_algebra import GroupElement2
 
-from oracles import shoelace_area
+from oracles import pvar_norm_pairs, shoelace_area
 
 
 def random_rough_path(rng, n, m):
@@ -58,6 +58,14 @@ def test_two_segment_level2_composition():
 def test_lift_rejects_bad_times():
     with pytest.raises(ValueError, match="increasing"):
         lift_piecewise_linear(np.zeros((3, 1)), [0.0, 1.0, 1.0])
+
+
+def test_at_rejects_one_point_path():
+    x = RoughPath(np.array([0.0]), np.zeros((1, 2)), np.zeros((1, 2, 2)))
+    with pytest.raises(ValueError, match="one-point"):
+        x.at(0.0)
+    with pytest.raises(ValueError, match="one-point"):
+        x.increments_on_mesh(np.array([0.0, 0.0]))
 
 
 def test_polyline_interpolation_is_exact():
@@ -147,11 +155,49 @@ def test_pvar_monotone_under_subgrid():
     assert pvar_norm(sub, 2.0) <= full + 1e-12
 
 
+def _shifted_control():
+    return Control(lambda s, t: np.maximum(0.0, (np.asarray(t) - np.asarray(s)) - 0.5))
+
+
 def test_pvar_infinite_when_control_vanishes():
-    ctrl = Control(lambda s, t: np.maximum(0.0, (np.asarray(t) - np.asarray(s)) - 0.5))
     x = lift_piecewise_linear(np.linspace(0, 1, 5)[:, None],
-                              np.linspace(0, 1, 5), control=ctrl)
+                              np.linspace(0, 1, 5), control=_shifted_control())
     assert pvar_norm(x, 2.0) == np.inf
+    assert pvar_norm_pairs(x.times, x.level1, x.level2, x.control,
+                           2.0) == np.inf
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("p", [2.0, 2.3])
+@pytest.mark.parametrize("shifted", [False, True])
+def test_pvar_equals_all_pairs_reference(m, p, shifted):
+    # random paths on non-uniform grids whose size is not a multiple of
+    # the scan's block, against a pair-by-pair scan: equal, not close
+    rng = np.random.default_rng(100 * m + int(10 * p) + shifted)
+    for n in (2, 3, 17, 40):
+        rp = random_rough_path(rng, n, m)
+        if shifted:
+            # gaps over 0.5 keep the shifted control positive on every
+            # pair, so the norm is finite (the zero case is tested above)
+            times = np.concatenate([[0.0],
+                                    np.cumsum(rng.uniform(0.6, 1.0, n - 1))])
+            rp = RoughPath(times, rp.level1, rp.level2, _shifted_control())
+        ref = pvar_norm_pairs(rp.times, rp.level1, rp.level2, rp.control, p)
+        assert np.isfinite(ref)
+        assert pvar_norm(rp, p) == ref
+
+
+def test_pvar_counts_every_start_point():
+    # one unit jump on interval k: the norm is set by the pair (k, k+1),
+    # wherever k falls relative to the scan's blocks
+    n = 40
+    times = np.concatenate([[0.0], np.cumsum(np.linspace(1.0, 0.5, n - 1))])
+    for k in range(n - 1):
+        pts = (np.arange(n) > k).astype(float)[:, None]
+        rp = lift_piecewise_linear(pts, times)
+        ref = pvar_norm_pairs(rp.times, rp.level1, rp.level2, rp.control, 2.0)
+        assert ref == pytest.approx(1.0 / np.sqrt(times[k + 1] - times[k]))
+        assert pvar_norm(rp, 2.0) == ref
 
 
 def test_pvar_rejects_bad_exponent():
