@@ -18,8 +18,8 @@ Capabilities, one module each:
 - ``cli``: the ``rde`` experiment runner.
 """
 
-from .tensor_algebra import (GroupElement2, Tensor2, antisym_part, hom_norm,
-                             identity, increment, inv, mul, sym_part)
+from .tensor_algebra import (GroupElement2, antisym_part, hom_norm, identity,
+                             increment, inv, mul, sym_part)
 from .rough_paths import (AreaDrift, Control, HolderControl, RoughPath,
                           area_pvar_bound, beta_path, brownian_lift,
                           chen_defect, decompose, dilate, geometricity_defect,

@@ -3,7 +3,9 @@
 Every command reads a JSON config (all keys optional unless noted),
 writes CSV/SVG/JSON artifacts into the output directory, prints a
 report, and exits 0 exactly when its pass/fail checks hold, so runs can
-gate CI.  Outputs are deterministic given (config, seed).
+gate CI: 1 when a check fails, 2 when the config is bad (an unknown key,
+or a value the library rejects with ValueError).  Outputs are
+deterministic given (config, seed).
 
 Commands
 --------
@@ -113,8 +115,18 @@ class ConfigError(ValueError):
 
 
 def _merged(command: str, user: dict) -> dict:
+    """Defaults overlaid with the user's config; unknown keys are errors."""
+    if not isinstance(user, dict):
+        raise ConfigError("config must be a JSON object")
+    unknown = sorted(set(user) - set(DEFAULTS["common"])
+                     - set(DEFAULTS[command]))
+    unknown += [f"solver.{k}" for k in sorted(
+        set(user.get("solver", {})) - set(DEFAULTS["common"]["solver"]))]
+    if unknown:
+        raise ConfigError(f"unknown config keys for {command}: "
+                          + ", ".join(unknown))
     cfg = {}
-    for src in (DEFAULTS["common"], DEFAULTS.get(command, {})):
+    for src in (DEFAULTS["common"], DEFAULTS[command]):
         for k, v in src.items():
             cfg[k] = dict(v) if isinstance(v, dict) else v
     for k, v in user.items():
@@ -272,14 +284,9 @@ def cmd_growth_demo(cfg: dict, out: str, seed: int) -> bool:
     field = field_from_config(cfg["field"])
     x = driver_from_config(cfg["driver"], seed)
     scfg = _solver_config(cfg)
-    try:
-        rep = growth_bound_check(field, x, np.asarray(cfg["a"], dtype=float),
-                                 float(cfg["T"]), scfg,
-                                 lambdas=tuple(cfg["lambdas"]))
-    except ValueError as exc:
-        # bad lambdas, a non-geometric driver or a mismatched state: all
-        # come from the config
-        raise ConfigError(str(exc)) from exc
+    rep = growth_bound_check(field, x, np.asarray(cfg["a"], dtype=float),
+                             float(cfg["T"]), scfg,
+                             lambdas=tuple(cfg["lambdas"]))
     omega = float(cfg["T"])
     rows = [(r["lam"], r["pvar"], r["pvar"] ** scfg.p * omega, r["sup_y"],
              r["log_sup"], int(r["explosion"])) for r in rep.rows]
@@ -539,16 +546,18 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, help="override the config seed")
     args = parser.parse_args(argv)
 
-    user = {}
-    if args.config:
-        with open(args.config) as fh:
-            user = json.load(fh)
     try:
+        user = {}
+        if args.config:
+            with open(args.config) as fh:
+                user = json.load(fh)
         cfg = _merged(args.command, user)
         seed = args.seed if args.seed is not None else int(cfg["seed"])
         os.makedirs(args.out, exist_ok=True)
         ok = COMMANDS[args.command](cfg, args.out, seed)
-    except (ConfigError, FileNotFoundError, KeyError, TypeError) as exc:
+    except (ValueError, FileNotFoundError, KeyError, TypeError) as exc:
+        # a ValueError (ConfigError among them) means the config asked for
+        # something the library rejects: a bad config, not a failed check
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if ok else 1

@@ -135,9 +135,6 @@ class ShiftedMap:
     def psi(self, y) -> LogSphereCoords:
         return phi(self.b + np.asarray(y, dtype=float))
 
-    def psi_inv(self, coords: LogSphereCoords) -> np.ndarray:
-        return z_of(coords) - self.b
-
     def state_of(self, y) -> np.ndarray:
         return self.psi(y).as_state()
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rough_paths import AreaDrift, Control, HolderControl, RoughPath
+from .rough_paths import AreaDrift, Control, HolderControl
 from .sewing import YoungConditionError
 from .vector_fields import VectorField
 
@@ -53,10 +53,6 @@ class SmoothMap:
         return self.eval(np.asarray(y, dtype=float))
 
 
-def _default_control() -> Control:
-    return HolderControl()
-
-
 @dataclass(frozen=True)
 class PartialRoughPath:
     """Grid triple (x, y, cross) with per-interval two-parameter data."""
@@ -67,7 +63,7 @@ class PartialRoughPath:
     y: np.ndarray            # (N+1, d)
     cross_inc: np.ndarray    # (N, d, m) cross integral per interval
     p: float = 2.0
-    control: Control = field(default_factory=_default_control)
+    control: Control = field(default_factory=HolderControl)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -106,14 +102,6 @@ class PartialRoughPath:
         dy = self.y[i:j - 1 + 1] - self.y[i]          # y_k - y_i, k = i..j-1
         dx = np.diff(self.x[i:j + 1], axis=0)
         return self.cross_inc[i:j].sum(axis=0) + np.einsum("ka,kb->ab", dy, dx)
-
-    def x2_between(self, i: int, j: int) -> np.ndarray:
-        """Driver level 2 over (t_i, t_j) via the multiplicative relation."""
-        if j <= i:
-            return np.zeros((self.m, self.m))
-        dxa = self.x[i:j] - self.x[i]
-        dx = np.diff(self.x[i:j + 1], axis=0)
-        return self.x2_inc[i:j].sum(axis=0) + np.einsum("ka,kb->ab", dxa, dx)
 
     def additivity_defect(self, samples: int = 400, seed: int = 0) -> float:
         """Max additivity violation of cross over sampled grid triples."""

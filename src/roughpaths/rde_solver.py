@@ -7,11 +7,11 @@ For dy = f(y) dx driven by a level-2 rough path the step over
 
 which is exactly the first-order-plus-area expansion whose sewn limit
 defines the solution; on smooth drivers it reduces to a second-order
-Taylor scheme.  The solver also accumulates the solution's cross
-integral against the driver (per interval f(y_i) paired with the
-driver's level 2, chained by the additivity identity), detects
-threshold crossings as an operational stand-in for blow-up, and carries
-the partition rule and a-priori sup bound valid for bounded fields.
+Taylor scheme.  One step map serves the mesh loop and the bisection
+that locates where |y| first crosses r_max (the operational stand-in for
+blow-up).  The solution's cross integral against the driver is stored
+per interval, f(y_i) paired with the driver's level 2, and the module
+carries the partition rule and a-priori sup bound for bounded fields.
 
 A corrected variant integrates against a decomposed driver: the rough
 step uses the geometric part while a Young term h2(y) dbeta adds the
@@ -103,16 +103,20 @@ class BlowupRecord:
 class RDESolution:
     """Solution on its mesh, with the cross integral against the driver.
 
-    diagnostics holds "step_count", the number of steps taken (fewer
-    than the mesh has when a threshold crossing ends the solve).  The
-    solver computes no other diagnostic: measures of the driver, such as
-    pvar_norm or geometricity_defect, are for the caller to ask for.
+    x2_inc[k] is the driver's level 2 over [t_k, t_k+1] and cross_inc[k]
+    = f(y_k) x2_inc[k] the cross integral there, the per-interval form
+    PartialRoughPath stores (solution_to_partial extends both to any
+    pair of mesh times).  diagnostics holds "step_count", the steps taken
+    (fewer than the mesh has when a threshold crossing ends the solve).
+    The solver computes no other diagnostic: measures of the driver, such
+    as pvar_norm or geometricity_defect, are for the caller to ask for.
     """
 
     times: np.ndarray          # (K+1,)
     y: np.ndarray              # (K+1, d)
     x1: np.ndarray             # (K+1, m) driver level 1 at solution times
-    cross: np.ndarray          # (K+1, d, m) cross integral from time 0
+    x2_inc: np.ndarray         # (K, m, m) driver level 2 per interval
+    cross_inc: np.ndarray      # (K, d, m) cross integral per interval
     blowup: BlowupRecord | None
     diagnostics: dict = field(default_factory=dict)
 
@@ -123,25 +127,6 @@ class RDESolution:
     @property
     def m(self) -> int:
         return self.x1.shape[1]
-
-    def cross_between(self, i: int, j: int) -> np.ndarray:
-        """Cross integral over (t_i, t_j) from the additivity identity."""
-        return (self.cross[j] - self.cross[i]
-                - np.outer(self.y[i] - self.y[0], self.x1[j] - self.x1[i]))
-
-    def cross_additivity_defect(self, samples: int = 300, seed: int = 0) -> float:
-        n = len(self.times)
-        rng = np.random.default_rng(seed)
-        idx = np.sort(rng.integers(0, n, size=(samples, 3)), axis=1)
-        worst = 0.0
-        for i, j, k in idx:
-            if not (i < j < k):
-                continue
-            lhs = self.cross_between(i, k)
-            rhs = (self.cross_between(i, j) + self.cross_between(j, k)
-                   + np.outer(self.y[j] - self.y[i], self.x1[k] - self.x1[j]))
-            worst = max(worst, float(np.max(np.abs(lhs - rhs), initial=0.0)))
-        return worst
 
     def sup_norm(self) -> float:
         return float(np.max(np.linalg.norm(self.y, axis=1)))
@@ -158,26 +143,47 @@ def _solve_mesh(T: float, cfg: SolverConfig, times) -> np.ndarray:
     return np.linspace(0.0, T, cfg.base_mesh + 1)
 
 
-def _partial_increment(x: RoughPath, s: float, t: float):
-    g = x.increment_between(s, t)
-    return g.level1, g.level2
+def _davie_step(x: RoughPath, f: VectorField, young: tuple | None):
+    """The Davie step map and the per-interval inputs it takes on a mesh.
 
+    step(y, u, b, db) = (y + f(y) u + (f . grad f)(y) b + h2(y) db, f(y))
+    with (u, x2, b, db) one row of increments(mesh): the driver's two
+    levels, b = x2, or x2 + dbeta when h2 is f's own derived field, and
+    db = dbeta, or None when there is no separate Young term.  The b
+    term is contracted without assembling the derived field: with
+    P[j,c] = sum_i b[i,j] f[c,i] it is grad f(y) flattened against P.
+    """
+    d, m = f.d, f.m
+    h2, beta = young if young is not None else (None, None)
+    if getattr(h2, "source", None) is f:
+        h2 = None   # fused into b
 
-def _so_matrix(f: VectorField, fe, gr, d: int, m: int) -> np.ndarray:
-    """Derived field (f . grad f)(y) flattened to (d, m*m) from fe, gr."""
-    t = gr.reshape(d * m, d) @ fe
-    return t.reshape(d, m, m).swapaxes(1, 2).reshape(d, m * m)
+    def increments(mesh):
+        u, x2 = x.increments_on_mesh(mesh)
+        if beta is None:
+            return u, x2, x2, None
+        dbeta = beta.increments_on_mesh(mesh)
+        if h2 is None:
+            return u, x2, x2 + dbeta, None
+        return u, x2, x2, dbeta.reshape(len(u), m * m)
+
+    def step(y, u, b, db):
+        fe = f.eval(y)
+        w = b.T @ fe.T
+        dy = fe @ u + f.grad(y).reshape(d, m * d) @ w.reshape(m * d)
+        if db is not None:
+            dy = dy + h2.eval(y).reshape(d, m * m) @ db
+        return y + dy, fe
+
+    return increments, step
 
 
 def _davie_loop(x: RoughPath, f: VectorField, a, T: float,
                 cfg: SolverConfig, times, young: tuple | None) -> RDESolution:
     """Shared stepping loop; young = (h2, beta) adds the drift term.
 
-    The second-order term (f . grad f)(y) x2 is contracted without
-    assembling the derived field: with P[j,c] = sum_i x2[i,j] f[c,i] it
-    equals grad f(y) flattened against P.  When the Young term's h2 is
-    the derived field of f itself, its contraction with dbeta merges
-    into the same product by adding dbeta onto x2.
+    A step whose state leaves the ball of radius r_max is bisected for
+    the crossing time with the same step map, run from t_i to tau.
     """
     mesh = _solve_mesh(T, cfg, times)
     K = len(mesh) - 1
@@ -189,19 +195,8 @@ def _davie_loop(x: RoughPath, f: VectorField, a, T: float,
     d, m = f.d, f.m
     if x.m != m:
         raise ValueError(f"driver dimension {x.m} does not match field m={m}")
-    x1i, x2i = x.increments_on_mesh(mesh)
-    fused = False
-    if young is not None:
-        h2, beta = young
-        dbeta = beta.increments_on_mesh(mesh)
-        fused = getattr(h2, "source", None) is f
-        if fused:
-            x2_step = x2i + dbeta
-        else:
-            x2_step = x2i
-            dbeta_flat = dbeta.reshape(K, m * m)
-    else:
-        x2_step = x2i
+    increments, step = _davie_step(x, f, young)
+    u_all, x2_all, b_all, db_all = increments(mesh)
     y = np.asarray(a, dtype=float).copy()
     if y.shape != (d,):
         raise ValueError(f"initial state must have shape ({d},)")
@@ -213,68 +208,38 @@ def _davie_loop(x: RoughPath, f: VectorField, a, T: float,
     blow = None
     last = K
     for i in range(K):
-        fe = f.eval(y)
-        gr = f.grad(y)
-        fes[i] = fe
-        w = x2_step[i].T @ fe.T
-        dy = fe @ x1i[i] + gr.reshape(d, m * d) @ w.reshape(m * d)
-        if young is not None and not fused:
-            dy = dy + h2.eval(y).reshape(d, m * m) @ dbeta_flat[i]
-        y_new = y + dy
+        y_new, fes[i] = step(y, u_all[i], b_all[i],
+                             None if db_all is None else db_all[i])
         ny2 = float(y_new @ y_new)
         if not (ny2 <= r2):
             if not math.isfinite(ny2):
                 raise FieldEvaluationError(mesh[i], y)
-            # bisect the frozen-coefficient step map for the crossing time
-            t0, t1 = mesh[i], mesh[i + 1]
-            so = _so_matrix(f, fe, gr, d, m)
-            h2e = (h2.eval(y).reshape(d, m * m) if young is not None else None)
+            t0 = mesh[i]
 
-            def state_at(tau, _t0=t0, _y=y, _fe=fe, _so=so, _h2e=h2e):
-                u, b = _partial_increment(x, _t0, tau)
-                yv = _y + _fe @ u + _so @ b.ravel()
-                if _h2e is not None:
-                    db = beta.at(tau) - beta.at(_t0)
-                    yv = yv + _h2e @ db.ravel()
-                return yv
+            def state_at(tau):
+                u, _, b, db = increments(np.array([t0, tau]))
+                return step(y, u[0], b[0], None if db is None else db[0])[0]
 
-            lo, hi = t0, t1
+            lo, hi = t0, mesh[i + 1]
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
                 if np.linalg.norm(state_at(mid)) >= cfg.r_max:
                     hi = mid
                 else:
                     lo = mid
-            t_cross = hi
             y_cross = state_at(hi)
-            blow = BlowupRecord(cfg.r_max, t_cross,
-                                float(np.linalg.norm(y_cross)))
+            blow = BlowupRecord(cfg.r_max, hi, float(np.linalg.norm(y_cross)))
             traj[i + 1] = y_cross
             last = i + 1
-            mesh = np.concatenate([mesh[:i + 1], [t_cross]])
+            mesh = np.concatenate([mesh[:i + 1], [hi]])
             break
         y = y_new if proj is None else np.asarray(proj(y_new), dtype=float)
         traj[i + 1] = y
     times_out = mesh[:last + 1]
-    traj = traj[:last + 1]
-    fes = fes[:last]
-    # cross integral from the stored first-order coefficients, chained by
-    # the additivity identity (vectorized after the state recursion)
-    u_abs, _ = x.at(times_out)
-    du = np.diff(u_abs, axis=0)
-    if blow is not None:
-        # recompute level-2 increments on the truncated mesh
-        _, b_abs = x.at(times_out)
-        x2_used = (np.diff(b_abs, axis=0)
-                   - np.einsum("ki,kj->kij", u_abs[:-1], du))
-    else:
-        x2_used = x2i
-    cross_inc = np.einsum("kdm,kmn->kdn", fes, x2_used)
-    chain = np.einsum("kd,km->kdm", traj[:-1] - traj[0], du)
-    cross = np.zeros((last + 1, d, m))
-    np.cumsum(cross_inc + chain, axis=0, out=cross[1:])
-    return RDESolution(times_out, traj, u_abs, cross, blow,
-                       {"step_count": last})
+    x2_inc = x2_all if blow is None else x.increments_on_mesh(times_out)[1]
+    cross_inc = np.einsum("kdm,kmn->kdn", fes[:last], x2_inc)
+    return RDESolution(times_out, traj[:last + 1], x.at(times_out)[0],
+                       x2_inc, cross_inc, blow, {"step_count": last})
 
 
 def solve_rde(x: RoughPath, f: VectorField, a, T: float,
@@ -468,16 +433,15 @@ def growth_bound_check(f: VectorField, x: RoughPath, a, T: float,
 
 
 def solution_to_partial(sol: RDESolution, x: RoughPath, p: float = 2.0):
-    """Partial rough path (x, y, cross) carried by a solution."""
+    """Partial rough path (x, y, cross) carried by a solution.
+
+    The solution's per-interval arrays pass through unchanged; x, the
+    driver the solution was computed on, supplies the control.
+    """
     from .partial_rough_paths import PartialRoughPath
 
-    mesh = sol.times
-    x2_inc = x.increments_on_mesh(mesh)[1]
-    du = np.diff(sol.x1, axis=0)
-    cross_inc = (np.diff(sol.cross, axis=0)
-                 - np.einsum("kd,km->kdm", sol.y[:-1] - sol.y[0], du))
-    return PartialRoughPath(mesh, sol.x1, x2_inc, sol.y, cross_inc, p,
-                            x.control)
+    return PartialRoughPath(sol.times, sol.x1, sol.x2_inc, sol.y,
+                            sol.cross_inc, p, x.control)
 
 
 def write_solution_csv(sol: RDESolution, path) -> None:

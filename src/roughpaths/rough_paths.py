@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor_algebra import GroupElement2, identity, mul
+from .tensor_algebra import GroupElement2, mul
 
 __all__ = [
     "Control",
@@ -97,10 +97,6 @@ class HolderControl(Control):
         return "HolderControl()"
 
 
-def _default_control() -> Control:
-    return HolderControl()
-
-
 @dataclass(frozen=True)
 class RoughPath:
     """Sampled level-2 rough path: absolute group values per grid time."""
@@ -108,7 +104,7 @@ class RoughPath:
     times: np.ndarray            # (N+1,) strictly increasing, times[0] = 0
     level1: np.ndarray           # (N+1, m), level1[0] = 0
     level2: np.ndarray           # (N+1, m, m), level2[0] = 0
-    control: Control = field(default_factory=_default_control)
+    control: Control = field(default_factory=HolderControl)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -138,9 +134,6 @@ class RoughPath:
     @property
     def T(self) -> float:
         return float(self.times[-1])
-
-    def value(self, i: int) -> GroupElement2:
-        return GroupElement2(self.level1[i], self.level2[i])
 
     def increment(self, i: int, j: int) -> GroupElement2:
         """Increment between grid indices i <= j."""

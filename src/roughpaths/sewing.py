@@ -47,10 +47,6 @@ class YoungConditionError(ValueError):
     """Variation exponents do not satisfy 1/p + 1/q > 1."""
 
 
-def _default_control() -> Control:
-    return HolderControl()
-
-
 @dataclass
 class AlmostRoughPath:
     """Two-parameter map with a known multiplicativity defect order.
@@ -63,7 +59,7 @@ class AlmostRoughPath:
     fn: object
     theta: float
     C: float = float("nan")
-    control: Control = field(default_factory=_default_control)
+    control: Control = field(default_factory=HolderControl)
 
     def __call__(self, s: float, t: float):
         return self.fn(s, t)

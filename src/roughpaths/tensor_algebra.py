@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Tensor2",
     "GroupElement2",
     "identity",
     "mul",
@@ -23,31 +22,6 @@ __all__ = [
     "antisym_part",
     "hom_norm",
 ]
-
-
-@dataclass(frozen=True)
-class Tensor2:
-    """General degree-<=2 tensor: scalar + vector + matrix part."""
-
-    scalar: float
-    level1: np.ndarray
-    level2: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "level1", np.asarray(self.level1, dtype=float))
-        object.__setattr__(self, "level2", np.asarray(self.level2, dtype=float))
-        m = self.level1.shape[0]
-        if self.level2.shape != (m, m):
-            raise ValueError(
-                f"level2 shape {self.level2.shape} does not match level1 length {m}"
-            )
-        if not (np.isfinite(self.scalar) and np.isfinite(self.level1).all()
-                and np.isfinite(self.level2).all()):
-            raise ValueError("tensor entries must be finite")
-
-    @property
-    def m(self) -> int:
-        return self.level1.shape[0]
 
 
 @dataclass(frozen=True)
@@ -73,9 +47,6 @@ class GroupElement2:
     @property
     def m(self) -> int:
         return self.level1.shape[0]
-
-    def as_tensor(self) -> Tensor2:
-        return Tensor2(1.0, self.level1, self.level2)
 
 
 def identity(m: int) -> GroupElement2:

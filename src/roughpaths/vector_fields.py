@@ -65,9 +65,6 @@ class VectorField:
     def __call__(self, y) -> np.ndarray:
         return self.eval(np.asarray(y, dtype=float))
 
-    def gradient(self, y) -> np.ndarray:
-        return self.grad(np.asarray(y, dtype=float))
-
 
 @dataclass
 class SecondOrderField:

@@ -140,6 +140,40 @@ def test_bad_config_exits_two(tmp_path, capsys):
     assert run(tmp_path, "lift", {}) == 2
 
 
+@pytest.mark.parametrize("config", [
+    {"p": 3.5},                     # outside [2, 3)
+    {"a": [1, 2]},                  # state shape does not match the field
+    {"T": 2.0},                     # horizon past the driver's range
+    {"field": {"name": "tanh"}},    # d = 2 field against a 1-d state
+])
+def test_library_value_errors_exit_two(tmp_path, capsys, config):
+    assert run(tmp_path, "solve", config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("solve", {"mesh_size": 7}, "mesh_size"),
+    ("solve", {"solver": {"rmax": 10.0}}, "solver.rmax"),
+    ("growth-demo", {"a1": 2.0}, "a1"),        # explosion-demo's key
+    ("convergence", {"problem": "exp", "mesh": 64, "bogus": 1}, "bogus"),
+])
+def test_unknown_config_keys_exit_two(tmp_path, capsys, command, config, key):
+    assert run(tmp_path, command, config) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_malformed_config_exits_two(tmp_path):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text("{\"mesh\": ")
+    assert main(["solve", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 2
+    cfg_path.write_text("[1, 2]")
+    assert main(["solve", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 2
+
+
 def test_growth_demo_bad_lambdas_exit_two(tmp_path, capsys):
     assert run(tmp_path, "growth-demo", {"lambdas": [1.0, 0.0]}) == 2
     assert "lambdas" in capsys.readouterr().err

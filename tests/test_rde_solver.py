@@ -51,7 +51,7 @@ def test_zero_field_is_constant():
     sol = solve_rde(time_lift(), zero_field(2, 1), np.array([1.0, -2.0]), 1.0,
                     SolverConfig(base_mesh=64))
     assert np.max(np.abs(sol.y - sol.y[0])) == 0.0
-    assert np.max(np.abs(sol.cross)) == 0.0
+    assert np.max(np.abs(sol.cross_inc)) == 0.0
     assert sol.blowup is None
 
 
@@ -115,12 +115,84 @@ def test_mesh_refinement_improves_solution():
     assert errs[1] / errs[2] >= 1.5
 
 
-def test_solution_cross_additivity():
-    rng = np.random.default_rng(64)
-    x, _ = random_polyline(rng, n=5)
+def _blowup_routes():
+    # (name, solve(r_max, times)) for the plain route, the corrected
+    # route with f's own derived field (fused into the level-2 input)
+    # and the corrected route with an h2 the solver cannot fuse
+    vf = counterexample_field()
+    a = np.array([1.0, 0.0])
+    x = pure_area_path(1.5)
+    geo, drift = decompose(x)
+    so = f_dot_grad_f(vf)
+
+    def plain(r_max, times):
+        return solve_rde(x, vf, a, 1.5,
+                         SolverConfig(base_mesh=512, r_max=r_max), times)
+
+    def fused(r_max, times):
+        return solve_rde_corrected(geo, drift, vf, so, a, 1.5,
+                                   SolverConfig(base_mesh=512, r_max=r_max),
+                                   times)
+
+    def unfused(r_max, times):
+        return solve_rde_corrected(geo, drift, vf, lambda y: so.eval(y), a,
+                                   1.5, SolverConfig(base_mesh=512,
+                                                     r_max=r_max), times)
+
+    return [("plain", plain), ("fused", fused), ("unfused", unfused)]
+
+
+def test_crossing_state_is_one_loop_step():
+    # the blow-up bisection applies the loop's step map: re-solving on
+    # the truncated mesh, with the threshold out of reach, lands on the
+    # reported crossing state bit for bit
+    for name, solve in _blowup_routes():
+        sol = solve(1e6, None)
+        assert sol.blowup is not None, name
+        again = solve(1e300, sol.times)
+        assert again.blowup is None, name
+        assert np.array_equal(again.y, sol.y), name
+        assert np.array_equal(again.cross_inc, sol.cross_inc), name
+
+
+def test_solution_to_partial_carries_the_interval_arrays():
+    x, _ = random_polyline(np.random.default_rng(64), n=5)
     sol = solve_rde(x, counterexample_field(), np.array([1.0, 0.0]), 1.0,
                     SolverConfig(base_mesh=256))
-    assert sol.cross_additivity_defect() <= 1e-12
+    prp = solution_to_partial(sol, x, p=2.5)
+    assert prp.x2_inc.shape == (256, 1, 1)
+    assert prp.cross_inc.shape == (256, 2, 1)
+    assert np.array_equal(prp.x2_inc, sol.x2_inc)
+    assert np.array_equal(prp.cross_inc, sol.cross_inc)
+    assert np.array_equal(prp.times, sol.times)
+    assert np.array_equal(prp.x, sol.x1)
+    assert np.array_equal(prp.y, sol.y)
+    assert prp.p == 2.5 and prp.control is x.control
+    # per interval the cross increment pairs f(y_k) with the driver's x2
+    vf = counterexample_field()
+    for k in (0, 100, 255):
+        assert np.array_equal(sol.cross_inc[k],
+                              vf.eval(sol.y[k]) @ sol.x2_inc[k])
+    assert np.array_equal(sol.x2_inc, x.increments_on_mesh(sol.times)[1])
+
+
+def test_solution_cross_additivity_over_random_drivers():
+    rng = np.random.default_rng(64)
+    truncated = 0
+    for trial in range(12):
+        m = 1 + trial % 2
+        x, _ = random_polyline(rng, n=int(rng.integers(2, 9)), m=m,
+                               scale=float(rng.uniform(0.2, 0.8)))
+        A = rng.normal(0.0, 1.5, size=(2, m, 2))
+        # a low threshold on every third trial ends the solve early
+        r_max = 1.2 if trial % 3 == 0 else 1e6
+        sol = solve_rde(x, linear_field(A), np.array([1.0, -0.5]), 1.0,
+                        SolverConfig(base_mesh=int(rng.choice([64, 256])),
+                                     r_max=r_max))
+        truncated += sol.blowup is not None
+        prp = solution_to_partial(sol, x)
+        assert prp.additivity_defect() <= 1e-12, trial
+    assert truncated >= 2
 
 
 def test_nan_field_raises_with_location():
