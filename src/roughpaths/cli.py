@@ -42,9 +42,9 @@ from scipy.linalg import expm
 
 from .log_sphere_map import ShiftedMap, choose_shift, sphere_state_projection, \
     transformed_field
-from .rough_paths import (RoughPath, brownian_lift, decompose, dilate,
+from .rough_paths import (RoughPath, brownian_lift, decompose,
                           geometricity_defect, lift_piecewise_linear,
-                          pure_area_path, pvar_norm, read_polyline_csv,
+                          pure_area_path, read_polyline_csv,
                           read_roughpath_csv, write_roughpath_csv)
 from .rde_solver import (SolverConfig, blowup_json, growth_bound_check,
                          solve_rde, solve_rde_corrected, write_solution_csv)

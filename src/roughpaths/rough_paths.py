@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor_algebra import GroupElement2, mul
+from .tensor_algebra import GroupElement2
 
 __all__ = [
     "Control",
@@ -52,9 +52,21 @@ __all__ = [
     "read_roughpath_csv",
 ]
 
-# Exhaustive O(N^2)/O(N^3) scans are used up to this many grid points;
-# beyond it the defect routines fall back to documented envelopes/samples.
+# The geometricity scan visits every grid pair (O(N^2)) up to this many
+# grid points and falls back to the entrywise-range envelope beyond it.
+# The Chen audit has its own, much lower cut-off (_CHEN_EXHAUSTIVE_LIMIT).
 _EXACT_SCAN_LIMIT = 4200
+
+# The Chen audit visits every grid triple (O(N^3)) up to this many grid
+# points and a fixed seeded sample of _CHEN_SAMPLES draws beyond it.
+_CHEN_EXHAUSTIVE_LIMIT = 120
+_CHEN_SAMPLES = 20000
+
+# Triples per array pass of the Chen audit: enough to amortise the numpy
+# overhead of each pass, few enough that the passes' temporaries stay
+# small (one pass over all sampled triples costs more peak memory than
+# the path it audits).
+_CHEN_CHUNK = 2048
 
 # Start points per block of the p-variation scan: each block is one
 # (rows, later points) array pass, which amortises the per-row numpy
@@ -186,11 +198,25 @@ class RoughPath:
         db = np.diff(b_abs, axis=0) - np.einsum("ki,kj->kij", u_abs[:-1], du)
         return du, db
 
-    def increment_between(self, s: float, t: float) -> GroupElement2:
+    def increments_between(self, s: np.ndarray,
+                           t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Increments x_s^-1 (x) x_t for 1-d arrays of times s, t (K each).
+
+        Broadcasts as two_param_chen_defect requires: returns
+        (level1 (K, m), level2 (K, m, m)), from one `at` query for all of
+        s and one for all of t, with b_t - b_s - u_s (x) (u_t - u_s) row
+        by row.  chen_defect calls it three times per chunk of
+        _CHEN_CHUNK triples.
+        """
         us, bs = self.at(s)
         ut, bt = self.at(t)
         du = ut - us
-        return GroupElement2(du, bt - bs - np.outer(us, du))
+        return du, bt - bs - np.einsum("ki,kj->kij", us, du)
+
+    def increment_between(self, s: float, t: float) -> GroupElement2:
+        """Increment between two times: one row of increments_between."""
+        du, db = self.increments_between(np.array([s]), np.array([t]))
+        return GroupElement2(du[0], db[0])
 
 
 @dataclass(frozen=True)
@@ -311,33 +337,61 @@ def dilate(rp: RoughPath, lam: float) -> RoughPath:
 # measurement
 
 
+def _chen_triples(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grid index triples i < j < k audited by two_param_chen_defect."""
+    if n <= _CHEN_EXHAUSTIVE_LIMIT:
+        r = np.arange(n)
+        return np.nonzero((r[:, None, None] < r[None, :, None])
+                          & (r[None, :, None] < r[None, None, :]))
+    rng = np.random.default_rng(0)
+    idx = np.sort(rng.integers(0, n, size=(_CHEN_SAMPLES, 3)), axis=1)
+    idx = idx[(idx[:, 0] < idx[:, 1]) & (idx[:, 1] < idx[:, 2])]
+    return idx[:, 0], idx[:, 1], idx[:, 2]
+
+
+def _broadcast_increments(inc_fn, s: np.ndarray,
+                          t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """inc_fn(s, t), checked against the broadcast contract."""
+    out = inc_fn(s, t)
+    if isinstance(out, tuple) and len(out) == 2:
+        l1, l2 = (np.asarray(a, dtype=float) for a in out)
+        if (l1.ndim == 2 and len(l1) == len(s)
+                and l2.shape == l1.shape + l1.shape[1:]):
+            return l1, l2
+    raise ValueError("inc_fn must broadcast: given 1-d arrays s, t of "
+                     "length K it returns (level1 (K, m), level2 (K, m, m))")
+
+
 def two_param_chen_defect(inc_fn, times) -> float:
     """Max multiplicativity defect of a two-parameter increment map.
 
-    For every grid triple s < u < t compares inc(s, t) against
-    inc(s, u) (x) inc(u, t), entrywise across both levels.  inc_fn takes
-    two times and returns a GroupElement2.
+    For grid triples s < u < t compares inc(s, t) against
+    inc(s, u) (x) inc(u, t), entrywise across both levels.  Every triple
+    is visited up to _CHEN_EXHAUSTIVE_LIMIT grid points; beyond it, the
+    triples of _CHEN_SAMPLES seeded draws (default_rng(0), sorted, kept
+    when strictly increasing).
+
+    inc_fn must broadcast: given 1-d arrays s, t of length K it returns
+    (level1 (K, m), level2 (K, m, m)); anything else raises ValueError.
+    The triples are evaluated _CHEN_CHUNK at a time, three inc_fn calls
+    per chunk; each triple gets the same floating-point operations
+    whatever the chunk size, so the result does not depend on it.
     """
     t = np.asarray(times, dtype=float)
     n = len(t)
     if n < 3:
         raise ValueError("need at least 3 grid points")
+    i, j, k = _chen_triples(n)
     worst = 0.0
-    if n <= 120:
-        triples = [(i, j, k) for i in range(n) for j in range(i + 1, n)
-                   for k in range(j + 1, n)]
-    else:
-        rng = np.random.default_rng(0)
-        idx = np.sort(rng.integers(0, n, size=(20000, 3)), axis=1)
-        triples = [tuple(row) for row in idx if row[0] < row[1] < row[2]]
-    for i, j, k in triples:
-        whole = inc_fn(t[i], t[k])
-        left = inc_fn(t[i], t[j])
-        right = inc_fn(t[j], t[k])
-        prod = mul(left, right)
-        d1 = np.max(np.abs(whole.level1 - prod.level1), initial=0.0)
-        d2 = np.max(np.abs(whole.level2 - prod.level2), initial=0.0)
-        worst = max(worst, d1, d2)
+    for c0 in range(0, len(i), _CHEN_CHUNK):
+        ti, tj, tk = (t[a[c0:c0 + _CHEN_CHUNK]] for a in (i, j, k))
+        w1, w2 = _broadcast_increments(inc_fn, ti, tk)
+        l1, l2 = _broadcast_increments(inc_fn, ti, tj)
+        r1, r2 = _broadcast_increments(inc_fn, tj, tk)
+        d1 = np.max(np.abs(w1 - (l1 + r1)), initial=0.0)
+        d2 = np.max(np.abs(w2 - (l2 + r2 + np.einsum("ki,kj->kij", l1, r1))),
+                    initial=0.0)
+        worst = max(worst, float(d1), float(d2))
     return worst
 
 
@@ -345,10 +399,11 @@ def chen_defect(rp: RoughPath, increment_fn=None) -> float:
     """Chen defect of a rough path (see two_param_chen_defect).
 
     For a stored path this is pure float roundoff, since increments come
-    from point values; pass increment_fn to audit externally supplied
-    two-parameter data instead.
+    from point values (rp.increments_between, two `at` queries per
+    chunk of triples).  Pass increment_fn to audit externally supplied
+    two-parameter data instead; it must broadcast the same way.
     """
-    fn = increment_fn if increment_fn is not None else rp.increment_between
+    fn = increment_fn if increment_fn is not None else rp.increments_between
     return two_param_chen_defect(fn, rp.times)
 
 
@@ -413,16 +468,25 @@ def geometricity_defect(rp: RoughPath) -> float:
     diameter of the beta path; exact up to _EXACT_SCAN_LIMIT points, and
     bounded by the entrywise-range envelope (exact for m = 1, at most a
     factor m high) beyond that.
+
+    The exact scan sums squared differences one matrix entry at a time
+    over every later point and takes a single sqrt of the largest sum;
+    this matches a per-pair Euclidean norm bit for bit when m <= 2 and
+    to within an ulp or two for larger m, where numpy sums pairwise.
     """
     beta = beta_path(rp)
     n = len(beta)
     flat = beta.reshape(n, -1)
     if n <= _EXACT_SCAN_LIMIT:
-        worst = 0.0
+        cols = np.ascontiguousarray(flat.T)
+        worst_sq = 0.0
         for i in range(n - 1):
-            d = flat[i + 1:] - flat[i]
-            worst = max(worst, float(np.max(np.linalg.norm(d, axis=1), initial=0.0)))
-        return worst
+            sq = np.zeros(n - 1 - i)
+            for col in cols:
+                d = col[i + 1:] - col[i]
+                sq += d * d
+            worst_sq = max(worst_sq, float(np.max(sq)))
+        return math.sqrt(worst_sq)
     ranges = flat.max(axis=0) - flat.min(axis=0)
     return float(np.linalg.norm(ranges))
 

@@ -104,3 +104,48 @@ def pvar_norm_pairs(times, level1, level2, control, p):
             c1 = max(c1, float(n1 / w ** (1.0 / p)))
             c2sq = max(c2sq, float(n2 / w ** (2.0 / p)))
     return max(c1, float(np.sqrt(c2sq)))
+
+
+def chen_defect_triples(inc_fn, times, exhaustive_limit=120, samples=20000):
+    """Chen defect by visiting grid triples s < u < t one at a time.
+
+    inc_fn takes two scalar times and returns a GroupElement2.  The
+    triples are every one up to exhaustive_limit points, otherwise the
+    strictly increasing rows of `samples` sorted draws from
+    default_rng(0), as in the library; each triple gets the same
+    per-element operations, so the two agree exactly.
+    """
+    t = np.asarray(times, dtype=float)
+    n = len(t)
+    if n <= exhaustive_limit:
+        triples = [(i, j, k) for i in range(n) for j in range(i + 1, n)
+                   for k in range(j + 1, n)]
+    else:
+        rng = np.random.default_rng(0)
+        idx = np.sort(rng.integers(0, n, size=(samples, 3)), axis=1)
+        triples = [tuple(row) for row in idx if row[0] < row[1] < row[2]]
+    worst = 0.0
+    for i, j, k in triples:
+        whole = inc_fn(t[i], t[k])
+        left = inc_fn(t[i], t[j])
+        right = inc_fn(t[j], t[k])
+        prod1 = left.level1 + right.level1
+        prod2 = left.level2 + right.level2 + np.outer(left.level1, right.level1)
+        d1 = np.max(np.abs(whole.level1 - prod1), initial=0.0)
+        d2 = np.max(np.abs(whole.level2 - prod2), initial=0.0)
+        worst = max(worst, d1, d2)
+    return float(worst)
+
+
+def geometricity_defect_rows(level1, level2):
+    """Geometricity defect as the Frobenius diameter of the beta path,
+    one start point at a time with numpy's Euclidean norm per pair."""
+    u = np.asarray(level1, dtype=float)
+    b = np.asarray(level2, dtype=float)
+    beta = 0.5 * (b + np.swapaxes(b, 1, 2)) - 0.5 * np.einsum("ki,kj->kij", u, u)
+    flat = beta.reshape(len(beta), -1)
+    worst = 0.0
+    for i in range(len(flat) - 1):
+        d = np.linalg.norm(flat[i + 1:] - flat[i], axis=1)
+        worst = max(worst, float(np.max(d)))
+    return worst

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from roughpaths import rough_paths
 from roughpaths.rough_paths import (AreaDrift, Control, HolderControl,
                                     RoughPath, area_pvar_bound, beta_path,
                                     brownian_lift, chen_defect, decompose,
@@ -11,7 +12,8 @@ from roughpaths.rough_paths import (AreaDrift, Control, HolderControl,
                                     write_roughpath_csv)
 from roughpaths.tensor_algebra import GroupElement2
 
-from oracles import pvar_norm_pairs, shoelace_area
+from oracles import (chen_defect_triples, geometricity_defect_rows,
+                     pvar_norm_pairs, shoelace_area)
 
 
 def random_rough_path(rng, n, m):
@@ -102,14 +104,82 @@ def test_chen_defect_flags_corrupted_increments():
     bad_pair = (rp.times[2], rp.times[5])
 
     def corrupted(s, t):
-        g = rp.increment_between(s, t)
-        if (s, t) == bad_pair:
-            b = g.level2.copy()
-            b[0, 1] += 0.1
-            return GroupElement2(g.level1, b)
-        return g
+        level1, level2 = rp.increments_between(s, t)
+        hit = (s == bad_pair[0]) & (t == bad_pair[1])
+        level2 = level2.copy()
+        level2[hit, 0, 1] += 0.1
+        return level1, level2
 
     assert chen_defect(rp, increment_fn=corrupted) >= 0.09
+
+
+def _chen_paths(rng, n):
+    """Paths of n points for m = 1..3: polylines, random point values
+    and the pure-area path."""
+    for m in (1, 2, 3):
+        pts = np.cumsum(rng.normal(size=(n, m)), axis=0)
+        yield lift_piecewise_linear(pts, np.cumsum(rng.uniform(0.1, 1.0, n)))
+        yield random_rough_path(rng, n, m)
+    yield pure_area_path(2.0, m=2, area=np.array([[1.0, 0.5], [-0.5, 2.0]]),
+                         n_points=n)
+
+
+def test_chen_defect_equals_triple_oracle_exhaustive():
+    rng = np.random.default_rng(20)
+    for rp in _chen_paths(rng, 12):
+        assert chen_defect(rp) == chen_defect_triples(rp.increment_between,
+                                                      rp.times)
+
+
+def test_chen_defect_equals_triple_oracle_sampled(monkeypatch):
+    # the sampled route (over 120 points) with a shorter draw, so that
+    # the one-triple-at-a-time oracle stays affordable
+    monkeypatch.setattr(rough_paths, "_CHEN_SAMPLES", 250)
+    rng = np.random.default_rng(21)
+    for rp in _chen_paths(rng, 150):
+        assert chen_defect(rp) == chen_defect_triples(
+            rp.increment_between, rp.times, samples=250)
+
+
+def test_chen_defect_ignores_chunk_boundaries(monkeypatch):
+    # 4060 triples: the default chunks leave a partial last one
+    rng = np.random.default_rng(22)
+    rp = random_rough_path(rng, 30, 2)
+    n_triples = 30 * 29 * 28 // 6
+    assert n_triples > rough_paths._CHEN_CHUNK
+    assert n_triples % rough_paths._CHEN_CHUNK != 0
+    got = chen_defect(rp)
+    for chunk in (9, 1000, n_triples):
+        monkeypatch.setattr(rough_paths, "_CHEN_CHUNK", chunk)
+        assert chen_defect(rp) == got
+
+
+def test_chen_defect_rejects_scalar_increment_maps():
+    rp = random_rough_path(np.random.default_rng(23), 6, 2)
+
+    def scalar_only(s, t):
+        return GroupElement2(np.zeros(2), np.zeros((2, 2)))
+
+    with pytest.raises(ValueError, match="inc_fn must broadcast"):
+        chen_defect(rp, increment_fn=scalar_only)
+
+    def one_row(s, t):
+        level1, level2 = rp.increments_between(s, t)
+        return level1[:1], level2[:1]
+
+    with pytest.raises(ValueError, match="inc_fn must broadcast"):
+        chen_defect(rp, increment_fn=one_row)
+
+
+def test_increment_between_is_one_row_of_increments_between():
+    rp = random_rough_path(np.random.default_rng(24), 9, 3)
+    s = np.array([0.0, 0.7, 1.3, rp.times[4]])
+    t = np.array([0.5, 2.1, rp.T, rp.T])
+    level1, level2 = rp.increments_between(s, t)
+    for row, (a, b) in enumerate(zip(s, t)):
+        g = rp.increment_between(a, b)
+        assert np.array_equal(g.level1, level1[row])
+        assert np.array_equal(g.level2, level2[row])
 
 
 def test_chen_defect_needs_three_points():
@@ -231,6 +301,20 @@ def test_pure_area_defect_is_the_horizon():
     T = 1.7
     x = pure_area_path(T, n_points=12)
     assert geometricity_defect(x) == pytest.approx(T, abs=1e-12)
+
+
+def test_geometricity_defect_equals_row_oracle():
+    # one sum per matrix entry: exact for m <= 2, within 2 ulp for m = 3
+    rng = np.random.default_rng(25)
+    for m in (1, 2, 3):
+        for rp in (brownian_lift(int(rng.integers(1000)), 600, 1.0, m, "ito"),
+                   random_rough_path(rng, 300, m)):
+            got = geometricity_defect(rp)
+            ref = geometricity_defect_rows(rp.level1, rp.level2)
+            if m <= 2:
+                assert got == ref
+            else:
+                assert abs(got - ref) <= 2 * np.spacing(ref)
 
 
 def test_decompose_geometric_input_has_zero_drift():
