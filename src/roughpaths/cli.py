@@ -42,7 +42,7 @@ from scipy.linalg import expm
 
 from .log_sphere_map import ShiftedMap, choose_shift, sphere_state_projection, \
     transformed_field
-from .rough_paths import (RoughPath, brownian_lift, decompose,
+from .rough_paths import (RoughPath, _write_csv, brownian_lift, decompose,
                           geometricity_defect, lift_piecewise_linear,
                           pure_area_path, read_polyline_csv,
                           read_roughpath_csv, write_roughpath_csv)
@@ -53,8 +53,6 @@ from .vector_fields import f_dot_grad_f, make_field
 from . import chen_defect
 
 __all__ = ["main"]
-
-_FMT = "%.17g"
 
 DEFAULTS = {
     "common": {
@@ -115,7 +113,11 @@ class ConfigError(ValueError):
 
 
 def _merged(command: str, user: dict) -> dict:
-    """Defaults overlaid with the user's config; unknown keys are errors."""
+    """Defaults overlaid with the user's config; unknown keys are errors.
+
+    A field of another `name` or a driver of another `kind` replaces the
+    default object instead of updating it: its parameters are its own.
+    """
     if not isinstance(user, dict):
         raise ConfigError("config must be a JSON object")
     unknown = sorted(set(user) - set(DEFAULTS["common"])
@@ -130,8 +132,11 @@ def _merged(command: str, user: dict) -> dict:
         for k, v in src.items():
             cfg[k] = dict(v) if isinstance(v, dict) else v
     for k, v in user.items():
-        if isinstance(v, dict) and isinstance(cfg.get(k), dict):
-            cfg[k].update(v)
+        base = cfg.get(k)
+        if isinstance(v, dict) and isinstance(base, dict) and all(
+                v.get(tag, base.get(tag)) == base.get(tag)
+                for tag in ("name", "kind")):
+            base.update(v)
         else:
             cfg[k] = v
     return cfg
@@ -211,14 +216,6 @@ def _report(lines, out_dir):
     print(text)
     with open(os.path.join(out_dir, "report.txt"), "w") as fh:
         fh.write(text + "\n")
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_FMT % v if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------

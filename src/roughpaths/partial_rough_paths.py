@@ -19,12 +19,12 @@ at the geometric part of a decomposed driver.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rough_paths import AreaDrift, Control, HolderControl
+from .rough_paths import (AreaDrift, Control, HolderControl, _grid_triples,
+                          _pair_sup, _require_finite, _write_csv)
 from .sewing import YoungConditionError
 from .vector_fields import VectorField
 
@@ -55,7 +55,7 @@ class SmoothMap:
 
 @dataclass(frozen=True)
 class PartialRoughPath:
-    """Grid triple (x, y, cross) with per-interval two-parameter data."""
+    """Grid triple (x, y, cross) with per-interval data; all values finite."""
 
     times: np.ndarray        # (N+1,)
     x: np.ndarray            # (N+1, m) driver level 1, absolute
@@ -79,6 +79,7 @@ class PartialRoughPath:
             raise ValueError("x2_inc/cross_inc must have one row per interval")
         if not (2.0 <= self.p < 3.0):
             raise ValueError("p must lie in [2, 3)")
+        _require_finite(times=t, x=x, y=y, x2_inc=x2, cross_inc=cr)
         for name, arr in (("times", t), ("x", x), ("y", y),
                           ("x2_inc", x2), ("cross_inc", cr)):
             object.__setattr__(self, name, arr)
@@ -95,26 +96,31 @@ class PartialRoughPath:
     def n_points(self) -> int:
         return len(self.times)
 
+    def _cross_rows(self, i0: int, i1: int, j1: int) -> np.ndarray:
+        """cross(t_i, t_j) for i = i0..i1-1, j = i0+1..j1: (rows, cols, d*m).
+
+        The one extension of cross_inc to pairs: row i sums the terms
+        cross_inc[k] + (y_k - y_i) (x) dx_k, k = i..j-1, in order after
+        zeros for k < i, so it does not depend on the block; j <= i is 0.
+        """
+        dy = self.y[None, i0:j1] - self.y[i0:i1, None]
+        terms = dy[..., None] * np.diff(self.x[i0:j1 + 1], axis=0)[:, None, :]
+        del dy
+        terms += self.cross_inc[i0:j1]
+        terms[np.tril_indices(i1 - i0, -1)] = 0.0
+        np.cumsum(terms, axis=1, out=terms)
+        return terms.reshape(terms.shape[:2] + (-1,))
+
     def cross_between(self, i: int, j: int) -> np.ndarray:
         """cross(t_i, t_j) by accumulating the additivity identity."""
         if j <= i:
             return np.zeros((self.d, self.m))
-        dy = self.y[i:j - 1 + 1] - self.y[i]          # y_k - y_i, k = i..j-1
-        dx = np.diff(self.x[i:j + 1], axis=0)
-        return self.cross_inc[i:j].sum(axis=0) + np.einsum("ka,kb->ab", dy, dx)
+        return self._cross_rows(i, i + 1, j)[0, -1].reshape(self.d, self.m)
 
     def additivity_defect(self, samples: int = 400, seed: int = 0) -> float:
         """Max additivity violation of cross over sampled grid triples."""
-        n = self.n_points
-        rng = np.random.default_rng(seed)
-        if n <= 25:
-            triples = [(i, j, k) for i in range(n) for j in range(i + 1, n)
-                       for k in range(j + 1, n)]
-        else:
-            idx = np.sort(rng.integers(0, n, size=(samples, 3)), axis=1)
-            triples = [tuple(r) for r in idx if r[0] < r[1] < r[2]]
         worst = 0.0
-        for i, j, k in triples:
+        for i, j, k in zip(*_grid_triples(self.n_points, 25, samples, seed)):
             lhs = self.cross_between(i, k)
             rhs = (self.cross_between(i, j) + self.cross_between(j, k)
                    + np.outer(self.y[j] - self.y[i], self.x[k] - self.x[j]))
@@ -122,22 +128,16 @@ class PartialRoughPath:
         return worst
 
     def cross_bound(self) -> float:
-        """Smallest L with ||cross(s,t)|| <= L w(s,t)^(2/p) over grid pairs."""
-        n = self.n_points
-        best = 0.0
-        for i in range(n - 1):
-            acc = np.cumsum(
-                self.cross_inc[i:]
-                + np.einsum("ka,kb->kab", self.y[i:-1] - self.y[i],
-                            np.diff(self.x[i:], axis=0)),
-                axis=0)
-            norms = np.linalg.norm(acc.reshape(len(acc), -1), axis=1)
-            w = np.asarray(self.control(self.times[i], self.times[i + 1:]),
-                           dtype=float)
-            w = np.where(w <= 0, np.inf, w)
-            best = max(best, float(np.max(norms / w ** (2.0 / self.p),
-                                          initial=0.0)))
-        return best
+        """Smallest L with ||cross(s,t)|| <= L w(s,t)^(2/p) over grid pairs.
+
+        inf when some pair has zero control but a nonzero cross integral.
+        """
+        def norms(i0, i1):
+            return (np.linalg.norm(self._cross_rows(i0, i1, self.n_points - 1),
+                                   axis=2),)
+
+        return _pair_sup(self.times, self.control, (2.0 / self.p,), norms,
+                         self.d * self.m)[0]
 
 
 def partial_from_smooth(x_of_t, y_of_t, times, p: float = 2.0,
@@ -184,33 +184,28 @@ def pvar_distance(a: PartialRoughPath, b: PartialRoughPath) -> float:
     """Scaled sup distance between two triples on a shared grid.
 
     Max over grid pairs of the x- and y-increment differences scaled by
-    w^(1/p) and the cross difference scaled by w^(2/p).
+    w^(1/p) and the cross difference scaled by w^(2/p), with a's control
+    and p; inf when some pair has zero control but a nonzero difference.
     """
     if a.n_points != b.n_points or not np.allclose(a.times, b.times):
         raise ValueError("grids do not match")
     if a.m != b.m or a.d != b.d:
         raise ValueError("dimensions do not match")
-    t = a.times
     n = a.n_points
+
+    def norms(i0, i1):
+        def inc(v):
+            return v[None, i0 + 1:] - v[i0:i1, None]
+
+        ex = np.linalg.norm(inc(a.x) - inc(b.x), axis=2)
+        ey = np.linalg.norm(inc(a.y) - inc(b.y), axis=2)
+        dc = a._cross_rows(i0, i1, n - 1)
+        dc -= b._cross_rows(i0, i1, n - 1)
+        return ex, ey, np.linalg.norm(dc, axis=2)
+
     p = a.p
-    worst = 0.0
-    for i in range(n - 1):
-        w = np.asarray(a.control(t[i], t[i + 1:]), dtype=float)
-        w = np.where(w <= 0, np.inf, w)
-        dx = np.linalg.norm((a.x[i + 1:] - a.x[i]) - (b.x[i + 1:] - b.x[i]),
-                            axis=1)
-        dy = np.linalg.norm((a.y[i + 1:] - a.y[i]) - (b.y[i + 1:] - b.y[i]),
-                            axis=1)
-        ca = np.cumsum(a.cross_inc[i:] + np.einsum(
-            "ka,kb->kab", a.y[i:-1] - a.y[i], np.diff(a.x[i:], axis=0)), axis=0)
-        cb = np.cumsum(b.cross_inc[i:] + np.einsum(
-            "ka,kb->kab", b.y[i:-1] - b.y[i], np.diff(b.x[i:], axis=0)), axis=0)
-        dc = np.linalg.norm((ca - cb).reshape(len(ca), -1), axis=1)
-        worst = max(worst,
-                    float(np.max(dx / w ** (1.0 / p), initial=0.0)),
-                    float(np.max(dy / w ** (1.0 / p), initial=0.0)),
-                    float(np.max(dc / w ** (2.0 / p), initial=0.0)))
-    return worst
+    return max(_pair_sup(a.times, a.control, (1.0 / p, 1.0 / p, 2.0 / p),
+                         norms, a.d * a.m))
 
 
 def pushforward(prp: PartialRoughPath, phi: SmoothMap,
@@ -245,17 +240,9 @@ def pushforward(prp: PartialRoughPath, phi: SmoothMap,
 def _pushforward_defect_report(prp, phi, new_y, out, max_triples: int = 300,
                                seed: int = 0):
     """Fit defect ~ w^theta for the pushforward's almost map on grid triples."""
-    n = prp.n_points
-    rng = np.random.default_rng(seed)
-    if n <= 20:
-        triples = [(i, j, k) for i in range(n) for j in range(i + 1, n)
-                   for k in range(j + 1, n)]
-    else:
-        idx = np.sort(rng.integers(0, n, size=(max_triples, 3)), axis=1)
-        triples = [tuple(r) for r in idx if r[0] < r[1] < r[2]]
     logs_w, logs_d = [], []
     worst = 0.0
-    for i, j, k in triples:
+    for i, j, k in zip(*_grid_triples(prp.n_points, 20, max_triples, seed)):
         gi = np.asarray(phi.grad(prp.y[i]), dtype=float)
         gj = np.asarray(phi.grad(prp.y[j]), dtype=float)
         z_ik = gi @ prp.cross_between(i, k)
@@ -339,17 +326,11 @@ def cross_against_decomposition(prp: PartialRoughPath, beta: AreaDrift,
 
 def write_partial_csv(prp: PartialRoughPath, path) -> None:
     """Per-interval rows `s,t,dy...,dx...,cross(row-major)...`."""
-    fmt = "%.17g"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = (["s", "t"]
-                  + [f"y{i+1}" for i in range(prp.d)]
-                  + [f"x{i+1}" for i in range(prp.m)]
-                  + [f"c_{i+1}{j+1}" for i in range(prp.d) for j in range(prp.m)])
-        writer.writerow(header)
-        for k in range(prp.n_points - 1):
-            row = [fmt % prp.times[k], fmt % prp.times[k + 1]]
-            row += [fmt % v for v in (prp.y[k + 1] - prp.y[k])]
-            row += [fmt % v for v in (prp.x[k + 1] - prp.x[k])]
-            row += [fmt % v for v in prp.cross_inc[k].ravel()]
-            writer.writerow(row)
+    header = (["s", "t"]
+              + [f"y{i+1}" for i in range(prp.d)]
+              + [f"x{i+1}" for i in range(prp.m)]
+              + [f"c_{i+1}{j+1}" for i in range(prp.d) for j in range(prp.m)])
+    n = prp.n_points - 1
+    _write_csv(path, header, np.column_stack(
+        [prp.times[:-1], prp.times[1:], np.diff(prp.y, axis=0),
+         np.diff(prp.x, axis=0), prp.cross_inc.reshape(n, prp.d * prp.m)]))

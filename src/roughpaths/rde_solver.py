@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rough_paths import AreaDrift, RoughPath, geometricity_defect, pvar_norm
+from .rough_paths import (AreaDrift, RoughPath, _write_csv,
+                          geometricity_defect, pvar_norm)
 from .vector_fields import FieldBounds, SecondOrderField, VectorField
 
 __all__ = [
@@ -445,12 +446,9 @@ def solution_to_partial(sol: RDESolution, x: RoughPath, p: float = 2.0):
 
 
 def write_solution_csv(sol: RDESolution, path) -> None:
-    fmt = "%.17g"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(["t"] + [f"y{i+1}" for i in range(sol.d)]) + "\n")
-        for k in range(len(sol.times)):
-            row = [fmt % sol.times[k]] + [fmt % v for v in sol.y[k]]
-            fh.write(",".join(row) + "\n")
+    """Write the solution's grid values: `t,y1..yd`."""
+    _write_csv(path, ["t"] + [f"y{i+1}" for i in range(sol.d)],
+               np.column_stack([sol.times, sol.y]))
 
 
 def blowup_json(sol: RDESolution) -> str | None:

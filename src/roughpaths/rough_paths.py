@@ -14,10 +14,11 @@ constant speed).  For polyline lifts this interpolation is exact at
 every time, so a solver may evaluate driver increments on any mesh.
 
 The module also measures paths (p-variation norm against a control,
-Chen defect, geometricity defect), splits a non-geometric path into a
-geometric part plus a symmetric area-drift path, and generates the stock
-drivers used by the experiments (polyline lifts, left-point and
-trapezoidal Brownian lifts, pure-area paths).
+Chen defect, geometricity defect; the sup-over-grid-pairs measures,
+here and in partial_rough_paths, share one blocked scan), splits a
+non-geometric path into a geometric part plus a symmetric area-drift
+path, and generates the stock drivers used by the experiments (polyline
+lifts, left-point and trapezoidal Brownian lifts, pure-area paths).
 """
 
 from __future__ import annotations
@@ -68,10 +69,19 @@ _CHEN_SAMPLES = 20000
 # the path it audits).
 _CHEN_CHUNK = 2048
 
-# Start points per block of the p-variation scan: each block is one
-# (rows, later points) array pass, which amortises the per-row numpy
-# overhead without building arrays much larger than one row of level 2.
-_PVAR_BLOCK_ROWS = 16
+# Floats per array of a _pair_sup block (128 KiB): a block takes as many
+# start points (at least one) as keep its widest per-pair array at this
+# size.  Blocks of 16 rows (512 KiB per array on 4097 points, m = 1) were
+# slower, each temporary landing on fresh zero-filled pages, and kept
+# more memory resident.
+_PAIR_BLOCK = 16384
+
+
+def _require_finite(**arrays) -> None:
+    """Raise ValueError naming the first array with a NaN or inf entry."""
+    for name, a in arrays.items():
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"{name} must be finite")
 
 
 class Control:
@@ -111,7 +121,7 @@ class HolderControl(Control):
 
 @dataclass(frozen=True)
 class RoughPath:
-    """Sampled level-2 rough path: absolute group values per grid time."""
+    """Sampled level-2 rough path: finite group values per grid time."""
 
     times: np.ndarray            # (N+1,) strictly increasing, times[0] = 0
     level1: np.ndarray           # (N+1, m), level1[0] = 0
@@ -124,6 +134,7 @@ class RoughPath:
         b = np.asarray(self.level2, dtype=float)
         if t.ndim != 1 or len(t) < 1:
             raise ValueError("times must be a 1-d array")
+        _require_finite(times=t, level1=u, level2=b)
         if np.any(np.diff(t) <= 0):
             raise ValueError("times must be strictly increasing")
         n, m = u.shape
@@ -221,7 +232,7 @@ class RoughPath:
 
 @dataclass(frozen=True)
 class AreaDrift:
-    """Symmetric area-drift path beta(t), beta(0) = 0 (matrix per time)."""
+    """Symmetric area-drift path beta(t), beta(0) = 0 (finite, per time)."""
 
     times: np.ndarray            # (N+1,)
     beta: np.ndarray             # (N+1, m, m), each symmetric
@@ -231,6 +242,7 @@ class AreaDrift:
         b = np.asarray(self.beta, dtype=float)
         if b.ndim != 3 or b.shape[0] != len(t) or b.shape[1] != b.shape[2]:
             raise ValueError("beta must be (len(times), m, m)")
+        _require_finite(times=t, beta=b)
         asym = np.max(np.abs(b - np.swapaxes(b, 1, 2)), initial=0.0)
         if asym > 1e-12:
             raise ValueError(f"beta matrices not symmetric (max asymmetry {asym:.2e})")
@@ -337,14 +349,20 @@ def dilate(rp: RoughPath, lam: float) -> RoughPath:
 # measurement
 
 
-def _chen_triples(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Grid index triples i < j < k audited by two_param_chen_defect."""
-    if n <= _CHEN_EXHAUSTIVE_LIMIT:
+def _grid_triples(n: int, exhaustive_limit: int, samples: int,
+                  seed: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grid index triples i < j < k for the triple audits.
+
+    Every triple, in lexicographic order, up to exhaustive_limit points;
+    beyond it the strictly increasing rows of `samples` sorted draws from
+    default_rng(seed).
+    """
+    if n <= exhaustive_limit:
         r = np.arange(n)
         return np.nonzero((r[:, None, None] < r[None, :, None])
                           & (r[None, :, None] < r[None, None, :]))
-    rng = np.random.default_rng(0)
-    idx = np.sort(rng.integers(0, n, size=(_CHEN_SAMPLES, 3)), axis=1)
+    rng = np.random.default_rng(seed)
+    idx = np.sort(rng.integers(0, n, size=(samples, 3)), axis=1)
     idx = idx[(idx[:, 0] < idx[:, 1]) & (idx[:, 1] < idx[:, 2])]
     return idx[:, 0], idx[:, 1], idx[:, 2]
 
@@ -375,13 +393,14 @@ def two_param_chen_defect(inc_fn, times) -> float:
     (level1 (K, m), level2 (K, m, m)); anything else raises ValueError.
     The triples are evaluated _CHEN_CHUNK at a time, three inc_fn calls
     per chunk; each triple gets the same floating-point operations
-    whatever the chunk size, so the result does not depend on it.
+    whatever the chunk size, so the result does not depend on it.  NaN
+    increments raise ValueError.
     """
     t = np.asarray(times, dtype=float)
     n = len(t)
     if n < 3:
         raise ValueError("need at least 3 grid points")
-    i, j, k = _chen_triples(n)
+    i, j, k = _grid_triples(n, _CHEN_EXHAUSTIVE_LIMIT, _CHEN_SAMPLES)
     worst = 0.0
     for c0 in range(0, len(i), _CHEN_CHUNK):
         ti, tj, tk = (t[a[c0:c0 + _CHEN_CHUNK]] for a in (i, j, k))
@@ -391,6 +410,8 @@ def two_param_chen_defect(inc_fn, times) -> float:
         d1 = np.max(np.abs(w1 - (l1 + r1)), initial=0.0)
         d2 = np.max(np.abs(w2 - (l2 + r2 + np.einsum("ki,kj->kij", l1, r1))),
                     initial=0.0)
+        if np.isnan(d1) or np.isnan(d2):
+            raise ValueError("inc_fn returned NaN increments")
         worst = max(worst, float(d1), float(d2))
     return worst
 
@@ -407,47 +428,77 @@ def chen_defect(rp: RoughPath, increment_fn=None) -> float:
     return two_param_chen_defect(fn, rp.times)
 
 
+def _pair_sup(times, control, powers, block_norms, width=1) -> list[float]:
+    """Largest norm / w(s, t)^power over grid pairs s < t, per norm.
+
+    The scan behind every sup-over-pairs measure.  block_norms(i0, i1)
+    returns one fresh (rows, cols) array per entry of powers: the norms
+    from start points i0..i1-1 to end points i0+1..n-1, each pair
+    computed the same way in any block.  width is the floats per pair of
+    its widest array; a block holds about _PAIR_BLOCK / width pairs.  w
+    is queried at (s, max(s, t)); with control None norms are taken
+    unscaled.  A pair with w <= 0 is skipped if its norms are 0 and
+    makes every result inf otherwise; a NaN maximum raises ValueError.
+    No pair gives 0.0.
+    """
+    t = np.asarray(times, dtype=float)
+    n = len(t)
+    best = [0.0] * len(powers)
+    i0 = 0
+    while i0 < n - 1:
+        i1 = min(n - 1, i0 + max(1, _PAIR_BLOCK // (width * (n - 1 - i0))))
+        rows = i1 - i0
+        # dead pairs (end point i0+1+c not after start point i0+r) all
+        # lie in the first rows columns
+        dead = np.arange(rows)[None, :] < np.arange(rows)[:, None]
+        norms = block_norms(i0, i1)
+        if control is None:
+            for v in norms:
+                v[:, :rows][dead] = 0.0
+            tops = [float(np.max(v, initial=0.0)) for v in norms]
+        else:
+            s = t[i0:i1, None]
+            # dead pairs are queried at (s, s), where every control is 0
+            w = np.asarray(control(s, np.maximum(s, t[None, i0 + 1:])),
+                           dtype=float)
+            zero = w <= 0.0
+            head = zero[:, :rows]
+            if np.count_nonzero(zero) > np.count_nonzero(head & dead):
+                live_zero = zero.copy()
+                live_zero[:, :rows] &= ~dead
+                if any(np.any(v[live_zero] > 0.0) for v in norms):
+                    return [math.inf] * len(powers)
+            head |= dead
+            w = np.where(zero, np.inf, w)
+            tops = [float(np.max(v / w ** pw, initial=0.0))
+                    for v, pw in zip(norms, powers)]
+        if any(map(math.isnan, tops)):
+            raise ValueError("NaN in a grid-pair measure (control or data)")
+        best = [max(a, b) for a, b in zip(best, tops)]
+        i0 = i1
+    return best
+
+
 def pvar_norm(rp: RoughPath, p: float) -> float:
     """Grid p-variation norm against the path's control.
 
     Smallest C with |u(s,t)| <= C w(s,t)^(1/p) and
     ||b(s,t)||_F <= C^2 w(s,t)^(2/p) over all grid pairs s < t.
     Returns inf when some pair has zero control but a nonzero increment.
-
-    The pairs are scanned in blocks of _PVAR_BLOCK_ROWS start points
-    against every later point; each pair gets the same floating-point
-    operations as a scan of one start point at a time, so the result
-    does not depend on the block size.
     """
     if not (2.0 <= p < 3.0):
         raise ValueError("p must lie in [2, 3)")
-    t, u, b = rp.times, rp.level1, rp.level2
-    n = rp.n_points
-    c1 = 0.0
-    c2sq = 0.0
-    infinite = False
-    for i0 in range(0, n - 1, _PVAR_BLOCK_ROWS):
-        i1 = min(i0 + _PVAR_BLOCK_ROWS, n - 1)
-        rows = np.arange(i0, i1)
-        # columns i0+1 .. n-1; pair (i, j) is live only when j > i
-        live = np.arange(i0 + 1, n)[None, :] > rows[:, None]
+    u, b = rp.level1, rp.level2
+
+    def norms(i0, i1):
         du = u[None, i0 + 1:] - u[i0:i1, None]
         db = (b[None, i0 + 1:] - b[i0:i1, None]
               - u[i0:i1, None, :, None] * du[:, :, None, :])
-        s = t[i0:i1, None]
-        # dead pairs are queried at (s, s), where every control is 0
-        w = np.asarray(rp.control(s, np.maximum(s, t[None, i0 + 1:])),
-                       dtype=float)
-        n1 = np.linalg.norm(du, axis=2)
-        n2 = np.linalg.norm(db.reshape(db.shape[:2] + (-1,)), axis=2)
-        zero = w <= 0.0
-        if np.any(live & zero & ((n1 > 0) | (n2 > 0))):
-            infinite = True
-        wz = np.where(zero | ~live, np.inf, w)
-        c1 = max(c1, float(np.max(n1 / wz ** (1.0 / p), initial=0.0)))
-        c2sq = max(c2sq, float(np.max(n2 / wz ** (2.0 / p), initial=0.0)))
-    if infinite:
-        return math.inf
+        return (np.linalg.norm(du, axis=2),
+                np.linalg.norm(db.reshape(db.shape[:2] + (-1,)), axis=2))
+
+    c1, c2sq = _pair_sup(rp.times, rp.control, (1.0 / p, 2.0 / p), norms,
+                         rp.m * rp.m)
     return max(c1, math.sqrt(c2sq))
 
 
@@ -469,8 +520,8 @@ def geometricity_defect(rp: RoughPath) -> float:
     bounded by the entrywise-range envelope (exact for m = 1, at most a
     factor m high) beyond that.
 
-    The exact scan sums squared differences one matrix entry at a time
-    over every later point and takes a single sqrt of the largest sum;
+    The exact scan (_pair_sup, no control) sums squared differences one
+    matrix entry at a time and takes a single sqrt of the largest sum;
     this matches a per-pair Euclidean norm bit for bit when m <= 2 and
     to within an ulp or two for larger m, where numpy sums pairwise.
     """
@@ -479,14 +530,15 @@ def geometricity_defect(rp: RoughPath) -> float:
     flat = beta.reshape(n, -1)
     if n <= _EXACT_SCAN_LIMIT:
         cols = np.ascontiguousarray(flat.T)
-        worst_sq = 0.0
-        for i in range(n - 1):
-            sq = np.zeros(n - 1 - i)
+
+        def squares(i0, i1):
+            sq = np.zeros((i1 - i0, n - 1 - i0))
             for col in cols:
-                d = col[i + 1:] - col[i]
+                d = col[None, i0 + 1:] - col[i0:i1, None]
                 sq += d * d
-            worst_sq = max(worst_sq, float(np.max(sq)))
-        return math.sqrt(worst_sq)
+            return (sq,)
+
+        return math.sqrt(_pair_sup(rp.times, None, (0.0,), squares)[0])
     ranges = flat.max(axis=0) - flat.min(axis=0)
     return float(np.linalg.norm(ranges))
 
@@ -513,16 +565,17 @@ def recompose(geometric: RoughPath, drift: AreaDrift) -> RoughPath:
 
 
 def area_pvar_bound(drift: AreaDrift, control: Control, p: float) -> float:
-    """Smallest L with ||beta(t) - beta(s)|| <= L w(s,t)^(2/p) on grid pairs."""
-    t = drift.times
-    flat = drift.beta.reshape(len(t), -1)
-    best = 0.0
-    for i in range(len(t) - 1):
-        d = np.linalg.norm(flat[i + 1:] - flat[i], axis=1)
-        w = np.asarray(control(t[i], t[i + 1:]), dtype=float)
-        w = np.where(w <= 0, np.inf, w)
-        best = max(best, float(np.max(d / w ** (2.0 / p), initial=0.0)))
-    return best
+    """Smallest L with ||beta(t) - beta(s)|| <= L w(s,t)^(2/p) on grid pairs.
+
+    inf when some pair has zero control but a nonzero increment.
+    """
+    flat = drift.beta.reshape(len(drift.times), -1)
+
+    def norms(i0, i1):
+        return (np.linalg.norm(flat[None, i0 + 1:] - flat[i0:i1, None],
+                               axis=2),)
+
+    return _pair_sup(drift.times, control, (2.0 / p,), norms, flat.shape[1])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -531,49 +584,51 @@ def area_pvar_bound(drift: AreaDrift, control: Control, p: float) -> float:
 _FMT = "%.17g"
 
 
-def read_polyline_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read `t,x1,...,xm` rows (sorted by t); returns (times, points)."""
+def _read_csv(path) -> tuple[list[str], np.ndarray]:
+    """The one CSV reader: header and float rows (LF or CRLF), >= 1 row."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        if not header or header[0].strip() != "t":
-            raise ValueError(f"{path}: expected header starting with 't'")
         rows = [[float(v) for v in row] for row in reader if row]
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
+    return header, np.asarray(rows, dtype=float)
+
+
+def read_polyline_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read `t,x1,...,xm` rows (sorted by t); returns (times, points)."""
+    header, data = _read_csv(path)
+    if not header or header[0].strip() != "t":
+        raise ValueError(f"{path}: expected header starting with 't'")
     order = np.argsort(data[:, 0], kind="stable")
     data = data[order]
     return data[:, 0], data[:, 1:]
+
+
+def _write_csv(path, header, rows) -> None:
+    """The one CSV writer: LF rows, floats as %.17g, anything else str()."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_FMT % v if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
 
 
 def write_roughpath_csv(rp: RoughPath, path) -> None:
     """Write consecutive-interval increments: `s,t,level1...,level2...`."""
     m = rp.m
     du, db = rp.interval_increments()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = (["s", "t"]
-                  + [f"x{i+1}" for i in range(m)]
-                  + [f"x2_{i+1}{j+1}" for i in range(m) for j in range(m)])
-        writer.writerow(header)
-        for k in range(rp.n_points - 1):
-            row = [_FMT % rp.times[k], _FMT % rp.times[k + 1]]
-            row += [_FMT % v for v in du[k]]
-            row += [_FMT % v for v in db[k].ravel()]
-            writer.writerow(row)
+    header = (["s", "t"]
+              + [f"x{i+1}" for i in range(m)]
+              + [f"x2_{i+1}{j+1}" for i in range(m) for j in range(m)])
+    _write_csv(path, header, np.column_stack(
+        [rp.times[:-1], rp.times[1:], du, db.reshape(len(du), m * m)]))
 
 
 def read_roughpath_csv(path, control: Control | None = None) -> RoughPath:
     """Rebuild a rough path from its interval-increment CSV."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        m = sum(1 for h in header if h.startswith("x") and "_" not in h)
-        rows = [[float(v) for v in row] for row in reader if row]
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
+    header, data = _read_csv(path)
+    m = sum(1 for h in header if h.startswith("x") and "_" not in h)
     times = np.concatenate([[data[0, 0]], data[:, 1]])
     du = data[:, 2:2 + m]
     db = data[:, 2 + m:2 + m + m * m].reshape(-1, m, m)

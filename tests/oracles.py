@@ -149,3 +149,60 @@ def geometricity_defect_rows(level1, level2):
         d = np.linalg.norm(flat[i + 1:] - flat[i], axis=1)
         worst = max(worst, float(np.max(d)))
     return worst
+
+
+def area_pvar_bound_rows(drift, control, p):
+    """area_pvar_bound one start point at a time (pairs with zero control
+    are skipped, whatever their increment)."""
+    t = drift.times
+    flat = drift.beta.reshape(len(t), -1)
+    best = 0.0
+    for i in range(len(t) - 1):
+        d = np.linalg.norm(flat[i + 1:] - flat[i], axis=1)
+        w = np.asarray(control(t[i], t[i + 1:]), dtype=float)
+        w = np.where(w <= 0, np.inf, w)
+        best = max(best, float(np.max(d / w ** (2.0 / p), initial=0.0)))
+    return best
+
+
+def _cross_row(prp, i):
+    """cross(t_i, t_j) for every j > i, by a cumsum from t_i."""
+    return np.cumsum(prp.cross_inc[i:] + np.einsum(
+        "ka,kb->kab", prp.y[i:-1] - prp.y[i], np.diff(prp.x[i:], axis=0)),
+        axis=0)
+
+
+def cross_bound_rows(prp):
+    """PartialRoughPath.cross_bound one start point at a time."""
+    best = 0.0
+    for i in range(prp.n_points - 1):
+        acc = _cross_row(prp, i)
+        norms = np.linalg.norm(acc.reshape(len(acc), -1), axis=1)
+        w = np.asarray(prp.control(prp.times[i], prp.times[i + 1:]),
+                       dtype=float)
+        w = np.where(w <= 0, np.inf, w)
+        best = max(best, float(np.max(norms / w ** (2.0 / prp.p),
+                                      initial=0.0)))
+    return best
+
+
+def pvar_distance_rows(a, b):
+    """pvar_distance one start point at a time, with a's control and p."""
+    t = a.times
+    p = a.p
+    worst = 0.0
+    for i in range(a.n_points - 1):
+        w = np.asarray(a.control(t[i], t[i + 1:]), dtype=float)
+        w = np.where(w <= 0, np.inf, w)
+        dx = np.linalg.norm((a.x[i + 1:] - a.x[i]) - (b.x[i + 1:] - b.x[i]),
+                            axis=1)
+        dy = np.linalg.norm((a.y[i + 1:] - a.y[i]) - (b.y[i + 1:] - b.y[i]),
+                            axis=1)
+        ca = _cross_row(a, i)
+        cb = _cross_row(b, i)
+        dc = np.linalg.norm((ca - cb).reshape(len(ca), -1), axis=1)
+        worst = max(worst,
+                    float(np.max(dx / w ** (1.0 / p), initial=0.0)),
+                    float(np.max(dy / w ** (1.0 / p), initial=0.0)),
+                    float(np.max(dc / w ** (2.0 / p), initial=0.0)))
+    return worst

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from roughpaths.cli import main
+from roughpaths.cli import _merged, main
 
 
 def run(tmp_path, command, config=None, seed=None, name="out"):
@@ -110,6 +110,30 @@ def test_lift_bound_scales_with_level2(tmp_path):
     assert run(tmp_path, "lift", {"input": str(src)}) == 0
     report = (tmp_path / "out" / "report.txt").read_text()
     assert "FAIL" not in report
+
+
+def test_lift_rejects_non_finite_polyline(tmp_path, capsys):
+    src = tmp_path / "poly.csv"
+    src.write_text("t,x1,x2\n0,0,0\n0.5,nan,1\n0.75,0.2,0.1\n1,0.1,0.3\n")
+    assert run(tmp_path, "lift", {"input": str(src)}) == 2
+    err = capsys.readouterr().err
+    assert "finite" in err and "Traceback" not in err
+
+
+def test_config_of_another_kind_replaces_the_default():
+    # a field of another name or a driver of another kind keeps none of
+    # the default's parameters; the same kind still updates them
+    assert _merged("solve", {"field": {"name": "tanh"}})["field"] == {
+        "name": "tanh"}
+    ito = {"kind": "brownian-ito", "steps": 64}
+    assert _merged("growth-demo", {"driver": ito})["driver"] == ito
+    assert _merged("solve", {"field": {"A": 2.0}})["field"] == {
+        "name": "linear", "A": 2.0}
+    assert _merged("growth-demo", {"driver": {"kind": "zigzag", "n": 4}})[
+        "driver"] == {"kind": "zigzag", "n": 4, "amplitude": 0.15, "m": 1,
+                      "T": 5.0}
+    assert _merged("solve", {"solver": {"K": 2.0}})["solver"] == {
+        "r_max": 1e6, "K": 2.0, "mu": 1.0}
 
 
 def test_solve_reports_blowup(tmp_path):

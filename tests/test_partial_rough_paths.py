@@ -295,9 +295,14 @@ def test_partial_csv_export(tmp_path):
     prp = random_prp(rng, n=6, d=2, m=1)
     dest = tmp_path / "prp.csv"
     write_partial_csv(prp, dest)
-    lines = dest.read_text().strip().split("\n")
+    raw = dest.read_bytes()
+    assert b"\r" not in raw
+    lines = raw.decode().strip().split("\n")
     assert lines[0] == "s,t,y1,y2,x1,c_11,c_21"
     assert len(lines) == 7
+    assert [float(v) for v in lines[1].split(",")] == [
+        prp.times[0], prp.times[1], *(prp.y[1] - prp.y[0]),
+        *(prp.x[1] - prp.x[0]), *prp.cross_inc[0].ravel()]
 
 
 def test_constructor_validation():
@@ -305,3 +310,11 @@ def test_constructor_validation():
         PartialRoughPath(np.array([0.0, 1.0]), np.zeros((2, 1)),
                          np.zeros((2, 1, 1)), np.zeros((2, 1)),
                          np.zeros((1, 1, 1)))
+    y = np.array([[0.0], [np.nan]])
+    with pytest.raises(ValueError, match="y must be finite"):
+        PartialRoughPath(np.array([0.0, 1.0]), np.zeros((2, 1)),
+                         np.zeros((1, 1, 1)), y, np.zeros((1, 1, 1)))
+    with pytest.raises(ValueError, match="cross_inc must be finite"):
+        PartialRoughPath(np.array([0.0, 1.0]), np.zeros((2, 1)),
+                         np.zeros((1, 1, 1)), np.zeros((2, 1)),
+                         np.full((1, 1, 1), np.inf))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from roughpaths import rough_paths
+from roughpaths.partial_rough_paths import PartialRoughPath, pvar_distance
 from roughpaths.rough_paths import (AreaDrift, Control, HolderControl,
                                     RoughPath, area_pvar_bound, beta_path,
                                     brownian_lift, chen_defect, decompose,
@@ -60,6 +61,23 @@ def test_two_segment_level2_composition():
 def test_lift_rejects_bad_times():
     with pytest.raises(ValueError, match="increasing"):
         lift_piecewise_linear(np.zeros((3, 1)), [0.0, 1.0, 1.0])
+
+
+def test_rough_path_rejects_non_finite_values():
+    t = np.array([0.0, 0.5, 1.0])
+    u = np.zeros((3, 2))
+    b = np.zeros((3, 2, 2))
+    u[1, 1] = np.nan
+    with pytest.raises(ValueError, match="level1 must be finite"):
+        RoughPath(t, u, b)
+    with pytest.raises(ValueError, match="finite"):
+        lift_piecewise_linear([[0.0, 1.0], [0.5, np.nan], [1.0, 0.0]], t)
+    b[2, 0, 1] = np.inf
+    with pytest.raises(ValueError, match="level2 must be finite"):
+        RoughPath(t, np.zeros((3, 2)), b)
+    with pytest.raises(ValueError, match="times must be finite"):
+        RoughPath(np.array([0.0, np.nan, 1.0]), np.zeros((3, 2)),
+                  np.zeros((3, 2, 2)))
 
 
 def test_at_rejects_one_point_path():
@@ -163,6 +181,13 @@ def test_chen_defect_rejects_scalar_increment_maps():
     with pytest.raises(ValueError, match="inc_fn must broadcast"):
         chen_defect(rp, increment_fn=scalar_only)
 
+    def nan_rows(s, t):
+        level1, level2 = rp.increments_between(s, t)
+        return level1, np.where(s[:, None, None] > 0.0, np.nan, level2)
+
+    with pytest.raises(ValueError, match="NaN"):
+        chen_defect(rp, increment_fn=nan_rows)
+
     def one_row(s, t):
         level1, level2 = rp.increments_between(s, t)
         return level1[:1], level2[:1]
@@ -235,6 +260,22 @@ def test_pvar_infinite_when_control_vanishes():
     assert pvar_norm(x, 2.0) == np.inf
     assert pvar_norm_pairs(x.times, x.level1, x.level2, x.control,
                            2.0) == np.inf
+    # the other measures of the shared scan follow the same policy: a
+    # nonzero norm over a zero-control pair is inf, not skipped
+    drift = AreaDrift(x.times, x.times[:, None, None] * np.eye(1))
+    assert area_pvar_bound(drift, _shifted_control(), 2.0) == np.inf
+    n = x.n_points
+    prp = PartialRoughPath(x.times, x.level1, np.zeros((n - 1, 1, 1)),
+                           x.level1, np.ones((n - 1, 1, 1)),
+                           control=_shifted_control())
+    assert prp.cross_bound() == np.inf
+    moved = PartialRoughPath(x.times, x.level1, prp.x2_inc, 2 * x.level1,
+                             prp.cross_inc, control=_shifted_control())
+    assert pvar_distance(prp, moved) == np.inf
+    # zero norms over zero-control pairs are skipped, as before
+    assert pvar_distance(prp, prp) == 0.0
+    flat = AreaDrift(x.times, np.zeros((n, 1, 1)))
+    assert area_pvar_bound(flat, _shifted_control(), 2.0) == 0.0
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -361,6 +402,13 @@ def test_area_drift_requires_symmetry():
                   np.array([np.zeros((2, 2)), [[0.0, 1.0], [0.0, 0.0]]]))
 
 
+def test_area_drift_rejects_non_finite_values():
+    beta = np.zeros((3, 1, 1))
+    beta[2] = np.nan
+    with pytest.raises(ValueError, match="beta must be finite"):
+        AreaDrift(np.array([0.0, 0.5, 1.0]), beta)
+
+
 def test_area_pvar_bound_linear_drift():
     drift = AreaDrift(np.linspace(0, 1, 9),
                       np.linspace(0, 1, 9)[:, None, None] * np.eye(1))
@@ -437,6 +485,21 @@ def test_roughpath_csv_roundtrip(tmp_path):
     assert np.allclose(back.times, rp.times)
     assert np.allclose(back.level1, rp.level1, atol=1e-14)
     assert np.allclose(back.level2, rp.level2, atol=1e-13)
+
+
+def test_roughpath_csv_lines_end_in_lf_and_crlf_reads_back(tmp_path):
+    rp = random_rough_path(np.random.default_rng(21), 7, 2)
+    dest = tmp_path / "rp.csv"
+    write_roughpath_csv(rp, dest)
+    raw = dest.read_bytes()
+    assert b"\r" not in raw and raw.count(b"\n") == rp.n_points
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(raw.replace(b"\n", b"\r\n"))
+    lf_back, crlf_back = read_roughpath_csv(dest), read_roughpath_csv(crlf)
+    assert np.array_equal(lf_back.times, rp.times)
+    assert np.array_equal(crlf_back.times, rp.times)
+    assert np.array_equal(crlf_back.level1, lf_back.level1)
+    assert np.array_equal(crlf_back.level2, lf_back.level2)
 
 
 def test_polyline_csv_rejects_bad_header(tmp_path):
