@@ -1,17 +1,19 @@
 """`rde`: run the library's experiments from JSON configs.
 
 Every command reads a JSON config (all keys optional unless noted),
-writes CSV/SVG/JSON artifacts into the output directory, prints a
-report, and exits 0 exactly when its pass/fail checks hold, so runs can
-gate CI: 1 when a check fails, 2 when the config is bad (an unknown key,
-or a value the library rejects with ValueError).  Outputs are
-deterministic given (config, seed).
+writes CSV/SVG/JSON artifacts and report.txt into the output directory,
+and prints the report.  Each check is one report row,
+`  {label:<23}: {value}  ({bound}) -> {verdict}`, and the exit code is 0
+exactly when every check passed, so runs can gate CI; 1 when one
+failed; 2 when the config is bad (an unknown key, a field or driver
+parameter its builder does not take, or a value the library rejects
+with ValueError).  Outputs are deterministic given (config, seed).
 
 Commands
 --------
 explosion-demo   pure-area driver + linear-growth field: finite-time
                  blow-up, trajectory against the exact hyperbola
-growth-demo      scaled geometric drivers: log-growth envelope check
+growth-demo      scaled geometric drivers: no explosion, growth envelope
 changevar-check  solve in original vs log-sphere coordinates, compare
 decompose        split a driver into geometric part + area drift
 convergence      mesh-refinement table against exact solutions
@@ -25,7 +27,7 @@ Config schema (shared keys)
            "brownian-ito"|"brownian-stratonovich"|"pure-area"|"csv", ...}
   a: initial state (list); T: horizon; p: variation exponent;
   mesh: solver steps (power of two); seed: RNG seed;
-  solver: {"r_max": ..., "K": ..., "mu": ...}
+  solver: {"r_max": blow-up threshold on |y|}
 Command-specific keys are listed in the defaults table below.
 """
 
@@ -36,6 +38,8 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import expm
@@ -50,7 +54,7 @@ from .rde_solver import (SolverConfig, blowup_json, growth_bound_check,
                          solve_rde, solve_rde_corrected, write_solution_csv)
 from .svg import line_plot
 from .vector_fields import f_dot_grad_f, make_field
-from . import chen_defect
+from . import chen_defect, rough_paths
 
 __all__ = ["main"]
 
@@ -59,7 +63,7 @@ DEFAULTS = {
         "seed": 42,
         "p": 2.0,
         "mesh": 4096,
-        "solver": {"r_max": 1e6, "K": 1.0, "mu": 1.0},
+        "solver": {"r_max": 1e6},
     },
     "explosion-demo": {
         "a1": 1.0,
@@ -150,26 +154,12 @@ def _check_mesh(n) -> int:
 
 
 def _solver_config(cfg: dict, mesh: int | None = None, **extra) -> SolverConfig:
-    s = cfg.get("solver", {})
     return SolverConfig(
-        step_rule_K=float(s.get("K", 1.0)),
-        mu=float(s.get("mu", 1.0)),
         base_mesh=mesh if mesh is not None else _check_mesh(cfg["mesh"]),
-        r_max=float(s.get("r_max", 1e6)),
+        r_max=float(cfg["solver"]["r_max"]),
         p=float(cfg["p"]),
         **extra,
     )
-
-
-def _zigzag_points(T: float, n: int, amplitude: float, m: int) -> tuple:
-    pattern = (1.0, -0.6, 0.8, -0.4, 0.9, -0.7)
-    inc = np.empty((n, m))
-    for j in range(m):
-        for k in range(n):
-            inc[k, j] = amplitude * pattern[(k + 2 * j) % len(pattern)]
-    pts = np.zeros((n + 1, m))
-    np.cumsum(inc, axis=0, out=pts[1:])
-    return np.linspace(0.0, T, n + 1), pts
 
 
 def field_from_config(spec: dict):
@@ -178,51 +168,93 @@ def field_from_config(spec: dict):
     return make_field(**spec)
 
 
+def _zigzag(T=1.0, m=1, n=8, amplitude=0.2) -> RoughPath:
+    pattern = np.array([1.0, -0.6, 0.8, -0.4, 0.9, -0.7])
+    n, m = int(n), int(m)
+    step = np.arange(n)[:, None] + 2 * np.arange(m)
+    inc = float(amplitude) * pattern[step % len(pattern)]
+    pts = np.vstack([np.zeros(m), np.cumsum(inc, axis=0)])
+    return lift_piecewise_linear(pts, np.linspace(0.0, float(T), n + 1))
+
+
+def _random_polyline(seed, T=1.0, m=1, n=8, scale=0.2) -> RoughPath:
+    rng = np.random.default_rng(int(seed))
+    n, m = int(n), int(m)
+    pts = np.zeros((n + 1, m))
+    pts[1:] = np.cumsum(rng.normal(0.0, float(scale), size=(n, m)), axis=0)
+    return lift_piecewise_linear(pts, np.linspace(0.0, float(T), n + 1))
+
+
+def _polyline(points, times) -> RoughPath:
+    return lift_piecewise_linear(points, times)
+
+
+def _brownian(convention, seed, T=1.0, m=1, steps=1024) -> RoughPath:
+    return brownian_lift(int(seed), int(steps), float(T), int(m), convention)
+
+
+def _pure_area(T=1.0, m=1, area=None) -> RoughPath:
+    return pure_area_path(float(T), int(m), area)
+
+
+def _csv(path) -> RoughPath:
+    return read_roughpath_csv(path)
+
+
+_DRIVERS = {
+    "zigzag": _zigzag,
+    "random-polyline": _random_polyline,
+    "polyline": _polyline,
+    "brownian-ito": partial(_brownian, "ito"),
+    "brownian-stratonovich": partial(_brownian, "stratonovich"),
+    "pure-area": _pure_area,
+    "csv": _csv,
+}
+# kinds whose `seed` parameter defaults to the run's seed
+_SEEDED = ("random-polyline", "brownian-ito", "brownian-stratonovich")
+
+
 def driver_from_config(spec: dict, seed: int) -> RoughPath:
-    kind = spec.get("kind")
-    if kind is None:
-        raise ConfigError("driver config needs a 'kind'")
-    T = float(spec.get("T", 1.0))
-    m = int(spec.get("m", 1))
-    if kind == "zigzag":
-        t, pts = _zigzag_points(T, int(spec.get("n", 8)),
-                                float(spec.get("amplitude", 0.2)), m)
-        return lift_piecewise_linear(pts, t)
-    if kind == "random-polyline":
-        rng = np.random.default_rng(int(spec.get("seed", seed)))
-        n = int(spec.get("n", 8))
-        pts = np.zeros((n + 1, m))
-        pts[1:] = np.cumsum(
-            rng.normal(0.0, float(spec.get("scale", 0.2)), size=(n, m)), axis=0)
-        return lift_piecewise_linear(pts, np.linspace(0.0, T, n + 1))
-    if kind == "polyline":
-        return lift_piecewise_linear(np.asarray(spec["points"], dtype=float),
-                                     np.asarray(spec["times"], dtype=float))
-    if kind in ("brownian-ito", "brownian-stratonovich"):
-        return brownian_lift(int(spec.get("seed", seed)),
-                             int(spec.get("steps", 1024)), T, m,
-                             "ito" if kind.endswith("ito") else "stratonovich")
-    if kind == "pure-area":
-        area = spec.get("area")
-        return pure_area_path(T, m, None if area is None
-                              else np.asarray(area, dtype=float))
-    if kind == "csv":
-        return read_roughpath_csv(spec["path"])
-    raise ConfigError(f"unknown driver kind {kind!r}")
+    """Call the builder of spec's `kind` with the other keys as keyword
+    arguments, so a parameter it does not take raises TypeError."""
+    params = dict(spec)
+    kind = params.pop("kind", None)
+    if kind not in _DRIVERS:
+        raise ConfigError("driver config needs a 'kind'" if kind is None
+                          else f"unknown driver kind {kind!r}")
+    if kind in _SEEDED:
+        params.setdefault("seed", seed)
+    return _DRIVERS[kind](**params)
 
 
-def _report(lines, out_dir):
-    text = "\n".join(lines)
+@dataclass(frozen=True)
+class Check:
+    """A gated report row; the run passes exactly when every Check does."""
+
+    label: str
+    value: str
+    bound: str          # "" when the row has no bound to show
+    passed: bool
+
+
+def _report(rows, out_dir) -> bool:
+    """Print the rows, write them to report.txt; True iff every Check passed."""
+    text = "\n".join(row if isinstance(row, str) else
+                     f"  {row.label:<23}: {row.value}"
+                     + (f"  ({row.bound})" if row.bound else "")
+                     + (" -> PASS" if row.passed else " -> FAIL")
+                     for row in rows)
     print(text)
     with open(os.path.join(out_dir, "report.txt"), "w") as fh:
         fh.write(text + "\n")
+    return all(row.passed for row in rows if isinstance(row, Check))
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns its report rows (plain lines and Checks)
 
 
-def cmd_explosion_demo(cfg: dict, out: str, seed: int) -> bool:
+def cmd_explosion_demo(cfg: dict, out: str, seed: int) -> list:
     a1 = float(cfg["a1"])
     if a1 <= 0:
         raise ConfigError("a1 must be positive")
@@ -241,19 +273,12 @@ def cmd_explosion_demo(cfg: dict, out: str, seed: int) -> bool:
     fine = _solver_config(cfg, mesh=_check_mesh(cfg["fine_mesh"]))
     sol_f = solve_rde_corrected(geo_f, drift_f, field, h2, a, t_fine, fine)
     exact = a1 / (1.0 - a1 * sol_f.times)
-    rel = np.max(np.abs(sol_f.y[:, 0] - exact) / exact)
+    rel = float(np.max(np.abs(sol_f.y[:, 0] - exact) / exact))
     y2_sup = float(np.max(np.abs(sol_f.y[:, 1])))
-
-    ok_time = (sol_b.blowup is not None
-               and abs(sol_b.blowup.crossing_time - t_star) <= cfg["time_tol"])
-    ok_traj = rel <= float(cfg["traj_tol"])
-    ok_y2 = y2_sup <= 1e-10
 
     _write_csv(os.path.join(out, "explosion_trajectory.csv"),
                ["t", "y1", "y2", "exact"],
-               [(float(t), float(v1), float(v2), float(e)) for t, v1, v2, e
-                in zip(sol_f.times[::256], sol_f.y[::256, 0],
-                       sol_f.y[::256, 1], exact[::256])])
+               np.column_stack([sol_f.times, sol_f.y, exact])[::256])
     bj = blowup_json(sol_b)
     if bj is not None:
         with open(os.path.join(out, "explosion_blowup.json"), "w") as fh:
@@ -263,21 +288,21 @@ def cmd_explosion_demo(cfg: dict, out: str, seed: int) -> bool:
                ("exact", sol_f.times[::256], exact[::256])],
               title=f"blow-up toward t* = {t_star:g}", xlabel="t",
               ylabel="y1 (log)", logy=True)
-    _report([
+    crossing = sol_b.blowup.crossing_time if sol_b.blowup else None
+    return [
         f"explosion-demo  a1={a1:g}  threshold={coarse.r_max:g}",
-        f"  crossing time estimate : "
-        + (f"{sol_b.blowup.crossing_time:.6f}" if sol_b.blowup else "none")
-        + f"  (target {t_star:g} +/- {cfg['time_tol']:g}) -> "
-        + ("PASS" if ok_time else "FAIL"),
-        f"  sup |y2|               : {y2_sup:.3e}  (<= 1e-10) -> "
-        + ("PASS" if ok_y2 else "FAIL"),
-        f"  rel traj error t<=0.9t*: {rel:.3e}  (<= {cfg['traj_tol']:g}) -> "
-        + ("PASS" if ok_traj else "FAIL"),
-    ], out)
-    return ok_time and ok_traj and ok_y2
+        Check("crossing time estimate",
+              "none" if crossing is None else f"{crossing:.6f}",
+              f"target {t_star:g} +/- {cfg['time_tol']:g}",
+              crossing is not None
+              and abs(crossing - t_star) <= cfg["time_tol"]),
+        Check("sup |y2|", f"{y2_sup:.3e}", "<= 1e-10", y2_sup <= 1e-10),
+        Check("rel traj error t<=0.9t*", f"{rel:.3e}",
+              f"<= {cfg['traj_tol']:g}", rel <= float(cfg["traj_tol"])),
+    ]
 
 
-def cmd_growth_demo(cfg: dict, out: str, seed: int) -> bool:
+def cmd_growth_demo(cfg: dict, out: str, seed: int) -> list:
     field = field_from_config(cfg["field"])
     x = driver_from_config(cfg["driver"], seed)
     scfg = _solver_config(cfg)
@@ -296,20 +321,17 @@ def cmd_growth_demo(cfg: dict, out: str, seed: int) -> bool:
                ("envelope", s, [rep.c1 + rep.c2 * si for si in s])],
               title="growth under driver scaling",
               xlabel="||x||^p * omega(0,T)", ylabel="log(sup|y|+1)")
-    _report([
+    return [
         f"growth-demo  field={cfg['field'].get('name')}  "
         f"geometricity defect={rep.geometricity_defect:.2e}",
-        f"  explosions             : "
-        + ("NONE -> PASS" if not rep.any_explosion
-           else "DETECTED -> FAIL (falsifies the geometric growth bound)"),
-        f"  envelope  c1={rep.c1:.4f}  c2={rep.c2:.4f}  "
-        f"min slack={rep.min_slack:.2e} -> "
-        + ("PASS" if rep.min_slack >= -1e-9 else "FAIL"),
-    ], out)
-    return rep.passed
+        Check("explosions", "NONE" if not rep.any_explosion else
+              "DETECTED (falsifies the geometric growth bound)", "",
+              not rep.any_explosion),
+        f"  envelope fit  c1={rep.c1:.4f}  c2={rep.c2:.4f}",
+    ]
 
 
-def cmd_changevar_check(cfg: dict, out: str, seed: int) -> bool:
+def cmd_changevar_check(cfg: dict, out: str, seed: int) -> list:
     field = field_from_config(cfg["field"])
     x = driver_from_config(cfg["driver"], seed)
     a = np.asarray(cfg["a"], dtype=float)
@@ -321,85 +343,67 @@ def cmd_changevar_check(cfg: dict, out: str, seed: int) -> bool:
         radius = float(np.max(np.linalg.norm(sol_y.y, axis=1)))
         shift = choose_shift(a, 1.5 * radius)
     else:
-        b = np.zeros(field.d)
-        b[:] = np.asarray(shift_spec, dtype=float)
-        shift = ShiftedMap(b)
+        shift = ShiftedMap(np.full(field.d, shift_spec, dtype=float))
     min_rad = float(min(np.linalg.norm(shift.b + yv) for yv in sol_y.y))
     h = transformed_field(field, shift)
-    z0 = shift.state_of(a)
-    sol_z = solve_rde(x, h, z0, T,
-                      _solver_config(cfg, mesh=mesh,
-                                     state_projection=sphere_state_projection(
-                                         field.d)))
+    sol_z = solve_rde(x, h, shift.state_of(a), T, _solver_config(
+        cfg, mesh=mesh, state_projection=sphere_state_projection(field.d)))
     mapped = np.array([shift.state_of(yv) for yv in sol_y.y])
     diff = float(np.max(np.abs(mapped - sol_z.y)))
-    ok_diff = diff <= float(cfg["tol"])
-    ok_rad = min_rad >= shift.r_min - 1e-9
     min_rho = float(np.min(sol_z.y[:, -1]))
-    rho_note = ("" if min_rho >= 0.0
-                else "  (dipped below the cylinder base; consider a larger "
-                     "shift)")
+    rho_note = "" if min_rho >= 0.0 else (
+        "  (dipped below the cylinder base; consider a larger shift)")
     _write_csv(os.path.join(out, "changevar.csv"),
                ["t"] + [f"mapped{i+1}" for i in range(field.d + 1)]
                + [f"direct{i+1}" for i in range(field.d + 1)],
-               [(float(t),) + tuple(map(float, mv)) + tuple(map(float, zv))
-                for t, mv, zv in zip(sol_y.times, mapped, sol_z.y)])
-    _report([
+               np.column_stack([sol_y.times, mapped, sol_z.y]))
+    return [
         f"changevar-check  field={cfg['field'].get('name')}  mesh={mesh}",
-        f"  min |b+y|              : {min_rad:.4f}  (>= {shift.r_min:g}) -> "
-        + ("PASS" if ok_rad else "FAIL"),
+        Check("min |b+y|", f"{min_rad:.4f}", f">= {shift.r_min:g}",
+              min_rad >= shift.r_min - 1e-9),
         f"  min rho along z-route  : {min_rho:.4f}{rho_note}",
-        f"  sup |psi(y_t) - z_t|   : {diff:.3e}  (<= {cfg['tol']:g}) -> "
-        + ("PASS" if ok_diff else "FAIL"),
-    ], out)
-    return ok_diff and ok_rad
+        Check("sup |psi(y_t) - z_t|", f"{diff:.3e}", f"<= {cfg['tol']:g}",
+              diff <= float(cfg["tol"])),
+    ]
 
 
-def cmd_decompose(cfg: dict, out: str, seed: int) -> bool:
-    spec = cfg["driver"]
-    x = driver_from_config(spec, seed)
+def cmd_decompose(cfg: dict, out: str, seed: int) -> list:
+    x = driver_from_config(cfg["driver"], seed)
+    kind = cfg["driver"]["kind"]
     geo, drift = decompose(x)
     gd_x = geometricity_defect(x)
     gd_geo = geometricity_defect(geo)
-    n = x.n_points
+    n, m, T = x.n_points, x.m, x.T
     stride = max(1, n // int(cfg["max_csv_rows"]))
-    rows = [(float(t),) + tuple(map(float, b.ravel()))
-            for t, b in zip(drift.times[::stride], drift.beta[::stride])]
-    m = x.m
     _write_csv(os.path.join(out, "beta.csv"),
                ["t"] + [f"beta_{i+1}{j+1}" for i in range(m) for j in range(m)],
-               rows)
+               np.column_stack([drift.times,
+                                drift.beta.reshape(n, -1)])[::stride])
     line_plot(os.path.join(out, "beta.svg"),
               [(f"beta_{i+1}{j+1}", drift.times[::stride],
                 drift.beta[::stride, i, j])
                for i in range(m) for j in range(m)],
               title="area drift", xlabel="t", ylabel="beta")
-    lines = [f"decompose  driver={spec.get('kind')}",
-             f"  geometricity defect    : {gd_x:.4e}",
-             f"  geometric part defect  : {gd_geo:.3e}"]
-    ok = gd_geo <= 1e-10
-    kind = spec.get("kind", "")
-    T = float(spec.get("T", 1.0))
+    # past the exact scan's cut-off geometricity_defect returns the
+    # entrywise-range envelope, an upper bound on the defect
+    scan = "defect" if n <= rough_paths._EXACT_SCAN_LIMIT else "envelope"
+    defect = Check(f"geometricity {scan}", f"{gd_x:.4e}", "<= 0.02",
+                   gd_x <= 0.02)
+    report = [f"decompose  driver={kind}",
+              defect if kind == "brownian-stratonovich"
+              else f"  {defect.label:<23}: {defect.value}",
+              Check(f"geometric part {scan}", f"{gd_geo:.3e}", "<= 1e-10",
+                    gd_geo <= 1e-10)]
     if kind == "brownian-ito":
         err = float(np.linalg.norm(
             drift.beta[-1] + 0.5 * T * np.eye(m), "fro"))
-        ok_ito = err <= 0.05 * T
-        ok = ok and ok_ito
-        lines.append(f"  ||beta(T) + T/2 I||    : {err:.4e}  "
-                     f"(<= {0.05 * T:g}) -> " + ("PASS" if ok_ito else "FAIL"))
-    elif kind == "brownian-stratonovich":
-        ok_s = gd_x <= 0.02
-        ok = ok and ok_s
-        lines.append(f"  defect <= 0.02         : -> "
-                     + ("PASS" if ok_s else "FAIL"))
+        report.append(Check("||beta(T) + T/2 I||", f"{err:.4e}",
+                            f"<= {0.05 * T:g}", err <= 0.05 * T))
     elif kind == "pure-area":
         err = float(np.max(np.abs(drift.beta[:, 0, 0] - drift.times)))
-        ok_pa = err <= 1e-12
-        ok = ok and ok_pa
-        lines.append(f"  |beta(t) - t| sup      : {err:.2e} -> "
-                     + ("PASS" if ok_pa else "FAIL"))
-    _report(lines, out)
-    return ok
+        report.append(Check("|beta(t) - t| sup", f"{err:.2e}", "<= 1e-12",
+                            err <= 1e-12))
+    return report
 
 
 def _convergence_problem(name: str, T: float):
@@ -431,7 +435,7 @@ def _convergence_problem(name: str, T: float):
     return field, a, x, exact
 
 
-def cmd_convergence(cfg: dict, out: str, seed: int) -> bool:
+def cmd_convergence(cfg: dict, out: str, seed: int) -> list:
     name = cfg["problem"]
     T = float(cfg["T"])
     field, a, x, exact = _convergence_problem(name, T)
@@ -448,26 +452,23 @@ def cmd_convergence(cfg: dict, out: str, seed: int) -> bool:
     _write_csv(os.path.join(out, "convergence.csv"),
                ["mesh", "sup_error", "order"],
                list(zip(meshes, errs, orders)))
+    report = [f"convergence  problem={name}",
+              "  mesh -> error: " + ", ".join(
+                  f"{m}:{e:.2e}" for m, e in zip(meshes, errs))]
     if name == "zero":
-        ok = max(errs) == 0.0
-        verdict = f"  exact at all meshes    : -> {'PASS' if ok else 'FAIL'}"
-    else:
-        finite = [o for o in orders[1:] if math.isfinite(o)]
-        med = sorted(finite)[len(finite) // 2] if finite else float("nan")
-        thresh = 1.5 if name == "exp" else 1.0
-        mono = all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
-        ok = mono and med >= thresh
-        verdict = (f"  monotone errors        : -> {'PASS' if mono else 'FAIL'}\n"
-                   f"  median order {med:.2f}      : (>= {thresh:g}) -> "
-                   + ("PASS" if med >= thresh else "FAIL"))
-    _report([f"convergence  problem={name}",
-             "  mesh -> error: " + ", ".join(
-                 f"{m}:{e:.2e}" for m, e in zip(meshes, errs)),
-             verdict], out)
-    return ok
+        return report + [Check("exact at all meshes", f"{max(errs):.2e}",
+                               "== 0", max(errs) == 0.0)]
+    finite = [o for o in orders[1:] if math.isfinite(o)]
+    med = sorted(finite)[len(finite) // 2] if finite else float("nan")
+    thresh = 1.5 if name == "exp" else 1.0
+    drops = sum(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
+    return report + [
+        Check("monotone errors", f"{drops} of {len(errs) - 1} steps drop", "",
+              drops == len(errs) - 1),
+        Check("median order", f"{med:.2f}", f">= {thresh:g}", med >= thresh)]
 
 
-def cmd_lift(cfg: dict, out: str, seed: int) -> bool:
+def cmd_lift(cfg: dict, out: str, seed: int) -> list:
     if not cfg.get("input"):
         raise ConfigError("lift needs 'input': a polyline CSV path")
     times, pts = read_polyline_csv(cfg["input"])
@@ -479,23 +480,19 @@ def cmd_lift(cfg: dict, out: str, seed: int) -> bool:
     # both defects are roundoff in the level-2 values, so the bound
     # follows their scale; paths with |level2| <= 1 get an absolute 1e-12
     bound = 1e-12 * max(1.0, float(np.max(np.abs(rp.level2), initial=0.0)))
-    ok = cd <= bound and gd <= bound
-    _report([f"lift  {cfg['input']} -> {dest}",
-             f"  points={rp.n_points}  m={rp.m}",
-             f"  chen defect            : {cd:.2e} -> "
-             + ("PASS" if cd <= bound else "FAIL"),
-             f"  geometricity defect    : {gd:.2e} -> "
-             + ("PASS" if gd <= bound else "FAIL")], out)
-    return ok
+    return [f"lift  {cfg['input']} -> {dest}",
+            f"  points={rp.n_points}  m={rp.m}",
+            Check("chen defect", f"{cd:.2e}", f"<= {bound:.2e}", cd <= bound),
+            Check("geometricity defect", f"{gd:.2e}", f"<= {bound:.2e}",
+                  gd <= bound)]
 
 
-def cmd_solve(cfg: dict, out: str, seed: int) -> bool:
+def cmd_solve(cfg: dict, out: str, seed: int) -> list:
     field = field_from_config(cfg["field"])
     x = driver_from_config(cfg["driver"], seed)
     sol = solve_rde(x, field, np.asarray(cfg["a"], dtype=float),
                     float(cfg["T"]), _solver_config(cfg))
-    dest = os.path.join(out, cfg["output"])
-    write_solution_csv(sol, dest)
+    write_solution_csv(sol, os.path.join(out, cfg["output"]))
     lines = [f"solve  field={cfg['field'].get('name')}  "
              f"driver={cfg['driver'].get('kind')}",
              f"  steps={sol.diagnostics['step_count']}  "
@@ -506,8 +503,7 @@ def cmd_solve(cfg: dict, out: str, seed: int) -> bool:
             fh.write(bj + "\n")
         lines.append(f"  blow-up threshold crossed at "
                      f"t={sol.blowup.crossing_time:.6g}")
-    _report(lines, out)
-    return True
+    return lines
 
 
 COMMANDS = {
@@ -533,7 +529,7 @@ def _defaults_table() -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="rde",
-        description=__doc__.split("\n\n")[0],
+        description="\n\n".join(__doc__.split("\n\n")[:2]),
         epilog=_defaults_table(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
@@ -551,13 +547,14 @@ def main(argv=None) -> int:
         cfg = _merged(args.command, user)
         seed = args.seed if args.seed is not None else int(cfg["seed"])
         os.makedirs(args.out, exist_ok=True)
-        ok = COMMANDS[args.command](cfg, args.out, seed)
+        rows = COMMANDS[args.command](cfg, args.out, seed)
     except (ValueError, FileNotFoundError, KeyError, TypeError) as exc:
         # a ValueError (ConfigError among them) means the config asked for
-        # something the library rejects: a bad config, not a failed check
+        # something the library rejects, and a TypeError a parameter its
+        # builder does not take: a bad config, not a failed check
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0 if ok else 1
+    return 0 if _report(rows, args.out) else 1
 
 
 if __name__ == "__main__":

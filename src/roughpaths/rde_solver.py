@@ -71,7 +71,6 @@ class SolverConfig:
     step_rule_K: float = 1.0
     mu: float = 1.0
     base_mesh: int = 4096
-    tol_sew: float = 1e-10
     r_max: float = 1e6
     max_steps: int = 4_000_000
     p: float = 2.0

@@ -119,6 +119,22 @@ class HolderControl(Control):
         return "HolderControl()"
 
 
+def _locate(times: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    """Query times as a 1-d array, and the grid interval k holding each.
+
+    ValueError on a one-point grid or outside [times[0], times[-1]].
+    """
+    if len(times) < 2:
+        raise ValueError("a one-point path has no interval to "
+                         "interpolate on")
+    tq = np.atleast_1d(np.asarray(t, dtype=float))
+    if tq.min() < times[0] - 1e-12 or tq.max() > times[-1] + 1e-12:
+        raise ValueError("query time outside the path's time range")
+    k = np.clip(np.searchsorted(times, tq, side="right") - 1,
+                0, len(times) - 2)
+    return tq, k
+
+
 @dataclass(frozen=True)
 class RoughPath:
     """Sampled level-2 rough path: finite group values per grid time."""
@@ -177,14 +193,7 @@ class RoughPath:
         Accepts a scalar or an array of times inside [times[0], times[-1]];
         returns (level1, level2) with a leading axis matching t's shape.
         """
-        if self.n_points < 2:
-            raise ValueError("a one-point path has no interval to "
-                             "interpolate on")
-        tq = np.atleast_1d(np.asarray(t, dtype=float))
-        if tq.min() < self.times[0] - 1e-12 or tq.max() > self.times[-1] + 1e-12:
-            raise ValueError("query time outside the path's time range")
-        k = np.clip(np.searchsorted(self.times, tq, side="right") - 1,
-                    0, self.n_points - 2)
+        tq, k = _locate(self.times, t)
         dt = self.times[k + 1] - self.times[k]
         alpha = np.clip((tq - self.times[k]) / dt, 0.0, 1.0)
         du = self.level1[k + 1] - self.level1[k]
@@ -198,7 +207,7 @@ class RoughPath:
               * np.einsum("ki,kj->kij", du, du))
         u_abs = self.level1[k] + ua
         b_abs = self.level2[k] + ba + np.einsum("ki,kj->kij", self.level1[k], ua)
-        if np.isscalar(t) or np.ndim(t) == 0:
+        if np.ndim(t) == 0:
             return u_abs[0], b_abs[0]
         return u_abs, b_abs
 
@@ -254,15 +263,11 @@ class AreaDrift:
         return self.beta.shape[1]
 
     def at(self, t) -> np.ndarray:
-        """Linear interpolation of beta at arbitrary times."""
-        tq = np.atleast_1d(np.asarray(t, dtype=float))
-        k = np.clip(np.searchsorted(self.times, tq, side="right") - 1,
-                    0, len(self.times) - 2)
+        """Linear interpolation of beta at times inside [times[0], times[-1]]."""
+        tq, k = _locate(self.times, t)
         w = (tq - self.times[k]) / (self.times[k + 1] - self.times[k])
         out = (1 - w)[:, None, None] * self.beta[k] + w[:, None, None] * self.beta[k + 1]
-        if np.isscalar(t) or np.ndim(t) == 0:
-            return out[0]
-        return out
+        return out[0] if np.ndim(t) == 0 else out
 
     def increments_on_mesh(self, mesh: np.ndarray) -> np.ndarray:
         return np.diff(self.at(mesh), axis=0)

@@ -180,7 +180,7 @@ def estimate_field_bounds(vf: VectorField, box, samples: int = 10_000,
 # builtins
 
 
-def linear_field(A, c=None, m: int | None = None) -> VectorField:
+def linear_field(A=1.0, c=None, m: int | None = None) -> VectorField:
     """f(y) = A y + c reshaped to (d, m); exact first-order expansion.
 
     For m == 1, A is the usual d x d matrix acting on the state and the
@@ -230,7 +230,8 @@ def counterexample_field() -> VectorField:
     return VectorField(2, 1, _eval, _grad, gamma=1.0, name="counterexample")
 
 
-def tanh_field(d: int, m: int, scale: float = 1.0, seed: int = 7) -> VectorField:
+def tanh_field(d: int = 2, m: int = 1, scale: float = 1.0,
+               seed: int = 7) -> VectorField:
     """Bounded smooth test field: entries scale * tanh(W y + b)."""
     rng = np.random.default_rng(seed)
     W = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, m, d))
@@ -251,7 +252,7 @@ def tanh_field(d: int, m: int, scale: float = 1.0, seed: int = 7) -> VectorField
                        name="tanh")
 
 
-def zero_field(d: int, m: int) -> VectorField:
+def zero_field(d: int = 1, m: int = 1) -> VectorField:
     def _eval(y):
         return np.zeros((d, m))
 
@@ -262,16 +263,13 @@ def zero_field(d: int, m: int) -> VectorField:
                        bounds=FieldBounds(0.0, 0.0, 0.0), name="zero")
 
 
+_FIELDS = {"linear": linear_field, "counterexample": counterexample_field,
+           "tanh": tanh_field, "zero": zero_field}
+
+
 def make_field(name: str, **params) -> VectorField:
-    """Field registry for configuration files."""
-    if name == "linear":
-        return linear_field(params.get("A", 1.0), params.get("c"),
-                            params.get("m"))
-    if name == "counterexample":
-        return counterexample_field()
-    if name == "tanh":
-        return tanh_field(params.get("d", 2), params.get("m", 1),
-                          params.get("scale", 1.0), params.get("seed", 7))
-    if name == "zero":
-        return zero_field(params.get("d", 1), params.get("m", 1))
-    raise ValueError(f"unknown field {name!r}")
+    """Field registry for configuration files: the builtin `name` called
+    with params, so a parameter it does not take raises TypeError."""
+    if name not in _FIELDS:
+        raise ValueError(f"unknown field {name!r}")
+    return _FIELDS[name](**params)

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from roughpaths.cli import _merged, main
+from roughpaths import cli, rough_paths
+from roughpaths.cli import Check, _merged, main
 
 
 def run(tmp_path, command, config=None, seed=None, name="out"):
@@ -132,8 +133,8 @@ def test_config_of_another_kind_replaces_the_default():
     assert _merged("growth-demo", {"driver": {"kind": "zigzag", "n": 4}})[
         "driver"] == {"kind": "zigzag", "n": 4, "amplitude": 0.15, "m": 1,
                       "T": 5.0}
-    assert _merged("solve", {"solver": {"K": 2.0}})["solver"] == {
-        "r_max": 1e6, "K": 2.0, "mu": 1.0}
+    assert _merged("solve", {"solver": {"r_max": 2.0}})["solver"] == {
+        "r_max": 2.0}
 
 
 def test_solve_reports_blowup(tmp_path):
@@ -181,6 +182,7 @@ def test_library_value_errors_exit_two(tmp_path, capsys, config):
     ("solve", {"solver": {"rmax": 10.0}}, "solver.rmax"),
     ("growth-demo", {"a1": 2.0}, "a1"),        # explosion-demo's key
     ("convergence", {"problem": "exp", "mesh": 64, "bogus": 1}, "bogus"),
+    ("solve", {"solver": {"K": 2.0}}, "solver.K"),
 ])
 def test_unknown_config_keys_exit_two(tmp_path, capsys, command, config, key):
     assert run(tmp_path, command, config) == 2
@@ -215,3 +217,78 @@ def test_help_lists_defaults(capsys):
     text = capsys.readouterr().out
     assert "defaults" in text
     assert "explosion-demo" in text
+
+
+# one passing and one failing config per gated command
+GATED = [
+    ("explosion-demo", {"fine_mesh": 4096, "coarse_mesh": 1024,
+                        "traj_tol": 1e-2}, 0),
+    ("explosion-demo", {"fine_mesh": 4096, "coarse_mesh": 1024,
+                        "traj_tol": 1e-12}, 1),
+    ("changevar-check", {"mesh": 256}, 0),
+    ("changevar-check", {"mesh": 256, "tol": 1e-18}, 1),
+    ("decompose", {"driver": {"kind": "pure-area", "T": 2.0, "m": 1}}, 0),
+    ("decompose", {"driver": {"kind": "brownian-ito", "steps": 2, "m": 1,
+                              "T": 1.0}}, 1),
+    ("convergence", {"meshes": [64, 128, 256]}, 0),
+    ("convergence", {"meshes": [64, 64]}, 1),
+    ("lift", {}, 0),
+    ("lift", {}, 1),
+]
+
+
+@pytest.mark.parametrize("command, config, expected", GATED)
+def test_exit_code_is_one_exactly_when_a_check_row_fails(
+        tmp_path, monkeypatch, command, config, expected):
+    if command == "lift":
+        src = tmp_path / "poly.csv"
+        src.write_text("t,x1,x2\n0,0,0\n0.5,0.3,-0.2\n1,0.1,0.4\n")
+        config = {"input": str(src)}
+        if expected:
+            # a lifted polyline is multiplicative up to roundoff, so the
+            # failing run reports a corrupted Chen defect instead
+            monkeypatch.setattr(cli, "chen_defect", lambda rp: 1.0)
+    reported = []
+    real_report = cli._report
+    monkeypatch.setattr(cli, "_report", lambda rows, out: reported.append(
+        rows) or real_report(rows, out))
+    rc = run(tmp_path, command, config, seed=0)
+    report = (tmp_path / "out" / "report.txt").read_text()
+    assert rc == expected
+    assert (rc == 1) == ("-> FAIL" in report)
+    verdicts = [row for row in report.splitlines()
+                if row.endswith(("-> PASS", "-> FAIL"))]
+    assert len(verdicts) == sum(isinstance(r, Check) for r in reported[0])
+    assert all(isinstance(r, (str, Check)) for r in reported[0])
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"field": {"name": "counterexample", "bogus": 1}}, "bogus"),
+    ({"field": {"name": "linear", "A": 1.0, "scale": 2.0}}, "scale"),
+    ({"driver": {"kind": "zigzag", "n": 4, "steps": 64}}, "steps"),
+    ({"driver": {"kind": "brownian-ito", "steps": 64, "amplitude": 1.0}},
+     "amplitude"),
+])
+def test_unknown_field_and_driver_parameters_exit_two(tmp_path, capsys,
+                                                     spec, key):
+    assert run(tmp_path, "solve", spec) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("limit, label", [
+    (64, "geometricity envelope"), (65, "geometricity defect")])
+def test_decompose_names_the_envelope_past_the_exact_scan(
+        tmp_path, monkeypatch, limit, label):
+    # a 64-step driver has 65 points: exact at a cut-off of 65, the
+    # entrywise-range envelope below it
+    monkeypatch.setattr(rough_paths, "_EXACT_SCAN_LIMIT", limit)
+    cfg = {"driver": {"kind": "brownian-stratonovich", "steps": 64, "m": 2,
+                      "T": 1.0}}
+    assert run(tmp_path, "decompose", cfg, seed=3) == 0
+    rows = (tmp_path / "out" / "report.txt").read_text().splitlines()
+    assert rows[1].startswith(f"  {label:<23}: ")
+    assert rows[1].endswith("(<= 0.02) -> PASS")
+    scan = label.split()[1]
+    assert rows[2].startswith(f"  {'geometric part ' + scan:<23}: ")
+    assert not any("defect <= 0.02" in row for row in rows)

@@ -270,7 +270,7 @@ def test_calibrated_shift_bound_shape():
     sol = solve_rde(x, f, a, 1.0, cfg)
     sup_y = float(np.max(np.linalg.norm(sol.y, axis=1)))
     assert sup_y <= radius
-    assert min(np.linalg.norm(shift.b + yv) for yv in sol.y) >= 1.0
-    envelope = ((np.linalg.norm(a) + np.linalg.norm(shift.b) - 1.0)
+    assert min(math.hypot(*(shift.b + yv)) for yv in sol.y) >= 1.0
+    envelope = ((np.linalg.norm(a) + math.hypot(*shift.b) - 1.0)
                 * math.exp(cfg.mu + cfg.mu * pvar_norm(x, cfg.p) ** cfg.p))
     assert sup_y <= envelope

@@ -1,8 +1,10 @@
-"""Chen's relation and geometricity as properties over random drivers.
+"""Chen's relation, geometricity and the group laws as properties.
 
 Stored rough paths are multiplicative by construction, so their Chen
 defect is float roundoff at the scale of level 2; polyline and
 trapezoidal (Stratonovich) Brownian lifts are also grid-geometric.
+Every driver splits into a grid-geometric part and an area drift that
+recompose to it, and the level-2 group obeys its axioms up to roundoff.
 """
 
 import numpy as np
@@ -12,8 +14,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from roughpaths.rough_paths import (brownian_lift, chen_defect,  # noqa: E402
-                                    geometricity_defect,
-                                    lift_piecewise_linear)
+                                    decompose, geometricity_defect,
+                                    lift_piecewise_linear, recompose)
+from roughpaths.tensor_algebra import (GroupElement2, identity,  # noqa: E402
+                                       inv, mul)
 
 # derandomized so that the tier-1 suite is reproducible run to run
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True,
@@ -51,3 +55,45 @@ def test_brownian_lift_is_multiplicative(seed, m, n, T, convention):
     assert chen_defect(x) <= bound
     if convention == "stratonovich":
         assert geometricity_defect(x) <= bound
+
+
+@PROPERTY
+@given(seed=seeds, m=dims, n=points,
+       T=st.floats(0.1, 10.0, allow_nan=False, allow_infinity=False),
+       convention=st.sampled_from(["ito", "stratonovich"]))
+def test_decompose_recompose_roundtrip(seed, m, n, T, convention):
+    x = brownian_lift(seed, n - 1, T, m, convention)
+    geo, drift = decompose(x)
+    back = recompose(geo, drift)
+    bound = roundoff_bound(x)
+    assert np.array_equal(back.times, x.times)
+    assert np.array_equal(back.level1, x.level1)
+    assert np.max(np.abs(back.level2 - x.level2)) <= bound
+    assert geometricity_defect(geo) <= bound
+
+
+def group_element(rng, m, scale):
+    return GroupElement2(scale * rng.normal(size=m),
+                         scale ** 2 * rng.normal(size=(m, m)))
+
+
+def assert_close(a, b, bound):
+    assert np.max(np.abs(a.level1 - b.level1)) <= bound
+    assert np.max(np.abs(a.level2 - b.level2)) <= bound
+
+
+@PROPERTY
+@given(seed=seeds, m=dims,
+       scale=st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False))
+def test_group_axioms(seed, m, scale):
+    rng = np.random.default_rng(seed)
+    a, b, c = (group_element(rng, m, scale) for _ in range(3))
+    # roundoff of a few products of level-1 entries and level-2 sums
+    bound = 1e-12 * max(1.0, scale ** 2)
+    e = identity(m)
+    assert_close(mul(mul(a, b), c), mul(a, mul(b, c)), bound)
+    for g in (a, b, c):
+        assert_close(mul(g, inv(g)), e, bound)
+        assert_close(mul(inv(g), g), e, bound)
+        assert_close(mul(g, e), g, 0.0)
+        assert_close(mul(e, g), g, 0.0)

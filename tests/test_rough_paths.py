@@ -409,6 +409,23 @@ def test_area_drift_rejects_non_finite_values():
         AreaDrift(np.array([0.0, 0.5, 1.0]), beta)
 
 
+def test_area_drift_at_rejects_one_point_drift():
+    drift = AreaDrift(np.array([0.0]), np.zeros((1, 1, 1)))
+    with pytest.raises(ValueError, match="one-point"):
+        drift.at(0.0)
+
+
+def test_area_drift_at_rejects_times_outside_its_range():
+    drift = AreaDrift(np.array([0.0, 0.5, 1.0]),
+                      np.array([0.0, 0.5, 2.0])[:, None, None] * np.eye(1))
+    with pytest.raises(ValueError, match="outside"):
+        drift.at(2.0)
+    with pytest.raises(ValueError, match="outside"):
+        drift.at(np.array([0.25, -0.1]))
+    assert drift.at(0.75)[0, 0] == 1.25
+    assert drift.at(1.0)[0, 0] == 2.0
+
+
 def test_area_pvar_bound_linear_drift():
     drift = AreaDrift(np.linspace(0, 1, 9),
                       np.linspace(0, 1, 9)[:, None, None] * np.eye(1))
