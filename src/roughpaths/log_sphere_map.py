@@ -90,12 +90,12 @@ def grad_phi(z) -> np.ndarray:
     1/|z|.
     """
     z = np.asarray(z, dtype=float)
-    r = float(np.linalg.norm(z))
+    r = math.sqrt(z.dot(z))
     if r == 0.0:
         raise ValueError("gradient undefined at the origin")
     d = len(z)
     out = np.empty((d + 1, d))
-    out[:d] = np.eye(d) / r - np.outer(z, z) / r ** 3
+    out[:d] = np.eye(d) / r - np.multiply.outer(z, z) / r ** 3
     out[d] = z / r ** 2
     return out
 
@@ -103,7 +103,7 @@ def grad_phi(z) -> np.ndarray:
 def grad2_phi(z) -> np.ndarray:
     """Second derivatives, shape (d+1, d, d): out[k, j, e] = d^2 phi_k / dz_j dz_e."""
     z = np.asarray(z, dtype=float)
-    r = float(np.linalg.norm(z))
+    r = math.sqrt(z.dot(z))
     if r == 0.0:
         raise ValueError("second derivatives undefined at the origin")
     d = len(z)
@@ -162,8 +162,9 @@ def sphere_state_projection(d: int):
 
     def project(w):
         w = np.asarray(w, dtype=float)
-        n = np.linalg.norm(w[:d])
-        if n == 0 or not np.isfinite(n):
+        q = w[:d]
+        n = math.sqrt(q.dot(q))
+        if n == 0 or not math.isfinite(n):
             return w
         out = w.copy()
         out[:d] /= n
@@ -174,7 +175,7 @@ def sphere_state_projection(d: int):
 
 def _split_state(w, d):
     q = np.asarray(w[:d], dtype=float)
-    nq = float(np.linalg.norm(q))
+    nq = math.sqrt(q.dot(q))
     if nq == 0.0:
         raise ValueError("angular component of the state vanished")
     return q / nq, float(w[d])
@@ -208,7 +209,8 @@ def transformed_field(f: VectorField, shift: ShiftedMap) -> VectorField:
                  + np.einsum("ka,aje->kje", dphi, gr))
         # chain through z(q, rho); the angular block carries the
         # normalization projector (I - theta theta^T)/|q| with |q| = 1
-        nq = float(np.linalg.norm(np.asarray(w[:d], dtype=float)))
+        q = np.asarray(w[:d], dtype=float)
+        nq = math.sqrt(q.dot(q))
         jz = np.empty((d, d + 1))
         jz[:, :d] = math.exp(rho) * (np.eye(d) - np.outer(theta, theta)) / nq
         jz[:, d] = z

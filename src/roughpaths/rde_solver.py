@@ -168,11 +168,12 @@ def _davie_step(x: RoughPath, f: VectorField, young: tuple | None):
         return u, x2, x2, dbeta.reshape(len(u), m * m)
 
     def step(y, u, b, db):
+        # .dot: the same products and bits as @ at half its call overhead
         fe = f.eval(y)
-        w = b.T @ fe.T
-        dy = fe @ u + f.grad(y).reshape(d, m * d) @ w.reshape(m * d)
+        w = b.T.dot(fe.T)
+        dy = fe.dot(u) + f.grad(y).reshape(d, m * d).dot(w.reshape(m * d))
         if db is not None:
-            dy = dy + h2.eval(y).reshape(d, m * m) @ db
+            dy = dy + h2.eval(y).reshape(d, m * m).dot(db)
         return y + dy, fe
 
     return increments, step
@@ -180,11 +181,20 @@ def _davie_step(x: RoughPath, f: VectorField, young: tuple | None):
 
 def _davie_loop(x: RoughPath, f: VectorField, a, T: float,
                 cfg: SolverConfig, times, young: tuple | None) -> RDESolution:
-    """Shared stepping loop; young = (h2, beta) adds the drift term.
+    """Shared entry checks and stepping loop; young = (h2, beta) adds
+    the drift term.
 
     A step whose state leaves the ball of radius r_max is bisected for
     the crossing time with the same step map, run from t_i to tau.
     """
+    d, m = f.d, f.m
+    if 2.0 + f.gamma <= cfg.p:
+        raise ValueError("need 2 + gamma > p")
+    y = np.asarray(a, dtype=float).copy()
+    if not np.all(np.isfinite(y)):
+        raise ValueError("initial state must be finite")
+    if y.shape != (d,):
+        raise ValueError(f"initial state must have shape ({d},)")
     mesh = _solve_mesh(T, cfg, times)
     K = len(mesh) - 1
     if K > cfg.max_steps:
@@ -192,14 +202,10 @@ def _davie_loop(x: RoughPath, f: VectorField, a, T: float,
     if mesh[-1] > x.T + 1e-12:
         raise ValueError(f"horizon {mesh[-1]} exceeds the driver's range "
                          f"[0, {x.T}]")
-    d, m = f.d, f.m
     if x.m != m:
         raise ValueError(f"driver dimension {x.m} does not match field m={m}")
     increments, step = _davie_step(x, f, young)
     u_all, x2_all, b_all, db_all = increments(mesh)
-    y = np.asarray(a, dtype=float).copy()
-    if y.shape != (d,):
-        raise ValueError(f"initial state must have shape ({d},)")
     traj = np.empty((K + 1, d))
     traj[0] = y
     fes = np.empty((K, d, m))
@@ -210,7 +216,7 @@ def _davie_loop(x: RoughPath, f: VectorField, a, T: float,
     for i in range(K):
         y_new, fes[i] = step(y, u_all[i], b_all[i],
                              None if db_all is None else db_all[i])
-        ny2 = float(y_new @ y_new)
+        ny2 = float(y_new.dot(y_new))
         if not (ny2 <= r2):
             if not math.isfinite(ny2):
                 raise FieldEvaluationError(mesh[i], y)
@@ -249,12 +255,7 @@ def solve_rde(x: RoughPath, f: VectorField, a, T: float,
     Threshold crossings are returned in the solution's blowup record,
     not raised; non-finite field output raises FieldEvaluationError.
     """
-    cfg = cfg or SolverConfig()
-    if 2.0 + f.gamma <= cfg.p:
-        raise ValueError("need 2 + gamma > p")
-    if not np.all(np.isfinite(np.asarray(a, dtype=float))):
-        raise ValueError("initial state must be finite")
-    return _davie_loop(x, f, a, T, cfg, times, None)
+    return _davie_loop(x, f, a, T, cfg or SolverConfig(), times, None)
 
 
 def solve_rde_corrected(x_hat: RoughPath, beta: AreaDrift, h1: VectorField,
@@ -266,12 +267,10 @@ def solve_rde_corrected(x_hat: RoughPath, beta: AreaDrift, h1: VectorField,
     with (x_hat, beta) = decompose(x) and (h1, h2) = (f, f . grad f) the
     result matches solve_rde on the recomposed driver.
     """
-    cfg = cfg or SolverConfig()
-    if 2.0 + h1.gamma <= cfg.p:
-        raise ValueError("need 2 + gamma > p")
     if not isinstance(h2, SecondOrderField):
         h2 = SecondOrderField(h1.d, h1.m, h2)
-    return _davie_loop(x_hat, h1, a, T, cfg, times, (h2, beta))
+    return _davie_loop(x_hat, h1, a, T, cfg or SolverConfig(), times,
+                       (h2, beta))
 
 
 # ---------------------------------------------------------------------------

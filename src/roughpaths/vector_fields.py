@@ -52,6 +52,12 @@ class VectorField:
     grad[a, i, c] = d f[a, i] / d y[c].  gamma in (0, 1] is the Holder
     exponent of the gradient; bounds are optional declarations used by
     the a-priori bound machinery (the field itself may be unbounded).
+
+    The solver calls eval and grad once each per step on a 1-d float
+    state and keeps eval's result, so both must return a fresh float
+    array on every call, never a reused buffer.  At these sizes the
+    numpy call overhead is the cost: filling np.empty is cheaper than
+    building the array from nested lists.
     """
 
     d: int
@@ -100,7 +106,7 @@ def f_dot_grad_f(vf: VectorField) -> SecondOrderField:
         fe = vf.eval(y)
         gr = vf.grad(y)
         # M[a,i,j] = sum_c gr[a,j,c] fe[c,i], via one flat matmul
-        t = gr.reshape(d * m, d) @ fe
+        t = gr.reshape(d * m, d).dot(fe)
         return t.reshape(d, m, m).swapaxes(1, 2)
 
     return SecondOrderField(d, m, _eval, source=vf)
@@ -222,10 +228,18 @@ def counterexample_field() -> VectorField:
     """
 
     def _eval(y):
-        return np.array([[np.sin(y[1]) * y[0]], [y[0]]])
+        out = np.empty((2, 1))
+        out[0, 0] = np.sin(y[1]) * y[0]
+        out[1, 0] = y[0]
+        return out
 
     def _grad(y):
-        return np.array([[[np.sin(y[1]), y[0] * np.cos(y[1])]], [[1.0, 0.0]]])
+        out = np.empty((2, 1, 2))
+        out[0, 0, 0] = np.sin(y[1])
+        out[0, 0, 1] = y[0] * np.cos(y[1])
+        out[1, 0, 0] = 1.0
+        out[1, 0, 1] = 0.0
+        return out
 
     return VectorField(2, 1, _eval, _grad, gamma=1.0, name="counterexample")
 

@@ -6,6 +6,8 @@ continuous parametrization of a polyline, shoelace polygon areas,
 left-point Riemann sums for cross and Young integrals.
 """
 
+import math
+
 import numpy as np
 
 
@@ -206,3 +208,163 @@ def pvar_distance_rows(a, b):
                     float(np.max(dy / w ** (1.0 / p), initial=0.0)),
                     float(np.max(dc / w ** (2.0 / p), initial=0.0)))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# the Davie step with @ products, and the chart maps with np.linalg.norm:
+# the forms the solver and log_sphere_map replaced by ndarray.dot and
+# math.sqrt(v.dot(v)), kept to pin that those rewrites change no bit
+
+
+def counterexample_eval_lists(y):
+    return np.array([[np.sin(y[1]) * y[0]], [y[0]]])
+
+
+def counterexample_grad_lists(y):
+    return np.array([[[np.sin(y[1]), y[0] * np.cos(y[1])]], [[1.0, 0.0]]])
+
+
+def f_dot_grad_f_matmul(vf):
+    """The derived field's eval with an @ product."""
+    d, m = vf.d, vf.m
+
+    def ev(y):
+        t = vf.grad(y).reshape(d * m, d) @ vf.eval(y)
+        return t.reshape(d, m, m).swapaxes(1, 2)
+
+    return ev
+
+
+def davie_solve_matmul(x, f, a, mesh, young=None, r_max=1e6, projection=None):
+    """The Davie loop on a mesh, stepping with @ products.
+
+    young = (h2, beta) adds the drift term; an h2 whose `source` is f is
+    fused into the level-2 input.  A step leaving the r_max ball is
+    bisected 60 times with the same step map.  Returns (y, cross_inc,
+    crossing_time or None).
+    """
+    d, m = f.d, f.m
+    h2, beta = young if young is not None else (None, None)
+    if getattr(h2, "source", None) is f:
+        h2 = None
+
+    def increments(ts):
+        u, x2 = x.increments_on_mesh(ts)
+        if beta is None:
+            return u, x2, None
+        dbeta = beta.increments_on_mesh(ts)
+        if h2 is None:
+            return u, x2 + dbeta, None
+        return u, x2, dbeta.reshape(len(u), m * m)
+
+    def step(y, u, b, db):
+        fe = f.eval(y)
+        w = b.T @ fe.T
+        dy = fe @ u + f.grad(y).reshape(d, m * d) @ w.reshape(m * d)
+        if db is not None:
+            dy = dy + h2.eval(y).reshape(d, m * m) @ db
+        return y + dy, fe
+
+    mesh = np.asarray(mesh, dtype=float)
+    K = len(mesh) - 1
+    u_all, b_all, db_all = increments(mesh)
+    y = np.asarray(a, dtype=float).copy()
+    traj = [y]
+    fes = []
+    crossing = None
+    for i in range(K):
+        y_new, fe = step(y, u_all[i], b_all[i],
+                         None if db_all is None else db_all[i])
+        fes.append(fe)
+        if not (float(y_new @ y_new) <= r_max * r_max):
+            t0 = mesh[i]
+
+            def state_at(tau):
+                u, b, db = increments(np.array([t0, tau]))
+                return step(y, u[0], b[0], None if db is None else db[0])[0]
+
+            lo, hi = t0, mesh[i + 1]
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if np.linalg.norm(state_at(mid)) >= r_max:
+                    hi = mid
+                else:
+                    lo = mid
+            traj.append(state_at(hi))
+            crossing = hi
+            mesh = np.concatenate([mesh[:i + 1], [hi]])
+            break
+        y = y_new if projection is None else projection(y_new)
+        traj.append(y)
+    x2_inc = x.increments_on_mesh(mesh[:len(traj)])[1]
+    cross_inc = np.einsum("kdm,kmn->kdn", np.array(fes), x2_inc)
+    return np.array(traj), cross_inc, crossing
+
+
+def grad_phi_norm(z):
+    z = np.asarray(z, dtype=float)
+    r = float(np.linalg.norm(z))
+    d = len(z)
+    out = np.empty((d + 1, d))
+    out[:d] = np.eye(d) / r - np.outer(z, z) / r ** 3
+    out[d] = z / r ** 2
+    return out
+
+
+def grad2_phi_norm(z):
+    z = np.asarray(z, dtype=float)
+    r = float(np.linalg.norm(z))
+    d = len(z)
+    eye = np.eye(d)
+    out = np.empty((d + 1, d, d))
+    out[:d] = (-(eye[:, :, None] * z[None, None, :]
+                 + eye[:, None, :] * z[None, :, None]
+                 + eye[None, :, :] * z[:, None, None]) / r ** 3
+               + 3.0 * z[:, None, None] * z[None, :, None]
+               * z[None, None, :] / r ** 5)
+    out[d] = eye / r ** 2 - 2.0 * np.outer(z, z) / r ** 4
+    return out
+
+
+def sphere_state_projection_norm(d):
+    def project(w):
+        w = np.asarray(w, dtype=float)
+        n = np.linalg.norm(w[:d])
+        if n == 0 or not np.isfinite(n):
+            return w
+        out = w.copy()
+        out[:d] /= n
+        return out
+
+    return project
+
+
+def transformed_field_norm(f, b):
+    """(eval, grad) of the log-sphere pull-back of f shifted by b, built
+    on the np.linalg.norm chart maps."""
+    d = f.d
+
+    def split(w):
+        q = np.asarray(w[:d], dtype=float)
+        nq = float(np.linalg.norm(q))
+        return q / nq, float(w[d])
+
+    def ev(w):
+        theta, rho = split(w)
+        z = math.exp(rho) * theta
+        return grad_phi_norm(z) @ f.eval(z - b)
+
+    def gr(w):
+        theta, rho = split(w)
+        z = math.exp(rho) * theta
+        fe = f.eval(z - b)
+        g = f.grad(z - b)
+        dH_dz = (np.einsum("kae,aj->kje", grad2_phi_norm(z), fe)
+                 + np.einsum("ka,aje->kje", grad_phi_norm(z), g))
+        nq = float(np.linalg.norm(np.asarray(w[:d], dtype=float)))
+        jz = np.empty((d, d + 1))
+        jz[:, :d] = math.exp(rho) * (np.eye(d) - np.outer(theta, theta)) / nq
+        jz[:, d] = z
+        return np.einsum("kje,ec->kjc", dH_dz, jz)
+
+    return ev, gr

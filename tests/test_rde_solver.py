@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -208,6 +210,24 @@ def test_nan_field_raises_with_location():
                   SolverConfig(base_mesh=256))
     assert err.value.t > 0.0
     assert err.value.y[0] > 1.4
+
+
+@pytest.mark.parametrize("a, message", [
+    ([np.nan, 0.0], "must be finite"), ([np.inf, 0.0], "must be finite"),
+    ([-np.inf, 0.0], "must be finite"), ([1.0, 0.0, 0.0], "must have shape")])
+def test_bad_start_rejected_on_both_routes(a, message):
+    # rejected at the boundary, before any step could warn or raise
+    # FieldEvaluationError
+    vf = counterexample_field()
+    geo, drift = decompose(pure_area_path(0.5))
+    cfg = SolverConfig(base_mesh=64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            solve_rde(geo, vf, np.array(a), 0.5, cfg)
+        with pytest.raises(ValueError, match=message):
+            solve_rde_corrected(geo, drift, vf, f_dot_grad_f(vf),
+                                np.array(a), 0.5, cfg)
 
 
 def test_horizon_beyond_driver_rejected():

@@ -5,7 +5,12 @@ defect is float roundoff at the scale of level 2; polyline and
 trapezoidal (Stratonovich) Brownian lifts are also grid-geometric.
 Every driver splits into a grid-geometric part and an area drift that
 recompose to it, and the level-2 group obeys its axioms up to roundoff.
+A solution does not depend on how the driver's time is parametrised,
+and a lift survives its CSV round trip.
 """
+
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -13,11 +18,15 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from roughpaths.rough_paths import (brownian_lift, chen_defect,  # noqa: E402
-                                    decompose, geometricity_defect,
-                                    lift_piecewise_linear, recompose)
+from roughpaths.rde_solver import SolverConfig, solve_rde  # noqa: E402
+from roughpaths.rough_paths import (RoughPath, brownian_lift,  # noqa: E402
+                                    chen_defect, decompose,
+                                    geometricity_defect,
+                                    lift_piecewise_linear, read_roughpath_csv,
+                                    recompose, write_roughpath_csv)
 from roughpaths.tensor_algebra import (GroupElement2, identity,  # noqa: E402
                                        inv, mul)
+from roughpaths.vector_fields import linear_field  # noqa: E402
 
 # derandomized so that the tier-1 suite is reproducible run to run
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True,
@@ -97,3 +106,67 @@ def test_group_axioms(seed, m, scale):
         assert_close(mul(inv(g), g), e, bound)
         assert_close(mul(g, e), g, 0.0)
         assert_close(mul(e, g), g, 0.0)
+
+
+def scaled_times(x, c):
+    return RoughPath(c * x.times, x.level1, x.level2)
+
+
+def polyline_solve(seed, m, c):
+    """A linear field's solution on a random polyline whose times are
+    scaled by c, on a fixed number of steps up to the scaled horizon."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 12))
+    pts = np.cumsum(rng.normal(0.0, 0.4, size=(n + 1, m)), axis=0)
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, n))])
+    x = scaled_times(lift_piecewise_linear(pts, times), c)
+    f = linear_field(rng.normal(0.0, 0.7, size=(2, m, 2)))
+    return solve_rde(x, f, np.array([1.0, -0.5]), x.T,
+                     SolverConfig(base_mesh=64)).y
+
+
+@PROPERTY
+@given(seed=seeds, m=dims, c=st.sampled_from([0.25, 0.5, 2.0, 4.0]))
+def test_dyadic_time_change_leaves_the_solution_unchanged(seed, m, c):
+    # scaling every time by a power of two is exact, so the mesh, the
+    # interpolation weights and every step see the same numbers
+    assert np.array_equal(polyline_solve(seed, m, c),
+                          polyline_solve(seed, m, 1.0))
+
+
+@PROPERTY
+@given(seed=seeds, m=dims, c=st.sampled_from([3.0, 0.3, 10.0]))
+def test_time_change_leaves_the_solution_unchanged(seed, m, c):
+    y = polyline_solve(seed, m, 1.0)
+    bound = 1e-12 * max(1.0, float(np.max(np.abs(y))))
+    assert np.max(np.abs(polyline_solve(seed, m, c) - y)) <= bound
+
+
+def csv_roundtrip(x):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "x.csv")
+        write_roughpath_csv(x, path)
+        return read_roughpath_csv(path)
+
+
+@PROPERTY
+@given(seed=seeds, m=dims, n=points)
+def test_lift_csv_roundtrip(seed, m, n):
+    rng = np.random.default_rng(seed)
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 1.0, n - 1))])
+    # on a dyadic grid every sum and product of the lift, the write-out
+    # and the read-back is exact (%.17g round-trips any double)
+    grid = np.cumsum(rng.integers(-256, 257, size=(n, m)), axis=0) / 256
+    x = lift_piecewise_linear(grid, times)
+    back = csv_roundtrip(x)
+    assert np.array_equal(back.times, x.times)
+    assert np.array_equal(back.level1, x.level1)
+    assert np.array_equal(back.level2, x.level2)
+    # elsewhere the read-back re-sums the written increments
+    x = lift_piecewise_linear(np.cumsum(rng.normal(size=(n, m)), axis=0),
+                              times)
+    back = csv_roundtrip(x)
+    bound = roundoff_bound(x)
+    assert np.array_equal(back.times, x.times)
+    assert np.max(np.abs(back.level1 - x.level1)) <= bound
+    assert np.max(np.abs(back.level2 - x.level2)) <= bound
