@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg import expm
 
 from .log_sphere_map import ShiftedMap, choose_shift, sphere_state_projection, \
     transformed_field
@@ -418,9 +417,15 @@ def _convergence_problem(name: str, T: float):
         A = np.array([[0.0, -1.2], [1.2, -0.1]])
         field = make_field("linear", A=A.tolist())
         a = np.array([1.0, 0.5])
+        # Cayley-Hamilton for a 2x2 A with complex eigenvalues mu +/- i w:
+        # expm(tA) = e^{mu t}[(cos wt - mu sin wt / w) I + (sin wt / w) A]
+        mu = 0.5 * (A[0, 0] + A[1, 1])
+        w = math.sqrt(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0] - mu * mu)
 
         def exact(t):
-            return np.array([expm(ti * A) @ a for ti in t])
+            s = np.sin(w * t) / w
+            return np.exp(mu * t)[:, None] * (
+                (np.cos(w * t) - mu * s)[:, None] * a + s[:, None] * A.dot(a))
 
     elif name == "zero":
         field = make_field("zero", d=2, m=1)

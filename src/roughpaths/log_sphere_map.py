@@ -23,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vector_fields import FieldBounds, SecondOrderField, VectorField
+from .rde_solver import SolverConfig, apriori_sup_bound
+from .vector_fields import (FieldBounds, SecondOrderField, VectorField,
+                            f_dot_grad_f)
 
 __all__ = [
     "LogSphereCoords",
@@ -229,8 +231,6 @@ def h1_h2(f: VectorField, shift: ShiftedMap):
     quadratically growing derived fields it inflates like exp(rho), which
     is the failure mode the explosion example exhibits.
     """
-    from .vector_fields import f_dot_grad_f
-
     h1 = transformed_field(f, shift)
     fdf = f_dot_grad_f(f)
     d = f.d
@@ -256,8 +256,6 @@ def calibrated_shift(f: VectorField, x, a, T: float, cfg=None,
     log-radius excursion back into a predicted radius.  Returns the final
     shift and that radius.
     """
-    from .rde_solver import SolverConfig, apriori_sup_bound
-
     cfg = cfg or SolverConfig()
     a = np.asarray(a, dtype=float)
     shift0 = choose_shift(a, 0.0)

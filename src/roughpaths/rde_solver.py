@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rough_paths import (AreaDrift, RoughPath, _write_csv,
+from .partial_rough_paths import PartialRoughPath
+from .rough_paths import (AreaDrift, RoughPath, _write_csv, dilate,
                           geometricity_defect, pvar_norm)
 from .vector_fields import FieldBounds, SecondOrderField, VectorField
 
@@ -387,8 +388,6 @@ def growth_bound_check(f: VectorField, x: RoughPath, a, T: float,
     sequence of finite positive numbers (lam = 0 against an infinite
     norm would give NaN).
     """
-    from .rough_paths import dilate  # local import to avoid cycle noise
-
     lambdas = list(lambdas)
     if not lambdas:
         raise ValueError("lambdas must not be empty")
@@ -437,8 +436,6 @@ def solution_to_partial(sol: RDESolution, x: RoughPath, p: float = 2.0):
     The solution's per-interval arrays pass through unchanged; x, the
     driver the solution was computed on, supplies the control.
     """
-    from .partial_rough_paths import PartialRoughPath
-
     return PartialRoughPath(sol.times, sol.x1, sol.x2_inc, sol.y,
                             sol.cross_inc, p, x.control)
 

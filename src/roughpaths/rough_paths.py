@@ -180,13 +180,6 @@ class RoughPath:
         db = self.level2[j] - self.level2[i] - np.outer(self.level1[i], du)
         return GroupElement2(du, db)
 
-    def interval_increments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-interval increments (u_inc (N,m), b_inc (N,m,m))."""
-        du = np.diff(self.level1, axis=0)
-        db = (np.diff(self.level2, axis=0)
-              - np.einsum("ki,kj->kij", self.level1[:-1], du))
-        return du, db
-
     def at(self, t) -> tuple[np.ndarray, np.ndarray]:
         """Absolute value at arbitrary times via geodesic interpolation.
 
@@ -421,16 +414,15 @@ def two_param_chen_defect(inc_fn, times) -> float:
     return worst
 
 
-def chen_defect(rp: RoughPath, increment_fn=None) -> float:
+def chen_defect(rp: RoughPath) -> float:
     """Chen defect of a rough path (see two_param_chen_defect).
 
-    For a stored path this is pure float roundoff, since increments come
-    from point values (rp.increments_between, two `at` queries per
-    chunk of triples).  Pass increment_fn to audit externally supplied
-    two-parameter data instead; it must broadcast the same way.
+    This is pure float roundoff, since increments come from point values
+    (rp.increments_between, two `at` queries per chunk of triples).  To
+    audit externally supplied two-parameter data, pass its broadcasting
+    increment map to two_param_chen_defect.
     """
-    fn = increment_fn if increment_fn is not None else rp.increments_between
-    return two_param_chen_defect(fn, rp.times)
+    return two_param_chen_defect(rp.increments_between, rp.times)
 
 
 def _pair_sup(times, control, powers, block_norms, width=1) -> list[float]:
@@ -590,10 +582,13 @@ _FMT = "%.17g"
 
 
 def _read_csv(path) -> tuple[list[str], np.ndarray]:
-    """The one CSV reader: header and float rows (LF or CRLF), >= 1 row."""
+    """The one CSV reader: a header starting with `t` and float rows (LF
+    or CRLF), >= 1 row."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
+        if not header or header[0].strip() != "t":
+            raise ValueError(f"{path}: expected header starting with 't'")
         rows = [[float(v) for v in row] for row in reader if row]
     if not rows:
         raise ValueError(f"{path}: no data rows")
@@ -603,8 +598,6 @@ def _read_csv(path) -> tuple[list[str], np.ndarray]:
 def read_polyline_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read `t,x1,...,xm` rows (sorted by t); returns (times, points)."""
     header, data = _read_csv(path)
-    if not header or header[0].strip() != "t":
-        raise ValueError(f"{path}: expected header starting with 't'")
     order = np.argsort(data[:, 0], kind="stable")
     data = data[order]
     return data[:, 0], data[:, 1:]
@@ -620,26 +613,22 @@ def _write_csv(path, header, rows) -> None:
 
 
 def write_roughpath_csv(rp: RoughPath, path) -> None:
-    """Write consecutive-interval increments: `s,t,level1...,level2...`."""
+    """Write the stored point values, one row per grid time (the first
+    is the identity): `t,x1..xm,x2_11..x2_mm`, level 2 row-major."""
     m = rp.m
-    du, db = rp.interval_increments()
-    header = (["s", "t"]
-              + [f"x{i+1}" for i in range(m)]
+    header = (["t"] + [f"x{i+1}" for i in range(m)]
               + [f"x2_{i+1}{j+1}" for i in range(m) for j in range(m)])
     _write_csv(path, header, np.column_stack(
-        [rp.times[:-1], rp.times[1:], du, db.reshape(len(du), m * m)]))
+        [rp.times, rp.level1, rp.level2.reshape(rp.n_points, m * m)]))
 
 
 def read_roughpath_csv(path, control: Control | None = None) -> RoughPath:
-    """Rebuild a rough path from its interval-increment CSV."""
+    """Read the point values write_roughpath_csv wrote (exactly)."""
     header, data = _read_csv(path)
     m = sum(1 for h in header if h.startswith("x") and "_" not in h)
-    times = np.concatenate([[data[0, 0]], data[:, 1]])
-    du = data[:, 2:2 + m]
-    db = data[:, 2 + m:2 + m + m * m].reshape(-1, m, m)
-    n = len(times)
-    u = np.zeros((n, m))
-    b = np.zeros((n, m, m))
-    np.cumsum(du, axis=0, out=u[1:])
-    np.cumsum(db + np.einsum("ki,kj->kij", u[:-1], du), axis=0, out=b[1:])
-    return RoughPath(times, u, b, control or HolderControl())
+    if data.shape[1] != 1 + m + m * m:
+        raise ValueError(f"{path}: expected columns t, {m} of level 1 and "
+                         f"{m * m} of level 2")
+    return RoughPath(data[:, 0], data[:, 1:1 + m],
+                     data[:, 1 + m:].reshape(-1, m, m),
+                     control or HolderControl())

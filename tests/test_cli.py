@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from roughpaths import cli, rough_paths
 from roughpaths.cli import Check, _merged, main
@@ -34,6 +38,29 @@ def test_convergence_zero_problem(tmp_path):
 def test_convergence_matrix_problem(tmp_path):
     assert run(tmp_path, "convergence",
                {"problem": "matrix", "meshes": [128, 256, 512, 1024]}) == 0
+
+
+def test_matrix_problem_closed_form_matches_expm():
+    # expm is the oracle here only: the library computes exp(tA) a in
+    # closed form.  A is read off the problem's field, y -> A y, and the
+    # grid is the finest default mesh, which holds the others
+    T = cli.DEFAULTS["convergence"]["T"]
+    field, a, _, exact = cli._convergence_problem("matrix", T)
+    A = np.column_stack([field.eval(e)[:, 0] for e in np.eye(2)])
+    t = np.linspace(0.0, T, max(cli.DEFAULTS["convergence"]["meshes"]) + 1)
+    oracle = np.array([expm(ti * A) @ a for ti in t])
+    assert np.max(np.abs(exact(t) - oracle)) <= 1e-15
+
+
+def test_library_and_cli_import_without_scipy():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys, roughpaths, roughpaths.cli\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"
 
 
 def test_growth_demo_command(tmp_path):
@@ -91,11 +118,29 @@ def test_lift_and_solve_commands(tmp_path):
     src.write_text("t,x1\n0,0\n0.5,0.3\n1,0.1\n")
     assert run(tmp_path, "lift", {"input": str(src)}) == 0
     out = (tmp_path / "out" / "roughpath.csv").read_text().splitlines()
-    assert out[0] == "s,t,x1,x2_11"
-    assert len(out) == 3
+    assert out[0] == "t,x1,x2_11"
+    assert out[1] == "0,0,0"
+    assert len(out) == 4
     assert run(tmp_path, "solve", {}, name="solved") == 0
     sol = (tmp_path / "solved" / "solution.csv").read_text().splitlines()
     assert sol[0] == "t,y1"
+
+
+def test_lifted_csv_drives_solve_and_the_interval_format_exits_two(
+        tmp_path, capsys):
+    src = tmp_path / "poly.csv"
+    src.write_text("t,x1\n0,0\n0.5,0.3\n1,0.1\n")
+    assert run(tmp_path, "lift", {"input": str(src)}) == 0
+    lifted = tmp_path / "out" / "roughpath.csv"
+    assert run(tmp_path, "solve", {"driver": {"kind": "csv",
+                                              "path": str(lifted)}},
+               name="solved") == 0
+    old = tmp_path / "old.csv"
+    old.write_text("s,t,x1,x2_11\n0,0.5,0.3,0.045\n0.5,1,-0.2,0.02\n")
+    assert run(tmp_path, "solve", {"driver": {"kind": "csv",
+                                              "path": str(old)}},
+               name="old") == 2
+    assert "header" in capsys.readouterr().err
 
 
 def test_lift_bound_scales_with_level2(tmp_path):

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from roughpaths.log_sphere_map import (LogSphereCoords, ShiftedMap,
-                                       calibrated_shift, choose_shift,
-                                       grad2_phi, grad_phi, h1_h2, phi,
-                                       sphere_state_projection,
+from roughpaths.log_sphere_map import (_RHO_OVERFLOW, LogSphereCoords,
+                                       ShiftedMap, calibrated_shift,
+                                       choose_shift, grad2_phi, grad_phi,
+                                       h1_h2, phi, sphere_state_projection,
                                        transformed_field, z_of)
 from roughpaths.rough_paths import lift_piecewise_linear, pvar_norm
 from roughpaths.rde_solver import SolverConfig, solve_rde
@@ -256,17 +256,28 @@ def test_sphere_projection_normalizes_angular_part():
     assert w[2] == 7.0
 
 
-def test_calibrated_shift_bound_shape():
-    # after the one-pass calibration, trajectories stay inside the
-    # radius the shift was sized for, and the paper-shaped envelope
-    # (|a|+|b|-1) exp(mu + mu/L ||x||^p omega) dominates sup|y|
+def test_calibrated_shift_caps_the_radius():
+    # the counterexample field's sampled bounds (f_inf ~ 6, grad_inf ~ 22)
+    # give an excursion in the thousands: the radius stops at the cap
     rng = np.random.default_rng(92)
-    f = counterexample_field()
     pts = np.concatenate([[0.0], np.cumsum(rng.normal(size=6) * 0.2)])
+    x = lift_piecewise_linear(pts[:, None], np.linspace(0, 1, 7))
+    _, radius = calibrated_shift(counterexample_field(), x, [1.0, 0.0], 1.0,
+                                 SolverConfig(base_mesh=1024), samples=1500)
+    assert radius == pytest.approx(math.exp(_RHO_OVERFLOW))
+
+
+def test_calibrated_shift_bound_shape():
+    # below the cap, after the one-pass calibration, trajectories stay
+    # inside the radius the shift was sized for, and the paper-shaped
+    # envelope (|a|+|b|-1) exp(mu + mu/L ||x||^p omega) dominates sup|y|
+    f = linear_field(0.05 * np.eye(2))
+    pts = np.array([0.0, 0.2, -0.1, 0.3, 0.1, 0.25, 0.0])
     x = lift_piecewise_linear(pts[:, None], np.linspace(0, 1, 7))
     a = np.array([1.0, 0.0])
     cfg = SolverConfig(base_mesh=1024)
     shift, radius = calibrated_shift(f, x, a, 1.0, cfg, samples=1500)
+    assert radius < math.exp(_RHO_OVERFLOW)
     sol = solve_rde(x, f, a, 1.0, cfg)
     sup_y = float(np.max(np.linalg.norm(sol.y, axis=1)))
     assert sup_y <= radius

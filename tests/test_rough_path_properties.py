@@ -152,21 +152,13 @@ def csv_roundtrip(x):
 @PROPERTY
 @given(seed=seeds, m=dims, n=points)
 def test_lift_csv_roundtrip(seed, m, n):
+    # the file holds the stored point values as %.17g, which round-trips
+    # any double: the read-back equals the lift on every polyline
     rng = np.random.default_rng(seed)
     times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 1.0, n - 1))])
-    # on a dyadic grid every sum and product of the lift, the write-out
-    # and the read-back is exact (%.17g round-trips any double)
-    grid = np.cumsum(rng.integers(-256, 257, size=(n, m)), axis=0) / 256
-    x = lift_piecewise_linear(grid, times)
+    x = lift_piecewise_linear(np.cumsum(rng.normal(size=(n, m)), axis=0),
+                              times)
     back = csv_roundtrip(x)
     assert np.array_equal(back.times, x.times)
     assert np.array_equal(back.level1, x.level1)
     assert np.array_equal(back.level2, x.level2)
-    # elsewhere the read-back re-sums the written increments
-    x = lift_piecewise_linear(np.cumsum(rng.normal(size=(n, m)), axis=0),
-                              times)
-    back = csv_roundtrip(x)
-    bound = roundoff_bound(x)
-    assert np.array_equal(back.times, x.times)
-    assert np.max(np.abs(back.level1 - x.level1)) <= bound
-    assert np.max(np.abs(back.level2 - x.level2)) <= bound

@@ -10,6 +10,7 @@ from roughpaths.rough_paths import (AreaDrift, Control, HolderControl,
                                     lift_piecewise_linear, pure_area_path,
                                     pvar_norm, read_polyline_csv,
                                     read_roughpath_csv, recompose,
+                                    two_param_chen_defect,
                                     write_roughpath_csv)
 from roughpaths.tensor_algebra import GroupElement2
 
@@ -128,7 +129,7 @@ def test_chen_defect_flags_corrupted_increments():
         level2[hit, 0, 1] += 0.1
         return level1, level2
 
-    assert chen_defect(rp, increment_fn=corrupted) >= 0.09
+    assert two_param_chen_defect(corrupted, rp.times) >= 0.09
 
 
 def _chen_paths(rng, n):
@@ -179,21 +180,21 @@ def test_chen_defect_rejects_scalar_increment_maps():
         return GroupElement2(np.zeros(2), np.zeros((2, 2)))
 
     with pytest.raises(ValueError, match="inc_fn must broadcast"):
-        chen_defect(rp, increment_fn=scalar_only)
+        two_param_chen_defect(scalar_only, rp.times)
 
     def nan_rows(s, t):
         level1, level2 = rp.increments_between(s, t)
         return level1, np.where(s[:, None, None] > 0.0, np.nan, level2)
 
     with pytest.raises(ValueError, match="NaN"):
-        chen_defect(rp, increment_fn=nan_rows)
+        two_param_chen_defect(nan_rows, rp.times)
 
     def one_row(s, t):
         level1, level2 = rp.increments_between(s, t)
         return level1[:1], level2[:1]
 
     with pytest.raises(ValueError, match="inc_fn must broadcast"):
-        chen_defect(rp, increment_fn=one_row)
+        two_param_chen_defect(one_row, rp.times)
 
 
 def test_increment_between_is_one_row_of_increments_between():
@@ -499,9 +500,22 @@ def test_roughpath_csv_roundtrip(tmp_path):
     dest = tmp_path / "rp.csv"
     write_roughpath_csv(rp, dest)
     back = read_roughpath_csv(dest)
-    assert np.allclose(back.times, rp.times)
-    assert np.allclose(back.level1, rp.level1, atol=1e-14)
-    assert np.allclose(back.level2, rp.level2, atol=1e-13)
+    assert np.array_equal(back.times, rp.times)
+    assert np.array_equal(back.level1, rp.level1)
+    assert np.array_equal(back.level2, rp.level2)
+    assert dest.read_text().splitlines()[:2] == [
+        "t,x1,x2,x2_11,x2_12,x2_21,x2_22", "0,0,0,0,0,0,0"]
+
+
+def test_roughpath_csv_rejects_the_interval_format(tmp_path):
+    # the per-interval `s,t,...` rows an older writer produced
+    path = tmp_path / "old.csv"
+    path.write_text("s,t,x1,x2_11\n0,0.5,0.3,0.045\n0.5,1,-0.2,0.02\n")
+    with pytest.raises(ValueError, match="header"):
+        read_roughpath_csv(path)
+    path.write_text("t,x1,x2_11\n0,0,0,0\n1,0.3,0.045,0\n")
+    with pytest.raises(ValueError, match="columns"):
+        read_roughpath_csv(path)
 
 
 def test_roughpath_csv_lines_end_in_lf_and_crlf_reads_back(tmp_path):
@@ -509,7 +523,7 @@ def test_roughpath_csv_lines_end_in_lf_and_crlf_reads_back(tmp_path):
     dest = tmp_path / "rp.csv"
     write_roughpath_csv(rp, dest)
     raw = dest.read_bytes()
-    assert b"\r" not in raw and raw.count(b"\n") == rp.n_points
+    assert b"\r" not in raw and raw.count(b"\n") == rp.n_points + 1
     crlf = tmp_path / "crlf.csv"
     crlf.write_bytes(raw.replace(b"\n", b"\r\n"))
     lf_back, crlf_back = read_roughpath_csv(dest), read_roughpath_csv(crlf)
