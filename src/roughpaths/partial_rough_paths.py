@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rough_paths import (AreaDrift, Control, HolderControl, _grid_triples,
-                          _pair_sup, _require_finite, _write_csv)
+from .rough_paths import (_EPS, AreaDrift, Control, HolderControl,
+                          _grid_triples, _increment_norm, _inflate, _pair_sup,
+                          _require_finite, _tile_spreads, _write_csv)
 from .sewing import YoungConditionError
 from .vector_fields import VectorField
 
@@ -96,26 +97,68 @@ class PartialRoughPath:
     def n_points(self) -> int:
         return len(self.times)
 
-    def _cross_rows(self, i0: int, i1: int, j1: int) -> np.ndarray:
-        """cross(t_i, t_j) for i = i0..i1-1, j = i0+1..j1: (rows, cols, d*m).
+    def _cross_rows(self, i0: int, i1: int, j0: int, j1: int,
+                    acc: np.ndarray | None = None) -> np.ndarray:
+        """cross(t_i, t_j) for i = i0..i1-1, j = j0..j1-1: (rows, cols, d*m).
 
         The one extension of cross_inc to pairs: row i sums the terms
         cross_inc[k] + (y_k - y_i) (x) dx_k, k = i..j-1, in order after
-        zeros for k < i, so it does not depend on the block; j <= i is 0.
+        zeros for k < i, so it does not depend on the tile; j <= i is 0.
+        Without acc the sums start at k = i0.  acc continues the running
+        sums of the tile to the left instead (its last column, the sums
+        through k = j0 - 2): it is added into the first term before the
+        cumsum, which gives the bits of one cumsum over the whole row;
+        adding it afterwards would not.
         """
-        dy = self.y[None, i0:j1] - self.y[i0:i1, None]
-        terms = dy[..., None] * np.diff(self.x[i0:j1 + 1], axis=0)[:, None, :]
+        k0 = i0 if acc is None else j0 - 1
+        dy = self.y[None, k0:j1 - 1] - self.y[i0:i1, None]
+        terms = dy[..., None] * np.diff(self.x[k0:j1], axis=0)[:, None, :]
         del dy
-        terms += self.cross_inc[i0:j1]
-        terms[np.tril_indices(i1 - i0, -1)] = 0.0
+        terms += self.cross_inc[k0:j1 - 1]
+        if k0 < i1 - 1:
+            terms[np.arange(k0, j1 - 1)[None, :]
+                  < np.arange(i0, i1)[:, None]] = 0.0
+        if acc is not None:
+            terms[:, 0] += acc.reshape(terms.shape[0], self.d, self.m)
         np.cumsum(terms, axis=1, out=terms)
-        return terms.reshape(terms.shape[:2] + (-1,))
+        return terms.reshape(terms.shape[:2] + (-1,))[:, j0 - 1 - k0:]
+
+    def _cross_pairs(self):
+        """cross(t_i, t_j) for broadcast arrays of grid indices, from
+        prefix sums (for the scan's tile bounds), and the error bound E
+        of every computed cross value: here and in _cross_rows alike,
+        |computed - exact| <= E in Frobenius norm.
+
+        With P_j the sum of cross_inc[k] + y_k (x) dx_k over k < j,
+        cross(t_i, t_j) = P_j - P_i - y_i (x) (x_j - x_i).  A running sum
+        of at most n terms is off by gamma_(n+4) times the sum of their
+        norms (the standard bound), which `total` below dominates; a few
+        more roundings of the same size are covered by using n + 8.
+        """
+        n = self.n_points
+        dx = np.diff(self.x, axis=0)
+        prefix = np.zeros((n, self.d, self.m))
+        np.cumsum(self.cross_inc + self.y[:-1, :, None] * dx[:, None, :],
+                  axis=0, out=prefix[1:])
+        y, x = self.y, self.x
+
+        def cross(i, j):
+            c = (prefix[j] - prefix[i]
+                 - y[i][..., :, None] * (x[j] - x[i])[..., None, :])
+            return c.reshape(c.shape[:-2] + (-1,))
+
+        total = (np.sum(np.linalg.norm(
+            self.cross_inc.reshape(n - 1, self.d * self.m), axis=1))
+                 + 2.0 * np.max(np.linalg.norm(y, axis=1))
+                 * np.sum(np.linalg.norm(dx, axis=1)))
+        return cross, (n + 8) * _EPS * total
 
     def cross_between(self, i: int, j: int) -> np.ndarray:
         """cross(t_i, t_j) by accumulating the additivity identity."""
         if j <= i:
             return np.zeros((self.d, self.m))
-        return self._cross_rows(i, i + 1, j)[0, -1].reshape(self.d, self.m)
+        return self._cross_rows(i, i + 1, j, j + 1)[0, 0].reshape(self.d,
+                                                                  self.m)
 
     def additivity_defect(self, samples: int = 400, seed: int = 0) -> float:
         """Max additivity violation of cross over sampled grid triples."""
@@ -132,12 +175,50 @@ class PartialRoughPath:
 
         inf when some pair has zero control but a nonzero cross integral.
         """
-        def norms(i0, i1):
-            return (np.linalg.norm(self._cross_rows(i0, i1, self.n_points - 1),
-                                   axis=2),)
+        n = self.n_points
+        cross_norms = _cross_norms((self,))
 
+        def norms(i0, i1, j0, j1):
+            return (cross_norms(i0, i1, j0, j1),)
+
+        cross, error = self._cross_pairs()
+        rc, ac, cc = _tile_spreads(
+            n, lambda i, j: np.linalg.norm(cross(i, j), axis=-1))
+        ry, ay, _ = _tile_spreads(n, _increment_norm(self.y))
+        _, ax, cx = _tile_spreads(n, _increment_norm(self.x))
+        # the additivity identity at s*, then at t*:
+        # cross(s,t) = cross(s,s*) + cross(s*,t*) + cross(t*,t)
+        #   + y(s,s*) (x) (x(s*,t*) + x(t*,t)) + y(s*,t*) (x) x(t*,t);
+        # four computed cross values each within error
+        bound = _inflate(rc + ac + cc + ry * (ax + cx) + ay * cx, 4 * error)
         return _pair_sup(self.times, self.control, (2.0 / self.p,), norms,
-                         self.d * self.m)[0]
+                         (bound,), walk=True)[0]
+
+
+def _cross_norms(triples):
+    """Per tile of a _pair_sup walk, the norm of the first triple's
+    cross(s,t), minus the second's if given.
+
+    Each row of tiles continues the running sums where the tile to its
+    left ended, so a far tile costs what a near one does; a tile reached
+    otherwise is summed from its row's first start point.
+    """
+    carry = {}
+
+    def norms(i0, i1, j0, j1):
+        end, accs = carry.get(i0, (None, None))
+        if end != j0:
+            accs = [None] * len(triples)
+        parts = [prp._cross_rows(i0, i1, j0, j1, acc)
+                 for prp, acc in zip(triples, accs)]
+        # copies: a view would keep the whole tile alive
+        carry[i0] = (j1, [q[:, -1].copy() for q in parts])
+        dc = parts[0]
+        for q in parts[1:]:
+            dc -= q
+        return np.linalg.norm(dc, axis=2)
+
+    return norms
 
 
 def partial_from_smooth(x_of_t, y_of_t, times, p: float = 2.0,
@@ -186,26 +267,63 @@ def pvar_distance(a: PartialRoughPath, b: PartialRoughPath) -> float:
     Max over grid pairs of the x- and y-increment differences scaled by
     w^(1/p) and the cross difference scaled by w^(2/p), with a's control
     and p; inf when some pair has zero control but a nonzero difference.
+    When a and b share their driver (equal x arrays), its difference is
+    0 on every pair and is not scanned.
     """
     if a.n_points != b.n_points or not np.allclose(a.times, b.times):
         raise ValueError("grids do not match")
     if a.m != b.m or a.d != b.d:
         raise ValueError("dimensions do not match")
     n = a.n_points
+    shared = np.array_equal(a.x, b.x)
+    cross_norms = _cross_norms((a, b))
 
-    def norms(i0, i1):
+    def norms(i0, i1, j0, j1):
         def inc(v):
-            return v[None, i0 + 1:] - v[i0:i1, None]
+            return v[None, j0:j1] - v[i0:i1, None]
 
-        ex = np.linalg.norm(inc(a.x) - inc(b.x), axis=2)
         ey = np.linalg.norm(inc(a.y) - inc(b.y), axis=2)
-        dc = a._cross_rows(i0, i1, n - 1)
-        dc -= b._cross_rows(i0, i1, n - 1)
-        return ex, ey, np.linalg.norm(dc, axis=2)
+        dc = cross_norms(i0, i1, j0, j1)
+        if shared:
+            return ey, dc
+        return np.linalg.norm(inc(a.x) - inc(b.x), axis=2), ey, dc
 
-    p = a.p
-    return max(_pair_sup(a.times, a.control, (1.0 / p, 1.0 / p, 2.0 / p),
-                         norms, a.d * a.m))
+    def difference(va, vb):
+        return lambda i, j: np.linalg.norm((va[j] - va[i]) - (vb[j] - vb[i]),
+                                           axis=-1)
+
+    def magnitude(va, vb):
+        # each computed difference of increments, and each of the three
+        # anchor terms of its triangle bound, is within 4 eps
+        # (max|va| + max|vb|) per entry
+        return 16 * va.shape[1] * _EPS * (np.max(np.abs(va))
+                                          + np.max(np.abs(vb)))
+
+    cross_a, error_a = a._cross_pairs()
+    cross_b, error_b = b._cross_pairs()
+    rd, ad, cd = _tile_spreads(n, lambda i, j: np.linalg.norm(
+        cross_a(i, j) - cross_b(i, j), axis=-1))
+    ry, ay, cy = _tile_spreads(n, difference(a.y, b.y))
+    _, ax, cx = _tile_spreads(n, _increment_norm(a.x))
+    # the additivity identity of each triple at s* and t*, subtracted:
+    # with e = a - b on increments,
+    # dc(s,t) = dc(s,s*) + dc(s*,t*) + dc(t*,t)
+    #   + e_y(s,s*) (x) x_a(s*,t) + y_b(s,s*) (x) e_x(s*,t)
+    #   + e_y(s*,t*) (x) x_a(t*,t) + y_b(s*,t*) (x) e_x(t*,t),
+    # where the e_x terms vanish for a shared driver
+    cross = rd + ad + cd + ry * (ax + cx) + ay * cx
+    powers, bounds = [], []
+    if not shared:
+        rx, axx, cxx = _tile_spreads(n, difference(a.x, b.x))
+        rb, ab, _ = _tile_spreads(n, _increment_norm(b.y))
+        cross = cross + rb * (axx + cxx) + ab * cxx
+        powers.append(1.0 / a.p)
+        bounds.append(_inflate(rx + axx + cxx, magnitude(a.x, b.x)))
+    powers += [1.0 / a.p, 2.0 / a.p]
+    bounds += [_inflate(ry + ay + cy, magnitude(a.y, b.y)),
+               _inflate(cross, 4 * (error_a + error_b))]
+    return max(_pair_sup(a.times, a.control, powers, norms, bounds,
+                         walk=True))
 
 
 def pushforward(prp: PartialRoughPath, phi: SmoothMap,

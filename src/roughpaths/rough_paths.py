@@ -15,7 +15,7 @@ every time, so a solver may evaluate driver increments on any mesh.
 
 The module also measures paths (p-variation norm against a control,
 Chen defect, geometricity defect; the sup-over-grid-pairs measures,
-here and in partial_rough_paths, share one blocked scan), splits a
+here and in partial_rough_paths, share one tiled scan), splits a
 non-geometric path into a geometric part plus a symmetric area-drift
 path, and generates the stock drivers used by the experiments (polyline
 lifts, left-point and trapezoidal Brownian lifts, pure-area paths).
@@ -69,12 +69,14 @@ _CHEN_SAMPLES = 20000
 # the path it audits).
 _CHEN_CHUNK = 2048
 
-# Floats per array of a _pair_sup block (128 KiB): a block takes as many
-# start points (at least one) as keep its widest per-pair array at this
-# size.  Blocks of 16 rows (512 KiB per array on 4097 points, m = 1) were
-# slower, each temporary landing on fresh zero-filled pages, and kept
-# more memory resident.
-_PAIR_BLOCK = 16384
+# Side of a _pair_sup tile in grid points: a tile pairs up to _TILE
+# start points with up to _TILE end points, so its widest per-pair
+# array holds _TILE**2 floats per float of width (32 KiB each).
+_TILE = 64
+
+# Rounding margin of the tile bounds (see _inflate).
+_BOUND_REL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 def _require_finite(**arrays) -> None:
@@ -91,6 +93,12 @@ class Control:
     omega(s, u) + omega(u, t) <= omega(s, t) for s <= u <= t.  The
     callable must broadcast: scans call it with a column of start times
     against a row of end times and expect the 2-d array of values back.
+
+    The grid-pair scans rely on omega >= 0 and superadditivity: together
+    they make omega monotone under inclusion (omega(s, t) >=
+    omega(s', t') when s <= s' <= t' <= t), so the value at a tile's
+    inner corner bounds omega from below on the whole tile, and a tile
+    whose norms are bounded below the running maximum is skipped.
     """
 
     def __init__(self, fn):
@@ -425,55 +433,188 @@ def chen_defect(rp: RoughPath) -> float:
     return two_param_chen_defect(rp.increments_between, rp.times)
 
 
-def _pair_sup(times, control, powers, block_norms, width=1) -> list[float]:
+def _tile_corners(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The _pair_sup tiles of an n-point grid, as grid indices.
+
+    Row a of tiles holds the start points first[a]..s_star[a], column c
+    the end points t_star[c]..t_star[c] + _TILE - 1 (clipped to the grid),
+    with t_star = first + 1; s_star and t_star are the inner corners.
+    """
+    first = np.arange(0, n - 1, _TILE)
+    return first, np.minimum(first + _TILE, n - 1) - 1, first + 1
+
+
+def _tile_spreads(n: int, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The anchor terms of a tile bound for a two-parameter quantity.
+
+    q(i, j) returns |X(t_i, t_j)| for broadcast arrays of grid indices.
+    Returns, for rows I and columns J of tiles with inner corners s*, t*,
+    max over s in I of q(s, s*) (a column), q(s*, t*) (rows by columns)
+    and max over t in J of q(t*, t) (a row).
+    """
+    if n < 2:
+        return np.zeros((0, 1)), np.zeros((0, 0)), np.zeros((1, 0))
+    first, s_star, t_star = _tile_corners(n)
+    s = np.arange(n - 1)
+    tile = s // _TILE
+    rows = np.maximum.reduceat(q(s, s_star[tile]), first)
+    cols = np.maximum.reduceat(q(t_star[tile], s + 1), first)
+    return rows[:, None], q(s_star[:, None], t_star[None, :]), cols[None, :]
+
+
+def _increment_norm(v: np.ndarray):
+    """q(i, j) = |v_j - v_i|, Euclidean over the last axis."""
+    return lambda i, j: np.linalg.norm(v[j] - v[i], axis=-1)
+
+
+def _triangle_bound(n: int, v: np.ndarray) -> np.ndarray:
+    """Per tile, a bound on |v_t - v_s| over its pairs (triangle inequality
+    through the inner corners)."""
+    rows, corner, cols = _tile_spreads(n, _increment_norm(v))
+    return rows + corner + cols
+
+
+def _inflate(bound: np.ndarray, absolute: float = 0.0) -> np.ndarray:
+    """A tile bound made to dominate the norms as computed, not only the
+    exact ones.
+
+    Bound and norms are evaluated in floating point from the same data.
+    A difference of two stored values is correctly rounded, and the sums
+    of squares, square roots, products and quotients built on it each add
+    a relative error of at most eps: a few dozen such roundings, plus
+    the control's own (a computed control is taken to be monotone under
+    inclusion to within a few ulps), stay far below _BOUND_REL = 1e-9
+    for any width under 10^6.  Cancellation (a level-2 correction, the
+    difference of two triples, a running sum) instead costs an absolute
+    error of eps times the data's magnitude, which each measure passes
+    as `absolute`; the smallest normal float covers underflow.
+    """
+    return bound * (1.0 + _BOUND_REL) + (absolute + np.finfo(float).tiny)
+
+
+def _tile_tops(t, control, powers, norms, i0, i1, j0, j1, diagonal):
+    """Largest norm / w^power on one evaluated tile, per norm; None when a
+    pair with w <= 0 has a nonzero norm.  Raises ValueError on NaN."""
+    dead = None
+    if diagonal:
+        # end point j0 + col not after start point i0 + row (j0 = i0 + 1)
+        r = np.arange(i1 - i0)
+        dead = r[None, :] < r[:, None]
+    if control is None:
+        if dead is not None:
+            for v in norms:
+                v[dead] = 0.0
+        tops = [float(np.max(v, initial=0.0)) for v in norms]
+    else:
+        s = t[i0:i1, None]
+        # dead pairs are queried at (s, s), where every control is 0
+        w = np.asarray(control(s, np.maximum(s, t[None, j0:j1])),
+                       dtype=float)
+        zero = w <= 0.0
+        live = zero if dead is None else zero & ~dead
+        if np.any(live) and any(np.any(v[live] > 0.0) for v in norms):
+            return None
+        w = np.where(zero, np.inf, w)
+        tops = [float(np.max(v / w ** pw, initial=0.0))
+                for v, pw in zip(norms, powers)]
+    if any(map(math.isnan, tops)):
+        raise ValueError("NaN in a grid-pair measure (control or data)")
+    return tops
+
+
+def _pair_sup(times, control, powers, tile_norms, bounds,
+              walk=False) -> list[float]:
     """Largest norm / w(s, t)^power over grid pairs s < t, per norm.
 
-    The scan behind every sup-over-pairs measure.  block_norms(i0, i1)
-    returns one fresh (rows, cols) array per entry of powers: the norms
-    from start points i0..i1-1 to end points i0+1..n-1, each pair
-    computed the same way in any block.  width is the floats per pair of
-    its widest array; a block holds about _PAIR_BLOCK / width pairs.  w
-    is queried at (s, max(s, t)); with control None norms are taken
-    unscaled.  A pair with w <= 0 is skipped if its norms are 0 and
-    makes every result inf otherwise; a NaN maximum raises ValueError.
-    No pair gives 0.0.
+    The scan behind every sup-over-pairs measure.  The pairs are cut into
+    tiles of _TILE start points (a row of tiles) by _TILE end points (a
+    column); _tile_corners gives the layout.  tile_norms(i0, i1, j0, j1)
+    returns one fresh (i1 - i0, j1 - j0) array per entry of powers: the
+    norms from start points i0..i1-1 to end points j0..j1-1, each pair
+    computed the same way in any tile.  bounds holds, per norm, a
+    (rows, columns) array bounding every norm of each tile as computed
+    (see _inflate).  w is queried at (s, max(s, t)); with control None
+    norms are taken unscaled (w = 1).
+
+    Visit order and skip rule: w is first queried at each tile's inner
+    corner (its last start point s*, first end point t*).  The tiles
+    where w(s*, t*) <= 0, the diagonal ones among them, cannot be
+    bounded and are evaluated first.  The rest follow in decreasing order
+    of their bounds over w(s*, t*)^power (each norm's normalised by its
+    largest), and a tile is skipped when each of these is at most the
+    running maximum of its norm: w is monotone under inclusion (see
+    Control), so w(s*, t*) bounds w from below on the tile.  With walk,
+    for norms that continue running sums along a row of tiles, a tile
+    that is not skipped is evaluated after every tile left of it in its
+    row, in column order, so each row is walked at most once.
+
+    On every evaluated tile, a pair with w <= 0 is ignored if its norms
+    are 0 and makes every result inf otherwise, and a NaN maximum raises
+    ValueError.  So NaN is caught on the evaluated pairs and at the
+    tile corners, where a NaN w raises before any tile is evaluated; a
+    NaN inside a skipped tile goes unseen.  No pair gives 0.0.
     """
     t = np.asarray(times, dtype=float)
     n = len(t)
-    best = [0.0] * len(powers)
-    i0 = 0
-    while i0 < n - 1:
-        i1 = min(n - 1, i0 + max(1, _PAIR_BLOCK // (width * (n - 1 - i0))))
-        rows = i1 - i0
-        # dead pairs (end point i0+1+c not after start point i0+r) all
-        # lie in the first rows columns
-        dead = np.arange(rows)[None, :] < np.arange(rows)[:, None]
-        norms = block_norms(i0, i1)
-        if control is None:
-            for v in norms:
-                v[:, :rows][dead] = 0.0
-            tops = [float(np.max(v, initial=0.0)) for v in norms]
-        else:
-            s = t[i0:i1, None]
-            # dead pairs are queried at (s, s), where every control is 0
-            w = np.asarray(control(s, np.maximum(s, t[None, i0 + 1:])),
-                           dtype=float)
-            zero = w <= 0.0
-            head = zero[:, :rows]
-            if np.count_nonzero(zero) > np.count_nonzero(head & dead):
-                live_zero = zero.copy()
-                live_zero[:, :rows] &= ~dead
-                if any(np.any(v[live_zero] > 0.0) for v in norms):
-                    return [math.inf] * len(powers)
-            head |= dead
-            w = np.where(zero, np.inf, w)
-            tops = [float(np.max(v / w ** pw, initial=0.0))
-                    for v, pw in zip(norms, powers)]
-        if any(map(math.isnan, tops)):
+    first, s_star, t_star = _tile_corners(n)
+    # a column of tiles left of its row's diagonal holds no pair s < t
+    r = np.arange(len(first))
+    a, c = np.nonzero(r[:, None] <= r[None, :])
+    if control is None:
+        corner = np.ones(len(a))
+    else:
+        s = t[s_star[a]]
+        corner = np.asarray(control(s, np.maximum(s, t[t_star[c]])),
+                            dtype=float)
+        if np.any(np.isnan(corner)):
             raise ValueError("NaN in a grid-pair measure (control or data)")
-        best = [max(a, b) for a, b in zip(best, tops)]
-        i0 = i1
-    return best
+    fixed = corner <= 0.0
+    key = np.zeros(len(a))
+    scaled = np.empty((len(a), len(powers)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for col, (bound, pw) in enumerate(zip(bounds, powers)):
+            v = scaled[:, col] = bound[a, c] / corner ** pw
+            finite = np.isfinite(v) & ~fixed
+            top = np.max(v[finite], initial=0.0)
+            key = np.maximum(key, np.where(finite, v / top if top > 0 else 0.0,
+                                           np.inf))
+    best = np.zeros(len(powers))
+    # walk: the first column of tiles not yet evaluated, per row
+    frontier = np.arange(len(first))
+
+    def evaluate(k) -> bool:
+        """Evaluate tile k (with walk, and the row's tiles left of it);
+        True when a pair with w <= 0 has a nonzero norm."""
+        row, col = int(a[k]), int(c[k])
+        i0, i1 = int(first[row]), int(s_star[row]) + 1
+        for cc in range(int(frontier[row]) if walk else col, col + 1):
+            j0 = int(t_star[cc])
+            j1 = min(j0 + _TILE, n)
+            tops = _tile_tops(t, control, powers, tile_norms(i0, i1, j0, j1),
+                              i0, i1, j0, j1, cc == row)
+            if tops is None:
+                return True
+            np.maximum(best, tops, out=best)
+        frontier[row] = col + 1
+        return False
+
+    for k in np.flatnonzero(fixed):
+        if evaluate(k):
+            return [math.inf] * len(powers)
+    queue = np.flatnonzero(~fixed)
+    while True:
+        # drop the tiles evaluated (key -1) or now bounded (a NaN bound
+        # never is); the next is the first of the largest keys
+        keep = (key[queue] >= 0.0) & ~np.all(scaled[queue] <= best, axis=1)
+        if walk:
+            keep &= c[queue] >= frontier[a[queue]]
+        queue = queue[keep]
+        if not queue.size:
+            return best.tolist()
+        k = queue[np.argmax(key[queue])]
+        key[k] = -1.0
+        if evaluate(k):
+            return [math.inf] * len(powers)
 
 
 def pvar_norm(rp: RoughPath, p: float) -> float:
@@ -486,16 +627,35 @@ def pvar_norm(rp: RoughPath, p: float) -> float:
     if not (2.0 <= p < 3.0):
         raise ValueError("p must lie in [2, 3)")
     u, b = rp.level1, rp.level2
+    n = rp.n_points
 
-    def norms(i0, i1):
-        du = u[None, i0 + 1:] - u[i0:i1, None]
-        db = (b[None, i0 + 1:] - b[i0:i1, None]
+    def level2(i, j):
+        du = u[j] - u[i]
+        db = b[j] - b[i] - u[i][..., :, None] * du[..., None, :]
+        return np.linalg.norm(db.reshape(db.shape[:-2] + (-1,)), axis=-1)
+
+    def norms(i0, i1, j0, j1):
+        du = u[None, j0:j1] - u[i0:i1, None]
+        db = (b[None, j0:j1] - b[i0:i1, None]
               - u[i0:i1, None, :, None] * du[:, :, None, :])
         return (np.linalg.norm(du, axis=2),
                 np.linalg.norm(db.reshape(db.shape[:2] + (-1,)), axis=2))
 
+    r1, a1, c1 = _tile_spreads(n, _increment_norm(u))
+    r2, a2, c2 = _tile_spreads(n, level2)
+    # Chen: X(s,t) = X(s,s*) (x) X(s*,t*) (x) X(t*,t), exact for the
+    # stored increments; its level 2 adds the three b terms and the
+    # three cross products of the level-1 terms.  Each computed b entry
+    # carries an absolute error of at most 8 eps (max|b| + max|u|^2):
+    # 32 m eps (...) in Frobenius norm over the pair's b and the three
+    # anchors, doubled.
+    level2_error = 64 * rp.m * _EPS * (np.max(np.abs(b), initial=0.0)
+                                       + np.max(np.abs(u), initial=0.0) ** 2)
+    bounds = (_inflate(r1 + a1 + c1),
+              _inflate(r2 + a2 + c2 + r1 * a1 + r1 * c1 + a1 * c1,
+                       level2_error))
     c1, c2sq = _pair_sup(rp.times, rp.control, (1.0 / p, 2.0 / p), norms,
-                         rp.m * rp.m)
+                         bounds)
     return max(c1, math.sqrt(c2sq))
 
 
@@ -528,14 +688,16 @@ def geometricity_defect(rp: RoughPath) -> float:
     if n <= _EXACT_SCAN_LIMIT:
         cols = np.ascontiguousarray(flat.T)
 
-        def squares(i0, i1):
-            sq = np.zeros((i1 - i0, n - 1 - i0))
+        def squares(i0, i1, j0, j1):
+            sq = np.zeros((i1 - i0, j1 - j0))
             for col in cols:
-                d = col[None, i0 + 1:] - col[i0:i1, None]
+                d = col[None, j0:j1] - col[i0:i1, None]
                 sq += d * d
             return (sq,)
 
-        return math.sqrt(_pair_sup(rp.times, None, (0.0,), squares)[0])
+        bound = _inflate(_triangle_bound(n, flat) ** 2)
+        return math.sqrt(_pair_sup(rp.times, None, (0.0,), squares,
+                                   (bound,))[0])
     ranges = flat.max(axis=0) - flat.min(axis=0)
     return float(np.linalg.norm(ranges))
 
@@ -566,13 +728,17 @@ def area_pvar_bound(drift: AreaDrift, control: Control, p: float) -> float:
 
     inf when some pair has zero control but a nonzero increment.
     """
-    flat = drift.beta.reshape(len(drift.times), -1)
+    if not (2.0 <= p < 3.0):
+        raise ValueError("p must lie in [2, 3)")
+    n = len(drift.times)
+    flat = drift.beta.reshape(n, -1)
 
-    def norms(i0, i1):
-        return (np.linalg.norm(flat[None, i0 + 1:] - flat[i0:i1, None],
+    def norms(i0, i1, j0, j1):
+        return (np.linalg.norm(flat[None, j0:j1] - flat[i0:i1, None],
                                axis=2),)
 
-    return _pair_sup(drift.times, control, (2.0 / p,), norms, flat.shape[1])[0]
+    bound = _inflate(_triangle_bound(n, flat))
+    return _pair_sup(drift.times, control, (2.0 / p,), norms, (bound,))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,135 @@ def pvar_distance_rows(a, b):
 
 
 # ---------------------------------------------------------------------------
+# the blocked row scan that the tiled pair scan replaced, kept as the fast
+# reference for the five sup-over-pairs measures on large grids (the
+# pair-by-pair pvar_norm_pairs is too slow there): every pair of every
+# start point, in blocks of rows, with the same per-pair arithmetic
+
+
+_ROW_BLOCK = 16384
+
+
+def pair_sup_blocked(times, control, powers, block_norms, width=1):
+    """Largest norm / w(s, t)^power over grid pairs s < t, per norm.
+
+    block_norms(i0, i1) returns one (rows, cols) array per power: start
+    points i0..i1-1 against end points i0+1..n-1.  A pair with w <= 0
+    counts only with a nonzero norm, which makes every result inf; a NaN
+    maximum raises ValueError.
+    """
+    t = np.asarray(times, dtype=float)
+    n = len(t)
+    best = [0.0] * len(powers)
+    i0 = 0
+    while i0 < n - 1:
+        i1 = min(n - 1, i0 + max(1, _ROW_BLOCK // (width * (n - 1 - i0))))
+        rows = i1 - i0
+        dead = np.arange(rows)[None, :] < np.arange(rows)[:, None]
+        norms = block_norms(i0, i1)
+        if control is None:
+            for v in norms:
+                v[:, :rows][dead] = 0.0
+            tops = [float(np.max(v, initial=0.0)) for v in norms]
+        else:
+            s = t[i0:i1, None]
+            w = np.asarray(control(s, np.maximum(s, t[None, i0 + 1:])),
+                           dtype=float)
+            zero = w <= 0.0
+            live_zero = zero.copy()
+            live_zero[:, :rows] &= ~dead
+            if any(np.any(v[live_zero] > 0.0) for v in norms):
+                return [math.inf] * len(powers)
+            w = np.where(zero, np.inf, w)
+            tops = [float(np.max(v / w ** pw, initial=0.0))
+                    for v, pw in zip(norms, powers)]
+        if any(map(math.isnan, tops)):
+            raise ValueError("NaN in a grid-pair measure (control or data)")
+        best = [max(a, b) for a, b in zip(best, tops)]
+        i0 = i1
+    return best
+
+
+def pvar_norm_blocked(rp, p):
+    u, b = rp.level1, rp.level2
+
+    def norms(i0, i1):
+        du = u[None, i0 + 1:] - u[i0:i1, None]
+        db = (b[None, i0 + 1:] - b[i0:i1, None]
+              - u[i0:i1, None, :, None] * du[:, :, None, :])
+        return (np.linalg.norm(du, axis=2),
+                np.linalg.norm(db.reshape(db.shape[:2] + (-1,)), axis=2))
+
+    c1, c2sq = pair_sup_blocked(rp.times, rp.control, (1.0 / p, 2.0 / p),
+                                norms, rp.m * rp.m)
+    return max(c1, math.sqrt(c2sq))
+
+
+def geometricity_defect_blocked(rp):
+    """The exact geometricity scan: squared differences summed one matrix
+    entry at a time, one sqrt of the largest sum."""
+    u, b = rp.level1, rp.level2
+    beta = 0.5 * (b + np.swapaxes(b, 1, 2)) - 0.5 * np.einsum("ki,kj->kij", u, u)
+    n = len(beta)
+    cols = np.ascontiguousarray(beta.reshape(n, -1).T)
+
+    def squares(i0, i1):
+        sq = np.zeros((i1 - i0, n - 1 - i0))
+        for col in cols:
+            d = col[None, i0 + 1:] - col[i0:i1, None]
+            sq += d * d
+        return (sq,)
+
+    return math.sqrt(pair_sup_blocked(rp.times, None, (0.0,), squares)[0])
+
+
+def area_pvar_bound_blocked(drift, control, p):
+    flat = drift.beta.reshape(len(drift.times), -1)
+
+    def norms(i0, i1):
+        return (np.linalg.norm(flat[None, i0 + 1:] - flat[i0:i1, None],
+                               axis=2),)
+
+    return pair_sup_blocked(drift.times, control, (2.0 / p,), norms,
+                            flat.shape[1])[0]
+
+
+def _cross_block(prp, i0, i1):
+    """cross(t_i, t_j) for i = i0..i1-1, j = i0+1..n-1, one cumsum."""
+    dy = prp.y[None, i0:-1] - prp.y[i0:i1, None]
+    terms = dy[..., None] * np.diff(prp.x[i0:], axis=0)[:, None, :]
+    terms += prp.cross_inc[i0:]
+    terms[np.tril_indices(i1 - i0, -1)] = 0.0
+    np.cumsum(terms, axis=1, out=terms)
+    return terms.reshape(terms.shape[:2] + (-1,))
+
+
+def cross_bound_blocked(prp):
+    def norms(i0, i1):
+        return (np.linalg.norm(_cross_block(prp, i0, i1), axis=2),)
+
+    return pair_sup_blocked(prp.times, prp.control, (2.0 / prp.p,), norms,
+                            prp.d * prp.m)[0]
+
+
+def pvar_distance_blocked(a, b):
+    def norms(i0, i1):
+        def inc(v):
+            return v[None, i0 + 1:] - v[i0:i1, None]
+
+        ex = np.linalg.norm(inc(a.x) - inc(b.x), axis=2)
+        ey = np.linalg.norm(inc(a.y) - inc(b.y), axis=2)
+        dc = _cross_block(a, i0, i1)
+        dc -= _cross_block(b, i0, i1)
+        return ex, ey, np.linalg.norm(dc, axis=2)
+
+    p = a.p
+    return max(pair_sup_blocked(a.times, a.control,
+                                (1.0 / p, 1.0 / p, 2.0 / p), norms,
+                                a.d * a.m))
+
+
+# ---------------------------------------------------------------------------
 # the Davie step with @ products, and the chart maps with np.linalg.norm:
 # the forms the solver and log_sphere_map replaced by ndarray.dot and
 # math.sqrt(v.dot(v)), kept to pin that those rewrites change no bit
