@@ -308,9 +308,8 @@ def cmd_growth_demo(cfg: dict, out: str, seed: int) -> list:
     rep = growth_bound_check(field, x, np.asarray(cfg["a"], dtype=float),
                              float(cfg["T"]), scfg,
                              lambdas=tuple(cfg["lambdas"]))
-    omega = float(cfg["T"])
-    rows = [(r["lam"], r["pvar"], r["pvar"] ** scfg.p * omega, r["sup_y"],
-             r["log_sup"], int(r["explosion"])) for r in rep.rows]
+    rows = [(r["lam"], r["pvar"], r["s"], r["sup_y"], r["log_sup"],
+             int(r["explosion"])) for r in rep.rows]
     _write_csv(os.path.join(out, "growth_table.csv"),
                ["lambda", "pvar", "s", "sup_y", "log_sup_y", "explosion"],
                rows)

@@ -180,14 +180,10 @@ def _davie_step(x: RoughPath, f: VectorField, young: tuple | None):
     return increments, step
 
 
-def _davie_loop(x: RoughPath, f: VectorField, a, T: float,
-                cfg: SolverConfig, times, young: tuple | None) -> RDESolution:
-    """Shared entry checks and stepping loop; young = (h2, beta) adds
-    the drift term.
-
-    A step whose state leaves the ball of radius r_max is bisected for
-    the crossing time with the same step map, run from t_i to tau.
-    """
+def _entry_checks(xs, f: VectorField, a, T: float, cfg: SolverConfig,
+                  times) -> tuple[np.ndarray, np.ndarray]:
+    """The checks both loops make before stepping, against every driver
+    in xs; returns the start state (a fresh copy) and the mesh."""
     d, m = f.d, f.m
     if 2.0 + f.gamma <= cfg.p:
         raise ValueError("need 2 + gamma > p")
@@ -200,11 +196,57 @@ def _davie_loop(x: RoughPath, f: VectorField, a, T: float,
     K = len(mesh) - 1
     if K > cfg.max_steps:
         raise ValueError(f"mesh has {K} steps, over max_steps={cfg.max_steps}")
-    if mesh[-1] > x.T + 1e-12:
-        raise ValueError(f"horizon {mesh[-1]} exceeds the driver's range "
-                         f"[0, {x.T}]")
-    if x.m != m:
-        raise ValueError(f"driver dimension {x.m} does not match field m={m}")
+    for x in xs:
+        if mesh[-1] > x.T + 1e-12:
+            raise ValueError(f"horizon {mesh[-1]} exceeds the driver's range "
+                             f"[0, {x.T}]")
+        if x.m != m:
+            raise ValueError(f"driver dimension {x.m} does not match field "
+                             f"m={m}")
+    return y, mesh
+
+
+def _crossing(increments, step, y, t0: float, t1: float,
+              r_max: float) -> tuple[BlowupRecord, np.ndarray]:
+    """Bisect [t0, t1], a step from y that leaves the ball of radius
+    r_max, for the crossing time, with the same step map run from t0 to
+    tau; returns the record and the state at the crossing."""
+
+    def state_at(tau):
+        u, _, b, db = increments(np.array([t0, tau]))
+        return step(y, u[0], b[0], None if db is None else db[0])[0]
+
+    lo, hi = t0, t1
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if np.linalg.norm(state_at(mid)) >= r_max:
+            hi = mid
+        else:
+            lo = mid
+    y_cross = state_at(hi)
+    return BlowupRecord(r_max, hi, float(np.linalg.norm(y_cross))), y_cross
+
+
+def _solution(x: RoughPath, times, traj, fes, x2_all, blow) -> RDESolution:
+    """The solution over times (the mesh up to the last step taken, or
+    to the crossing time) from the states and field values stepped."""
+    x2_inc = x2_all if blow is None else x.increments_on_mesh(times)[1]
+    cross_inc = np.einsum("kdm,kmn->kdn", fes, x2_inc)
+    return RDESolution(times, traj, x.at(times)[0], x2_inc, cross_inc, blow,
+                       {"step_count": len(times) - 1})
+
+
+def _davie_loop(x: RoughPath, f: VectorField, a, T: float,
+                cfg: SolverConfig, times, young: tuple | None) -> RDESolution:
+    """The stepping loop of one trajectory; young = (h2, beta) adds the
+    drift term.
+
+    A step whose state leaves the ball of radius r_max is bisected for
+    the crossing time (_crossing).
+    """
+    d, m = f.d, f.m
+    y, mesh = _entry_checks([x], f, a, T, cfg, times)
+    K = len(mesh) - 1
     increments, step = _davie_step(x, f, young)
     u_all, x2_all, b_all, db_all = increments(mesh)
     traj = np.empty((K + 1, d))
@@ -221,32 +263,95 @@ def _davie_loop(x: RoughPath, f: VectorField, a, T: float,
         if not (ny2 <= r2):
             if not math.isfinite(ny2):
                 raise FieldEvaluationError(mesh[i], y)
-            t0 = mesh[i]
-
-            def state_at(tau):
-                u, _, b, db = increments(np.array([t0, tau]))
-                return step(y, u[0], b[0], None if db is None else db[0])[0]
-
-            lo, hi = t0, mesh[i + 1]
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if np.linalg.norm(state_at(mid)) >= cfg.r_max:
-                    hi = mid
-                else:
-                    lo = mid
-            y_cross = state_at(hi)
-            blow = BlowupRecord(cfg.r_max, hi, float(np.linalg.norm(y_cross)))
-            traj[i + 1] = y_cross
+            blow, traj[i + 1] = _crossing(increments, step, y, mesh[i],
+                                          mesh[i + 1], cfg.r_max)
             last = i + 1
-            mesh = np.concatenate([mesh[:i + 1], [hi]])
+            mesh = np.concatenate([mesh[:i + 1], [blow.crossing_time]])
             break
         y = y_new if proj is None else np.asarray(proj(y_new), dtype=float)
         traj[i + 1] = y
-    times_out = mesh[:last + 1]
-    x2_inc = x2_all if blow is None else x.increments_on_mesh(times_out)[1]
-    cross_inc = np.einsum("kdm,kmn->kdn", fes[:last], x2_inc)
-    return RDESolution(times_out, traj[:last + 1], x.at(times_out)[0],
-                       x2_inc, cross_inc, blow, {"step_count": last})
+    return _solution(x, mesh[:last + 1], traj[:last + 1], fes[:last], x2_all,
+                     blow)
+
+
+def _davie_stack(xs, f: VectorField, a, T: float, cfg: SolverConfig,
+                 young: tuple | None = None) -> list:
+    """Step one trajectory per driver in xs, all from a on one uniform
+    mesh, as one (B, d) stack of states: one field call per step for all
+    rows.
+
+    Row k returns the RDESolution of solve_rde(xs[k], f, a, T, cfg),
+    equal field by field and bit for bit: the stacked
+    products are np.matmul on the views that give ndarray.dot's bits.
+    Plain route only: a Young term, a state projection or a field that
+    does not take stacked states (VectorField.stacked) raises
+    ValueError.  A row that leaves the ball of radius r_max is bisected
+    with its own driver's step map and leaves the stack; a non-finite
+    row raises FieldEvaluationError, that of the first such row in xs
+    (as solving the rows in turn would).
+    """
+    if young is not None or cfg.state_projection is not None:
+        raise ValueError("the stacked loop takes neither a Young term nor "
+                         "a state projection")
+    if not f.stacked:
+        raise ValueError(f"field {f.name!r} does not take stacked states")
+    d, m = f.d, f.m
+    y, mesh = _entry_checks(xs, f, a, T, cfg, None)
+    K = len(mesh) - 1
+    maps = [_davie_step(x, f, None) for x in xs]
+    incs = [increments(mesh) for increments, _ in maps]
+    U = np.stack([inc[0] for inc in incs], axis=1)        # (K, B, m)
+    X2 = np.stack([inc[1] for inc in incs], axis=1)       # (K, B, m, m)
+    B = len(xs)
+    traj = np.empty((B, K + 1, d))
+    traj[:, 0] = y
+    fes = np.empty((B, K, d, m))
+    r2 = cfg.r_max * cfg.r_max
+    ends = [None] * B          # (steps taken, BlowupRecord) of a crossed row
+    errors = {}                # row -> FieldEvaluationError
+    idx = np.arange(B)         # the row of each stack entry
+    rows = slice(None)         # idx, as basic indexing while the stack is full
+    Y = np.repeat(y[None], B, axis=0)
+    n = B                      # rows in the stack
+    for i in range(K):
+        # the solo step's products, stacked: y + f u + grad f . (b^T f^T)
+        fe = f.eval(Y)
+        w = np.matmul(X2[i].swapaxes(-1, -2), fe.swapaxes(-1, -2))
+        dy = (np.matmul(fe, U[i][..., None])
+              + np.matmul(f.grad(Y).reshape(n, d, m * d),
+                          w.reshape(n, m * d, 1)))
+        Y_new = Y + dy.reshape(n, d)
+        fes[rows, i] = fe
+        ny2 = np.matmul(Y_new[:, None, :], Y_new[:, :, None])
+        if not (ny2.max() <= r2):
+            out = ~(ny2.reshape(n) <= r2)
+            for j in np.flatnonzero(out):
+                k = int(idx[j])
+                if not math.isfinite(ny2[j, 0, 0]):
+                    errors[k] = FieldEvaluationError(mesh[i], Y[j])
+                    continue
+                increments, step = maps[k]
+                blow, traj[k, i + 1] = _crossing(increments, step, Y[j],
+                                                 mesh[i], mesh[i + 1],
+                                                 cfg.r_max)
+                ends[k] = (i + 1, blow)
+            keep = np.flatnonzero(~out)
+            idx, Y_new, U, X2 = idx[keep], Y_new[keep], U[:, keep], X2[:, keep]
+            rows, n = idx, len(idx)
+            if n == 0 or (errors and min(errors) < idx[0]):
+                break   # no row left in the stack can fail before it
+        Y = Y_new
+        traj[rows, i + 1] = Y
+    if errors:
+        raise errors[min(errors)]
+    sols = []
+    for k, x in enumerate(xs):
+        last, blow = ends[k] if ends[k] is not None else (K, None)
+        times_k = (mesh.copy() if blow is None else
+                   np.concatenate([mesh[:last], [blow.crossing_time]]))
+        sols.append(_solution(x, times_k, traj[k, :last + 1], fes[k, :last],
+                              incs[k][1], blow))
+    return sols
 
 
 def solve_rde(x: RoughPath, f: VectorField, a, T: float,
@@ -359,7 +464,8 @@ def apriori_sup_bound(bounds: FieldBounds, x: RoughPath,
 
 @dataclass
 class GrowthReport:
-    rows: list                  # per lambda: dict(lam, pvar, sup_y, log_sup)
+    rows: list                  # per lambda: dict(lam, pvar, s, sup_y,
+                                #   log_sup, explosion)
     c1: float
     c2: float
     min_slack: float
@@ -374,8 +480,10 @@ def growth_bound_check(f: VectorField, x: RoughPath, a, T: float,
                        geometricity_tol: float = 1e-8) -> GrowthReport:
     """Scale a geometric driver and check log growth stays affine.
 
-    Solves the equation for each dilated driver, then fits
-    log(sup|y| + 1) <= c1 + c2 * ||x_lam||^p * omega(0,T) with the
+    Solves the equation for every dilated driver at once (one stacked
+    loop, so f must take stacked states; each row equals solve_rde on
+    its driver bit for bit), then fits
+    log(sup|y| + 1) <= c1 + c2 * s, s = ||x_lam||^p * omega(0,T), with the
     intercept lifted to cover every run (reported slack >= 0).  Any
     explosion under a geometric driver is a falsification event and
     fails the report.
@@ -400,20 +508,20 @@ def growth_bound_check(f: VectorField, x: RoughPath, a, T: float,
         raise ValueError(f"driver is not geometric (defect {gd:.2e})")
     omega = float(x.control(0.0, T))
     base = pvar_norm(x, cfg.p)
+    sols = _davie_stack([dilate(x, lam) for lam in lambdas], f, a, T, cfg)
     rows = []
-    any_explosion = False
-    for lam in lambdas:
-        sol = solve_rde(dilate(x, lam), f, a, T, cfg)
+    for lam, sol in zip(lambdas, sols):
         sup_y = sol.sup_norm()
         rows.append({
             "lam": lam,
             "pvar": lam * base,
+            "s": (lam * base) ** cfg.p * omega,
             "sup_y": sup_y,
             "log_sup": math.log(sup_y + 1.0),
             "explosion": sol.blowup is not None,
         })
-        any_explosion = any_explosion or sol.blowup is not None
-    s = np.array([r["pvar"] ** cfg.p * omega for r in rows])
+    any_explosion = any(r["explosion"] for r in rows)
+    s = np.array([r["s"] for r in rows])
     g = np.array([r["log_sup"] for r in rows])
     if len(set(np.round(s, 12))) >= 2:
         c2 = float(np.polyfit(s, g, 1)[0])

@@ -69,10 +69,14 @@ _CHEN_SAMPLES = 20000
 # the path it audits).
 _CHEN_CHUNK = 2048
 
-# Side of a _pair_sup tile in grid points: a tile pairs up to _TILE
-# start points with up to _TILE end points, so its widest per-pair
-# array holds _TILE**2 floats per float of width (32 KiB each).
+# Side of a _pair_sup tile in grid points, up to _TILE * _TILE_ROWS + 1
+# points: a tile pairs up to _TILE start points with up to _TILE end
+# points, so its widest per-pair array holds _TILE**2 floats per float
+# of width (32 KiB each).  On larger grids the side grows instead
+# (_tile_side), so that the scan's per-tile bookkeeping, for at most
+# _TILE_ROWS**2 / 2 tiles, stops growing with the grid.
 _TILE = 64
+_TILE_ROWS = 256
 
 # Rounding margin of the tile bounds (see _inflate).
 _BOUND_REL = 1e-9
@@ -433,15 +437,23 @@ def chen_defect(rp: RoughPath) -> float:
     return two_param_chen_defect(rp.increments_between, rp.times)
 
 
+def _tile_side(n: int) -> int:
+    """Side of the _pair_sup tiles of an n-point grid: _TILE, or more
+    where _TILE would give over _TILE_ROWS rows of tiles."""
+    return max(_TILE, -(-(n - 1) // _TILE_ROWS))
+
+
 def _tile_corners(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The _pair_sup tiles of an n-point grid, as grid indices.
 
     Row a of tiles holds the start points first[a]..s_star[a], column c
-    the end points t_star[c]..t_star[c] + _TILE - 1 (clipped to the grid),
-    with t_star = first + 1; s_star and t_star are the inner corners.
+    the end points t_star[c]..t_star[c] + side - 1 (clipped to the grid),
+    with t_star = first + 1 and side = _tile_side(n); s_star and t_star
+    are the inner corners.
     """
-    first = np.arange(0, n - 1, _TILE)
-    return first, np.minimum(first + _TILE, n - 1) - 1, first + 1
+    side = _tile_side(n)
+    first = np.arange(0, n - 1, side)
+    return first, np.minimum(first + side, n - 1) - 1, first + 1
 
 
 def _tile_spreads(n: int, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -456,7 +468,7 @@ def _tile_spreads(n: int, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return np.zeros((0, 1)), np.zeros((0, 0)), np.zeros((1, 0))
     first, s_star, t_star = _tile_corners(n)
     s = np.arange(n - 1)
-    tile = s // _TILE
+    tile = s // _tile_side(n)
     rows = np.maximum.reduceat(q(s, s_star[tile]), first)
     cols = np.maximum.reduceat(q(t_star[tile], s + 1), first)
     return rows[:, None], q(s_star[:, None], t_star[None, :]), cols[None, :]
@@ -527,14 +539,14 @@ def _pair_sup(times, control, powers, tile_norms, bounds,
     """Largest norm / w(s, t)^power over grid pairs s < t, per norm.
 
     The scan behind every sup-over-pairs measure.  The pairs are cut into
-    tiles of _TILE start points (a row of tiles) by _TILE end points (a
-    column); _tile_corners gives the layout.  tile_norms(i0, i1, j0, j1)
-    returns one fresh (i1 - i0, j1 - j0) array per entry of powers: the
-    norms from start points i0..i1-1 to end points j0..j1-1, each pair
-    computed the same way in any tile.  bounds holds, per norm, a
-    (rows, columns) array bounding every norm of each tile as computed
-    (see _inflate).  w is queried at (s, max(s, t)); with control None
-    norms are taken unscaled (w = 1).
+    tiles of side start points (a row of tiles) by side end points (a
+    column), side = _tile_side(n); _tile_corners gives the layout.
+    tile_norms(i0, i1, j0, j1) returns one fresh (i1 - i0, j1 - j0)
+    array per entry of powers: the norms from start points i0..i1-1 to
+    end points j0..j1-1, each pair computed the same way in any tile.
+    bounds holds, per norm, a (rows, columns) array bounding every norm
+    of each tile as computed (see _inflate).  w is queried at
+    (s, max(s, t)); with control None norms are taken unscaled (w = 1).
 
     Visit order and skip rule: w is first queried at each tile's inner
     corner (its last start point s*, first end point t*).  The tiles
@@ -557,6 +569,7 @@ def _pair_sup(times, control, powers, tile_norms, bounds,
     t = np.asarray(times, dtype=float)
     n = len(t)
     first, s_star, t_star = _tile_corners(n)
+    side = _tile_side(n)
     # a column of tiles left of its row's diagonal holds no pair s < t
     r = np.arange(len(first))
     a, c = np.nonzero(r[:, None] <= r[None, :])
@@ -589,7 +602,7 @@ def _pair_sup(times, control, powers, tile_norms, bounds,
         i0, i1 = int(first[row]), int(s_star[row]) + 1
         for cc in range(int(frontier[row]) if walk else col, col + 1):
             j0 = int(t_star[cc])
-            j1 = min(j0 + _TILE, n)
+            j1 = min(j0 + side, n)
             tops = _tile_tops(t, control, powers, tile_norms(i0, i1, j0, j1),
                               i0, i1, j0, j1, cc == row)
             if tops is None:

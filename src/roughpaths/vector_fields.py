@@ -58,6 +58,12 @@ class VectorField:
     array on every call, never a reused buffer.  At these sizes the
     numpy call overhead is the cost: filling np.empty is cheaper than
     building the array from nested lists.
+
+    Stacked states (optional): a field with stacked=True also takes a
+    (B, d) stack of states, returning (B, d, m) from eval and
+    (B, d, m, d) from grad, whose row k equals the value at state k bit
+    for bit.  The built-in fields meet this contract; the solver's
+    stacked loop, and so growth_bound_check, accept no other field.
     """
 
     d: int
@@ -67,6 +73,7 @@ class VectorField:
     gamma: float = 1.0
     bounds: FieldBounds = field(default_factory=FieldBounds)
     name: str = ""
+    stacked: bool = False
 
     def __call__(self, y) -> np.ndarray:
         return self.eval(np.asarray(y, dtype=float))
@@ -210,13 +217,16 @@ def linear_field(A=1.0, c=None, m: int | None = None) -> VectorField:
     cv = np.zeros((d, m)) if c is None else np.asarray(c, dtype=float).reshape(d, m)
 
     def _eval(y):
-        return np.einsum("aic,c->ai", A3, y) + cv
+        return np.einsum("aic,...c->...ai", A3, y) + cv
 
     def _grad(y):
-        return A3.copy()
+        if y.ndim == 1:
+            return A3.copy()
+        return np.broadcast_to(A3, y.shape[:-1] + A3.shape).copy()
 
     return VectorField(d, m, _eval, _grad, gamma=1.0,
-                       bounds=FieldBounds(holder=0.0), name="linear")
+                       bounds=FieldBounds(holder=0.0), name="linear",
+                       stacked=True)
 
 
 def counterexample_field() -> VectorField:
@@ -227,21 +237,36 @@ def counterexample_field() -> VectorField:
     pure-area driver.
     """
 
+    # a single state takes the scalar fill: the broadcast form below
+    # costs it about 0.9 us more per eval and 0.65 us per grad
     def _eval(y):
-        out = np.empty((2, 1))
-        out[0, 0] = np.sin(y[1]) * y[0]
-        out[1, 0] = y[0]
+        if y.ndim == 1:
+            out = np.empty((2, 1))
+            out[0, 0] = np.sin(y[1]) * y[0]
+            out[1, 0] = y[0]
+            return out
+        out = np.empty(y.shape[:-1] + (2, 1))
+        out[..., 0, 0] = np.sin(y[..., 1]) * y[..., 0]
+        out[..., 1, 0] = y[..., 0]
         return out
 
     def _grad(y):
-        out = np.empty((2, 1, 2))
-        out[0, 0, 0] = np.sin(y[1])
-        out[0, 0, 1] = y[0] * np.cos(y[1])
-        out[1, 0, 0] = 1.0
-        out[1, 0, 1] = 0.0
+        if y.ndim == 1:
+            out = np.empty((2, 1, 2))
+            out[0, 0, 0] = np.sin(y[1])
+            out[0, 0, 1] = y[0] * np.cos(y[1])
+            out[1, 0, 0] = 1.0
+            out[1, 0, 1] = 0.0
+            return out
+        out = np.empty(y.shape[:-1] + (2, 1, 2))
+        out[..., 0, 0, 0] = np.sin(y[..., 1])
+        out[..., 0, 0, 1] = y[..., 0] * np.cos(y[..., 1])
+        out[..., 1, 0, 0] = 1.0
+        out[..., 1, 0, 1] = 0.0
         return out
 
-    return VectorField(2, 1, _eval, _grad, gamma=1.0, name="counterexample")
+    return VectorField(2, 1, _eval, _grad, gamma=1.0, name="counterexample",
+                       stacked=True)
 
 
 def tanh_field(d: int = 2, m: int = 1, scale: float = 1.0,
@@ -252,29 +277,30 @@ def tanh_field(d: int = 2, m: int = 1, scale: float = 1.0,
     b = rng.normal(0.0, 0.5, size=(d, m))
 
     def _eval(y):
-        return scale * np.tanh(np.einsum("aic,c->ai", W, y) + b)
+        return scale * np.tanh(np.einsum("aic,...c->...ai", W, y) + b)
 
     def _grad(y):
-        z = np.einsum("aic,c->ai", W, y) + b
+        z = np.einsum("aic,...c->...ai", W, y) + b
         sech2 = 1.0 - np.tanh(z) ** 2
-        return scale * sech2[:, :, None] * W
+        return scale * sech2[..., None] * W
 
     f_inf = scale * np.sqrt(d * m)
     g_inf = scale * float(np.linalg.norm(W.reshape(-1)))
     return VectorField(d, m, _eval, _grad, gamma=1.0,
                        bounds=FieldBounds(f_inf=f_inf, grad_inf=g_inf),
-                       name="tanh")
+                       name="tanh", stacked=True)
 
 
 def zero_field(d: int = 1, m: int = 1) -> VectorField:
     def _eval(y):
-        return np.zeros((d, m))
+        return np.zeros(y.shape[:-1] + (d, m))
 
     def _grad(y):
-        return np.zeros((d, m, d))
+        return np.zeros(y.shape[:-1] + (d, m, d))
 
     return VectorField(d, m, _eval, _grad, gamma=1.0,
-                       bounds=FieldBounds(0.0, 0.0, 0.0), name="zero")
+                       bounds=FieldBounds(0.0, 0.0, 0.0), name="zero",
+                       stacked=True)
 
 
 _FIELDS = {"linear": linear_field, "counterexample": counterexample_field,

@@ -10,6 +10,8 @@ with fake callbacks, that the tile side does not matter, and cover the
 geometricity envelope beyond the exact scan's limit.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,41 @@ def test_block_size_does_not_matter(monkeypatch, n):
     for side in (1, 2, 5, 64, n):
         monkeypatch.setattr(rough_paths, "_TILE", side)
         assert _five_measures(n, n) == ref
+
+
+def test_tile_side_caps_the_rows_of_tiles():
+    for n in (2, 3, 65, 4097, 16385, 16386, 32769, 100_001):
+        side = rough_paths._tile_side(n)
+        first, s_star, t_star = rough_paths._tile_corners(n)
+        assert len(first) == -(-(n - 1) // side) <= rough_paths._TILE_ROWS
+        assert np.array_equal(s_star[:-1] + 1, first[1:])
+        assert side == 64 if n <= 16385 else side > 64
+
+
+@pytest.mark.parametrize("n", [600, 1500])
+def test_grown_tiles_equal_the_64_side_scan(monkeypatch, n):
+    # with few rows of tiles allowed the side grows past _TILE (to 86
+    # and 215 points here); a maximum is exact in any order
+    ref = _five_measures(n, n)
+    monkeypatch.setattr(rough_paths, "_TILE_ROWS", 7)
+    assert rough_paths._tile_side(n) > rough_paths._TILE
+    assert _five_measures(n, n) == ref
+
+
+def test_pair_scan_memory_is_capped(monkeypatch):
+    # 32,769 points: tiles of side 128 in 256 rows; with side 64 the
+    # per-tile bookkeeping alone peaked near 20 MB
+    x = brownian_lift(9, 32768, 1.0, 1)
+    tracemalloc.start()
+    try:
+        value = pvar_norm(x, 2.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6e6
+    monkeypatch.setattr(rough_paths, "_TILE_ROWS", 10**9)
+    assert rough_paths._tile_side(32769) == 64
+    assert value == pvar_norm(x, 2.3)
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -439,7 +476,7 @@ def every_tile(monkeypatch):
         for a in range(len(first)):
             for c in range(a, len(first)):
                 i0, i1, j0 = first[a], s_star[a] + 1, t_star[c]
-                j1 = min(j0 + rough_paths._TILE, n)
+                j1 = min(j0 + rough_paths._tile_side(n), n)
                 live = np.arange(j0, j1)[None, :] > np.arange(i0, i1)[:, None]
                 norms = tile_norms(i0, i1, j0, j1)
                 for v, bound in zip(norms, bounds):
