@@ -281,14 +281,14 @@ def _davie_stack(xs, f: VectorField, a, T: float, cfg: SolverConfig,
     rows.
 
     Row k returns the RDESolution of solve_rde(xs[k], f, a, T, cfg),
-    equal field by field and bit for bit: the stacked
-    products are np.matmul on the views that give ndarray.dot's bits.
-    Plain route only: a Young term, a state projection or a field that
-    does not take stacked states (VectorField.stacked) raises
-    ValueError.  A row that leaves the ball of radius r_max is bisected
-    with its own driver's step map and leaves the stack; a non-finite
-    row raises FieldEvaluationError, that of the first such row in xs
-    (as solving the rows in turn would).
+    equal field by field and bit for bit: the stacked products are
+    np.matmul on the views that give ndarray.dot's bits.  Plain route
+    only: a Young term, a state projection or a field that does not
+    take stacked states (VectorField.stacked) raises ValueError.  A row
+    that leaves the ball of radius r_max is bisected with its own
+    driver's step map and leaves the stack; a non-finite row raises
+    FieldEvaluationError, that of the first such row in xs (as solving
+    the rows in turn would).
     """
     if young is not None or cfg.state_projection is not None:
         raise ValueError("the stacked loop takes neither a Young term nor "
@@ -339,7 +339,9 @@ def _davie_stack(xs, f: VectorField, a, T: float, cfg: SolverConfig,
             idx, Y_new, U, X2 = idx[keep], Y_new[keep], U[:, keep], X2[:, keep]
             rows, n = idx, len(idx)
             if n == 0 or (errors and min(errors) < idx[0]):
-                break   # no row left in the stack can fail before it
+                # every row has left, or none left can fail before the
+                # first failed one
+                break
         Y = Y_new
         traj[rows, i + 1] = Y
     if errors:
