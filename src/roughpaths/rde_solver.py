@@ -274,8 +274,7 @@ def _davie_loop(x: RoughPath, f: VectorField, a, T: float,
                      blow)
 
 
-def _davie_stack(xs, f: VectorField, a, T: float, cfg: SolverConfig,
-                 young: tuple | None = None) -> list:
+def _davie_stack(xs, f: VectorField, a, T: float, cfg: SolverConfig) -> list:
     """Step one trajectory per driver in xs, all from a on one uniform
     mesh, as one (B, d) stack of states: one field call per step for all
     rows.
@@ -283,16 +282,15 @@ def _davie_stack(xs, f: VectorField, a, T: float, cfg: SolverConfig,
     Row k returns the RDESolution of solve_rde(xs[k], f, a, T, cfg),
     equal field by field and bit for bit: the stacked products are
     np.matmul on the views that give ndarray.dot's bits.  Plain route
-    only: a Young term, a state projection or a field that does not
-    take stacked states (VectorField.stacked) raises ValueError.  A row
+    only: a state projection or a field that does not take stacked
+    states (VectorField.stacked) raises ValueError.  A row
     that leaves the ball of radius r_max is bisected with its own
     driver's step map and leaves the stack; a non-finite row raises
     FieldEvaluationError, that of the first such row in xs (as solving
     the rows in turn would).
     """
-    if young is not None or cfg.state_projection is not None:
-        raise ValueError("the stacked loop takes neither a Young term nor "
-                         "a state projection")
+    if cfg.state_projection is not None:
+        raise ValueError("the stacked loop takes no state projection")
     if not f.stacked:
         raise ValueError(f"field {f.name!r} does not take stacked states")
     d, m = f.d, f.m
@@ -482,9 +480,10 @@ def growth_bound_check(f: VectorField, x: RoughPath, a, T: float,
                        geometricity_tol: float = 1e-8) -> GrowthReport:
     """Scale a geometric driver and check log growth stays affine.
 
-    Solves the equation for every dilated driver at once (one stacked
-    loop, so f must take stacked states; each row equals solve_rde on
-    its driver bit for bit), then fits
+    Solves the equation for every dilated driver, at once (one stacked
+    loop, each row equal to solve_rde on its driver bit for bit) when
+    there are several lambdas, f takes stacked states and cfg has no
+    state projection, otherwise with solve_rde per lambda; then fits
     log(sup|y| + 1) <= c1 + c2 * s, s = ||x_lam||^p * omega(0,T), with the
     intercept lifted to cover every run (reported slack >= 0).  Any
     explosion under a geometric driver is a falsification event and
@@ -510,7 +509,13 @@ def growth_bound_check(f: VectorField, x: RoughPath, a, T: float,
         raise ValueError(f"driver is not geometric (defect {gd:.2e})")
     omega = float(x.control(0.0, T))
     base = pvar_norm(x, cfg.p)
-    sols = _davie_stack([dilate(x, lam) for lam in lambdas], f, a, T, cfg)
+    xs = [dilate(x, lam) for lam in lambdas]
+    if len(xs) > 1 and f.stacked and cfg.state_projection is None:
+        sols = _davie_stack(xs, f, a, T, cfg)
+    else:
+        # the 1-D loop takes any field and a projection, and steps one
+        # trajectory faster than a stack of one
+        sols = [solve_rde(xk, f, a, T, cfg) for xk in xs]
     rows = []
     for lam, sol in zip(lambdas, sols):
         sup_y = sol.sup_norm()

@@ -69,12 +69,16 @@ _CHEN_SAMPLES = 20000
 # the path it audits).
 _CHEN_CHUNK = 2048
 
-# Side of a _pair_sup tile in grid points, up to _TILE * _TILE_ROWS + 1
-# points: a tile pairs up to _TILE start points with up to _TILE end
-# points, so its widest per-pair array holds _TILE**2 floats per float
-# of width (32 KiB each).  On larger grids the side grows instead
-# (_tile_side), so that the scan's per-tile bookkeeping, for at most
-# _TILE_ROWS**2 / 2 tiles, stops growing with the grid.
+# Side of a _pair_sup tile in grid points: a tile pairs up to _TILE start
+# points with up to _TILE end points, so its widest per-pair array holds
+# _TILE**2 floats per float of width (32 KiB each), and the scan keeps a
+# few bounds per tile, for about (n / _TILE)**2 / 2 tiles.  Past
+# _TILE * _TILE_ROWS + 1 = 16,385 points the side grows (_tile_side):
+# first so that there are _TILE_ROWS rows of tiles, and past 65,537 points
+# as ceil(sqrt(n - 1)).  So a tile's per-pair arrays hold at most
+# max(n - 1, _TILE**2) floats per float of width, and there are at most
+# about max(n, _TILE_ROWS**2) / 2 tiles: past 65,537 points the scan's
+# memory grows linearly with the grid.
 _TILE = 64
 _TILE_ROWS = 256
 
@@ -438,9 +442,11 @@ def chen_defect(rp: RoughPath) -> float:
 
 
 def _tile_side(n: int) -> int:
-    """Side of the _pair_sup tiles of an n-point grid: _TILE, or more
-    where _TILE would give over _TILE_ROWS rows of tiles."""
-    return max(_TILE, -(-(n - 1) // _TILE_ROWS))
+    """Side of the _pair_sup tiles of an n-point grid: _TILE, or where
+    that gives over _TILE_ROWS rows of tiles the smaller of the side that
+    gives _TILE_ROWS rows and ceil(sqrt(n - 1))."""
+    k = max(n - 1, 1)
+    return max(_TILE, min(-(-k // _TILE_ROWS), math.isqrt(k - 1) + 1))
 
 
 def _tile_corners(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -62,8 +62,9 @@ class VectorField:
     Stacked states (optional): a field with stacked=True also takes a
     (B, d) stack of states, returning (B, d, m) from eval and
     (B, d, m, d) from grad, whose row k equals the value at state k bit
-    for bit.  The built-in fields meet this contract; the solver's
-    stacked loop, and so growth_bound_check, accept no other field.
+    for bit.  The built-in fields meet this contract.  growth_bound_check
+    steps all its dilations as one stack for such a field, and solves
+    one dilation at a time for any other.
     """
 
     d: int

@@ -10,6 +10,7 @@ with fake callbacks, that the tile side does not matter, and cover the
 geometricity envelope beyond the exact scan's limit.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -90,22 +91,34 @@ def test_block_size_does_not_matter(monkeypatch, n):
         assert _five_measures(n, n) == ref
 
 
-def test_tile_side_caps_the_rows_of_tiles():
-    for n in (2, 3, 65, 4097, 16385, 16386, 32769, 100_001):
+def test_tile_side_keeps_the_scan_linear():
+    for n in (2, 3, 65, 4097, 16385, 16386, 32769, 65537, 65538, 100_001,
+              10**6 + 1):
         side = rough_paths._tile_side(n)
         first, s_star, t_star = rough_paths._tile_corners(n)
-        assert len(first) == -(-(n - 1) // side) <= rough_paths._TILE_ROWS
+        rows = len(first)
+        assert rows == -(-(n - 1) // side)
         assert np.array_equal(s_star[:-1] + 1, first[1:])
         assert side == 64 if n <= 16385 else side > 64
+        # rows of tiles: at most 256 up to 65,537 points, about sqrt(n)
+        # beyond; the side: 64, or at most ceil(sqrt(n - 1))
+        assert rows <= max(rough_paths._TILE_ROWS, math.isqrt(n - 1) + 1)
+        assert side == 64 or (side - 1) ** 2 < n - 1
+        assert side == (max(64, -(-(n - 1) // 256)) if n <= 65537
+                        else math.isqrt(n - 2) + 1)
 
 
-@pytest.mark.parametrize("n", [600, 1500])
-def test_grown_tiles_equal_the_64_side_scan(monkeypatch, n):
-    # with few rows of tiles allowed the side grows past _TILE (to 86
-    # and 215 points here); a maximum is exact in any order
+@pytest.mark.parametrize("n, tile, rows", [(600, 8, 7), (1500, 8, 7),
+                                           (40, 2, 7)])
+def test_grown_tiles_equal_the_64_side_scan(monkeypatch, n, tile, rows):
+    # with few rows of tiles allowed the side grows past _TILE: to the
+    # side of 7 rows (6 points at n = 40) or ceil(sqrt(n - 1)) (25 and 39
+    # points at n = 600 and 1500); a maximum is exact in any order
     ref = _five_measures(n, n)
-    monkeypatch.setattr(rough_paths, "_TILE_ROWS", 7)
-    assert rough_paths._tile_side(n) > rough_paths._TILE
+    monkeypatch.setattr(rough_paths, "_TILE", tile)
+    monkeypatch.setattr(rough_paths, "_TILE_ROWS", rows)
+    side = rough_paths._tile_side(n)
+    assert side == min(-(-(n - 1) // rows), math.isqrt(n - 2) + 1) > tile
     assert _five_measures(n, n) == ref
 
 

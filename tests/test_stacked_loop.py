@@ -15,28 +15,24 @@ import math
 import numpy as np
 import pytest
 
-pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
-
-from roughpaths import cli, rde_solver  # noqa: E402
-from roughpaths.log_sphere_map import (choose_shift,  # noqa: E402
-                                       sphere_state_projection,
+from roughpaths import cli, rde_solver
+from roughpaths.log_sphere_map import (choose_shift, sphere_state_projection,
                                        transformed_field)
-from roughpaths.rde_solver import (FieldEvaluationError,  # noqa: E402
-                                   SolverConfig, _davie_stack,
-                                   growth_bound_check, solve_rde)
-from roughpaths.rough_paths import (AreaDrift, brownian_lift,  # noqa: E402
-                                    dilate, lift_piecewise_linear)
-from roughpaths.vector_fields import (VectorField,  # noqa: E402
-                                      counterexample_field, f_dot_grad_f,
+from roughpaths.rde_solver import (FieldEvaluationError, SolverConfig,
+                                   _davie_stack, growth_bound_check,
+                                   solve_rde)
+from roughpaths.rough_paths import brownian_lift, dilate, lift_piecewise_linear
+from roughpaths.vector_fields import (VectorField, counterexample_field,
                                       linear_field, tanh_field, zero_field)
 
-# derandomized so that the tier-1 suite is reproducible run to run
-PROPERTY = settings(max_examples=25, deadline=None, derandomize=True,
-                    database=None)
 
-seeds = st.integers(0, 2**32 - 1)
-dims = st.integers(1, 3)
+def hypothesis_settings():
+    """hypothesis and the settings of the property tests, derandomized so
+    that the tier-1 suite is reproducible run to run; skips the calling
+    test without hypothesis."""
+    hyp = pytest.importorskip("hypothesis")
+    return hyp, hyp.settings(max_examples=25, deadline=None,
+                             derandomize=True, database=None)
 
 
 def builtin_field(name, d, m, rng):
@@ -76,50 +72,65 @@ def assert_same_solution(sol, ref, label=""):
 # the stacked-state contract of the built-in fields
 
 
-@PROPERTY
-@given(seed=seeds, d=dims, m=dims, B=st.integers(1, 9),
-       name=st.sampled_from(["counterexample", "linear", "tanh", "zero"]),
-       scale=st.sampled_from([1e-3, 1.0, 30.0]))
-def test_builtin_fields_take_stacked_states(seed, d, m, B, name, scale):
-    rng = np.random.default_rng(seed)
-    f = builtin_field(name, d, m, rng)
-    assert f.stacked
-    Y = scale * rng.normal(size=(B, f.d))
-    ev, gr = f.eval(Y), f.grad(Y)
-    assert ev.shape == (B, f.d, f.m)
-    assert gr.shape == (B, f.d, f.m, f.d)
-    for k in range(B):
-        assert np.array_equal(ev[k], f.eval(Y[k])), (name, k)
-        assert np.array_equal(gr[k], f.grad(Y[k])), (name, k)
-    # fresh arrays: the loop keeps eval's result for every step
-    assert not np.shares_memory(f.eval(Y), ev)
-    assert not np.shares_memory(f.grad(Y), gr)
+def test_builtin_fields_take_stacked_states():
+    hyp, settings = hypothesis_settings()
+    st = hyp.strategies
+
+    @settings
+    @hyp.given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3),
+               m=st.integers(1, 3), B=st.integers(1, 9),
+               name=st.sampled_from(["counterexample", "linear", "tanh",
+                                     "zero"]),
+               scale=st.sampled_from([1e-3, 1.0, 30.0]))
+    def stacked_rows(seed, d, m, B, name, scale):
+        rng = np.random.default_rng(seed)
+        f = builtin_field(name, d, m, rng)
+        assert f.stacked
+        Y = scale * rng.normal(size=(B, f.d))
+        ev, gr = f.eval(Y), f.grad(Y)
+        assert ev.shape == (B, f.d, f.m)
+        assert gr.shape == (B, f.d, f.m, f.d)
+        for k in range(B):
+            assert np.array_equal(ev[k], f.eval(Y[k])), (name, k)
+            assert np.array_equal(gr[k], f.grad(Y[k])), (name, k)
+        # fresh arrays: the loop keeps eval's result for every step
+        assert not np.shares_memory(f.eval(Y), ev)
+        assert not np.shares_memory(f.grad(Y), gr)
+
+    stacked_rows()
 
 
 # ---------------------------------------------------------------------------
 # every row is its solo solve
 
 
-@PROPERTY
-@given(seed=seeds, d=dims, m=dims,
-       name=st.sampled_from(["linear", "tanh"]),
-       lam=st.sampled_from([0.37, 1.3, 2.9]),
-       r_max=st.sampled_from([2.0, 6.0, 1e6]),
-       mesh=st.sampled_from([16, 64, 200]))
-def test_stacked_rows_equal_solo_solves(seed, d, m, name, lam, r_max, mesh):
-    # dilations of one polyline (dyadic and not) and an independent one;
-    # at d = 1, m >= 2 a contiguous copy of b^T would change the bits
-    rng = np.random.default_rng(seed)
-    f = builtin_field(name, d, m, rng)
-    x = random_polyline(rng, m)
-    xs = [dilate(x, s) for s in (1.0, lam, 2.0, 4.0 * lam)]
-    xs.append(random_polyline(rng, m, n=3))
-    a = rng.normal(0.0, 1.0, size=d)
-    cfg = SolverConfig(base_mesh=mesh, r_max=r_max)
-    sols = _davie_stack(xs, f, a, 1.0, cfg)
-    assert len(sols) == len(xs)
-    for k, (sol, xk) in enumerate(zip(sols, xs)):
-        assert_same_solution(sol, solve_rde(xk, f, a, 1.0, cfg), k)
+def test_stacked_rows_equal_solo_solves():
+    hyp, settings = hypothesis_settings()
+    st = hyp.strategies
+
+    @settings
+    @hyp.given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3),
+               m=st.integers(1, 3), name=st.sampled_from(["linear", "tanh"]),
+               lam=st.sampled_from([0.37, 1.3, 2.9]),
+               r_max=st.sampled_from([2.0, 6.0, 1e6]),
+               mesh=st.sampled_from([16, 64, 200]))
+    def rows_equal_solo(seed, d, m, name, lam, r_max, mesh):
+        # dilations of one polyline (dyadic and not) and an independent
+        # one; at d = 1, m >= 2 a contiguous copy of b^T would change the
+        # bits
+        rng = np.random.default_rng(seed)
+        f = builtin_field(name, d, m, rng)
+        x = random_polyline(rng, m)
+        xs = [dilate(x, s) for s in (1.0, lam, 2.0, 4.0 * lam)]
+        xs.append(random_polyline(rng, m, n=3))
+        a = rng.normal(0.0, 1.0, size=d)
+        cfg = SolverConfig(base_mesh=mesh, r_max=r_max)
+        sols = _davie_stack(xs, f, a, 1.0, cfg)
+        assert len(sols) == len(xs)
+        for k, (sol, xk) in enumerate(zip(sols, xs)):
+            assert_same_solution(sol, solve_rde(xk, f, a, 1.0, cfg), k)
+
+    rows_equal_solo()
 
 
 def test_stacked_rows_cross_and_leave_the_stack():
@@ -189,18 +200,13 @@ def test_stacked_loop_refuses_transformed_field():
                       1.0, SolverConfig(base_mesh=32))
 
 
-def test_stacked_loop_refuses_projection_and_young_term():
+def test_stacked_loop_refuses_a_projection():
     f = counterexample_field()
     x = random_polyline(np.random.default_rng(314), 1)
-    a = np.array([1.0, 0.0])
     cfg = SolverConfig(base_mesh=32,
                        state_projection=sphere_state_projection(2))
     with pytest.raises(ValueError, match="projection"):
-        _davie_stack([x], f, a, 1.0, cfg)
-    beta = AreaDrift(x.times, np.zeros((len(x.times), 1, 1)))
-    with pytest.raises(ValueError, match="Young"):
-        _davie_stack([x], f, a, 1.0, SolverConfig(base_mesh=32),
-                     young=(f_dot_grad_f(f), beta))
+        _davie_stack([x, dilate(x, 2.0)], f, np.array([1.0, 0.0]), 1.0, cfg)
 
 
 def test_stacked_loop_refuses_a_field_without_stacked_states():
@@ -210,9 +216,37 @@ def test_stacked_loop_refuses_a_field_without_stacked_states():
     x = random_polyline(np.random.default_rng(315), 1)
     with pytest.raises(ValueError, match="stacked"):
         _davie_stack([x], solo, [1.0, 0.0], 1.0, SolverConfig(base_mesh=32))
-    with pytest.raises(ValueError, match="stacked"):
-        growth_bound_check(solo, x, np.array([1.0, 0.0]), 1.0,
-                           SolverConfig(base_mesh=32))
+
+
+def test_growth_check_routes_by_its_inputs(monkeypatch):
+    # several lambdas of a stacked field without projection take the
+    # stack; one lambda, a field not declared stacked or a projection
+    # take solve_rde per lambda, with the same report
+    f = counterexample_field()
+    x = random_polyline(np.random.default_rng(318), 1, scale=0.3)
+    a = np.array([1.0, 0.0])
+    cfg = SolverConfig(base_mesh=128)
+    stacked_calls = []
+
+    def spy(xs, *args):
+        stacked_calls.append(len(xs))
+        return davie_stack_solo(xs, *args)
+
+    ref = growth_bound_check(f, x, a, 1.0, cfg)
+    monkeypatch.setattr(rde_solver, "_davie_stack", spy)
+    assert growth_bound_check(f, x, a, 1.0, cfg) == ref
+    assert stacked_calls == [4]
+    solo = VectorField(2, 1, f.eval, f.grad)
+    assert growth_bound_check(solo, x, a, 1.0, cfg) == ref
+    one = growth_bound_check(f, x, a, 1.0, cfg, lambdas=(2.0,))
+    assert one.rows == ref.rows[1:2]
+    proj = SolverConfig(base_mesh=128,
+                        state_projection=sphere_state_projection(2))
+    rep = growth_bound_check(f, x, a, 1.0, proj, lambdas=(1.0, 4.0))
+    assert [r["sup_y"] for r in rep.rows] == [
+        solve_rde(dilate(x, lam), f, a, 1.0, proj).sup_norm()
+        for lam in (1.0, 4.0)]
+    assert stacked_calls == [4]
 
 
 def test_stacked_loop_shares_the_entry_checks():
