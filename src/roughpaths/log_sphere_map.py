@@ -18,6 +18,7 @@ renormalize the angular part of its state each step (see
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -84,6 +85,15 @@ def z_of(c: LogSphereCoords) -> np.ndarray:
     return math.exp(c.rho) * c.theta
 
 
+@functools.cache
+def _eye(d: int) -> np.ndarray:
+    """The d x d identity, built once per d; read-only, since every call
+    of the chart maps shares it."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
+
+
 def grad_phi(z) -> np.ndarray:
     """Jacobian of the map, shape (d+1, d).
 
@@ -97,7 +107,7 @@ def grad_phi(z) -> np.ndarray:
         raise ValueError("gradient undefined at the origin")
     d = len(z)
     out = np.empty((d + 1, d))
-    out[:d] = np.eye(d) / r - np.multiply.outer(z, z) / r ** 3
+    out[:d] = _eye(d) / r - np.multiply.outer(z, z) / r ** 3
     out[d] = z / r ** 2
     return out
 
@@ -109,14 +119,14 @@ def grad2_phi(z) -> np.ndarray:
     if r == 0.0:
         raise ValueError("second derivatives undefined at the origin")
     d = len(z)
-    eye = np.eye(d)
+    eye = _eye(d)
     out = np.empty((d + 1, d, d))
     out[:d] = (-(eye[:, :, None] * z[None, None, :]
                  + eye[:, None, :] * z[None, :, None]
                  + eye[None, :, :] * z[:, None, None]) / r ** 3
                + 3.0 * z[:, None, None] * z[None, :, None]
                * z[None, None, :] / r ** 5)
-    out[d] = eye / r ** 2 - 2.0 * np.outer(z, z) / r ** 4
+    out[d] = eye / r ** 2 - 2.0 * np.multiply.outer(z, z) / r ** 4
     return out
 
 
@@ -214,7 +224,8 @@ def transformed_field(f: VectorField, shift: ShiftedMap) -> VectorField:
         q = np.asarray(w[:d], dtype=float)
         nq = math.sqrt(q.dot(q))
         jz = np.empty((d, d + 1))
-        jz[:, :d] = math.exp(rho) * (np.eye(d) - np.outer(theta, theta)) / nq
+        jz[:, :d] = (math.exp(rho)
+                     * (_eye(d) - np.multiply.outer(theta, theta)) / nq)
         jz[:, d] = z
         return np.einsum("kje,ec->kjc", dH_dz, jz)
 

@@ -56,7 +56,7 @@ class FieldEvaluationError(RuntimeError):
         super().__init__(f"field evaluation produced a non-finite value at "
                          f"t={t!r}, y={np.asarray(y).tolist()!r}")
         self.t = t
-        self.y = np.asarray(y)
+        self.y = np.array(y)   # a copy: y may be a row of a solver buffer
 
 
 @dataclass
@@ -78,7 +78,7 @@ class SolverConfig:
     state_projection: object | None = None
 
     def __post_init__(self):
-        if self.r_max <= 0:
+        if not (self.r_max > 0):
             raise ValueError("r_max must be positive")
         if not (2.0 <= self.p < 3.0):
             raise ValueError("p must lie in [2, 3)")
@@ -136,6 +136,8 @@ class RDESolution:
 def _solve_mesh(T: float, cfg: SolverConfig, times) -> np.ndarray:
     if times is not None:
         mesh = np.asarray(times, dtype=float)
+        if not np.all(np.isfinite(mesh)):
+            raise ValueError("times must be finite")
         if mesh[0] != 0.0 or np.any(np.diff(mesh) <= 0):
             raise ValueError("times must start at 0 and increase strictly")
         return mesh
@@ -147,9 +149,10 @@ def _solve_mesh(T: float, cfg: SolverConfig, times) -> np.ndarray:
 def _davie_step(x: RoughPath, f: VectorField, young: tuple | None):
     """The Davie step map and the per-interval inputs it takes on a mesh.
 
-    step(y, u, b, db) = (y + f(y) u + (f . grad f)(y) b + h2(y) db, f(y))
-    with (u, x2, b, db) one row of increments(mesh): the driver's two
-    levels, b = x2, or x2 + dbeta when h2 is f's own derived field, and
+    step(y, u, b, db, out) = (y + f(y) u + (f . grad f)(y) b + h2(y) db,
+    f(y)), the new state written into out when out is given, with
+    (u, x2, b, db) one row of increments(mesh): the driver's two levels,
+    b = x2, or x2 + dbeta when h2 is f's own derived field, and
     db = dbeta, or None when there is no separate Young term.  The b
     term is contracted without assembling the derived field: with
     P[j,c] = sum_i b[i,j] f[c,i] it is grad f(y) flattened against P.
@@ -168,14 +171,16 @@ def _davie_step(x: RoughPath, f: VectorField, young: tuple | None):
             return u, x2, x2 + dbeta, None
         return u, x2, x2, dbeta.reshape(len(u), m * m)
 
-    def step(y, u, b, db):
+    def step(y, u, b, db, out=None):
         # .dot: the same products and bits as @ at half its call overhead
         fe = f.eval(y)
         w = b.T.dot(fe.T)
         dy = fe.dot(u) + f.grad(y).reshape(d, m * d).dot(w.reshape(m * d))
         if db is not None:
-            dy = dy + h2.eval(y).reshape(d, m * m).dot(db)
-        return y + dy, fe
+            dy += h2.eval(y).reshape(d, m * m).dot(db)
+        # the loop passes its trajectory row as out: the sum lands where
+        # it is kept, with no array allocated for it and no copy after
+        return np.add(y, dy, out=out), fe
 
     return increments, step
 
@@ -257,8 +262,10 @@ def _davie_loop(x: RoughPath, f: VectorField, a, T: float,
     blow = None
     last = K
     for i in range(K):
+        # y holds traj[i]; the step writes the new state into traj[i + 1]
         y_new, fes[i] = step(y, u_all[i], b_all[i],
-                             None if db_all is None else db_all[i])
+                             None if db_all is None else db_all[i],
+                             traj[i + 1])
         ny2 = float(y_new.dot(y_new))
         if not (ny2 <= r2):
             if not math.isfinite(ny2):
@@ -268,8 +275,9 @@ def _davie_loop(x: RoughPath, f: VectorField, a, T: float,
             last = i + 1
             mesh = np.concatenate([mesh[:i + 1], [blow.crossing_time]])
             break
-        y = y_new if proj is None else np.asarray(proj(y_new), dtype=float)
-        traj[i + 1] = y
+        if proj is not None:
+            y_new[...] = proj(y_new)
+        y = y_new
     return _solution(x, mesh[:last + 1], traj[:last + 1], fes[:last], x2_all,
                      blow)
 

@@ -15,6 +15,7 @@ validation oracle only and never substituted into a solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,12 +58,15 @@ class VectorField:
     state and keeps eval's result, so both must return a fresh float
     array on every call, never a reused buffer.  At these sizes the
     numpy call overhead is the cost: filling np.empty is cheaper than
-    building the array from nested lists.
+    building the array from nested lists, and a single-state branch that
+    reads the state once with y.tolist() and computes with math on
+    Python floats is cheaper than numpy calls on numpy scalars.
 
     Stacked states (optional): a field with stacked=True also takes a
     (B, d) stack of states, returning (B, d, m) from eval and
     (B, d, m, d) from grad, whose row k equals the value at state k bit
-    for bit.  The built-in fields meet this contract.  growth_bound_check
+    for bit, so its single-state branch must give the stacked branch's
+    bits.  The built-in fields meet this contract.  growth_bound_check
     steps all its dilations as one stack for such a field, and solves
     one dilation at a time for any other.
     """
@@ -238,13 +242,15 @@ def counterexample_field() -> VectorField:
     pure-area driver.
     """
 
-    # a single state takes the scalar fill: the broadcast form below
-    # costs it about 0.9 us more per eval and 0.65 us per grad
+    # a single state reads its entries once as Python floats and fills
+    # with math.sin/cos: the broadcast form below, or np.sin on numpy
+    # scalars, costs it more per call for the same bits
     def _eval(y):
         if y.ndim == 1:
+            y0, y1 = y.tolist()
             out = np.empty((2, 1))
-            out[0, 0] = np.sin(y[1]) * y[0]
-            out[1, 0] = y[0]
+            out[0, 0] = math.sin(y1) * y0
+            out[1, 0] = y0
             return out
         out = np.empty(y.shape[:-1] + (2, 1))
         out[..., 0, 0] = np.sin(y[..., 1]) * y[..., 0]
@@ -253,9 +259,10 @@ def counterexample_field() -> VectorField:
 
     def _grad(y):
         if y.ndim == 1:
+            y0, y1 = y.tolist()
             out = np.empty((2, 1, 2))
-            out[0, 0, 0] = np.sin(y[1])
-            out[0, 0, 1] = y[0] * np.cos(y[1])
+            out[0, 0, 0] = math.sin(y1)
+            out[0, 0, 1] = y0 * math.cos(y1)
             out[1, 0, 0] = 1.0
             out[1, 0, 1] = 0.0
             return out

@@ -215,6 +215,7 @@ def test_bad_config_exits_two(tmp_path, capsys):
     {"a": [1, 2]},                  # state shape does not match the field
     {"T": 2.0},                     # horizon past the driver's range
     {"field": {"name": "tanh"}},    # d = 2 field against a 1-d state
+    {"solver": {"r_max": float("nan")}},   # written as NaN, which JSON reads
 ])
 def test_library_value_errors_exit_two(tmp_path, capsys, config):
     assert run(tmp_path, "solve", config) == 2

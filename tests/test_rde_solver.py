@@ -237,6 +237,26 @@ def test_bad_start_rejected_on_both_routes(a, message):
                                 np.array(a), 0.5, cfg)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: SolverConfig(r_max=np.nan),
+    lambda: SolverConfig(r_max=0.0),
+    lambda: SolverConfig(r_max=-np.inf),
+    lambda: solve_rde(time_lift(), linear_field(1.0), np.array([1.0]), 1.0,
+                      times=[0.0, np.nan, 1.0]),
+    lambda: solve_rde(time_lift(), linear_field(1.0), np.array([1.0]), 1.0,
+                      times=[0.0, 0.5, np.nan]),
+], ids=["r_max nan", "r_max 0", "r_max -inf", "nan inside times",
+        "nan last time"])
+def test_non_finite_solver_inputs_rejected(make):
+    # a NaN r_max would report a crossing at the first step, and a NaN
+    # mesh time passes the strict-increase check (nan <= 0 is False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="r_max must be positive|"
+                                             "times must be finite"):
+            make()
+
+
 def test_horizon_beyond_driver_rejected():
     with pytest.raises(ValueError, match="driver's range"):
         solve_rde(time_lift(1.0), linear_field(1.0), np.array([1.0]), 2.0,

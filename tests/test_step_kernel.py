@@ -1,11 +1,14 @@
 """The Davie step's numpy calls change no bit of its output.
 
-The solver and f_dot_grad_f multiply with ndarray.dot,
-counterexample_field fills fresh np.empty arrays and the chart maps take
+The solver and f_dot_grad_f multiply with ndarray.dot, the 1-D loop
+writes each state straight into its trajectory row, counterexample_field
+fills fresh np.empty arrays from Python floats and the chart maps take
 norms as math.sqrt(v.dot(v)).  Each is compared with `==` against the
-form it replaced, kept in oracles.py: @ products, nested-list field
-values, np.linalg.norm.
+form it replaced, kept in oracles.py: @ products and fresh states,
+nested-list field values, np.linalg.norm.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -13,8 +16,8 @@ import pytest
 from roughpaths.log_sphere_map import (choose_shift, grad2_phi, grad_phi,
                                        sphere_state_projection,
                                        transformed_field)
-from roughpaths.rde_solver import (SolverConfig, solve_rde,
-                                   solve_rde_corrected)
+from roughpaths.rde_solver import (FieldEvaluationError, SolverConfig,
+                                   solve_rde, solve_rde_corrected)
 from roughpaths.rough_paths import (AreaDrift, decompose,
                                     lift_piecewise_linear, pure_area_path)
 from roughpaths.vector_fields import (SecondOrderField, VectorField,
@@ -112,6 +115,81 @@ def test_projected_route_matches_the_norm_chart_maps():
         assert_same(sol, ref, f"projected {name}")
 
 
+def normalize_in_place(d):
+    """The angular renormalisation done on the state itself, which it
+    returns."""
+
+    def project(w):
+        q = w[:d]
+        q /= math.sqrt(q.dot(q))
+        return w
+
+    return project
+
+
+def normalize_into_buffer(d):
+    """sphere_state_projection's result copied into one buffer that every
+    call returns."""
+    buf = np.empty(d + 1)
+    project = sphere_state_projection(d)
+
+    def shared(w):
+        buf[...] = project(w)
+        return buf
+
+    return shared
+
+
+@pytest.mark.parametrize("name", ["identity", "in place", "shared buffer"])
+def test_projection_may_return_its_input_or_a_shared_buffer(name):
+    # the loop steps into its trajectory row and stores the projection's
+    # value there; the oracle steps fresh arrays and keeps each projected
+    # state apart
+    rng = np.random.default_rng(805)
+    mesh = np.linspace(0.0, 1.0, K + 1)
+    for d, m in ((1, 1), (2, 1), (2, 2), (3, 2)):
+        f = linear_field(rng.normal(0.0, 0.7, size=(d, m, d)))
+        x = random_polyline(rng, m)
+        a = rng.normal(0.0, 1.0, size=d)
+        shift = choose_shift(a, 5.0)
+        h = transformed_field(f, shift)
+        w0 = shift.state_of(a)
+        if name == "identity":
+            proj, ref_proj = (lambda w: w), None
+        else:
+            ref_proj = sphere_state_projection(d)
+            proj = (normalize_in_place(d) if name == "in place"
+                    else normalize_into_buffer(d))
+        sol = solve_rde(x, h, w0, 1.0,
+                        SolverConfig(base_mesh=K, state_projection=proj))
+        ref = davie_solve_matmul(x, h, w0, mesh, projection=ref_proj)
+        assert_same(sol, ref, f"{name} d={d} m={m}")
+
+
+@pytest.mark.parametrize("projected", [False, True])
+def test_field_error_reports_the_last_finite_state(projected):
+    # the failed step has already written its NaN into the next
+    # trajectory row; the error carries the state it stepped from
+    def ev(y):
+        return np.array([[np.nan]]) if y[0] > 1.5 else np.array([[y[0]]])
+
+    def gr(y):
+        return np.array([[[1.0]]])
+
+    bad = VectorField(1, 1, ev, gr)
+    x = lift_piecewise_linear(np.array([[0.0], [1.0]]), [0.0, 1.0])
+    cfg = SolverConfig(base_mesh=K,
+                       state_projection=(lambda w: w) if projected else None)
+    with pytest.raises(FieldEvaluationError) as err:
+        solve_rde(x, bad, np.array([1.0]), 1.0, cfg)
+    mesh = np.linspace(0.0, 1.0, K + 1)
+    k = int(np.flatnonzero(mesh == err.value.t)[0])
+    before = solve_rde(x, bad, np.array([1.0]), 1.0, cfg, times=mesh[:k + 1])
+    assert np.isfinite(err.value.y).all() and err.value.y[0] > 1.5
+    assert bits(err.value.y) == bits(before.y[-1])
+    assert err.value.y.base is None   # its own copy, not a solver row
+
+
 def test_crossing_matches_the_matmul_step():
     f = counterexample_field()
     a = np.array([1.0, 0.0])
@@ -147,6 +225,34 @@ def test_counterexample_field_matches_nested_lists():
     for y in special_states(np.random.default_rng(803)):
         assert bits(f.eval(y)) == bits(counterexample_eval_lists(y)), y
         assert bits(f.grad(y)) == bits(counterexample_grad_lists(y)), y
+
+
+def test_counterexample_single_state_matches_stacked_rows_and_lists():
+    # the single-state branch runs math.sin/cos on Python floats, the
+    # stacked one np.sin/cos on arrays, the oracle np.sin on numpy scalars
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    angle = st.one_of(st.floats(-1e6, 1e6),
+                      st.sampled_from([0.0, -0.0, 5e-324, -5e-324,
+                                       2.2250738585072014e-308, 1e6, -1e6]))
+    f = counterexample_field()
+
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True,
+                  database=None)
+    @hyp.given(states=st.lists(st.tuples(finite, angle), min_size=1,
+                               max_size=9))
+    def agree(states):
+        Y = np.array(states, dtype=float)
+        stacked_eval, stacked_grad = f.eval(Y), f.grad(Y)
+        for k, y in enumerate(Y):
+            ev, gr = f.eval(y), f.grad(y)
+            assert bits(ev) == bits(stacked_eval[k]), y
+            assert bits(gr) == bits(stacked_grad[k]), y
+            assert bits(ev) == bits(counterexample_eval_lists(y)), y
+            assert bits(gr) == bits(counterexample_grad_lists(y)), y
+
+    agree()
 
 
 def test_counterexample_field_returns_a_fresh_array_per_call():
