@@ -9,8 +9,8 @@ Capabilities, one module each:
   Young integral.
 - ``vector_fields``: fields with one controlled derivative and the derived
   second-order field that multiplies areas.
-- ``partial_rough_paths``: cross-iterated integrals, pushforwards, rough
-  integration along a path.
+- ``partial_rough_paths``: cross-iterated integrals, their p-variation
+  distance and pushforwards.
 - ``rde_solver``: second-order stepping, blow-up detection, partition rule
   and a-priori bounds, growth-envelope checks.
 - ``log_sphere_map``: the change of variable that turns linear-growth
@@ -19,33 +19,27 @@ Capabilities, one module each:
 """
 
 from .tensor_algebra import (GroupElement2, antisym_part, hom_norm, identity,
-                             increment, inv, mul, sym_part)
+                             increment, inv, mul)
 from .rough_paths import (AreaDrift, Control, HolderControl, RoughPath,
-                          area_pvar_bound, beta_path, brownian_lift,
-                          chen_defect, decompose, dilate, geometricity_defect,
-                          lift_piecewise_linear, pure_area_path, pvar_norm,
-                          read_polyline_csv, read_roughpath_csv, recompose,
-                          two_param_chen_defect, write_roughpath_csv)
+                          beta_path, brownian_lift, chen_defect, decompose,
+                          dilate, geometricity_defect, lift_piecewise_linear,
+                          pure_area_path, pvar_norm, read_polyline_csv,
+                          read_roughpath_csv, recompose, two_param_chen_defect,
+                          write_roughpath_csv)
 from .sewing import (AlmostRoughPath, SewingConvergenceError, SewResult,
-                     YoungConditionError, estimate_defect_order, sew,
-                     young_integral)
+                     YoungConditionError, sew, young_integral)
 from .vector_fields import (FieldBounds, SecondOrderField, VectorField,
-                            check_lip_remainder, counterexample_field,
-                            estimate_field_bounds, f_dot_grad_f,
-                            finite_diff_grad, linear_field, make_field,
-                            tanh_field, zero_field)
-from .partial_rough_paths import (PartialRoughPath, SmoothMap,
-                                  cross_against_decomposition,
-                                  partial_from_smooth, pushforward,
-                                  pvar_distance, rough_integral_along,
-                                  write_partial_csv)
+                            counterexample_field, f_dot_grad_f, linear_field,
+                            make_field, tanh_field, zero_field)
+from .partial_rough_paths import (PartialRoughPath, SmoothMap, pushforward,
+                                  pvar_distance)
 from .rde_solver import (BlowupRecord, FieldEvaluationError, GrowthReport,
                          PartitionResult, RDESolution, SolverConfig,
                          adaptive_partition, apriori_sup_bound, blowup_json,
                          growth_bound_check, solution_to_partial, solve_rde,
                          solve_rde_corrected, write_solution_csv)
-from .log_sphere_map import (LogSphereCoords, ShiftedMap, calibrated_shift,
-                             choose_shift, grad2_phi, grad_phi, h1_h2, phi,
-                             sphere_state_projection, transformed_field, z_of)
+from .log_sphere_map import (LogSphereCoords, ShiftedMap, choose_shift,
+                             grad2_phi, grad_phi, h1_h2, phi,
+                             sphere_state_projection, transformed_field)
 
 __version__ = "0.1.0"

@@ -24,22 +24,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rde_solver import SolverConfig, apriori_sup_bound
-from .vector_fields import (FieldBounds, SecondOrderField, VectorField,
-                            f_dot_grad_f)
+from .vector_fields import SecondOrderField, VectorField, f_dot_grad_f
 
 __all__ = [
     "LogSphereCoords",
     "ShiftedMap",
     "phi",
-    "z_of",
     "grad_phi",
     "grad2_phi",
     "transformed_field",
     "h1_h2",
     "choose_shift",
     "sphere_state_projection",
-    "calibrated_shift",
 ]
 
 _RHO_OVERFLOW = 700.0
@@ -76,13 +72,6 @@ def phi(z) -> LogSphereCoords:
     if r == 0.0:
         raise ValueError("the log-sphere map is undefined at the origin")
     return LogSphereCoords(z / r, math.log(r))
-
-
-def z_of(c: LogSphereCoords) -> np.ndarray:
-    """Inverse map exp(rho) * theta, guarding the exponential."""
-    if abs(c.rho) > _RHO_OVERFLOW:
-        raise OverflowError(f"|rho| = {abs(c.rho):.3g} exceeds exp range")
-    return math.exp(c.rho) * c.theta
 
 
 @functools.cache
@@ -149,10 +138,6 @@ class ShiftedMap:
 
     def state_of(self, y) -> np.ndarray:
         return self.psi(y).as_state()
-
-    def y_of_state(self, w) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        return z_of(LogSphereCoords(w[:-1], w[-1])) - self.b
 
 
 def choose_shift(a, predicted_radius: float) -> ShiftedMap:
@@ -254,36 +239,3 @@ def h1_h2(f: VectorField, shift: ShiftedMap):
         return np.einsum("ka,aij->kij", grad_phi(z), fdf.eval(z - shift.b))
 
     return h1, SecondOrderField(d + 1, f.m, _eval2)
-
-
-def calibrated_shift(f: VectorField, x, a, T: float, cfg=None,
-                     samples: int = 4000, seed: int = 0,
-                     rho_margin: float = 2.0) -> tuple[ShiftedMap, float]:
-    """Shift sized from the transformed field's own a-priori bound.
-
-    Starts from the minimal shift, samples the transformed field's norms
-    over the cylinder region a trajectory obeying the bound could visit,
-    applies the bounded-field sup bound once, and converts the resulting
-    log-radius excursion back into a predicted radius.  Returns the final
-    shift and that radius.
-    """
-    cfg = cfg or SolverConfig()
-    a = np.asarray(a, dtype=float)
-    shift0 = choose_shift(a, 0.0)
-    h0 = transformed_field(f, shift0)
-    rho0 = phi(shift0.b + a).rho
-    rng = np.random.default_rng(seed)
-    sup_h = 0.0
-    sup_grad = 0.0
-    for _ in range(samples):
-        th = rng.normal(size=f.d)
-        th /= np.linalg.norm(th)
-        rho = rng.uniform(-1.0, rho0 + rho_margin)
-        w = np.concatenate([th, [rho]])
-        sup_h = max(sup_h, float(np.linalg.norm(h0.eval(w))))
-        sup_grad = max(sup_grad, float(np.linalg.norm(h0.grad(w))))
-    bounds = FieldBounds(f_inf=sup_h, grad_inf=sup_grad)
-    excursion = apriori_sup_bound(bounds, x, T, cfg)
-    radius = math.exp(min(rho0 + excursion, _RHO_OVERFLOW)) + float(
-        np.linalg.norm(shift0.b))
-    return choose_shift(a, radius), radius

@@ -49,6 +49,17 @@ __all__ = [
     "blowup_json",
 ]
 
+# growth_bound_check rejects a driver whose geometricity defect exceeds this.
+_GEOMETRICITY_TOL = 1e-8
+
+# K and mu of the bounded-field partition rule and the a-priori sup bound:
+# calibration constants (the underlying estimates only assert their
+# existence), chosen so the partition rule produces a handful of intervals
+# on unit-size problems.
+_STEP_RULE_K = 1.0
+_MU = 1.0
+
+
 class FieldEvaluationError(RuntimeError):
     """A field produced NaN/Inf during stepping."""
 
@@ -61,16 +72,8 @@ class FieldEvaluationError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """Stepping and detection parameters.
+    """Stepping and detection parameters."""
 
-    step_rule_K and mu enter the bounded-field partition rule and the
-    a-priori sup bound; they are calibration constants (the underlying
-    estimates only assert their existence), chosen so the partition rule
-    produces a handful of intervals on unit-size problems.
-    """
-
-    step_rule_K: float = 1.0
-    mu: float = 1.0
     base_mesh: int = 4096
     r_max: float = 1e6
     max_steps: int = 4_000_000
@@ -418,11 +421,11 @@ def adaptive_partition(x: RoughPath, bounds: FieldBounds,
         raise ValueError("adaptive_partition needs declared finite bounds")
     T = x.T if T is None else T
     norm = pvar_norm(x, cfg.p)
-    denom = bounds.f_inf + cfg.mu * bounds.grad_inf
+    denom = bounds.f_inf + _MU * bounds.grad_inf
     if norm == 0.0 or denom == 0.0:
         # a frozen driver or a vanishing field never moves the state
         return PartitionResult(np.array([0.0, T]), math.inf, math.inf, norm)
-    L = (cfg.step_rule_K * cfg.mu / denom) ** cfg.p
+    L = (_STEP_RULE_K * _MU / denom) ** cfg.p
     target = L * norm ** (-cfg.p)
     ts = [0.0]
     while ts[-1] < T:
@@ -462,11 +465,11 @@ def apriori_sup_bound(bounds: FieldBounds, x: RoughPath,
     T = x.T if T is None else T
     norm = pvar_norm(x, cfg.p)
     omega = float(x.control(0.0, T))
-    denom = bounds.f_inf + cfg.mu * bounds.grad_inf
+    denom = bounds.f_inf + _MU * bounds.grad_inf
     if denom == 0.0:
-        return cfg.mu * (1.0 + norm ** cfg.p * omega)
-    L = (cfg.step_rule_K * cfg.mu / denom) ** cfg.p
-    C = cfg.mu + cfg.mu / L
+        return _MU * (1.0 + norm ** cfg.p * omega)
+    L = (_STEP_RULE_K * _MU / denom) ** cfg.p
+    C = _MU + _MU / L
     return C * (1.0 + norm ** cfg.p * omega)
 
 
@@ -484,8 +487,7 @@ class GrowthReport:
 
 def growth_bound_check(f: VectorField, x: RoughPath, a, T: float,
                        cfg: SolverConfig | None = None,
-                       lambdas=(1.0, 2.0, 4.0, 8.0),
-                       geometricity_tol: float = 1e-8) -> GrowthReport:
+                       lambdas=(1.0, 2.0, 4.0, 8.0)) -> GrowthReport:
     """Scale a geometric driver and check log growth stays affine.
 
     Solves the equation for every dilated driver, at once (one stacked
@@ -513,7 +515,7 @@ def growth_bound_check(f: VectorField, x: RoughPath, a, T: float,
             raise ValueError(f"lambdas must be finite and positive, got {lam!r}")
     cfg = cfg or SolverConfig()
     gd = geometricity_defect(x)
-    if gd > geometricity_tol:
+    if gd > _GEOMETRICITY_TOL:
         raise ValueError(f"driver is not geometric (defect {gd:.2e})")
     omega = float(x.control(0.0, T))
     base = pvar_norm(x, cfg.p)

@@ -47,7 +47,6 @@ __all__ = [
     "brownian_lift",
     "pure_area_path",
     "dilate",
-    "area_pvar_bound",
     "read_polyline_csv",
     "write_roughpath_csv",
     "read_roughpath_csv",
@@ -114,15 +113,6 @@ class Control:
 
     def __call__(self, s, t):
         return self._fn(s, t)
-
-    def check_superadditive(self, t0: float, t1: float, samples: int = 200,
-                            seed: int = 0, tol: float = 1e-10) -> float:
-        """Max violation of superadditivity over sampled triples (<= tol passes)."""
-        rng = np.random.default_rng(seed)
-        pts = np.sort(rng.uniform(t0, t1, size=(samples, 3)), axis=1)
-        s, u, t = pts[:, 0], pts[:, 1], pts[:, 2]
-        viol = np.asarray(self(s, u) + self(u, t) - self(s, t), dtype=float)
-        return float(np.max(viol, initial=0.0))
 
 
 class HolderControl(Control):
@@ -363,19 +353,19 @@ def dilate(rp: RoughPath, lam: float) -> RoughPath:
 # measurement
 
 
-def _grid_triples(n: int, exhaustive_limit: int, samples: int,
-                  seed: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _grid_triples(n: int, exhaustive_limit: int,
+                  samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Grid index triples i < j < k for the triple audits.
 
     Every triple, in lexicographic order, up to exhaustive_limit points;
     beyond it the strictly increasing rows of `samples` sorted draws from
-    default_rng(seed).
+    default_rng(0).
     """
     if n <= exhaustive_limit:
         r = np.arange(n)
         return np.nonzero((r[:, None, None] < r[None, :, None])
                           & (r[None, :, None] < r[None, None, :]))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     idx = np.sort(rng.integers(0, n, size=(samples, 3)), axis=1)
     idx = idx[(idx[:, 0] < idx[:, 1]) & (idx[:, 1] < idx[:, 2])]
     return idx[:, 0], idx[:, 1], idx[:, 2]
@@ -740,24 +730,6 @@ def recompose(geometric: RoughPath, drift: AreaDrift) -> RoughPath:
         raise ValueError("geometric part and drift must share a grid")
     return RoughPath(geometric.times, geometric.level1,
                      geometric.level2 + drift.beta, geometric.control)
-
-
-def area_pvar_bound(drift: AreaDrift, control: Control, p: float) -> float:
-    """Smallest L with ||beta(t) - beta(s)|| <= L w(s,t)^(2/p) on grid pairs.
-
-    inf when some pair has zero control but a nonzero increment.
-    """
-    if not (2.0 <= p < 3.0):
-        raise ValueError("p must lie in [2, 3)")
-    n = len(drift.times)
-    flat = drift.beta.reshape(n, -1)
-
-    def norms(i0, i1, j0, j1):
-        return (np.linalg.norm(flat[None, j0:j1] - flat[i0:i1, None],
-                               axis=2),)
-
-    bound = _inflate(_triangle_bound(n, flat))
-    return _pair_sup(drift.times, control, (2.0 / p,), norms, (bound,))[0]
 
 
 # ---------------------------------------------------------------------------

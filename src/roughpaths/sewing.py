@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rough_paths import Control, HolderControl
-from .tensor_algebra import GroupElement2, mul
+from .tensor_algebra import GroupElement2
 
 __all__ = [
     "AlmostRoughPath",
@@ -31,7 +31,6 @@ __all__ = [
     "YoungConditionError",
     "sew",
     "young_integral",
-    "estimate_defect_order",
 ]
 
 
@@ -52,44 +51,15 @@ class AlmostRoughPath:
     """Two-parameter map with a known multiplicativity defect order.
 
     fn(s, t) must return a GroupElement2 or an ndarray (abelian case).
-    theta is the defect exponent (> 1 for the sewn limit to exist);
-    C is an optional defect-coefficient estimate, kept as metadata.
+    theta is the defect exponent (> 1 for the sewn limit to exist).
     """
 
     fn: object
     theta: float
-    C: float = float("nan")
     control: Control = field(default_factory=HolderControl)
 
     def __call__(self, s: float, t: float):
         return self.fn(s, t)
-
-    def defect(self, s: float, u: float, t: float) -> float:
-        """Entrywise defect |z(s,t) - z(s,u) (x) z(u,t)| at one triple."""
-        whole, left, right = self.fn(s, t), self.fn(s, u), self.fn(u, t)
-        if isinstance(whole, GroupElement2):
-            prod = mul(left, right)
-            return max(
-                float(np.max(np.abs(whole.level1 - prod.level1), initial=0.0)),
-                float(np.max(np.abs(whole.level2 - prod.level2), initial=0.0)),
-            )
-        return float(np.max(np.abs(np.asarray(whole) - left - right), initial=0.0))
-
-    def check_defect(self, s: float, t: float, samples: int = 100,
-                     seed: int = 0) -> float:
-        """Largest sampled ratio defect / (C * w^theta); <= ~1 when C holds.
-
-        Samples random triples a < u < b inside [s, t].
-        """
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(samples):
-            a, u, b = np.sort(rng.uniform(s, t, size=3))
-            w = float(self.control(a, b))
-            if w <= 0 or b - a < 1e-12 * (t - s):
-                continue
-            worst = max(worst, self.defect(a, u, b) / (self.C * w ** self.theta))
-        return worst
 
 
 def _dyadic_product(arp: AlmostRoughPath, s: float, t: float, level: int):
@@ -169,31 +139,6 @@ def sew(arp: AlmostRoughPath, s: float, t: float, tol: float = 1e-10,
             f"no convergence within {max_level} dyadic levels; "
             f"last gaps {gaps[-2:]} vs tol {tol}", gaps)
     return value
-
-
-def estimate_defect_order(arp: AlmostRoughPath, s: float, t: float,
-                          samples: int = 64, seed: int = 0) -> float:
-    """Fit the defect exponent theta from sampled triples.
-
-    Regresses log(defect) on log(w) over triples (s', midpoint, t') at
-    random scales; useful to audit a map whose nominal theta is unknown.
-    """
-    rng = np.random.default_rng(seed)
-    logs_w, logs_d = [], []
-    for _ in range(samples):
-        a, b = np.sort(rng.uniform(s, t, size=2))
-        if b - a < 1e-9 * (t - s):
-            continue
-        u = 0.5 * (a + b)
-        d = arp.defect(a, u, b)
-        w = float(arp.control(a, b))
-        if d > 0 and w > 0:
-            logs_w.append(np.log(w))
-            logs_d.append(np.log(d))
-    if len(logs_w) < 2:
-        return float("nan")
-    slope = np.polyfit(logs_w, logs_d, 1)[0]
-    return float(slope)
 
 
 def young_integral(integrand, driver, p_int: float, q_drv: float,

@@ -18,7 +18,6 @@ __all__ = [
     "mul",
     "inv",
     "increment",
-    "sym_part",
     "antisym_part",
     "hom_norm",
 ]
@@ -39,10 +38,6 @@ class GroupElement2:
             raise ValueError(
                 f"level2 shape {self.level2.shape} does not match level1 length {m}"
             )
-
-    @property
-    def scalar(self) -> float:
-        return 1.0
 
     @property
     def m(self) -> int:
@@ -76,12 +71,6 @@ def inv(a: GroupElement2) -> GroupElement2:
 def increment(x_s: GroupElement2, x_t: GroupElement2) -> GroupElement2:
     """Increment x_s^-1 (x) x_t between two absolute signature values."""
     return mul(inv(x_s), x_t)
-
-
-def sym_part(a) -> np.ndarray:
-    """Symmetric part of the level-2 matrix."""
-    b = a.level2
-    return 0.5 * (b + b.T)
 
 
 def antisym_part(a) -> np.ndarray:

@@ -25,9 +25,6 @@ __all__ = [
     "SecondOrderField",
     "FieldBounds",
     "f_dot_grad_f",
-    "finite_diff_grad",
-    "check_lip_remainder",
-    "estimate_field_bounds",
     "linear_field",
     "counterexample_field",
     "tanh_field",
@@ -38,11 +35,10 @@ __all__ = [
 
 @dataclass
 class FieldBounds:
-    """Declared (or sampled) norms on a box: sup|f|, sup|grad f|, H_gamma."""
+    """Declared norms sup|f| and sup|grad f|; NaN where undeclared."""
 
     f_inf: float = float("nan")
     grad_inf: float = float("nan")
-    holder: float = float("nan")
 
 
 @dataclass
@@ -100,11 +96,6 @@ class SecondOrderField:
     def __call__(self, y) -> np.ndarray:
         return self.eval(np.asarray(y, dtype=float))
 
-    def contract(self, y, level2: np.ndarray) -> np.ndarray:
-        """Apply to one level-2 matrix: out[a] = sum_ij M[a,i,j] level2[i,j]."""
-        return np.einsum("aij,ij->a", self.eval(np.asarray(y, dtype=float)),
-                         level2)
-
 
 def f_dot_grad_f(vf: VectorField) -> SecondOrderField:
     """The derived field contracting f into grad f.
@@ -122,76 +113,6 @@ def f_dot_grad_f(vf: VectorField) -> SecondOrderField:
         return t.reshape(d, m, m).swapaxes(1, 2)
 
     return SecondOrderField(d, m, _eval, source=vf)
-
-
-def finite_diff_grad(vf_eval, y, h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient (d, m, d); validation oracle for grad."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    y = np.asarray(y, dtype=float)
-    d = len(y)
-    f0 = np.asarray(vf_eval(y), dtype=float)
-    out = np.zeros(f0.shape + (d,))
-    for c in range(d):
-        e = np.zeros(d)
-        e[c] = h
-        out[..., c] = (np.asarray(vf_eval(y + e)) - np.asarray(vf_eval(y - e))) / (2 * h)
-    return out
-
-
-def check_lip_remainder(vf: VectorField, box, samples: int = 2000,
-                        seed: int = 0, declared_h: float | None = None) -> dict:
-    """Sample the first-order Taylor remainder against |u - u'|^(1+gamma).
-
-    box is a (low, high) pair of d-vectors (or scalars).  Reports the
-    largest observed ratio |f(u) - f(u') - grad f(u')(u - u')| /
-    |u - u'|^(1+gamma); passes iff it does not exceed the declared
-    Holder constant by more than 5%.  With no constant declared, the
-    constant is itself estimated from the sample and the check passes.
-    """
-    rng = np.random.default_rng(seed)
-    lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), (vf.d,)) for b in box)
-    us = rng.uniform(lo, hi, size=(samples, vf.d))
-    vs = rng.uniform(lo, hi, size=(samples, vf.d))
-    worst = 0.0
-    worst_pair = None
-    for u, v in zip(us, vs):
-        du = u - v
-        r = np.linalg.norm(du)
-        if r < 1e-12:
-            continue
-        rem = vf.eval(u) - vf.eval(v) - np.einsum("aic,c->ai", vf.grad(v), du)
-        ratio = float(np.linalg.norm(rem) / r ** (1.0 + vf.gamma))
-        if ratio > worst:
-            worst, worst_pair = ratio, (u.copy(), v.copy())
-    h_ref = declared_h if declared_h is not None else (
-        vf.bounds.holder if np.isfinite(vf.bounds.holder) else worst)
-    passed = worst <= 1.05 * h_ref + 1e-12
-    return {
-        "max_ratio": worst,
-        "declared": h_ref,
-        "passed": passed,
-        "violating_pair": None if passed else worst_pair,
-    }
-
-
-def estimate_field_bounds(vf: VectorField, box, samples: int = 10_000,
-                          seed: int = 0) -> FieldBounds:
-    """Dense-sampling estimate of sup|f|, sup|grad f|, H_gamma on a box.
-
-    Norms are operator-ish: Frobenius on values, which upper-bounds the
-    operator norm and keeps the estimate cheap.
-    """
-    rng = np.random.default_rng(seed)
-    lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), (vf.d,)) for b in box)
-    pts = rng.uniform(lo, hi, size=(samples, vf.d))
-    f_inf = 0.0
-    g_inf = 0.0
-    for y in pts:
-        f_inf = max(f_inf, float(np.linalg.norm(vf.eval(y))))
-        g_inf = max(g_inf, float(np.linalg.norm(vf.grad(y))))
-    hold = check_lip_remainder(vf, box, samples=min(samples, 2000), seed=seed + 1)
-    return FieldBounds(f_inf=f_inf, grad_inf=g_inf, holder=hold["max_ratio"])
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +150,7 @@ def linear_field(A=1.0, c=None, m: int | None = None) -> VectorField:
             return A3.copy()
         return np.broadcast_to(A3, y.shape[:-1] + A3.shape).copy()
 
-    return VectorField(d, m, _eval, _grad, gamma=1.0,
-                       bounds=FieldBounds(holder=0.0), name="linear",
+    return VectorField(d, m, _eval, _grad, gamma=1.0, name="linear",
                        stacked=True)
 
 
@@ -307,7 +227,7 @@ def zero_field(d: int = 1, m: int = 1) -> VectorField:
         return np.zeros(y.shape[:-1] + (d, m, d))
 
     return VectorField(d, m, _eval, _grad, gamma=1.0,
-                       bounds=FieldBounds(0.0, 0.0, 0.0), name="zero",
+                       bounds=FieldBounds(0.0, 0.0), name="zero",
                        stacked=True)
 
 

@@ -10,6 +10,11 @@ import math
 
 import numpy as np
 
+from roughpaths.log_sphere_map import _RHO_OVERFLOW, LogSphereCoords
+from roughpaths.partial_rough_paths import PartialRoughPath
+from roughpaths.rough_paths import HolderControl
+from roughpaths.vector_fields import VectorField
+
 
 def rk4_polyline(field, a, knot_times, knot_points, out_times, h_target=1e-4):
     """Integrate dy = f(y) x'(t) dt for piecewise-linear x with RK4.
@@ -153,39 +158,11 @@ def geometricity_defect_rows(level1, level2):
     return worst
 
 
-def area_pvar_bound_rows(drift, control, p):
-    """area_pvar_bound one start point at a time (pairs with zero control
-    are skipped, whatever their increment)."""
-    t = drift.times
-    flat = drift.beta.reshape(len(t), -1)
-    best = 0.0
-    for i in range(len(t) - 1):
-        d = np.linalg.norm(flat[i + 1:] - flat[i], axis=1)
-        w = np.asarray(control(t[i], t[i + 1:]), dtype=float)
-        w = np.where(w <= 0, np.inf, w)
-        best = max(best, float(np.max(d / w ** (2.0 / p), initial=0.0)))
-    return best
-
-
 def _cross_row(prp, i):
     """cross(t_i, t_j) for every j > i, by a cumsum from t_i."""
     return np.cumsum(prp.cross_inc[i:] + np.einsum(
         "ka,kb->kab", prp.y[i:-1] - prp.y[i], np.diff(prp.x[i:], axis=0)),
         axis=0)
-
-
-def cross_bound_rows(prp):
-    """PartialRoughPath.cross_bound one start point at a time."""
-    best = 0.0
-    for i in range(prp.n_points - 1):
-        acc = _cross_row(prp, i)
-        norms = np.linalg.norm(acc.reshape(len(acc), -1), axis=1)
-        w = np.asarray(prp.control(prp.times[i], prp.times[i + 1:]),
-                       dtype=float)
-        w = np.where(w <= 0, np.inf, w)
-        best = max(best, float(np.max(norms / w ** (2.0 / prp.p),
-                                      initial=0.0)))
-    return best
 
 
 def pvar_distance_rows(a, b):
@@ -212,7 +189,7 @@ def pvar_distance_rows(a, b):
 
 # ---------------------------------------------------------------------------
 # the blocked row scan that the tiled pair scan replaced, kept as the fast
-# reference for the five sup-over-pairs measures on large grids (the
+# reference for the three sup-over-pairs measures on large grids (the
 # pair-by-pair pvar_norm_pairs is too slow there): every pair of every
 # start point, in blocks of rows, with the same per-pair arithmetic
 
@@ -293,17 +270,6 @@ def geometricity_defect_blocked(rp):
     return math.sqrt(pair_sup_blocked(rp.times, None, (0.0,), squares)[0])
 
 
-def area_pvar_bound_blocked(drift, control, p):
-    flat = drift.beta.reshape(len(drift.times), -1)
-
-    def norms(i0, i1):
-        return (np.linalg.norm(flat[None, i0 + 1:] - flat[i0:i1, None],
-                               axis=2),)
-
-    return pair_sup_blocked(drift.times, control, (2.0 / p,), norms,
-                            flat.shape[1])[0]
-
-
 def _cross_block(prp, i0, i1):
     """cross(t_i, t_j) for i = i0..i1-1, j = i0+1..n-1, one cumsum."""
     dy = prp.y[None, i0:-1] - prp.y[i0:i1, None]
@@ -312,14 +278,6 @@ def _cross_block(prp, i0, i1):
     terms[np.tril_indices(i1 - i0, -1)] = 0.0
     np.cumsum(terms, axis=1, out=terms)
     return terms.reshape(terms.shape[:2] + (-1,))
-
-
-def cross_bound_blocked(prp):
-    def norms(i0, i1):
-        return (np.linalg.norm(_cross_block(prp, i0, i1), axis=2),)
-
-    return pair_sup_blocked(prp.times, prp.control, (2.0 / prp.p,), norms,
-                            prp.d * prp.m)[0]
 
 
 def pvar_distance_blocked(a, b):
@@ -497,3 +455,97 @@ def transformed_field_norm(f, b):
         return np.einsum("kje,ec->kjc", dH_dz, jz)
 
     return ev, gr
+
+
+# ---------------------------------------------------------------------------
+# finite differences, triples of smooth paths, rough integration along a
+# triple and the inverse chart: references for the analytic gradients,
+# the cross integral, pushforwards and the chart maps
+
+
+def finite_diff_grad(vf_eval, y, h: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient (d, m, d); validation oracle for grad."""
+    if h <= 0:
+        raise ValueError("h must be positive")
+    y = np.asarray(y, dtype=float)
+    d = len(y)
+    f0 = np.asarray(vf_eval(y), dtype=float)
+    out = np.zeros(f0.shape + (d,))
+    for c in range(d):
+        e = np.zeros(d)
+        e[c] = h
+        out[..., c] = (np.asarray(vf_eval(y + e)) - np.asarray(vf_eval(y - e))) / (2 * h)
+    return out
+
+
+def partial_from_smooth(x_of_t, y_of_t, times, p: float = 2.0,
+                        refine: int = 16, control=None) -> PartialRoughPath:
+    """Build a triple from smooth paths by refined trapezoidal sums.
+
+    Each interval's x2 and cross increments are Stieltjes sums on a
+    `refine`-times finer sub-grid (O(h^3) accurate per cell), so the
+    result approximates the genuine iterated integrals of the smooth
+    data.
+    """
+    t = np.asarray(times, dtype=float)
+    n = len(t) - 1
+    x_nodes = np.atleast_2d(np.asarray([x_of_t(ti) for ti in t], dtype=float))
+    if x_nodes.shape[0] == 1 and n + 1 > 1:
+        x_nodes = x_nodes.T
+    y_nodes = np.atleast_2d(np.asarray([y_of_t(ti) for ti in t], dtype=float))
+    if y_nodes.shape[0] == 1 and n + 1 > 1:
+        y_nodes = y_nodes.T
+    m, d = x_nodes.shape[1], y_nodes.shape[1]
+    x2_inc = np.zeros((n, m, m))
+    cross_inc = np.zeros((n, d, m))
+    for i in range(n):
+        sub = np.linspace(t[i], t[i + 1], refine + 1)
+        xs = np.atleast_2d(np.asarray([x_of_t(ti) for ti in sub], dtype=float))
+        ys = np.atleast_2d(np.asarray([y_of_t(ti) for ti in sub], dtype=float))
+        if xs.shape[0] == 1:
+            xs = xs.T
+        if ys.shape[0] == 1:
+            ys = ys.T
+        dx = np.diff(xs, axis=0)
+        xs_rel = xs - xs[0]
+        ys_rel = ys - ys[0]
+        mid_x = 0.5 * (xs_rel[:-1] + xs_rel[1:])
+        mid_y = 0.5 * (ys_rel[:-1] + ys_rel[1:])
+        x2_inc[i] = np.einsum("ka,kb->ab", mid_x, dx)
+        cross_inc[i] = np.einsum("ka,kb->ab", mid_y, dx)
+    return PartialRoughPath(t, x_nodes, x2_inc, y_nodes, cross_inc, p,
+                            control or HolderControl())
+
+
+def rough_integral_along(prp: PartialRoughPath, g) -> PartialRoughPath:
+    """Rough integral I_t = int_0^t g(y_s) dx_s with its cross against x.
+
+    g maps R^d to L(R^m, R^n): eval returns (n, m), grad (n, m, d).  Per
+    interval the integral increment is g(y_i) dx_i + grad g(y_i) cross_i
+    (full contraction of the gradient's driver-and-state slots with the
+    cross integral); the integral's own cross increment pairs g(y_i)
+    with the driver's level 2.  Returns the triple (x, I, cross_I).
+    """
+    if isinstance(g, VectorField) and 2.0 + g.gamma <= prp.p:
+        raise ValueError("need 2 + gamma > p for the integrand's gradient")
+    n = prp.n_points - 1
+    g0 = np.asarray(g.eval(prp.y[0]), dtype=float)
+    n_out = g0.shape[0]
+    path = np.zeros((n + 1, n_out))
+    cross_i = np.zeros((n, n_out, prp.m))
+    for i in range(n):
+        ge = np.asarray(g.eval(prp.y[i]), dtype=float)
+        gr = np.asarray(g.grad(prp.y[i]), dtype=float)
+        dx = prp.x[i + 1] - prp.x[i]
+        inc = ge @ dx + np.einsum("nmd,dm->n", gr, prp.cross_inc[i])
+        path[i + 1] = path[i] + inc
+        cross_i[i] = ge @ prp.x2_inc[i]
+    return PartialRoughPath(prp.times, prp.x, prp.x2_inc, path, cross_i,
+                            prp.p, prp.control)
+
+
+def z_of(c: LogSphereCoords) -> np.ndarray:
+    """Inverse chart exp(rho) * theta, guarding the exponential."""
+    if abs(c.rho) > _RHO_OVERFLOW:
+        raise OverflowError(f"|rho| = {abs(c.rho):.3g} exceeds exp range")
+    return math.exp(c.rho) * c.theta

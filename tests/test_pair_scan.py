@@ -1,7 +1,6 @@
-"""The grid-pair scan behind the five sup-over-pairs measures.
+"""The grid-pair scan behind the three sup-over-pairs measures.
 
-pvar_norm, geometricity_defect, area_pvar_bound,
-PartialRoughPath.cross_bound and pvar_distance share one tiled scan
+pvar_norm, geometricity_defect and pvar_distance share one tiled scan
 (rough_paths._pair_sup) that skips the tiles bounded below the running
 maximum.  These tests pin each measure to a scan of one start point at a
 time, and on large grids (where tiles are skipped) to the blocked row
@@ -19,26 +18,18 @@ import pytest
 from roughpaths import partial_rough_paths, rough_paths
 from roughpaths.partial_rough_paths import PartialRoughPath, pvar_distance
 from roughpaths.rde_solver import SolverConfig, solution_to_partial, solve_rde
-from roughpaths.rough_paths import (AreaDrift, Control, HolderControl,
-                                    RoughPath, area_pvar_bound,
+from roughpaths.rough_paths import (Control, HolderControl, RoughPath,
                                     brownian_lift, geometricity_defect,
                                     lift_piecewise_linear, pvar_norm)
 from roughpaths.vector_fields import counterexample_field
 
-from oracles import (area_pvar_bound_blocked, area_pvar_bound_rows,
-                     cross_bound_blocked, cross_bound_rows,
-                     geometricity_defect_blocked, geometricity_defect_rows,
+from oracles import (geometricity_defect_blocked, geometricity_defect_rows,
                      pvar_distance_blocked, pvar_distance_rows,
                      pvar_norm_blocked)
 
 
 def random_grid(rng, n):
     return np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, n - 1))])
-
-
-def random_drift(rng, n, m):
-    beta = rng.normal(size=(n, m, m))
-    return AreaDrift(random_grid(rng, n), beta + np.swapaxes(beta, 1, 2))
 
 
 def random_triple(rng, n, d, m, times=None):
@@ -50,14 +41,11 @@ def random_triple(rng, n, d, m, times=None):
                             float(rng.choice([2.0, 2.3])))
 
 
-@pytest.mark.parametrize("m", [1, 2])
-def test_area_pvar_bound_equals_row_oracle(m):
-    rng = np.random.default_rng(70 + m)
-    for n in (2, 3, 17, 40):
-        drift = random_drift(rng, n, m)
-        for p in (2.0, 2.3):
-            assert (area_pvar_bound(drift, HolderControl(), p)
-                    == area_pvar_bound_rows(drift, HolderControl(), p))
+def on_driver_of(a, b):
+    """b's y and cross increments on a's driver: a triple that shares
+    its driver with a."""
+    return PartialRoughPath(a.times, a.x, a.x2_inc, b.y, b.cross_inc, a.p,
+                            a.control)
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -68,27 +56,27 @@ def test_cross_measures_equal_row_oracles(d, m):
     for n in (2, 3, 17, 40):
         a = random_triple(rng, n, d, m)
         b = random_triple(rng, n, d, m, times=a.times)
-        assert a.cross_bound() == cross_bound_rows(a)
         assert pvar_distance(a, b) == pvar_distance_rows(a, b)
+        c = on_driver_of(a, b)
+        assert pvar_distance(a, c) == pvar_distance_rows(a, c)
 
 
-def _five_measures(n, seed):
+def _measures(n, seed):
     rng = np.random.default_rng(seed)
     x = brownian_lift(seed, n - 1, 1.0, 2, "ito")
     a = random_triple(rng, n, 2, 2, times=x.times)
     b = random_triple(rng, n, 2, 2, times=x.times)
-    return [pvar_norm(x, 2.3), geometricity_defect(x),
-            area_pvar_bound(rough_paths.decompose(x)[1], x.control, 2.3),
-            a.cross_bound(), pvar_distance(a, b)]
+    return [pvar_norm(x, 2.3), geometricity_defect(x), pvar_distance(a, b),
+            pvar_distance(a, on_driver_of(a, b))]
 
 
 @pytest.mark.parametrize("n", [3, 17, 33])
 def test_block_size_does_not_matter(monkeypatch, n):
-    ref = _five_measures(n, n)
+    ref = _measures(n, n)
     # tile sides from single pairs up to one tile over the whole grid
     for side in (1, 2, 5, 64, n):
         monkeypatch.setattr(rough_paths, "_TILE", side)
-        assert _five_measures(n, n) == ref
+        assert _measures(n, n) == ref
 
 
 def test_tile_side_keeps_the_scan_linear():
@@ -114,12 +102,12 @@ def test_grown_tiles_equal_the_64_side_scan(monkeypatch, n, tile, rows):
     # with few rows of tiles allowed the side grows past _TILE: to the
     # side of 7 rows (6 points at n = 40) or ceil(sqrt(n - 1)) (25 and 39
     # points at n = 600 and 1500); a maximum is exact in any order
-    ref = _five_measures(n, n)
+    ref = _measures(n, n)
     monkeypatch.setattr(rough_paths, "_TILE", tile)
     monkeypatch.setattr(rough_paths, "_TILE_ROWS", rows)
     side = rough_paths._tile_side(n)
     assert side == min(-(-(n - 1) // rows), math.isqrt(n - 2) + 1) > tile
-    assert _five_measures(n, n) == ref
+    assert _measures(n, n) == ref
 
 
 def test_pair_scan_memory_is_capped(monkeypatch):
@@ -161,8 +149,6 @@ def test_nan_control_raises():
                                                 np.asarray(t) - np.asarray(s)))
     with pytest.raises(ValueError, match="NaN"):
         pvar_norm(RoughPath(x.times, x.level1, x.level2, nan_control), 2.0)
-    with pytest.raises(ValueError, match="NaN"):
-        area_pvar_bound(rough_paths.decompose(x)[1], nan_control, 2.0)
 
 
 def test_one_point_grid_has_no_pairs():
@@ -171,15 +157,7 @@ def test_one_point_grid_has_no_pairs():
     a = PartialRoughPath(t, x.level1, np.zeros((0, 2, 2)), np.ones((1, 3)),
                          np.zeros((0, 3, 2)))
     assert pvar_norm(x, 2.0) == geometricity_defect(x) == 0.0
-    assert area_pvar_bound(AreaDrift(t, x.level2), x.control, 2.0) == 0.0
-    assert a.cross_bound() == pvar_distance(a, a) == 0.0
-
-
-def test_area_pvar_bound_rejects_bad_exponent():
-    drift = random_drift(np.random.default_rng(5), 5, 1)
-    for p in (0.0, 1.0, 3.5, float("nan")):
-        with pytest.raises(ValueError, match=r"p must lie in \[2, 3\)"):
-            area_pvar_bound(drift, HolderControl(), p)
+    assert pvar_distance(a, a) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +322,11 @@ def test_pvar_norm_equals_blocked_scan_on_large_grids(tiles, m, n, p):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_geometricity_and_area_equal_blocked_scan_on_large_grids(tiles, m):
+    # only the geometricity scan is left: the area measure this test also
+    # checked is gone, and the name is kept so the test keeps its id
     n = 2049 if m == 1 else 1025
     x = brownian_lift(m, n - 1, 1.0, m, "ito")
     assert geometricity_defect(x) == geometricity_defect_blocked(x)
-    drift = rough_paths.decompose(x)[1]
-    assert (area_pvar_bound(drift, x.control, 2.3)
-            == area_pvar_bound_blocked(drift, x.control, 2.3))
     # a polyline lift is geometric: its beta path is roundoff
     rng = np.random.default_rng(m)
     walk = lift_piecewise_linear(np.cumsum(rng.normal(size=(n, m)), axis=0),
@@ -363,15 +340,6 @@ def _solution_triple(seed, n):
     sol = solve_rde(x, counterexample_field(), np.array([1.0, 0.0]), 1.0,
                     SolverConfig(base_mesh=n - 1))
     return solution_to_partial(sol, x)
-
-
-def test_cross_bound_equals_blocked_scan_on_large_grids(tiles):
-    prp = _solution_triple(3, 1025)
-    assert prp.cross_bound() == cross_bound_blocked(prp)
-    rng = np.random.default_rng(4)
-    noise = random_triple(rng, 700, 2, 2)
-    assert noise.cross_bound() == cross_bound_blocked(noise)
-    assert skipped(tiles)
 
 
 def test_pvar_distance_equals_blocked_scan_on_large_grids(tiles):
@@ -406,21 +374,21 @@ def test_tied_maxima_equal_blocked_scan(tiles):
 
 
 def _large_measures(x, control):
-    """The five measures on one large driver, its triple and a
-    perturbed copy, under control, against their blocked scans."""
+    """The measures on one large driver and its triple against a copy
+    with y doubled (shared driver) and one with x doubled, under
+    control, against their blocked scans."""
     x = RoughPath(x.times, x.level1, x.level2, control)
-    drift = rough_paths.decompose(x)[1]
     n = x.n_points
     a = PartialRoughPath(x.times, x.level1, np.zeros((n - 1, 1, 1)),
                          x.level1, np.diff(x.level2, axis=0),
                          control=control)
     b = PartialRoughPath(x.times, x.level1, a.x2_inc, 2 * x.level1,
                          a.cross_inc, control=control)
+    c = PartialRoughPath(x.times, 2 * x.level1, a.x2_inc, x.level1,
+                         a.cross_inc, control=control)
     return [(pvar_norm(x, 2.0), pvar_norm_blocked(x, 2.0)),
-            (area_pvar_bound(drift, control, 2.0),
-             area_pvar_bound_blocked(drift, control, 2.0)),
-            (a.cross_bound(), cross_bound_blocked(a)),
-            (pvar_distance(a, b), pvar_distance_blocked(a, b))]
+            (pvar_distance(a, b), pvar_distance_blocked(a, b)),
+            (pvar_distance(a, c), pvar_distance_blocked(a, c))]
 
 
 def test_zero_control_over_several_tiles(tiles):
@@ -440,7 +408,11 @@ def test_zero_control_over_several_tiles(tiles):
         assert got == ref and np.isfinite(got)
     # zero on [0, 0.5]; y moves on [0, 0.2] and x on [0.3, 0.4] only, so
     # the cross integral is nonzero on zero-control pairs, but only on
-    # pairs more than a tile apart
+    # pairs more than a tile apart.  Against a copy with y still (shared
+    # driver) or with x still, that is the cross difference; the y or x
+    # difference is nonzero on near zero-control pairs as well, as any
+    # difference of increments that is nonzero on a pair is on some
+    # adjacent pair inside it
     n = t.size
     ramp = np.clip((t - np.array([[0.0], [0.3]])) / [[0.2], [0.1]], 0, 1).T
     late = PartialRoughPath(t, ramp[:, 1:], np.zeros((n - 1, 1, 1)),
@@ -448,7 +420,13 @@ def test_zero_control_over_several_tiles(tiles):
                             control=Control(lambda s, t: (
                                 np.maximum(np.asarray(t), 0.5)
                                 - np.maximum(np.asarray(s), 0.5))))
-    assert late.cross_bound() == cross_bound_blocked(late) == np.inf
+    still = np.zeros((n, 1))
+    for other in (PartialRoughPath(t, late.x, late.x2_inc, still,
+                                   late.cross_inc, control=late.control),
+                  PartialRoughPath(t, still, late.x2_inc, late.y,
+                                   late.cross_inc, control=late.control)):
+        assert (pvar_distance(late, other) == pvar_distance_blocked(late, other)
+                == np.inf)
     assert skipped(tiles)
 
 
@@ -464,10 +442,10 @@ def test_nan_control_over_several_tiles_raises():
     a = PartialRoughPath(x.times, x.level1, np.zeros((n - 1, 1, 1)),
                          x.level1, np.diff(x.level2, axis=0),
                          control=nan_control)
-    for measure in (lambda: pvar_norm(y, 2.0),
-                    lambda: area_pvar_bound(rough_paths.decompose(x)[1],
-                                            nan_control, 2.0),
-                    a.cross_bound, lambda: pvar_distance(a, a)):
+    b = PartialRoughPath(x.times, 2 * x.level1, a.x2_inc, x.level1,
+                         a.cross_inc, control=nan_control)
+    for measure in (lambda: pvar_norm(y, 2.0), lambda: pvar_distance(a, a),
+                    lambda: pvar_distance(a, b)):
         with pytest.raises(ValueError, match="NaN"):
             measure()
 
@@ -525,7 +503,6 @@ def test_tile_bounds_dominate_every_norm(every_tile, n):
                                                     axis=0), t)):
         pvar_norm(x, 2.0)
         geometricity_defect(x)
-        area_pvar_bound(rough_paths.decompose(x)[1], x.control, 2.3)
     for offset in (0.0, 1e6):
         a = _smooth_triple(n, offset)
         wave = np.sin(7 * t)[:, None] * np.ones((1, 3))
@@ -533,11 +510,9 @@ def test_tile_bounds_dominate_every_norm(every_tile, n):
                              a.cross_inc * 1.01, a.p)
         moved = PartialRoughPath(t, a.x + 0.1 * wave[:, :2], a.x2_inc, b.y,
                                  a.cross_inc, a.p)
-        a.cross_bound()
         for pair in ((a, b), (b, a), (a, moved), (moved, b)):
             pvar_distance(*pair)
     c = random_triple(rng, n, 2, 3)
     d = random_triple(rng, n, 2, 3, times=c.times)
-    c.cross_bound()
     pvar_distance(c, d)
     assert len(every_tile) > 0

@@ -2,15 +2,10 @@ import numpy as np
 import pytest
 
 from roughpaths.partial_rough_paths import (PartialRoughPath, SmoothMap,
-                                            cross_against_decomposition,
-                                            partial_from_smooth, pushforward,
-                                            pvar_distance,
-                                            rough_integral_along,
-                                            write_partial_csv)
-from roughpaths.rough_paths import AreaDrift
-from roughpaths.vector_fields import VectorField, linear_field
+                                            pushforward, pvar_distance)
+from roughpaths.vector_fields import VectorField
 
-from oracles import riemann_cross
+from oracles import partial_from_smooth, riemann_cross, rough_integral_along
 
 
 def smooth_prp(n=64, p=2.0):
@@ -43,12 +38,6 @@ def test_smooth_construction_matches_riemann_oracle():
     # analytic: int_0^1 (r^2 - 0) dr = 1/3
     assert prp.cross_between(0, 256)[0, 0] == pytest.approx(1.0 / 3.0,
                                                             abs=1e-5)
-
-
-def test_cross_bound_fits_a_finite_constant():
-    prp = smooth_prp(n=64)
-    L = prp.cross_bound()
-    assert 0 < L < 10
 
 
 # ---------------------------------------------------------------------------
@@ -157,14 +146,6 @@ def test_pushforward_smooth_square_map_against_oracle():
     assert errs[0] / errs[1] >= 3.0  # second-order in the grid
 
 
-def test_pushforward_defect_diagnostics():
-    phi = SmoothMap(1, 1, lambda y: np.array([np.sin(y[0])]),
-                    lambda y: np.array([[np.cos(y[0])]]))
-    out, report = pushforward(smooth_prp(n=128), phi, diagnostics=True)
-    assert report["defect_exponent"] > 1.0
-    assert report["max_defect"] < 0.05
-
-
 def test_pushforward_dimension_check():
     rng = np.random.default_rng(47)
     prp = random_prp(rng, d=2)
@@ -213,57 +194,7 @@ def test_rough_integral_regularity_guard():
 
 
 # ---------------------------------------------------------------------------
-# re-targeting the cross integral at a decomposed driver
-
-
-def test_cross_correction_zero_drift_is_identity():
-    rng = np.random.default_rng(51)
-    prp = random_prp(rng, d=2, m=1)
-    beta = AreaDrift(prp.times, np.zeros((prp.n_points, 1, 1)))
-    out = cross_against_decomposition(prp, beta)
-    assert np.max(np.abs(out.cross_inc - prp.cross_inc)) == 0.0
-
-
-def test_cross_correction_unit_rate():
-    # y_t = t, beta_t = t: the Young correction over [0,1] is exactly 1
-    n = 16
-    times = np.linspace(0.0, 1.0, n + 1)
-    x = np.zeros((n + 1, 1))
-    y = times[:, None]
-    prp = PartialRoughPath(times, x, np.zeros((n, 1, 1)), y,
-                           np.zeros((n, 1, 1)))
-    beta = AreaDrift(times, times[:, None, None] * np.eye(1))
-    out = cross_against_decomposition(prp, beta)
-    assert out.cross_between(0, n)[0, 0] == pytest.approx(1.0, abs=1e-13)
-    assert out.additivity_defect() <= 1e-12
-
-
-def test_cross_correction_explicit_loading():
-    rng = np.random.default_rng(52)
-    prp = random_prp(rng, d=2, m=2)
-    beta_vals = np.cumsum(rng.normal(size=(prp.n_points, 1, 1))
-                          * np.eye(2), axis=0) * 0.1
-    beta_vals[0] = 0.0
-    beta = AreaDrift(prp.times, 0.5 * (beta_vals + np.swapaxes(beta_vals, 1, 2)))
-    loading = rng.normal(size=(prp.n_points, 2, 2))
-    out = cross_against_decomposition(prp, beta, loading=loading)
-    mid = 0.5 * (loading[:-1] + loading[1:])
-    manual = prp.cross_inc + np.einsum("kai,kij->kaj", mid,
-                                       np.diff(beta.beta, axis=0))
-    assert np.allclose(out.cross_inc, manual, atol=1e-13)
-    assert out.additivity_defect() <= 1e-12
-
-
-def test_cross_correction_needs_loading_for_multidim_driver():
-    rng = np.random.default_rng(53)
-    prp = random_prp(rng, d=2, m=2)
-    beta = AreaDrift(prp.times, np.zeros((prp.n_points, 2, 2)))
-    with pytest.raises(ValueError, match="loading"):
-        cross_against_decomposition(prp, beta)
-
-
-# ---------------------------------------------------------------------------
-# stability and export
+# stability and validation
 
 
 def test_pushforward_is_lipschitz_in_the_input_triple():
@@ -288,21 +219,6 @@ def test_pushforward_is_lipschitz_in_the_input_triple():
     assert np.isfinite(K)
     # ratios stay of one scale: no blow-up as the perturbation shrinks
     assert max(ratios) <= 10 * min(ratios) + 1e-9
-
-
-def test_partial_csv_export(tmp_path):
-    rng = np.random.default_rng(55)
-    prp = random_prp(rng, n=6, d=2, m=1)
-    dest = tmp_path / "prp.csv"
-    write_partial_csv(prp, dest)
-    raw = dest.read_bytes()
-    assert b"\r" not in raw
-    lines = raw.decode().strip().split("\n")
-    assert lines[0] == "s,t,y1,y2,x1,c_11,c_21"
-    assert len(lines) == 7
-    assert [float(v) for v in lines[1].split(",")] == [
-        prp.times[0], prp.times[1], *(prp.y[1] - prp.y[0]),
-        *(prp.x[1] - prp.x[0]), *prp.cross_inc[0].ravel()]
 
 
 def test_constructor_validation():

@@ -3,10 +3,9 @@ import pytest
 
 from roughpaths import rough_paths
 from roughpaths.partial_rough_paths import PartialRoughPath, pvar_distance
-from roughpaths.rough_paths import (AreaDrift, Control, HolderControl,
-                                    RoughPath, area_pvar_bound, beta_path,
-                                    brownian_lift, chen_defect, decompose,
-                                    dilate, geometricity_defect,
+from roughpaths.rough_paths import (AreaDrift, Control, RoughPath,
+                                    beta_path, brownian_lift, chen_defect,
+                                    decompose, dilate, geometricity_defect,
                                     lift_piecewise_linear, pure_area_path,
                                     pvar_norm, read_polyline_csv,
                                     read_roughpath_csv, recompose,
@@ -261,22 +260,17 @@ def test_pvar_infinite_when_control_vanishes():
     assert pvar_norm(x, 2.0) == np.inf
     assert pvar_norm_pairs(x.times, x.level1, x.level2, x.control,
                            2.0) == np.inf
-    # the other measures of the shared scan follow the same policy: a
+    # the other measure of the shared scan follows the same policy: a
     # nonzero norm over a zero-control pair is inf, not skipped
-    drift = AreaDrift(x.times, x.times[:, None, None] * np.eye(1))
-    assert area_pvar_bound(drift, _shifted_control(), 2.0) == np.inf
     n = x.n_points
     prp = PartialRoughPath(x.times, x.level1, np.zeros((n - 1, 1, 1)),
                            x.level1, np.ones((n - 1, 1, 1)),
                            control=_shifted_control())
-    assert prp.cross_bound() == np.inf
     moved = PartialRoughPath(x.times, x.level1, prp.x2_inc, 2 * x.level1,
                              prp.cross_inc, control=_shifted_control())
     assert pvar_distance(prp, moved) == np.inf
     # zero norms over zero-control pairs are skipped, as before
     assert pvar_distance(prp, prp) == 0.0
-    flat = AreaDrift(x.times, np.zeros((n, 1, 1)))
-    assert area_pvar_bound(flat, _shifted_control(), 2.0) == 0.0
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -316,12 +310,6 @@ def test_pvar_rejects_bad_exponent():
     x = pure_area_path(1.0)
     with pytest.raises(ValueError, match="p must"):
         pvar_norm(x, 3.5)
-
-
-def test_control_superadditivity_checker():
-    assert HolderControl().check_superadditive(0.0, 1.0) <= 1e-12
-    bad = Control(lambda s, t: np.sqrt(np.asarray(t) - np.asarray(s)))
-    assert bad.check_superadditive(0.0, 1.0) > 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +413,6 @@ def test_area_drift_at_rejects_times_outside_its_range():
         drift.at(np.array([0.25, -0.1]))
     assert drift.at(0.75)[0, 0] == 1.25
     assert drift.at(1.0)[0, 0] == 2.0
-
-
-def test_area_pvar_bound_linear_drift():
-    drift = AreaDrift(np.linspace(0, 1, 9),
-                      np.linspace(0, 1, 9)[:, None, None] * np.eye(1))
-    # |beta(t)-beta(s)| = (t-s) and omega^(2/p) = t-s at p = 2
-    assert area_pvar_bound(drift, HolderControl(), 2.0) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------

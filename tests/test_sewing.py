@@ -3,8 +3,7 @@ import pytest
 
 from roughpaths.rough_paths import lift_piecewise_linear
 from roughpaths.sewing import (AlmostRoughPath, SewingConvergenceError,
-                               YoungConditionError, estimate_defect_order, sew,
-                               young_integral)
+                               YoungConditionError, sew, young_integral)
 from roughpaths.tensor_algebra import GroupElement2
 
 from oracles import riemann_stieltjes
@@ -17,7 +16,7 @@ def abelian_arp(theta, v, F=np.sin):
     def fn(s, t):
         return F(t) - F(s) + (t - s) ** theta * v
 
-    return AlmostRoughPath(fn, theta=theta, C=float(np.max(np.abs(v))))
+    return AlmostRoughPath(fn, theta=theta)
 
 
 def group_arp(theta, rng, m=2):
@@ -104,21 +103,6 @@ def test_sew_nonconvergence_reports_gaps():
     assert len(err.value.gaps) == 6
     res = sew(arp, 0.0, 1.0, tol=1e-14, max_level=6, full_output=True)
     assert not res.converged
-
-
-def test_estimate_defect_order_recovers_theta():
-    arp = abelian_arp(1.5, [1.0])
-    theta_hat = estimate_defect_order(arp, 0.0, 1.0, samples=200)
-    assert theta_hat == pytest.approx(1.5, abs=0.05)
-
-
-def test_declared_defect_constant_is_respected():
-    # defect at (a,u,b) is |v| ((b-a)^th - (u-a)^th - (b-u)^th) <= |v| w^th
-    arp = abelian_arp(1.5, [0.7, -0.4])
-    assert arp.check_defect(0.0, 1.0, samples=300) <= 1.0 + 1e-12
-    tight = abelian_arp(1.5, [0.7, -0.4])
-    tight.C = 0.01  # misdeclared constant shows up as a ratio above 1
-    assert tight.check_defect(0.0, 1.0, samples=300) > 1.0
 
 
 def test_measured_correction_constant_is_finite():

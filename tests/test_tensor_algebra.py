@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from roughpaths.tensor_algebra import (GroupElement2, antisym_part, hom_norm,
-                                       identity, increment, inv, mul, sym_part)
+                                       identity, increment, inv, mul)
 
 
 def random_group(rng, m):
@@ -99,22 +99,14 @@ def test_cross_term_is_bilinear_in_scale():
 def test_sym_antisym_split():
     rng = np.random.default_rng(6)
     t = GroupElement2(rng.normal(size=3), rng.normal(size=(3, 3)))
-    s, a = sym_part(t), antisym_part(t)
-    assert np.allclose(s + a, t.level2)
+    a = antisym_part(t)
+    s = t.level2 - a
     assert np.allclose(s, s.T)
     assert np.allclose(a, -a.T)
     sym_mat = rng.normal(size=(3, 3))
     sym_mat = sym_mat + sym_mat.T
     g = GroupElement2(np.zeros(3), sym_mat)
-    assert np.allclose(sym_part(g), sym_mat)
     assert np.max(np.abs(antisym_part(g))) == 0.0
-
-
-def test_sym_part_of_outer():
-    rng = np.random.default_rng(7)
-    u, v = rng.normal(size=4), rng.normal(size=4)
-    g = GroupElement2(np.zeros(4), np.outer(u, v))
-    assert np.allclose(sym_part(g), 0.5 * (np.outer(u, v) + np.outer(v, u)))
 
 
 def test_hom_norm():
