@@ -20,12 +20,11 @@ Capabilities, one module each:
 
 from .tensor_algebra import (GroupElement2, antisym_part, hom_norm, identity,
                              increment, inv, mul)
-from .rough_paths import (AreaDrift, Control, HolderControl, RoughPath,
-                          beta_path, brownian_lift, chen_defect, decompose,
-                          dilate, geometricity_defect, lift_piecewise_linear,
-                          pure_area_path, pvar_norm, read_polyline_csv,
-                          read_roughpath_csv, recompose, two_param_chen_defect,
-                          write_roughpath_csv)
+from .rough_paths import (AreaDrift, RoughPath, beta_path, brownian_lift,
+                          chen_defect, decompose, dilate, geometricity_defect,
+                          lift_piecewise_linear, pure_area_path, pvar_norm,
+                          read_polyline_csv, read_roughpath_csv, recompose,
+                          two_param_chen_defect, write_roughpath_csv)
 from .sewing import (AlmostRoughPath, SewingConvergenceError, SewResult,
                      YoungConditionError, sew, young_integral)
 from .vector_fields import (FieldBounds, SecondOrderField, VectorField,

@@ -17,13 +17,12 @@ almost-multiplicative cross increments grad phi(y_s) cross(s,t)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .rough_paths import (_EPS, Control, HolderControl, _grid_triples,
-                          _increment_norm, _inflate, _pair_sup,
-                          _require_finite, _tile_spreads)
+from .rough_paths import (_EPS, _grid_triples, _increment_norm, _inflate,
+                          _pair_sup, _require_finite, _tile_spreads)
 
 __all__ = [
     "SmoothMap",
@@ -54,13 +53,12 @@ class SmoothMap:
 class PartialRoughPath:
     """Grid triple (x, y, cross) with per-interval data; all values finite."""
 
-    times: np.ndarray        # (N+1,)
+    times: np.ndarray        # (N+1,) strictly increasing
     x: np.ndarray            # (N+1, m) driver level 1, absolute
     x2_inc: np.ndarray       # (N, m, m) driver level 2 per interval
     y: np.ndarray            # (N+1, d)
     cross_inc: np.ndarray    # (N, d, m) cross integral per interval
     p: float = 2.0
-    control: Control = field(default_factory=HolderControl)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -77,6 +75,8 @@ class PartialRoughPath:
         if not (2.0 <= self.p < 3.0):
             raise ValueError("p must lie in [2, 3)")
         _require_finite(times=t, x=x, y=y, x2_inc=x2, cross_inc=cr)
+        if np.any(np.diff(t) <= 0):
+            raise ValueError("times must be strictly increasing")
         for name, arr in (("times", t), ("x", x), ("y", y),
                           ("x2_inc", x2), ("cross_inc", cr)):
             object.__setattr__(self, name, arr)
@@ -194,11 +194,10 @@ def _cross_norms(a: PartialRoughPath, b: PartialRoughPath):
 def pvar_distance(a: PartialRoughPath, b: PartialRoughPath) -> float:
     """Scaled sup distance between two triples on a shared grid.
 
-    Max over grid pairs of the x- and y-increment differences scaled by
-    w^(1/p) and the cross difference scaled by w^(2/p), with a's control
-    and p; inf when some pair has zero control but a nonzero difference.
-    When a and b share their driver (equal x arrays), its difference is
-    0 on every pair and is not scanned.
+    Max over grid pairs s < t of the x- and y-increment differences
+    divided by (t - s)^(1/p) and the cross difference divided by
+    (t - s)^(2/p), with a's p.  When a and b share their driver (equal x
+    arrays), its difference is 0 on every pair and is not scanned.
     """
     if a.n_points != b.n_points or not np.allclose(a.times, b.times):
         raise ValueError("grids do not match")
@@ -252,8 +251,7 @@ def pvar_distance(a: PartialRoughPath, b: PartialRoughPath) -> float:
     powers += [1.0 / a.p, 2.0 / a.p]
     bounds += [_inflate(ry + ay + cy, magnitude(a.y, b.y)),
                _inflate(cross, 4 * (error_a + error_b))]
-    return max(_pair_sup(a.times, a.control, powers, norms, bounds,
-                         walk=True))
+    return max(_pair_sup(a.times, powers, norms, bounds, walk=True))
 
 
 def pushforward(prp: PartialRoughPath, phi: SmoothMap) -> PartialRoughPath:
@@ -275,4 +273,4 @@ def pushforward(prp: PartialRoughPath, phi: SmoothMap) -> PartialRoughPath:
     new_cross = np.einsum("kwd,kda->kwa", grads.reshape(n, phi.dim_out, prp.d),
                           prp.cross_inc)
     return PartialRoughPath(prp.times, prp.x, prp.x2_inc, new_y, new_cross,
-                            prp.p, prp.control)
+                            prp.p)

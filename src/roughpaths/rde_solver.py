@@ -49,8 +49,13 @@ __all__ = [
     "blowup_json",
 ]
 
-# growth_bound_check rejects a driver whose geometricity defect exceeds this.
+# growth_bound_check rejects a driver whose geometricity defect exceeds
+# this times max(1, max|level2|): the defect is roundoff relative to the
+# driver's level 2, as the bound of `rde lift` is.
 _GEOMETRICITY_TOL = 1e-8
+
+# The most steps a solve mesh, and intervals a partition, may have.
+_MAX_STEPS = 4_000_000
 
 # K and mu of the bounded-field partition rule and the a-priori sup bound:
 # calibration constants (the underlying estimates only assert their
@@ -76,7 +81,6 @@ class SolverConfig:
 
     base_mesh: int = 4096
     r_max: float = 1e6
-    max_steps: int = 4_000_000
     p: float = 2.0
     state_projection: object | None = None
 
@@ -144,7 +148,7 @@ def _solve_mesh(T: float, cfg: SolverConfig, times) -> np.ndarray:
         if mesh[0] != 0.0 or np.any(np.diff(mesh) <= 0):
             raise ValueError("times must start at 0 and increase strictly")
         return mesh
-    if cfg.base_mesh < 1 or cfg.base_mesh > cfg.max_steps:
+    if cfg.base_mesh < 1 or cfg.base_mesh > _MAX_STEPS:
         raise ValueError("base_mesh out of range")
     return np.linspace(0.0, T, cfg.base_mesh + 1)
 
@@ -202,8 +206,8 @@ def _entry_checks(xs, f: VectorField, a, T: float, cfg: SolverConfig,
         raise ValueError(f"initial state must have shape ({d},)")
     mesh = _solve_mesh(T, cfg, times)
     K = len(mesh) - 1
-    if K > cfg.max_steps:
-        raise ValueError(f"mesh has {K} steps, over max_steps={cfg.max_steps}")
+    if K > _MAX_STEPS:
+        raise ValueError(f"mesh has {K} steps, over the cap of {_MAX_STEPS}")
     for x in xs:
         if mesh[-1] > x.T + 1e-12:
             raise ValueError(f"horizon {mesh[-1]} exceeds the driver's range "
@@ -409,12 +413,15 @@ class PartitionResult:
 def adaptive_partition(x: RoughPath, bounds: FieldBounds,
                        cfg: SolverConfig | None = None,
                        T: float | None = None) -> PartitionResult:
-    """Greedy partition with per-interval control mass L ||x||^-p.
+    """Partition of [0, T] into intervals of control mass L ||x||^-p.
 
-    Each interval carries control mass omega(s_n, s_n+1) =
-    (K mu / (|h|_inf + mu |grad h|_inf))^p ||x||^-p, the mass at which
-    the frozen-coefficient step stays within mu for a bounded field.
-    Only meaningful for bounded fields; rejects undeclared bounds.
+    With the control omega(s, t) = t - s every interval has length
+    target = (K mu / (|h|_inf + mu |grad h|_inf))^p ||x||^-p, the mass
+    at which the frozen-coefficient step stays within mu for a bounded
+    field: the points are k * target below T, then T.  Only meaningful
+    for bounded fields; rejects undeclared bounds, and raises
+    RuntimeError before building a partition of over _MAX_STEPS
+    intervals.
     """
     cfg = cfg or SolverConfig()
     if not (math.isfinite(bounds.f_inf) and math.isfinite(bounds.grad_inf)):
@@ -427,27 +434,11 @@ def adaptive_partition(x: RoughPath, bounds: FieldBounds,
         return PartitionResult(np.array([0.0, T]), math.inf, math.inf, norm)
     L = (_STEP_RULE_K * _MU / denom) ** cfg.p
     target = L * norm ** (-cfg.p)
-    ts = [0.0]
-    while ts[-1] < T:
-        s = ts[-1]
-        if float(x.control(s, T)) <= target:
-            ts.append(T)
-            break
-        # invert omega(s, .) = target by bisection (continuous controls)
-        lo, hi = s, T
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if float(x.control(s, mid)) < target:
-                lo = mid
-            else:
-                hi = mid
-        nxt = hi
-        if nxt <= s:
-            raise RuntimeError("partition stalled; control may be degenerate")
-        ts.append(min(nxt, T))
-        if len(ts) > cfg.max_steps:
-            raise RuntimeError("partition exceeds max_steps")
-    return PartitionResult(np.asarray(ts), L, target, norm)
+    if not T <= _MAX_STEPS * target:
+        raise RuntimeError(f"partition exceeds the cap of {_MAX_STEPS} "
+                           f"intervals")
+    ts = np.arange(math.ceil(T / target)) * target
+    return PartitionResult(np.append(ts[ts < T], T), L, target, norm)
 
 
 def apriori_sup_bound(bounds: FieldBounds, x: RoughPath,
@@ -456,21 +447,20 @@ def apriori_sup_bound(bounds: FieldBounds, x: RoughPath,
     """A-priori sup_{t<=T} |z_t - z_0| bound for bounded fields.
 
     Each partition interval moves the state by at most mu and there are
-    about 1 + omega(0,T) ||x||^p / L of them, giving
-    (mu + mu/L)(1 + ||x||^p omega(0,T)).
+    about 1 + T ||x||^p / L of them (the control omega(0, T) = T), giving
+    (mu + mu/L)(1 + ||x||^p T).
     """
     cfg = cfg or SolverConfig()
     if not (math.isfinite(bounds.f_inf) and math.isfinite(bounds.grad_inf)):
         raise ValueError("apriori_sup_bound needs declared finite bounds")
-    T = x.T if T is None else T
+    T = x.T if T is None else float(T)
     norm = pvar_norm(x, cfg.p)
-    omega = float(x.control(0.0, T))
     denom = bounds.f_inf + _MU * bounds.grad_inf
     if denom == 0.0:
-        return _MU * (1.0 + norm ** cfg.p * omega)
+        return _MU * (1.0 + norm ** cfg.p * T)
     L = (_STEP_RULE_K * _MU / denom) ** cfg.p
     C = _MU + _MU / L
-    return C * (1.0 + norm ** cfg.p * omega)
+    return C * (1.0 + norm ** cfg.p * T)
 
 
 @dataclass
@@ -494,10 +484,11 @@ def growth_bound_check(f: VectorField, x: RoughPath, a, T: float,
     loop, each row equal to solve_rde on its driver bit for bit) when
     there are several lambdas, f takes stacked states and cfg has no
     state projection, otherwise with solve_rde per lambda; then fits
-    log(sup|y| + 1) <= c1 + c2 * s, s = ||x_lam||^p * omega(0,T), with the
+    log(sup|y| + 1) <= c1 + c2 * s, s = ||x_lam||^p * T, with the
     intercept lifted to cover every run (reported slack >= 0).  Any
     explosion under a geometric driver is a falsification event and
-    fails the report.
+    fails the report.  A driver whose geometricity defect exceeds
+    _GEOMETRICITY_TOL * max(1, max|level2|) raises ValueError.
 
     The driver is scanned once: each row's pvar is lam * ||x||.  The
     p-variation norm is homogeneous under dilation, since u(s,t) scales
@@ -515,9 +506,9 @@ def growth_bound_check(f: VectorField, x: RoughPath, a, T: float,
             raise ValueError(f"lambdas must be finite and positive, got {lam!r}")
     cfg = cfg or SolverConfig()
     gd = geometricity_defect(x)
-    if gd > _GEOMETRICITY_TOL:
+    scale = max(1.0, float(np.max(np.abs(x.level2), initial=0.0)))
+    if gd > _GEOMETRICITY_TOL * scale:
         raise ValueError(f"driver is not geometric (defect {gd:.2e})")
-    omega = float(x.control(0.0, T))
     base = pvar_norm(x, cfg.p)
     xs = [dilate(x, lam) for lam in lambdas]
     if len(xs) > 1 and f.stacked and cfg.state_projection is None:
@@ -532,7 +523,7 @@ def growth_bound_check(f: VectorField, x: RoughPath, a, T: float,
         rows.append({
             "lam": lam,
             "pvar": lam * base,
-            "s": (lam * base) ** cfg.p * omega,
+            "s": (lam * base) ** cfg.p * float(T),
             "sup_y": sup_y,
             "log_sup": math.log(sup_y + 1.0),
             "explosion": sol.blowup is not None,
@@ -558,11 +549,14 @@ def growth_bound_check(f: VectorField, x: RoughPath, a, T: float,
 def solution_to_partial(sol: RDESolution, x: RoughPath, p: float = 2.0):
     """Partial rough path (x, y, cross) carried by a solution.
 
-    The solution's per-interval arrays pass through unchanged; x, the
-    driver the solution was computed on, supplies the control.
+    The solution's per-interval arrays pass through unchanged.  x is the
+    driver the solution was computed on: one of another dimension, or
+    that ends before the solution, raises ValueError.
     """
+    if x.m != sol.m or sol.times[-1] > x.T + 1e-12:
+        raise ValueError("x is not the driver of this solution")
     return PartialRoughPath(sol.times, sol.x1, sol.x2_inc, sol.y,
-                            sol.cross_inc, p, x.control)
+                            sol.cross_inc, p)
 
 
 def write_solution_csv(sol: RDESolution, path) -> None:

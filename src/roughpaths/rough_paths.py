@@ -13,8 +13,8 @@ the enclosing interval's increment (the path that traverses the chord at
 constant speed).  For polyline lifts this interpolation is exact at
 every time, so a solver may evaluate driver increments on any mesh.
 
-The module also measures paths (p-variation norm against a control,
-Chen defect, geometricity defect; the sup-over-grid-pairs measures,
+The module also measures paths (p-variation norm against t - s, Chen
+defect, geometricity defect; the sup-over-grid-pairs measures,
 here and in partial_rough_paths, share one tiled scan), splits a
 non-geometric path into a geometric part plus a symmetric area-drift
 path, and generates the stock drivers used by the experiments (polyline
@@ -25,15 +25,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor_algebra import GroupElement2
 
 __all__ = [
-    "Control",
-    "HolderControl",
     "RoughPath",
     "AreaDrift",
     "lift_piecewise_linear",
@@ -93,38 +91,6 @@ def _require_finite(**arrays) -> None:
             raise ValueError(f"{name} must be finite")
 
 
-class Control:
-    """Superadditive two-parameter function omega(s, t) >= 0.
-
-    Wraps a vectorized callable; omega(t, t) must be 0 and
-    omega(s, u) + omega(u, t) <= omega(s, t) for s <= u <= t.  The
-    callable must broadcast: scans call it with a column of start times
-    against a row of end times and expect the 2-d array of values back.
-
-    The grid-pair scans rely on omega >= 0 and superadditivity: together
-    they make omega monotone under inclusion (omega(s, t) >=
-    omega(s', t') when s <= s' <= t' <= t), so the value at a tile's
-    inner corner bounds omega from below on the whole tile, and a tile
-    whose norms are bounded below the running maximum is skipped.
-    """
-
-    def __init__(self, fn):
-        self._fn = fn
-
-    def __call__(self, s, t):
-        return self._fn(s, t)
-
-
-class HolderControl(Control):
-    """The default control omega(s, t) = t - s."""
-
-    def __init__(self):
-        super().__init__(lambda s, t: np.asarray(t, dtype=float) - np.asarray(s, dtype=float))
-
-    def __repr__(self):
-        return "HolderControl()"
-
-
 def _locate(times: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
     """Query times as a 1-d array, and the grid interval k holding each.
 
@@ -148,7 +114,6 @@ class RoughPath:
     times: np.ndarray            # (N+1,) strictly increasing, times[0] = 0
     level1: np.ndarray           # (N+1, m), level1[0] = 0
     level2: np.ndarray           # (N+1, m, m), level2[0] = 0
-    control: Control = field(default_factory=HolderControl)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -242,7 +207,7 @@ class RoughPath:
 class AreaDrift:
     """Symmetric area-drift path beta(t), beta(0) = 0 (finite, per time)."""
 
-    times: np.ndarray            # (N+1,)
+    times: np.ndarray            # (N+1,) strictly increasing
     beta: np.ndarray             # (N+1, m, m), each symmetric
 
     def __post_init__(self):
@@ -251,6 +216,8 @@ class AreaDrift:
         if b.ndim != 3 or b.shape[0] != len(t) or b.shape[1] != b.shape[2]:
             raise ValueError("beta must be (len(times), m, m)")
         _require_finite(times=t, beta=b)
+        if np.any(np.diff(t) <= 0):
+            raise ValueError("times must be strictly increasing")
         asym = np.max(np.abs(b - np.swapaxes(b, 1, 2)), initial=0.0)
         if asym > 1e-12:
             raise ValueError(f"beta matrices not symmetric (max asymmetry {asym:.2e})")
@@ -276,7 +243,7 @@ class AreaDrift:
 # construction
 
 
-def lift_piecewise_linear(points, times, control: Control | None = None) -> RoughPath:
+def lift_piecewise_linear(points, times) -> RoughPath:
     """Canonical level-2 lift of a polyline.
 
     Over a linear segment with increment delta the level-2 increment is
@@ -297,11 +264,11 @@ def lift_piecewise_linear(points, times, control: Control | None = None) -> Roug
     cross = np.einsum("ki,kj->kij", u[:-1], delta)
     b = np.zeros((n, m, m))
     np.cumsum(b_inc + cross, axis=0, out=b[1:])
-    return RoughPath(t, u, b, control or HolderControl())
+    return RoughPath(t, u, b)
 
 
 def pure_area_path(T: float, m: int = 1, area: np.ndarray | None = None,
-                   n_points: int = 2, control: Control | None = None) -> RoughPath:
+                   n_points: int = 2) -> RoughPath:
     """Path fixed at the origin whose level-2 part grows linearly in t.
 
     With the default area matrix [[1]] this is the non-geometric driver
@@ -311,12 +278,11 @@ def pure_area_path(T: float, m: int = 1, area: np.ndarray | None = None,
     t = np.linspace(0.0, T, max(2, n_points))
     u = np.zeros((len(t), m))
     b = t[:, None, None] * a[None, :, :]
-    return RoughPath(t, u, b, control or HolderControl())
+    return RoughPath(t, u, b)
 
 
 def brownian_lift(seed: int, steps: int, T: float, m: int,
-                  convention: str = "stratonovich",
-                  control: Control | None = None) -> RoughPath:
+                  convention: str = "stratonovich") -> RoughPath:
     """Level-2 lift of a sampled Brownian path.
 
     Per sampling interval the level-2 increment is 0 (left-point rule,
@@ -341,12 +307,12 @@ def brownian_lift(seed: int, steps: int, T: float, m: int,
     cross = np.einsum("ki,kj->kij", u[:-1], dW)
     b = np.zeros((steps + 1, m, m))
     np.cumsum(b_inc + cross, axis=0, out=b[1:])
-    return RoughPath(t, u, b, control or HolderControl())
+    return RoughPath(t, u, b)
 
 
 def dilate(rp: RoughPath, lam: float) -> RoughPath:
     """Dilation by lam: level1 scales by lam, level2 by lam^2."""
-    return RoughPath(rp.times, lam * rp.level1, lam * lam * rp.level2, rp.control)
+    return RoughPath(rp.times, lam * rp.level1, lam * lam * rp.level2)
 
 
 # ---------------------------------------------------------------------------
@@ -490,49 +456,37 @@ def _inflate(bound: np.ndarray, absolute: float = 0.0) -> np.ndarray:
     A difference of two stored values is correctly rounded, and the sums
     of squares, square roots, products and quotients built on it each add
     a relative error of at most eps: a few dozen such roundings, plus
-    the control's own (a computed control is taken to be monotone under
-    inclusion to within a few ulps), stay far below _BOUND_REL = 1e-9
-    for any width under 10^6.  Cancellation (a level-2 correction, the
-    difference of two triples, a running sum) instead costs an absolute
-    error of eps times the data's magnitude, which each measure passes
-    as `absolute`; the smallest normal float covers underflow.
+    the powers of t - s (rounding is monotone, so a tile corner's t - s
+    is at most every pair's as computed; a power adds an ulp or so), stay
+    far below _BOUND_REL = 1e-9 for any width under 10^6.  Cancellation
+    (a level-2 correction, the difference of two triples, a running sum)
+    instead costs an absolute error of eps times the data's magnitude,
+    which each measure passes as `absolute`; the smallest normal float
+    covers underflow.
     """
     return bound * (1.0 + _BOUND_REL) + (absolute + np.finfo(float).tiny)
 
 
-def _tile_tops(t, control, powers, norms, i0, i1, j0, j1, diagonal):
-    """Largest norm / w^power on one evaluated tile, per norm; None when a
-    pair with w <= 0 has a nonzero norm.  Raises ValueError on NaN."""
-    dead = None
+def _tile_tops(t, powers, norms, i0, i1, j0, j1, diagonal):
+    """Largest norm / (t - s)^power on one evaluated tile, per norm.
+    Raises ValueError on NaN."""
+    w = t[None, j0:j1] - t[i0:i1, None]
     if diagonal:
         # end point j0 + col not after start point i0 + row (j0 = i0 + 1)
         r = np.arange(i1 - i0)
         dead = r[None, :] < r[:, None]
-    if control is None:
-        if dead is not None:
-            for v in norms:
-                v[dead] = 0.0
-        tops = [float(np.max(v, initial=0.0)) for v in norms]
-    else:
-        s = t[i0:i1, None]
-        # dead pairs are queried at (s, s), where every control is 0
-        w = np.asarray(control(s, np.maximum(s, t[None, j0:j1])),
-                       dtype=float)
-        zero = w <= 0.0
-        live = zero if dead is None else zero & ~dead
-        if np.any(live) and any(np.any(v[live] > 0.0) for v in norms):
-            return None
-        w = np.where(zero, np.inf, w)
-        tops = [float(np.max(v / w ** pw, initial=0.0))
-                for v, pw in zip(norms, powers)]
+        for v in norms:
+            v[dead] = 0.0
+        w[dead] = 1.0
+    tops = [float(np.max(v / w ** pw, initial=0.0))
+            for v, pw in zip(norms, powers)]
     if any(map(math.isnan, tops)):
-        raise ValueError("NaN in a grid-pair measure (control or data)")
+        raise ValueError("NaN in a grid-pair measure")
     return tops
 
 
-def _pair_sup(times, control, powers, tile_norms, bounds,
-              walk=False) -> list[float]:
-    """Largest norm / w(s, t)^power over grid pairs s < t, per norm.
+def _pair_sup(times, powers, tile_norms, bounds, walk=False) -> list[float]:
+    """Largest norm / (t - s)^power over grid pairs s < t, per norm.
 
     The scan behind every sup-over-pairs measure.  The pairs are cut into
     tiles of side start points (a row of tiles) by side end points (a
@@ -541,26 +495,24 @@ def _pair_sup(times, control, powers, tile_norms, bounds,
     array per entry of powers: the norms from start points i0..i1-1 to
     end points j0..j1-1, each pair computed the same way in any tile.
     bounds holds, per norm, a (rows, columns) array bounding every norm
-    of each tile as computed (see _inflate).  w is queried at
-    (s, max(s, t)); with control None norms are taken unscaled (w = 1).
+    of each tile as computed (see _inflate).  The times must increase
+    strictly, so t - s > 0 on every pair.
 
-    Visit order and skip rule: w is first queried at each tile's inner
-    corner (its last start point s*, first end point t*).  The tiles
-    where w(s*, t*) <= 0, the diagonal ones among them, cannot be
-    bounded and are evaluated first.  The rest follow in decreasing order
-    of their bounds over w(s*, t*)^power (each norm's normalised by its
-    largest), and a tile is skipped when each of these is at most the
-    running maximum of its norm: w is monotone under inclusion (see
-    Control), so w(s*, t*) bounds w from below on the tile.  With walk,
-    for norms that continue running sums along a row of tiles, a tile
-    that is not skipped is evaluated after every tile left of it in its
-    row, in column order, so each row is walked at most once.
+    Visit order and skip rule: a tile's bounds are divided by the power
+    of t* - s*, from its inner corner (its last start point s*, first
+    end point t*).  On a diagonal tile of more than one start point
+    t* <= s*, which bounds no norm of positive power: those tiles are
+    evaluated first, unless every power is 0.  The rest follow in
+    decreasing order of their scaled bounds (each norm's normalised by
+    its largest), and a tile is skipped when each of these is at most
+    the running maximum of its norm, since t - s >= t* - s* on the tile.
+    With walk, for norms that continue running sums along a row of
+    tiles, a tile that is not skipped is evaluated after every tile left
+    of it in its row, in column order, so each row is walked at most
+    once.
 
-    On every evaluated tile, a pair with w <= 0 is ignored if its norms
-    are 0 and makes every result inf otherwise, and a NaN maximum raises
-    ValueError.  So NaN is caught on the evaluated pairs and at the
-    tile corners, where a NaN w raises before any tile is evaluated; a
-    NaN inside a skipped tile goes unseen.  No pair gives 0.0.
+    A NaN maximum on an evaluated tile raises ValueError; a NaN inside a
+    skipped tile goes unseen.  No pair gives 0.0.
     """
     t = np.asarray(times, dtype=float)
     n = len(t)
@@ -569,15 +521,8 @@ def _pair_sup(times, control, powers, tile_norms, bounds,
     # a column of tiles left of its row's diagonal holds no pair s < t
     r = np.arange(len(first))
     a, c = np.nonzero(r[:, None] <= r[None, :])
-    if control is None:
-        corner = np.ones(len(a))
-    else:
-        s = t[s_star[a]]
-        corner = np.asarray(control(s, np.maximum(s, t[t_star[c]])),
-                            dtype=float)
-        if np.any(np.isnan(corner)):
-            raise ValueError("NaN in a grid-pair measure (control or data)")
-    fixed = corner <= 0.0
+    corner = t[t_star[c]] - t[s_star[a]]
+    fixed = (corner <= 0.0) & (max(powers) > 0.0)
     key = np.zeros(len(a))
     scaled = np.empty((len(a), len(powers)))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -591,25 +536,19 @@ def _pair_sup(times, control, powers, tile_norms, bounds,
     # walk: the first column of tiles not yet evaluated, per row
     frontier = np.arange(len(first))
 
-    def evaluate(k) -> bool:
-        """Evaluate tile k (with walk, and the row's tiles left of it);
-        True when a pair with w <= 0 has a nonzero norm."""
+    def evaluate(k):
+        """Evaluate tile k (with walk, and the row's tiles left of it)."""
         row, col = int(a[k]), int(c[k])
         i0, i1 = int(first[row]), int(s_star[row]) + 1
         for cc in range(int(frontier[row]) if walk else col, col + 1):
             j0 = int(t_star[cc])
             j1 = min(j0 + side, n)
-            tops = _tile_tops(t, control, powers, tile_norms(i0, i1, j0, j1),
-                              i0, i1, j0, j1, cc == row)
-            if tops is None:
-                return True
-            np.maximum(best, tops, out=best)
+            np.maximum(best, _tile_tops(t, powers, tile_norms(i0, i1, j0, j1),
+                                        i0, i1, j0, j1, cc == row), out=best)
         frontier[row] = col + 1
-        return False
 
     for k in np.flatnonzero(fixed):
-        if evaluate(k):
-            return [math.inf] * len(powers)
+        evaluate(k)
     queue = np.flatnonzero(~fixed)
     while True:
         # drop the tiles evaluated (key -1) or now bounded (a NaN bound
@@ -622,16 +561,14 @@ def _pair_sup(times, control, powers, tile_norms, bounds,
             return best.tolist()
         k = queue[np.argmax(key[queue])]
         key[k] = -1.0
-        if evaluate(k):
-            return [math.inf] * len(powers)
+        evaluate(k)
 
 
 def pvar_norm(rp: RoughPath, p: float) -> float:
-    """Grid p-variation norm against the path's control.
+    """Grid p-variation norm.
 
-    Smallest C with |u(s,t)| <= C w(s,t)^(1/p) and
-    ||b(s,t)||_F <= C^2 w(s,t)^(2/p) over all grid pairs s < t.
-    Returns inf when some pair has zero control but a nonzero increment.
+    Smallest C with |u(s,t)| <= C (t - s)^(1/p) and
+    ||b(s,t)||_F <= C^2 (t - s)^(2/p) over all grid pairs s < t.
     """
     if not (2.0 <= p < 3.0):
         raise ValueError("p must lie in [2, 3)")
@@ -663,8 +600,7 @@ def pvar_norm(rp: RoughPath, p: float) -> float:
     bounds = (_inflate(r1 + a1 + c1),
               _inflate(r2 + a2 + c2 + r1 * a1 + r1 * c1 + a1 * c1,
                        level2_error))
-    c1, c2sq = _pair_sup(rp.times, rp.control, (1.0 / p, 2.0 / p), norms,
-                         bounds)
+    c1, c2sq = _pair_sup(rp.times, (1.0 / p, 2.0 / p), norms, bounds)
     return max(c1, math.sqrt(c2sq))
 
 
@@ -686,10 +622,11 @@ def geometricity_defect(rp: RoughPath) -> float:
     bounded by the entrywise-range envelope (exact for m = 1, at most a
     factor m high) beyond that.
 
-    The exact scan (_pair_sup, no control) sums squared differences one
-    matrix entry at a time and takes a single sqrt of the largest sum;
-    this matches a per-pair Euclidean norm bit for bit when m <= 2 and
-    to within an ulp or two for larger m, where numpy sums pairwise.
+    The exact scan (_pair_sup at power 0, so unscaled) sums squared
+    differences one matrix entry at a time and takes a single sqrt of
+    the largest sum; this matches a per-pair Euclidean norm bit for bit
+    when m <= 2 and to within an ulp or two for larger m, where numpy
+    sums pairwise.
     """
     beta = beta_path(rp)
     n = len(beta)
@@ -705,8 +642,7 @@ def geometricity_defect(rp: RoughPath) -> float:
             return (sq,)
 
         bound = _inflate(_triangle_bound(n, flat) ** 2)
-        return math.sqrt(_pair_sup(rp.times, None, (0.0,), squares,
-                                   (bound,))[0])
+        return math.sqrt(_pair_sup(rp.times, (0.0,), squares, (bound,))[0])
     ranges = flat.max(axis=0) - flat.min(axis=0)
     return float(np.linalg.norm(ranges))
 
@@ -719,7 +655,7 @@ def decompose(rp: RoughPath) -> tuple[RoughPath, AreaDrift]:
     recompose(decompose(rp)) reproduces rp up to float roundoff.
     """
     beta = beta_path(rp)
-    geo = RoughPath(rp.times, rp.level1, rp.level2 - beta, rp.control)
+    geo = RoughPath(rp.times, rp.level1, rp.level2 - beta)
     return geo, AreaDrift(rp.times, beta)
 
 
@@ -729,7 +665,7 @@ def recompose(geometric: RoughPath, drift: AreaDrift) -> RoughPath:
             geometric.times, drift.times):
         raise ValueError("geometric part and drift must share a grid")
     return RoughPath(geometric.times, geometric.level1,
-                     geometric.level2 + drift.beta, geometric.control)
+                     geometric.level2 + drift.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -779,7 +715,7 @@ def write_roughpath_csv(rp: RoughPath, path) -> None:
         [rp.times, rp.level1, rp.level2.reshape(rp.n_points, m * m)]))
 
 
-def read_roughpath_csv(path, control: Control | None = None) -> RoughPath:
+def read_roughpath_csv(path) -> RoughPath:
     """Read the point values write_roughpath_csv wrote (exactly)."""
     header, data = _read_csv(path)
     m = sum(1 for h in header if h.startswith("x") and "_" not in h)
@@ -787,5 +723,4 @@ def read_roughpath_csv(path, control: Control | None = None) -> RoughPath:
         raise ValueError(f"{path}: expected columns t, {m} of level 1 and "
                          f"{m * m} of level 2")
     return RoughPath(data[:, 0], data[:, 1:1 + m],
-                     data[:, 1 + m:].reshape(-1, m, m),
-                     control or HolderControl())
+                     data[:, 1 + m:].reshape(-1, m, m))

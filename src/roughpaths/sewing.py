@@ -1,7 +1,7 @@
 """The sewing operator: correcting almost-multiplicative two-parameter maps.
 
 An almost rough path is a map z(s, t) whose multiplicativity defect
-z(s,t) - z(s,u) (x) z(u,t) is bounded by C * w(s,t)^theta with theta > 1.
+z(s,t) - z(s,u) (x) z(u,t) is bounded by C * (t - s)^theta with theta > 1.
 Its sewn value over [s, t] is the limit of ordered products of z over
 dyadic refinements; successive refinement levels differ geometrically
 with ratio 2^(1-theta), which both proves convergence and gives a
@@ -17,11 +17,10 @@ what ``young_integral`` evaluates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .rough_paths import Control, HolderControl
 from .tensor_algebra import GroupElement2
 
 __all__ = [
@@ -56,7 +55,6 @@ class AlmostRoughPath:
 
     fn: object
     theta: float
-    control: Control = field(default_factory=HolderControl)
 
     def __call__(self, s: float, t: float):
         return self.fn(s, t)
@@ -95,7 +93,7 @@ class SewResult:
     gaps: list
     converged: bool
     correction: float          # |value - z(s,t)|, the sewing correction size
-    correction_bound: float    # correction / w(s,t)^theta (measured C')
+    correction_bound: float    # correction / (t - s)^theta (measured C')
 
 
 def sew(arp: AlmostRoughPath, s: float, t: float, tol: float = 1e-10,
@@ -129,9 +127,8 @@ def sew(arp: AlmostRoughPath, s: float, t: float, tol: float = 1e-10,
         prev = cur
     base = arp.fn(s, t)
     corr = _gap(value, base)
-    w = float(arp.control(s, t))
-    corr_bound = corr / w ** arp.theta if w > 0 else float("inf")
-    result = SewResult(value, levels, gaps, converged, corr, corr_bound)
+    result = SewResult(value, levels, gaps, converged, corr,
+                       corr / (t - s) ** arp.theta)
     if full_output:
         return result
     if not converged:

@@ -12,7 +12,6 @@ import numpy as np
 
 from roughpaths.log_sphere_map import _RHO_OVERFLOW, LogSphereCoords
 from roughpaths.partial_rough_paths import PartialRoughPath
-from roughpaths.rough_paths import HolderControl
 from roughpaths.vector_fields import VectorField
 
 
@@ -87,11 +86,11 @@ def riemann_stieltjes(g_vals, d_vals):
     return float(np.sum(g[:-1] * np.diff(d)))
 
 
-def pvar_norm_pairs(times, level1, level2, control, p):
+def pvar_norm_pairs(times, level1, level2, p):
     """Grid p-variation norm by visiting every pair s < t on its own.
 
     Each pair gets the same per-element operations as the library's scan
-    (difference, outer-product correction, Euclidean norms, control to
+    (difference, outer-product correction, Euclidean norms, t - s to
     the power 1/p and 2/p), so the two agree exactly, not just closely.
     """
     n = len(times)
@@ -103,11 +102,8 @@ def pvar_norm_pairs(times, level1, level2, control, p):
             db = level2[j] - level2[i] - np.outer(level1[i], du)
             n1 = np.linalg.norm(du, axis=0)
             n2 = np.linalg.norm(db.ravel(), axis=0)
-            w = np.asarray(control(times[i], times[j]), dtype=float)
-            if w <= 0.0:
-                if n1 > 0 or n2 > 0:
-                    return np.inf
-                continue
+            # a 0-d array: numpy's scalar power may round differently
+            w = np.asarray(times[j] - times[i])
             c1 = max(c1, float(n1 / w ** (1.0 / p)))
             c2sq = max(c2sq, float(n2 / w ** (2.0 / p)))
     return max(c1, float(np.sqrt(c2sq)))
@@ -166,13 +162,12 @@ def _cross_row(prp, i):
 
 
 def pvar_distance_rows(a, b):
-    """pvar_distance one start point at a time, with a's control and p."""
+    """pvar_distance one start point at a time, with a's p."""
     t = a.times
     p = a.p
     worst = 0.0
     for i in range(a.n_points - 1):
-        w = np.asarray(a.control(t[i], t[i + 1:]), dtype=float)
-        w = np.where(w <= 0, np.inf, w)
+        w = t[i + 1:] - t[i]
         dx = np.linalg.norm((a.x[i + 1:] - a.x[i]) - (b.x[i + 1:] - b.x[i]),
                             axis=1)
         dy = np.linalg.norm((a.y[i + 1:] - a.y[i]) - (b.y[i + 1:] - b.y[i]),
@@ -197,13 +192,12 @@ def pvar_distance_rows(a, b):
 _ROW_BLOCK = 16384
 
 
-def pair_sup_blocked(times, control, powers, block_norms, width=1):
-    """Largest norm / w(s, t)^power over grid pairs s < t, per norm.
+def pair_sup_blocked(times, powers, block_norms, width=1):
+    """Largest norm / (t - s)^power over grid pairs s < t, per norm.
 
     block_norms(i0, i1) returns one (rows, cols) array per power: start
-    points i0..i1-1 against end points i0+1..n-1.  A pair with w <= 0
-    counts only with a nonzero norm, which makes every result inf; a NaN
-    maximum raises ValueError.
+    points i0..i1-1 against end points i0+1..n-1.  A NaN maximum raises
+    ValueError.
     """
     t = np.asarray(times, dtype=float)
     n = len(t)
@@ -214,24 +208,14 @@ def pair_sup_blocked(times, control, powers, block_norms, width=1):
         rows = i1 - i0
         dead = np.arange(rows)[None, :] < np.arange(rows)[:, None]
         norms = block_norms(i0, i1)
-        if control is None:
-            for v in norms:
-                v[:, :rows][dead] = 0.0
-            tops = [float(np.max(v, initial=0.0)) for v in norms]
-        else:
-            s = t[i0:i1, None]
-            w = np.asarray(control(s, np.maximum(s, t[None, i0 + 1:])),
-                           dtype=float)
-            zero = w <= 0.0
-            live_zero = zero.copy()
-            live_zero[:, :rows] &= ~dead
-            if any(np.any(v[live_zero] > 0.0) for v in norms):
-                return [math.inf] * len(powers)
-            w = np.where(zero, np.inf, w)
-            tops = [float(np.max(v / w ** pw, initial=0.0))
-                    for v, pw in zip(norms, powers)]
+        w = t[None, i0 + 1:] - t[i0:i1, None]
+        for v in norms:
+            v[:, :rows][dead] = 0.0
+        w[:, :rows][dead] = 1.0
+        tops = [float(np.max(v / w ** pw, initial=0.0))
+                for v, pw in zip(norms, powers)]
         if any(map(math.isnan, tops)):
-            raise ValueError("NaN in a grid-pair measure (control or data)")
+            raise ValueError("NaN in a grid-pair measure")
         best = [max(a, b) for a, b in zip(best, tops)]
         i0 = i1
     return best
@@ -247,8 +231,8 @@ def pvar_norm_blocked(rp, p):
         return (np.linalg.norm(du, axis=2),
                 np.linalg.norm(db.reshape(db.shape[:2] + (-1,)), axis=2))
 
-    c1, c2sq = pair_sup_blocked(rp.times, rp.control, (1.0 / p, 2.0 / p),
-                                norms, rp.m * rp.m)
+    c1, c2sq = pair_sup_blocked(rp.times, (1.0 / p, 2.0 / p), norms,
+                                rp.m * rp.m)
     return max(c1, math.sqrt(c2sq))
 
 
@@ -267,7 +251,7 @@ def geometricity_defect_blocked(rp):
             sq += d * d
         return (sq,)
 
-    return math.sqrt(pair_sup_blocked(rp.times, None, (0.0,), squares)[0])
+    return math.sqrt(pair_sup_blocked(rp.times, (0.0,), squares)[0])
 
 
 def _cross_block(prp, i0, i1):
@@ -292,8 +276,7 @@ def pvar_distance_blocked(a, b):
         return ex, ey, np.linalg.norm(dc, axis=2)
 
     p = a.p
-    return max(pair_sup_blocked(a.times, a.control,
-                                (1.0 / p, 1.0 / p, 2.0 / p), norms,
+    return max(pair_sup_blocked(a.times, (1.0 / p, 1.0 / p, 2.0 / p), norms,
                                 a.d * a.m))
 
 
@@ -479,7 +462,7 @@ def finite_diff_grad(vf_eval, y, h: float = 1e-6) -> np.ndarray:
 
 
 def partial_from_smooth(x_of_t, y_of_t, times, p: float = 2.0,
-                        refine: int = 16, control=None) -> PartialRoughPath:
+                        refine: int = 16) -> PartialRoughPath:
     """Build a triple from smooth paths by refined trapezoidal sums.
 
     Each interval's x2 and cross increments are Stieltjes sums on a
@@ -513,8 +496,7 @@ def partial_from_smooth(x_of_t, y_of_t, times, p: float = 2.0,
         mid_y = 0.5 * (ys_rel[:-1] + ys_rel[1:])
         x2_inc[i] = np.einsum("ka,kb->ab", mid_x, dx)
         cross_inc[i] = np.einsum("ka,kb->ab", mid_y, dx)
-    return PartialRoughPath(t, x_nodes, x2_inc, y_nodes, cross_inc, p,
-                            control or HolderControl())
+    return PartialRoughPath(t, x_nodes, x2_inc, y_nodes, cross_inc, p)
 
 
 def rough_integral_along(prp: PartialRoughPath, g) -> PartialRoughPath:
@@ -541,7 +523,7 @@ def rough_integral_along(prp: PartialRoughPath, g) -> PartialRoughPath:
         path[i + 1] = path[i] + inc
         cross_i[i] = ge @ prp.x2_inc[i]
     return PartialRoughPath(prp.times, prp.x, prp.x2_inc, path, cross_i,
-                            prp.p, prp.control)
+                            prp.p)
 
 
 def z_of(c: LogSphereCoords) -> np.ndarray:

@@ -18,8 +18,8 @@ import pytest
 from roughpaths import partial_rough_paths, rough_paths
 from roughpaths.partial_rough_paths import PartialRoughPath, pvar_distance
 from roughpaths.rde_solver import SolverConfig, solution_to_partial, solve_rde
-from roughpaths.rough_paths import (Control, HolderControl, RoughPath,
-                                    brownian_lift, geometricity_defect,
+from roughpaths.rough_paths import (RoughPath, brownian_lift,
+                                    geometricity_defect,
                                     lift_piecewise_linear, pvar_norm)
 from roughpaths.vector_fields import counterexample_field
 
@@ -44,8 +44,7 @@ def random_triple(rng, n, d, m, times=None):
 def on_driver_of(a, b):
     """b's y and cross increments on a's driver: a triple that shares
     its driver with a."""
-    return PartialRoughPath(a.times, a.x, a.x2_inc, b.y, b.cross_inc, a.p,
-                            a.control)
+    return PartialRoughPath(a.times, a.x, a.x2_inc, b.y, b.cross_inc, a.p)
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -143,14 +142,6 @@ def test_geometricity_envelope_brackets_exact_scan(monkeypatch, m):
             assert exact <= envelope <= m * exact
 
 
-def test_nan_control_raises():
-    x = brownian_lift(3, 40, 1.0, 1)
-    nan_control = Control(lambda s, t: np.where(np.asarray(t) > 0.5, np.nan,
-                                                np.asarray(t) - np.asarray(s)))
-    with pytest.raises(ValueError, match="NaN"):
-        pvar_norm(RoughPath(x.times, x.level1, x.level2, nan_control), 2.0)
-
-
 def test_one_point_grid_has_no_pairs():
     t = np.zeros(1)
     x = RoughPath(t, np.zeros((1, 2)), np.zeros((1, 2, 2)))
@@ -164,23 +155,13 @@ def test_one_point_grid_has_no_pairs():
 # the skip rule, with fake callbacks
 
 
-def _clamped_control():
-    # zero on every pair that ends by t = 6: corners of whole tiles, off
-    # the diagonal too, cannot bound anything
-    return Control(lambda s, t: (np.maximum(np.asarray(t), 6.0)
-                                 - np.maximum(np.asarray(s), 6.0)))
-
-
-CONTROLS = {"none": None, "holder": HolderControl(),
-            "clamped": _clamped_control()}
-
-
-def _fake_scan(monkeypatch, seed, n, side, powers, control, walk):
+def _fake_scan(monkeypatch, seed, n, side, powers, walk):
     """Run _pair_sup on tiles whose norms are one constant per tile and
-    norm (0 where the control vanishes), with valid bounds 1-3 times too
-    high (without a control, a third of them exactly at the maxima).
-    Returns the tiles' tops, scaled bounds and corner controls,
-    the tiles evaluated (in order) and the result."""
+    norm, with valid bounds 1-3 times too high (at power 0, a third of
+    them exactly at the maxima).  Returns the tiles' tops, scaled bounds
+    and whether each is evaluated unconditionally (a tile corner with
+    t* <= s* and a positive power), the tiles evaluated (in order) and
+    the result."""
     monkeypatch.setattr(rough_paths, "_TILE", side)
     rng = np.random.default_rng(seed)
     times = random_grid(rng, n)
@@ -188,33 +169,24 @@ def _fake_scan(monkeypatch, seed, n, side, powers, control, walk):
     rows = len(first)
     values = rng.uniform(0.1, 1.0, size=(len(powers), rows, rows))
     bounds = values * rng.uniform(1.0, 3.0, size=values.shape)
-    if control is None:
+    if max(powers) == 0.0:
         # a third of the tiles bounded exactly at the maxima: ties skip
         tied = rng.uniform(size=(rows, rows)) < 1 / 3
         top = values.max(axis=(1, 2))[:, None]
         bounds[:, tied] = top
-    tops, scaled, corner, pair_w = {}, {}, {}, {}
+    tops, scaled, fixed = {}, {}, {}
     for a in range(rows):
         for c in range(a, rows):
             i = np.arange(first[a], s_star[a] + 1)[:, None]
             j = np.arange(t_star[c], min(t_star[c] + side, n))[None, :]
-            live = j > i
-            if control is None:
-                pair_w[a, c] = np.ones(np.count_nonzero(live))
-                corner[a, c] = 1.0
-            else:
-                s = times[i]
-                pair_w[a, c] = control(s, np.maximum(s, times[j]))[live]
-                s = times[s_star[a]]
-                corner[a, c] = float(control(s, max(s, times[t_star[c]])))
-            if np.min(pair_w[a, c]) <= 0.0:
-                values[:, a, c] = bounds[:, a, c] = 0.0
-    for (a, c), w in pair_w.items():
-        tops[a, c] = [float(np.max(v[a, c] / w[w > 0] ** pw, initial=0.0))
-                      for v, pw in zip(values, powers)]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scaled[a, c] = [b[a, c] / corner[a, c] ** pw
-                            for b, pw in zip(bounds, powers)]
+            w = (times[j] - times[i])[j > i]
+            corner = times[t_star[c]] - times[s_star[a]]
+            fixed[a, c] = corner <= 0.0 and max(powers) > 0.0
+            tops[a, c] = [float(np.max(v[a, c] / w ** pw))
+                          for v, pw in zip(values, powers)]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                scaled[a, c] = [b[a, c] / corner ** pw
+                                for b, pw in zip(bounds, powers)]
     calls = []
 
     def tile_norms(i0, i1, j0, j1):
@@ -222,20 +194,25 @@ def _fake_scan(monkeypatch, seed, n, side, powers, control, walk):
         calls.append((a, c))
         return [np.full((i1 - i0, j1 - j0), v[a, c]) for v in values]
 
-    result = rough_paths._pair_sup(times, control, powers, tile_norms,
-                                   list(bounds), walk)
-    return tops, scaled, corner, calls, result
+    result = rough_paths._pair_sup(times, powers, tile_norms, list(bounds),
+                                   walk)
+    return tops, scaled, fixed, calls, result
 
 
-def _must_evaluate(tops, scaled, corner, calls, result):
+def _must_evaluate(tops, scaled, fixed, calls, result):
     # the unboundable tiles and the tiles above the final maxima
     final = [max(tp[k] for tp in tops.values()) for k in range(len(result))]
     assert result == final
     assert len(set(calls)) == len(calls)
     for tile in tops:
-        if corner[tile] <= 0 or any(x > y for x, y in zip(scaled[tile],
-                                                          final)):
+        if fixed[tile] or any(x > y for x, y in zip(scaled[tile], final)):
             assert tile in calls, tile
+
+
+# "holder": the norms over (t - s)^power; "none": every power 0, the
+# norms unscaled, as geometricity_defect scans them
+CONTROLS = {"none": lambda powers: (0.0,) * len(powers),
+            "holder": lambda powers: powers}
 
 
 @pytest.mark.parametrize("side", [1, 3, 4])
@@ -243,40 +220,39 @@ def _must_evaluate(tops, scaled, corner, calls, result):
 @pytest.mark.parametrize("control", sorted(CONTROLS))
 def test_scan_skips_exactly_the_bounded_tiles(monkeypatch, side, powers,
                                               control):
+    powers = CONTROLS[control](powers)
     for seed in range(4):
-        tops, scaled, corner, calls, result = _fake_scan(
-            monkeypatch, seed, 29, side, powers, CONTROLS[control],
-            walk=False)
-        _must_evaluate(tops, scaled, corner, calls, result)
+        tops, scaled, fixed, calls, result = _fake_scan(
+            monkeypatch, seed, 29, side, powers, walk=False)
+        _must_evaluate(tops, scaled, fixed, calls, result)
         # replay: no tile is evaluated while every bound of it is at or
         # below the running maximum of its norm, and the bounded ones
         # come in decreasing order of their largest normalised bound
         best = [0.0] * len(powers)
         largest = [max(sc[k] for tile, sc in scaled.items()
-                       if corner[tile] > 0) for k in range(len(powers))]
+                       if not fixed[tile]) for k in range(len(powers))]
         keys = []
         for tile in calls:
-            if corner[tile] > 0:
+            if not fixed[tile]:
                 assert any(x > y for x, y in zip(scaled[tile], best)), tile
                 keys.append(max(x / y for x, y in zip(scaled[tile], largest)))
             best = [max(x, y) for x, y in zip(best, tops[tile])]
         assert keys == sorted(keys, reverse=True)
-        diagonal_only = control == "holder" and side > 1
-        unbounded = {tile for tile in tops if corner[tile] <= 0}
-        assert bool(unbounded) == (control == "clamped" or diagonal_only)
-        if control == "clamped":
-            assert any(a < c for a, c in unbounded)
+        # only the diagonal tiles of several start points go first, and
+        # only for a positive power: at power 0 they are bounded too
+        unbounded = {tile for tile in tops if fixed[tile]}
+        assert bool(unbounded) == (control == "holder" and side > 1)
+        assert all(a == c for a, c in unbounded)
         assert len(calls) < len(tops)
 
 
 @pytest.mark.parametrize("side", [1, 4])
-@pytest.mark.parametrize("control", ["holder", "clamped"])
+@pytest.mark.parametrize("control", ["holder"])   # keeps the ids
 def test_walk_evaluates_each_row_left_to_right(monkeypatch, side, control):
     for seed in range(4):
-        tops, scaled, corner, calls, result = _fake_scan(
-            monkeypatch, seed, 29, side, (0.5, 1.0), CONTROLS[control],
-            walk=True)
-        _must_evaluate(tops, scaled, corner, calls, result)
+        tops, scaled, fixed, calls, result = _fake_scan(
+            monkeypatch, seed, 29, side, (0.5, 1.0), walk=True)
+        _must_evaluate(tops, scaled, fixed, calls, result)
         for a in {a for a, _ in calls}:
             cols = [c for r, c in calls if r == a]
             assert cols == list(range(a, a + len(cols)))
@@ -292,7 +268,7 @@ def tiles(monkeypatch):
     counts = {"tiles": 0, "evaluated": 0}
     scan = rough_paths._pair_sup
 
-    def counting(times, control, powers, tile_norms, bounds, walk=False):
+    def counting(times, powers, tile_norms, bounds, walk=False):
         rows = len(rough_paths._tile_corners(len(times))[0])
         counts["tiles"] += rows * (rows + 1) // 2
 
@@ -300,7 +276,7 @@ def tiles(monkeypatch):
             counts["evaluated"] += 1
             return tile_norms(*args)
 
-        return scan(times, control, powers, norms, bounds, walk)
+        return scan(times, powers, norms, bounds, walk)
 
     monkeypatch.setattr(rough_paths, "_pair_sup", counting)
     monkeypatch.setattr(partial_rough_paths, "_pair_sup", counting)
@@ -350,7 +326,7 @@ def test_pvar_distance_equals_blocked_scan_on_large_grids(tiles):
     wave = 1e-3 * np.sin(np.pi * t / 0.3)
     b = PartialRoughPath(t, a.x, a.x2_inc, a.y + wave[:, None],
                          a.cross_inc + 1e-3 * np.diff(wave)[:, None, None],
-                         a.p, a.control)
+                         a.p)
     assert pvar_distance(a, b) == pvar_distance_blocked(a, b)
     assert pvar_distance(b, a) == pvar_distance_blocked(b, a)
     # unrelated triples on a shared grid
@@ -363,7 +339,7 @@ def test_pvar_distance_equals_blocked_scan_on_large_grids(tiles):
 
 def test_tied_maxima_equal_blocked_scan(tiles):
     # a zigzag of unit steps on a dyadic grid: every up-stroke of the
-    # same length ties for the largest increment over its control
+    # same length ties for the largest increment over its t - s
     n = 1537
     pts = np.where(np.arange(n) // 5 % 2 == 0, np.arange(n) % 5,
                    5 - np.arange(n) % 5)[:, None] * np.ones((1, 2))
@@ -371,83 +347,6 @@ def test_tied_maxima_equal_blocked_scan(tiles):
     assert pvar_norm(x, 2.0) == pvar_norm_blocked(x, 2.0)
     assert geometricity_defect(x) == geometricity_defect_blocked(x)
     assert skipped(tiles)
-
-
-def _large_measures(x, control):
-    """The measures on one large driver and its triple against a copy
-    with y doubled (shared driver) and one with x doubled, under
-    control, against their blocked scans."""
-    x = RoughPath(x.times, x.level1, x.level2, control)
-    n = x.n_points
-    a = PartialRoughPath(x.times, x.level1, np.zeros((n - 1, 1, 1)),
-                         x.level1, np.diff(x.level2, axis=0),
-                         control=control)
-    b = PartialRoughPath(x.times, x.level1, a.x2_inc, 2 * x.level1,
-                         a.cross_inc, control=control)
-    c = PartialRoughPath(x.times, 2 * x.level1, a.x2_inc, x.level1,
-                         a.cross_inc, control=control)
-    return [(pvar_norm(x, 2.0), pvar_norm_blocked(x, 2.0)),
-            (pvar_distance(a, b), pvar_distance_blocked(a, b)),
-            (pvar_distance(a, c), pvar_distance_blocked(a, c))]
-
-
-def test_zero_control_over_several_tiles(tiles):
-    x = brownian_lift(7, 1024, 1.0, 1, "ito")
-    # zero on every pair up to lag 0.1 (about 100 grid steps): inf
-    shifted = Control(lambda s, t: np.maximum(
-        0.0, (np.asarray(t) - np.asarray(s)) - 0.1))
-    for got, ref in _large_measures(x, shifted):
-        assert got == ref == np.inf
-    # zero on [0, 0.3], where the driver stays at the origin: finite
-    t = x.times
-    still = np.where(t[:, None] <= 0.3, 0.0, x.level1 - x.level1[t <= 0.3][-1])
-    y = lift_piecewise_linear(still, t)
-    clamp = Control(lambda s, t: (np.maximum(np.asarray(t), 0.3)
-                                  - np.maximum(np.asarray(s), 0.3)))
-    for got, ref in _large_measures(y, clamp):
-        assert got == ref and np.isfinite(got)
-    # zero on [0, 0.5]; y moves on [0, 0.2] and x on [0.3, 0.4] only, so
-    # the cross integral is nonzero on zero-control pairs, but only on
-    # pairs more than a tile apart.  Against a copy with y still (shared
-    # driver) or with x still, that is the cross difference; the y or x
-    # difference is nonzero on near zero-control pairs as well, as any
-    # difference of increments that is nonzero on a pair is on some
-    # adjacent pair inside it
-    n = t.size
-    ramp = np.clip((t - np.array([[0.0], [0.3]])) / [[0.2], [0.1]], 0, 1).T
-    late = PartialRoughPath(t, ramp[:, 1:], np.zeros((n - 1, 1, 1)),
-                            ramp[:, :1], np.zeros((n - 1, 1, 1)),
-                            control=Control(lambda s, t: (
-                                np.maximum(np.asarray(t), 0.5)
-                                - np.maximum(np.asarray(s), 0.5))))
-    still = np.zeros((n, 1))
-    for other in (PartialRoughPath(t, late.x, late.x2_inc, still,
-                                   late.cross_inc, control=late.control),
-                  PartialRoughPath(t, still, late.x2_inc, late.y,
-                                   late.cross_inc, control=late.control)):
-        assert (pvar_distance(late, other) == pvar_distance_blocked(late, other)
-                == np.inf)
-    assert skipped(tiles)
-
-
-def test_nan_control_over_several_tiles_raises():
-    x = brownian_lift(8, 1024, 1.0, 1, "ito")
-    # zero up to lag 0.1 as well, where the increments would make the
-    # measures inf: the NaN at the tile corners is seen first
-    nan_control = Control(lambda s, t: np.where(
-        np.asarray(t) > 0.5, np.nan,
-        np.maximum(0.0, np.asarray(t) - np.asarray(s) - 0.1)))
-    y = RoughPath(x.times, x.level1, x.level2, nan_control)
-    n = x.n_points
-    a = PartialRoughPath(x.times, x.level1, np.zeros((n - 1, 1, 1)),
-                         x.level1, np.diff(x.level2, axis=0),
-                         control=nan_control)
-    b = PartialRoughPath(x.times, 2 * x.level1, a.x2_inc, x.level1,
-                         a.cross_inc, control=nan_control)
-    for measure in (lambda: pvar_norm(y, 2.0), lambda: pvar_distance(a, a),
-                    lambda: pvar_distance(a, b)):
-        with pytest.raises(ValueError, match="NaN"):
-            measure()
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +360,7 @@ def every_tile(monkeypatch):
     checked = []
     scan = rough_paths._pair_sup
 
-    def checking(times, control, powers, tile_norms, bounds, walk=False):
+    def checking(times, powers, tile_norms, bounds, walk=False):
         n = len(times)
         first, s_star, t_star = rough_paths._tile_corners(n)
         for a in range(len(first)):
@@ -473,7 +372,7 @@ def every_tile(monkeypatch):
                 for v, bound in zip(norms, bounds):
                     assert np.max(v[live], initial=0.0) <= bound[a, c]
                 checked.append((a, c))
-        return scan(times, control, powers, tile_norms, bounds, walk)
+        return scan(times, powers, tile_norms, bounds, walk)
 
     monkeypatch.setattr(rough_paths, "_TILE", 8)
     monkeypatch.setattr(rough_paths, "_pair_sup", checking)

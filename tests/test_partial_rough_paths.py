@@ -54,7 +54,7 @@ def test_distance_ignores_constant_shift_of_y():
     rng = np.random.default_rng(42)
     a = random_prp(rng)
     b = PartialRoughPath(a.times, a.x, a.x2_inc, a.y + 3.7, a.cross_inc,
-                         a.p, a.control)
+                         a.p)
     assert pvar_distance(a, b) <= 1e-13  # increments only, up to roundoff
 
 
@@ -79,6 +79,16 @@ def test_distance_hand_check_on_three_point_grid():
         expected = max(expected, (lam - 1)
                        * abs(a.cross_between(i, j)[0, 0]) / w ** 1.0)
     assert pvar_distance(a, b) == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("times", [[0.0, 0.5, 0.5, 1.0],
+                                   [0.0, 0.7, 0.4, 1.0]])
+def test_triple_rejects_times_not_strictly_increasing(times):
+    # repeated and decreasing times: a pair with t - s <= 0 has no scale
+    with pytest.raises(ValueError, match="strictly increasing"):
+        PartialRoughPath(np.array(times), np.zeros((4, 1)),
+                         np.zeros((3, 1, 1)), np.zeros((4, 1)),
+                         np.zeros((3, 1, 1)))
 
 
 def test_distance_rejects_grid_mismatch():
@@ -210,7 +220,7 @@ def test_pushforward_is_lipschitz_in_the_input_triple():
             base.times, base.x + delta * rng.normal(size=base.x.shape) * 0,
             base.x2_inc, base.y + delta, base.cross_inc
             + delta * rng.normal(size=base.cross_inc.shape),
-            base.p, base.control)
+            base.p)
         d_in = pvar_distance(base, pert)
         d_out = pvar_distance(out0, pushforward(pert, phi))
         if d_in > 0:

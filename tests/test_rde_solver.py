@@ -1,10 +1,13 @@
+import time
 import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from roughpaths.rough_paths import (decompose, dilate, geometricity_defect,
+from roughpaths import rde_solver
+from roughpaths.rough_paths import (brownian_lift, decompose, dilate,
+                                    geometricity_defect,
                                     lift_piecewise_linear, pure_area_path,
                                     pvar_norm, recompose)
 from roughpaths.rde_solver import (FieldEvaluationError, SolverConfig,
@@ -102,6 +105,12 @@ def test_oracle_equivalence_with_classical_rk4():
         assert err <= 1e-6, (vf.name, err)
 
 
+def test_mesh_over_the_step_cap_rejected():
+    with pytest.raises(ValueError, match="base_mesh"):
+        solve_rde(time_lift(), linear_field(1.0), np.array([1.0]), 1.0,
+                  SolverConfig(base_mesh=rde_solver._MAX_STEPS + 1))
+
+
 def test_mesh_refinement_improves_solution():
     x, _ = random_polyline(np.random.default_rng(63), n=5, scale=0.4)
     vf = counterexample_field()
@@ -168,13 +177,23 @@ def test_solution_to_partial_carries_the_interval_arrays():
     assert np.array_equal(prp.times, sol.times)
     assert np.array_equal(prp.x, sol.x1)
     assert np.array_equal(prp.y, sol.y)
-    assert prp.p == 2.5 and prp.control is x.control
+    assert prp.p == 2.5
     # per interval the cross increment pairs f(y_k) with the driver's x2
     vf = counterexample_field()
     for k in (0, 100, 255):
         assert np.array_equal(sol.cross_inc[k],
                               vf.eval(sol.y[k]) @ sol.x2_inc[k])
     assert np.array_equal(sol.x2_inc, x.increments_on_mesh(sol.times)[1])
+
+
+def test_solution_to_partial_rejects_another_driver():
+    x, _ = random_polyline(np.random.default_rng(65), n=5)
+    sol = solve_rde(x, counterexample_field(), np.array([1.0, 0.0]), 1.0,
+                    SolverConfig(base_mesh=16))
+    plane, _ = random_polyline(np.random.default_rng(65), n=5, m=2)
+    for other in (plane, time_lift(0.5)):
+        with pytest.raises(ValueError, match="driver"):
+            solution_to_partial(sol, other)
 
 
 def test_solution_cross_additivity_over_random_drivers():
@@ -370,6 +389,22 @@ def test_partition_constant_driver_single_interval():
     assert np.array_equal(part.times, [0.0, 1.0])
 
 
+def test_partition_points_are_multiples_of_the_step():
+    # with the control t - s every interval has length target, so the
+    # points are k * target, then T
+    x = time_lift()
+    t0 = time.perf_counter()
+    part = adaptive_partition(x, FieldBounds(f_inf=100.0, grad_inf=100.0))
+    assert part.n_intervals == 40_000
+    assert np.array_equal(part.times[:-1],
+                          np.arange(40_000) * part.step_omega)
+    assert part.times[-1] == 1.0
+    # 4e8 intervals: over the cap, known before any is built
+    with pytest.raises(RuntimeError, match="cap"):
+        adaptive_partition(x, FieldBounds(f_inf=1e4, grad_inf=1e4))
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_partition_rejects_unbounded_fields():
     x = time_lift()
     with pytest.raises(ValueError, match="bounds"):
@@ -468,6 +503,16 @@ def test_growth_check_rejects_bad_lambdas(lambdas):
     with pytest.raises(ValueError, match="lambdas"):
         growth_bound_check(counterexample_field(), x, np.array([1.0, 0.0]),
                            1.0, SolverConfig(base_mesh=16), lambdas=lambdas)
+
+
+def test_growth_check_takes_a_large_geometric_driver():
+    # the defect is roundoff relative to max|level2| = 1.03e8, over the
+    # 1e-8 that a driver of unit size is held to
+    x = dilate(brownian_lift(3, 4096, 1.0, 1, "stratonovich"), 1e4)
+    rep = growth_bound_check(zero_field(2, 1), x, np.array([1.0, 0.0]), 1.0,
+                             SolverConfig(base_mesh=16), lambdas=(1.0,))
+    assert 1e-8 < rep.geometricity_defect < 1e-8 * np.max(np.abs(x.level2))
+    assert rep.passed
 
 
 def test_growth_check_rejects_nongeometric_driver():

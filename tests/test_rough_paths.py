@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from roughpaths import rough_paths
-from roughpaths.partial_rough_paths import PartialRoughPath, pvar_distance
-from roughpaths.rough_paths import (AreaDrift, Control, RoughPath,
+from roughpaths.rough_paths import (AreaDrift, RoughPath,
                                     beta_path, brownian_lift, chen_defect,
                                     decompose, dilate, geometricity_defect,
                                     lift_piecewise_linear, pure_area_path,
@@ -250,45 +249,16 @@ def test_pvar_monotone_under_subgrid():
     assert pvar_norm(sub, 2.0) <= full + 1e-12
 
 
-def _shifted_control():
-    return Control(lambda s, t: np.maximum(0.0, (np.asarray(t) - np.asarray(s)) - 0.5))
-
-
-def test_pvar_infinite_when_control_vanishes():
-    x = lift_piecewise_linear(np.linspace(0, 1, 5)[:, None],
-                              np.linspace(0, 1, 5), control=_shifted_control())
-    assert pvar_norm(x, 2.0) == np.inf
-    assert pvar_norm_pairs(x.times, x.level1, x.level2, x.control,
-                           2.0) == np.inf
-    # the other measure of the shared scan follows the same policy: a
-    # nonzero norm over a zero-control pair is inf, not skipped
-    n = x.n_points
-    prp = PartialRoughPath(x.times, x.level1, np.zeros((n - 1, 1, 1)),
-                           x.level1, np.ones((n - 1, 1, 1)),
-                           control=_shifted_control())
-    moved = PartialRoughPath(x.times, x.level1, prp.x2_inc, 2 * x.level1,
-                             prp.cross_inc, control=_shifted_control())
-    assert pvar_distance(prp, moved) == np.inf
-    # zero norms over zero-control pairs are skipped, as before
-    assert pvar_distance(prp, prp) == 0.0
-
-
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("p", [2.0, 2.3])
-@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("shifted", [False])   # keeps the ids
 def test_pvar_equals_all_pairs_reference(m, p, shifted):
     # random paths on non-uniform grids whose size is not a multiple of
     # the scan's block, against a pair-by-pair scan: equal, not close
-    rng = np.random.default_rng(100 * m + int(10 * p) + shifted)
+    rng = np.random.default_rng(100 * m + int(10 * p))
     for n in (2, 3, 17, 40):
         rp = random_rough_path(rng, n, m)
-        if shifted:
-            # gaps over 0.5 keep the shifted control positive on every
-            # pair, so the norm is finite (the zero case is tested above)
-            times = np.concatenate([[0.0],
-                                    np.cumsum(rng.uniform(0.6, 1.0, n - 1))])
-            rp = RoughPath(times, rp.level1, rp.level2, _shifted_control())
-        ref = pvar_norm_pairs(rp.times, rp.level1, rp.level2, rp.control, p)
+        ref = pvar_norm_pairs(rp.times, rp.level1, rp.level2, p)
         assert np.isfinite(ref)
         assert pvar_norm(rp, p) == ref
 
@@ -301,7 +271,7 @@ def test_pvar_counts_every_start_point():
     for k in range(n - 1):
         pts = (np.arange(n) > k).astype(float)[:, None]
         rp = lift_piecewise_linear(pts, times)
-        ref = pvar_norm_pairs(rp.times, rp.level1, rp.level2, rp.control, 2.0)
+        ref = pvar_norm_pairs(rp.times, rp.level1, rp.level2, 2.0)
         assert ref == pytest.approx(1.0 / np.sqrt(times[k + 1] - times[k]))
         assert pvar_norm(rp, 2.0) == ref
 
@@ -396,6 +366,13 @@ def test_area_drift_rejects_non_finite_values():
     beta[2] = np.nan
     with pytest.raises(ValueError, match="beta must be finite"):
         AreaDrift(np.array([0.0, 0.5, 1.0]), beta)
+
+
+@pytest.mark.parametrize("times", [[0.0, 0.5, 0.5, 1.0],
+                                   [0.0, 0.7, 0.4, 1.0]])
+def test_area_drift_rejects_times_not_strictly_increasing(times):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        AreaDrift(np.array(times), np.zeros((4, 1, 1)))
 
 
 def test_area_drift_at_rejects_one_point_drift():

@@ -331,4 +331,4 @@ def test_growth_rows_carry_the_fit_abscissa():
                              np.array([1.0, 0.0]), 5.0, cfg,
                              lambdas=(1.0, 3.0))
     for row in rep.rows:
-        assert row["s"] == row["pvar"] ** cfg.p * float(x.control(0.0, 5.0))
+        assert row["s"] == row["pvar"] ** cfg.p * 5.0

@@ -1,0 +1,96 @@
+"""Print a digest of everything the `rde` commands and the demos write.
+
+In a fresh temporary directory this runs
+- every `rde` command at its defaults, except `lift`, which needs an
+  input and runs on a seeded 51-point m = 2 polyline that this tool
+  writes;
+- `rde growth-demo` at the config of the `growth` benchmark workload
+  (`bench/workloads.py`), seed 201;
+- the eight demos under `python -W error`, with the temporary directory
+  as the working directory, so their `demos/out` files land there.
+
+It prints one `sha256  name` line per file written and per run's
+stdout, and one `exit N  name` line per run.  The temporary directory's
+path is replaced by `<tmp>` in every file before it is hashed.  So two
+checkouts that print the same lines wrote the same bytes, and a change
+meant to leave every artifact byte-identical can be checked by running
+the tool on both and comparing.  The bits depend on numpy's BLAS build:
+compare runs on one machine only.
+
+    python3 tools/artifact_digest.py
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+COMMANDS = ["changevar-check", "convergence", "decompose", "explosion-demo",
+            "growth-demo", "solve"]
+
+# the `growth` workload's config at its full sizes
+GROWTH_BENCH = {
+    "field": {"name": "counterexample"},
+    "driver": {"kind": "brownian-stratonovich", "steps": 4096, "m": 1,
+               "T": 1.0},
+    "a": [1.0, 0.0], "T": 1.0, "mesh": 8192,
+    "lambdas": [1.0, 2.0, 4.0, 8.0]}
+
+
+def write_polyline(path) -> None:
+    rng = np.random.default_rng(51)
+    points = np.cumsum(rng.normal(0.0, 0.2, size=(51, 2)), axis=0)
+    with open(path, "w") as fh:
+        fh.write("t,x1,x2\n")
+        for t, row in zip(np.linspace(0.0, 1.0, 51), points):
+            fh.write(",".join("%.17g" % v for v in (t, *row)) + "\n")
+
+
+def main() -> int:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp_path = Path(tmp)
+
+        def digest(name, data: bytes) -> None:
+            data = data.replace(str(tmp_path).encode(), b"<tmp>")
+            lines.append(f"{hashlib.sha256(data).hexdigest()}  {name}")
+
+        def run(name, argv) -> None:
+            proc = subprocess.run([sys.executable, *argv], cwd=tmp, env=env,
+                                  stdout=subprocess.PIPE)
+            lines.append(f"exit {proc.returncode}  {name}")
+            digest(f"{name}/stdout", proc.stdout)
+
+        def rde(name, *args) -> None:
+            run(name, ["-m", "roughpaths.cli", *args, "--out", name])
+            for path in sorted((tmp_path / name).glob("*")):
+                digest(f"{name}/{path.name}", path.read_bytes())
+
+        for command in COMMANDS:
+            rde(command, command)
+        write_polyline(tmp_path / "polyline.csv")
+        (tmp_path / "lift.json").write_text(json.dumps(
+            {"input": "polyline.csv", "output": "roughpath.csv"}))
+        rde("lift", "lift", "--config", "lift.json")
+        (tmp_path / "growth-bench.json").write_text(json.dumps(GROWTH_BENCH))
+        rde("growth-bench", "growth-demo", "--config", "growth-bench.json",
+            "--seed", "201")
+        for demo in sorted((ROOT / "demos").glob("0*.py")):
+            run(f"demos/{demo.stem}", ["-W", "error", str(demo)])
+        for path in sorted((tmp_path / "demos" / "out").glob("*")):
+            digest(f"demos/out/{path.name}", path.read_bytes())
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
