@@ -146,7 +146,8 @@ def _merged(command: str, user: dict) -> dict:
 
 
 def _check_mesh(n) -> int:
-    n = int(n)
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ConfigError(f"mesh must be an integer, got {n!r}")
     if n < 1 or (n & (n - 1)) != 0:
         raise ConfigError(f"mesh must be a power of two, got {n}")
     return n

@@ -7,10 +7,12 @@ integral satisfies the additivity identity
     cross(s,t) = cross(s,r) + cross(r,t) + (y_r - y_s) (x) (x_t - x_r)
 
 so, like the driver's level 2, it is stored for consecutive grid
-intervals only and extended to arbitrary pairs on demand, which keeps
-storage linear and the identity exact by construction.
+intervals only, which keeps storage linear, and extended to every pair
+of grid points by one formula from prefix sums (see
+PartialRoughPath._cross_pairs, which also bounds its roundoff).
 
-Operations: the p-variation distance between triples and the
+Operations: the p-variation distance between triples (the shared pair
+scan, every tile's cross norms a pure function of the tile) and the
 pushforward of the output through a smooth map (which sews the
 almost-multiplicative cross increments grad phi(y_s) cross(s,t)).
 """
@@ -93,43 +95,19 @@ class PartialRoughPath:
     def n_points(self) -> int:
         return len(self.times)
 
-    def _cross_rows(self, i0: int, i1: int, j0: int, j1: int,
-                    acc: np.ndarray | None = None) -> np.ndarray:
-        """cross(t_i, t_j) for i = i0..i1-1, j = j0..j1-1: (rows, cols, d*m).
-
-        The one extension of cross_inc to pairs: row i sums the terms
-        cross_inc[k] + (y_k - y_i) (x) dx_k, k = i..j-1, in order after
-        zeros for k < i, so it does not depend on the tile; j <= i is 0.
-        Without acc the sums start at k = i0.  acc continues the running
-        sums of the tile to the left instead (its last column, the sums
-        through k = j0 - 2): it is added into the first term before the
-        cumsum, which gives the bits of one cumsum over the whole row;
-        adding it afterwards would not.
-        """
-        k0 = i0 if acc is None else j0 - 1
-        dy = self.y[None, k0:j1 - 1] - self.y[i0:i1, None]
-        terms = dy[..., None] * np.diff(self.x[k0:j1], axis=0)[:, None, :]
-        del dy
-        terms += self.cross_inc[k0:j1 - 1]
-        if k0 < i1 - 1:
-            terms[np.arange(k0, j1 - 1)[None, :]
-                  < np.arange(i0, i1)[:, None]] = 0.0
-        if acc is not None:
-            terms[:, 0] += acc.reshape(terms.shape[0], self.d, self.m)
-        np.cumsum(terms, axis=1, out=terms)
-        return terms.reshape(terms.shape[:2] + (-1,))[:, j0 - 1 - k0:]
-
     def _cross_pairs(self):
-        """cross(t_i, t_j) for broadcast arrays of grid indices, from
-        prefix sums (for the scan's tile bounds), and the error bound E
-        of every computed cross value: here and in _cross_rows alike,
-        |computed - exact| <= E in Frobenius norm.
+        """cross(t_i, t_j) for broadcast arrays of grid indices, shape
+        broadcast(i, j) + (d, m), and the error bound E of every computed
+        value: |computed - exact| <= E in Frobenius norm.
 
-        With P_j the sum of cross_inc[k] + y_k (x) dx_k over k < j,
-        cross(t_i, t_j) = P_j - P_i - y_i (x) (x_j - x_i).  A running sum
-        of at most n terms is off by gamma_(n+4) times the sum of their
-        norms (the standard bound), which `total` below dominates; a few
-        more roundings of the same size are covered by using n + 8.
+        The one extension of cross_inc to pairs.  With P_j the sum of
+        cross_inc[k] + y_k (x) dx_k over k < j,
+        cross(t_i, t_j) = P_j - P_i - y_i (x) (x_j - x_i): 0 at j = i,
+        and for j < i the value that keeps the additivity identity.  A
+        running sum of at most n terms is off by gamma_(n+4) times the
+        sum of their norms (the standard bound), which `total` below
+        dominates; a few more roundings of the same size are covered by
+        using n + 8.
         """
         n = self.n_points
         dx = np.diff(self.x, axis=0)
@@ -139,9 +117,8 @@ class PartialRoughPath:
         y, x = self.y, self.x
 
         def cross(i, j):
-            c = (prefix[j] - prefix[i]
-                 - y[i][..., :, None] * (x[j] - x[i])[..., None, :])
-            return c.reshape(c.shape[:-2] + (-1,))
+            return (prefix[j] - prefix[i]
+                    - y[i][..., :, None] * (x[j] - x[i])[..., None, :])
 
         total = (np.sum(np.linalg.norm(
             self.cross_inc.reshape(n - 1, self.d * self.m), axis=1))
@@ -149,46 +126,20 @@ class PartialRoughPath:
                  * np.sum(np.linalg.norm(dx, axis=1)))
         return cross, (n + 8) * _EPS * total
 
-    def cross_between(self, i: int, j: int) -> np.ndarray:
-        """cross(t_i, t_j) by accumulating the additivity identity."""
-        if j <= i:
-            return np.zeros((self.d, self.m))
-        return self._cross_rows(i, i + 1, j, j + 1)[0, 0].reshape(self.d,
-                                                                  self.m)
+    def cross_between(self, i, j) -> np.ndarray:
+        """cross(t_i, t_j), shape broadcast(i, j) + (d, m), for grid
+        indices i and j: ints, or integer arrays that broadcast against
+        each other.  See _cross_pairs for the formula and its error."""
+        return self._cross_pairs()[0](i, j)
 
     def additivity_defect(self) -> float:
         """Max additivity violation of cross over sampled grid triples."""
-        worst = 0.0
-        for i, j, k in zip(*_grid_triples(self.n_points, 25,
-                                          _ADDITIVITY_SAMPLES)):
-            lhs = self.cross_between(i, k)
-            rhs = (self.cross_between(i, j) + self.cross_between(j, k)
-                   + np.outer(self.y[j] - self.y[i], self.x[k] - self.x[j]))
-            worst = max(worst, float(np.max(np.abs(lhs - rhs), initial=0.0)))
-        return worst
-
-
-def _cross_norms(a: PartialRoughPath, b: PartialRoughPath):
-    """Per tile of a _pair_sup walk, the norm of a's cross(s,t) minus b's.
-
-    Each row of tiles continues the running sums where the tile to its
-    left ended, so a far tile costs what a near one does; a tile reached
-    otherwise is summed from its row's first start point.
-    """
-    carry = {}
-
-    def norms(i0, i1, j0, j1):
-        end, acc_a, acc_b = carry.get(i0, (None, None, None))
-        if end != j0:
-            acc_a = acc_b = None
-        dc = a._cross_rows(i0, i1, j0, j1, acc_a)
-        cb = b._cross_rows(i0, i1, j0, j1, acc_b)
-        # copies: a view would keep the whole tile alive
-        carry[i0] = (j1, dc[:, -1].copy(), cb[:, -1].copy())
-        dc -= cb
-        return np.linalg.norm(dc, axis=2)
-
-    return norms
+        i, j, k = _grid_triples(self.n_points, 25, _ADDITIVITY_SAMPLES)
+        rhs = (self.cross_between(i, j) + self.cross_between(j, k)
+               + (self.y[j] - self.y[i])[:, :, None]
+               * (self.x[k] - self.x[j])[:, None, :])
+        return float(np.max(np.abs(self.cross_between(i, k) - rhs),
+                            initial=0.0))
 
 
 def pvar_distance(a: PartialRoughPath, b: PartialRoughPath) -> float:
@@ -205,14 +156,19 @@ def pvar_distance(a: PartialRoughPath, b: PartialRoughPath) -> float:
         raise ValueError("dimensions do not match")
     n = a.n_points
     shared = np.array_equal(a.x, b.x)
-    cross_norms = _cross_norms(a, b)
+    cross_a, error_a = a._cross_pairs()
+    cross_b, error_b = b._cross_pairs()
+
+    def cross_norm(i, j):
+        dc = cross_a(i, j) - cross_b(i, j)
+        return np.linalg.norm(dc.reshape(dc.shape[:-2] + (-1,)), axis=-1)
 
     def norms(i0, i1, j0, j1):
         def inc(v):
             return v[None, j0:j1] - v[i0:i1, None]
 
         ey = np.linalg.norm(inc(a.y) - inc(b.y), axis=2)
-        dc = cross_norms(i0, i1, j0, j1)
+        dc = cross_norm(np.arange(i0, i1)[:, None], np.arange(j0, j1))
         if shared:
             return ey, dc
         return np.linalg.norm(inc(a.x) - inc(b.x), axis=2), ey, dc
@@ -228,10 +184,7 @@ def pvar_distance(a: PartialRoughPath, b: PartialRoughPath) -> float:
         return 16 * va.shape[1] * _EPS * (np.max(np.abs(va))
                                           + np.max(np.abs(vb)))
 
-    cross_a, error_a = a._cross_pairs()
-    cross_b, error_b = b._cross_pairs()
-    rd, ad, cd = _tile_spreads(n, lambda i, j: np.linalg.norm(
-        cross_a(i, j) - cross_b(i, j), axis=-1))
+    rd, ad, cd = _tile_spreads(n, cross_norm)
     ry, ay, cy = _tile_spreads(n, difference(a.y, b.y))
     _, ax, cx = _tile_spreads(n, _increment_norm(a.x))
     # the additivity identity of each triple at s* and t*, subtracted:
@@ -251,7 +204,7 @@ def pvar_distance(a: PartialRoughPath, b: PartialRoughPath) -> float:
     powers += [1.0 / a.p, 2.0 / a.p]
     bounds += [_inflate(ry + ay + cy, magnitude(a.y, b.y)),
                _inflate(cross, 4 * (error_a + error_b))]
-    return max(_pair_sup(a.times, powers, norms, bounds, walk=True))
+    return max(_pair_sup(a.times, powers, norms, bounds))
 
 
 def pushforward(prp: PartialRoughPath, phi: SmoothMap) -> PartialRoughPath:

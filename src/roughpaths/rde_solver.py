@@ -410,6 +410,14 @@ class PartitionResult:
         return len(self.times) - 1
 
 
+def _horizon(x: RoughPath, T: float | None) -> float:
+    """The horizon T (x.T when None), which must lie in (0, x.T]."""
+    T = x.T if T is None else float(T)
+    if not 0.0 < T <= x.T + 1e-12:
+        raise ValueError(f"horizon {T} must lie in (0, {x.T}]")
+    return T
+
+
 def adaptive_partition(x: RoughPath, bounds: FieldBounds,
                        cfg: SolverConfig | None = None,
                        T: float | None = None) -> PartitionResult:
@@ -419,14 +427,14 @@ def adaptive_partition(x: RoughPath, bounds: FieldBounds,
     target = (K mu / (|h|_inf + mu |grad h|_inf))^p ||x||^-p, the mass
     at which the frozen-coefficient step stays within mu for a bounded
     field: the points are k * target below T, then T.  Only meaningful
-    for bounded fields; rejects undeclared bounds, and raises
-    RuntimeError before building a partition of over _MAX_STEPS
-    intervals.
+    for bounded fields; rejects undeclared bounds and a horizon outside
+    (0, x.T], and raises RuntimeError before building a partition of
+    over _MAX_STEPS intervals.
     """
     cfg = cfg or SolverConfig()
     if not (math.isfinite(bounds.f_inf) and math.isfinite(bounds.grad_inf)):
         raise ValueError("adaptive_partition needs declared finite bounds")
-    T = x.T if T is None else T
+    T = _horizon(x, T)
     norm = pvar_norm(x, cfg.p)
     denom = bounds.f_inf + _MU * bounds.grad_inf
     if norm == 0.0 or denom == 0.0:
@@ -448,12 +456,12 @@ def apriori_sup_bound(bounds: FieldBounds, x: RoughPath,
 
     Each partition interval moves the state by at most mu and there are
     about 1 + T ||x||^p / L of them (the control omega(0, T) = T), giving
-    (mu + mu/L)(1 + ||x||^p T).
+    (mu + mu/L)(1 + ||x||^p T).  Rejects a horizon outside (0, x.T].
     """
     cfg = cfg or SolverConfig()
     if not (math.isfinite(bounds.f_inf) and math.isfinite(bounds.grad_inf)):
         raise ValueError("apriori_sup_bound needs declared finite bounds")
-    T = x.T if T is None else float(T)
+    T = _horizon(x, T)
     norm = pvar_norm(x, cfg.p)
     denom = bounds.f_inf + _MU * bounds.grad_inf
     if denom == 0.0:

@@ -485,7 +485,7 @@ def _tile_tops(t, powers, norms, i0, i1, j0, j1, diagonal):
     return tops
 
 
-def _pair_sup(times, powers, tile_norms, bounds, walk=False) -> list[float]:
+def _pair_sup(times, powers, tile_norms, bounds) -> list[float]:
     """Largest norm / (t - s)^power over grid pairs s < t, per norm.
 
     The scan behind every sup-over-pairs measure.  The pairs are cut into
@@ -493,7 +493,9 @@ def _pair_sup(times, powers, tile_norms, bounds, walk=False) -> list[float]:
     column), side = _tile_side(n); _tile_corners gives the layout.
     tile_norms(i0, i1, j0, j1) returns one fresh (i1 - i0, j1 - j0)
     array per entry of powers: the norms from start points i0..i1-1 to
-    end points j0..j1-1, each pair computed the same way in any tile.
+    end points j0..j1-1.  It is a pure function of the tile, computing
+    each pair the same way in any tile, so no visit order changes the
+    result.
     bounds holds, per norm, a (rows, columns) array bounding every norm
     of each tile as computed (see _inflate).  The times must increase
     strictly, so t - s > 0 on every pair.
@@ -506,10 +508,6 @@ def _pair_sup(times, powers, tile_norms, bounds, walk=False) -> list[float]:
     decreasing order of their scaled bounds (each norm's normalised by
     its largest), and a tile is skipped when each of these is at most
     the running maximum of its norm, since t - s >= t* - s* on the tile.
-    With walk, for norms that continue running sums along a row of
-    tiles, a tile that is not skipped is evaluated after every tile left
-    of it in its row, in column order, so each row is walked at most
-    once.
 
     A NaN maximum on an evaluated tile raises ValueError; a NaN inside a
     skipped tile goes unseen.  No pair gives 0.0.
@@ -533,19 +531,14 @@ def _pair_sup(times, powers, tile_norms, bounds, walk=False) -> list[float]:
             key = np.maximum(key, np.where(finite, v / top if top > 0 else 0.0,
                                            np.inf))
     best = np.zeros(len(powers))
-    # walk: the first column of tiles not yet evaluated, per row
-    frontier = np.arange(len(first))
 
     def evaluate(k):
-        """Evaluate tile k (with walk, and the row's tiles left of it)."""
         row, col = int(a[k]), int(c[k])
         i0, i1 = int(first[row]), int(s_star[row]) + 1
-        for cc in range(int(frontier[row]) if walk else col, col + 1):
-            j0 = int(t_star[cc])
-            j1 = min(j0 + side, n)
-            np.maximum(best, _tile_tops(t, powers, tile_norms(i0, i1, j0, j1),
-                                        i0, i1, j0, j1, cc == row), out=best)
-        frontier[row] = col + 1
+        j0 = int(t_star[col])
+        j1 = min(j0 + side, n)
+        np.maximum(best, _tile_tops(t, powers, tile_norms(i0, i1, j0, j1),
+                                    i0, i1, j0, j1, col == row), out=best)
 
     for k in np.flatnonzero(fixed):
         evaluate(k)
@@ -553,10 +546,8 @@ def _pair_sup(times, powers, tile_norms, bounds, walk=False) -> list[float]:
     while True:
         # drop the tiles evaluated (key -1) or now bounded (a NaN bound
         # never is); the next is the first of the largest keys
-        keep = (key[queue] >= 0.0) & ~np.all(scaled[queue] <= best, axis=1)
-        if walk:
-            keep &= c[queue] >= frontier[a[queue]]
-        queue = queue[keep]
+        queue = queue[(key[queue] >= 0.0)
+                      & ~np.all(scaled[queue] <= best, axis=1)]
         if not queue.size:
             return best.tolist()
         k = queue[np.argmax(key[queue])]

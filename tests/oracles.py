@@ -154,11 +154,20 @@ def geometricity_defect_rows(level1, level2):
     return worst
 
 
+def _cross_prefix(prp):
+    """P_j, the sum of cross_inc[k] + y_k (x) dx_k over k < j, per grid
+    point: cross(t_i, t_j) = P_j - P_i - y_i (x) (x_j - x_i)."""
+    terms = prp.cross_inc + np.einsum("ka,kb->kab", prp.y[:-1],
+                                      np.diff(prp.x, axis=0))
+    return np.concatenate([np.zeros((1, prp.d, prp.m)),
+                           np.cumsum(terms, axis=0)])
+
+
 def _cross_row(prp, i):
-    """cross(t_i, t_j) for every j > i, by a cumsum from t_i."""
-    return np.cumsum(prp.cross_inc[i:] + np.einsum(
-        "ka,kb->kab", prp.y[i:-1] - prp.y[i], np.diff(prp.x[i:], axis=0)),
-        axis=0)
+    """cross(t_i, t_j) for every j > i, from the prefix sums."""
+    P = _cross_prefix(prp)
+    return P[i + 1:] - P[i] - np.einsum("a,kb->kab", prp.y[i],
+                                        prp.x[i + 1:] - prp.x[i])
 
 
 def pvar_distance_rows(a, b):
@@ -255,13 +264,13 @@ def geometricity_defect_blocked(rp):
 
 
 def _cross_block(prp, i0, i1):
-    """cross(t_i, t_j) for i = i0..i1-1, j = i0+1..n-1, one cumsum."""
-    dy = prp.y[None, i0:-1] - prp.y[i0:i1, None]
-    terms = dy[..., None] * np.diff(prp.x[i0:], axis=0)[:, None, :]
-    terms += prp.cross_inc[i0:]
-    terms[np.tril_indices(i1 - i0, -1)] = 0.0
-    np.cumsum(terms, axis=1, out=terms)
-    return terms.reshape(terms.shape[:2] + (-1,))
+    """cross(t_i, t_j) for i = i0..i1-1, j = i0+1..n-1, from the prefix
+    sums (pairs with j <= i are not read)."""
+    P = _cross_prefix(prp)
+    dx = prp.x[None, i0 + 1:] - prp.x[i0:i1, None]
+    c = (P[None, i0 + 1:] - P[i0:i1, None]
+         - np.einsum("ia,ijb->ijab", prp.y[i0:i1], dx))
+    return c.reshape(c.shape[:2] + (-1,))
 
 
 def pvar_distance_blocked(a, b):

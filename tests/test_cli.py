@@ -210,6 +210,19 @@ def test_bad_config_exits_two(tmp_path, capsys):
     assert run(tmp_path, "lift", {}) == 2
 
 
+@pytest.mark.parametrize("command, config", [
+    ("convergence", {"meshes": [64, 128.5]}),   # not truncated to 128
+    ("convergence", {"meshes": [64, 128.0]}),
+    ("growth-demo", {"mesh": True}),            # not run at mesh 1
+    ("solve", {"mesh": "64"}),
+    ("explosion-demo", {"fine_mesh": 4096.5}),
+    ("explosion-demo", {"coarse_mesh": False}),
+])
+def test_non_integer_mesh_exits_two(tmp_path, capsys, command, config):
+    assert run(tmp_path, command, config) == 2
+    assert "mesh must be an integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("config", [
     {"p": 3.5},                     # outside [2, 3)
     {"a": [1, 2]},                  # state shape does not match the field

@@ -155,7 +155,7 @@ def test_one_point_grid_has_no_pairs():
 # the skip rule, with fake callbacks
 
 
-def _fake_scan(monkeypatch, seed, n, side, powers, walk):
+def _fake_scan(monkeypatch, seed, n, side, powers):
     """Run _pair_sup on tiles whose norms are one constant per tile and
     norm, with valid bounds 1-3 times too high (at power 0, a third of
     them exactly at the maxima).  Returns the tiles' tops, scaled bounds
@@ -194,8 +194,7 @@ def _fake_scan(monkeypatch, seed, n, side, powers, walk):
         calls.append((a, c))
         return [np.full((i1 - i0, j1 - j0), v[a, c]) for v in values]
 
-    result = rough_paths._pair_sup(times, powers, tile_norms, list(bounds),
-                                   walk)
+    result = rough_paths._pair_sup(times, powers, tile_norms, list(bounds))
     return tops, scaled, fixed, calls, result
 
 
@@ -223,7 +222,7 @@ def test_scan_skips_exactly_the_bounded_tiles(monkeypatch, side, powers,
     powers = CONTROLS[control](powers)
     for seed in range(4):
         tops, scaled, fixed, calls, result = _fake_scan(
-            monkeypatch, seed, 29, side, powers, walk=False)
+            monkeypatch, seed, 29, side, powers)
         _must_evaluate(tops, scaled, fixed, calls, result)
         # replay: no tile is evaluated while every bound of it is at or
         # below the running maximum of its norm, and the bounded ones
@@ -246,18 +245,6 @@ def test_scan_skips_exactly_the_bounded_tiles(monkeypatch, side, powers,
         assert len(calls) < len(tops)
 
 
-@pytest.mark.parametrize("side", [1, 4])
-@pytest.mark.parametrize("control", ["holder"])   # keeps the ids
-def test_walk_evaluates_each_row_left_to_right(monkeypatch, side, control):
-    for seed in range(4):
-        tops, scaled, fixed, calls, result = _fake_scan(
-            monkeypatch, seed, 29, side, (0.5, 1.0), walk=True)
-        _must_evaluate(tops, scaled, fixed, calls, result)
-        for a in {a for a, _ in calls}:
-            cols = [c for r, c in calls if r == a]
-            assert cols == list(range(a, a + len(cols)))
-
-
 # ---------------------------------------------------------------------------
 # large grids, where tiles are skipped: equal to the blocked row scan
 
@@ -268,7 +255,7 @@ def tiles(monkeypatch):
     counts = {"tiles": 0, "evaluated": 0}
     scan = rough_paths._pair_sup
 
-    def counting(times, powers, tile_norms, bounds, walk=False):
+    def counting(times, powers, tile_norms, bounds):
         rows = len(rough_paths._tile_corners(len(times))[0])
         counts["tiles"] += rows * (rows + 1) // 2
 
@@ -276,7 +263,7 @@ def tiles(monkeypatch):
             counts["evaluated"] += 1
             return tile_norms(*args)
 
-        return scan(times, powers, norms, bounds, walk)
+        return scan(times, powers, norms, bounds)
 
     monkeypatch.setattr(rough_paths, "_pair_sup", counting)
     monkeypatch.setattr(partial_rough_paths, "_pair_sup", counting)
@@ -360,7 +347,7 @@ def every_tile(monkeypatch):
     checked = []
     scan = rough_paths._pair_sup
 
-    def checking(times, powers, tile_norms, bounds, walk=False):
+    def checking(times, powers, tile_norms, bounds):
         n = len(times)
         first, s_star, t_star = rough_paths._tile_corners(n)
         for a in range(len(first)):
@@ -372,7 +359,7 @@ def every_tile(monkeypatch):
                 for v, bound in zip(norms, bounds):
                     assert np.max(v[live], initial=0.0) <= bound[a, c]
                 checked.append((a, c))
-        return scan(times, powers, tile_norms, bounds, walk)
+        return scan(times, powers, tile_norms, bounds)
 
     monkeypatch.setattr(rough_paths, "_TILE", 8)
     monkeypatch.setattr(rough_paths, "_pair_sup", checking)

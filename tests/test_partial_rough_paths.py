@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,48 @@ def test_smooth_construction_matches_riemann_oracle():
     # analytic: int_0^1 (r^2 - 0) dr = 1/3
     assert prp.cross_between(0, 256)[0, 0] == pytest.approx(1.0 / 3.0,
                                                             abs=1e-5)
+
+
+def test_cross_between_broadcasts_its_grid_indices():
+    prp = random_prp(np.random.default_rng(48), d=3, m=2)
+    i, j = np.arange(5)[:, None], np.arange(4, 13)
+    grid = prp.cross_between(i, j)
+    assert grid.shape == (5, 9, 3, 2)
+    assert np.array_equal(grid[2, 5], prp.cross_between(2, 9))
+    assert np.array_equal(prp.cross_between(4, 4), np.zeros((3, 2)))
+
+
+def test_cross_error_bound_holds_over_random_triples():
+    # each pair's prefix-sum cross against the compensated sum of its
+    # terms cross_inc[k] + (y_k - y_i) (x) dx_k, one math.fsum per matrix
+    # entry, with x and y far from the origin, where the sums cancel
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=50, deadline=None, derandomize=True,
+                  database=None)
+    @hyp.given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 300),
+               d=st.integers(1, 3), m=st.integers(1, 2),
+               x_offset=st.floats(1e-3, 1e6), y_offset=st.floats(1e-3, 1e6))
+    def within_bound(seed, n, d, m, x_offset, y_offset):
+        rng = np.random.default_rng(seed)
+        prp = random_prp(rng, n=n - 1, d=d, m=m)
+        prp = PartialRoughPath(
+            prp.times, prp.x + x_offset * rng.choice([-1.0, 1.0], size=m),
+            prp.x2_inc, prp.y + y_offset * rng.choice([-1.0, 1.0], size=d),
+            prp.cross_inc, prp.p)
+        error = prp._cross_pairs()[1]
+        dx = np.diff(prp.x, axis=0)
+        pairs = np.sort(rng.integers(0, n, size=(20, 2)), axis=1)
+        got = prp.cross_between(pairs[:, 0], pairs[:, 1])
+        for (i, j), c in zip(pairs, got):
+            terms = (prp.cross_inc[i:j]
+                     + (prp.y[i:j] - prp.y[i])[:, :, None] * dx[i:j, None, :])
+            ref = np.array([[math.fsum(terms[:, a, b]) for b in range(m)]
+                            for a in range(d)])
+            assert np.linalg.norm(c - ref) <= error
+
+    within_bound()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import time
 import warnings
 
@@ -409,6 +410,20 @@ def test_partition_rejects_unbounded_fields():
     x = time_lift()
     with pytest.raises(ValueError, match="bounds"):
         adaptive_partition(x, FieldBounds(), SolverConfig())
+
+
+@pytest.mark.parametrize("T", [3.0, -1.0, 0.0, math.nan, math.inf])
+def test_partition_and_bound_reject_horizons_outside_the_driver(T):
+    x = time_lift()
+    bounds = FieldBounds(f_inf=1.0, grad_inf=1.0)
+    with pytest.raises(ValueError, match="horizon"):
+        adaptive_partition(x, bounds, T=T)
+    with pytest.raises(ValueError, match="horizon"):
+        apriori_sup_bound(bounds, x, T)
+    # the driver's own horizon is the default
+    assert np.array_equal(adaptive_partition(x, bounds, T=x.T).times,
+                          adaptive_partition(x, bounds).times)
+    assert apriori_sup_bound(bounds, x, x.T) == apriori_sup_bound(bounds, x)
 
 
 def test_apriori_bound_holds_on_random_drivers():
