@@ -14,11 +14,15 @@ angular component, h(q, rho) := h(q/|q|, rho), which is smooth for
 q != 0 and restricts to the same field on the cylinder; a solver should
 renormalize the angular part of its state each step (see
 ``sphere_state_projection``).
+
+The transformed fields are closed forms on Python floats, as numpy's
+per-call overhead is the cost on the one state per solver step: no
+grad_phi or grad2_phi tensor, explicit loops (sum() is compensated from
+Python 3.12 on) and one np.array per result.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -38,7 +42,9 @@ __all__ = [
     "sphere_state_projection",
 ]
 
-_RHO_OVERFLOW = 700.0
+# the transformed fields divide by r = e^rho: e^rho and e^-rho are finite
+# normal floats for |rho| <= log(2^1022) = 708.4
+_RHO_OVERFLOW = 708.0
 
 
 @dataclass(frozen=True)
@@ -74,15 +80,6 @@ def phi(z) -> LogSphereCoords:
     return LogSphereCoords(z / r, math.log(r))
 
 
-@functools.cache
-def _eye(d: int) -> np.ndarray:
-    """The d x d identity, built once per d; read-only, since every call
-    of the chart maps shares it."""
-    eye = np.eye(d)
-    eye.flags.writeable = False
-    return eye
-
-
 def grad_phi(z) -> np.ndarray:
     """Jacobian of the map, shape (d+1, d).
 
@@ -96,7 +93,7 @@ def grad_phi(z) -> np.ndarray:
         raise ValueError("gradient undefined at the origin")
     d = len(z)
     out = np.empty((d + 1, d))
-    out[:d] = _eye(d) / r - np.multiply.outer(z, z) / r ** 3
+    out[:d] = np.eye(d) / r - np.multiply.outer(z, z) / r ** 3
     out[d] = z / r ** 2
     return out
 
@@ -108,7 +105,7 @@ def grad2_phi(z) -> np.ndarray:
     if r == 0.0:
         raise ValueError("second derivatives undefined at the origin")
     d = len(z)
-    eye = _eye(d)
+    eye = np.eye(d)
     out = np.empty((d + 1, d, d))
     out[:d] = (-(eye[:, :, None] * z[None, None, :]
                  + eye[:, None, :] * z[None, :, None]
@@ -127,7 +124,10 @@ class ShiftedMap:
     r_min: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
+        b = np.asarray(self.b, dtype=float)
+        if b.ndim != 1 or not np.isfinite(b).all():
+            raise ValueError("the shift b must be a finite vector")
+        object.__setattr__(self, "b", b)
 
     @property
     def d(self) -> int:
@@ -147,8 +147,8 @@ def choose_shift(a, predicted_radius: float) -> ShiftedMap:
     |y| <= predicted_radius + |a| keeps |b + y| >= 1.
     """
     a = np.asarray(a, dtype=float)
-    if predicted_radius < 0:
-        raise ValueError("predicted_radius must be nonnegative")
+    if not 0 <= predicted_radius < math.inf:
+        raise ValueError("predicted_radius must be nonnegative and finite")
     b = np.zeros(len(a))
     b[0] = predicted_radius + float(np.linalg.norm(a)) + 1.0
     return ShiftedMap(b, 1.0)
@@ -170,49 +170,85 @@ def sphere_state_projection(d: int):
     return project
 
 
-def _split_state(w, d):
-    q = np.asarray(w[:d], dtype=float)
-    nq = math.sqrt(q.dot(q))
+def _chart_state(w, b):
+    """theta = q/|q|, |q| and r = e^rho of a state w = (q, rho) as Python
+    floats, and y = r theta - b as an array."""
+    *q, rho = w.tolist()
+    nq = 0.0
+    for v in q:
+        nq += v * v
+    nq = math.sqrt(nq)
     if nq == 0.0:
         raise ValueError("angular component of the state vanished")
-    return q / nq, float(w[d])
+    if abs(rho) > _RHO_OVERFLOW:
+        raise OverflowError(f"|rho| = {abs(rho):.6g} exceeds {_RHO_OVERFLOW}")
+    r = math.exp(rho)
+    theta, y = [], []
+    for v, c in zip(q, b):
+        theta.append(v / nq)
+        y.append(r * theta[-1] - c)
+    return theta, nq, r, np.array(y)
+
+
+def _pull_back(theta, F, r, c):
+    """N F / r as a flat list, for the rows F of a (d, k) matrix and
+    N = [I - theta theta^T ; theta^T] = r grad phi(r theta): the rows
+    (F - theta c^T)/r, then c^T/r, with c = theta^T F plus the given c."""
+    K = range(len(c))
+    for t, row in zip(theta, F):
+        for j in K:
+            c[j] += t * row[j]
+    out = []
+    for t, row in zip(theta, F):
+        for j in K:
+            out.append((row[j] - t * c[j]) / r)
+    for cj in c:
+        out.append(cj / r)
+    return out
 
 
 def transformed_field(f: VectorField, shift: ShiftedMap) -> VectorField:
     """Pull a field on R^d back to the cylinder chart.
 
-    h(theta, rho) = grad phi(z) f(z - b) with z = exp(rho) theta/|theta|;
-    the normalization extends h off the cylinder, and the gradient's
-    angular block picks up the tangential projector accordingly.
+    h(q, rho) = grad phi(z) f(z - b) = N F / r with z = r theta,
+    theta = q/|q|, r = e^rho, F = f(z - b) and N as in _pull_back; its
+    gradient is the chain rule through z(q, rho).  Both raise ValueError
+    at q = 0 and OverflowError for |rho| > 708.
     """
     d, m = f.d, f.m
+    if shift.d != d:
+        raise ValueError(f"shift of dimension {shift.d} for a field on R^{d}")
+    b = shift.b.tolist()
+    D, M = range(d), range(m)
 
     def _eval(w):
-        theta, rho = _split_state(w, d)
-        if abs(rho) > _RHO_OVERFLOW:
-            raise OverflowError("rho out of exp range during field evaluation")
-        z = math.exp(rho) * theta
-        return grad_phi(z) @ f.eval(z - shift.b)
+        theta, _, r, y = _chart_state(w, b)
+        h = _pull_back(theta, f.eval(y).tolist(), r, [0.0] * m)
+        return np.array(h).reshape(d + 1, m)
 
     def _grad(w):
-        theta, rho = _split_state(w, d)
-        z = math.exp(rho) * theta
-        fe = f.eval(z - shift.b)
-        gr = f.grad(z - shift.b)
-        dphi = grad_phi(z)
-        d2phi = grad2_phi(z)
-        # dH[k, j, e] = d/dz_e of (dphi[k, a] fe[a, j])
-        dH_dz = (np.einsum("kae,aj->kje", d2phi, fe)
-                 + np.einsum("ka,aje->kje", dphi, gr))
-        # chain through z(q, rho); the angular block carries the
-        # normalization projector (I - theta theta^T)/|q| with |q| = 1
-        q = np.asarray(w[:d], dtype=float)
-        nq = math.sqrt(q.dot(q))
-        jz = np.empty((d, d + 1))
-        jz[:, :d] = (math.exp(rho)
-                     * (_eye(d) - np.multiply.outer(theta, theta)) / nq)
-        jz[:, d] = z
-        return np.einsum("kje,ec->kjc", dH_dz, jz)
+        theta, nq, r, y = _chart_state(w, b)
+        F, G = f.eval(y).tolist(), f.grad(y).tolist()
+        h = _pull_back(theta, F, r, [0.0] * m)
+        # h = N F/r, so dh = N d(F/r) + dN F/r.  V holds d(F/r), with
+        # g = grad f_kj(y): g (I - theta theta^T)/|q| along q, g theta -
+        # F/r along rho; and the part of dN F/r in N's range.  The rest,
+        # [-theta ; 1] h_c/|q| along q_c, is an offset to theta^T V
+        V, offset = [], [0.0] * (m * (d + 1))
+        for k in D:
+            row = []
+            for j in M:
+                g, hd, s = G[k][j], h[d * m + j], 0.0
+                for e in D:
+                    s += g[e] * theta[e]
+                for c in D:
+                    row.append((g[c] - theta[c] * (s - theta[k] * hd)
+                                - (c == k) * hd) / nq)
+                row.append(s - F[k][j] / r)
+                offset[j * (d + 1) + k] = h[k * m + j] / nq
+            V.append(row)
+        out = _pull_back(theta, V, 1.0, offset)
+        return np.array(out).reshape(d + 1, m, d + 1)
 
     return VectorField(d + 1, m, _eval, _grad, gamma=f.gamma,
                        name=f"logsphere({f.name})")
@@ -222,20 +258,20 @@ def h1_h2(f: VectorField, shift: ShiftedMap):
     """Transformed first- and second-order fields for the corrected route.
 
     h1 drives the rough part against the geometric driver; h2(theta,rho)
-    = grad phi(z) (f . grad f)(z - b) multiplies the area drift.  h2 is
-    bounded only when f . grad f has at most linear growth; for
-    quadratically growing derived fields it inflates like exp(rho), which
-    is the failure mode the explosion example exhibits.
+    = grad phi(z) (f . grad f)(z - b), pulled back as a (d, m*m) matrix,
+    multiplies the area drift.  h2 is bounded only when f . grad f has at
+    most linear growth; for quadratically growing derived fields it
+    inflates like exp(rho), the failure mode of the explosion example.
     """
     h1 = transformed_field(f, shift)
     fdf = f_dot_grad_f(f)
-    d = f.d
+    d, m = f.d, f.m
+    b = shift.b.tolist()
 
     def _eval2(w):
-        theta, rho = _split_state(w, d)
-        if abs(rho) > _RHO_OVERFLOW:
-            raise OverflowError("rho out of exp range during field evaluation")
-        z = math.exp(rho) * theta
-        return np.einsum("ka,aij->kij", grad_phi(z), fdf.eval(z - shift.b))
+        theta, _, r, y = _chart_state(w, b)
+        F = fdf.eval(y).reshape(d, m * m).tolist()
+        h2 = _pull_back(theta, F, r, [0.0] * (m * m))
+        return np.array(h2).reshape(d + 1, m, m)
 
-    return h1, SecondOrderField(d + 1, f.m, _eval2)
+    return h1, SecondOrderField(d + 1, m, _eval2)

@@ -128,18 +128,22 @@ class PartialRoughPath:
 
     def cross_between(self, i, j) -> np.ndarray:
         """cross(t_i, t_j), shape broadcast(i, j) + (d, m), for grid
-        indices i and j: ints, or integer arrays that broadcast against
-        each other.  See _cross_pairs for the formula and its error."""
+        indices i and j in [0, n_points): ints, or integer arrays that
+        broadcast.  See _cross_pairs for the formula and its error."""
+        n = self.n_points
+        for v in (i, j):
+            if np.min(v, initial=0) < 0 or np.max(v, initial=0) >= n:
+                raise IndexError(f"grid indices must lie in [0, {n})")
         return self._cross_pairs()[0](i, j)
 
     def additivity_defect(self) -> float:
         """Max additivity violation of cross over sampled grid triples."""
         i, j, k = _grid_triples(self.n_points, 25, _ADDITIVITY_SAMPLES)
-        rhs = (self.cross_between(i, j) + self.cross_between(j, k)
-               + (self.y[j] - self.y[i])[:, :, None]
+        ij, jk, ik = self.cross_between(np.stack([i, j, i]),
+                                        np.stack([j, k, k]))
+        rhs = (ij + jk + (self.y[j] - self.y[i])[:, :, None]
                * (self.x[k] - self.x[j])[:, None, :])
-        return float(np.max(np.abs(self.cross_between(i, k) - rhs),
-                            initial=0.0))
+        return float(np.max(np.abs(ik - rhs), initial=0.0))
 
 
 def pvar_distance(a: PartialRoughPath, b: PartialRoughPath) -> float:

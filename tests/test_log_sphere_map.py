@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from roughpaths.log_sphere_map import (LogSphereCoords, ShiftedMap,
-                                       choose_shift, grad2_phi, grad_phi,
-                                       h1_h2, phi, sphere_state_projection,
+from roughpaths.log_sphere_map import (_RHO_OVERFLOW, LogSphereCoords,
+                                       ShiftedMap, choose_shift, grad2_phi,
+                                       grad_phi, h1_h2, phi,
+                                       sphere_state_projection,
                                        transformed_field)
-from roughpaths.vector_fields import (counterexample_field, linear_field,
-                                      zero_field)
+from roughpaths.rde_solver import SolverConfig, solve_rde
+from roughpaths.rough_paths import lift_piecewise_linear
+from roughpaths.vector_fields import (counterexample_field, f_dot_grad_f,
+                                      linear_field, tanh_field, zero_field)
 
-from oracles import finite_diff_grad, z_of
+from oracles import (finite_diff_grad, grad_phi_norm,
+                     transformed_field_norm, z_of)
 
 
 def phi_vec(z):
@@ -220,6 +224,132 @@ def test_counterexample_h2_inflates_exponentially():
     assert 0.8 <= slope <= 1.2
 
 
+def random_field(rng, kind, d, m):
+    """A field of the kind on R^d (counterexample: d = 2, m = 1)."""
+    if kind == "counterexample":
+        return counterexample_field()
+    if kind == "linear":
+        return linear_field(rng.normal(0.0, 0.7, size=(d, m, d)))
+    return tanh_field(d, m, seed=int(rng.integers(1000)))
+
+
+KINDS = ["linear", "counterexample", "tanh"]
+
+
+def test_closed_form_matches_the_einsum_pull_back():
+    # transformed_field_norm is the grad_phi / grad2_phi / einsum form
+    # the closed form replaced.  |b| >= 1 keeps that form well
+    # conditioned: at d = 1 and |b| = 0.007 its angular entries
+    # 1/r - z^2/r^3, which the closed form gets exactly 0, leave a gap of
+    # 6e-13, while both forms' error against a 60-digit reference there is
+    # 4e-14 (closed) and 6e-13 (einsum)
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True,
+                  database=None)
+    @hyp.given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(KINDS),
+               d=st.integers(1, 4), m=st.integers(1, 3),
+               rho=st.floats(-2.0, 3.0))
+    def agree(seed, kind, d, m, rho):
+        rng = np.random.default_rng(seed)
+        f = random_field(rng, kind, d, m)
+        b = rng.normal(size=f.d)
+        b *= rng.uniform(1.0, 5.0) / np.linalg.norm(b)
+        w = np.append(rng.normal(size=f.d) * rng.uniform(0.5, 2.0), rho)
+        h, h2 = h1_h2(f, ShiftedMap(b))
+        ev, gr = transformed_field_norm(f, b)
+        z = math.exp(rho) * w[:-1] / np.linalg.norm(w[:-1])
+        ev2 = np.einsum("ka,aij->kij", grad_phi_norm(z),
+                        f_dot_grad_f(f).eval(z - b))
+        for got, want in ((h.eval(w), ev(w)), (h.grad(w), gr(w)),
+                          (h2.eval(w), ev2)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    agree()
+
+
+def chart_fields():
+    """eval and grad of the shifted counterexample's chart field, and h2's
+    eval (whose derived field, quadratic in y, overflows by rho = 355)."""
+    h, h2 = h1_h2(counterexample_field(), ShiftedMap(np.array([4.0, 0.0])))
+    return h.eval, h.grad, h2.eval
+
+
+@pytest.mark.parametrize("w, error", [
+    # where the einsum form overflowed r^3 (300), returned inf or nan
+    # (356 to -372) or saw z.z underflow to 0 (-380)
+    *[([0.6, 0.8, rho], None)
+      for rho in (300.0, 356.0, 400.0, 700.0, -300.0, -372.0, -380.0)],
+    ([0.6, 0.8, _RHO_OVERFLOW], None),
+    ([0.6, 0.8, -_RHO_OVERFLOW], None),
+    ([0.6, 0.8, math.nextafter(_RHO_OVERFLOW, math.inf)], OverflowError),
+    ([0.6, 0.8, -math.nextafter(_RHO_OVERFLOW, math.inf)], OverflowError),
+    ([0.6, 0.8, 1e300], OverflowError),
+    ([0.0, 0.0, 1.0], ValueError),
+    ([0.0, -0.0, 800.0], ValueError),
+    ([1e-200, 0.0, 1.0], ValueError),    # |q|^2 underflows to 0
+    ([5e-324, 0.0, 1.0], ValueError),
+])
+def test_eval_and_grad_share_one_domain_check(w, error):
+    # inside the rho bound both return finite values; h2 is checked only
+    # where it must raise
+    w = np.array(w)
+    for method in chart_fields()[:2] if error is None else chart_fields():
+        if error is None:
+            assert np.isfinite(method(w)).all(), method
+        else:
+            with pytest.raises(error):
+                method(w)
+
+
+def test_change_of_variable_matches_the_direct_solve():
+    # ROADMAP item 8, geometric route: the projected chart solve, mapped
+    # back by y = e^rho theta - b, against the direct solve.  Both are
+    # second-order Taylor steps on a polyline, so their gap is at most
+    # C max(1, sup|y|) S mesh^-2, with S = sum |dx_k|^3 / dt_k^2 the
+    # driver's integral of |x'|^3.  Measured before this test, on 600
+    # examples drawn like these (300 with 2-8 segments of scale 0.2-0.8,
+    # 300 with 8 segments of scale 0.8) at mesh 256: C <= 0.69, with
+    # gap * mesh^2 the same at meshes 128-1024 to 4%.
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    C = 2.0
+
+    @hyp.settings(max_examples=25, deadline=None, derandomize=True,
+                  database=None)
+    @hyp.given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(KINDS),
+               d=st.integers(1, 3), m=st.integers(1, 2),
+               segments=st.integers(2, 8), scale=st.floats(0.2, 0.8),
+               mesh=st.sampled_from([256, 1024]))
+    def chart_matches(seed, kind, d, m, segments, scale, mesh):
+        rng = np.random.default_rng(seed)
+        f = random_field(rng, kind, d, m)
+        pts = np.zeros((segments + 1, f.m))
+        pts[1:] = np.cumsum(rng.normal(0.0, scale, size=(segments, f.m)),
+                            axis=0)
+        times = np.linspace(0.0, 1.0, segments + 1)
+        x = lift_piecewise_linear(pts, times)
+        a = rng.normal(0.0, 1.0, size=f.d)
+        sol_y = solve_rde(x, f, a, 1.0, SolverConfig(base_mesh=mesh))
+        sup = float(np.max(np.linalg.norm(sol_y.y, axis=1)))
+        shift = choose_shift(a, 1.5 * sup)
+        sol_z = solve_rde(
+            x, transformed_field(f, shift), shift.state_of(a), 1.0,
+            SolverConfig(base_mesh=mesh,
+                         state_projection=sphere_state_projection(f.d)))
+        q, rho = sol_z.y[:, :-1], sol_z.y[:, -1]
+        back = (np.exp(rho)[:, None] * q
+                / np.linalg.norm(q, axis=1)[:, None] - shift.b)
+        S = float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1) ** 3
+                         / np.diff(times) ** 2))
+        gap = float(np.max(np.abs(back - sol_y.y)))
+        assert gap <= C * max(1.0, float(np.max(np.abs(sol_y.y)))) * S / mesh**2
+
+    chart_matches()
+
+
 # ---------------------------------------------------------------------------
 # shifts
 
@@ -237,6 +367,23 @@ def test_choose_shift_construction():
         assert np.linalg.norm(s.b + y) >= 1.0 - 1e-12
     with pytest.raises(ValueError, match="nonnegative"):
         choose_shift(np.zeros(2), -1.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: transformed_field(counterexample_field(), ShiftedMap([3.0])),
+    lambda: h1_h2(counterexample_field(), ShiftedMap([3.0])),
+    lambda: transformed_field(linear_field(np.eye(2)), ShiftedMap([3.0])),
+    lambda: choose_shift(np.zeros(2), math.nan),
+    lambda: choose_shift(np.zeros(2), math.inf),
+    lambda: choose_shift(np.array([math.nan, 0.0]), 1.0),
+    lambda: choose_shift(np.array([0.0, math.inf]), 1.0),
+    lambda: ShiftedMap(np.array([math.nan, 1.0])),
+    lambda: ShiftedMap(np.ones((2, 2))),
+], ids=["transformed_field d", "h1_h2 d", "linear d", "radius nan",
+        "radius inf", "a nan", "a inf", "b nan", "b matrix"])
+def test_shift_must_be_finite_and_fit_the_field(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_shifted_map_state_roundtrip():

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from roughpaths.partial_rough_paths import (PartialRoughPath, SmoothMap,
+from roughpaths.partial_rough_paths import (_ADDITIVITY_SAMPLES,
+                                            PartialRoughPath, SmoothMap,
                                             pushforward, pvar_distance)
+from roughpaths.rough_paths import _grid_triples
 from roughpaths.vector_fields import VectorField
 
 from oracles import partial_from_smooth, riemann_cross, rough_integral_along
@@ -49,6 +51,38 @@ def test_cross_between_broadcasts_its_grid_indices():
     assert grid.shape == (5, 9, 3, 2)
     assert np.array_equal(grid[2, 5], prp.cross_between(2, 9))
     assert np.array_equal(prp.cross_between(4, 4), np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("i, j", [
+    (-1, 2), (5, 2), (2, 5), (np.array([0, -1]), 2),
+    (1, np.array([[2], [7]])), (np.arange(6), 0)])
+def test_cross_between_rejects_indices_off_the_grid(i, j):
+    # a negative index would wrap around to the end of the grid
+    prp = random_prp(np.random.default_rng(49), n=4)
+    with pytest.raises(IndexError, match=r"\[0, 5\)"):
+        prp.cross_between(i, j)
+    assert np.array_equal(prp.cross_between(np.arange(5), 0)[4],
+                          prp.cross_between(4, 0))
+
+
+def test_additivity_defect_builds_the_prefix_sums_once(monkeypatch):
+    # its value is the defect of cross_between over the same triples
+    prp = random_prp(np.random.default_rng(50), n=40)
+    i, j, k = _grid_triples(prp.n_points, 25, _ADDITIVITY_SAMPLES)
+    rhs = (prp.cross_between(i, j) + prp.cross_between(j, k)
+           + (prp.y[j] - prp.y[i])[:, :, None]
+           * (prp.x[k] - prp.x[j])[:, None, :])
+    want = float(np.max(np.abs(prp.cross_between(i, k) - rhs)))
+    calls = []
+    build = PartialRoughPath._cross_pairs
+
+    def counted(self):
+        calls.append(self)
+        return build(self)
+
+    monkeypatch.setattr(PartialRoughPath, "_cross_pairs", counted)
+    assert prp.additivity_defect() == want
+    assert len(calls) == 1
 
 
 def test_cross_error_bound_holds_over_random_triples():
