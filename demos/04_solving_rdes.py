@@ -11,7 +11,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from roughpaths import SolverConfig, lift_piecewise_linear, linear_field, \
-    pvar_norm, solution_to_partial, solve_rde
+    pvar_norm, solve_rde
 
 time_lift = lift_piecewise_linear(np.array([[0.0], [1.0]]), [0.0, 1.0])
 
@@ -40,13 +40,12 @@ for mesh in (64, 128, 256, 512, 1024):
     print(f"{mesh:>5}    {e:.3e}    {order}")
     prev = e
 
-# %% the solution carries its cross integral against the driver, one
-# increment per mesh interval; as a partial rough path the additivity
+# %% the solution is a partial rough path: it carries its cross integral
+# against the driver, one increment per mesh interval, and the additivity
 # identity extends it to every grid triple
 sol = solve_rde(time_lift, linear_field(A), a, 1.0, SolverConfig(base_mesh=256))
-print("\ncross additivity defect:",
-      solution_to_partial(sol, time_lift).additivity_defect())
-print("steps taken:", sol.diagnostics["step_count"])
+print("\ncross additivity defect:", sol.additivity_defect())
+print("steps taken:", len(sol.times) - 1)
 
 # %% measures of the driver are asked for explicitly: the solver does not
 # scan its driver (the p-variation scan is quadratic in the grid size)

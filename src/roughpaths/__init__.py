@@ -24,7 +24,7 @@ from .rough_paths import (AreaDrift, RoughPath, beta_path, brownian_lift,
                           chen_defect, decompose, dilate, geometricity_defect,
                           lift_piecewise_linear, pure_area_path, pvar_norm,
                           read_polyline_csv, read_roughpath_csv, recompose,
-                          two_param_chen_defect, write_roughpath_csv)
+                          write_roughpath_csv)
 from .sewing import (AlmostRoughPath, SewingConvergenceError, SewResult,
                      YoungConditionError, sew, young_integral)
 from .vector_fields import (FieldBounds, SecondOrderField, VectorField,
@@ -38,7 +38,7 @@ from .rde_solver import (BlowupRecord, FieldEvaluationError, GrowthReport,
                          growth_bound_check, solution_to_partial, solve_rde,
                          solve_rde_corrected, write_solution_csv)
 from .log_sphere_map import (LogSphereCoords, ShiftedMap, choose_shift,
-                             grad2_phi, grad_phi, h1_h2, phi,
-                             sphere_state_projection, transformed_field)
+                             grad_phi, h1_h2, phi, sphere_state_projection,
+                             transformed_field)
 
 __version__ = "0.1.0"

@@ -185,10 +185,6 @@ def _random_polyline(seed, T=1.0, m=1, n=8, scale=0.2) -> RoughPath:
     return lift_piecewise_linear(pts, np.linspace(0.0, float(T), n + 1))
 
 
-def _polyline(points, times) -> RoughPath:
-    return lift_piecewise_linear(points, times)
-
-
 def _brownian(convention, seed, T=1.0, m=1, steps=1024) -> RoughPath:
     return brownian_lift(int(seed), int(steps), float(T), int(m), convention)
 
@@ -197,18 +193,14 @@ def _pure_area(T=1.0, m=1, area=None) -> RoughPath:
     return pure_area_path(float(T), int(m), area)
 
 
-def _csv(path) -> RoughPath:
-    return read_roughpath_csv(path)
-
-
 _DRIVERS = {
     "zigzag": _zigzag,
     "random-polyline": _random_polyline,
-    "polyline": _polyline,
+    "polyline": lift_piecewise_linear,
     "brownian-ito": partial(_brownian, "ito"),
     "brownian-stratonovich": partial(_brownian, "stratonovich"),
     "pure-area": _pure_area,
-    "csv": _csv,
+    "csv": read_roughpath_csv,
 }
 # kinds whose `seed` parameter defaults to the run's seed
 _SEEDED = ("random-polyline", "brownian-ito", "brownian-stratonovich")
@@ -500,7 +492,7 @@ def cmd_solve(cfg: dict, out: str, seed: int) -> list:
     write_solution_csv(sol, os.path.join(out, cfg["output"]))
     lines = [f"solve  field={cfg['field'].get('name')}  "
              f"driver={cfg['driver'].get('kind')}",
-             f"  steps={sol.diagnostics['step_count']}  "
+             f"  steps={len(sol.times) - 1}  "
              f"sup|y|={sol.sup_norm():.6g}"]
     bj = blowup_json(sol)
     if bj is not None:

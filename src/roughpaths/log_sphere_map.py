@@ -5,9 +5,10 @@ the cylinder S^(d-1) x R.  Pulled back through it, a linear-growth field
 on R^d becomes a bounded field on the cylinder: the Jacobian decays like
 1/|z| exactly fast enough to absorb linear growth.  That is the engine
 behind the global-existence bound for geometric drivers, and this module
-provides the map, its first and second derivatives, the transformed
-first- and second-order fields, and the shift that keeps trajectories
-away from the origin.
+provides the map, its Jacobian, the transformed first- and second-order
+fields, and the shift that keeps trajectories away from the origin.  A
+solver maps the state; a solution is its partial rough path, which
+partial_rough_paths.pushforward maps through the same chart.
 
 Off the cylinder the transformed field is extended by normalizing the
 angular component, h(q, rho) := h(q/|q|, rho), which is smooth for
@@ -17,7 +18,7 @@ renormalize the angular part of its state each step (see
 
 The transformed fields are closed forms on Python floats, as numpy's
 per-call overhead is the cost on the one state per solver step: no
-grad_phi or grad2_phi tensor, explicit loops (sum() is compensated from
+grad_phi tensor, explicit loops (sum() is compensated from
 Python 3.12 on) and one np.array per result.
 """
 
@@ -35,7 +36,6 @@ __all__ = [
     "ShiftedMap",
     "phi",
     "grad_phi",
-    "grad2_phi",
     "transformed_field",
     "h1_h2",
     "choose_shift",
@@ -95,24 +95,6 @@ def grad_phi(z) -> np.ndarray:
     out = np.empty((d + 1, d))
     out[:d] = np.eye(d) / r - np.multiply.outer(z, z) / r ** 3
     out[d] = z / r ** 2
-    return out
-
-
-def grad2_phi(z) -> np.ndarray:
-    """Second derivatives, shape (d+1, d, d): out[k, j, e] = d^2 phi_k / dz_j dz_e."""
-    z = np.asarray(z, dtype=float)
-    r = math.sqrt(z.dot(z))
-    if r == 0.0:
-        raise ValueError("second derivatives undefined at the origin")
-    d = len(z)
-    eye = np.eye(d)
-    out = np.empty((d + 1, d, d))
-    out[:d] = (-(eye[:, :, None] * z[None, None, :]
-                 + eye[:, None, :] * z[None, :, None]
-                 + eye[None, :, :] * z[:, None, None]) / r ** 3
-               + 3.0 * z[:, None, None] * z[None, :, None]
-               * z[None, None, :] / r ** 5)
-    out[d] = eye / r ** 2 - 2.0 * np.multiply.outer(z, z) / r ** 4
     return out
 
 
@@ -262,6 +244,9 @@ def h1_h2(f: VectorField, shift: ShiftedMap):
     multiplies the area drift.  h2 is bounded only when f . grad f has at
     most linear growth; for quadratically growing derived fields it
     inflates like exp(rho), the failure mode of the explosion example.
+    h2 raises as h1 does, and OverflowError where the derived field or h2
+    itself is not finite (for the counterexample field shifted by
+    (4, 0), from rho = 356 and at rho = -708).
     """
     h1 = transformed_field(f, shift)
     fdf = f_dot_grad_f(f)
@@ -270,8 +255,13 @@ def h1_h2(f: VectorField, shift: ShiftedMap):
 
     def _eval2(w):
         theta, _, r, y = _chart_state(w, b)
-        F = fdf.eval(y).reshape(d, m * m).tolist()
+        # a non-finite derived field makes h2 non-finite, which raises
+        with np.errstate(over="ignore", invalid="ignore"):
+            F = fdf.eval(y).reshape(d, m * m).tolist()
         h2 = _pull_back(theta, F, r, [0.0] * (m * m))
+        if not all(map(math.isfinite, h2)):
+            raise OverflowError(f"the derived field or h2 is not finite "
+                                f"at rho = {w[-1]:.6g}")
         return np.array(h2).reshape(d + 1, m, m)
 
     return h1, SecondOrderField(d + 1, m, _eval2)

@@ -9,9 +9,10 @@ which is exactly the first-order-plus-area expansion whose sewn limit
 defines the solution; on smooth drivers it reduces to a second-order
 Taylor scheme.  One step map serves the mesh loop and the bisection
 that locates where |y| first crosses r_max (the operational stand-in for
-blow-up).  The solution's cross integral against the driver is stored
-per interval, f(y_i) paired with the driver's level 2, and the module
-carries the partition rule and a-priori sup bound for bounded fields.
+blow-up).  A solution is its partial rough path (x, y, int dy (x) dx):
+the cross integral against the driver is stored per interval, f(y_i)
+paired with the driver's level 2.  The module also carries the
+partition rule and a-priori sup bound for bounded fields.
 
 A corrected variant integrates against a decomposed driver: the rough
 step uses the geometric part while a Young term h2(y) dbeta adds the
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -107,34 +108,21 @@ class BlowupRecord:
                  "exceed it if |y| keeps growing")
 
 
-@dataclass
-class RDESolution:
-    """Solution on its mesh, with the cross integral against the driver.
+@dataclass(frozen=True)
+class RDESolution(PartialRoughPath):
+    """A solution on its mesh: the partial rough path (x, y, cross) of the
+    driver's level 1 and 2 at the solution's times, the states, and
+    cross_inc[k] = f(y_k) x2_inc[k], with p the solve's.
 
-    x2_inc[k] is the driver's level 2 over [t_k, t_k+1] and cross_inc[k]
-    = f(y_k) x2_inc[k] the cross integral there, the per-interval form
-    PartialRoughPath stores (solution_to_partial extends both to any
-    pair of mesh times).  diagnostics holds "step_count", the steps taken
-    (fewer than the mesh has when a threshold crossing ends the solve).
-    The solver computes no other diagnostic: measures of the driver, such
-    as pvar_norm or geometricity_defect, are for the caller to ask for.
+    The triple's own checks hold (finite values, strictly increasing
+    times, matching shapes), and its cross integral extends to any pair
+    of mesh times.  blowup records a threshold crossing, which ends the
+    solution at the crossing time (len(times) - 1 steps taken).  The
+    solver computes no diagnostic: measures of the driver, such as
+    pvar_norm or geometricity_defect, are for the caller to ask for.
     """
 
-    times: np.ndarray          # (K+1,)
-    y: np.ndarray              # (K+1, d)
-    x1: np.ndarray             # (K+1, m) driver level 1 at solution times
-    x2_inc: np.ndarray         # (K, m, m) driver level 2 per interval
-    cross_inc: np.ndarray      # (K, d, m) cross integral per interval
-    blowup: BlowupRecord | None
-    diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def d(self) -> int:
-        return self.y.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.x1.shape[1]
+    blowup: BlowupRecord | None = None
 
     def sup_norm(self) -> float:
         return float(np.max(np.linalg.norm(self.y, axis=1)))
@@ -239,13 +227,14 @@ def _crossing(increments, step, y, t0: float, t1: float,
     return BlowupRecord(r_max, hi, float(np.linalg.norm(y_cross))), y_cross
 
 
-def _solution(x: RoughPath, times, traj, fes, x2_all, blow) -> RDESolution:
+def _solution(x: RoughPath, times, traj, fes, x2_all, cfg: SolverConfig,
+              blow) -> RDESolution:
     """The solution over times (the mesh up to the last step taken, or
     to the crossing time) from the states and field values stepped."""
     x2_inc = x2_all if blow is None else x.increments_on_mesh(times)[1]
     cross_inc = np.einsum("kdm,kmn->kdn", fes, x2_inc)
-    return RDESolution(times, traj, x.at(times)[0], x2_inc, cross_inc, blow,
-                       {"step_count": len(times) - 1})
+    return RDESolution(times, x.at(times)[0], x2_inc, traj, cross_inc, cfg.p,
+                       blow)
 
 
 def _davie_loop(x: RoughPath, f: VectorField, a, T: float,
@@ -286,7 +275,7 @@ def _davie_loop(x: RoughPath, f: VectorField, a, T: float,
             y_new[...] = proj(y_new)
         y = y_new
     return _solution(x, mesh[:last + 1], traj[:last + 1], fes[:last], x2_all,
-                     blow)
+                     cfg, blow)
 
 
 def _davie_stack(xs, f: VectorField, a, T: float, cfg: SolverConfig) -> list:
@@ -365,7 +354,7 @@ def _davie_stack(xs, f: VectorField, a, T: float, cfg: SolverConfig) -> list:
         times_k = (mesh.copy() if blow is None else
                    np.concatenate([mesh[:last], [blow.crossing_time]]))
         sols.append(_solution(x, times_k, traj[k, :last + 1], fes[k, :last],
-                              incs[k][1], blow))
+                              incs[k][1], cfg, blow))
     return sols
 
 
@@ -554,17 +543,18 @@ def growth_bound_check(f: VectorField, x: RoughPath, a, T: float,
 # interchange
 
 
-def solution_to_partial(sol: RDESolution, x: RoughPath, p: float = 2.0):
-    """Partial rough path (x, y, cross) carried by a solution.
+def solution_to_partial(sol: RDESolution, x: RoughPath,
+                        p: float = 2.0) -> PartialRoughPath:
+    """The partial rough path (x, y, cross) of a solution, with p.
 
-    The solution's per-interval arrays pass through unchanged.  x is the
-    driver the solution was computed on: one of another dimension, or
-    that ends before the solution, raises ValueError.
+    A solution is its triple: sol itself is returned when p is the
+    solve's, a copy with p replaced otherwise.  x is the driver the
+    solution was computed on: one of another dimension, or that ends
+    before the solution, raises ValueError.
     """
     if x.m != sol.m or sol.times[-1] > x.T + 1e-12:
         raise ValueError("x is not the driver of this solution")
-    return PartialRoughPath(sol.times, sol.x1, sol.x2_inc, sol.y,
-                            sol.cross_inc, p)
+    return sol if p == sol.p else replace(sol, p=p)
 
 
 def write_solution_csv(sol: RDESolution, path) -> None:

@@ -36,7 +36,6 @@ __all__ = [
     "AreaDrift",
     "lift_piecewise_linear",
     "chen_defect",
-    "two_param_chen_defect",
     "pvar_norm",
     "geometricity_defect",
     "beta_path",
@@ -186,11 +185,10 @@ class RoughPath:
                            t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Increments x_s^-1 (x) x_t for 1-d arrays of times s, t (K each).
 
-        Broadcasts as two_param_chen_defect requires: returns
-        (level1 (K, m), level2 (K, m, m)), from one `at` query for all of
-        s and one for all of t, with b_t - b_s - u_s (x) (u_t - u_s) row
-        by row.  chen_defect calls it three times per chunk of
-        _CHEN_CHUNK triples.
+        Returns (level1 (K, m), level2 (K, m, m)), from one `at` query
+        for all of s and one for all of t, with
+        b_t - b_s - u_s (x) (u_t - u_s) row by row.  chen_defect calls it
+        three times per chunk of _CHEN_CHUNK triples.
         """
         us, bs = self.at(s)
         ut, bt = self.at(t)
@@ -337,36 +335,22 @@ def _grid_triples(n: int, exhaustive_limit: int,
     return idx[:, 0], idx[:, 1], idx[:, 2]
 
 
-def _broadcast_increments(inc_fn, s: np.ndarray,
-                          t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """inc_fn(s, t), checked against the broadcast contract."""
-    out = inc_fn(s, t)
-    if isinstance(out, tuple) and len(out) == 2:
-        l1, l2 = (np.asarray(a, dtype=float) for a in out)
-        if (l1.ndim == 2 and len(l1) == len(s)
-                and l2.shape == l1.shape + l1.shape[1:]):
-            return l1, l2
-    raise ValueError("inc_fn must broadcast: given 1-d arrays s, t of "
-                     "length K it returns (level1 (K, m), level2 (K, m, m))")
+def chen_defect(rp: RoughPath) -> float:
+    """Max multiplicativity defect of a rough path's increments.
 
+    For grid triples s < u < t compares x_s^-1 (x) x_t against
+    (x_s^-1 (x) x_u) (x) (x_u^-1 (x) x_t), entrywise across both levels:
+    pure float roundoff, since the increments come from point values.
+    Every triple is visited up to _CHEN_EXHAUSTIVE_LIMIT grid points;
+    beyond it, the triples of _CHEN_SAMPLES seeded draws (default_rng(0),
+    sorted, kept when strictly increasing).
 
-def two_param_chen_defect(inc_fn, times) -> float:
-    """Max multiplicativity defect of a two-parameter increment map.
-
-    For grid triples s < u < t compares inc(s, t) against
-    inc(s, u) (x) inc(u, t), entrywise across both levels.  Every triple
-    is visited up to _CHEN_EXHAUSTIVE_LIMIT grid points; beyond it, the
-    triples of _CHEN_SAMPLES seeded draws (default_rng(0), sorted, kept
-    when strictly increasing).
-
-    inc_fn must broadcast: given 1-d arrays s, t of length K it returns
-    (level1 (K, m), level2 (K, m, m)); anything else raises ValueError.
-    The triples are evaluated _CHEN_CHUNK at a time, three inc_fn calls
-    per chunk; each triple gets the same floating-point operations
-    whatever the chunk size, so the result does not depend on it.  NaN
-    increments raise ValueError.
+    The triples are evaluated _CHEN_CHUNK at a time, three
+    rp.increments_between calls per chunk; each triple gets the same
+    floating-point operations whatever the chunk size, so the result
+    does not depend on it.  NaN increments raise ValueError.
     """
-    t = np.asarray(times, dtype=float)
+    t = rp.times
     n = len(t)
     if n < 3:
         raise ValueError("need at least 3 grid points")
@@ -374,27 +358,16 @@ def two_param_chen_defect(inc_fn, times) -> float:
     worst = 0.0
     for c0 in range(0, len(i), _CHEN_CHUNK):
         ti, tj, tk = (t[a[c0:c0 + _CHEN_CHUNK]] for a in (i, j, k))
-        w1, w2 = _broadcast_increments(inc_fn, ti, tk)
-        l1, l2 = _broadcast_increments(inc_fn, ti, tj)
-        r1, r2 = _broadcast_increments(inc_fn, tj, tk)
+        w1, w2 = rp.increments_between(ti, tk)
+        l1, l2 = rp.increments_between(ti, tj)
+        r1, r2 = rp.increments_between(tj, tk)
         d1 = np.max(np.abs(w1 - (l1 + r1)), initial=0.0)
         d2 = np.max(np.abs(w2 - (l2 + r2 + np.einsum("ki,kj->kij", l1, r1))),
                     initial=0.0)
         if np.isnan(d1) or np.isnan(d2):
-            raise ValueError("inc_fn returned NaN increments")
+            raise ValueError("the increments are NaN")
         worst = max(worst, float(d1), float(d2))
     return worst
-
-
-def chen_defect(rp: RoughPath) -> float:
-    """Chen defect of a rough path (see two_param_chen_defect).
-
-    This is pure float roundoff, since increments come from point values
-    (rp.increments_between, two `at` queries per chunk of triples).  To
-    audit externally supplied two-parameter data, pass its broadcasting
-    increment map to two_param_chen_defect.
-    """
-    return two_param_chen_defect(rp.increments_between, rp.times)
 
 
 def _tile_side(n: int) -> int:

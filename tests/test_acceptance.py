@@ -106,7 +106,7 @@ def test_criterion_4_solver_oracle_equivalence():
     a2 = np.array([1.0, 0.5])
     sol2 = rp.solve_rde(tl, rp.linear_field(A), a2, 1.0, cfg)
     for k in range(0, 4097, 512):
-        want = expm(A * sol2.x1[k, 0]) @ a2
+        want = expm(A * sol2.x[k, 0]) @ a2
         assert np.linalg.norm(sol2.y[k] - want) <= 1e-6
     # scalar geometric driver against a exp(x_T - x_0)
     rng = np.random.default_rng(103)

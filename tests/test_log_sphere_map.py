@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from roughpaths.log_sphere_map import (_RHO_OVERFLOW, LogSphereCoords,
-                                       ShiftedMap, choose_shift, grad2_phi,
-                                       grad_phi, h1_h2, phi,
-                                       sphere_state_projection,
+                                       ShiftedMap, choose_shift, grad_phi,
+                                       h1_h2, phi, sphere_state_projection,
                                        transformed_field)
 from roughpaths.rde_solver import SolverConfig, solve_rde
 from roughpaths.rough_paths import lift_piecewise_linear
 from roughpaths.vector_fields import (counterexample_field, f_dot_grad_f,
                                       linear_field, tanh_field, zero_field)
 
-from oracles import (finite_diff_grad, grad_phi_norm,
+from oracles import (finite_diff_grad, grad2_phi_norm, grad_phi_norm,
                      transformed_field_norm, z_of)
 
 
@@ -98,6 +97,7 @@ def test_grad_phi_matches_finite_differences():
 
 
 def test_grad2_phi_matches_finite_differences():
+    # the second derivatives transformed_field_norm's oracle uses
     rng = np.random.default_rng(83)
     for _ in range(20):
         z = rng.normal(size=2) * 3
@@ -109,7 +109,7 @@ def test_grad2_phi_matches_finite_differences():
             e = np.zeros(2)
             e[c] = h
             fd[:, :, c] = (grad_phi(z + e) - grad_phi(z - e)) / (2 * h)
-        assert np.max(np.abs(grad2_phi(z) - fd)) <= 1e-5
+        assert np.max(np.abs(grad2_phi_norm(z) - fd)) <= 1e-5
 
 
 def test_grad_phi_decay_like_inverse_radius():
@@ -272,7 +272,8 @@ def test_closed_form_matches_the_einsum_pull_back():
 
 def chart_fields():
     """eval and grad of the shifted counterexample's chart field, and h2's
-    eval (whose derived field, quadratic in y, overflows by rho = 355)."""
+    eval (which overflows from rho = 356: its derived field is quadratic
+    in y)."""
     h, h2 = h1_h2(counterexample_field(), ShiftedMap(np.array([4.0, 0.0])))
     return h.eval, h.grad, h2.eval
 
@@ -302,6 +303,27 @@ def test_eval_and_grad_share_one_domain_check(w, error):
         else:
             with pytest.raises(error):
                 method(w)
+
+
+@pytest.mark.parametrize("rho", [356.0, 400.0, _RHO_OVERFLOW, -_RHO_OVERFLOW])
+def test_h2_raises_where_it_overflows(rho):
+    # f . grad f overflows at y = e^rho theta - b from rho = 356 (inf and
+    # nan, with a RuntimeWarning, from ndarray.dot), and at rho = -708
+    # the pull-back's division by e^rho does (inf, silently)
+    h2 = chart_fields()[2]
+    with pytest.raises(OverflowError, match=f"rho = {rho:g}"):
+        h2(np.array([0.6, 0.8, rho]))
+
+
+def test_h2_below_the_overflow_matches_the_einsum_pull_back():
+    b = np.array([4.0, 0.0])
+    f = counterexample_field()
+    h2 = chart_fields()[2]
+    z = math.exp(100.0) * np.array([0.6, 0.8])
+    want = np.einsum("ka,aij->kij", grad_phi_norm(z),
+                     f_dot_grad_f(f).eval(z - b))
+    got = h2(np.array([0.6, 0.8, 100.0]))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_change_of_variable_matches_the_direct_solve():

@@ -7,8 +7,9 @@ import pytest
 from scipy.linalg import expm
 
 from roughpaths import rde_solver
-from roughpaths.rough_paths import (brownian_lift, decompose, dilate,
-                                    geometricity_defect,
+from roughpaths.partial_rough_paths import PartialRoughPath
+from roughpaths.rough_paths import (AreaDrift, brownian_lift, decompose,
+                                    dilate, geometricity_defect,
                                     lift_piecewise_linear, pure_area_path,
                                     pvar_norm, recompose)
 from roughpaths.rde_solver import (FieldEvaluationError, SolverConfig,
@@ -39,7 +40,7 @@ def random_polyline(rng, n=6, m=1, T=1.0, scale=0.3):
 
 def test_solve_computes_no_driver_pvar(monkeypatch):
     # the p-variation scan is quadratic in the driver's grid; a solve
-    # reports only its step count and leaves driver measures to callers
+    # returns its triple and leaves driver measures to callers
     import roughpaths.rde_solver as rde_solver
 
     def refuse(*args, **kwargs):
@@ -49,7 +50,7 @@ def test_solve_computes_no_driver_pvar(monkeypatch):
     x, _ = random_polyline(np.random.default_rng(3), n=50)
     sol = solve_rde(x, tanh_field(1, 1), np.array([0.2]), 1.0,
                     SolverConfig(base_mesh=128))
-    assert sol.diagnostics == {"step_count": 128}
+    assert len(sol.times) == 129
 
 
 def test_zero_field_is_constant():
@@ -84,7 +85,7 @@ def test_matrix_linear_field_against_expm_oracle():
     sol = solve_rde(x, linear_field(A), np.array([1.0, 0.5]), 1.0,
                     SolverConfig(base_mesh=4096))
     # whole-trajectory check at every 256th mesh point
-    u = sol.x1[:, 0]
+    u = sol.x[:, 0]
     for k in range(0, len(sol.times), 256):
         want = expm(A * (u[k] - u[0])) @ np.array([1.0, 0.5])
         assert np.linalg.norm(sol.y[k] - want) <= 1e-6
@@ -171,12 +172,14 @@ def test_solution_to_partial_carries_the_interval_arrays():
     sol = solve_rde(x, counterexample_field(), np.array([1.0, 0.0]), 1.0,
                     SolverConfig(base_mesh=256))
     prp = solution_to_partial(sol, x, p=2.5)
+    assert prp is not sol and sol.p == 2.0
+    assert prp.blowup is sol.blowup
     assert prp.x2_inc.shape == (256, 1, 1)
     assert prp.cross_inc.shape == (256, 2, 1)
     assert np.array_equal(prp.x2_inc, sol.x2_inc)
     assert np.array_equal(prp.cross_inc, sol.cross_inc)
     assert np.array_equal(prp.times, sol.times)
-    assert np.array_equal(prp.x, sol.x1)
+    assert np.array_equal(prp.x, x.at(sol.times)[0])
     assert np.array_equal(prp.y, sol.y)
     assert prp.p == 2.5
     # per interval the cross increment pairs f(y_k) with the driver's x2
@@ -198,29 +201,50 @@ def test_solution_to_partial_rejects_another_driver():
 
 
 def test_solution_cross_additivity_over_random_drivers():
-    # a property over m in {1, 2}, random polylines, linear fields and an
-    # r_max low enough (|a| = 1.118) to end some of the solves early
+    # a property over every route (the plain loop, the corrected loop
+    # with f's own derived field fused into the level-2 input or with a
+    # separate h2, and the stacked loop), m in {1, 2}, random polylines
+    # (with a linear area drift on the corrected routes), linear fields
+    # and an r_max low enough (|a| = 1.118) to end some of the solves
+    # early: each solution is its partial rough path
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
-    truncated = []
+    routes = ("plain", "fused", "unfused", "stacked")
+    truncated, drawn = [], set()
 
     @hyp.settings(max_examples=25, deadline=None, derandomize=True,
                   database=None)
     @hyp.given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 2),
                segments=st.integers(2, 8), scale=st.floats(0.2, 0.8),
                r_max=st.sampled_from([1.2, 1e6]),
-               mesh=st.sampled_from([64, 256]))
-    def additive(seed, m, segments, scale, r_max, mesh):
+               mesh=st.sampled_from([64, 256]),
+               route=st.sampled_from(routes))
+    def additive(seed, m, segments, scale, r_max, mesh, route):
         rng = np.random.default_rng(seed)
         x, _ = random_polyline(rng, n=segments, m=m, scale=scale)
-        A = rng.normal(0.0, 1.5, size=(2, m, 2))
-        sol = solve_rde(x, linear_field(A), np.array([1.0, -0.5]), 1.0,
-                        SolverConfig(base_mesh=mesh, r_max=r_max))
+        f = linear_field(rng.normal(0.0, 1.5, size=(2, m, 2)))
+        a = np.array([1.0, -0.5])
+        cfg = SolverConfig(base_mesh=mesh, r_max=r_max)
+        if route == "plain":
+            sol = solve_rde(x, f, a, 1.0, cfg)
+        elif route == "stacked":
+            sol = rde_solver._davie_stack([x], f, a, 1.0, cfg)[0]
+        else:
+            S = rng.normal(0.0, 0.5, size=(m, m))
+            drift = AreaDrift(x.times,
+                              x.times[:, None, None] * (S + S.T)[None])
+            so = f_dot_grad_f(f)
+            h2 = so if route == "fused" else (lambda y: so.eval(y))
+            sol = solve_rde_corrected(x, drift, f, h2, a, 1.0, cfg)
         truncated.append(sol.blowup is not None)
-        assert solution_to_partial(sol, x).additivity_defect() <= 1e-12
+        drawn.add(route)
+        assert isinstance(sol, PartialRoughPath)
+        assert solution_to_partial(sol, x) is sol
+        assert sol.additivity_defect() <= 1e-12
 
     additive()
     assert any(truncated) and not all(truncated)
+    assert drawn == set(routes)
 
 
 def test_nan_field_raises_with_location():

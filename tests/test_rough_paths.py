@@ -8,9 +8,7 @@ from roughpaths.rough_paths import (AreaDrift, RoughPath,
                                     lift_piecewise_linear, pure_area_path,
                                     pvar_norm, read_polyline_csv,
                                     read_roughpath_csv, recompose,
-                                    two_param_chen_defect,
                                     write_roughpath_csv)
-from roughpaths.tensor_algebra import GroupElement2
 
 from oracles import (chen_defect_triples, geometricity_defect_rows,
                      pvar_norm_pairs, shoelace_area)
@@ -115,21 +113,6 @@ def test_chen_defect_of_stored_paths_is_roundoff():
     assert chen_defect(pa) <= 1e-13
 
 
-def test_chen_defect_flags_corrupted_increments():
-    rng = np.random.default_rng(12)
-    rp = random_rough_path(rng, 8, 2)
-    bad_pair = (rp.times[2], rp.times[5])
-
-    def corrupted(s, t):
-        level1, level2 = rp.increments_between(s, t)
-        hit = (s == bad_pair[0]) & (t == bad_pair[1])
-        level2 = level2.copy()
-        level2[hit, 0, 1] += 0.1
-        return level1, level2
-
-    assert two_param_chen_defect(corrupted, rp.times) >= 0.09
-
-
 def _chen_paths(rng, n):
     """Paths of n points for m = 1..3: polylines, random point values
     and the pure-area path."""
@@ -171,28 +154,17 @@ def test_chen_defect_ignores_chunk_boundaries(monkeypatch):
         assert chen_defect(rp) == got
 
 
-def test_chen_defect_rejects_scalar_increment_maps():
+def test_chen_defect_rejects_nan_increments(monkeypatch):
     rp = random_rough_path(np.random.default_rng(23), 6, 2)
+    increments_between = RoughPath.increments_between
 
-    def scalar_only(s, t):
-        return GroupElement2(np.zeros(2), np.zeros((2, 2)))
-
-    with pytest.raises(ValueError, match="inc_fn must broadcast"):
-        two_param_chen_defect(scalar_only, rp.times)
-
-    def nan_rows(s, t):
-        level1, level2 = rp.increments_between(s, t)
+    def nan_rows(self, s, t):
+        level1, level2 = increments_between(self, s, t)
         return level1, np.where(s[:, None, None] > 0.0, np.nan, level2)
 
+    monkeypatch.setattr(RoughPath, "increments_between", nan_rows)
     with pytest.raises(ValueError, match="NaN"):
-        two_param_chen_defect(nan_rows, rp.times)
-
-    def one_row(s, t):
-        level1, level2 = rp.increments_between(s, t)
-        return level1[:1], level2[:1]
-
-    with pytest.raises(ValueError, match="inc_fn must broadcast"):
-        two_param_chen_defect(one_row, rp.times)
+        chen_defect(rp)
 
 
 def test_increment_between_is_one_row_of_increments_between():

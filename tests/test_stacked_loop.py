@@ -145,7 +145,7 @@ def test_stacked_rows_cross_and_leave_the_stack():
     sols = _davie_stack(xs, f, a, 5.0, cfg)
     crossed = [sol.blowup is not None for sol in sols]
     assert 2 <= sum(crossed) < len(xs)
-    assert len({sol.diagnostics["step_count"] for sol in sols}) >= 3
+    assert len({len(sol.times) for sol in sols}) >= 3
     for sol, xk in zip(sols, xs):
         assert_same_solution(sol, solve_rde(xk, f, a, 5.0, cfg))
 
@@ -296,7 +296,7 @@ def test_lambda_8_crossing_inside_the_stack_equals_its_solo_solve(seed):
         assert_same_solution(sol, ref)
     for sol in sols[:3]:
         assert sol.times[-1] == 1.0
-        assert sol.diagnostics["step_count"] == 4096
+        assert len(sol.times) == 4097
     crossed, ref = sols[3], refs[3]
     assert crossed.blowup == ref.blowup
     assert crossed.times[-1] == ref.blowup.crossing_time < 1.0
