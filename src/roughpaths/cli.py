@@ -45,15 +45,15 @@ import numpy as np
 
 from .log_sphere_map import ShiftedMap, choose_shift, sphere_state_projection, \
     transformed_field
-from .rough_paths import (RoughPath, _write_csv, brownian_lift, decompose,
-                          geometricity_defect, lift_piecewise_linear,
-                          pure_area_path, read_polyline_csv,
-                          read_roughpath_csv, write_roughpath_csv)
+from .rough_paths import (RoughPath, _write_csv, brownian_lift, chen_defect,
+                          decompose, geometricity_defect,
+                          lift_piecewise_linear, pure_area_path,
+                          read_polyline_csv, read_roughpath_csv,
+                          write_roughpath_csv)
 from .rde_solver import (SolverConfig, blowup_json, growth_bound_check,
                          solve_rde, solve_rde_corrected, write_solution_csv)
 from .svg import line_plot
 from .vector_fields import f_dot_grad_f, make_field
-from . import chen_defect, rough_paths
 
 __all__ = ["main"]
 
@@ -375,15 +375,12 @@ def cmd_decompose(cfg: dict, out: str, seed: int) -> list:
                 drift.beta[::stride, i, j])
                for i in range(m) for j in range(m)],
               title="area drift", xlabel="t", ylabel="beta")
-    # past the exact scan's cut-off geometricity_defect returns the
-    # entrywise-range envelope, an upper bound on the defect
-    scan = "defect" if n <= rough_paths._EXACT_SCAN_LIMIT else "envelope"
-    defect = Check(f"geometricity {scan}", f"{gd_x:.4e}", "<= 0.02",
+    defect = Check("geometricity defect", f"{gd_x:.4e}", "<= 0.02",
                    gd_x <= 0.02)
     report = [f"decompose  driver={kind}",
               defect if kind == "brownian-stratonovich"
               else f"  {defect.label:<23}: {defect.value}",
-              Check(f"geometric part {scan}", f"{gd_geo:.3e}", "<= 1e-10",
+              Check("geometric part defect", f"{gd_geo:.3e}", "<= 1e-10",
                     gd_geo <= 1e-10)]
     if kind == "brownian-ito":
         err = float(np.linalg.norm(

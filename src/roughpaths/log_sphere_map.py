@@ -189,13 +189,21 @@ def _pull_back(theta, F, r, c):
     return out
 
 
+def _finite(values, what, w):
+    """values (floats), or OverflowError naming rho if one is not finite."""
+    if not all(map(math.isfinite, values)):
+        raise OverflowError(f"{what} is not finite at rho = {w[-1]:.6g}")
+    return values
+
+
 def transformed_field(f: VectorField, shift: ShiftedMap) -> VectorField:
     """Pull a field on R^d back to the cylinder chart.
 
     h(q, rho) = grad phi(z) f(z - b) = N F / r with z = r theta,
     theta = q/|q|, r = e^rho, F = f(z - b) and N as in _pull_back; its
     gradient is the chain rule through z(q, rho).  Both raise ValueError
-    at q = 0 and OverflowError for |rho| > 708.
+    at q = 0, and OverflowError for |rho| > 708 or where their value is
+    not finite (F/r overflows near rho = -708 when |F| > 5.9).
     """
     d, m = f.d, f.m
     if shift.d != d:
@@ -206,7 +214,7 @@ def transformed_field(f: VectorField, shift: ShiftedMap) -> VectorField:
     def _eval(w):
         theta, _, r, y = _chart_state(w, b)
         h = _pull_back(theta, f.eval(y).tolist(), r, [0.0] * m)
-        return np.array(h).reshape(d + 1, m)
+        return np.array(_finite(h, "h", w)).reshape(d + 1, m)
 
     def _grad(w):
         theta, nq, r, y = _chart_state(w, b)
@@ -230,7 +238,7 @@ def transformed_field(f: VectorField, shift: ShiftedMap) -> VectorField:
                 offset[j * (d + 1) + k] = h[k * m + j] / nq
             V.append(row)
         out = _pull_back(theta, V, 1.0, offset)
-        return np.array(out).reshape(d + 1, m, d + 1)
+        return np.array(_finite(out, "grad h", w)).reshape(d + 1, m, d + 1)
 
     return VectorField(d + 1, m, _eval, _grad, gamma=f.gamma,
                        name=f"logsphere({f.name})")
@@ -259,9 +267,7 @@ def h1_h2(f: VectorField, shift: ShiftedMap):
         with np.errstate(over="ignore", invalid="ignore"):
             F = fdf.eval(y).reshape(d, m * m).tolist()
         h2 = _pull_back(theta, F, r, [0.0] * (m * m))
-        if not all(map(math.isfinite, h2)):
-            raise OverflowError(f"the derived field or h2 is not finite "
-                                f"at rho = {w[-1]:.6g}")
-        return np.array(h2).reshape(d + 1, m, m)
+        return np.array(_finite(h2, "the derived field or h2", w)).reshape(
+            d + 1, m, m)
 
     return h1, SecondOrderField(d + 1, m, _eval2)

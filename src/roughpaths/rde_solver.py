@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,14 +128,7 @@ class RDESolution(PartialRoughPath):
         return float(np.max(np.linalg.norm(self.y, axis=1)))
 
 
-def _solve_mesh(T: float, cfg: SolverConfig, times) -> np.ndarray:
-    if times is not None:
-        mesh = np.asarray(times, dtype=float)
-        if not np.all(np.isfinite(mesh)):
-            raise ValueError("times must be finite")
-        if mesh[0] != 0.0 or np.any(np.diff(mesh) <= 0):
-            raise ValueError("times must start at 0 and increase strictly")
-        return mesh
+def _solve_mesh(T: float, cfg: SolverConfig) -> np.ndarray:
     if cfg.base_mesh < 1 or cfg.base_mesh > _MAX_STEPS:
         raise ValueError("base_mesh out of range")
     return np.linspace(0.0, T, cfg.base_mesh + 1)
@@ -180,8 +173,8 @@ def _davie_step(x: RoughPath, f: VectorField, young: tuple | None):
     return increments, step
 
 
-def _entry_checks(xs, f: VectorField, a, T: float, cfg: SolverConfig,
-                  times) -> tuple[np.ndarray, np.ndarray]:
+def _entry_checks(xs, f: VectorField, a, T: float,
+                  cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
     """The checks both loops make before stepping, against every driver
     in xs; returns the start state (a fresh copy) and the mesh."""
     d, m = f.d, f.m
@@ -192,18 +185,12 @@ def _entry_checks(xs, f: VectorField, a, T: float, cfg: SolverConfig,
         raise ValueError("initial state must be finite")
     if y.shape != (d,):
         raise ValueError(f"initial state must have shape ({d},)")
-    mesh = _solve_mesh(T, cfg, times)
-    K = len(mesh) - 1
-    if K > _MAX_STEPS:
-        raise ValueError(f"mesh has {K} steps, over the cap of {_MAX_STEPS}")
     for x in xs:
-        if mesh[-1] > x.T + 1e-12:
-            raise ValueError(f"horizon {mesh[-1]} exceeds the driver's range "
-                             f"[0, {x.T}]")
+        T = _horizon(x, T)
         if x.m != m:
             raise ValueError(f"driver dimension {x.m} does not match field "
                              f"m={m}")
-    return y, mesh
+    return y, _solve_mesh(T, cfg)
 
 
 def _crossing(increments, step, y, t0: float, t1: float,
@@ -238,7 +225,7 @@ def _solution(x: RoughPath, times, traj, fes, x2_all, cfg: SolverConfig,
 
 
 def _davie_loop(x: RoughPath, f: VectorField, a, T: float,
-                cfg: SolverConfig, times, young: tuple | None) -> RDESolution:
+                cfg: SolverConfig, young: tuple | None) -> RDESolution:
     """The stepping loop of one trajectory; young = (h2, beta) adds the
     drift term.
 
@@ -246,7 +233,7 @@ def _davie_loop(x: RoughPath, f: VectorField, a, T: float,
     the crossing time (_crossing).
     """
     d, m = f.d, f.m
-    y, mesh = _entry_checks([x], f, a, T, cfg, times)
+    y, mesh = _entry_checks([x], f, a, T, cfg)
     K = len(mesh) - 1
     increments, step = _davie_step(x, f, young)
     u_all, x2_all, b_all, db_all = increments(mesh)
@@ -298,7 +285,7 @@ def _davie_stack(xs, f: VectorField, a, T: float, cfg: SolverConfig) -> list:
     if not f.stacked:
         raise ValueError(f"field {f.name!r} does not take stacked states")
     d, m = f.d, f.m
-    y, mesh = _entry_checks(xs, f, a, T, cfg, None)
+    y, mesh = _entry_checks(xs, f, a, T, cfg)
     K = len(mesh) - 1
     maps = [_davie_step(x, f, None) for x in xs]
     incs = [increments(mesh) for increments, _ in maps]
@@ -359,18 +346,18 @@ def _davie_stack(xs, f: VectorField, a, T: float, cfg: SolverConfig) -> list:
 
 
 def solve_rde(x: RoughPath, f: VectorField, a, T: float,
-              cfg: SolverConfig | None = None, times=None) -> RDESolution:
-    """Solve dy = f(y) dx up to time T on a uniform or supplied mesh.
+              cfg: SolverConfig | None = None) -> RDESolution:
+    """Solve dy = f(y) dx up to time T, T in (0, x.T], on a uniform mesh.
 
     Threshold crossings are returned in the solution's blowup record,
     not raised; non-finite field output raises FieldEvaluationError.
     """
-    return _davie_loop(x, f, a, T, cfg or SolverConfig(), times, None)
+    return _davie_loop(x, f, a, T, cfg or SolverConfig(), None)
 
 
 def solve_rde_corrected(x_hat: RoughPath, beta: AreaDrift, h1: VectorField,
-                        h2, a, T: float, cfg: SolverConfig | None = None,
-                        times=None) -> RDESolution:
+                        h2, a, T: float,
+                        cfg: SolverConfig | None = None) -> RDESolution:
     """Solve dz = h1(z) dx_hat + h2(z) dbeta (rough step plus Young term).
 
     h2 maps states to (d, m, m) arrays (a SecondOrderField or compatible);
@@ -379,8 +366,7 @@ def solve_rde_corrected(x_hat: RoughPath, beta: AreaDrift, h1: VectorField,
     """
     if not isinstance(h2, SecondOrderField):
         h2 = SecondOrderField(h1.d, h1.m, h2)
-    return _davie_loop(x_hat, h1, a, T, cfg or SolverConfig(), times,
-                       (h2, beta))
+    return _davie_loop(x_hat, h1, a, T, cfg or SolverConfig(), (h2, beta))
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +389,8 @@ def _horizon(x: RoughPath, T: float | None) -> float:
     """The horizon T (x.T when None), which must lie in (0, x.T]."""
     T = x.T if T is None else float(T)
     if not 0.0 < T <= x.T + 1e-12:
-        raise ValueError(f"horizon {T} must lie in (0, {x.T}]")
+        raise ValueError(f"horizon {T} must lie in (0, {x.T}], the driver's "
+                         f"range")
     return T
 
 
@@ -543,18 +530,16 @@ def growth_bound_check(f: VectorField, x: RoughPath, a, T: float,
 # interchange
 
 
-def solution_to_partial(sol: RDESolution, x: RoughPath,
-                        p: float = 2.0) -> PartialRoughPath:
-    """The partial rough path (x, y, cross) of a solution, with p.
+def solution_to_partial(sol: RDESolution, x: RoughPath) -> PartialRoughPath:
+    """The partial rough path (x, y, cross) of a solution, at the solve's p.
 
-    A solution is its triple: sol itself is returned when p is the
-    solve's, a copy with p replaced otherwise.  x is the driver the
-    solution was computed on: one of another dimension, or that ends
+    A solution is its triple, so sol itself is returned.  x is the driver
+    the solution was computed on: one of another dimension, or that ends
     before the solution, raises ValueError.
     """
     if x.m != sol.m or sol.times[-1] > x.T + 1e-12:
         raise ValueError("x is not the driver of this solution")
-    return sol if p == sol.p else replace(sol, p=p)
+    return sol
 
 
 def write_solution_csv(sol: RDESolution, path) -> None:

@@ -49,11 +49,6 @@ __all__ = [
     "read_roughpath_csv",
 ]
 
-# The geometricity scan visits every grid pair (O(N^2)) up to this many
-# grid points and falls back to the entrywise-range envelope beyond it.
-# The Chen audit has its own, much lower cut-off (_CHEN_EXHAUSTIVE_LIMIT).
-_EXACT_SCAN_LIMIT = 4200
-
 # The Chen audit visits every grid triple (O(N^3)) up to this many grid
 # points and a fixed seeded sample of _CHEN_SAMPLES draws beyond it.
 _CHEN_EXHAUSTIVE_LIMIT = 120
@@ -581,34 +576,50 @@ def beta_path(rp: RoughPath) -> np.ndarray:
 def geometricity_defect(rp: RoughPath) -> float:
     """Sup over grid pairs of ||sym(b(s,t)) - 0.5 u(s,t) (x) u(s,t)||_F.
 
-    Zero iff the path is grid-geometric.  Computed as the Frobenius
-    diameter of the beta path; exact up to _EXACT_SCAN_LIMIT points, and
-    bounded by the entrywise-range envelope (exact for m = 1, at most a
-    factor m high) beyond that.
+    Zero iff the path is grid-geometric.  Exact at every grid size: the
+    Frobenius diameter of the beta path, from the scan (_pair_sup at
+    power 0, so unscaled) that sums squared differences one matrix entry
+    at a time and takes one sqrt of the largest sum (a per-pair
+    Euclidean norm bit for bit when m <= 2, within an ulp or two for
+    larger m, where numpy sums pairwise).
 
-    The exact scan (_pair_sup at power 0, so unscaled) sums squared
-    differences one matrix entry at a time and takes a single sqrt of
-    the largest sum; this matches a per-pair Euclidean norm bit for bit
-    when m <= 2 and to within an ulp or two for larger m, where numpy
-    sums pairwise.
+    The scan visits only the points that can end a longest pair
+    (Malandain & Boissonnat's diameter pruning).  With r_i the distance
+    of beta_i from its bounding box's centre, |beta_i - beta_j| <=
+    r_i + max r.  Three farthest-point passes find a pair whose squared
+    sum, computed as the scan computes it, is L^2, so a pair at least as
+    long joins points with r_i + max r >= L.  That test, inflated as
+    _inflate inflates a tile bound (plus the square root of the smallest
+    normal float, for squares that underflow), keeps both points of
+    every such pair as computed, so the result is the full scan's, bit
+    for bit.  Exact duplicates are dropped too (their pairs repeat the
+    first copy's squares): a constant stretch costs one point.  A
+    non-finite beta raises ValueError.
     """
-    beta = beta_path(rp)
-    n = len(beta)
-    flat = beta.reshape(n, -1)
-    if n <= _EXACT_SCAN_LIMIT:
-        cols = np.ascontiguousarray(flat.T)
+    flat = beta_path(rp).reshape(rp.n_points, -1)
+    _require_finite(beta=flat)
+    cols = np.ascontiguousarray(flat.T)
 
-        def squares(i0, i1, j0, j1):
-            sq = np.zeros((i1 - i0, j1 - j0))
-            for col in cols:
-                d = col[None, j0:j1] - col[i0:i1, None]
-                sq += d * d
-            return (sq,)
+    def squares(i0, i1, j0, j1):
+        sq = np.zeros((i1 - i0, j1 - j0))
+        for col in cols:
+            d = col[None, j0:j1] - col[i0:i1, None]
+            sq += d * d
+        return (sq,)
 
-        bound = _inflate(_triangle_bound(n, flat) ** 2)
-        return math.sqrt(_pair_sup(rp.times, (0.0,), squares, (bound,))[0])
-    ranges = flat.max(axis=0) - flat.min(axis=0)
-    return float(np.linalg.norm(ranges))
+    r = np.linalg.norm(flat - 0.5 * (flat.max(axis=0) + flat.min(axis=0)),
+                       axis=1)
+    far, longest = int(np.argmax(r)), 0.0
+    for _ in range(3):
+        sq = squares(far, far + 1, 0, len(flat))[0][0]
+        far = int(np.argmax(sq))
+        longest = max(longest, float(sq[far]))
+    reach = _inflate(r + r.max(), math.sqrt(np.finfo(float).tiny))
+    keep = np.flatnonzero(reach >= math.sqrt(longest))
+    keep = np.sort(keep[np.unique(flat[keep], axis=0, return_index=True)[1]])
+    cols = np.ascontiguousarray(cols[:, keep])   # squares scans these now
+    bound = _inflate(_triangle_bound(len(keep), flat[keep]) ** 2)
+    return math.sqrt(_pair_sup(rp.times[keep], (0.0,), squares, (bound,))[0])
 
 
 def decompose(rp: RoughPath) -> tuple[RoughPath, AreaDrift]:

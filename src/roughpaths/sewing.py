@@ -138,8 +138,8 @@ def sew(arp: AlmostRoughPath, s: float, t: float, tol: float = 1e-10,
     return value
 
 
-def young_integral(integrand, driver, p_int: float, q_drv: float,
-                   times=None) -> np.ndarray:
+def young_integral(integrand, driver, p_int: float,
+                   q_drv: float) -> np.ndarray:
     """Cumulative Young integral of a grid integrand against a grid driver.
 
     integrand: (N+1, n, k) linear maps (or (N+1,) scalars, (N+1, k)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from roughpaths import cli, rough_paths
+from roughpaths import cli
 from roughpaths.cli import Check, _merged, main
+from roughpaths.rough_paths import decompose, geometricity_defect
 
 
 def run(tmp_path, command, config=None, seed=None, name="out"):
@@ -229,6 +230,8 @@ def test_non_integer_mesh_exits_two(tmp_path, capsys, command, config):
     {"T": 2.0},                     # horizon past the driver's range
     {"field": {"name": "tanh"}},    # d = 2 field against a 1-d state
     {"solver": {"r_max": float("nan")}},   # written as NaN, which JSON reads
+    {"T": float("nan")},            # rejected before the first step
+    {"T": 0.0},
 ])
 def test_library_value_errors_exit_two(tmp_path, capsys, config):
     assert run(tmp_path, "solve", config) == 2
@@ -335,19 +338,14 @@ def test_unknown_field_and_driver_parameters_exit_two(tmp_path, capsys,
     assert key in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("limit, label", [
-    (64, "geometricity envelope"), (65, "geometricity defect")])
-def test_decompose_names_the_envelope_past_the_exact_scan(
-        tmp_path, monkeypatch, limit, label):
-    # a 64-step driver has 65 points: exact at a cut-off of 65, the
-    # entrywise-range envelope below it
-    monkeypatch.setattr(rough_paths, "_EXACT_SCAN_LIMIT", limit)
-    cfg = {"driver": {"kind": "brownian-stratonovich", "steps": 64, "m": 2,
-                      "T": 1.0}}
-    assert run(tmp_path, "decompose", cfg, seed=3) == 0
+def test_decompose_reports_the_exact_defect_at_its_defaults(tmp_path):
+    # the default 100,001-point driver: both rows carry the exact
+    # geometricity defect (the diameter of the beta path)
+    assert run(tmp_path, "decompose", seed=3) == 0
+    x = cli.driver_from_config(cli.DEFAULTS["decompose"]["driver"], 3)
+    geo, _ = decompose(x)
     rows = (tmp_path / "out" / "report.txt").read_text().splitlines()
-    assert rows[1].startswith(f"  {label:<23}: ")
-    assert rows[1].endswith("(<= 0.02) -> PASS")
-    scan = label.split()[1]
-    assert rows[2].startswith(f"  {'geometric part ' + scan:<23}: ")
-    assert not any("defect <= 0.02" in row for row in rows)
+    assert rows[1] == (f"  {'geometricity defect':<23}: "
+                       f"{geometricity_defect(x):.4e}")
+    assert rows[2] == (f"  {'geometric part defect':<23}: "
+                       f"{geometricity_defect(geo):.3e}  (<= 1e-10) -> PASS")

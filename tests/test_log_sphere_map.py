@@ -270,11 +270,11 @@ def test_closed_form_matches_the_einsum_pull_back():
     agree()
 
 
-def chart_fields():
-    """eval and grad of the shifted counterexample's chart field, and h2's
-    eval (which overflows from rho = 356: its derived field is quadratic
-    in y)."""
-    h, h2 = h1_h2(counterexample_field(), ShiftedMap(np.array([4.0, 0.0])))
+def chart_fields(b1=4.0):
+    """eval and grad of the chart field of the counterexample shifted by
+    (b1, 0), and h2's eval (which overflows from rho = 356 at b1 = 4: its
+    derived field is quadratic in y)."""
+    h, h2 = h1_h2(counterexample_field(), ShiftedMap(np.array([b1, 0.0])))
     return h.eval, h.grad, h2.eval
 
 
@@ -292,12 +292,17 @@ def chart_fields():
     ([0.0, -0.0, 800.0], ValueError),
     ([1e-200, 0.0, 1.0], ValueError),    # |q|^2 underflows to 0
     ([5e-324, 0.0, 1.0], ValueError),
+    # shifted by (100, 0): F/r overflows at the low end of the rho bound,
+    # where eval and grad returned inf and nan without a warning
+    (([0.6, 0.8, -_RHO_OVERFLOW], 100.0), OverflowError),
 ])
 def test_eval_and_grad_share_one_domain_check(w, error):
     # inside the rho bound both return finite values; h2 is checked only
-    # where it must raise
+    # where it must raise.  A case is a state, or a state and b1
+    w, b1 = w if isinstance(w, tuple) else (w, 4.0)
     w = np.array(w)
-    for method in chart_fields()[:2] if error is None else chart_fields():
+    fields = chart_fields(b1)
+    for method in fields[:2] if error is None else fields:
         if error is None:
             assert np.isfinite(method(w)).all(), method
         else:

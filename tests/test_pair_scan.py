@@ -5,11 +5,15 @@ pvar_norm, geometricity_defect and pvar_distance share one tiled scan
 maximum.  These tests pin each measure to a scan of one start point at a
 time, and on large grids (where tiles are skipped) to the blocked row
 scan the tiled one replaced (tests/oracles.py); they check the skip rule
-with fake callbacks, that the tile side does not matter, and cover the
-geometricity envelope beyond the exact scan's limit.
+with fake callbacks and that the tile side does not matter.  The
+geometricity defect scans only the points that its diameter pruning
+keeps: it equals the blocked scan on clouds of every kind, and it stays
+fast on 100,001-point clouds, an i.i.d. one and one of a single repeated
+point.
 """
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -18,14 +22,13 @@ import pytest
 from roughpaths import partial_rough_paths, rough_paths
 from roughpaths.partial_rough_paths import PartialRoughPath, pvar_distance
 from roughpaths.rde_solver import SolverConfig, solution_to_partial, solve_rde
-from roughpaths.rough_paths import (RoughPath, brownian_lift,
+from roughpaths.rough_paths import (RoughPath, beta_path, brownian_lift,
                                     geometricity_defect,
                                     lift_piecewise_linear, pvar_norm)
 from roughpaths.vector_fields import counterexample_field
 
-from oracles import (geometricity_defect_blocked, geometricity_defect_rows,
-                     pvar_distance_blocked, pvar_distance_rows,
-                     pvar_norm_blocked)
+from oracles import (geometricity_defect_blocked, pvar_distance_blocked,
+                     pvar_distance_rows, pvar_norm_blocked)
 
 
 def random_grid(rng, n):
@@ -123,23 +126,6 @@ def test_pair_scan_memory_is_capped(monkeypatch):
     monkeypatch.setattr(rough_paths, "_TILE_ROWS", 10**9)
     assert rough_paths._tile_side(32769) == 64
     assert value == pvar_norm(x, 2.3)
-
-
-@pytest.mark.parametrize("m", [1, 2])
-def test_geometricity_envelope_brackets_exact_scan(monkeypatch, m):
-    # beyond _EXACT_SCAN_LIMIT points the defect is the entrywise-range
-    # envelope: the exact value for m = 1, at most m times it otherwise
-    for seed in range(4):
-        x = brownian_lift(seed, 60, 1.0, m, "ito")
-        exact = geometricity_defect(x)
-        assert exact == geometricity_defect_rows(x.level1, x.level2)
-        monkeypatch.setattr(rough_paths, "_EXACT_SCAN_LIMIT", 10)
-        envelope = geometricity_defect(x)
-        monkeypatch.undo()
-        if m == 1:
-            assert envelope == exact
-        else:
-            assert exact <= envelope <= m * exact
 
 
 def test_one_point_grid_has_no_pairs():
@@ -295,7 +281,104 @@ def test_geometricity_and_area_equal_blocked_scan_on_large_grids(tiles, m):
     walk = lift_piecewise_linear(np.cumsum(rng.normal(size=(n, m)), axis=0),
                                  np.linspace(0.0, 1.0, n))
     assert geometricity_defect(walk) == geometricity_defect_blocked(walk)
+    # two clusters within 1e-12 of their extremes: the pruning keeps most
+    # points, and the tiles inside one cluster are skipped
+    x = CLOUDS["clustered"](rng, n, m)
+    assert geometricity_defect(x) == geometricity_defect_blocked(x)
     assert skipped(tiles)
+
+
+def _beta_cloud(times, level2):
+    """A path with level 1 at zero, so its beta path is the symmetric
+    level2, starting at the origin."""
+    level2 = np.asarray(level2, dtype=float)
+    level2[0] = 0.0
+    return RoughPath(times, np.zeros(level2.shape[:2]), level2)
+
+
+def _iid(rng, n, m):
+    u, b = rng.normal(size=(n, m)), rng.normal(size=(n, m, m))
+    u[0], b[0] = 0.0, 0.0
+    return RoughPath(np.linspace(0.0, 1.0, n), u, b)
+
+
+def _tied(rng, n, m):
+    # entries 0, 1 or 2: many duplicate points and tied longest pairs
+    b = rng.integers(0, 2, size=(n, m, m))
+    return _beta_cloud(np.arange(n) / 1024.0, b + np.swapaxes(b, 1, 2))
+
+
+def _clustered(rng, n, m):
+    # the first half near -I, the second near +I, spread 1e-12
+    side = np.where(np.arange(n) < n // 2, -1.0, 1.0)
+    scale = side + 1e-12 * rng.normal(size=n)
+    return _beta_cloud(np.linspace(0.0, 1.0, n),
+                       scale[:, None, None] * np.eye(m))
+
+
+def _offset_walk(rng, n, m):
+    # a geometric lift far from the origin: beta is roundoff at 1e12
+    return lift_piecewise_linear(
+        1e6 + np.cumsum(rng.normal(size=(n, m)), axis=0),
+        np.linspace(0.0, 1.0, n))
+
+
+CLOUDS = {
+    "iid": _iid,
+    "ito": lambda rng, n, m: brownian_lift(int(rng.integers(2**31)), n - 1,
+                                           1.0, m, "ito"),
+    "stratonovich": lambda rng, n, m: brownian_lift(
+        int(rng.integers(2**31)), n - 1, 1.0, m, "stratonovich"),
+    "offset": _offset_walk,
+    "tied": _tied,
+    "clustered": _clustered,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CLOUDS))
+def test_geometricity_equals_blocked_scan_on_every_cloud(kind):
+    # the pruned scan against every pair, bit for bit
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=12, deadline=None, derandomize=True,
+                  database=None)
+    @hyp.given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 2000),
+               m=st.integers(1, 3))
+    def equal(seed, n, m):
+        x = CLOUDS[kind](np.random.default_rng(seed), n, m)
+        assert geometricity_defect(x) == geometricity_defect_blocked(x)
+
+    equal()
+
+
+def test_geometricity_of_100k_point_clouds_is_fast():
+    # every pair over all 100,001 points would take about 50 s; the
+    # pruning keeps a few dozen points of an i.i.d. cloud
+    x = _iid(np.random.default_rng(100), 100_001, 2)
+    start = time.perf_counter()
+    value = geometricity_defect(x)
+    assert time.perf_counter() - start < 5.0
+    beta = beta_path(x).reshape(x.n_points, -1)
+    ranges = beta.max(axis=0) - beta.min(axis=0)
+    assert np.max(ranges) <= value * (1 + 1e-12)
+    assert value <= np.linalg.norm(ranges) * (1 + 1e-12)
+    # a lift of integer points has beta exactly 0: every point survives
+    # the pruning, and only dropping the duplicates leaves no pair
+    ramp = lift_piecewise_linear(np.arange(100_001.0),
+                                 np.linspace(0.0, 1.0, 100_001))
+    start = time.perf_counter()
+    assert geometricity_defect(ramp) == 0.0
+    assert time.perf_counter() - start < 5.0
+
+
+def test_non_finite_beta_raises():
+    # u (x) u overflows at level 1 = 1e200; the full scan returned inf
+    x = RoughPath(np.array([0.0, 1.0]), np.array([[0.0], [1e200]]),
+                  np.zeros((2, 1, 1)))
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValueError, match="beta must be finite"):
+        geometricity_defect(x)
 
 
 def _solution_triple(seed, n):

@@ -17,9 +17,10 @@ from roughpaths.rde_solver import (FieldEvaluationError, SolverConfig,
                                    blowup_json, growth_bound_check,
                                    solution_to_partial, solve_rde,
                                    solve_rde_corrected, write_solution_csv)
-from roughpaths.vector_fields import (FieldBounds, VectorField,
-                                      counterexample_field, f_dot_grad_f,
-                                      linear_field, tanh_field, zero_field)
+from roughpaths.vector_fields import (FieldBounds, SecondOrderField,
+                                      VectorField, counterexample_field,
+                                      f_dot_grad_f, linear_field, tanh_field,
+                                      zero_field)
 
 from oracles import rk4_polyline, rough_integral_along
 
@@ -128,66 +129,62 @@ def test_mesh_refinement_improves_solution():
 
 
 def _blowup_routes():
-    # (name, solve(r_max, times)) for the plain route, the corrected
-    # route with f's own derived field (fused into the level-2 input)
-    # and the corrected route with an h2 the solver cannot fuse
-    vf = counterexample_field()
-    a = np.array([1.0, 0.0])
+    # (name, driver, young) for the plain route, the corrected route with
+    # f's own derived field (fused into the level-2 input) and the
+    # corrected route with an h2 the solver cannot fuse; young = (h2,
+    # beta) as the stepping loop takes it
+    so = f_dot_grad_f(counterexample_field())
     x = pure_area_path(1.5)
     geo, drift = decompose(x)
-    so = f_dot_grad_f(vf)
-
-    def plain(r_max, times):
-        return solve_rde(x, vf, a, 1.5,
-                         SolverConfig(base_mesh=512, r_max=r_max), times)
-
-    def fused(r_max, times):
-        return solve_rde_corrected(geo, drift, vf, so, a, 1.5,
-                                   SolverConfig(base_mesh=512, r_max=r_max),
-                                   times)
-
-    def unfused(r_max, times):
-        return solve_rde_corrected(geo, drift, vf, lambda y: so.eval(y), a,
-                                   1.5, SolverConfig(base_mesh=512,
-                                                     r_max=r_max), times)
-
-    return [("plain", plain), ("fused", fused), ("unfused", unfused)]
+    return [("plain", x, None), ("fused", geo, (so, drift)),
+            ("unfused", geo, (SecondOrderField(2, 1, lambda y: so.eval(y)),
+                              drift))]
 
 
 def test_crossing_state_is_one_loop_step():
-    # the blow-up bisection applies the loop's step map: re-solving on
-    # the truncated mesh, with the threshold out of reach, lands on the
-    # reported crossing state bit for bit
-    for name, solve in _blowup_routes():
-        sol = solve(1e6, None)
+    # the blow-up bisection applies the loop's step map: one step of it
+    # from the last state before the crossing, over the interval to the
+    # crossing time, lands on the reported crossing state bit for bit
+    vf = counterexample_field()
+    a = np.array([1.0, 0.0])
+    cfg = SolverConfig(base_mesh=512, r_max=1e6)
+    for name, x, young in _blowup_routes():
+        sol = (solve_rde(x, vf, a, 1.5, cfg) if young is None else
+               solve_rde_corrected(x, young[1], vf, young[0], a, 1.5, cfg))
         assert sol.blowup is not None, name
-        again = solve(1e300, sol.times)
-        assert again.blowup is None, name
-        assert np.array_equal(again.y, sol.y), name
-        assert np.array_equal(again.cross_inc, sol.cross_inc), name
+        increments, step = rde_solver._davie_step(x, vf, young)
+        u, x2, b, db = increments(sol.times[-2:])
+        y, fe = step(sol.y[-2], u[0], b[0], None if db is None else db[0])
+        assert np.array_equal(y, sol.y[-1]), name
+        assert np.array_equal(x2, sol.x2_inc[-1:]), name
+        assert np.array_equal(np.einsum("kdm,kmn->kdn", fe[None], x2),
+                              sol.cross_inc[-1:]), name
 
 
 def test_solution_to_partial_carries_the_interval_arrays():
     x, _ = random_polyline(np.random.default_rng(64), n=5)
     sol = solve_rde(x, counterexample_field(), np.array([1.0, 0.0]), 1.0,
                     SolverConfig(base_mesh=256))
-    prp = solution_to_partial(sol, x, p=2.5)
-    assert prp is not sol and sol.p == 2.0
-    assert prp.blowup is sol.blowup
+    prp = solution_to_partial(sol, x)
+    assert prp is sol and prp.p == 2.0
     assert prp.x2_inc.shape == (256, 1, 1)
     assert prp.cross_inc.shape == (256, 2, 1)
-    assert np.array_equal(prp.x2_inc, sol.x2_inc)
-    assert np.array_equal(prp.cross_inc, sol.cross_inc)
-    assert np.array_equal(prp.times, sol.times)
     assert np.array_equal(prp.x, x.at(sol.times)[0])
-    assert np.array_equal(prp.y, sol.y)
-    assert prp.p == 2.5
     # per interval the cross increment pairs f(y_k) with the driver's x2
     vf = counterexample_field()
     for k in (0, 100, 255):
         assert np.array_equal(sol.cross_inc[k],
                               vf.eval(sol.y[k]) @ sol.x2_inc[k])
     assert np.array_equal(sol.x2_inc, x.increments_on_mesh(sol.times)[1])
+
+
+def test_solution_to_partial_keeps_the_solve_p():
+    # the triple of a solve at p = 2.5 is at p = 2.5: no default p
+    # relabels it
+    x, _ = random_polyline(np.random.default_rng(64), n=5)
+    sol = solve_rde(x, counterexample_field(), np.array([1.0, 0.0]), 1.0,
+                    SolverConfig(base_mesh=64, p=2.5))
+    assert solution_to_partial(sol, x).p == sol.p == 2.5
 
 
 def test_solution_to_partial_rejects_another_driver():
@@ -284,19 +281,19 @@ def test_bad_start_rejected_on_both_routes(a, message):
     lambda: SolverConfig(r_max=np.nan),
     lambda: SolverConfig(r_max=0.0),
     lambda: SolverConfig(r_max=-np.inf),
-    lambda: solve_rde(time_lift(), linear_field(1.0), np.array([1.0]), 1.0,
-                      times=[0.0, np.nan, 1.0]),
-    lambda: solve_rde(time_lift(), linear_field(1.0), np.array([1.0]), 1.0,
-                      times=[0.0, 0.5, np.nan]),
-], ids=["r_max nan", "r_max 0", "r_max -inf", "nan inside times",
-        "nan last time"])
+    lambda: solve_rde(time_lift(), linear_field(1.0), np.array([1.0]),
+                      np.nan),
+    lambda: solve_rde(time_lift(), linear_field(1.0), np.array([1.0]), 0.0),
+    lambda: solve_rde(time_lift(), linear_field(1.0), np.array([1.0]), -1.0),
+], ids=["r_max nan", "r_max 0", "r_max -inf", "T nan", "T 0", "T -1"])
 def test_non_finite_solver_inputs_rejected(make):
-    # a NaN r_max would report a crossing at the first step, and a NaN
-    # mesh time passes the strict-increase check (nan <= 0 is False)
+    # a NaN r_max would report a crossing at the first step; a horizon
+    # outside (0, x.T] is rejected before stepping (a NaN one used to
+    # step on a NaN mesh, and T = 0 on a mesh of equal times)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="r_max must be positive|"
-                                             "times must be finite"):
+                                             "horizon .* must lie in"):
             make()
 
 

@@ -6,8 +6,11 @@ In a fresh temporary directory this runs
   writes;
 - `rde growth-demo` at the config of the `growth` benchmark workload
   (`bench/workloads.py`), seed 201;
-- the eight demos under `python -W error`, with the temporary directory
-  as the working directory, so their `demos/out` files land there.
+- the eight demos, with the temporary directory as the working
+  directory, so their `demos/out` files land there.
+
+Every run is under `python -W error`, so a new warning shows up as a
+changed `exit` line.
 
 It prints one `sha256  name` line per file written and per run's
 stdout, and one `exit N  name` line per run.  The temporary directory's
@@ -71,7 +74,8 @@ def main() -> int:
             digest(f"{name}/stdout", proc.stdout)
 
         def rde(name, *args) -> None:
-            run(name, ["-m", "roughpaths.cli", *args, "--out", name])
+            run(name, ["-W", "error", "-m", "roughpaths.cli", *args,
+                       "--out", name])
             for path in sorted((tmp_path / name).glob("*")):
                 digest(f"{name}/{path.name}", path.read_bytes())
 
