@@ -14,7 +14,7 @@ Capabilities, one module each:
 - ``rde_solver``: second-order stepping, blow-up detection, partition rule
   and a-priori bounds, growth-envelope checks.
 - ``log_sphere_map``: the change of variable that turns linear-growth
-  fields into bounded fields on a cylinder.
+  fields into bounded fields on a cylinder (their gradients need not be).
 - ``cli``: the ``rde`` experiment runner.
 """
 

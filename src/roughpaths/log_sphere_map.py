@@ -2,9 +2,14 @@
 
 The map (theta, rho) = (z/|z|, log|z|) sends R^d minus the origin onto
 the cylinder S^(d-1) x R.  Pulled back through it, a linear-growth field
-on R^d becomes a bounded field on the cylinder: the Jacobian decays like
-1/|z| exactly fast enough to absorb linear growth.  That is the engine
-behind the global-existence bound for geometric drivers, and this module
+on R^d (the hypothesis of the global-existence result for geometric
+drivers) becomes a field h on the cylinder that stays bounded: the
+Jacobian decays like 1/|z| exactly fast enough to absorb linear growth.
+Its gradient need not stay bounded.  For counterexample_field, whose
+gradient grows like |z|, max|grad h| grows like e^rho: with b = (2, 0)
+and 200 random theta per radius, max|h| stays between 1.2 and 1.5 while
+max|grad h| is 11, 102, 997 and 9830 at |b + y| = 10, 1e2, 1e3 and 1e4.
+The chart is the engine behind the global-existence bound, and this module
 provides the map, its Jacobian, the transformed first- and second-order
 fields, and the shift that keeps trajectories away from the origin.  A
 solver maps the state; a solution is its partial rough path, which

@@ -266,38 +266,32 @@ def _davie_loop(x: RoughPath, f: VectorField, a, T: float,
 
 
 def _davie_stack(xs, f: VectorField, a, T: float, cfg: SolverConfig) -> list:
-    """Step one trajectory per driver in xs, all from a on one uniform
-    mesh, as one (B, d) stack of states: one field call per step for all
-    rows.
+    """[solve_rde(x, f, a, T, cfg) for x in xs], bit for bit: the stack
+    batches, and solve_rde solves every row the stack cannot finish or
+    cannot batch.
 
-    Row k returns the RDESolution of solve_rde(xs[k], f, a, T, cfg),
-    equal field by field and bit for bit: the stacked products are
-    np.matmul on the views that give ndarray.dot's bits.  Plain route
-    only: a state projection or a field that does not take stacked
-    states (VectorField.stacked) raises ValueError.  A row
-    that leaves the ball of radius r_max is bisected with its own
-    driver's step map and leaves the stack; a non-finite row raises
-    FieldEvaluationError, that of the first such row in xs (as solving
-    the rows in turn would).
+    Two drivers or more, a stacked field (VectorField.stacked) and no
+    state projection step from a on one uniform mesh as one (B, d) stack
+    of states, one field call per step for all rows, in np.matmul on the
+    views that give ndarray.dot's bits.  A row whose state leaves the
+    ball of radius r_max or is not finite leaves the stack; after the
+    loop solve_rde solves it again, in the order of xs, so it bisects the
+    crossing or raises the row's FieldEvaluationError as solving the rows
+    in turn would.  Other inputs go to solve_rde row by row.
     """
-    if cfg.state_projection is not None:
-        raise ValueError("the stacked loop takes no state projection")
-    if not f.stacked:
-        raise ValueError(f"field {f.name!r} does not take stacked states")
+    if len(xs) < 2 or not f.stacked or cfg.state_projection is not None:
+        return [solve_rde(x, f, a, T, cfg) for x in xs]
     d, m = f.d, f.m
     y, mesh = _entry_checks(xs, f, a, T, cfg)
     K = len(mesh) - 1
-    maps = [_davie_step(x, f, None) for x in xs]
-    incs = [increments(mesh) for increments, _ in maps]
-    U = np.stack([inc[0] for inc in incs], axis=1)        # (K, B, m)
-    X2 = np.stack([inc[1] for inc in incs], axis=1)       # (K, B, m, m)
+    incs = [x.increments_on_mesh(mesh) for x in xs]
+    U = np.stack([u for u, _ in incs], axis=1)            # (K, B, m)
+    X2 = np.stack([x2 for _, x2 in incs], axis=1)         # (K, B, m, m)
     B = len(xs)
     traj = np.empty((B, K + 1, d))
     traj[:, 0] = y
     fes = np.empty((B, K, d, m))
     r2 = cfg.r_max * cfg.r_max
-    ends = [None] * B          # (steps taken, BlowupRecord) of a crossed row
-    errors = {}                # row -> FieldEvaluationError
     idx = np.arange(B)         # the row of each stack entry
     rows = slice(None)         # idx, as basic indexing while the stack is full
     Y = np.repeat(y[None], B, axis=0)
@@ -313,36 +307,18 @@ def _davie_stack(xs, f: VectorField, a, T: float, cfg: SolverConfig) -> list:
         fes[rows, i] = fe
         ny2 = np.matmul(Y_new[:, None, :], Y_new[:, :, None])
         if not (ny2.max() <= r2):
-            out = ~(ny2.reshape(n) <= r2)
-            for j in np.flatnonzero(out):
-                k = int(idx[j])
-                if not math.isfinite(ny2[j, 0, 0]):
-                    errors[k] = FieldEvaluationError(mesh[i], Y[j])
-                    continue
-                increments, step = maps[k]
-                blow, traj[k, i + 1] = _crossing(increments, step, Y[j],
-                                                 mesh[i], mesh[i + 1],
-                                                 cfg.r_max)
-                ends[k] = (i + 1, blow)
-            keep = np.flatnonzero(~out)
+            # rows out of the ball, or not finite, leave the stack
+            keep = np.flatnonzero(ny2.reshape(n) <= r2)
             idx, Y_new, U, X2 = idx[keep], Y_new[keep], U[:, keep], X2[:, keep]
             rows, n = idx, len(idx)
-            if n == 0 or (errors and min(errors) < idx[0]):
-                # every row has left, or none left can fail before the
-                # first failed one
+            if n == 0:
                 break
         Y = Y_new
         traj[rows, i + 1] = Y
-    if errors:
-        raise errors[min(errors)]
-    sols = []
-    for k, x in enumerate(xs):
-        last, blow = ends[k] if ends[k] is not None else (K, None)
-        times_k = (mesh.copy() if blow is None else
-                   np.concatenate([mesh[:last], [blow.crossing_time]]))
-        sols.append(_solution(x, times_k, traj[k, :last + 1], fes[k, :last],
-                              incs[k][1], cfg, blow))
-    return sols
+    kept = set(idx.tolist())
+    return [_solution(x, mesh.copy(), traj[k], fes[k], incs[k][1], cfg, None)
+            if k in kept else solve_rde(x, f, a, T, cfg)
+            for k, x in enumerate(xs)]
 
 
 def solve_rde(x: RoughPath, f: VectorField, a, T: float,
@@ -433,6 +409,8 @@ def apriori_sup_bound(bounds: FieldBounds, x: RoughPath,
     Each partition interval moves the state by at most mu and there are
     about 1 + T ||x||^p / L of them (the control omega(0, T) = T), giving
     (mu + mu/L)(1 + ||x||^p T).  Rejects a horizon outside (0, x.T].
+    The calibrated K and mu make it too loose to gate on: on growth-demo's
+    driver it gave log sup|y| <= 24 to 303 where solves gave 0.10 to 0.64.
     """
     cfg = cfg or SolverConfig()
     if not (math.isfinite(bounds.f_inf) and math.isfinite(bounds.grad_inf)):
@@ -464,10 +442,11 @@ def growth_bound_check(f: VectorField, x: RoughPath, a, T: float,
                        lambdas=(1.0, 2.0, 4.0, 8.0)) -> GrowthReport:
     """Scale a geometric driver and check log growth stays affine.
 
-    Solves the equation for every dilated driver, at once (one stacked
-    loop, each row equal to solve_rde on its driver bit for bit) when
-    there are several lambdas, f takes stacked states and cfg has no
-    state projection, otherwise with solve_rde per lambda; then fits
+    Solves the equation for every dilated driver through the stacked
+    loop, each row equal to solve_rde on its driver bit for bit: the stack
+    batches, and solve_rde solves every row the stack cannot finish (a
+    crossing of r_max, a non-finite state) or cannot batch (one lambda,
+    a field not declared stacked, a state projection).  Then it fits
     log(sup|y| + 1) <= c1 + c2 * s, s = ||x_lam||^p * T, with the
     intercept lifted to cover every run (reported slack >= 0).  Any
     explosion under a geometric driver is a falsification event and
@@ -495,12 +474,7 @@ def growth_bound_check(f: VectorField, x: RoughPath, a, T: float,
         raise ValueError(f"driver is not geometric (defect {gd:.2e})")
     base = pvar_norm(x, cfg.p)
     xs = [dilate(x, lam) for lam in lambdas]
-    if len(xs) > 1 and f.stacked and cfg.state_projection is None:
-        sols = _davie_stack(xs, f, a, T, cfg)
-    else:
-        # the 1-D loop takes any field and a projection, and steps one
-        # trajectory faster than a stack of one
-        sols = [solve_rde(xk, f, a, T, cfg) for xk in xs]
+    sols = _davie_stack(xs, f, a, T, cfg)
     rows = []
     for lam, sol in zip(lambdas, sols):
         sup_y = sol.sup_norm()

@@ -140,7 +140,10 @@ class RoughPath:
         return float(self.times[-1])
 
     def increment(self, i: int, j: int) -> GroupElement2:
-        """Increment between grid indices i <= j."""
+        """Increment between grid indices i <= j in [0, n_points)."""
+        n = self.n_points
+        if not (0 <= i < n and 0 <= j < n):
+            raise IndexError(f"grid indices must lie in [0, {n})")
         du = self.level1[j] - self.level1[i]
         db = self.level2[j] - self.level2[i] - np.outer(self.level1[i], du)
         return GroupElement2(du, db)

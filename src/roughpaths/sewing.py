@@ -17,6 +17,7 @@ what ``young_integral`` evaluates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,10 +104,16 @@ def sew(arp: AlmostRoughPath, s: float, t: float, tol: float = 1e-10,
     Refines dyadically until two successive levels agree entrywise within
     tol, then returns the finer product (or a SewResult when
     full_output=True, in which case non-convergence is reported in the
-    result instead of raised).
+    result instead of raised).  s and t must be finite and tol a number
+    >= 0 (0 asks for two equal levels): otherwise no level would stop
+    the refinement, and ValueError is raised before fn is called.
     """
     if arp.theta <= 1.0:
         raise ValueError("defect exponent theta must exceed 1")
+    if not (math.isfinite(s) and math.isfinite(t)):
+        raise ValueError("interval endpoints must be finite")
+    if not tol >= 0.0:
+        raise ValueError("tol must be non-negative")
     if t < s:
         raise ValueError("need s <= t")
     if t == s:

@@ -1,11 +1,13 @@
 """Vector fields f : R^d -> L(R^m, R^d) with one controlled derivative.
 
 A field carries an analytic gradient and a Holder exponent gamma for the
-gradient's modulus; the class of admissible fields is "differentiable
-with bounded, gamma-Holder gradient", which allows linear growth of the
-field itself.  The derived second-order field contracts f into grad f
-and multiplies the level-2 (area) part of a driver in the second-order
-solver step:
+gradient's modulus.  Result 1 (global existence under a geometric
+driver) assumes what the paper's abstract states: the field has linear
+growth, |f(v)| <= c0 + c1 |v|, with no bound on the gradient.  The field
+both results share, counterexample_field, f(xi) = (sin(xi2) xi1, xi1),
+grows linearly while its gradient does not: d f1 / d xi2 = xi1 cos xi2.
+The derived second-order field contracts f into grad f and multiplies
+the level-2 (area) part of a driver in the second-order solver step:
 
     (f . grad f)(v)[u (x) w] = grad f(v) [ (f(v) u) (x) w ].
 
@@ -62,9 +64,11 @@ class VectorField:
     (B, d) stack of states, returning (B, d, m) from eval and
     (B, d, m, d) from grad, whose row k equals the value at state k bit
     for bit, so its single-state branch must give the stacked branch's
-    bits.  The built-in fields meet this contract.  growth_bound_check
-    steps all its dilations as one stack for such a field, and solves
-    one dilation at a time for any other.
+    bits.  The built-in fields meet this contract.  growth_bound_check's
+    stacked loop batches its dilations for such a field, and solve_rde
+    solves every row the stack cannot finish or cannot batch: a row that
+    crosses r_max or turns non-finite, and every dilation of any other
+    field.
     """
 
     d: int

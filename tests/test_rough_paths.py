@@ -55,6 +55,14 @@ def test_two_segment_level2_composition():
     assert np.array_equal(x.increment(0, 2).level2, expected)
 
 
+@pytest.mark.parametrize("i, j", [(-1, 2), (2, -1), (0, 5), (7, 2)])
+def test_increment_rejects_indices_off_the_grid(i, j):
+    x = lift_piecewise_linear(np.arange(10.0).reshape(5, 2),
+                              np.linspace(0.0, 1.0, 5))
+    with pytest.raises(IndexError, match=r"\[0, 5\)"):
+        x.increment(i, j)
+
+
 def test_lift_rejects_bad_times():
     with pytest.raises(ValueError, match="increasing"):
         lift_piecewise_linear(np.zeros((3, 1)), [0.0, 1.0, 1.0])

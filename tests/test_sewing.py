@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,25 @@ def test_sew_rejects_theta_at_most_one():
     arp = abelian_arp(1.0, [1.0])
     with pytest.raises(ValueError, match="theta"):
         sew(arp, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("s, t, tol, match", [
+    (0.0, math.nan, 1e-10, "finite"),
+    (0.0, math.inf, 1e-10, "finite"),
+    (-math.inf, 1.0, 1e-10, "finite"),
+    (math.nan, 1.0, 1e-10, "finite"),
+    (0.0, 1.0, math.nan, "tol"),
+    (0.0, 1.0, -1e-12, "tol"),
+])
+def test_sew_rejects_inputs_that_never_converge(s, t, tol, match):
+    # each would refine to max_level, 2^23 calls of fn at the defaults
+    def fn(a, b):
+        raise AssertionError("fn called")
+
+    for full_output in (False, True):
+        with pytest.raises(ValueError, match=match):
+            sew(AlmostRoughPath(fn, theta=2.0), s, t, tol=tol,
+                full_output=full_output)
 
 
 def test_sew_nonconvergence_reports_gaps():

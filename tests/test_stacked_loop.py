@@ -187,66 +187,74 @@ def test_stacked_loop_raises_the_first_rows_failure(lambdas):
 
 
 # ---------------------------------------------------------------------------
-# what the stacked loop refuses
+# what the stacked loop hands to solve_rde
 
 
-def test_stacked_loop_refuses_transformed_field():
+def count_solo_solves(monkeypatch):
+    """Patch rde_solver.solve_rde to record the driver of every call."""
+    calls = []
+
+    def spy(x, *args):
+        calls.append(x)
+        return solve_rde(x, *args)
+
+    monkeypatch.setattr(rde_solver, "solve_rde", spy)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["one-driver", "unstacked-field",
+                                  "transformed-field", "projection"])
+def test_stacked_loop_hands_what_it_cannot_batch_to_solve_rde(monkeypatch,
+                                                               case):
     f = counterexample_field()
-    a = np.array([1.0, 0.0])
-    h = transformed_field(f, choose_shift(a, 5.0))
     x = random_polyline(np.random.default_rng(313), 1)
-    with pytest.raises(ValueError, match="stacked"):
-        _davie_stack([x, dilate(x, 2.0)], h, np.array([0.0, 1.0, 0.0]),
-                      1.0, SolverConfig(base_mesh=32))
-
-
-def test_stacked_loop_refuses_a_projection():
-    f = counterexample_field()
-    x = random_polyline(np.random.default_rng(314), 1)
-    cfg = SolverConfig(base_mesh=32,
-                       state_projection=sphere_state_projection(2))
-    with pytest.raises(ValueError, match="projection"):
-        _davie_stack([x, dilate(x, 2.0)], f, np.array([1.0, 0.0]), 1.0, cfg)
-
-
-def test_stacked_loop_refuses_a_field_without_stacked_states():
-    # the same maps as the counterexample field, not declared stacked
-    f = counterexample_field()
-    solo = VectorField(2, 1, f.eval, f.grad)
-    x = random_polyline(np.random.default_rng(315), 1)
-    with pytest.raises(ValueError, match="stacked"):
-        _davie_stack([x], solo, [1.0, 0.0], 1.0, SolverConfig(base_mesh=32))
+    xs = [x, dilate(x, 2.0)]
+    a = np.array([1.0, 0.0])
+    cfg = SolverConfig(base_mesh=32)
+    if case == "one-driver":
+        xs = xs[:1]
+    elif case == "unstacked-field":
+        # the same maps as the counterexample field, not declared stacked
+        f = VectorField(2, 1, f.eval, f.grad)
+    elif case == "transformed-field":
+        shift = choose_shift(a, 5.0)
+        f, a = transformed_field(f, shift), shift.state_of(a)
+    else:
+        cfg = SolverConfig(base_mesh=32,
+                           state_projection=sphere_state_projection(2))
+    refs = davie_stack_solo(xs, f, a, 1.0, cfg)
+    calls = count_solo_solves(monkeypatch)
+    sols = _davie_stack(xs, f, a, 1.0, cfg)
+    assert len(calls) == len(sols) == len(xs)
+    for sol, ref in zip(sols, refs):
+        assert_same_solution(sol, ref)
 
 
 def test_growth_check_routes_by_its_inputs(monkeypatch):
-    # several lambdas of a stacked field without projection take the
+    # several lambdas of a stacked field without projection stay in the
     # stack; one lambda, a field not declared stacked or a projection
     # take solve_rde per lambda, with the same report
     f = counterexample_field()
     x = random_polyline(np.random.default_rng(318), 1, scale=0.3)
     a = np.array([1.0, 0.0])
     cfg = SolverConfig(base_mesh=128)
-    stacked_calls = []
-
-    def spy(xs, *args):
-        stacked_calls.append(len(xs))
-        return davie_stack_solo(xs, *args)
-
     ref = growth_bound_check(f, x, a, 1.0, cfg)
-    monkeypatch.setattr(rde_solver, "_davie_stack", spy)
+    calls = count_solo_solves(monkeypatch)
     assert growth_bound_check(f, x, a, 1.0, cfg) == ref
-    assert stacked_calls == [4]
+    assert len(calls) == 0
     solo = VectorField(2, 1, f.eval, f.grad)
     assert growth_bound_check(solo, x, a, 1.0, cfg) == ref
+    assert len(calls) == 4
     one = growth_bound_check(f, x, a, 1.0, cfg, lambdas=(2.0,))
     assert one.rows == ref.rows[1:2]
+    assert len(calls) == 5
     proj = SolverConfig(base_mesh=128,
                         state_projection=sphere_state_projection(2))
     rep = growth_bound_check(f, x, a, 1.0, proj, lambdas=(1.0, 4.0))
+    assert len(calls) == 7
     assert [r["sup_y"] for r in rep.rows] == [
         solve_rde(dilate(x, lam), f, a, 1.0, proj).sup_norm()
         for lam in (1.0, 4.0)]
-    assert stacked_calls == [4]
 
 
 def test_stacked_loop_shares_the_entry_checks():
@@ -304,6 +312,19 @@ def test_lambda_8_crossing_inside_the_stack_equals_its_solo_solve(seed):
     assert rep.any_explosion and not rep.passed
     assert [r["explosion"] for r in rep.rows] == [False] * 3 + [True]
     assert [r["sup_y"] for r in rep.rows] == [s.sup_norm() for s in refs]
+
+
+@pytest.mark.parametrize("seed", [8, 15])
+def test_only_the_crossed_row_goes_to_solve_rde(monkeypatch, seed):
+    # the lambda = 8 row crosses r_max inside the stack and is solved
+    # again by solve_rde; the other rows finish in the stack
+    x = brownian_lift(seed, 4096, 1.0, 1)
+    xs = [dilate(x, lam) for lam in GROWTH_4096["lambdas"]]
+    calls = count_solo_solves(monkeypatch)
+    sols = _davie_stack(xs, counterexample_field(), np.array([1.0, 0.0]),
+                        1.0, SolverConfig(base_mesh=4096))
+    assert len(calls) == 1 and calls[0] is xs[3]
+    assert sols[3].blowup is not None
 
 
 @pytest.mark.parametrize("seed", [8, 15])

@@ -6,6 +6,9 @@ In a fresh temporary directory this runs
   writes;
 - `rde growth-demo` at the config of the `growth` benchmark workload
   (`bench/workloads.py`), seed 201;
+- `rde growth-demo` at that config with `mesh` 4096, seed 8, whose
+  lambda = 8 row crosses r_max (the run exits 1), so the digest covers
+  a row that leaves growth_bound_check's stacked loop;
 - the eight demos, with the temporary directory as the working
   directory, so their `demos/out` files land there.
 
@@ -88,6 +91,10 @@ def main() -> int:
         (tmp_path / "growth-bench.json").write_text(json.dumps(GROWTH_BENCH))
         rde("growth-bench", "growth-demo", "--config", "growth-bench.json",
             "--seed", "201")
+        (tmp_path / "growth-cross.json").write_text(json.dumps(
+            dict(GROWTH_BENCH, mesh=4096)))
+        rde("growth-cross", "growth-demo", "--config", "growth-cross.json",
+            "--seed", "8")
         for demo in sorted((ROOT / "demos").glob("0*.py")):
             run(f"demos/{demo.stem}", ["-W", "error", str(demo)])
         for path in sorted((tmp_path / "demos" / "out").glob("*")):
