@@ -53,6 +53,6 @@ h = transformed_field(field, shift)
 sol_z = solve_rde(x, h, shift.state_of(a), 1.0,
                   SolverConfig(base_mesh=1024,
                                state_projection=sphere_state_projection(2)))
-mapped = np.array([shift.state_of(yv) for yv in sol_y.y])
+mapped = shift.state_of(sol_y.y)
 print("\nshift b =", shift.b)
 print("dual-route sup difference:", np.max(np.abs(mapped - sol_z.y)))

@@ -37,8 +37,7 @@ from .rde_solver import (BlowupRecord, FieldEvaluationError, GrowthReport,
                          adaptive_partition, apriori_sup_bound, blowup_json,
                          growth_bound_check, solution_to_partial, solve_rde,
                          solve_rde_corrected, write_solution_csv)
-from .log_sphere_map import (LogSphereCoords, ShiftedMap, choose_shift,
-                             grad_phi, h1_h2, phi, sphere_state_projection,
-                             transformed_field)
+from .log_sphere_map import (ShiftedMap, choose_shift, grad_phi, h1_h2,
+                             sphere_state_projection, transformed_field)
 
 __version__ = "0.1.0"

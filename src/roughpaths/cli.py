@@ -43,8 +43,8 @@ from functools import partial
 
 import numpy as np
 
-from .log_sphere_map import ShiftedMap, choose_shift, sphere_state_projection, \
-    transformed_field
+from .log_sphere_map import (ShiftedMap, _radii, choose_shift,
+                             sphere_state_projection, transformed_field)
 from .rough_paths import (RoughPath, _write_csv, brownian_lift, chen_defect,
                           decompose, geometricity_defect,
                           lift_piecewise_linear, pure_area_path,
@@ -335,11 +335,11 @@ def cmd_changevar_check(cfg: dict, out: str, seed: int) -> list:
         shift = choose_shift(a, 1.5 * radius)
     else:
         shift = ShiftedMap(np.full(field.d, shift_spec, dtype=float))
-    min_rad = float(min(np.linalg.norm(shift.b + yv) for yv in sol_y.y))
+    min_rad = float(np.min(_radii(shift.b + sol_y.y)))
     h = transformed_field(field, shift)
     sol_z = solve_rde(x, h, shift.state_of(a), T, _solver_config(
         cfg, mesh=mesh, state_projection=sphere_state_projection(field.d)))
-    mapped = np.array([shift.state_of(yv) for yv in sol_y.y])
+    mapped = shift.state_of(sol_y.y)
     diff = float(np.max(np.abs(mapped - sol_z.y)))
     min_rho = float(np.min(sol_z.y[:, -1]))
     rho_note = "" if min_rho >= 0.0 else (

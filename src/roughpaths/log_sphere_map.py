@@ -13,7 +13,10 @@ The chart is the engine behind the global-existence bound, and this module
 provides the map, its Jacobian, the transformed first- and second-order
 fields, and the shift that keeps trajectories away from the origin.  A
 solver maps the state; a solution is its partial rough path, which
-partial_rough_paths.pushforward maps through the same chart.
+partial_rough_paths.pushforward maps through the same chart.  The map
+(ShiftedMap.state_of) and its Jacobian (grad_phi) are closed forms over
+(..., d) arrays, so a whole trajectory goes through each in one call;
+a (d,) point is the one-row case.
 
 Off the cylinder the transformed field is extended by normalizing the
 angular component, h(q, rho) := h(q/|q|, rho), which is smooth for
@@ -37,9 +40,7 @@ import numpy as np
 from .vector_fields import SecondOrderField, VectorField, f_dot_grad_f
 
 __all__ = [
-    "LogSphereCoords",
     "ShiftedMap",
-    "phi",
     "grad_phi",
     "transformed_field",
     "h1_h2",
@@ -52,63 +53,52 @@ __all__ = [
 _RHO_OVERFLOW = 708.0
 
 
-@dataclass(frozen=True)
-class LogSphereCoords:
-    """Point on the cylinder: unit vector theta plus log-radius rho."""
-
-    theta: np.ndarray
-    rho: float
-
-    def __post_init__(self):
-        th = np.asarray(self.theta, dtype=float)
-        n = np.linalg.norm(th)
-        if n == 0 or not np.isfinite(n):
-            raise ValueError("theta must be a nonzero finite vector")
-        object.__setattr__(self, "theta", th / n)
-        object.__setattr__(self, "rho", float(self.rho))
-
-    @property
-    def d(self) -> int:
-        return len(self.theta)
-
-    def as_state(self) -> np.ndarray:
-        """Concatenated solver state (theta_1..theta_d, rho)."""
-        return np.concatenate([self.theta, [self.rho]])
-
-
-def phi(z) -> LogSphereCoords:
-    """(z/|z|, log|z|); domain error at the origin."""
-    z = np.asarray(z, dtype=float)
-    r = float(np.linalg.norm(z))
-    if r == 0.0:
-        raise ValueError("the log-sphere map is undefined at the origin")
-    return LogSphereCoords(z / r, math.log(r))
+def _radii(z) -> np.ndarray:
+    """|z| per row of an (n, d) stack, |z|^2 by np.matmul on the row
+    views: the BLAS dot of ndarray.dot on one row, so no row's bits depend
+    on its stack.  ValueError where |z|^2 is 0 or not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.matmul(z[:, None, :], z[:, :, None])[:, 0, 0]
+    bad = ~(np.isfinite(sq) & (sq > 0.0))
+    if bad.any():
+        raise ValueError("the log-sphere chart needs 0 < |z|^2 < inf for "
+                         f"z = b + y, not at z = {z[np.argmax(bad)]}")
+    return np.sqrt(sq)
 
 
 def grad_phi(z) -> np.ndarray:
-    """Jacobian of the map, shape (d+1, d).
+    """Jacobian of (z/|z|, log|z|), shape (..., d+1, d) for z of shape
+    (..., d).
 
     Rows 1..d: d theta_i / d z_j = delta_ij / |z| - z_i z_j / |z|^3;
     last row: d rho / d z_j = z_j / |z|^2.  Every entry decays like
-    1/|z|.
+    1/|z|.  ValueError where |z|^2 is 0 or not finite or |z|^3
+    underflows; OverflowError where |z|^3 overflows (|z| > 5.6e102).
     """
     z = np.asarray(z, dtype=float)
-    r = math.sqrt(z.dot(z))
-    if r == 0.0:
-        raise ValueError("gradient undefined at the origin")
-    d = len(z)
-    out = np.empty((d + 1, d))
-    out[:d] = np.eye(d) / r - np.multiply.outer(z, z) / r ** 3
-    out[d] = z / r ** 2
-    return out
+    d = z.shape[-1]
+    zs = z.reshape(-1, d)
+    r = _radii(zs)
+    # r^2 and r^3 by libm's pow on Python floats, not numpy's power
+    r2 = np.array([v ** 2 for v in r.tolist()])[:, None]
+    r3 = np.array([v ** 3 for v in r.tolist()])[:, None, None]
+    out = np.empty((len(zs), d + 1, d))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out[:, :d] = (np.eye(d) / r[:, None, None]
+                      - zs[:, :, None] * zs[:, None, :] / r3)
+    out[:, d] = zs / r2
+    if not np.isfinite(out).all():
+        raise ValueError("the chart's Jacobian is not finite")
+    return out.reshape(z.shape[:-1] + (d + 1, d))
 
 
 @dataclass(frozen=True)
 class ShiftedMap:
-    """Shifted chart psi(y) = phi(b + y), defined where |b + y| >= r_min."""
+    """Shifted chart psi(y) = (z/|z|, log|z|) with z = b + y, used where
+    |b + y| >= r_min."""
 
     b: np.ndarray
-    r_min: float = 1.0
+    r_min = 1.0  # what choose_shift guarantees; not a field
 
     def __post_init__(self):
         b = np.asarray(self.b, dtype=float)
@@ -120,11 +110,19 @@ class ShiftedMap:
     def d(self) -> int:
         return len(self.b)
 
-    def psi(self, y) -> LogSphereCoords:
-        return phi(self.b + np.asarray(y, dtype=float))
-
     def state_of(self, y) -> np.ndarray:
-        return self.psi(y).as_state()
+        """psi(y) as the solver state (theta, rho), shape (..., d+1) for y
+        of shape (..., d): theta is z/|z| normalised once more, rho is
+        math.log|z| (np.log differs in the last bit on some inputs).
+        ValueError where |b + y|^2 is 0 or not finite."""
+        z = self.b + np.asarray(y, dtype=float)
+        zs = z.reshape(-1, self.d)
+        r = _radii(zs)
+        out = np.empty((len(zs), self.d + 1))
+        theta = zs / r[:, None]
+        out[:, :-1] = theta / _radii(theta)[:, None]
+        out[:, -1] = [math.log(v) for v in r.tolist()]
+        return out.reshape(z.shape[:-1] + (self.d + 1,))
 
 
 def choose_shift(a, predicted_radius: float) -> ShiftedMap:
@@ -138,7 +136,7 @@ def choose_shift(a, predicted_radius: float) -> ShiftedMap:
         raise ValueError("predicted_radius must be nonnegative and finite")
     b = np.zeros(len(a))
     b[0] = predicted_radius + float(np.linalg.norm(a)) + 1.0
-    return ShiftedMap(b, 1.0)
+    return ShiftedMap(b)
 
 
 def sphere_state_projection(d: int):

@@ -14,7 +14,8 @@ PartialRoughPath._cross_pairs, which also bounds its roundoff).
 Operations: the p-variation distance between triples (the shared pair
 scan, every tile's cross norms a pure function of the tile) and the
 pushforward of the output through a smooth map (which sews the
-almost-multiplicative cross increments grad phi(y_s) cross(s,t)).
+almost-multiplicative cross increments grad phi(y_s) cross(s,t)), one
+call of the map and one of its gradient over the whole grid.
 """
 
 from __future__ import annotations
@@ -40,15 +41,14 @@ _ADDITIVITY_SAMPLES = 400
 
 @dataclass
 class SmoothMap:
-    """Map phi : R^d -> R^w with gradient; grad(y) returns (w, d)."""
+    """Map phi : R^d -> R^w with its gradient, both over stacks of
+    points: eval takes an (n, d) array to (n, w), grad takes it to
+    (n, w, d)."""
 
     dim_in: int
     dim_out: int
     eval: object
     grad: object
-
-    def __call__(self, y):
-        return self.eval(np.asarray(y, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -147,15 +147,16 @@ class PartialRoughPath:
 
 
 def pvar_distance(a: PartialRoughPath, b: PartialRoughPath) -> float:
-    """Scaled sup distance between two triples on a shared grid.
+    """Scaled sup distance between two triples on one grid (equal time
+    arrays, else ValueError).
 
     Max over grid pairs s < t of the x- and y-increment differences
     divided by (t - s)^(1/p) and the cross difference divided by
     (t - s)^(2/p), with a's p.  When a and b share their driver (equal x
     arrays), its difference is 0 on every pair and is not scanned.
     """
-    if a.n_points != b.n_points or not np.allclose(a.times, b.times):
-        raise ValueError("grids do not match")
+    if not np.array_equal(a.times, b.times):
+        raise ValueError("grids do not match: the time arrays differ")
     if a.m != b.m or a.d != b.d:
         raise ValueError("dimensions do not match")
     n = a.n_points
@@ -218,16 +219,18 @@ def pushforward(prp: PartialRoughPath, phi: SmoothMap) -> PartialRoughPath:
     chaining these with the additivity identity for (phi(y), x) is the
     grid-level sewing of the almost-multiplicative map from the
     construction, and reduces to the genuine iterated integral when the
-    data is smooth.
+    data is smooth.  One eval call maps the whole output and one grad
+    call takes every interval's left point.
     """
     if phi.dim_in != prp.d:
         raise ValueError(f"phi expects R^{phi.dim_in}, triple has d={prp.d}")
     n = prp.n_points - 1
-    new_y = np.asarray([phi.eval(prp.y[i]) for i in range(n + 1)], dtype=float)
-    if new_y.ndim == 1:
-        new_y = new_y[:, None]
-    grads = np.asarray([phi.grad(prp.y[i]) for i in range(n)], dtype=float)
-    new_cross = np.einsum("kwd,kda->kwa", grads.reshape(n, phi.dim_out, prp.d),
-                          prp.cross_inc)
+    new_y = np.asarray(phi.eval(prp.y), dtype=float)
+    grads = np.asarray(phi.grad(prp.y[:-1]), dtype=float)
+    for what, got, want in (("eval", new_y, (n + 1, phi.dim_out)),
+                            ("grad", grads, (n, phi.dim_out, prp.d))):
+        if got.shape != want:
+            raise ValueError(f"phi.{what} shape {got.shape}, expected {want}")
+    new_cross = np.einsum("kwd,kda->kwa", grads, prp.cross_inc)
     return PartialRoughPath(prp.times, prp.x, prp.x2_inc, new_y, new_cross,
                             prp.p)

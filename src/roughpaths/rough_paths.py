@@ -639,9 +639,8 @@ def decompose(rp: RoughPath) -> tuple[RoughPath, AreaDrift]:
 
 def recompose(geometric: RoughPath, drift: AreaDrift) -> RoughPath:
     """Inverse of decompose: add the drift back onto level2."""
-    if len(geometric.times) != len(drift.times) or not np.allclose(
-            geometric.times, drift.times):
-        raise ValueError("geometric part and drift must share a grid")
+    if not np.array_equal(geometric.times, drift.times):
+        raise ValueError("geometric part and drift: time arrays differ")
     return RoughPath(geometric.times, geometric.level1,
                      geometric.level2 + drift.beta)
 

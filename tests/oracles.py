@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from roughpaths.log_sphere_map import _RHO_OVERFLOW, LogSphereCoords
+from roughpaths.log_sphere_map import _RHO_OVERFLOW
 from roughpaths.partial_rough_paths import PartialRoughPath
 from roughpaths.vector_fields import VectorField
 
@@ -405,6 +405,15 @@ def grad2_phi_norm(z):
     return out
 
 
+def state_of_norm(b, y):
+    """The shifted chart's state (theta, rho) of one point by
+    np.linalg.norm: theta = z/|z| normalised once more, rho = log|z|."""
+    z = np.asarray(b, dtype=float) + np.asarray(y, dtype=float)
+    r = float(np.linalg.norm(z))
+    theta = z / r
+    return np.concatenate([theta / np.linalg.norm(theta), [math.log(r)]])
+
+
 def sphere_state_projection_norm(d):
     def project(w):
         w = np.asarray(w, dtype=float)
@@ -535,8 +544,19 @@ def rough_integral_along(prp: PartialRoughPath, g) -> PartialRoughPath:
                             prp.p)
 
 
-def z_of(c: LogSphereCoords) -> np.ndarray:
+def z_of(theta, rho: float) -> np.ndarray:
     """Inverse chart exp(rho) * theta, guarding the exponential."""
-    if abs(c.rho) > _RHO_OVERFLOW:
-        raise OverflowError(f"|rho| = {abs(c.rho):.3g} exceeds exp range")
-    return math.exp(c.rho) * c.theta
+    if abs(rho) > _RHO_OVERFLOW:
+        raise OverflowError(f"|rho| = {abs(rho):.3g} exceeds exp range")
+    return math.exp(rho) * np.asarray(theta, dtype=float)
+
+
+def pushforward_rows(prp: PartialRoughPath, phi) -> PartialRoughPath:
+    """pushforward with one eval and one grad call per grid point, each
+    on a one-row stack: the per-point loop the array form replaced."""
+    n = prp.n_points - 1
+    new_y = np.array([phi.eval(prp.y[i:i + 1])[0] for i in range(n + 1)])
+    grads = np.array([phi.grad(prp.y[i:i + 1])[0] for i in range(n)])
+    new_cross = np.einsum("kwd,kda->kwa", grads, prp.cross_inc)
+    return PartialRoughPath(prp.times, prp.x, prp.x2_inc, new_y, new_cross,
+                            prp.p)

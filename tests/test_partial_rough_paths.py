@@ -3,13 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from roughpaths import cli
+from roughpaths.log_sphere_map import choose_shift, grad_phi
 from roughpaths.partial_rough_paths import (_ADDITIVITY_SAMPLES,
                                             PartialRoughPath, SmoothMap,
                                             pushforward, pvar_distance)
+from roughpaths.rde_solver import SolverConfig, solution_to_partial, solve_rde
 from roughpaths.rough_paths import _grid_triples
-from roughpaths.vector_fields import VectorField
+from roughpaths.vector_fields import VectorField, make_field
 
-from oracles import partial_from_smooth, riemann_cross, rough_integral_along
+from oracles import (partial_from_smooth, pushforward_rows, riemann_cross,
+                     rough_integral_along)
 
 
 def smooth_prp(n=64, p=2.0):
@@ -177,6 +181,16 @@ def test_distance_rejects_grid_mismatch():
         pvar_distance(a, b)
 
 
+def test_distance_rejects_times_that_differ_within_allclose():
+    # times off by a relative 5e-6, inside np.allclose's rtol of 1e-5:
+    # the same values on another grid are not at distance 0
+    a = random_prp(np.random.default_rng(43), n=8)
+    b = PartialRoughPath(a.times * (1 + 5e-6), a.x, a.x2_inc, a.y,
+                         a.cross_inc, a.p)
+    with pytest.raises(ValueError, match="time arrays differ"):
+        pvar_distance(a, b)
+
+
 # ---------------------------------------------------------------------------
 # pushforward
 
@@ -184,8 +198,8 @@ def test_distance_rejects_grid_mismatch():
 def _affine_map(A, c):
     A = np.asarray(A, dtype=float)
     c = np.asarray(c, dtype=float)
-    return SmoothMap(A.shape[1], A.shape[0],
-                     lambda y: A @ y + c, lambda y: A.copy())
+    return SmoothMap(A.shape[1], A.shape[0], lambda y: y @ A.T + c,
+                     lambda y: np.broadcast_to(A, (len(y),) + A.shape))
 
 
 def test_pushforward_identity_keeps_cross():
@@ -221,8 +235,7 @@ def test_pushforward_functorial_on_affine_maps():
 def test_pushforward_smooth_square_map_against_oracle():
     # x = t, y = t^2, phi(y) = y^2: the new cross over [0,1] is
     # int_0^1 (phi(y_r) - phi(y_0)) dx_r = int_0^1 r^4 dr = 1/5
-    phi = SmoothMap(1, 1, lambda y: np.array([y[0] ** 2]),
-                    lambda y: np.array([[2.0 * y[0]]]))
+    phi = SmoothMap(1, 1, lambda y: y ** 2, lambda y: 2.0 * y[:, :, None])
     oracle = riemann_cross(lambda t: t ** 4, lambda t: t, 0.0, 1.0,
                            n=400_000)[0, 0]
     assert oracle == pytest.approx(0.2, abs=1e-5)
@@ -239,6 +252,45 @@ def test_pushforward_dimension_check():
     prp = random_prp(rng, d=2)
     with pytest.raises(ValueError, match="phi expects"):
         pushforward(prp, _affine_map(np.eye(3), np.zeros(3)))
+
+
+@pytest.mark.parametrize("bad_eval, bad_grad, want", [
+    (lambda y: y[0], None, r"phi.eval shape \(2,\), expected \(21, 2\)"),
+    (lambda y: y[:, :, None], None, r"expected \(21, 2\)"),
+    (None, lambda y: np.eye(2), r"phi.grad shape \(2, 2\), "
+                                r"expected \(20, 2, 2\)"),
+    (None, lambda y: np.ones((len(y) + 1, 2, 2)), r"expected \(20, 2, 2\)"),
+], ids=["eval-one-row", "eval-rank-3", "grad-one-point", "grad-one-too-many"])
+def test_pushforward_rejects_maps_of_the_wrong_shape(bad_eval, bad_grad,
+                                                       want):
+    # a map written for one point, or one returning the wrong stack,
+    # fails by name instead of broadcasting or reshaping silently
+    prp = random_prp(np.random.default_rng(47), n=20, d=2)
+    good = _affine_map(np.eye(2), np.zeros(2))
+    phi = SmoothMap(2, 2, bad_eval or good.eval, bad_grad or good.grad)
+    with pytest.raises(ValueError, match=want):
+        pushforward(prp, phi)
+
+
+def test_pushforward_of_the_chart_matches_the_per_point_reference():
+    # the changevar benchmark workload's chart map and driver (a 64-segment
+    # random polyline at seed 1, solved on mesh 2048): one eval and one
+    # grad call over the 2049-point grid give the bits of one call per
+    # grid point
+    x = cli.driver_from_config({"kind": "random-polyline", "n": 64,
+                                "scale": 0.2, "m": 1, "T": 1.0}, 1)
+    f = make_field("counterexample")
+    a = np.array([1.0, 0.0])
+    sol = solve_rde(x, f, a, 1.0, SolverConfig(base_mesh=2048))
+    py = solution_to_partial(sol, x)
+    shift = choose_shift(a, 1.5 * float(np.max(np.linalg.norm(sol.y,
+                                                              axis=1))))
+    psi = SmoothMap(f.d, f.d + 1, shift.state_of,
+                    lambda y: grad_phi(shift.b + y))
+    out, ref = pushforward(py, psi), pushforward_rows(py, psi)
+    assert out.y.shape == (py.n_points, f.d + 1)
+    assert out.y.tobytes() == ref.y.tobytes()
+    assert out.cross_inc.tobytes() == ref.cross_inc.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +340,10 @@ def test_rough_integral_regularity_guard():
 def test_pushforward_is_lipschitz_in_the_input_triple():
     rng = np.random.default_rng(54)
     base = random_prp(rng, n=10, d=2, m=1)
-    phi = SmoothMap(2, 2, lambda y: np.array([np.sin(y[0]), y[1] ** 2 / 4]),
-                    lambda y: np.array([[np.cos(y[0]), 0.0],
-                                        [0.0, y[1] / 2]]))
+    phi = SmoothMap(2, 2, lambda y: np.column_stack([np.sin(y[:, 0]),
+                                                     y[:, 1] ** 2 / 4]),
+                    lambda y: np.stack([np.diag([np.cos(u), v / 2])
+                                        for u, v in y]))
     out0 = pushforward(base, phi)
     ratios = []
     for delta in (1e-2, 1e-3, 1e-4):

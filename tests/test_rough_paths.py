@@ -324,6 +324,14 @@ def test_decompose_recompose_roundtrip():
         assert np.max(np.abs(back.level2 - rp.level2)) <= 1e-13
 
 
+def test_recompose_rejects_times_that_differ_within_allclose():
+    # a drift on times off by a relative 5e-6, inside np.allclose's rtol
+    # of 1e-5, is on another grid: no silent move onto the geometric one
+    geo, drift = decompose(random_rough_path(np.random.default_rng(17), 15, 3))
+    with pytest.raises(ValueError, match="time arrays differ"):
+        recompose(geo, AreaDrift(drift.times * (1 + 5e-6), drift.beta))
+
+
 def test_beta_path_equals_pairwise_excess():
     rng = np.random.default_rng(18)
     rp = random_rough_path(rng, 10, 2)

@@ -3,9 +3,10 @@
 The solver and f_dot_grad_f multiply with ndarray.dot, the 1-D loop
 writes each state straight into its trajectory row, counterexample_field
 fills fresh np.empty arrays from Python floats and the chart maps take
-norms as math.sqrt(v.dot(v)).  Each is compared with `==` against the
-form it replaced, kept in oracles.py: @ products and fresh states,
-nested-list field values, np.linalg.norm.
+|z|^2 of every row of a stack by np.matmul on the row views.  Each is
+compared with `==` against the form it replaced, kept in oracles.py: @
+products and fresh states, nested-list field values, np.linalg.norm on
+one point.
 """
 
 import math
@@ -14,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from roughpaths.log_sphere_map import (choose_shift, grad_phi,
+from roughpaths.log_sphere_map import (ShiftedMap, choose_shift, grad_phi,
                                        sphere_state_projection,
                                        transformed_field)
 from roughpaths.rde_solver import (FieldEvaluationError, SolverConfig,
@@ -27,7 +28,7 @@ from roughpaths.vector_fields import (SecondOrderField, VectorField,
 
 from oracles import (counterexample_eval_lists, counterexample_grad_lists,
                      davie_solve_matmul, f_dot_grad_f_matmul, grad_phi_norm,
-                     sphere_state_projection_norm)
+                     sphere_state_projection_norm, state_of_norm)
 
 K = 128
 
@@ -284,9 +285,21 @@ def test_chart_maps_match_their_norm_versions():
     for z in chart_points(np.random.default_rng(804)):
         assert bits(grad_phi(z)) == bits(grad_phi_norm(z)), z
         d = len(z)
+        b = np.full(d, 0.25) * np.abs(z).max()
+        assert bits(ShiftedMap(b).state_of(z)) == bits(state_of_norm(b, z)), z
         w = np.concatenate([z, [0.5]])
         assert (bits(sphere_state_projection(d)(w))
                 == bits(sphere_state_projection_norm(d)(w))), z
     w = np.array([0.0, -0.0, 2.0])
     assert (bits(sphere_state_projection(2)(w))
             == bits(sphere_state_projection_norm(2)(w)))
+    # an (n, d) stack: each row's bits are those of the row on its own
+    rng = np.random.default_rng(805)
+    for d in (1, 2, 3, 4):
+        for scale in (1e-30, 1e-3, 1.0, 1e3, 1e30):
+            zs = scale * rng.normal(size=(40, d))
+            shift = ShiftedMap(scale * rng.normal(size=d))
+            assert (bits(grad_phi(zs))
+                    == bits(np.stack([grad_phi(z) for z in zs])))
+            assert (bits(shift.state_of(zs))
+                    == bits(np.stack([shift.state_of(z) for z in zs])))

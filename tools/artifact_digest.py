@@ -9,6 +9,9 @@ In a fresh temporary directory this runs
 - `rde growth-demo` at that config with `mesh` 4096, seed 8, whose
   lambda = 8 row crosses r_max (the run exits 1), so the digest covers
   a row that leaves growth_bound_check's stacked loop;
+- `rde changevar-check` with the user shift `{"shift": 10.0}`, the
+  branch that builds ShiftedMap from the config rather than from
+  choose_shift;
 - the eight demos, with the temporary directory as the working
   directory, so their `demos/out` files land there.
 
@@ -95,6 +98,10 @@ def main() -> int:
             dict(GROWTH_BENCH, mesh=4096)))
         rde("growth-cross", "growth-demo", "--config", "growth-cross.json",
             "--seed", "8")
+        (tmp_path / "changevar-shift.json").write_text(json.dumps(
+            {"shift": 10.0}))
+        rde("changevar-shift", "changevar-check", "--config",
+            "changevar-shift.json")
         for demo in sorted((ROOT / "demos").glob("0*.py")):
             run(f"demos/{demo.stem}", ["-W", "error", str(demo)])
         for path in sorted((tmp_path / "demos" / "out").glob("*")):
