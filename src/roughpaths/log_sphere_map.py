@@ -24,10 +24,10 @@ q != 0 and restricts to the same field on the cylinder; a solver should
 renormalize the angular part of its state each step (see
 ``sphere_state_projection``).
 
-The transformed fields are closed forms on Python floats, as numpy's
-per-call overhead is the cost on the one state per solver step: no
-grad_phi tensor, explicit loops (sum() is compensated from
-Python 3.12 on) and one np.array per result.
+The transformed field is one jet on Python floats (VectorField.jet), as
+numpy's per-call overhead is the cost on the one state per solver step:
+no grad_phi tensor, one call of the field's own jet, explicit loops
+(sum() is compensated from Python 3.12 on).
 """
 
 from __future__ import annotations
@@ -80,8 +80,13 @@ def grad_phi(z) -> np.ndarray:
     zs = z.reshape(-1, d)
     r = _radii(zs)
     # r^2 and r^3 by libm's pow on Python floats, not numpy's power
-    r2 = np.array([v ** 2 for v in r.tolist()])[:, None]
-    r3 = np.array([v ** 3 for v in r.tolist()])[:, None, None]
+    rs = r.tolist()
+    r2 = np.array([v ** 2 for v in rs])[:, None]
+    try:
+        r3 = np.array([v ** 3 for v in rs])[:, None, None]
+    except OverflowError:
+        raise OverflowError(
+            f"|z|^3 overflows at |z| = {max(rs):.6g}") from None
     out = np.empty((len(zs), d + 1, d))
     with np.errstate(divide="ignore", invalid="ignore"):
         out[:, :d] = (np.eye(d) / r[:, None, None]
@@ -156,9 +161,9 @@ def sphere_state_projection(d: int):
 
 
 def _chart_state(w, b):
-    """theta = q/|q|, |q| and r = e^rho of a state w = (q, rho) as Python
-    floats, and y = r theta - b as an array."""
-    *q, rho = w.tolist()
+    """theta = q/|q|, |q|, r = e^rho and y = r theta - b of a state
+    w = (q, rho) given as Python floats."""
+    *q, rho = w
     nq = 0.0
     for v in q:
         nq += v * v
@@ -172,7 +177,7 @@ def _chart_state(w, b):
     for v, c in zip(q, b):
         theta.append(v / nq)
         y.append(r * theta[-1] - c)
-    return theta, nq, r, np.array(y)
+    return theta, nq, r, y
 
 
 def _pull_back(theta, F, r, c):
@@ -214,15 +219,11 @@ def transformed_field(f: VectorField, shift: ShiftedMap) -> VectorField:
     b = shift.b.tolist()
     D, M = range(d), range(m)
 
-    def _eval(w):
-        theta, _, r, y = _chart_state(w, b)
-        h = _pull_back(theta, f.eval(y).tolist(), r, [0.0] * m)
-        return np.array(_finite(h, "h", w)).reshape(d + 1, m)
-
-    def _grad(w):
+    def _jet(w):
         theta, nq, r, y = _chart_state(w, b)
-        F, G = f.eval(y).tolist(), f.grad(y).tolist()
-        h = _pull_back(theta, F, r, [0.0] * m)
+        F, G = f.jet(y)
+        F = [F[k * m:k * m + m] for k in D]
+        h = _finite(_pull_back(theta, F, r, [0.0] * m), "h", w)
         # h = N F/r, so dh = N d(F/r) + dN F/r.  V holds d(F/r), with
         # g = grad f_kj(y): g (I - theta theta^T)/|q| along q, g theta -
         # F/r along rho; and the part of dN F/r in N's range.  The rest,
@@ -231,7 +232,8 @@ def transformed_field(f: VectorField, shift: ShiftedMap) -> VectorField:
         for k in D:
             row = []
             for j in M:
-                g, hd, s = G[k][j], h[d * m + j], 0.0
+                g = G[(k * m + j) * d:(k * m + j + 1) * d]
+                hd, s = h[d * m + j], 0.0
                 for e in D:
                     s += g[e] * theta[e]
                 for c in D:
@@ -240,11 +242,10 @@ def transformed_field(f: VectorField, shift: ShiftedMap) -> VectorField:
                 row.append(s - F[k][j] / r)
                 offset[j * (d + 1) + k] = h[k * m + j] / nq
             V.append(row)
-        out = _pull_back(theta, V, 1.0, offset)
-        return np.array(_finite(out, "grad h", w)).reshape(d + 1, m, d + 1)
+        return h, _finite(_pull_back(theta, V, 1.0, offset), "grad h", w)
 
-    return VectorField(d + 1, m, _eval, _grad, gamma=f.gamma,
-                       name=f"logsphere({f.name})")
+    return VectorField.from_jet(d + 1, m, _jet, gamma=f.gamma,
+                                name=f"logsphere({f.name})")
 
 
 def h1_h2(f: VectorField, shift: ShiftedMap):
@@ -265,10 +266,10 @@ def h1_h2(f: VectorField, shift: ShiftedMap):
     b = shift.b.tolist()
 
     def _eval2(w):
-        theta, _, r, y = _chart_state(w, b)
+        theta, _, r, y = _chart_state(w.tolist(), b)
         # a non-finite derived field makes h2 non-finite, which raises
         with np.errstate(over="ignore", invalid="ignore"):
-            F = fdf.eval(y).reshape(d, m * m).tolist()
+            F = fdf.eval(np.array(y)).reshape(d, m * m).tolist()
         h2 = _pull_back(theta, F, r, [0.0] * (m * m))
         return np.array(_finite(h2, "the derived field or h2", w)).reshape(
             d + 1, m, m)

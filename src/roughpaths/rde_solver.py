@@ -9,10 +9,14 @@ which is exactly the first-order-plus-area expansion whose sewn limit
 defines the solution; on smooth drivers it reduces to a second-order
 Taylor scheme.  One step map serves the mesh loop and the bisection
 that locates where |y| first crosses r_max (the operational stand-in for
-blow-up).  A solution is its partial rough path (x, y, int dy (x) dx):
-the cross integral against the driver is stored per interval, f(y_i)
-paired with the driver's level 2.  The module also carries the
-partition rule and a-priori sup bound for bounded fields.
+blow-up).  The step runs on Python floats, fed by one call of the
+field's jet per step (VectorField.jet) and summed left to right: at
+these sizes numpy's per-call overhead would be the cost, and no bit of
+the step depends on a BLAS kernel.  A solution is its partial rough
+path (x, y, int dy (x) dx): the cross integral against the driver is
+stored per interval, f(y_i) paired with the driver's level 2.  The
+module also carries the partition rule and a-priori sup bound for
+bounded fields.
 
 A corrected variant integrates against a decomposed driver: the rough
 step uses the geometric part while a Young term h2(y) dbeta adds the
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,13 +72,15 @@ _MU = 1.0
 
 
 class FieldEvaluationError(RuntimeError):
-    """A field produced NaN/Inf during stepping."""
+    """A step from y at time t gave a state that is not finite, or whose
+    squared norm overflows."""
 
     def __init__(self, t, y):
-        super().__init__(f"field evaluation produced a non-finite value at "
-                         f"t={t!r}, y={np.asarray(y).tolist()!r}")
+        super().__init__(f"the step from t={t!r}, "
+                         f"y={np.asarray(y).tolist()!r} gave a state whose "
+                         f"squared norm is not a finite float")
         self.t = t
-        self.y = np.array(y)   # a copy: y may be a row of a solver buffer
+        self.y = np.array(y)   # an array of its own
 
 
 @dataclass
@@ -135,48 +142,84 @@ def _solve_mesh(T: float, cfg: SolverConfig) -> np.ndarray:
 
 
 def _davie_step(x: RoughPath, f: VectorField, young: tuple | None):
-    """The Davie step map and the per-interval inputs it takes on a mesh.
+    """The Davie step map on Python floats and the per-interval inputs it
+    takes on a mesh.
 
-    step(y, u, b, db, out) = (y + f(y) u + (f . grad f)(y) b + h2(y) db,
-    f(y)), the new state written into out when out is given, with
-    (u, x2, b, db) one row of increments(mesh): the driver's two levels,
-    b = x2, or x2 + dbeta when h2 is f's own derived field, and
-    db = dbeta, or None when there is no separate Young term.  The b
-    term is contracted without assembling the derived field: with
-    P[j,c] = sum_i b[i,j] f[c,i] it is grad f(y) flattened against P.
+    increments(mesh) returns the driver's level-2 increments and one row
+    of step inputs per interval, r = (u, b^T, db) flattened: the driver's
+    level 1, b = x2, or x2 + dbeta when h2 is f's own derived field, and
+    dbeta when h2 is a separate Young term.  step(y, r) takes the d
+    entries of a state as floats and returns the new state, f(y) (flat,
+    as f.jet gives it) and the new state's squared norm:
+
+        y+_a = y_a + ((sum_i f_ai u_i + sum_jc grad f_ajc P_jc)
+                      + sum_ij h2_aij dbeta_ij),
+        P_jc = sum_i b_ij f_ci,
+
+    each sum taken left to right from 0.0 in the order written, so that
+    no bit depends on a BLAS kernel; the b term is contracted without
+    assembling the derived field.
     """
     d, m = f.d, f.m
+    jet = f.jet
     h2, beta = young if young is not None else (None, None)
     if getattr(h2, "source", None) is f:
         h2 = None   # fused into b
+    D, M, mm, md = range(d), range(m), m * m, m * d
 
     def increments(mesh):
         u, x2 = x.increments_on_mesh(mesh)
-        if beta is None:
-            return u, x2, x2, None
-        dbeta = beta.increments_on_mesh(mesh)
-        if h2 is None:
-            return u, x2, x2 + dbeta, None
-        return u, x2, x2, dbeta.reshape(len(u), m * m)
+        dbeta = None if beta is None else beta.increments_on_mesh(mesh)
+        b = x2 + dbeta if dbeta is not None and h2 is None else x2
+        cols = [u, b.swapaxes(1, 2).reshape(len(u), mm)]
+        if h2 is not None:
+            cols.append(dbeta.reshape(len(u), mm))
+        return x2, np.concatenate(cols, axis=1)
 
-    def step(y, u, b, db, out=None):
-        # .dot: the same products and bits as @ at half its call overhead
-        fe = f.eval(y)
-        w = b.T.dot(fe.T)
-        dy = fe.dot(u) + f.grad(y).reshape(d, m * d).dot(w.reshape(m * d))
-        if db is not None:
-            dy += h2.eval(y).reshape(d, m * m).dot(db)
-        # the loop passes its trajectory row as out: the sum lands where
-        # it is kept, with no array allocated for it and no copy after
-        return np.add(y, dy, out=out), fe
+    # the (p, q) index pairs of each sum: P_jc pairs b^T (in r) with f;
+    # row a pairs f with u (in r), grad f with P and h2 with dbeta (in r)
+    p_terms = [[(m + j * m + i, c * m + i) for i in M] for j in M for c in D]
+    y_terms = [([(a * m + i, i) for i in M],
+                [(a * md + k, k) for k in range(md)],
+                [(a * mm + k, m + mm + k) for k in range(mm)])
+               for a in D]
+
+    def step(y, r):
+        F, G = jet(y)
+        P = []
+        for pairs in p_terms:
+            s = 0.0
+            for p, q in pairs:
+                s += r[p] * F[q]
+            P.append(s)
+        if h2 is not None:
+            H = np.asarray(h2.eval(np.array(y)), dtype=float).ravel().tolist()
+        out, n2 = [], 0.0
+        for ya, (fu, gp, hb) in zip(y, y_terms):
+            s = 0.0
+            for p, q in fu:
+                s += F[p] * r[q]
+            t = 0.0
+            for p, q in gp:
+                t += G[p] * P[q]
+            s += t
+            if h2 is not None:
+                t = 0.0
+                for p, q in hb:
+                    t += H[p] * r[q]
+                s += t
+            v = ya + s
+            out.append(v)
+            n2 += v * v
+        return out, F, n2
 
     return increments, step
 
 
-def _entry_checks(xs, f: VectorField, a, T: float,
+def _entry_checks(x: RoughPath, f: VectorField, a, T: float,
                   cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The checks both loops make before stepping, against every driver
-    in xs; returns the start state (a fresh copy) and the mesh."""
+    """The checks made before stepping; returns the start state (a fresh
+    copy) and the mesh."""
     d, m = f.d, f.m
     if 2.0 + f.gamma <= cfg.p:
         raise ValueError("need 2 + gamma > p")
@@ -185,33 +228,33 @@ def _entry_checks(xs, f: VectorField, a, T: float,
         raise ValueError("initial state must be finite")
     if y.shape != (d,):
         raise ValueError(f"initial state must have shape ({d},)")
-    for x in xs:
-        T = _horizon(x, T)
-        if x.m != m:
-            raise ValueError(f"driver dimension {x.m} does not match field "
-                             f"m={m}")
+    T = _horizon(x, T)
+    if x.m != m:
+        raise ValueError(f"driver dimension {x.m} does not match field "
+                         f"m={m}")
     return y, _solve_mesh(T, cfg)
 
 
 def _crossing(increments, step, y, t0: float, t1: float,
-              r_max: float) -> tuple[BlowupRecord, np.ndarray]:
+              r_max: float) -> tuple[BlowupRecord, list]:
     """Bisect [t0, t1], a step from y that leaves the ball of radius
     r_max, for the crossing time, with the same step map run from t0 to
     tau; returns the record and the state at the crossing."""
 
     def state_at(tau):
-        u, _, b, db = increments(np.array([t0, tau]))
-        return step(y, u[0], b[0], None if db is None else db[0])[0]
+        r = increments(np.array([t0, tau]))[1][0]
+        y_tau, _, n2 = step(y, r.tolist())
+        return y_tau, math.sqrt(n2)
 
     lo, hi = t0, t1
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if np.linalg.norm(state_at(mid)) >= r_max:
+        if state_at(mid)[1] >= r_max:
             hi = mid
         else:
             lo = mid
-    y_cross = state_at(hi)
-    return BlowupRecord(r_max, hi, float(np.linalg.norm(y_cross))), y_cross
+    y_cross, norm = state_at(hi)
+    return BlowupRecord(r_max, hi, norm), y_cross
 
 
 def _solution(x: RoughPath, times, traj, fes, x2_all, cfg: SolverConfig,
@@ -224,101 +267,65 @@ def _solution(x: RoughPath, times, traj, fes, x2_all, cfg: SolverConfig,
                        blow)
 
 
+# steps whose inputs are read, and whose states and field values are
+# written, as one block of Python floats: the per-block numpy calls cost
+# nothing measurable at this size, and the block's float objects add no
+# measurable peak memory (blocks of 1024 added 0.25 MB to explosion-demo)
+_BLOCK = 256
+
+
 def _davie_loop(x: RoughPath, f: VectorField, a, T: float,
                 cfg: SolverConfig, young: tuple | None) -> RDESolution:
     """The stepping loop of one trajectory; young = (h2, beta) adds the
     drift term.
 
+    The state is stepped as Python floats; states and field values are
+    written into the preallocated trajectory arrays a block at a time.
     A step whose state leaves the ball of radius r_max is bisected for
-    the crossing time (_crossing).
+    the crossing time (_crossing); one whose squared norm is not a
+    finite float raises FieldEvaluationError with the state it stepped
+    from, whatever r_max is.
     """
     d, m = f.d, f.m
-    y, mesh = _entry_checks([x], f, a, T, cfg)
+    y0, mesh = _entry_checks(x, f, a, T, cfg)
     K = len(mesh) - 1
     increments, step = _davie_step(x, f, young)
-    u_all, x2_all, b_all, db_all = increments(mesh)
+    x2_all, rows = increments(mesh)
     traj = np.empty((K + 1, d))
-    traj[0] = y
+    traj[0] = y0
     fes = np.empty((K, d, m))
+    traj_flat, fes_flat = traj.reshape(-1), fes.reshape(-1)
     proj = cfg.state_projection
-    r2 = cfg.r_max * cfg.r_max
+    # clamped, so that an infinite r_max still stops a non-finite state
+    r2 = min(cfg.r_max * cfg.r_max, sys.float_info.max)
+    y = y0.tolist()
     blow = None
     last = K
-    for i in range(K):
-        # y holds traj[i]; the step writes the new state into traj[i + 1]
-        y_new, fes[i] = step(y, u_all[i], b_all[i],
-                             None if db_all is None else db_all[i],
-                             traj[i + 1])
-        ny2 = float(y_new.dot(y_new))
-        if not (ny2 <= r2):
-            if not math.isfinite(ny2):
-                raise FieldEvaluationError(mesh[i], y)
-            blow, traj[i + 1] = _crossing(increments, step, y, mesh[i],
+    for lo in range(0, K, _BLOCK):
+        ys, fs = [], []
+        for i, r in enumerate(rows[lo:lo + _BLOCK].tolist(), lo):
+            y_new, F, n2 = step(y, r)
+            fs.extend(F)
+            if not (n2 <= r2):
+                if not math.isfinite(n2):
+                    raise FieldEvaluationError(mesh[i], y)
+                blow, y_cross = _crossing(increments, step, y, mesh[i],
                                           mesh[i + 1], cfg.r_max)
-            last = i + 1
-            mesh = np.concatenate([mesh[:i + 1], [blow.crossing_time]])
+                ys.extend(y_cross)
+                last = i + 1
+                mesh = np.concatenate([mesh[:i + 1], [blow.crossing_time]])
+                break
+            if proj is not None:
+                y_new = np.asarray(proj(np.array(y_new)),
+                                   dtype=float).tolist()
+            ys.extend(y_new)
+            y = y_new
+        traj_flat[(lo + 1) * d:(lo + 1) * d + len(ys)] = ys
+        fes_flat[lo * d * m:lo * d * m + len(fs)] = fs
+        if blow is not None:
             break
-        if proj is not None:
-            y_new[...] = proj(y_new)
-        y = y_new
     return _solution(x, mesh[:last + 1], traj[:last + 1], fes[:last], x2_all,
                      cfg, blow)
-
-
-def _davie_stack(xs, f: VectorField, a, T: float, cfg: SolverConfig) -> list:
-    """[solve_rde(x, f, a, T, cfg) for x in xs], bit for bit: the stack
-    batches, and solve_rde solves every row the stack cannot finish or
-    cannot batch.
-
-    Two drivers or more, a stacked field (VectorField.stacked) and no
-    state projection step from a on one uniform mesh as one (B, d) stack
-    of states, one field call per step for all rows, in np.matmul on the
-    views that give ndarray.dot's bits.  A row whose state leaves the
-    ball of radius r_max or is not finite leaves the stack; after the
-    loop solve_rde solves it again, in the order of xs, so it bisects the
-    crossing or raises the row's FieldEvaluationError as solving the rows
-    in turn would.  Other inputs go to solve_rde row by row.
-    """
-    if len(xs) < 2 or not f.stacked or cfg.state_projection is not None:
-        return [solve_rde(x, f, a, T, cfg) for x in xs]
-    d, m = f.d, f.m
-    y, mesh = _entry_checks(xs, f, a, T, cfg)
-    K = len(mesh) - 1
-    incs = [x.increments_on_mesh(mesh) for x in xs]
-    U = np.stack([u for u, _ in incs], axis=1)            # (K, B, m)
-    X2 = np.stack([x2 for _, x2 in incs], axis=1)         # (K, B, m, m)
-    B = len(xs)
-    traj = np.empty((B, K + 1, d))
-    traj[:, 0] = y
-    fes = np.empty((B, K, d, m))
-    r2 = cfg.r_max * cfg.r_max
-    idx = np.arange(B)         # the row of each stack entry
-    rows = slice(None)         # idx, as basic indexing while the stack is full
-    Y = np.repeat(y[None], B, axis=0)
-    n = B                      # rows in the stack
-    for i in range(K):
-        # the solo step's products, stacked: y + f u + grad f . (b^T f^T)
-        fe = f.eval(Y)
-        w = np.matmul(X2[i].swapaxes(-1, -2), fe.swapaxes(-1, -2))
-        dy = (np.matmul(fe, U[i][..., None])
-              + np.matmul(f.grad(Y).reshape(n, d, m * d),
-                          w.reshape(n, m * d, 1)))
-        Y_new = Y + dy.reshape(n, d)
-        fes[rows, i] = fe
-        ny2 = np.matmul(Y_new[:, None, :], Y_new[:, :, None])
-        if not (ny2.max() <= r2):
-            # rows out of the ball, or not finite, leave the stack
-            keep = np.flatnonzero(ny2.reshape(n) <= r2)
-            idx, Y_new, U, X2 = idx[keep], Y_new[keep], U[:, keep], X2[:, keep]
-            rows, n = idx, len(idx)
-            if n == 0:
-                break
-        Y = Y_new
-        traj[rows, i + 1] = Y
-    kept = set(idx.tolist())
-    return [_solution(x, mesh.copy(), traj[k], fes[k], incs[k][1], cfg, None)
-            if k in kept else solve_rde(x, f, a, T, cfg)
-            for k, x in enumerate(xs)]
 
 
 def solve_rde(x: RoughPath, f: VectorField, a, T: float,
@@ -326,7 +333,8 @@ def solve_rde(x: RoughPath, f: VectorField, a, T: float,
     """Solve dy = f(y) dx up to time T, T in (0, x.T], on a uniform mesh.
 
     Threshold crossings are returned in the solution's blowup record,
-    not raised; non-finite field output raises FieldEvaluationError.
+    not raised; a state that is not finite, or whose squared norm
+    overflows, raises FieldEvaluationError whatever r_max is.
     """
     return _davie_loop(x, f, a, T, cfg or SolverConfig(), None)
 
@@ -442,16 +450,14 @@ def growth_bound_check(f: VectorField, x: RoughPath, a, T: float,
                        lambdas=(1.0, 2.0, 4.0, 8.0)) -> GrowthReport:
     """Scale a geometric driver and check log growth stays affine.
 
-    Solves the equation for every dilated driver through the stacked
-    loop, each row equal to solve_rde on its driver bit for bit: the stack
-    batches, and solve_rde solves every row the stack cannot finish (a
-    crossing of r_max, a non-finite state) or cannot batch (one lambda,
-    a field not declared stacked, a state projection).  Then it fits
-    log(sup|y| + 1) <= c1 + c2 * s, s = ||x_lam||^p * T, with the
-    intercept lifted to cover every run (reported slack >= 0).  Any
-    explosion under a geometric driver is a falsification event and
-    fails the report.  A driver whose geometricity defect exceeds
-    _GEOMETRICITY_TOL * max(1, max|level2|) raises ValueError.
+    Solves the equation with solve_rde for every dilated driver, in the
+    order of lambdas, so the first lambda whose solve raises is the one
+    whose error propagates.  Then it fits log(sup|y| + 1) <= c1 + c2 * s,
+    s = ||x_lam||^p * T, with the intercept lifted to cover every run
+    (reported slack >= 0).  Any explosion under a geometric driver is a
+    falsification event and fails the report.  A driver whose
+    geometricity defect exceeds _GEOMETRICITY_TOL * max(1, max|level2|)
+    raises ValueError.
 
     The driver is scanned once: each row's pvar is lam * ||x||.  The
     p-variation norm is homogeneous under dilation, since u(s,t) scales
@@ -473,8 +479,7 @@ def growth_bound_check(f: VectorField, x: RoughPath, a, T: float,
     if gd > _GEOMETRICITY_TOL * scale:
         raise ValueError(f"driver is not geometric (defect {gd:.2e})")
     base = pvar_norm(x, cfg.p)
-    xs = [dilate(x, lam) for lam in lambdas]
-    sols = _davie_stack(xs, f, a, T, cfg)
+    sols = [solve_rde(dilate(x, lam), f, a, T, cfg) for lam in lambdas]
     rows = []
     for lam, sol in zip(lambdas, sols):
         sup_y = sol.sup_norm()

@@ -48,27 +48,19 @@ class VectorField:
     """Evaluable field with gradient.
 
     eval(y) returns a (d, m) matrix, grad(y) a (d, m, d) array with
-    grad[a, i, c] = d f[a, i] / d y[c].  gamma in (0, 1] is the Holder
+    grad[a, i, c] = d f[a, i] / d y[c], for a 1-d float state y; both
+    return a fresh array on every call.  gamma in (0, 1] is the Holder
     exponent of the gradient; bounds are optional declarations used by
     the a-priori bound machinery (the field itself may be unbounded).
 
-    The solver calls eval and grad once each per step on a 1-d float
-    state and keeps eval's result, so both must return a fresh float
-    array on every call, never a reused buffer.  At these sizes the
-    numpy call overhead is the cost: filling np.empty is cheaper than
-    building the array from nested lists, and a single-state branch that
-    reads the state once with y.tolist() and computes with math on
-    Python floats is cheaper than numpy calls on numpy scalars.
-
-    Stacked states (optional): a field with stacked=True also takes a
-    (B, d) stack of states, returning (B, d, m) from eval and
-    (B, d, m, d) from grad, whose row k equals the value at state k bit
-    for bit, so its single-state branch must give the stacked branch's
-    bits.  The built-in fields meet this contract.  growth_bound_check's
-    stacked loop batches its dilations for such a field, and solve_rde
-    solves every row the stack cannot finish or cannot batch: a row that
-    crosses r_max or turns non-finite, and every dilation of any other
-    field.
+    jet(y) is the solver's one field call per step: it takes the d
+    entries of one state as Python floats and returns (f, grad f) as flat
+    row-major float sequences of lengths d*m and d*m*d.  At these sizes
+    the per-call overhead is the cost, so a field with a closed form
+    writes it once, as a jet (with math on Python floats where that is
+    cheaper than numpy), and derives eval and grad from it (from_jet);
+    the builtin fields do.  A field given only eval and grad gets the
+    jet of their values.
     """
 
     d: int
@@ -78,7 +70,29 @@ class VectorField:
     gamma: float = 1.0
     bounds: FieldBounds = field(default_factory=FieldBounds)
     name: str = ""
-    stacked: bool = False
+    jet: object = None
+
+    def __post_init__(self):
+        if self.jet is None:
+            def jet(y):
+                v = np.array(y, dtype=float)
+                return (self.eval(v).ravel().tolist(),
+                        self.grad(v).ravel().tolist())
+
+            self.jet = jet
+
+    @classmethod
+    def from_jet(cls, d: int, m: int, jet, **fields) -> "VectorField":
+        """The field whose one closed form is jet: eval and grad return
+        the jet's values as arrays."""
+
+        def _eval(y):
+            return np.array(jet(y.tolist())[0]).reshape(d, m)
+
+        def _grad(y):
+            return np.array(jet(y.tolist())[1]).reshape(d, m, d)
+
+        return cls(d, m, _eval, _grad, jet=jet, **fields)
 
     def __call__(self, y) -> np.ndarray:
         return self.eval(np.asarray(y, dtype=float))
@@ -110,10 +124,9 @@ def f_dot_grad_f(vf: VectorField) -> SecondOrderField:
     d, m = vf.d, vf.m
 
     def _eval(y):
-        fe = vf.eval(y)
-        gr = vf.grad(y)
-        # M[a,i,j] = sum_c gr[a,j,c] fe[c,i], via one flat matmul
-        t = gr.reshape(d * m, d).dot(fe)
+        F, G = vf.jet(y.tolist())
+        # M[a,i,j] = sum_c G[a,j,c] F[c,i], via one flat matmul
+        t = np.array(G).reshape(d * m, d).dot(np.array(F).reshape(d, m))
         return t.reshape(d, m, m).swapaxes(1, 2)
 
     return SecondOrderField(d, m, _eval, source=vf)
@@ -146,16 +159,13 @@ def linear_field(A=1.0, c=None, m: int | None = None) -> VectorField:
         raise ValueError("A must be scalar, (d,d) or (d,m,d)")
     cv = np.zeros((d, m)) if c is None else np.asarray(c, dtype=float).reshape(d, m)
 
-    def _eval(y):
-        return np.einsum("aic,...c->...ai", A3, y) + cv
+    G = tuple(A3.ravel().tolist())
 
-    def _grad(y):
-        if y.ndim == 1:
-            return A3.copy()
-        return np.broadcast_to(A3, y.shape[:-1] + A3.shape).copy()
+    def _jet(y):
+        return (np.einsum("aic,...c->...ai", A3, np.array(y))
+                + cv).ravel().tolist(), G
 
-    return VectorField(d, m, _eval, _grad, gamma=1.0, name="linear",
-                       stacked=True)
+    return VectorField.from_jet(d, m, _jet, gamma=1.0, name="linear")
 
 
 def counterexample_field() -> VectorField:
@@ -166,39 +176,12 @@ def counterexample_field() -> VectorField:
     pure-area driver.
     """
 
-    # a single state reads its entries once as Python floats and fills
-    # with math.sin/cos: the broadcast form below, or np.sin on numpy
-    # scalars, costs it more per call for the same bits
-    def _eval(y):
-        if y.ndim == 1:
-            y0, y1 = y.tolist()
-            out = np.empty((2, 1))
-            out[0, 0] = math.sin(y1) * y0
-            out[1, 0] = y0
-            return out
-        out = np.empty(y.shape[:-1] + (2, 1))
-        out[..., 0, 0] = np.sin(y[..., 1]) * y[..., 0]
-        out[..., 1, 0] = y[..., 0]
-        return out
+    def _jet(y):
+        y0, y1 = y
+        s = math.sin(y1)
+        return (s * y0, y0), (s, y0 * math.cos(y1), 1.0, 0.0)
 
-    def _grad(y):
-        if y.ndim == 1:
-            y0, y1 = y.tolist()
-            out = np.empty((2, 1, 2))
-            out[0, 0, 0] = math.sin(y1)
-            out[0, 0, 1] = y0 * math.cos(y1)
-            out[1, 0, 0] = 1.0
-            out[1, 0, 1] = 0.0
-            return out
-        out = np.empty(y.shape[:-1] + (2, 1, 2))
-        out[..., 0, 0, 0] = np.sin(y[..., 1])
-        out[..., 0, 0, 1] = y[..., 0] * np.cos(y[..., 1])
-        out[..., 1, 0, 0] = 1.0
-        out[..., 1, 0, 1] = 0.0
-        return out
-
-    return VectorField(2, 1, _eval, _grad, gamma=1.0, name="counterexample",
-                       stacked=True)
+    return VectorField.from_jet(2, 1, _jet, gamma=1.0, name="counterexample")
 
 
 def tanh_field(d: int = 2, m: int = 1, scale: float = 1.0,
@@ -208,31 +191,26 @@ def tanh_field(d: int = 2, m: int = 1, scale: float = 1.0,
     W = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, m, d))
     b = rng.normal(0.0, 0.5, size=(d, m))
 
-    def _eval(y):
-        return scale * np.tanh(np.einsum("aic,...c->...ai", W, y) + b)
-
-    def _grad(y):
-        z = np.einsum("aic,...c->...ai", W, y) + b
-        sech2 = 1.0 - np.tanh(z) ** 2
-        return scale * sech2[..., None] * W
+    def _jet(y):
+        t = np.tanh(np.einsum("aic,...c->...ai", W, np.array(y)) + b)
+        return ((scale * t).ravel().tolist(),
+                (scale * (1.0 - t ** 2)[..., None] * W).ravel().tolist())
 
     f_inf = scale * np.sqrt(d * m)
     g_inf = scale * float(np.linalg.norm(W.reshape(-1)))
-    return VectorField(d, m, _eval, _grad, gamma=1.0,
-                       bounds=FieldBounds(f_inf=f_inf, grad_inf=g_inf),
-                       name="tanh", stacked=True)
+    return VectorField.from_jet(
+        d, m, _jet, gamma=1.0, bounds=FieldBounds(f_inf=f_inf, grad_inf=g_inf),
+        name="tanh")
 
 
 def zero_field(d: int = 1, m: int = 1) -> VectorField:
-    def _eval(y):
-        return np.zeros(y.shape[:-1] + (d, m))
+    zeros = (0.0,) * (d * m), (0.0,) * (d * m * d)
 
-    def _grad(y):
-        return np.zeros(y.shape[:-1] + (d, m, d))
+    def _jet(y):
+        return zeros
 
-    return VectorField(d, m, _eval, _grad, gamma=1.0,
-                       bounds=FieldBounds(0.0, 0.0), name="zero",
-                       stacked=True)
+    return VectorField.from_jet(d, m, _jet, gamma=1.0,
+                                bounds=FieldBounds(0.0, 0.0), name="zero")
 
 
 _FIELDS = {"linear": linear_field, "counterexample": counterexample_field,

@@ -7,6 +7,7 @@ left-point Riemann sums for cross and Young integrals.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -290,8 +291,10 @@ def pvar_distance_blocked(a, b):
 
 
 # ---------------------------------------------------------------------------
-# the Davie step with @ products, and the chart maps with np.linalg.norm:
-# the forms the solver and log_sphere_map replaced by ndarray.dot and
+# the Davie step on nested lists of floats, which the solver's float step
+# must equal bit for bit; the step with @ products, a reference within a
+# few float64 eps (BLAS may fuse its multiply-adds); and the chart maps
+# with np.linalg.norm, the forms log_sphere_map replaced by
 # math.sqrt(v.dot(v)), kept to pin that those rewrites change no bit
 
 
@@ -374,6 +377,106 @@ def davie_solve_matmul(x, f, a, mesh, young=None, r_max=1e6, projection=None):
             mesh = np.concatenate([mesh[:i + 1], [hi]])
             break
         y = y_new if projection is None else projection(y_new)
+        traj.append(y)
+    x2_inc = x.increments_on_mesh(mesh[:len(traj)])[1]
+    cross_inc = np.einsum("kdm,kmn->kdn", np.array(fes), x2_inc)
+    return np.array(traj), cross_inc, crossing
+
+
+def davie_solve_floats(x, f, a, mesh, young=None, r_max=1e6,
+                       projection=None):
+    """The Davie loop on a mesh, stepping on nested lists of Python floats.
+
+    The step's sums run left to right from 0.0 over the nested eval,
+    grad and h2 values: P[j][c] = sum_i b[i][j] F[c][i], then y_a +
+    ((sum_i F[a][i] u[i] + sum_j sum_c G[a][j][c] P[j][c]) + sum_i sum_j
+    H[a][i][j] dbeta[i][j]).  Otherwise as davie_solve_matmul, with the
+    ball test |y|^2 <= min(r_max^2, largest float) and the bisection on
+    sqrt(|y|^2) >= r_max.  Returns (y, cross_inc, crossing_time or None).
+    """
+    d, m = f.d, f.m
+    h2, beta = young if young is not None else (None, None)
+    if getattr(h2, "source", None) is f:
+        h2 = None
+
+    def increments(ts):
+        u, x2 = x.increments_on_mesh(ts)
+        if beta is None:
+            return u.tolist(), x2.tolist(), None
+        dbeta = beta.increments_on_mesh(ts)
+        if h2 is None:
+            return u.tolist(), (x2 + dbeta).tolist(), None
+        return u.tolist(), x2.tolist(), dbeta.tolist()
+
+    def step(y, u, b, db):
+        yv = np.array(y)
+        F, G = f.eval(yv).tolist(), f.grad(yv).tolist()
+        P = [[0.0] * d for _ in range(m)]
+        for j in range(m):
+            for c in range(d):
+                s = 0.0
+                for i in range(m):
+                    s += b[i][j] * F[c][i]
+                P[j][c] = s
+        H = None if db is None else h2.eval(yv).tolist()
+        out = []
+        for k in range(d):
+            s = 0.0
+            for i in range(m):
+                s += F[k][i] * u[i]
+            t = 0.0
+            for j in range(m):
+                for c in range(d):
+                    t += G[k][j][c] * P[j][c]
+            s += t
+            if H is not None:
+                t = 0.0
+                for i in range(m):
+                    for j in range(m):
+                        t += H[k][i][j] * db[i][j]
+                s += t
+            out.append(y[k] + s)
+        n2 = 0.0
+        for v in out:
+            n2 += v * v
+        return out, F, n2
+
+    mesh = np.asarray(mesh, dtype=float)
+    K = len(mesh) - 1
+    u_all, b_all, db_all = increments(mesh)
+    r2 = min(r_max * r_max, sys.float_info.max)
+    y = np.asarray(a, dtype=float).tolist()
+    traj = [y]
+    fes = []
+    crossing = None
+    for i in range(K):
+        y_new, F, n2 = step(y, u_all[i], b_all[i],
+                            None if db_all is None else db_all[i])
+        fes.append(F)
+        if not n2 <= r2:
+            assert math.isfinite(n2)
+            t0 = mesh[i]
+
+            def state_at(tau):
+                u, b, db = increments(np.array([t0, tau]))
+                y_tau, _, n2 = step(y, u[0], b[0],
+                                    None if db is None else db[0])
+                return y_tau, math.sqrt(n2)
+
+            lo, hi = t0, mesh[i + 1]
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                if state_at(mid)[1] >= r_max:
+                    hi = mid
+                else:
+                    lo = mid
+            traj.append(state_at(hi)[0])
+            crossing = hi
+            mesh = np.concatenate([mesh[:i + 1], [hi]])
+            break
+        if projection is not None:
+            y_new = np.asarray(projection(np.array(y_new))).tolist()
+        y = y_new
         traj.append(y)
     x2_inc = x.increments_on_mesh(mesh[:len(traj)])[1]
     cross_inc = np.einsum("kdm,kmn->kdn", np.array(fes), x2_inc)

@@ -89,6 +89,17 @@ def test_jacobian_rejects_a_radius_whose_cube_underflows():
         grad_phi(np.array([[1.0, 0.0], [1e-120, 0.0]]))
 
 
+def test_jacobian_names_the_radius_whose_cube_overflows():
+    # |z|^3 overflows above |z| = 5.6e102 (where the chart itself still
+    # maps); just below, the Jacobian keeps the bits of its norm form
+    assert np.isfinite(chart([1e103, 0.0])).all()
+    for z in ([1e103, 0.0], [[1.0, 0.0], [0.0, -6e102]]):
+        with pytest.raises(OverflowError, match=r"\|z\| = [16]e\+10[23]"):
+            grad_phi(np.array(z))
+    z = np.array([5.6e102, 1e101])
+    assert np.array_equal(grad_phi(z), grad_phi_norm(z))
+
+
 def test_inverse_map_local_holder_bound():
     # |z(th,rho) - z(th',rho')| <= exp(max rho)(|th-th'| + |rho-rho'|)
     rng = np.random.default_rng(81)

@@ -153,11 +153,12 @@ def test_crossing_state_is_one_loop_step():
                solve_rde_corrected(x, young[1], vf, young[0], a, 1.5, cfg))
         assert sol.blowup is not None, name
         increments, step = rde_solver._davie_step(x, vf, young)
-        u, x2, b, db = increments(sol.times[-2:])
-        y, fe = step(sol.y[-2], u[0], b[0], None if db is None else db[0])
+        x2, rows = increments(sol.times[-2:])
+        y, fe, _ = step(sol.y[-2].tolist(), rows[0].tolist())
         assert np.array_equal(y, sol.y[-1]), name
         assert np.array_equal(x2, sol.x2_inc[-1:]), name
-        assert np.array_equal(np.einsum("kdm,kmn->kdn", fe[None], x2),
+        fe = np.array(fe).reshape(1, vf.d, vf.m)
+        assert np.array_equal(np.einsum("kdm,kmn->kdn", fe, x2),
                               sol.cross_inc[-1:]), name
 
 
@@ -198,15 +199,15 @@ def test_solution_to_partial_rejects_another_driver():
 
 
 def test_solution_cross_additivity_over_random_drivers():
-    # a property over every route (the plain loop, the corrected loop
-    # with f's own derived field fused into the level-2 input or with a
-    # separate h2, and the stacked loop), m in {1, 2}, random polylines
+    # a property over every route (the plain loop, and the corrected
+    # loop with f's own derived field fused into the level-2 input or with
+    # a separate h2), m in {1, 2}, random polylines
     # (with a linear area drift on the corrected routes), linear fields
     # and an r_max low enough (|a| = 1.118) to end some of the solves
     # early: each solution is its partial rough path
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
-    routes = ("plain", "fused", "unfused", "stacked")
+    routes = ("plain", "fused", "unfused")
     truncated, drawn = [], set()
 
     @hyp.settings(max_examples=25, deadline=None, derandomize=True,
@@ -224,8 +225,6 @@ def test_solution_cross_additivity_over_random_drivers():
         cfg = SolverConfig(base_mesh=mesh, r_max=r_max)
         if route == "plain":
             sol = solve_rde(x, f, a, 1.0, cfg)
-        elif route == "stacked":
-            sol = rde_solver._davie_stack([x], f, a, 1.0, cfg)[0]
         else:
             S = rng.normal(0.0, 0.5, size=(m, m))
             drift = AreaDrift(x.times,
@@ -257,6 +256,29 @@ def test_nan_field_raises_with_location():
                   SolverConfig(base_mesh=256))
     assert err.value.t > 0.0
     assert err.value.y[0] > 1.4
+
+
+def test_infinite_r_max_stops_at_the_last_finite_state():
+    # r_max = inf bounds no state, but the corrected pure-area solve
+    # overflows past t*: the first step whose |y|^2 is not a finite float
+    # raises, with the state it stepped from, and no RuntimeWarning on
+    # the way
+    vf = counterexample_field()
+    geo, drift = decompose(pure_area_path(1.5))
+    a = np.array([1.0, 0.0])
+    cfg = SolverConfig(r_max=math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FieldEvaluationError) as err:
+            solve_rde_corrected(geo, drift, vf, f_dot_grad_f(vf), a, 1.5,
+                                cfg)
+    assert np.isfinite(err.value.y).all()
+    mesh = np.linspace(0.0, 1.5, cfg.base_mesh + 1)
+    k = int(np.flatnonzero(mesh == err.value.t)[0])
+    before = solve_rde_corrected(geo, drift, vf, f_dot_grad_f(vf), a,
+                                 mesh[k], SolverConfig(base_mesh=k,
+                                                       r_max=math.inf))
+    assert np.array_equal(before.y[-1], err.value.y)
 
 
 @pytest.mark.parametrize("a, message", [

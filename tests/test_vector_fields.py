@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from roughpaths.vector_fields import (counterexample_field, f_dot_grad_f,
-                                      linear_field, make_field, tanh_field,
-                                      zero_field)
+from roughpaths.log_sphere_map import ShiftedMap, transformed_field
+from roughpaths.vector_fields import (VectorField, counterexample_field,
+                                      f_dot_grad_f, linear_field, make_field,
+                                      tanh_field, zero_field)
 
 from oracles import finite_diff_grad
 
@@ -55,6 +56,60 @@ def test_finite_diff_rejects_nonpositive_step():
     vf = zero_field(1, 1)
     with pytest.raises(ValueError, match="positive"):
         finite_diff_grad(vf.eval, np.zeros(1), 0.0)
+
+
+def bits(arr):
+    return arr.dtype, arr.shape, arr.tobytes()
+
+
+def jet_field(kind, d, m, rng):
+    """A field of the kind: a builtin, the chart field of a linear field
+    on R^(d-1) (d >= 2), or a user field given only eval and grad."""
+    if kind == "counterexample":
+        return counterexample_field()
+    if kind == "linear":
+        return linear_field(rng.normal(size=(d, m, d)),
+                            rng.normal(size=(d, m)))
+    if kind == "tanh":
+        return tanh_field(d, m, scale=1.3, seed=int(rng.integers(1000)))
+    if kind == "zero":
+        return zero_field(d, m)
+    if kind == "transformed":
+        k = max(d - 1, 1)
+        return transformed_field(linear_field(rng.normal(size=(k, m, k))),
+                                 ShiftedMap(rng.normal(size=k)))
+    th = tanh_field(d, m, seed=int(rng.integers(1000)))
+    return VectorField(d, m, lambda y: np.sin(th.eval(y)),
+                       lambda y: np.cos(th.eval(y))[..., None] * th.grad(y))
+
+
+def test_jet_equals_eval_and_grad():
+    # the solver's one call per step gives eval's and grad's bits, for a
+    # native jet (counterexample, chart field) and a derived one alike
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=120, deadline=None, derandomize=True,
+                  database=None)
+    @hyp.given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3),
+               m=st.integers(1, 3),
+               kind=st.sampled_from(["counterexample", "linear", "tanh",
+                                     "zero", "transformed", "user"]),
+               scale=st.sampled_from([1e-3, 1.0, 30.0, 1e6]))
+    def agree(seed, d, m, kind, scale):
+        rng = np.random.default_rng(seed)
+        f = jet_field(kind, d, m, rng)
+        y = scale * rng.normal(size=f.d)
+        if kind == "transformed":
+            y[-1] = rng.uniform(-5.0, 5.0)   # rho, inside the chart's range
+        F, G = f.jet(y.tolist())
+        assert len(F) == f.d * f.m and len(G) == f.d * f.m * f.d
+        assert bits(np.array(F, dtype=float).reshape(f.d, f.m)) == bits(
+            f.eval(y)), kind
+        assert bits(np.array(G, dtype=float).reshape(f.d, f.m, f.d)) == bits(
+            f.grad(y)), kind
+
+    agree()
 
 
 # ---------------------------------------------------------------------------

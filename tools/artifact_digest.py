@@ -8,7 +8,7 @@ In a fresh temporary directory this runs
   (`bench/workloads.py`), seed 201;
 - `rde growth-demo` at that config with `mesh` 4096, seed 8, whose
   lambda = 8 row crosses r_max (the run exits 1), so the digest covers
-  a row that leaves growth_bound_check's stacked loop;
+  a growth_bound_check row that ends at a crossing;
 - `rde changevar-check` with the user shift `{"shift": 10.0}`, the
   branch that builds ShiftedMap from the config rather than from
   choose_shift;
@@ -23,8 +23,9 @@ stdout, and one `exit N  name` line per run.  The temporary directory's
 path is replaced by `<tmp>` in every file before it is hashed.  So two
 checkouts that print the same lines wrote the same bytes, and a change
 meant to leave every artifact byte-identical can be checked by running
-the tool on both and comparing.  The bits depend on numpy's BLAS build:
-compare runs on one machine only.
+the tool on both and comparing.  Some bits depend on numpy's BLAS build
+(the chart's |z|^2, a derived field's product): compare runs on one
+machine only.
 
     python3 tools/artifact_digest.py
 """
