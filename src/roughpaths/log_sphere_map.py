@@ -24,10 +24,10 @@ q != 0 and restricts to the same field on the cylinder; a solver should
 renormalize the angular part of its state each step (see
 ``sphere_state_projection``).
 
-The transformed field is one jet on Python floats (VectorField.jet), as
-numpy's per-call overhead is the cost on the one state per solver step:
-no grad_phi tensor, one call of the field's own jet, explicit loops
-(sum() is compensated from Python 3.12 on).
+Each transformed field is its jet on Python floats (VectorField.jet,
+SecondOrderField.jet), as numpy's per-call overhead is the cost on the
+one state per solver step: no grad_phi tensor, one call of the field's
+own jet, explicit loops (sum() is compensated from Python 3.12 on).
 """
 
 from __future__ import annotations
@@ -244,16 +244,17 @@ def transformed_field(f: VectorField, shift: ShiftedMap) -> VectorField:
             V.append(row)
         return h, _finite(_pull_back(theta, V, 1.0, offset), "grad h", w)
 
-    return VectorField.from_jet(d + 1, m, _jet, gamma=f.gamma,
-                                name=f"logsphere({f.name})")
+    return VectorField(d + 1, m, _jet, gamma=f.gamma,
+                       name=f"logsphere({f.name})")
 
 
 def h1_h2(f: VectorField, shift: ShiftedMap):
     """Transformed first- and second-order fields for the corrected route.
 
     h1 drives the rough part against the geometric driver; h2(theta,rho)
-    = grad phi(z) (f . grad f)(z - b), pulled back as a (d, m*m) matrix,
-    multiplies the area drift.  h2 is bounded only when f . grad f has at
+    = grad phi(z) (f . grad f)(z - b) multiplies the area drift.  Its
+    jet pulls the derived field's jet back on floats, as a (d, m*m)
+    matrix, as h1's does f's.  h2 is bounded only when f . grad f has at
     most linear growth; for quadratically growing derived fields it
     inflates like exp(rho), the failure mode of the explosion example.
     h2 raises as h1 does, and OverflowError where the derived field or h2
@@ -262,16 +263,15 @@ def h1_h2(f: VectorField, shift: ShiftedMap):
     """
     h1 = transformed_field(f, shift)
     fdf = f_dot_grad_f(f)
-    d, m = f.d, f.m
+    d, mm = f.d, f.m * f.m
     b = shift.b.tolist()
 
-    def _eval2(w):
-        theta, _, r, y = _chart_state(w.tolist(), b)
+    def _jet2(w):
+        theta, _, r, y = _chart_state(w, b)
         # a non-finite derived field makes h2 non-finite, which raises
-        with np.errstate(over="ignore", invalid="ignore"):
-            F = fdf.eval(np.array(y)).reshape(d, m * m).tolist()
-        h2 = _pull_back(theta, F, r, [0.0] * (m * m))
-        return np.array(_finite(h2, "the derived field or h2", w)).reshape(
-            d + 1, m, m)
+        H = fdf.jet(y)
+        h2 = _pull_back(theta, [H[k * mm:k * mm + mm] for k in range(d)], r,
+                        [0.0] * mm)
+        return _finite(h2, "the derived field or h2", w)
 
-    return h1, SecondOrderField(d + 1, m, _eval2)
+    return h1, SecondOrderField(d + 1, f.m, _jet2)

@@ -10,17 +10,18 @@ defines the solution; on smooth drivers it reduces to a second-order
 Taylor scheme.  One step map serves the mesh loop and the bisection
 that locates where |y| first crosses r_max (the operational stand-in for
 blow-up).  The step runs on Python floats, fed by one call of the
-field's jet per step (VectorField.jet) and summed left to right: at
-these sizes numpy's per-call overhead would be the cost, and no bit of
-the step depends on a BLAS kernel.  A solution is its partial rough
-path (x, y, int dy (x) dx): the cross integral against the driver is
-stored per interval, f(y_i) paired with the driver's level 2.  The
-module also carries the partition rule and a-priori sup bound for
-bounded fields.
+field's jet per step (a field is its jet: VectorField.jet) and summed
+left to right: at these sizes numpy's per-call overhead would be the
+cost, and no bit of the step depends on a BLAS kernel.  A solution is
+its partial rough path (x, y, int dy (x) dx): the cross integral against
+the driver is stored per interval, f(y_i) paired with the driver's
+level 2.  The module also carries the partition rule and a-priori sup
+bound for bounded fields.
 
 A corrected variant integrates against a decomposed driver: the rough
 step uses the geometric part while a Young term h2(y) dbeta adds the
-area-drift contribution.  With (h1, h2) = (f, f . grad f) and
+area-drift contribution, read from h2's jet (SecondOrderField.jet) on
+the same floats.  With (h1, h2) = (f, f . grad f) and
 (x_hat, beta) = decompose(x) the two routes agree step for step.
 """
 
@@ -150,7 +151,8 @@ def _davie_step(x: RoughPath, f: VectorField, young: tuple | None):
     level 1, b = x2, or x2 + dbeta when h2 is f's own derived field, and
     dbeta when h2 is a separate Young term.  step(y, r) takes the d
     entries of a state as floats and returns the new state, f(y) (flat,
-    as f.jet gives it) and the new state's squared norm:
+    as f.jet gives it) and the new state's squared norm, with one call of
+    f's jet and, for a separate Young term, one of h2's:
 
         y+_a = y_a + ((sum_i f_ai u_i + sum_jc grad f_ajc P_jc)
                       + sum_ij h2_aij dbeta_ij),
@@ -193,7 +195,7 @@ def _davie_step(x: RoughPath, f: VectorField, young: tuple | None):
                 s += r[p] * F[q]
             P.append(s)
         if h2 is not None:
-            H = np.asarray(h2.eval(np.array(y)), dtype=float).ravel().tolist()
+            H = h2.jet(y)
         out, n2 = [], 0.0
         for ya, (fu, gp, hb) in zip(y, y_terms):
             s = 0.0
@@ -344,12 +346,16 @@ def solve_rde_corrected(x_hat: RoughPath, beta: AreaDrift, h1: VectorField,
                         cfg: SolverConfig | None = None) -> RDESolution:
     """Solve dz = h1(z) dx_hat + h2(z) dbeta (rough step plus Young term).
 
-    h2 maps states to (d, m, m) arrays (a SecondOrderField or compatible);
-    with (x_hat, beta) = decompose(x) and (h1, h2) = (f, f . grad f) the
-    result matches solve_rde on the recomposed driver.
+    h2 is a SecondOrderField (else TypeError) with h1's d and m, and beta
+    has x_hat's m (else ValueError); with (x_hat, beta) = decompose(x) and
+    (h1, h2) = (f, f . grad f) the result matches solve_rde on the
+    recomposed driver.
     """
     if not isinstance(h2, SecondOrderField):
-        h2 = SecondOrderField(h1.d, h1.m, h2)
+        raise TypeError(f"h2 is a {type(h2).__name__}, not a SecondOrderField")
+    if beta.m != x_hat.m or (h2.d, h2.m) != (h1.d, h1.m):
+        raise ValueError(f"h2 (d, m) = ({h2.d}, {h2.m}), h1 ({h1.d}, {h1.m});"
+                         f" beta m = {beta.m}, x_hat m = {x_hat.m}")
     return _davie_loop(x_hat, h1, a, T, cfg or SolverConfig(), (h2, beta))
 
 

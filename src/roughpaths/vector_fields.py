@@ -1,13 +1,16 @@
 """Vector fields f : R^d -> L(R^m, R^d) with one controlled derivative.
 
-A field carries an analytic gradient and a Holder exponent gamma for the
-gradient's modulus.  Result 1 (global existence under a geometric
-driver) assumes what the paper's abstract states: the field has linear
-growth, |f(v)| <= c0 + c1 |v|, with no bound on the gradient.  The field
-both results share, counterexample_field, f(xi) = (sin(xi2) xi1, xi1),
-grows linearly while its gradient does not: d f1 / d xi2 = xi1 cos xi2.
-The derived second-order field contracts f into grad f and multiplies
-the level-2 (area) part of a driver in the second-order solver step:
+A field is its jet: one callable that gives f and its analytic gradient
+at one state, on Python floats (eval and grad are the jet's values as
+arrays), and a Holder exponent gamma for the gradient's modulus.
+Result 1 (global existence under a geometric driver) assumes what the
+paper's abstract states: the field has linear growth,
+|f(v)| <= c0 + c1 |v|, with no bound on the gradient.  The field both
+results share, counterexample_field, f(xi) = (sin(xi2) xi1, xi1), grows
+linearly while its gradient does not: d f1 / d xi2 = xi1 cos xi2.  The
+derived second-order field, a jet too, contracts f into grad f and
+multiplies the level-2 (area) part of a driver in the second-order
+solver step:
 
     (f . grad f)(v)[u (x) w] = grad f(v) [ (f(v) u) (x) w ].
 
@@ -45,91 +48,79 @@ class FieldBounds:
 
 @dataclass
 class VectorField:
-    """Evaluable field with gradient.
+    """A field is its jet, the solver's one field call per step.
 
-    eval(y) returns a (d, m) matrix, grad(y) a (d, m, d) array with
-    grad[a, i, c] = d f[a, i] / d y[c], for a 1-d float state y; both
-    return a fresh array on every call.  gamma in (0, 1] is the Holder
-    exponent of the gradient; bounds are optional declarations used by
-    the a-priori bound machinery (the field itself may be unbounded).
-
-    jet(y) is the solver's one field call per step: it takes the d
-    entries of one state as Python floats and returns (f, grad f) as flat
-    row-major float sequences of lengths d*m and d*m*d.  At these sizes
-    the per-call overhead is the cost, so a field with a closed form
-    writes it once, as a jet (with math on Python floats where that is
-    cheaper than numpy), and derives eval and grad from it (from_jet);
-    the builtin fields do.  A field given only eval and grad gets the
-    jet of their values.
+    jet(y) takes the d entries of a state as Python floats and returns
+    (f, grad f) as flat row-major float sequences of lengths d*m and
+    d*m*d, grad[a, i, c] = d f[a, i] / d y[c]; at these sizes the
+    per-call overhead is the cost, so it may use math on floats.  eval(y)
+    and grad(y) are its values at a 1-d state as fresh (d, m) and
+    (d, m, d) arrays.  gamma in (0, 1] is the Holder exponent of the
+    gradient; bounds are optional declarations used by the a-priori
+    bound machinery (the field itself may be unbounded).
     """
 
     d: int
     m: int
-    eval: object
-    grad: object
+    jet: object
     gamma: float = 1.0
     bounds: FieldBounds = field(default_factory=FieldBounds)
     name: str = ""
-    jet: object = None
 
-    def __post_init__(self):
-        if self.jet is None:
-            def jet(y):
-                v = np.array(y, dtype=float)
-                return (self.eval(v).ravel().tolist(),
-                        self.grad(v).ravel().tolist())
+    def eval(self, y) -> np.ndarray:
+        F = self.jet(np.asarray(y, dtype=float).tolist())[0]
+        return np.array(F, dtype=float).reshape(self.d, self.m)
 
-            self.jet = jet
-
-    @classmethod
-    def from_jet(cls, d: int, m: int, jet, **fields) -> "VectorField":
-        """The field whose one closed form is jet: eval and grad return
-        the jet's values as arrays."""
-
-        def _eval(y):
-            return np.array(jet(y.tolist())[0]).reshape(d, m)
-
-        def _grad(y):
-            return np.array(jet(y.tolist())[1]).reshape(d, m, d)
-
-        return cls(d, m, _eval, _grad, jet=jet, **fields)
-
-    def __call__(self, y) -> np.ndarray:
-        return self.eval(np.asarray(y, dtype=float))
+    def grad(self, y) -> np.ndarray:
+        G = self.jet(np.asarray(y, dtype=float).tolist())[1]
+        return np.array(G, dtype=float).reshape(self.d, self.m, self.d)
 
 
 @dataclass
 class SecondOrderField:
-    """Map y -> (d, m, m): pairs with level-2 matrices by full contraction.
-
-    source records the first-order field a derived f . grad f came from,
-    letting the solver reuse one field evaluation per step.
+    """Map y -> (d, m, m), pairing with level-2 matrices by full
+    contraction, given by its jet: d floats to the d*m*m entries, flat
+    row-major (eval(y) gives them as a fresh array).  source records the
+    first-order field a derived f . grad f came from, letting the solver
+    reuse one field evaluation per step.
     """
 
     d: int
     m: int
-    eval: object
+    jet: object
     source: "VectorField | None" = None
 
+    def eval(self, y) -> np.ndarray:
+        H = self.jet(np.asarray(y, dtype=float).tolist())
+        return np.array(H, dtype=float).reshape(self.d, self.m, self.m)
+
     def __call__(self, y) -> np.ndarray:
-        return self.eval(np.asarray(y, dtype=float))
+        return self.eval(y)
 
 
 def f_dot_grad_f(vf: VectorField) -> SecondOrderField:
     """The derived field contracting f into grad f.
 
-    M[a, i, j] = sum_c grad[a, j, c] f[c, i]; contracting M against a
-    rank-one u (x) w reproduces grad f (f u, w) directly.
+    M[a, i, j] = sum_c grad[a, j, c] f[c, i], summed left to right from
+    0.0 over f's jet; contracting M against a rank-one u (x) w
+    reproduces grad f (f u, w) directly.
     """
     d, m = vf.d, vf.m
+    # the (grad f, f) flat index pairs of each entry M[a, i, j], in order
+    terms = [[(a * m * d + j * d + c, c * m + i) for c in range(d)]
+             for a in range(d) for i in range(m) for j in range(m)]
 
-    def _eval(y):
-        F, G = vf.jet(y.tolist())
-        # M[a,i,j] = sum_c G[a,j,c] F[c,i], via one flat matmul
-        t = np.array(G).reshape(d * m, d).dot(np.array(F).reshape(d, m))
-        return t.reshape(d, m, m).swapaxes(1, 2)
+    def _jet(y):
+        F, G = vf.jet(y)
+        out = []
+        for pairs in terms:
+            s = 0.0
+            for p, q in pairs:
+                s += G[p] * F[q]
+            out.append(s)
+        return out
 
-    return SecondOrderField(d, m, _eval, source=vf)
+    return SecondOrderField(d, m, _jet, source=vf)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +156,7 @@ def linear_field(A=1.0, c=None, m: int | None = None) -> VectorField:
         return (np.einsum("aic,...c->...ai", A3, np.array(y))
                 + cv).ravel().tolist(), G
 
-    return VectorField.from_jet(d, m, _jet, gamma=1.0, name="linear")
+    return VectorField(d, m, _jet, gamma=1.0, name="linear")
 
 
 def counterexample_field() -> VectorField:
@@ -181,7 +172,7 @@ def counterexample_field() -> VectorField:
         s = math.sin(y1)
         return (s * y0, y0), (s, y0 * math.cos(y1), 1.0, 0.0)
 
-    return VectorField.from_jet(2, 1, _jet, gamma=1.0, name="counterexample")
+    return VectorField(2, 1, _jet, gamma=1.0, name="counterexample")
 
 
 def tanh_field(d: int = 2, m: int = 1, scale: float = 1.0,
@@ -198,7 +189,7 @@ def tanh_field(d: int = 2, m: int = 1, scale: float = 1.0,
 
     f_inf = scale * np.sqrt(d * m)
     g_inf = scale * float(np.linalg.norm(W.reshape(-1)))
-    return VectorField.from_jet(
+    return VectorField(
         d, m, _jet, gamma=1.0, bounds=FieldBounds(f_inf=f_inf, grad_inf=g_inf),
         name="tanh")
 
@@ -209,8 +200,8 @@ def zero_field(d: int = 1, m: int = 1) -> VectorField:
     def _jet(y):
         return zeros
 
-    return VectorField.from_jet(d, m, _jet, gamma=1.0,
-                                bounds=FieldBounds(0.0, 0.0), name="zero")
+    return VectorField(d, m, _jet, gamma=1.0, bounds=FieldBounds(0.0, 0.0),
+                       name="zero")
 
 
 _FIELDS = {"linear": linear_field, "counterexample": counterexample_field,

@@ -291,11 +291,23 @@ def pvar_distance_blocked(a, b):
 
 
 # ---------------------------------------------------------------------------
-# the Davie step on nested lists of floats, which the solver's float step
-# must equal bit for bit; the step with @ products, a reference within a
-# few float64 eps (BLAS may fuse its multiply-adds); and the chart maps
-# with np.linalg.norm, the forms log_sphere_map replaced by
-# math.sqrt(v.dot(v)), kept to pin that those rewrites change no bit
+# fields given as eval and grad on arrays; the Davie step on nested lists
+# of floats, which the solver's float step must equal bit for bit; the
+# step with @ products, a reference within a few float64 eps (BLAS may
+# fuse its multiply-adds); and the chart maps with np.linalg.norm, the
+# forms log_sphere_map replaced by math.sqrt(v.dot(v)), kept to pin that
+# those rewrites change no bit
+
+
+def field_of_arrays(d, m, ev, gr, **fields):
+    """The VectorField of a field given as eval and grad on 1-d float
+    arrays: its jet is their values, flat."""
+
+    def jet(y):
+        v = np.array(y, dtype=float)
+        return ev(v).ravel().tolist(), gr(v).ravel().tolist()
+
+    return VectorField(d, m, jet, **fields)
 
 
 def counterexample_eval_lists(y):
@@ -307,7 +319,7 @@ def counterexample_grad_lists(y):
 
 
 def f_dot_grad_f_matmul(vf):
-    """The derived field's eval with an @ product."""
+    """The derived field's eval with an @ product (BLAS)."""
     d, m = vf.d, vf.m
 
     def ev(y):
@@ -317,13 +329,32 @@ def f_dot_grad_f_matmul(vf):
     return ev
 
 
+def f_dot_grad_f_lists(vf, y):
+    """The derived field at the 1-d array y as nested lists of floats:
+    H[a][i][j] = sum_c G[a][j][c] F[c][i], summed left to right from 0.0
+    over vf's eval and grad values."""
+    d, m = vf.d, vf.m
+    F, G = vf.eval(y).tolist(), vf.grad(y).tolist()
+    H = [[[0.0] * m for _ in range(m)] for _ in range(d)]
+    for a in range(d):
+        for i in range(m):
+            for j in range(m):
+                s = 0.0
+                for c in range(d):
+                    s += G[a][j][c] * F[c][i]
+                H[a][i][j] = s
+    return H
+
+
 def davie_solve_matmul(x, f, a, mesh, young=None, r_max=1e6, projection=None):
     """The Davie loop on a mesh, stepping with @ products.
 
-    young = (h2, beta) adds the drift term; an h2 whose `source` is f is
-    fused into the level-2 input.  A step leaving the r_max ball is
-    bisected 60 times with the same step map.  Returns (y, cross_inc,
-    crossing_time or None).
+    young = (h2, beta) adds the drift term.  An h2 whose `source` is f is
+    fused into the level-2 input; otherwise h2 is a first-order field g
+    that stands for a separate derived field g . grad g, which the step
+    forms with an @ product (f_dot_grad_f_matmul).  A step leaving the
+    r_max ball is bisected 60 times with the same step map.  Returns
+    (y, cross_inc, crossing_time or None).
     """
     d, m = f.d, f.m
     h2, beta = young if young is not None else (None, None)
@@ -344,7 +375,7 @@ def davie_solve_matmul(x, f, a, mesh, young=None, r_max=1e6, projection=None):
         w = b.T @ fe.T
         dy = fe @ u + f.grad(y).reshape(d, m * d) @ w.reshape(m * d)
         if db is not None:
-            dy = dy + h2.eval(y).reshape(d, m * m) @ db
+            dy = dy + f_dot_grad_f_matmul(h2)(y).reshape(d, m * m) @ db
         return y + dy, fe
 
     mesh = np.asarray(mesh, dtype=float)
@@ -390,7 +421,9 @@ def davie_solve_floats(x, f, a, mesh, young=None, r_max=1e6,
     The step's sums run left to right from 0.0 over the nested eval,
     grad and h2 values: P[j][c] = sum_i b[i][j] F[c][i], then y_a +
     ((sum_i F[a][i] u[i] + sum_j sum_c G[a][j][c] P[j][c]) + sum_i sum_j
-    H[a][i][j] dbeta[i][j]).  Otherwise as davie_solve_matmul, with the
+    H[a][i][j] dbeta[i][j]), where a separate h2, given as a first-order
+    field g, is g's derived field contracted on nested lists
+    (f_dot_grad_f_lists).  Otherwise as davie_solve_matmul, with the
     ball test |y|^2 <= min(r_max^2, largest float) and the bisection on
     sqrt(|y|^2) >= r_max.  Returns (y, cross_inc, crossing_time or None).
     """
@@ -418,7 +451,7 @@ def davie_solve_floats(x, f, a, mesh, young=None, r_max=1e6,
                 for i in range(m):
                     s += b[i][j] * F[c][i]
                 P[j][c] = s
-        H = None if db is None else h2.eval(yv).tolist()
+        H = None if db is None else f_dot_grad_f_lists(h2, yv)
         out = []
         for k in range(d):
             s = 0.0
@@ -623,13 +656,14 @@ def partial_from_smooth(x_of_t, y_of_t, times, p: float = 2.0,
 def rough_integral_along(prp: PartialRoughPath, g) -> PartialRoughPath:
     """Rough integral I_t = int_0^t g(y_s) dx_s with its cross against x.
 
-    g maps R^d to L(R^m, R^n): eval returns (n, m), grad (n, m, d).  Per
+    g maps R^d to L(R^m, R^n): eval returns (n, m), grad (n, m, d), and
+    gamma is the Holder exponent of grad (2 + gamma > p).  Per
     interval the integral increment is g(y_i) dx_i + grad g(y_i) cross_i
     (full contraction of the gradient's driver-and-state slots with the
     cross integral); the integral's own cross increment pairs g(y_i)
     with the driver's level 2.  Returns the triple (x, I, cross_I).
     """
-    if isinstance(g, VectorField) and 2.0 + g.gamma <= prp.p:
+    if 2.0 + g.gamma <= prp.p:
         raise ValueError("need 2 + gamma > p for the integrand's gradient")
     n = prp.n_points - 1
     g0 = np.asarray(g.eval(prp.y[0]), dtype=float)

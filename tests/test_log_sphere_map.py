@@ -409,8 +409,8 @@ def test_eval_and_grad_share_one_domain_check(w, error):
 @pytest.mark.parametrize("rho", [356.0, 400.0, _RHO_OVERFLOW, -_RHO_OVERFLOW])
 def test_h2_raises_where_it_overflows(rho):
     # f . grad f overflows at y = e^rho theta - b from rho = 356 (inf and
-    # nan, with a RuntimeWarning, from ndarray.dot), and at rho = -708
-    # the pull-back's division by e^rho does (inf, silently)
+    # nan from its float sums, silently), and at rho = -708 the
+    # pull-back's division by e^rho does (inf, silently)
     h2 = chart_fields()[2]
     with pytest.raises(OverflowError, match=f"rho = {rho:g}"):
         h2(np.array([0.6, 0.8, rho]))

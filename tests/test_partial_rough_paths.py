@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from roughpaths.partial_rough_paths import (_ADDITIVITY_SAMPLES,
                                             pushforward, pvar_distance)
 from roughpaths.rde_solver import SolverConfig, solution_to_partial, solve_rde
 from roughpaths.rough_paths import _grid_triples
-from roughpaths.vector_fields import VectorField, make_field
+from roughpaths.vector_fields import make_field
 
 from oracles import (partial_from_smooth, pushforward_rows, riemann_cross,
                      rough_integral_along)
@@ -297,11 +298,18 @@ def test_pushforward_of_the_chart_matches_the_per_point_reference():
 # rough integration along the triple
 
 
+def integrand(ev, gr, gamma=1.0):
+    """An integrand g : R^d -> L(R^m, R^n) as rough_integral_along takes
+    it: eval, grad and the Holder exponent of grad.  These map R^d into
+    R^n with n != d in general, so they are not vector fields."""
+    return SimpleNamespace(eval=ev, grad=gr, gamma=gamma)
+
+
 def test_rough_integral_constant_integrand():
     rng = np.random.default_rng(48)
     prp = random_prp(rng, d=2, m=2)
     G = rng.normal(size=(3, 2))
-    g = VectorField(2, 2, lambda y: G, lambda y: np.zeros((3, 2, 2)))
+    g = integrand(lambda y: G, lambda y: np.zeros((3, 2, 2)))
     out = rough_integral_along(prp, g)
     assert np.allclose(out.y[-1], G @ (prp.x[-1] - prp.x[0]), atol=1e-12)
 
@@ -310,7 +318,7 @@ def test_rough_integral_x_dx():
     # g(y) = y with y = x = t: int_0^1 x dx = 1/2
     prp = partial_from_smooth(lambda t: t, lambda t: t,
                               np.linspace(0.0, 1.0, 257), refine=16)
-    g = VectorField(1, 1, lambda y: y[:, None], lambda y: np.ones((1, 1, 1)))
+    g = integrand(lambda y: y[:, None], lambda y: np.ones((1, 1, 1)))
     out = rough_integral_along(prp, g)
     assert out.y[-1, 0] == pytest.approx(0.5, abs=1e-6)
 
@@ -318,7 +326,7 @@ def test_rough_integral_x_dx():
 def test_rough_integral_identity_embedding_recovers_driver():
     rng = np.random.default_rng(49)
     prp = random_prp(rng, d=2, m=2)
-    g = VectorField(2, 2, lambda y: np.eye(2), lambda y: np.zeros((2, 2, 2)))
+    g = integrand(lambda y: np.eye(2), lambda y: np.zeros((2, 2, 2)))
     out = rough_integral_along(prp, g)
     assert np.allclose(out.y, prp.x - prp.x[0], atol=1e-12)
     assert np.allclose(out.cross_inc, prp.x2_inc, atol=1e-12)
@@ -327,8 +335,8 @@ def test_rough_integral_identity_embedding_recovers_driver():
 def test_rough_integral_regularity_guard():
     rng = np.random.default_rng(50)
     prp = random_prp(rng, d=1, m=1, p=2.3)
-    rough_g = VectorField(1, 1, lambda y: y[:, None],
-                          lambda y: np.ones((1, 1, 1)), gamma=0.05)
+    rough_g = integrand(lambda y: y[:, None], lambda y: np.ones((1, 1, 1)),
+                        gamma=0.05)
     with pytest.raises(ValueError, match="gamma"):
         rough_integral_along(prp, rough_g)
 

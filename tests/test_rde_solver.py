@@ -18,11 +18,10 @@ from roughpaths.rde_solver import (FieldEvaluationError, SolverConfig,
                                    solution_to_partial, solve_rde,
                                    solve_rde_corrected, write_solution_csv)
 from roughpaths.vector_fields import (FieldBounds, SecondOrderField,
-                                      VectorField, counterexample_field,
-                                      f_dot_grad_f, linear_field, tanh_field,
-                                      zero_field)
+                                      counterexample_field, f_dot_grad_f,
+                                      linear_field, tanh_field, zero_field)
 
-from oracles import rk4_polyline, rough_integral_along
+from oracles import field_of_arrays, rk4_polyline, rough_integral_along
 
 
 def time_lift(T=1.0):
@@ -137,8 +136,7 @@ def _blowup_routes():
     x = pure_area_path(1.5)
     geo, drift = decompose(x)
     return [("plain", x, None), ("fused", geo, (so, drift)),
-            ("unfused", geo, (SecondOrderField(2, 1, lambda y: so.eval(y)),
-                              drift))]
+            ("unfused", geo, (SecondOrderField(2, 1, so.jet), drift))]
 
 
 def test_crossing_state_is_one_loop_step():
@@ -230,7 +228,7 @@ def test_solution_cross_additivity_over_random_drivers():
             drift = AreaDrift(x.times,
                               x.times[:, None, None] * (S + S.T)[None])
             so = f_dot_grad_f(f)
-            h2 = so if route == "fused" else (lambda y: so.eval(y))
+            h2 = so if route == "fused" else SecondOrderField(2, m, so.jet)
             sol = solve_rde_corrected(x, drift, f, h2, a, 1.0, cfg)
         truncated.append(sol.blowup is not None)
         drawn.add(route)
@@ -250,7 +248,7 @@ def test_nan_field_raises_with_location():
     def gr(y):
         return np.array([[[1.0]]])
 
-    bad = VectorField(1, 1, ev, gr)
+    bad = field_of_arrays(1, 1, ev, gr)
     with pytest.raises(FieldEvaluationError) as err:
         solve_rde(time_lift(), bad, np.array([1.0]), 1.0,
                   SolverConfig(base_mesh=256))
@@ -361,6 +359,45 @@ def test_route_equivalence_on_synthetic_drift():
     corrected = solve_rde_corrected(geo0, drift, vf, f_dot_grad_f(vf), a,
                                     1.0, cfg)
     assert np.max(np.abs(direct.y - corrected.y)) <= 1e-6
+
+
+def corrected_inputs():
+    """A 2-dim Stratonovich lift at seed 1, decomposed, and a linear
+    field with d = m = 2."""
+    geo, drift = decompose(brownian_lift(1, 64, 1.0, 2))
+    A = np.random.default_rng(67).normal(0.0, 0.5, size=(2, 2, 2))
+    return geo, drift, linear_field(A), np.array([1.0, 0.0])
+
+
+def test_corrected_route_rejects_an_h2_that_is_not_a_field():
+    geo, drift, f, a = corrected_inputs()
+    so = f_dot_grad_f(f)
+    for h2 in (so.jet, lambda y: so.eval(y)):
+        with pytest.raises(TypeError, match="not a SecondOrderField"):
+            solve_rde_corrected(geo, drift, f, h2, a, 1.0,
+                                SolverConfig(base_mesh=64))
+
+
+@pytest.mark.parametrize("case", ["drift-m-1", "h2-d-3", "h2-m-1"])
+def test_corrected_route_checks_its_shapes_before_stepping(case):
+    # unchecked, each would step: a one-dimensional drift broadcasts
+    # dbeta into every level-2 entry (a wrong state, silently), an h2
+    # with d = 3 is cut to its first d*m*m entries, and one with m = 1
+    # raises a bare IndexError mid-loop; the error names both shapes
+    geo, drift, f, a = corrected_inputs()
+    h2 = f_dot_grad_f(f)
+    if case == "drift-m-1":
+        drift = AreaDrift(geo.times, 0.1 * geo.times[:, None, None])
+        want = r"beta m = 1, x_hat m = 2"
+    elif case == "h2-d-3":
+        h2 = SecondOrderField(3, 2, lambda y: [0.1] * 12)
+        want = r"h2 \(d, m\) = \(3, 2\), h1 \(2, 2\)"
+    else:
+        h2 = SecondOrderField(2, 1, lambda y: [0.1] * 2)
+        want = r"h2 \(d, m\) = \(2, 1\), h1 \(2, 2\)"
+    with pytest.raises(ValueError, match=want):
+        solve_rde_corrected(geo, drift, f, h2, a, 1.0,
+                            SolverConfig(base_mesh=64))
 
 
 def test_pure_area_explosion_crossing_times():

@@ -1,10 +1,12 @@
-"""growth_bound_check's stack of dilations: one row per lambda, each the
-solve_rde of its dilated driver, in the order of the lambdas.
+"""growth_bound_check's rows: one per lambda, each the solve_rde of its
+dilated driver, in the order of the lambdas.
 
 The rows are compared with `==` against solve_rde on each dilation (the
 solo route) and, where a row crosses r_max, against the float oracle;
 the checks made before stepping, the errors of failing rows and their
-order are pinned on the growth check itself.
+order are pinned on the growth check itself.  The file name and three
+test names still say "stack": they date from a loop that stepped all the
+dilations at once, which growth_bound_check no longer has.
 """
 
 import math
@@ -18,10 +20,10 @@ from roughpaths.log_sphere_map import (choose_shift, sphere_state_projection,
 from roughpaths.rde_solver import (FieldEvaluationError, SolverConfig,
                                    growth_bound_check, solve_rde)
 from roughpaths.rough_paths import brownian_lift, dilate, lift_piecewise_linear
-from roughpaths.vector_fields import (VectorField, counterexample_field,
-                                      linear_field, tanh_field)
+from roughpaths.vector_fields import (counterexample_field, linear_field,
+                                      tanh_field)
 
-from oracles import davie_solve_floats
+from oracles import davie_solve_floats, field_of_arrays
 
 
 def hypothesis_settings():
@@ -72,7 +74,7 @@ def count_solo_solves(monkeypatch):
 # every row is its solo solve
 
 
-def test_stacked_rows_equal_solo_solves():
+def test_growth_rows_equal_solo_solves():
     hyp, settings = hypothesis_settings()
     st = hyp.strategies
 
@@ -96,9 +98,9 @@ def test_stacked_rows_equal_solo_solves():
     rows_equal_solo()
 
 
-def test_stacked_rows_cross_and_leave_the_stack():
+def test_growth_rows_cross_at_their_own_steps():
     # the counterexample field on a scaled polyline: several rows cross
-    # r_max at different steps, and the others keep stepping to T
+    # r_max at different steps, and the others step on to T
     rng = np.random.default_rng(311)
     f = counterexample_field()
     x = random_polyline(rng, 1, n=8, scale=0.4, T=5.0)
@@ -123,7 +125,7 @@ def nan_above(level):
     def gr(y):
         return np.array([[[1.0]]])
 
-    return VectorField(1, 1, ev, gr)
+    return field_of_arrays(1, 1, ev, gr)
 
 
 @pytest.mark.parametrize("lambdas", [(1.0, 8.0, 4.0), (1.0, 4.0, 8.0),
@@ -153,12 +155,13 @@ def test_stacked_loop_raises_the_first_rows_failure(lambdas):
 # what the growth check hands to solve_rde
 
 
-@pytest.mark.parametrize("case", ["one-driver", "unstacked-field",
+@pytest.mark.parametrize("case", ["one-driver", "array-field",
                                   "transformed-field", "projection"])
 def test_stacked_loop_hands_what_it_cannot_batch_to_solve_rde(monkeypatch,
                                                                case):
-    # one lambda, a field given only eval and grad, a chart field and a
-    # state projection: each lambda is one solve_rde call, in order
+    # one lambda, a field given as eval and grad on arrays, a chart
+    # field and a state projection: growth_bound_check makes one
+    # solve_rde call per lambda, in order
     f = counterexample_field()
     x = random_polyline(np.random.default_rng(313), 1, scale=0.3)
     lambdas = (1.0, 2.0)
@@ -166,8 +169,8 @@ def test_stacked_loop_hands_what_it_cannot_batch_to_solve_rde(monkeypatch,
     cfg = SolverConfig(base_mesh=32)
     if case == "one-driver":
         lambdas = lambdas[:1]
-    elif case == "unstacked-field":
-        f = VectorField(2, 1, f.eval, f.grad)
+    elif case == "array-field":
+        f = field_of_arrays(2, 1, f.eval, f.grad)
     elif case == "transformed-field":
         shift = choose_shift(a, 5.0)
         f, a = transformed_field(f, shift), shift.state_of(a)
@@ -186,7 +189,7 @@ def test_stacked_loop_hands_what_it_cannot_batch_to_solve_rde(monkeypatch,
 def test_growth_check_routes_by_its_inputs(monkeypatch):
     # every lambda takes one solve_rde call, whatever the field, the
     # number of lambdas or the projection, and the report is the same
-    # for a field given only eval and grad
+    # for a field given as eval and grad on arrays
     f = counterexample_field()
     x = random_polyline(np.random.default_rng(318), 1, scale=0.3)
     a = np.array([1.0, 0.0])
@@ -195,7 +198,7 @@ def test_growth_check_routes_by_its_inputs(monkeypatch):
     calls = count_solo_solves(monkeypatch)
     assert growth_bound_check(f, x, a, 1.0, cfg) == ref
     assert len(calls) == 4
-    solo = VectorField(2, 1, f.eval, f.grad)
+    solo = field_of_arrays(2, 1, f.eval, f.grad)
     assert growth_bound_check(solo, x, a, 1.0, cfg) == ref
     assert len(calls) == 8
     one = growth_bound_check(f, x, a, 1.0, cfg, lambdas=(2.0,))
@@ -210,7 +213,7 @@ def test_growth_check_routes_by_its_inputs(monkeypatch):
         for lam in (1.0, 4.0)]
 
 
-def test_stacked_loop_shares_the_entry_checks():
+def test_growth_check_shares_the_entry_checks():
     f = counterexample_field()
     x = random_polyline(np.random.default_rng(316), 1)
     cfg = SolverConfig(base_mesh=32)
@@ -227,7 +230,7 @@ def test_stacked_loop_shares_the_entry_checks():
 
 
 # ---------------------------------------------------------------------------
-# growth_bound_check on the stack, defect (e) included
+# growth_bound_check at growth-demo's mesh, defect (e) included
 
 
 GROWTH_4096 = {

@@ -1,13 +1,14 @@
 """The Davie step on Python floats, and the numpy forms it leans on.
 
 The solver steps on Python floats with left-to-right sums, one field
-jet per step; its output is compared with `==` against the nested-list
-float oracle in oracles.py on every route, and with the @-product step
-(whose BLAS kernels may fuse multiply-adds) within a tolerance set from
-float64 eps.  counterexample_field's jet runs math on Python floats and
-the chart maps take |z|^2 of every row of a stack by np.matmul on the
-row views; each is compared with `==` against the form it replaced:
-nested-list field values, np.linalg.norm on one point.
+jet per step (and one of h2's on the unfused route); its output is
+compared with `==` against the nested-list float oracle in oracles.py on
+every route, and with the @-product step (whose BLAS kernels may fuse
+multiply-adds) within a tolerance set from float64 eps.
+counterexample_field's jet runs math on Python floats and the chart maps
+take |z|^2 of every row of a stack by np.matmul on the row views; each
+is compared with `==` against the form it replaced: nested-list field
+values, np.linalg.norm on one point.
 """
 
 import math
@@ -23,14 +24,13 @@ from roughpaths.rde_solver import (FieldEvaluationError, SolverConfig,
                                    solve_rde, solve_rde_corrected)
 from roughpaths.rough_paths import (AreaDrift, decompose,
                                     lift_piecewise_linear, pure_area_path)
-from roughpaths.vector_fields import (SecondOrderField, VectorField,
-                                      counterexample_field, f_dot_grad_f,
-                                      linear_field, tanh_field)
+from roughpaths.vector_fields import (SecondOrderField, counterexample_field,
+                                      f_dot_grad_f, linear_field, tanh_field)
 
 from oracles import (counterexample_eval_lists, counterexample_grad_lists,
-                     davie_solve_floats, davie_solve_matmul,
-                     f_dot_grad_f_matmul, grad_phi_norm,
-                     sphere_state_projection_norm, state_of_norm)
+                     davie_solve_floats, davie_solve_matmul, field_of_arrays,
+                     grad_phi_norm, sphere_state_projection_norm,
+                     state_of_norm)
 
 K = 128
 
@@ -49,8 +49,8 @@ def random_drift(rng, times, m, scale=0.05):
 
 
 def lists_field():
-    return VectorField(2, 1, counterexample_eval_lists,
-                       counterexample_grad_lists, name="counterexample")
+    return field_of_arrays(2, 1, counterexample_eval_lists,
+                           counterexample_grad_lists, name="counterexample")
 
 
 def field_pairs(rng):
@@ -77,8 +77,9 @@ def assert_same(sol, ref, label):
 
 def route_solves(rng, route, f, f_ref, oracle):
     """(solver, oracle) outputs on one route from a random polyline and
-    start: the oracle runs on f_ref, and on the unfused route takes the
-    derived field's @-product eval."""
+    start: the oracle runs on f_ref.  On the unfused route the solver
+    takes f's derived field as a separate h2 (no source), and the oracle
+    f_ref, whose derived field it contracts in its own arithmetic."""
     mesh = np.linspace(0.0, 1.0, K + 1)
     x = random_polyline(rng, f.m)
     a = rng.normal(0.0, 1.0, size=f.d)
@@ -89,8 +90,7 @@ def route_solves(rng, route, f, f_ref, oracle):
     so = f_dot_grad_f(f)
     so_ref = f_dot_grad_f(f_ref)
     if route == "unfused":
-        so = SecondOrderField(f.d, f.m, so.eval)
-        so_ref = SecondOrderField(f.d, f.m, f_dot_grad_f_matmul(f_ref))
+        so, so_ref = SecondOrderField(f.d, f.m, so.jet), f_ref
     return (solve_rde_corrected(x, beta, f, so, a, 1.0, cfg),
             oracle(x, f_ref, a, mesh, (so_ref, beta)))
 
@@ -119,6 +119,31 @@ def test_solver_matches_the_matmul_step(route):
         gap = np.max(np.abs(sol.y - y), axis=1)
         scale = np.maximum(1.0, np.linalg.norm(y, axis=1))
         assert np.all(gap <= MATMUL_TOL * scale), (route, name)
+
+
+def test_unfused_route_reads_h2_from_its_jet_once_per_step():
+    # a separate h2 is called as its jet, on the step's Python floats,
+    # once per step; its numpy eval never runs during the solve
+    rng = np.random.default_rng(806)
+    f = tanh_field(2, 2, scale=0.8, seed=3)
+    jet = f_dot_grad_f(f).jet
+    calls = []
+
+    def counting_jet(y):
+        calls.append(y)
+        return jet(y)
+
+    def no_eval(y):
+        raise AssertionError("h2.eval ran during the solve")
+
+    h2 = SecondOrderField(2, 2, counting_jet)
+    h2.eval = no_eval
+    x = random_polyline(rng, 2)
+    sol = solve_rde_corrected(x, random_drift(rng, x.times, 2), f, h2,
+                              rng.normal(0.0, 1.0, size=2), 1.0,
+                              SolverConfig(base_mesh=K))
+    assert sol.blowup is None and len(calls) == K
+    assert all(type(v) is float for y in calls for v in y)
 
 
 def test_projected_route_matches_the_norm_chart_maps():
@@ -203,7 +228,7 @@ def test_field_error_reports_the_last_finite_state(projected):
     def gr(y):
         return np.array([[[1.0]]])
 
-    bad = VectorField(1, 1, ev, gr)
+    bad = field_of_arrays(1, 1, ev, gr)
     x = lift_piecewise_linear(np.array([[0.0], [1.0]]), [0.0, 1.0])
     cfg = SolverConfig(base_mesh=K,
                        state_projection=(lambda w: w) if projected else None)

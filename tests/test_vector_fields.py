@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from roughpaths.log_sphere_map import ShiftedMap, transformed_field
-from roughpaths.vector_fields import (VectorField, counterexample_field,
-                                      f_dot_grad_f, linear_field, make_field,
-                                      tanh_field, zero_field)
+from roughpaths.log_sphere_map import ShiftedMap, h1_h2, transformed_field
+from roughpaths.vector_fields import (counterexample_field, f_dot_grad_f,
+                                      linear_field, make_field, tanh_field,
+                                      zero_field)
 
-from oracles import finite_diff_grad
+from oracles import f_dot_grad_f_matmul, field_of_arrays, finite_diff_grad
 
 
 def test_builtin_gradients_match_finite_differences():
@@ -63,29 +63,43 @@ def bits(arr):
 
 
 def jet_field(kind, d, m, rng):
-    """A field of the kind: a builtin, the chart field of a linear field
-    on R^(d-1) (d >= 2), or a user field given only eval and grad."""
-    if kind == "counterexample":
-        return counterexample_field()
-    if kind == "linear":
-        return linear_field(rng.normal(size=(d, m, d)),
-                            rng.normal(size=(d, m)))
-    if kind == "tanh":
-        return tanh_field(d, m, scale=1.3, seed=int(rng.integers(1000)))
-    if kind == "zero":
-        return zero_field(d, m)
+    """A field of the kind and its second-order field: a builtin, the
+    chart fields (h1, h2) of a linear field on R^(d-1) (d >= 2), or a
+    field given as eval and grad on arrays, each with its derived field
+    unless it is a chart field."""
     if kind == "transformed":
         k = max(d - 1, 1)
-        return transformed_field(linear_field(rng.normal(size=(k, m, k))),
-                                 ShiftedMap(rng.normal(size=k)))
-    th = tanh_field(d, m, seed=int(rng.integers(1000)))
-    return VectorField(d, m, lambda y: np.sin(th.eval(y)),
-                       lambda y: np.cos(th.eval(y))[..., None] * th.grad(y))
+        return h1_h2(linear_field(rng.normal(size=(k, m, k))),
+                     ShiftedMap(rng.normal(size=k)))
+    if kind == "counterexample":
+        f = counterexample_field()
+    elif kind == "linear":
+        f = linear_field(rng.normal(size=(d, m, d)), rng.normal(size=(d, m)))
+    elif kind == "tanh":
+        f = tanh_field(d, m, scale=1.3, seed=int(rng.integers(1000)))
+    elif kind == "zero":
+        f = zero_field(d, m)
+    else:
+        th = tanh_field(d, m, seed=int(rng.integers(1000)))
+        f = field_of_arrays(
+            d, m, lambda y: np.sin(th.eval(y)),
+            lambda y: np.cos(th.eval(y))[..., None] * th.grad(y))
+    return f, f_dot_grad_f(f)
+
+
+# set from float64 eps before measuring: each entry of f . grad f is a
+# sum of d <= 3 products, so the left-to-right sum and the @ product are
+# each within about d eps/2 times sum_c |grad f_ajc f_ci| of the exact
+# sum (the standard bound on a d-term dot product), so within d eps of
+# each other; one eps more covers the rounding of the bound itself
+DERIVED_TOL = 4 * np.finfo(float).eps
 
 
 def test_jet_equals_eval_and_grad():
     # the solver's one call per step gives eval's and grad's bits, for a
-    # native jet (counterexample, chart field) and a derived one alike
+    # native jet (counterexample, chart field) and one of array values
+    # alike; a second-order field's jet gives its eval's bits, and the
+    # derived field's float sums stay within DERIVED_TOL of the @ form
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
 
@@ -98,7 +112,7 @@ def test_jet_equals_eval_and_grad():
                scale=st.sampled_from([1e-3, 1.0, 30.0, 1e6]))
     def agree(seed, d, m, kind, scale):
         rng = np.random.default_rng(seed)
-        f = jet_field(kind, d, m, rng)
+        f, so = jet_field(kind, d, m, rng)
         y = scale * rng.normal(size=f.d)
         if kind == "transformed":
             y[-1] = rng.uniform(-5.0, 5.0)   # rho, inside the chart's range
@@ -108,6 +122,15 @@ def test_jet_equals_eval_and_grad():
             f.eval(y)), kind
         assert bits(np.array(G, dtype=float).reshape(f.d, f.m, f.d)) == bits(
             f.grad(y)), kind
+        H = so.jet(y.tolist())
+        assert len(H) == so.d * so.m * so.m
+        assert bits(np.array(H, dtype=float).reshape(
+            so.d, so.m, so.m)) == bits(so.eval(y)), kind
+        if so.source is f:
+            ev, gr = f.eval(y), f.grad(y)
+            bound = np.einsum("ajc,ci->aij", np.abs(gr), np.abs(ev))
+            gap = np.abs(so.eval(y) - f_dot_grad_f_matmul(f)(y))
+            assert np.all(gap <= DERIVED_TOL * bound), kind
 
     agree()
 

@@ -24,8 +24,7 @@ path is replaced by `<tmp>` in every file before it is hashed.  So two
 checkouts that print the same lines wrote the same bytes, and a change
 meant to leave every artifact byte-identical can be checked by running
 the tool on both and comparing.  Some bits depend on numpy's BLAS build
-(the chart's |z|^2, a derived field's product): compare runs on one
-machine only.
+(the chart's |z|^2): compare runs on one machine only.
 
     python3 tools/artifact_digest.py
 """
