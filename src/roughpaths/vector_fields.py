@@ -98,29 +98,62 @@ class SecondOrderField:
         return self.eval(y)
 
 
+# ---------------------------------------------------------------------------
+# generated float code: the one place that fixes the order of a sum
+
+# terms one generated line sums at most: CPython's compiler recurses once
+# per `+` of an expression, and a sum of a few thousand terms overflows it
+_TERMS_PER_LINE = 64
+
+
+def _sum_lines(name: str, terms) -> list[str]:
+    """Source lines that set name to the float sum of the expressions in
+    terms, taken left to right from 0.0.
+
+    Python's + is left-associative, so `s = 0.0 + t0 + t1` makes the
+    roundings of `s = 0.0; s += t0; s += t1`, in that order; a longer sum
+    goes on over lines `s = s + ...`, _TERMS_PER_LINE terms a line.  The
+    leading 0.0 stays: 0.0 + -0.0 is +0.0, so terms that are all -0.0
+    sum to +0.0, as a loop from 0.0 gives, where -0.0 + -0.0 is -0.0.
+    """
+    terms = list(terms)
+    lines, head = [], "0.0"
+    for k in range(0, max(len(terms), 1), _TERMS_PER_LINE):
+        lines.append(f"{name} = " + " + ".join(
+            [head, *terms[k:k + _TERMS_PER_LINE]]))
+        head = name
+    return lines
+
+
+def _compiled(name: str, args: str, body: list[str], filename: str, **env):
+    """The function `def name(args):` with the source lines body, compiled
+    under filename (tracebacks name it) with env as its globals."""
+    src = "\n".join([f"def {name}({args}):", *("    " + s for s in body)])
+    exec(compile(src, filename, "exec"), env)
+    return env[name]
+
+
 def f_dot_grad_f(vf: VectorField) -> SecondOrderField:
     """The derived field contracting f into grad f.
 
     M[a, i, j] = sum_c grad[a, j, c] f[c, i], summed left to right from
     0.0 over f's jet; contracting M against a rank-one u (x) w
-    reproduces grad f (f u, w) directly.
+    reproduces grad f (f u, w) directly.  The jet is straight-line code
+    generated for f's d and m (_sum_lines), with f's jet bound.
     """
     d, m = vf.d, vf.m
-    # the (grad f, f) flat index pairs of each entry M[a, i, j], in order
-    terms = [[(a * m * d + j * d + c, c * m + i) for c in range(d)]
-             for a in range(d) for i in range(m) for j in range(m)]
-
-    def _jet(y):
-        F, G = vf.jet(y)
-        out = []
-        for pairs in terms:
-            s = 0.0
-            for p, q in pairs:
-                s += G[p] * F[q]
-            out.append(s)
-        return out
-
-    return SecondOrderField(d, m, _jet, source=vf)
+    entries = [(a, i, j) for a in range(d) for i in range(m)
+               for j in range(m)]
+    body = ["F, G = f_jet(y)"]
+    for a, i, j in entries:
+        body += _sum_lines(f"M{a}_{i}_{j}",
+                           [f"G[{a * m * d + j * d + c}] * F[{c * m + i}]"
+                            for c in range(d)])
+    body.append("return [" + ", ".join(f"M{a}_{i}_{j}"
+                                       for a, i, j in entries) + "]")
+    jet = _compiled("jet", "y", body, f"<f . grad f d={d} m={m}>",
+                    f_jet=vf.jet)
+    return SecondOrderField(d, m, jet, source=vf)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ from roughpaths.rde_solver import (FieldEvaluationError, SolverConfig,
                                    solution_to_partial, solve_rde,
                                    solve_rde_corrected, write_solution_csv)
 from roughpaths.vector_fields import (FieldBounds, SecondOrderField,
-                                      counterexample_field, f_dot_grad_f,
-                                      linear_field, tanh_field, zero_field)
+                                      VectorField, counterexample_field,
+                                      f_dot_grad_f, linear_field, tanh_field,
+                                      zero_field)
 
 from oracles import field_of_arrays, rk4_polyline, rough_integral_along
 
@@ -398,6 +399,44 @@ def test_corrected_route_checks_its_shapes_before_stepping(case):
     with pytest.raises(ValueError, match=want):
         solve_rde_corrected(geo, drift, f, h2, a, 1.0,
                             SolverConfig(base_mesh=64))
+
+
+@pytest.mark.parametrize("case", ["f-long", "f-short", "grad-short",
+                                  "h2-long"])
+def test_jet_lengths_are_checked_before_stepping(case):
+    # with d*m = 2, a jet giving 4 values of f used to fail in numpy's
+    # broadcast into the field-value rows, and a short one with a bare
+    # IndexError; one jet call at the start state names the lengths
+    f = counterexample_field()
+    geo, drift = decompose(pure_area_path(1.0))
+    h2 = f_dot_grad_f(f)
+    calls = []
+
+    def jet_of(F, G):
+        def jet(y):
+            calls.append(y)
+            return F, G
+        return jet
+
+    if case == "f-long":
+        f = VectorField(2, 1, jet_of([0.1] * 4, [0.0] * 4), name="long")
+        want = r"'long' \(d=2, m=1\).* 4 values of f and 4 .* 2 and 4"
+    elif case == "f-short":
+        f = VectorField(2, 1, jet_of([0.1], [0.0] * 4), name="short")
+        want = r"'short' \(d=2, m=1\).* 1 values of f and 4 .* 2 and 4"
+    elif case == "grad-short":
+        f = VectorField(2, 1, jet_of([0.1] * 2, [0.0] * 3))
+        want = r"'' \(d=2, m=1\).* 2 values of f and 3 .* 2 and 4"
+    else:
+        h2 = SecondOrderField(2, 1, lambda y: calls.append(y) or [0.1] * 4)
+        want = r"h2 \(d=2, m=1\).* 4 values, expected 2"
+    with pytest.raises(ValueError, match=want):
+        if case == "h2-long":
+            solve_rde_corrected(geo, drift, f, h2, [1.0, 0.0], 1.0,
+                                SolverConfig(base_mesh=64))
+        else:
+            solve_rde(geo, f, [1.0, 0.0], 1.0, SolverConfig(base_mesh=64))
+    assert calls == [[1.0, 0.0]]
 
 
 def test_pure_area_explosion_crossing_times():

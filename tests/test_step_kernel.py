@@ -24,8 +24,9 @@ from roughpaths.rde_solver import (FieldEvaluationError, SolverConfig,
                                    solve_rde, solve_rde_corrected)
 from roughpaths.rough_paths import (AreaDrift, decompose,
                                     lift_piecewise_linear, pure_area_path)
-from roughpaths.vector_fields import (SecondOrderField, counterexample_field,
-                                      f_dot_grad_f, linear_field, tanh_field)
+from roughpaths.vector_fields import (SecondOrderField, VectorField,
+                                      counterexample_field, f_dot_grad_f,
+                                      linear_field, tanh_field)
 
 from oracles import (counterexample_eval_lists, counterexample_grad_lists,
                      davie_solve_floats, davie_solve_matmul, field_of_arrays,
@@ -66,9 +67,11 @@ def field_pairs(rng):
 
 
 def assert_same(sol, ref, label):
+    # bits, not ==: -0.0 == 0.0, so == cannot see a sign of zero
     y, cross_inc, crossing = ref
-    assert np.array_equal(sol.y, y), label
-    assert np.array_equal(sol.cross_inc, cross_inc), label
+    assert bits(sol.y) == bits(np.asarray(y, dtype=float)), label
+    assert (bits(sol.cross_inc)
+            == bits(np.asarray(cross_inc, dtype=float))), label
     if crossing is None:
         assert sol.blowup is None, label
     else:
@@ -101,6 +104,16 @@ def test_solver_equals_the_float_oracle(route):
     for name, f, f_ref in field_pairs(rng):
         sol, ref = route_solves(rng, route, f, f_ref, davie_solve_floats)
         assert_same(sol, ref, f"{route} {name}")
+
+
+@pytest.mark.parametrize("route", ["plain", "fused", "unfused"])
+def test_solver_equals_the_float_oracle_where_sums_go_over_lines(route):
+    # d = 9, m = 8: the grad f . P sum of each row has 72 terms, more
+    # than one generated line holds
+    rng = np.random.default_rng(808)
+    f = linear_field(rng.normal(0.0, 0.1, size=(9, 8, 9)))
+    sol, ref = route_solves(rng, route, f, f, davie_solve_floats)
+    assert_same(sol, ref, route)
 
 
 # set from float64 eps before measuring: the @ products reorder a few
@@ -142,8 +155,73 @@ def test_unfused_route_reads_h2_from_its_jet_once_per_step():
     sol = solve_rde_corrected(x, random_drift(rng, x.times, 2), f, h2,
                               rng.normal(0.0, 1.0, size=2), 1.0,
                               SolverConfig(base_mesh=K))
-    assert sol.blowup is None and len(calls) == K
+    assert sol.blowup is None and len(calls) == K + 1   # a check, K steps
     assert all(type(v) is float for y in calls for v in y)
+
+
+@pytest.mark.parametrize("route", ["plain", "fused", "unfused"])
+def test_each_route_calls_the_field_jet_once_per_step(route):
+    # one jet call on the start state checks its lengths, then one per
+    # step; f's own derived field is fused into the step's level-2
+    # input, so its jet never runs
+    rng = np.random.default_rng(807)
+    f = tanh_field(2, 2, scale=0.8, seed=4)
+    jet, calls, so_calls = f.jet, [], []
+
+    def counting_jet(y):
+        calls.append(y)
+        return jet(y)
+
+    f.jet = counting_jet
+    so = f_dot_grad_f(f)
+    so_jet = so.jet
+
+    def counting_so_jet(y):
+        so_calls.append(y)
+        return so_jet(y)
+
+    so.jet = counting_so_jet
+    x = random_polyline(rng, 2)
+    a = rng.normal(0.0, 1.0, size=2)
+    cfg = SolverConfig(base_mesh=K)
+    if route == "plain":
+        sol = solve_rde(x, f, a, 1.0, cfg)
+    else:
+        h2 = so if route == "fused" else SecondOrderField(2, 2,
+                                                          counting_so_jet)
+        sol = solve_rde_corrected(x, random_drift(rng, x.times, 2), f, h2,
+                                  a, 1.0, cfg)
+    assert sol.blowup is None
+    # the unfused h2 is f's derived field, whose jet calls f's once more
+    # per call of its own
+    assert len(so_calls) == (K + 1 if route == "unfused" else 0)
+    assert len(calls) == K + 1 + len(so_calls)
+    assert calls[0] == a.tolist()
+
+
+@pytest.mark.parametrize("route", ["plain", "fused", "unfused"])
+def test_a_sum_of_negative_zeros_is_positive_zero(route):
+    # f = 0 and grad f = -0.0: every product in the step is a signed
+    # zero, and a sum from 0.0 makes +0.0 of them, as the oracle's loop
+    # does; without the leading 0.0 the state would step to -0.0
+    f = VectorField(1, 1, lambda y: ((0.0,), (-0.0,)))
+    x = lift_piecewise_linear(np.array([[0.0], [-1.0]]), [0.0, 1.0])
+    mesh = np.linspace(0.0, 1.0, K + 1)
+    a = np.array([-0.0])
+    cfg = SolverConfig(base_mesh=K)
+    if route == "plain":
+        sol, ref = (solve_rde(x, f, a, 1.0, cfg),
+                    davie_solve_floats(x, f, a, mesh))
+    else:
+        beta = AreaDrift(x.times, -0.25 * x.times[:, None, None])
+        so = f_dot_grad_f(f)
+        assert bits(np.array(so.jet([-0.0]))) == bits(np.array([0.0]))
+        h2, h2_ref = (so, so) if route == "fused" else (
+            SecondOrderField(1, 1, so.jet), f)
+        sol = solve_rde_corrected(x, beta, f, h2, a, 1.0, cfg)
+        ref = davie_solve_floats(x, f, a, mesh, (h2_ref, beta))
+    assert_same(sol, ref, route)
+    assert bits(sol.y[1:]) == bits(np.zeros((K, 1)))
 
 
 def test_projected_route_matches_the_norm_chart_maps():

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from roughpaths.log_sphere_map import ShiftedMap, h1_h2, transformed_field
-from roughpaths.vector_fields import (counterexample_field, f_dot_grad_f,
+from roughpaths.vector_fields import (_compiled, _sum_lines,
+                                      counterexample_field, f_dot_grad_f,
                                       linear_field, make_field, tanh_field,
                                       zero_field)
 
@@ -183,6 +186,24 @@ def test_derived_field_linear_is_a_squared():
     for _ in range(10):
         y = rng.normal(size=2)
         assert np.allclose(fdf.eval(y)[:, 0, 0], A @ A @ y, atol=1e-13)
+
+
+def test_generated_sums_round_as_a_loop_from_zero():
+    # a sum of thousands of terms would overflow the compiler's recursion
+    # as one expression; over lines it compiles, and every length, the
+    # empty sum and a sum of negative zeros included, gives the bits of
+    # s = 0.0; s += t in the same order
+    rng = np.random.default_rng(31)
+    for n in (0, 1, 2, 63, 64, 65, 200, 5000):
+        v = (rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, size=n))
+        v = v.tolist() if n != 2 else [-0.0, -0.0]
+        total = _compiled("total", "v", _sum_lines(
+            "s", [f"v[{k}]" for k in range(n)]) + ["return s"], "<sum>")
+        s = 0.0
+        for t in v:
+            s += t
+        assert math.copysign(1.0, total(v)) == math.copysign(1.0, s)
+        assert total(v) == s, n
 
 
 def test_field_registry():
