@@ -54,10 +54,10 @@ __all__ = [
 _CHEN_EXHAUSTIVE_LIMIT = 120
 _CHEN_SAMPLES = 20000
 
-# Triples per array pass of the Chen audit: enough to amortise the numpy
-# overhead of each pass, few enough that the passes' temporaries stay
-# small (one pass over all sampled triples costs more peak memory than
-# the path it audits).
+# Triples per array pass of the Chen audit, which indexes the grid values
+# of one `at` query: enough to amortise the numpy overhead of each pass,
+# few enough that the passes' temporaries stay small (one pass over all
+# sampled triples costs more peak memory than the path it audits).
 _CHEN_CHUNK = 2048
 
 # Side of a _pair_sup tile in grid points: a tile pairs up to _TILE start
@@ -185,8 +185,8 @@ class RoughPath:
 
         Returns (level1 (K, m), level2 (K, m, m)), from one `at` query
         for all of s and one for all of t, with
-        b_t - b_s - u_s (x) (u_t - u_s) row by row.  chen_defect calls it
-        three times per chunk of _CHEN_CHUNK triples.
+        b_t - b_s - u_s (x) (u_t - u_s) row by row (_grid_increments
+        takes the same steps on values already queried).
         """
         us, bs = self.at(s)
         ut, bt = self.at(t)
@@ -333,6 +333,14 @@ def _grid_triples(n: int, exhaustive_limit: int,
     return idx[:, 0], idx[:, 1], idx[:, 2]
 
 
+def _grid_increments(u: np.ndarray, b: np.ndarray, p: np.ndarray,
+                     q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Increments from grid point p to grid point q (index arrays) of the
+    point values (u, b), as increments_between forms them."""
+    du = u[q] - u[p]
+    return du, b[q] - b[p] - np.einsum("ki,kj->kij", u[p], du)
+
+
 def chen_defect(rp: RoughPath) -> float:
     """Max multiplicativity defect of a rough path's increments.
 
@@ -343,22 +351,26 @@ def chen_defect(rp: RoughPath) -> float:
     beyond it, the triples of _CHEN_SAMPLES seeded draws (default_rng(0),
     sorted, kept when strictly increasing).
 
-    The triples are evaluated _CHEN_CHUNK at a time, three
-    rp.increments_between calls per chunk; each triple gets the same
-    floating-point operations whatever the chunk size, so the result
-    does not depend on it.  NaN increments raise ValueError.
+    The point values come from one rp.at query over the whole grid (not
+    the stored values: at the last grid time `at` interpolates the last
+    interval at alpha = 1, which rounds differently), so each triple's
+    increments are the bits rp.increment_between gives, since `at` works
+    row by row.  The triples are then evaluated _CHEN_CHUNK at a time by
+    indexing those values; each triple gets the same floating-point
+    operations whatever the chunk size, so the result does not depend on
+    it.  NaN increments raise ValueError.
     """
-    t = rp.times
-    n = len(t)
+    n = rp.n_points
     if n < 3:
         raise ValueError("need at least 3 grid points")
+    u, b = rp.at(rp.times)
     i, j, k = _grid_triples(n, _CHEN_EXHAUSTIVE_LIMIT, _CHEN_SAMPLES)
     worst = 0.0
     for c0 in range(0, len(i), _CHEN_CHUNK):
-        ti, tj, tk = (t[a[c0:c0 + _CHEN_CHUNK]] for a in (i, j, k))
-        w1, w2 = rp.increments_between(ti, tk)
-        l1, l2 = rp.increments_between(ti, tj)
-        r1, r2 = rp.increments_between(tj, tk)
+        p, q, r = (a[c0:c0 + _CHEN_CHUNK] for a in (i, j, k))
+        w1, w2 = _grid_increments(u, b, p, r)
+        l1, l2 = _grid_increments(u, b, p, q)
+        r1, r2 = _grid_increments(u, b, q, r)
         d1 = np.max(np.abs(w1 - (l1 + r1)), initial=0.0)
         d2 = np.max(np.abs(w2 - (l2 + r2 + np.einsum("ki,kj->kij", l1, r1))),
                     initial=0.0)
@@ -652,17 +664,25 @@ _FMT = "%.17g"
 
 
 def _read_csv(path) -> tuple[list[str], np.ndarray]:
-    """The one CSV reader: a header starting with `t` and float rows (LF
-    or CRLF), >= 1 row."""
+    """The one CSV reader: a header starting with `t`, then >= 1 row of
+    floats (LF, CRLF or CR line ends; blank lines skipped).
+
+    The rows go to numpy's loadtxt, which parses numbers as Python's
+    float() does, minus underscores: cells may be quoted and padded with
+    spaces or tabs; an empty cell, a ragged row, a whitespace-only line,
+    a `#` or `_` in a cell raise ValueError.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+        header = next(csv.reader([fh.readline()]), [])
         if not header or header[0].strip() != "t":
             raise ValueError(f"{path}: expected header starting with 't'")
-        rows = [[float(v) for v in row] for row in reader if row]
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    return header, np.asarray(rows, dtype=float)
+        # loadtxt warns when there are no rows: look for one first
+        start = fh.tell()
+        if not any(line.rstrip("\r\n") for line in iter(fh.readline, "")):
+            raise ValueError(f"{path}: no data rows")
+        fh.seek(start)
+        return header, np.loadtxt(fh, delimiter=",", comments=None,
+                                  quotechar='"', ndmin=2)
 
 
 def read_polyline_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -674,12 +694,27 @@ def read_polyline_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _write_csv(path, header, rows) -> None:
-    """The one CSV writer: LF rows, floats as %.17g, anything else str()."""
+    """The one CSV writer: LF rows, floats (and their subclasses) as
+    %.17g, anything else str().
+
+    Each row is written with one `%`, by a row format built once per
+    tuple of value types; a float64 array's rows go through tolist() one
+    at a time (the whole array as lists of floats would add about 1.5 MB
+    of peak memory to a 4097 x 7 write).
+    """
+    floats = isinstance(rows, np.ndarray) and rows.dtype == np.float64
+    formats = {}
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_FMT % v if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+            row = tuple(row.tolist() if floats else row)
+            types = tuple(map(type, row))
+            line = formats.get(types)
+            if line is None:
+                line = formats[types] = ",".join(
+                    _FMT if issubclass(c, float) else "%s"
+                    for c in types) + "\n"
+            fh.write(line % row)
 
 
 def write_roughpath_csv(rp: RoughPath, path) -> None:

@@ -20,6 +20,7 @@ validation oracle only and never substituted into a solver.
 
 from __future__ import annotations
 
+import linecache
 import math
 from dataclasses import dataclass, field
 
@@ -127,8 +128,12 @@ def _sum_lines(name: str, terms) -> list[str]:
 
 def _compiled(name: str, args: str, body: list[str], filename: str, **env):
     """The function `def name(args):` with the source lines body, compiled
-    under filename (tracebacks name it) with env as its globals."""
-    src = "\n".join([f"def {name}({args}):", *("    " + s for s in body)])
+    under filename with env as its globals.  The source goes into
+    linecache under filename, so that tracebacks show its lines; the
+    callers' filenames name everything the source depends on."""
+    lines = [f"def {name}({args}):\n", *(f"    {s}\n" for s in body)]
+    src = "".join(lines)
+    linecache.cache[filename] = (len(src), None, lines, filename)
     exec(compile(src, filename, "exec"), env)
     return env[name]
 

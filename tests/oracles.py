@@ -3,9 +3,11 @@
 Everything here deliberately avoids the library's own integration /
 stepping code paths: a classical RK4 integrator on the absolutely
 continuous parametrization of a polyline, shoelace polygon areas,
-left-point Riemann sums for cross and Young integrals.
+left-point Riemann sums for cross and Young integrals, and the CSV
+reader and writer that parsed and formatted one value per Python call.
 """
 
+import csv
 import math
 import sys
 
@@ -697,3 +699,27 @@ def pushforward_rows(prp: PartialRoughPath, phi) -> PartialRoughPath:
     new_cross = np.einsum("kwd,kda->kwa", grads, prp.cross_inc)
     return PartialRoughPath(prp.times, prp.x, prp.x2_inc, new_y, new_cross,
                             prp.p)
+
+
+def read_csv_floats(path):
+    """The CSV reader rough_paths used before numpy's loadtxt: csv.reader
+    and float() per cell, empty rows skipped; (header, rows)."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if not header or header[0].strip() != "t":
+            raise ValueError(f"{path}: expected header starting with 't'")
+        rows = [[float(v) for v in row] for row in reader if row]
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return header, np.asarray(rows, dtype=float)
+
+
+def write_csv_values(path, header, rows):
+    """The CSV writer rough_paths used before one `%` per row: LF rows,
+    each float (or float subclass) as %.17g and any other value str()."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join("%.17g" % v if isinstance(v, float) else str(v)
+                              for v in row) + "\n")

@@ -12,6 +12,7 @@ values, np.linalg.norm on one point.
 """
 
 import math
+import traceback
 from dataclasses import replace
 
 import numpy as np
@@ -197,6 +198,38 @@ def test_each_route_calls_the_field_jet_once_per_step(route):
     assert len(so_calls) == (K + 1 if route == "unfused" else 0)
     assert len(calls) == K + 1 + len(so_calls)
     assert calls[0] == a.tolist()
+
+
+@pytest.mark.parametrize("route", ["plain", "fused", "unfused"])
+def test_a_traceback_through_generated_code_shows_its_lines(route):
+    # the jet passes the entry check at y = 0 and fails once the state
+    # passes 0.5, inside the generated step (and, on the unfused route,
+    # also inside the generated f . grad f jet when called alone)
+    def jet(y):
+        if y[0] > 0.5:
+            raise ArithmeticError("the jet failed")
+        return (1.0,), (0.0,)
+
+    f = VectorField(1, 1, jet)
+    x = lift_piecewise_linear(np.array([[0.0], [1.0]]), [0.0, 1.0])
+    a = np.array([0.0])
+    cfg = SolverConfig(base_mesh=K)
+    so = f_dot_grad_f(f)
+    with pytest.raises(ArithmeticError) as info:
+        if route == "plain":
+            solve_rde(x, f, a, 1.0, cfg)
+        else:
+            beta = AreaDrift(x.times, np.zeros((2, 1, 1)))
+            h2 = so if route == "fused" else SecondOrderField(1, 1, so.jet)
+            solve_rde_corrected(x, beta, f, h2, a, 1.0, cfg)
+    text = "".join(traceback.format_exception(info.value))
+    assert f'File "<davie step d=1 m=1 {route}>", line 2, in step' in text
+    assert "    F, G = f_jet(y)\n" in text
+    with pytest.raises(ArithmeticError) as info:
+        so.jet([1.0])
+    text = "".join(traceback.format_exception(info.value))
+    assert 'File "<f . grad f d=1 m=1>", line 2, in jet' in text
+    assert "    F, G = f_jet(y)\n" in text
 
 
 @pytest.mark.parametrize("route", ["plain", "fused", "unfused"])
