@@ -27,7 +27,9 @@ renormalize the angular part of its state each step (see
 Each transformed field is its jet on Python floats (VectorField.jet,
 SecondOrderField.jet), as numpy's per-call overhead is the cost on the
 one state per solver step: no grad_phi tensor, one call of the field's
-own jet, explicit loops (sum() is compensated from Python 3.12 on).
+own jet, straight-line code generated per field and shift whose sums
+vector_fields._sum_lines writes left to right (sum() is compensated
+from Python 3.12 on), as the sphere projection's is.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vector_fields import SecondOrderField, VectorField, f_dot_grad_f
+from .vector_fields import (SecondOrderField, VectorField, _compiled,
+                            _fdf_lines, _sum_lines)
 
 __all__ = [
     "ShiftedMap",
@@ -145,107 +148,113 @@ def choose_shift(a, predicted_radius: float) -> ShiftedMap:
 
 
 def sphere_state_projection(d: int):
-    """Per-step renormalizer of the angular part of a (d+1)-state."""
-
-    def project(w):
-        w = np.asarray(w, dtype=float)
-        q = w[:d]
-        n = math.sqrt(q.dot(q))
-        if n == 0 or not math.isfinite(n):
-            return w
-        out = w.copy()
-        out[:d] /= n
-        return out
-
-    return project
-
-
-def _chart_state(w, b):
-    """theta = q/|q|, |q|, r = e^rho and y = r theta - b of a state
-    w = (q, rho) given as Python floats."""
-    *q, rho = w
-    nq = 0.0
-    for v in q:
-        nq += v * v
-    nq = math.sqrt(nq)
-    if nq == 0.0:
-        raise ValueError("angular component of the state vanished")
-    if abs(rho) > _RHO_OVERFLOW:
-        raise OverflowError(f"|rho| = {abs(rho):.6g} exceeds {_RHO_OVERFLOW}")
-    r = math.exp(rho)
-    theta, y = [], []
-    for v, c in zip(q, b):
-        theta.append(v / nq)
-        y.append(r * theta[-1] - c)
-    return theta, nq, r, y
+    """Per-step renormalizer of the angular part q, the first d entries,
+    of a state (q, rho), for SolverConfig.state_projection: on the
+    solver's floats, q/|q| with |q|^2 summed left to right from 0.0, as
+    every Davie sum is, and the entries after q as they are; a state
+    whose |q| is 0 or not finite is returned itself.  Straight-line code
+    generated for d."""
+    body = [*_sum_lines("n", [f"w[{k}] * w[{k}]" for k in range(d)]),
+            "n = sqrt(n)",
+            "if n == 0.0 or not isfinite(n):",
+            "    return w",
+            "return [" + "".join(f"w[{k}] / n, " for k in range(d))
+            + f"*w[{d}:]]"]
+    return _compiled("project", "w", body, f"<sphere projection d={d}>",
+                     sqrt=math.sqrt, isfinite=math.isfinite)
 
 
-def _pull_back(theta, F, r, c):
-    """N F / r as a flat list, for the rows F of a (d, k) matrix and
-    N = [I - theta theta^T ; theta^T] = r grad phi(r theta): the rows
-    (F - theta c^T)/r, then c^T/r, with c = theta^T F plus the given c."""
-    K = range(len(c))
-    for t, row in zip(theta, F):
-        for j in K:
-            c[j] += t * row[j]
-    out = []
-    for t, row in zip(theta, F):
-        for j in K:
-            out.append((row[j] - t * c[j]) / r)
-    for cj in c:
-        out.append(cj / r)
-    return out
+def _pull_back_lines(d: int, F, c, r: str | None, name: str):
+    """N F / r, N = [I - theta theta^T ; theta^T] = r grad phi(r theta),
+    for F given as d rows of k expressions: lines that set name_j =
+    c[j] + sum_a t_a F[a][j] left to right, and the expressions of the
+    rows (F[a][j] - t_a name_j) / r, then name_j / r (not divided when
+    r is None)."""
+    lines, out = [], []
+    for j, start in enumerate(c):
+        lines += _sum_lines(f"{name}{j}",
+                            [f"t{a} * {F[a][j]}" for a in range(d)], start)
+    for a in range(d):
+        out += [f"{v} - t{a} * {name}{j}" for j, v in enumerate(F[a])]
+    out += [f"{name}{j}" for j in range(len(c))]
+    return lines, out if r is None else [f"({v}) / {r}" for v in out]
 
 
-def _finite(values, what, w):
-    """values (floats), or OverflowError naming rho if one is not finite."""
-    if not all(map(math.isfinite, values)):
-        raise OverflowError(f"{what} is not finite at rho = {w[-1]:.6g}")
-    return values
+def _chart_jet(kind: str, f: VectorField, shift: ShiftedMap, body):
+    """The jet of a chart field of f, compiled with f's jet bound: lines
+    that unpack w = (q, rho) and set nq = |q|, r = e^rho, t_k = q_k / nq
+    and y_k = r t_k - b_k (ValueError at q = 0, OverflowError for
+    |rho| > 708), then F, G = f's jet at y, then body."""
+    if shift.d != f.d:
+        raise ValueError(f"shift of dimension {shift.d} for a field on "
+                         f"R^{f.d}")
+    b, D = shift.b.tolist(), range(f.d)
+    head = [", ".join([*(f"q{k}" for k in D), "rho"]) + " = w",
+            *_sum_lines("nq", [f"q{k} * q{k}" for k in D]),
+            "nq = sqrt(nq)",
+            "if nq == 0.0:",
+            '    raise ValueError("angular component of the state vanished")',
+            "if abs(rho) > RHO_MAX:",
+            '    raise OverflowError(f"|rho| = {abs(rho):.6g} exceeds '
+            '{RHO_MAX}")',
+            "r = exp(rho)",
+            *(f"t{k} = q{k} / nq" for k in D),
+            *(f"y{k} = r * t{k} - ({c!r})" for k, c in enumerate(b)),
+            "F, G = f_jet([" + ", ".join(f"y{k}" for k in D) + "])"]
+    return _compiled("jet", "w", head + body,
+                     f"<{kind} d={f.d} m={f.m} b={b}>", f_jet=f.jet,
+                     sqrt=math.sqrt, exp=math.exp, isfinite=math.isfinite,
+                     RHO_MAX=_RHO_OVERFLOW)
 
 
 def transformed_field(f: VectorField, shift: ShiftedMap) -> VectorField:
     """Pull a field on R^d back to the cylinder chart.
 
     h(q, rho) = grad phi(z) f(z - b) = N F / r with z = r theta,
-    theta = q/|q|, r = e^rho, F = f(z - b) and N as in _pull_back; its
-    gradient is the chain rule through z(q, rho).  Both raise ValueError
-    at q = 0, and OverflowError for |rho| > 708 or where their value is
-    not finite (F/r overflows near rho = -708 when |F| > 5.9).
+    theta = q/|q|, r = e^rho, F = f(z - b) and N as in _pull_back_lines;
+    its gradient is the chain rule through z(q, rho).  Both raise
+    ValueError at q = 0, and OverflowError for |rho| > 708 or where their
+    value is not finite (F/r overflows near rho = -708 when |F| > 5.9).
+    The jet is straight-line code generated for f's d and m and the
+    shift, with f's jet bound, and returns (h, grad h) as lists.
     """
     d, m = f.d, f.m
-    if shift.d != d:
-        raise ValueError(f"shift of dimension {shift.d} for a field on R^{d}")
-    b = shift.b.tolist()
-    D, M = range(d), range(m)
-
-    def _jet(w):
-        theta, nq, r, y = _chart_state(w, b)
-        F, G = f.jet(y)
-        F = [F[k * m:k * m + m] for k in D]
-        h = _finite(_pull_back(theta, F, r, [0.0] * m), "h", w)
-        # h = N F/r, so dh = N d(F/r) + dN F/r.  V holds d(F/r), with
-        # g = grad f_kj(y): g (I - theta theta^T)/|q| along q, g theta -
-        # F/r along rho; and the part of dN F/r in N's range.  The rest,
-        # [-theta ; 1] h_c/|q| along q_c, is an offset to theta^T V
-        V, offset = [], [0.0] * (m * (d + 1))
-        for k in D:
-            row = []
-            for j in M:
-                g = G[(k * m + j) * d:(k * m + j + 1) * d]
-                hd, s = h[d * m + j], 0.0
-                for e in D:
-                    s += g[e] * theta[e]
-                for c in D:
-                    row.append((g[c] - theta[c] * (s - theta[k] * hd)
-                                - (c == k) * hd) / nq)
-                row.append(s - F[k][j] / r)
-                offset[j * (d + 1) + k] = h[k * m + j] / nq
-            V.append(row)
-        return h, _finite(_pull_back(theta, V, 1.0, offset), "grad h", w)
-
-    return VectorField(d + 1, m, _jet, gamma=f.gamma,
-                       name=f"logsphere({f.name})")
+    D, M, W = range(d), range(m), d + 1
+    body, h = _pull_back_lines(d, [[f"F[{k * m + j}]" for j in M] for k in D],
+                               ["0.0"] * m, "r", "c")
+    body += [f"h{i} = {v}" for i, v in enumerate(h)]
+    # h = N F/r, so dh = N d(F/r) + dN F/r.  V holds d(F/r), with
+    # g = grad f_kj(y): g (I - theta theta^T)/|q| along q, g theta - F/r
+    # along rho; and the part of dN F/r in N's range.  The rest,
+    # [-theta ; 1] h_c/|q| along q_c, starts the sums of theta^T V.  Off
+    # the diagonal the h term is 0.0 * h, not left out: it turns a -0.0
+    # into +0.0 when h < 0
+    for k in D:
+        for j in M:
+            g = k * m * d + j * d
+            hd = f"h{d * m + j}"
+            body += _sum_lines(f"s{k}_{j}", [f"G[{g + e}] * t{e}" for e in D])
+            body.append(f"p{k}_{j} = s{k}_{j} - t{k} * {hd}")
+            body += [f"v{k}_{j * W + c} = (G[{g + c}] - t{c} * p{k}_{j} - "
+                     f"{'' if c == k else '0.0 * '}{hd}) / nq" for c in D]
+            body.append(f"v{k}_{j * W + d} = s{k}_{j} - F[{k * m + j}] / r")
+    offset = [f"h{c * m + j} / nq" if c < d else "0.0"
+              for j in M for c in range(W)]
+    lines, gh = _pull_back_lines(d, [[f"v{k}_{i}" for i in range(m * W)]
+                                     for k in D], offset, None, "e")
+    # every h_i enters grad h additively (h_c / |q| starts a sum of
+    # theta^T V, and h_d is subtracted in V), so grad h is finite only
+    # where h is: one check, and a second to name which is not
+    body += [*lines,
+             "h = [" + ", ".join(f"h{i}" for i in range(len(h))) + "]",
+             "gh = [" + ", ".join(gh) + "]",
+             "if not all(map(isfinite, gh)):",
+             '    what = "grad h" if all(map(isfinite, h)) else "h"',
+             '    raise OverflowError(f"{what} is not finite at rho = '
+             '{rho:.6g}")',
+             "return h, gh"]
+    return VectorField(W, m, _chart_jet("chart field", f, shift, body),
+                       gamma=f.gamma, name=f"logsphere({f.name})")
 
 
 def h1_h2(f: VectorField, shift: ShiftedMap):
@@ -253,25 +262,25 @@ def h1_h2(f: VectorField, shift: ShiftedMap):
 
     h1 drives the rough part against the geometric driver; h2(theta,rho)
     = grad phi(z) (f . grad f)(z - b) multiplies the area drift.  Its
-    jet pulls the derived field's jet back on floats, as a (d, m*m)
-    matrix, as h1's does f's.  h2 is bounded only when f . grad f has at
-    most linear growth; for quadratically growing derived fields it
-    inflates like exp(rho), the failure mode of the explosion example.
-    h2 raises as h1 does, and OverflowError where the derived field or h2
-    itself is not finite (for the counterexample field shifted by
-    (4, 0), from rho = 356 and at rho = -708).
+    jet forms the derived field from f's jet (as f_dot_grad_f's does) and
+    pulls it back, as a (d, m*m) matrix, as h1's does f: straight-line
+    code generated once per field and shift.  h2 is bounded only when
+    f . grad f has at most linear growth; for quadratically growing
+    derived fields it inflates like exp(rho), the failure mode of the
+    explosion example.  h2 raises as h1 does, and OverflowError where the
+    derived field or h2 itself is not finite (for the counterexample
+    field shifted by (4, 0), from rho = 356 and at rho = -708).
     """
     h1 = transformed_field(f, shift)
-    fdf = f_dot_grad_f(f)
     d, mm = f.d, f.m * f.m
-    b = shift.b.tolist()
-
-    def _jet2(w):
-        theta, _, r, y = _chart_state(w, b)
-        # a non-finite derived field makes h2 non-finite, which raises
-        H = fdf.jet(y)
-        h2 = _pull_back(theta, [H[k * mm:k * mm + mm] for k in range(d)], r,
-                        [0.0] * mm)
-        return _finite(h2, "the derived field or h2", w)
-
-    return h1, SecondOrderField(d + 1, f.m, _jet2)
+    body, H = _fdf_lines(d, f.m)
+    lines, h2 = _pull_back_lines(d, [H[k * mm:k * mm + mm] for k in range(d)],
+                                 ["0.0"] * mm, "r", "c")
+    # a non-finite derived field makes h2 non-finite, which raises
+    body += [*lines, "h2 = [" + ", ".join(h2) + "]",
+             "if not all(map(isfinite, h2)):",
+             '    raise OverflowError(f"the derived field or h2 is not '
+             'finite at rho = {rho:.6g}")',
+             "return h2"]
+    return h1, SecondOrderField(d + 1, f.m,
+                                _chart_jet("chart h2", f, shift, body))

@@ -41,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .partial_rough_paths import PartialRoughPath
-from .rough_paths import (AreaDrift, RoughPath, _write_csv, dilate,
-                          geometricity_defect, pvar_norm)
+from .rough_paths import (AreaDrift, RoughPath, _grid_increments,
+                          _write_csv, dilate, geometricity_defect, pvar_norm)
 from .vector_fields import (FieldBounds, SecondOrderField, VectorField,
                             _compiled, _sum_lines)
 
@@ -93,7 +93,10 @@ class FieldEvaluationError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """Stepping and detection parameters."""
+    """Stepping and detection parameters.  state_projection, if set,
+    maps each state the loop accepts, a list of d Python floats, to the
+    d floats it steps from next (its input or a reused buffer will do:
+    the loop copies the values out), e.g. sphere_state_projection."""
 
     base_mesh: int = 4096
     r_max: float = 1e6
@@ -160,13 +163,14 @@ def _davie_step(x: RoughPath, f: VectorField, young: tuple | None):
     """The Davie step map on Python floats and the per-interval inputs it
     takes on a mesh.
 
-    increments(mesh) returns the driver's level-2 increments and one row
-    of step inputs per interval, r = (u, b^T, db) flattened: the driver's
-    level 1, b = x2, or x2 + dbeta when h2 is f's own derived field, and
-    dbeta when h2 is a separate Young term.  step(y, r) takes the d
-    entries of a state as floats and returns the new state, f(y) (flat,
-    as f.jet gives it) and the new state's squared norm, with one call of
-    f's jet and, for a separate Young term, one of h2's:
+    increments(mesh) returns the driver's level 1 at the mesh times, its
+    level-2 increments and one row of step inputs per interval,
+    r = (u, b^T, db) flattened: the driver's level-1 increment, b = x2,
+    or x2 + dbeta when h2 is f's own derived field, and dbeta when h2 is
+    a separate Young term.  step(y, r) takes the d entries of a state as
+    floats and returns the new state, f(y) (flat, as f.jet gives it) and
+    the new state's squared norm, with one call of f's jet and, for a
+    separate Young term, one of h2's:
 
         y+_a = y_a + ((sum_i f_ai u_i + sum_jc grad f_ajc P_jc)
                       + sum_ij h2_aij dbeta_ij),
@@ -187,13 +191,14 @@ def _davie_step(x: RoughPath, f: VectorField, young: tuple | None):
     mm, md = m * m, m * d
 
     def increments(mesh):
-        u, x2 = x.increments_on_mesh(mesh)
+        level1, level2 = x.at(mesh)
+        u, x2 = _grid_increments(level1, level2)
         dbeta = None if beta is None else beta.increments_on_mesh(mesh)
         b = x2 + dbeta if dbeta is not None and h2 is None else x2
         cols = [u, b.swapaxes(1, 2).reshape(len(u), mm)]
         if h2 is not None:
             cols.append(dbeta.reshape(len(u), mm))
-        return x2, np.concatenate(cols, axis=1)
+        return level1, x2, np.concatenate(cols, axis=1)
 
     # P_jc pairs b^T (r[m:m + mm]) with f; row a pairs f with u (r[:m]),
     # grad f with P and h2 with dbeta (r[m + mm:])
@@ -265,7 +270,7 @@ def _crossing(increments, step, y, t0: float, t1: float,
     tau; returns the record and the state at the crossing."""
 
     def state_at(tau):
-        r = increments(np.array([t0, tau]))[1][0]
+        r = increments(np.array([t0, tau]))[2][0]
         y_tau, _, n2 = step(y, r.tolist())
         return y_tau, math.sqrt(n2)
 
@@ -280,14 +285,17 @@ def _crossing(increments, step, y, t0: float, t1: float,
     return BlowupRecord(r_max, hi, norm), y_cross
 
 
-def _solution(x: RoughPath, times, traj, fes, x2_all, cfg: SolverConfig,
-              blow) -> RDESolution:
+def _solution(x: RoughPath, times, traj, fes, level1, x2_all,
+              cfg: SolverConfig, blow) -> RDESolution:
     """The solution over times (the mesh up to the last step taken, or
-    to the crossing time) from the states and field values stepped."""
-    x2_inc = x2_all if blow is None else x.increments_on_mesh(times)[1]
-    cross_inc = np.einsum("kdm,kmn->kdn", fes, x2_inc)
-    return RDESolution(times, x.at(times)[0], x2_inc, traj, cross_inc, cfg.p,
-                       blow)
+    to the crossing time) from the states and field values stepped and
+    the driver's values on the mesh; a crossing queries x at times once
+    more (`at` works row by row, so each row keeps its bits)."""
+    if blow is not None:
+        level1, level2 = x.at(times)
+        x2_all = _grid_increments(level1, level2)[1]
+    cross_inc = np.einsum("kdm,kmn->kdn", fes, x2_all)
+    return RDESolution(times, level1, x2_all, traj, cross_inc, cfg.p, blow)
 
 
 # steps whose inputs are read, and whose states and field values are
@@ -313,7 +321,7 @@ def _davie_loop(x: RoughPath, f: VectorField, a, T: float,
     y0, mesh = _entry_checks(x, f, a, T, cfg, young)
     K = len(mesh) - 1
     increments, step = _davie_step(x, f, young)
-    x2_all, rows = increments(mesh)
+    level1, x2_all, rows = increments(mesh)
     traj = np.empty((K + 1, d))
     traj[0] = y0
     fes = np.empty((K, d, m))
@@ -339,16 +347,15 @@ def _davie_loop(x: RoughPath, f: VectorField, a, T: float,
                 mesh = np.concatenate([mesh[:i + 1], [blow.crossing_time]])
                 break
             if proj is not None:
-                y_new = np.asarray(proj(np.array(y_new)),
-                                   dtype=float).tolist()
+                y_new = proj(y_new)
             ys.extend(y_new)
             y = y_new
         traj_flat[(lo + 1) * d:(lo + 1) * d + len(ys)] = ys
         fes_flat[lo * d * m:lo * d * m + len(fs)] = fs
         if blow is not None:
             break
-    return _solution(x, mesh[:last + 1], traj[:last + 1], fes[:last], x2_all,
-                     cfg, blow)
+    return _solution(x, mesh[:last + 1], traj[:last + 1], fes[:last], level1,
+                     x2_all, cfg, blow)
 
 
 def solve_rde(x: RoughPath, f: VectorField, a, T: float,

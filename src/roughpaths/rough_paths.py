@@ -174,10 +174,7 @@ class RoughPath:
 
     def increments_on_mesh(self, mesh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Increments over consecutive intervals of an arbitrary mesh."""
-        u_abs, b_abs = self.at(mesh)
-        du = np.diff(u_abs, axis=0)
-        db = np.diff(b_abs, axis=0) - np.einsum("ki,kj->kij", u_abs[:-1], du)
-        return du, db
+        return _grid_increments(*self.at(mesh))
 
     def increments_between(self, s: np.ndarray,
                            t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -333,10 +330,11 @@ def _grid_triples(n: int, exhaustive_limit: int,
     return idx[:, 0], idx[:, 1], idx[:, 2]
 
 
-def _grid_increments(u: np.ndarray, b: np.ndarray, p: np.ndarray,
-                     q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Increments from grid point p to grid point q (index arrays) of the
-    point values (u, b), as increments_between forms them."""
+def _grid_increments(u: np.ndarray, b: np.ndarray, p=slice(None, -1),
+                     q=slice(1, None)) -> tuple[np.ndarray, np.ndarray]:
+    """Increments from grid point p to grid point q (index arrays, or by
+    default each point to the next) of the point values (u, b), as
+    increments_between forms them."""
     du = u[q] - u[p]
     return du, b[q] - b[p] - np.einsum("ki,kj->kij", u[p], du)
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import linecache
 import math
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -107,9 +108,9 @@ class SecondOrderField:
 _TERMS_PER_LINE = 64
 
 
-def _sum_lines(name: str, terms) -> list[str]:
+def _sum_lines(name: str, terms, start: str = "0.0") -> list[str]:
     """Source lines that set name to the float sum of the expressions in
-    terms, taken left to right from 0.0.
+    terms, taken left to right from the expression start (0.0).
 
     Python's + is left-associative, so `s = 0.0 + t0 + t1` makes the
     roundings of `s = 0.0; s += t0; s += t1`, in that order; a longer sum
@@ -118,7 +119,7 @@ def _sum_lines(name: str, terms) -> list[str]:
     sum to +0.0, as a loop from 0.0 gives, where -0.0 + -0.0 is -0.0.
     """
     terms = list(terms)
-    lines, head = [], "0.0"
+    lines, head = [], start
     for k in range(0, max(len(terms), 1), _TERMS_PER_LINE):
         lines.append(f"{name} = " + " + ".join(
             [head, *terms[k:k + _TERMS_PER_LINE]]))
@@ -147,18 +148,22 @@ def f_dot_grad_f(vf: VectorField) -> SecondOrderField:
     generated for f's d and m (_sum_lines), with f's jet bound.
     """
     d, m = vf.d, vf.m
-    entries = [(a, i, j) for a in range(d) for i in range(m)
-               for j in range(m)]
-    body = ["F, G = f_jet(y)"]
-    for a, i, j in entries:
-        body += _sum_lines(f"M{a}_{i}_{j}",
-                           [f"G[{a * m * d + j * d + c}] * F[{c * m + i}]"
-                            for c in range(d)])
-    body.append("return [" + ", ".join(f"M{a}_{i}_{j}"
-                                       for a, i, j in entries) + "]")
-    jet = _compiled("jet", "y", body, f"<f . grad f d={d} m={m}>",
-                    f_jet=vf.jet)
+    body, M = _fdf_lines(d, m)
+    jet = _compiled("jet", "y", ["F, G = f_jet(y)", *body,
+                                 "return [" + ", ".join(M) + "]"],
+                    f"<f . grad f d={d} m={m}>", f_jet=vf.jet)
     return SecondOrderField(d, m, jet, source=vf)
+
+
+def _fdf_lines(d: int, m: int) -> tuple[list[str], list[str]]:
+    """Source lines that set the entries M[a, i, j] of f . grad f from the
+    jet values F, G of a (d, m) field, and their names, flat row-major."""
+    body, names = [], []
+    for a, i, j in product(range(d), range(m), range(m)):
+        names.append(f"M{a}_{i}_{j}")
+        body += _sum_lines(names[-1], [f"G[{a * m * d + j * d + c}] * "
+                                       f"F[{c * m + i}]" for c in range(d)])
+    return body, names
 
 
 # ---------------------------------------------------------------------------

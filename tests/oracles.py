@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own integration /
 stepping code paths: a classical RK4 integrator on the absolutely
 continuous parametrization of a polyline, shoelace polygon areas,
-left-point Riemann sums for cross and Young integrals, and the CSV
-reader and writer that parsed and formatted one value per Python call.
+left-point Riemann sums for cross and Young integrals, the CSV reader
+and writer that parsed and formatted one value per Python call, and the
+chart jets and sphere projection as loops on Python floats.
 """
 
 import csv
@@ -351,12 +352,14 @@ def f_dot_grad_f_lists(vf, y):
 def davie_solve_matmul(x, f, a, mesh, young=None, r_max=1e6, projection=None):
     """The Davie loop on a mesh, stepping with @ products.
 
-    young = (h2, beta) adds the drift term.  An h2 whose `source` is f is
-    fused into the level-2 input; otherwise h2 is a first-order field g
-    that stands for a separate derived field g . grad g, which the step
-    forms with an @ product (f_dot_grad_f_matmul).  A step leaving the
-    r_max ball is bisected 60 times with the same step map.  Returns
-    (y, cross_inc, crossing_time or None).
+    young = (h2, beta) adds the drift term; projection takes and gives a
+    state as floats, as SolverConfig.state_projection does.  An h2 whose
+    `source` is f is fused into the level-2 input; otherwise h2 is a
+    first-order field g that stands for a separate derived field
+    g . grad g, which the step forms with an @ product
+    (f_dot_grad_f_matmul).  A step leaving the r_max ball is bisected 60
+    times with the same step map.  Returns (y, cross_inc, crossing_time
+    or None).
     """
     d, m = f.d, f.m
     h2, beta = young if young is not None else (None, None)
@@ -409,7 +412,9 @@ def davie_solve_matmul(x, f, a, mesh, young=None, r_max=1e6, projection=None):
             crossing = hi
             mesh = np.concatenate([mesh[:i + 1], [hi]])
             break
-        y = y_new if projection is None else projection(y_new)
+        if projection is not None:
+            y_new = np.array(projection(y_new.tolist()), dtype=float)
+        y = y_new
         traj.append(y)
     x2_inc = x.increments_on_mesh(mesh[:len(traj)])[1]
     cross_inc = np.einsum("kdm,kmn->kdn", np.array(fes), x2_inc)
@@ -510,7 +515,7 @@ def davie_solve_floats(x, f, a, mesh, young=None, r_max=1e6,
             mesh = np.concatenate([mesh[:i + 1], [hi]])
             break
         if projection is not None:
-            y_new = np.asarray(projection(np.array(y_new))).tolist()
+            y_new = list(projection(y_new))
         y = y_new
         traj.append(y)
     x2_inc = x.increments_on_mesh(mesh[:len(traj)])[1]
@@ -561,6 +566,119 @@ def sphere_state_projection_norm(d):
         out = w.copy()
         out[:d] /= n
         return out
+
+    return project
+
+
+def _chart_state_loops(w, b):
+    """theta = q/|q|, |q|, r = e^rho and y = r theta - b of a state
+    w = (q, rho) given as Python floats, |q|^2 summed by a loop from 0.0;
+    raises as the chart jets do."""
+    *q, rho = w
+    nq = 0.0
+    for v in q:
+        nq += v * v
+    nq = math.sqrt(nq)
+    if nq == 0.0:
+        raise ValueError("angular component of the state vanished")
+    if abs(rho) > _RHO_OVERFLOW:
+        raise OverflowError(f"|rho| = {abs(rho):.6g} exceeds {_RHO_OVERFLOW}")
+    r = math.exp(rho)
+    theta, y = [], []
+    for v, c in zip(q, b):
+        theta.append(v / nq)
+        y.append(r * theta[-1] - c)
+    return theta, nq, r, y
+
+
+def _pull_back_loops(theta, F, r, c):
+    """N F / r as a flat list, for the rows F of a (d, k) matrix and
+    N = [I - theta theta^T ; theta^T] = r grad phi(r theta): the rows
+    (F - theta c^T)/r, then c^T/r, with c = theta^T F plus the given c."""
+    K = range(len(c))
+    for t, row in zip(theta, F):
+        for j in K:
+            c[j] += t * row[j]
+    out = []
+    for t, row in zip(theta, F):
+        for j in K:
+            out.append((row[j] - t * c[j]) / r)
+    for cj in c:
+        out.append(cj / r)
+    return out
+
+
+def _finite_loops(values, what, w):
+    if not all(map(math.isfinite, values)):
+        raise OverflowError(f"{what} is not finite at rho = {w[-1]:.6g}")
+    return values
+
+
+def transformed_field_loops(f, b):
+    """The jet of the log-sphere pull-back of f shifted by b, as loops on
+    Python floats over f's jet: (h, grad h) as flat lists, raising
+    ValueError at q = 0 and OverflowError for |rho| > 708 or a value that
+    is not finite, with the library's messages."""
+    d, m = f.d, f.m
+    b = np.asarray(b, dtype=float).tolist()
+    D, M = range(d), range(m)
+
+    def jet(w):
+        theta, nq, r, y = _chart_state_loops(w, b)
+        F, G = f.jet(y)
+        F = [F[k * m:k * m + m] for k in D]
+        h = _finite_loops(_pull_back_loops(theta, F, r, [0.0] * m), "h", w)
+        V, offset = [], [0.0] * (m * (d + 1))
+        for k in D:
+            row = []
+            for j in M:
+                g = G[(k * m + j) * d:(k * m + j + 1) * d]
+                hd, s = h[d * m + j], 0.0
+                for e in D:
+                    s += g[e] * theta[e]
+                for c in D:
+                    row.append((g[c] - theta[c] * (s - theta[k] * hd)
+                                - (c == k) * hd) / nq)
+                row.append(s - F[k][j] / r)
+                offset[j * (d + 1) + k] = h[k * m + j] / nq
+            V.append(row)
+        return h, _finite_loops(_pull_back_loops(theta, V, 1.0, offset),
+                                "grad h", w)
+
+    return jet
+
+
+def h2_loops(f, b):
+    """The jet of h1_h2's h2 for f shifted by b, as loops on Python
+    floats: the derived field on nested lists (f_dot_grad_f_lists),
+    pulled back as a (d, m*m) matrix, raising as transformed_field_loops
+    does and OverflowError where the derived field or h2 is not finite."""
+    d, m = f.d, f.m
+    b = np.asarray(b, dtype=float).tolist()
+
+    def jet(w):
+        theta, _, r, y = _chart_state_loops(w, b)
+        H = f_dot_grad_f_lists(f, np.array(y))
+        rows = [[v for row in H[k] for v in row] for k in range(d)]
+        return _finite_loops(_pull_back_loops(theta, rows, r, [0.0] * m * m),
+                             "the derived field or h2", w)
+
+    return jet
+
+
+def sphere_state_projection_floats(d):
+    """The angular renormalisation on a list of floats: |q|^2 of the
+    first d entries summed by a loop from 0.0, then (q/|q|, rho); a
+    state whose |q| is 0 or not finite is returned as it is."""
+
+    def project(w):
+        n = 0.0
+        for v in w[:d]:
+            n += v * v
+        n = math.sqrt(n)
+        if n == 0 or not math.isfinite(n):
+            return w
+        return [v / n for v in w[:d]] + list(w[d:])
 
     return project
 

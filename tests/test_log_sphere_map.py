@@ -13,6 +13,7 @@ from roughpaths.vector_fields import (counterexample_field, f_dot_grad_f,
                                       linear_field, tanh_field, zero_field)
 
 from oracles import (finite_diff_grad, grad2_phi_norm, grad_phi_norm,
+                     h2_loops, transformed_field_loops,
                      transformed_field_norm, z_of)
 
 
@@ -366,6 +367,100 @@ def test_closed_form_matches_the_einsum_pull_back():
     agree()
 
 
+def outcome(jet, w):
+    """A jet's values as float64 bytes (so -0.0 shows), or the type and
+    message of what it raised."""
+    try:
+        out = jet(w)
+    except (ValueError, OverflowError) as err:
+        return type(err), str(err)
+    if isinstance(out, tuple):
+        return tuple(np.array(v, dtype=float).tobytes() for v in out)
+    return np.array(out, dtype=float).tobytes()
+
+
+def signed_zeros(rng, v):
+    """v with about a third of its entries replaced by 0.0 or -0.0."""
+    v = np.array(v, dtype=float)
+    hit = rng.random(v.shape) < 1 / 3
+    v[hit] = np.where(rng.random(v.shape) < 0.5, 0.0, -0.0)[hit]
+    return v
+
+
+def test_generated_jets_match_the_loop_jets():
+    # the chart jets are straight-line code whose sums keep the loops'
+    # order and start values: h, grad h and h2 are the loops' bits, and
+    # where the loops raise the generated jets raise the same.  Signed
+    # zeros in the states, the shift and the linear field's matrix reach
+    # the sums whose sign of zero depends on their start value
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True,
+                  database=None)
+    @hyp.given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(KINDS),
+               d=st.integers(1, 4), m=st.integers(1, 3),
+               q_scale=st.floats(-3.0, 3.0), rho=st.floats(-700.0, 700.0))
+    def agree(seed, kind, d, m, q_scale, rho):
+        rng = np.random.default_rng(seed)
+        f = (linear_field(signed_zeros(rng, rng.normal(size=(d, m, d))))
+             if kind == "linear" else random_field(rng, kind, d, m))
+        b = signed_zeros(rng, rng.normal(size=f.d) * rng.uniform(0.0, 5.0))
+        h, h2 = h1_h2(f, ShiftedMap(b))
+        loops, loops2 = transformed_field_loops(f, b), h2_loops(f, b)
+        q = rng.normal(size=f.d)
+        for w in (q * 10.0 ** q_scale, q, signed_zeros(rng, q)):
+            w = [*w.tolist(), rho]
+            assert outcome(h.jet, w) == outcome(loops, w), w
+            assert outcome(h2.jet, w) == outcome(loops2, w), w
+
+    agree()
+
+
+@pytest.mark.parametrize("b", [[0.0, 0.0], [-0.0, 0.0], [1.0, -0.0],
+                               [-2.0, 0.0]])
+def test_generated_jets_keep_the_loops_signed_zeros(b):
+    # exact zeros in the state and the shift make zero sums whose sign
+    # depends on each sum's start value (grad h at b = 0, q = (1, -0.0)
+    # tells a column sum started at h/|q| from one started at 0.0 + h/|q|)
+    f = counterexample_field()
+    h, h2 = h1_h2(f, ShiftedMap(np.array(b)))
+    loops, loops2 = transformed_field_loops(f, b), h2_loops(f, b)
+    values = (0.0, -0.0, 1.0, -0.5)
+    for w in ([q0, q1, rho] for q0 in values for q1 in values
+              for rho in (0.0, 1.0)):
+        assert outcome(h.jet, w) == outcome(loops, w), w
+        assert outcome(h2.jet, w) == outcome(loops2, w), w
+
+
+@pytest.mark.parametrize("b1, w, jets, error, message", [
+    (4.0, [0.0, 0.0, 1.0], "h h2", ValueError,
+     "angular component of the state vanished"),
+    (4.0, [0.0, -0.0, 800.0], "h h2", ValueError,
+     "angular component of the state vanished"),
+    (4.0, [0.6, 0.8, math.nextafter(_RHO_OVERFLOW, math.inf)], "h h2",
+     OverflowError, "|rho| = 708 exceeds 708.0"),
+    (4.0, [0.6, 0.8, -708.5], "h h2", OverflowError,
+     "|rho| = 708.5 exceeds 708.0"),
+    (100.0, [0.6, 0.8, -_RHO_OVERFLOW], "h", OverflowError,
+     "h is not finite at rho = -708"),
+    # h is finite, but grad f ~ e^rho over |q| = 1e-100 is not
+    (4.0, [1e-100, 0.0, 700.0], "h", OverflowError,
+     "grad h is not finite at rho = 700"),
+    (4.0, [0.6, 0.8, 356.0], "h2", OverflowError,
+     "the derived field or h2 is not finite at rho = 356"),
+], ids=["q = 0", "q = -0", "rho past 708", "rho below -708",
+        "F/r overflows", "grad h overflows", "h2 overflows"])
+def test_generated_jets_raise_as_the_loop_jets(b1, w, jets, error, message):
+    f, b = counterexample_field(), [b1, 0.0]
+    h, h2 = h1_h2(f, ShiftedMap(np.array(b)))
+    cases = {"h": (h.jet, transformed_field_loops(f, b)),
+             "h2": (h2.jet, h2_loops(f, b))}
+    for name in jets.split():
+        jet, loops = cases[name]
+        assert outcome(jet, w) == outcome(loops, w) == (error, message), name
+
+
 def chart_fields(b1=4.0):
     """eval and grad of the chart field of the counterexample shifted by
     (b1, 0), and h2's eval (which overflows from rho = 356 at b1 = 4: its
@@ -521,6 +616,7 @@ def test_shifted_map_state_roundtrip():
 
 def test_sphere_projection_normalizes_angular_part():
     proj = sphere_state_projection(2)
+    assert proj([3.0, 4.0, 7.0]) == [0.6, 0.8, 7.0]
     w = proj(np.array([3.0, 4.0, 7.0]))
     assert np.linalg.norm(w[:2]) == pytest.approx(1.0)
     assert w[2] == 7.0

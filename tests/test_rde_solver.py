@@ -152,7 +152,7 @@ def test_crossing_state_is_one_loop_step():
                solve_rde_corrected(x, young[1], vf, young[0], a, 1.5, cfg))
         assert sol.blowup is not None, name
         increments, step = rde_solver._davie_step(x, vf, young)
-        x2, rows = increments(sol.times[-2:])
+        _, x2, rows = increments(sol.times[-2:])
         y, fe, _ = step(sol.y[-2].tolist(), rows[0].tolist())
         assert np.array_equal(y, sol.y[-1]), name
         assert np.array_equal(x2, sol.x2_inc[-1:]), name

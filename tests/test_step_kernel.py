@@ -8,7 +8,8 @@ multiply-adds) within a tolerance set from float64 eps.
 counterexample_field's jet runs math on Python floats and the chart maps
 take |z|^2 of every row of a stack by np.matmul on the row views; each
 is compared with `==` against the form it replaced: nested-list field
-values, np.linalg.norm on one point.
+values, np.linalg.norm on one point.  The sphere projection sums |q|^2
+on floats: `==` to a float loop, and within 2 eps of np.linalg.norm.
 """
 
 import math
@@ -31,8 +32,9 @@ from roughpaths.vector_fields import (SecondOrderField, VectorField,
 
 from oracles import (counterexample_eval_lists, counterexample_grad_lists,
                      davie_solve_floats, davie_solve_matmul, field_of_arrays,
-                     grad_phi_norm, sphere_state_projection_norm,
-                     state_of_norm)
+                     grad_phi_norm, sphere_state_projection_floats,
+                     sphere_state_projection_norm, state_of_norm,
+                     transformed_field_loops)
 
 K = 128
 
@@ -257,11 +259,12 @@ def test_a_sum_of_negative_zeros_is_positive_zero(route):
     assert bits(sol.y[1:]) == bits(np.zeros((K, 1)))
 
 
-def test_projected_route_matches_the_norm_chart_maps():
-    # the chart field is the library's closed form on both sides (its
-    # gap to the einsum form, transformed_field_norm, is bounded in
-    # test_log_sphere_map); the loop and the angular renormalisation are
-    # compared with the float oracle and np.linalg.norm
+def test_projected_route_matches_the_float_oracles():
+    # the chart field's loop jet (the generated jet's == reference, see
+    # test_log_sphere_map) over the oracle field on one side; the loop
+    # and the angular renormalisation are compared with the float
+    # oracles, a loop from 0.0 for |q|^2 (its gap to np.linalg.norm is
+    # bounded in test_chart_maps_match_their_norm_versions)
     rng = np.random.default_rng(802)
     mesh = np.linspace(0.0, 1.0, K + 1)
     for name, f, f_ref in field_pairs(rng):
@@ -269,36 +272,41 @@ def test_projected_route_matches_the_norm_chart_maps():
         a = rng.normal(0.0, 1.0, size=f.d)
         shift = choose_shift(a, 5.0)
         h = transformed_field(f, shift)
-        h_ref = transformed_field(f_ref, shift)
+        h_ref = VectorField(f.d + 1, f.m,
+                            transformed_field_loops(f_ref, shift.b))
         w0 = shift.state_of(a)
         sol = solve_rde(x, h, w0, 1.0, SolverConfig(
             base_mesh=K, state_projection=sphere_state_projection(f.d)))
         ref = davie_solve_floats(
             x, h_ref, w0, mesh,
-            projection=sphere_state_projection_norm(f.d))
+            projection=sphere_state_projection_floats(f.d))
         assert_same(sol, ref, f"projected {name}")
 
 
 def normalize_in_place(d):
-    """The angular renormalisation done on the state itself, which it
-    returns."""
+    """The angular renormalisation done on the list of floats itself,
+    which it returns."""
 
     def project(w):
-        q = w[:d]
-        q /= math.sqrt(q.dot(q))
+        n = 0.0
+        for v in w[:d]:
+            n += v * v
+        n = math.sqrt(n)
+        for k in range(d):
+            w[k] /= n
         return w
 
     return project
 
 
 def normalize_into_buffer(d):
-    """sphere_state_projection's result copied into one buffer that every
+    """sphere_state_projection's result copied into one list that every
     call returns."""
-    buf = np.empty(d + 1)
+    buf = [0.0] * (d + 1)
     project = sphere_state_projection(d)
 
     def shared(w):
-        buf[...] = project(w)
+        buf[:] = project(w)
         return buf
 
     return shared
@@ -306,8 +314,8 @@ def normalize_into_buffer(d):
 
 @pytest.mark.parametrize("name", ["identity", "in place", "shared buffer"])
 def test_projection_may_return_its_input_or_a_shared_buffer(name):
-    # the loop reads the projection's value back into floats at once;
-    # the oracle keeps each projected state apart
+    # the loop copies the projection's values out before it calls it
+    # again; the oracle keeps each projected state apart
     rng = np.random.default_rng(805)
     mesh = np.linspace(0.0, 1.0, K + 1)
     for d, m in ((1, 1), (2, 1), (2, 2), (3, 2)):
@@ -320,7 +328,7 @@ def test_projection_may_return_its_input_or_a_shared_buffer(name):
         if name == "identity":
             proj, ref_proj = (lambda w: w), None
         else:
-            ref_proj = sphere_state_projection(d)
+            ref_proj = sphere_state_projection_floats(d)
             proj = (normalize_in_place(d) if name == "in place"
                     else normalize_into_buffer(d))
         sol = solve_rde(x, h, w0, 1.0,
@@ -446,12 +454,20 @@ def test_chart_maps_match_their_norm_versions():
         d = len(z)
         b = np.full(d, 0.25) * np.abs(z).max()
         assert bits(ShiftedMap(b).state_of(z)) == bits(state_of_norm(b, z)), z
-        w = np.concatenate([z, [0.5]])
-        assert (bits(sphere_state_projection(d)(w))
-                == bits(sphere_state_projection_norm(d)(w))), z
-    w = np.array([0.0, -0.0, 2.0])
-    assert (bits(sphere_state_projection(2)(w))
-            == bits(sphere_state_projection_norm(2)(w)))
+        # the projection sums |q|^2 left to right on floats: the bits
+        # of the float oracle, within 2 eps of np.linalg.norm's (at most
+        # 1.9 eps over 560,000 such states, d = 1-4)
+        w = [*z.tolist(), 0.5]
+        got = np.array(sphere_state_projection(d)(w))
+        assert bits(got) == bits(np.array(
+            sphere_state_projection_floats(d)(w))), z
+        want = sphere_state_projection_norm(d)(np.array(w))
+        assert (np.abs(got[:d] - want[:d])
+                <= 2 * np.finfo(float).eps * np.abs(want[:d])).all(), z
+        assert got[d] == 0.5
+    for w in ([0.0, -0.0, 2.0], [math.inf, 1.0, 2.0], [math.nan, 1.0, 2.0]):
+        # |q| is 0 or not finite: the state comes back as it is
+        assert sphere_state_projection(2)(w) is w
     # an (n, d) stack: each row's bits are those of the row on its own
     rng = np.random.default_rng(805)
     for d in (1, 2, 3, 4):
