@@ -12,7 +12,9 @@ of grid points by one formula from prefix sums (see
 PartialRoughPath._cross_pairs, which also bounds its roundoff).
 
 Operations: the p-variation distance between triples (the shared pair
-scan, every tile's cross norms a pure function of the tile) and the
+scan, every tile's cross norms a pure function of the tile, computed a
+matrix entry at a time on column arrays and summed in the order of
+np.linalg.norm, so bit for bit the per-pair norms) and the
 pushforward of the output through a smooth map (which sews the
 almost-multiplicative cross increments grad phi(y_s) cross(s,t)), one
 call of the map and one of its gradient over the whole grid.
@@ -25,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rough_paths import (_EPS, _grid_triples, _increment_norm, _inflate,
-                          _pair_sup, _require_finite, _tile_spreads)
+                          _pair_sup, _plane_norm, _require_finite,
+                          _tile_spreads)
 
 __all__ = [
     "SmoothMap",
@@ -97,8 +100,9 @@ class PartialRoughPath:
 
     def _cross_pairs(self):
         """cross(t_i, t_j) for broadcast arrays of grid indices, shape
-        broadcast(i, j) + (d, m), and the error bound E of every computed
-        value: |computed - exact| <= E in Frobenius norm.
+        broadcast(i, j) + (d, m); the error bound E of every computed
+        value: |computed - exact| <= E in Frobenius norm; and the same
+        values on a tile of the pair scan, as planes.
 
         The one extension of cross_inc to pairs.  With P_j the sum of
         cross_inc[k] + y_k (x) dx_k over k < j,
@@ -108,10 +112,17 @@ class PartialRoughPath:
         sum of their norms (the standard bound), which `total` below
         dominates; a few more roundings of the same size are covered by
         using n + 8.
+
+        The prefix sums are stored a column per matrix entry.
+        planes(i0, i1, j0, j1) yields, for start points i0..i1-1 and end
+        points j0..j1-1, one (rows, cols) plane per entry (a, c) in
+        row-major order, (P_ac(t) - P_ac(s)) - y_a(s) (x_c(t) - x_c(s)):
+        the operations of cross, so each value has cross's bits.
         """
-        n = self.n_points
+        n, d, m = self.n_points, self.d, self.m
         dx = np.diff(self.x, axis=0)
-        prefix = np.zeros((n, self.d, self.m))
+        columns = np.zeros((d * m, n))
+        prefix = columns.T.reshape(n, d, m)     # a view of the columns
         np.cumsum(self.cross_inc + self.y[:-1, :, None] * dx[:, None, :],
                   axis=0, out=prefix[1:])
         y, x = self.y, self.x
@@ -120,11 +131,19 @@ class PartialRoughPath:
             return (prefix[j] - prefix[i]
                     - y[i][..., :, None] * (x[j] - x[i])[..., None, :])
 
+        def planes(i0, i1, j0, j1):
+            def inc(col):
+                return col[j0:j1] - col[i0:i1, None]
+
+            dxc = [inc(col) for col in x.T]
+            for k, col in enumerate(columns):
+                yield inc(col) - y[i0:i1, k // m, None] * dxc[k % m]
+
         total = (np.sum(np.linalg.norm(
-            self.cross_inc.reshape(n - 1, self.d * self.m), axis=1))
+            self.cross_inc.reshape(n - 1, d * m), axis=1))
                  + 2.0 * np.max(np.linalg.norm(y, axis=1))
                  * np.sum(np.linalg.norm(dx, axis=1)))
-        return cross, (n + 8) * _EPS * total
+        return cross, (n + 8) * _EPS * total, planes
 
     def cross_between(self, i, j) -> np.ndarray:
         """cross(t_i, t_j), shape broadcast(i, j) + (d, m), for grid
@@ -148,35 +167,53 @@ class PartialRoughPath:
 
 def pvar_distance(a: PartialRoughPath, b: PartialRoughPath) -> float:
     """Scaled sup distance between two triples on one grid (equal time
-    arrays, else ValueError).
+    arrays, else ValueError; equal (d, m), else ValueError naming both).
 
     Max over grid pairs s < t of the x- and y-increment differences
     divided by (t - s)^(1/p) and the cross difference divided by
     (t - s)^(2/p), with a's p.  When a and b share their driver (equal x
     arrays), its difference is 0 on every pair and is not scanned.
+
+    Each tile of the pair scan computes on columns, one (n,) array per
+    vector or matrix entry: the columns of x and y (views) and of the
+    cross prefix sums (stored a contiguous column per entry, see
+    _cross_pairs).  An entry of a tile is then a (rows, cols) plane of
+    the differences at every pair, built by the per-pair operations of
+    cross_between and the increments, and each pair's norm sums the
+    squared planes in the order np.linalg.norm sums a vector's entries
+    (rough_paths._plane_norm): every per-pair value has the bits of
+    np.linalg.norm on that pair's vector, and numpy's inner loops run
+    along a row of the tile, not along the d m entries of one pair.
     """
     if not np.array_equal(a.times, b.times):
         raise ValueError("grids do not match: the time arrays differ")
     if a.m != b.m or a.d != b.d:
-        raise ValueError("dimensions do not match")
+        raise ValueError(f"dimensions do not match: (d, m) = ({a.d}, {a.m})"
+                         f" and ({b.d}, {b.m})")
     n = a.n_points
     shared = np.array_equal(a.x, b.x)
-    cross_a, error_a = a._cross_pairs()
-    cross_b, error_b = b._cross_pairs()
+    cross_a, error_a, planes_a = a._cross_pairs()
+    cross_b, error_b, planes_b = b._cross_pairs()
 
     def cross_norm(i, j):
         dc = cross_a(i, j) - cross_b(i, j)
         return np.linalg.norm(dc.reshape(dc.shape[:-2] + (-1,)), axis=-1)
 
     def norms(i0, i1, j0, j1):
-        def inc(v):
-            return v[None, j0:j1] - v[i0:i1, None]
+        def inc(col):
+            return col[j0:j1] - col[i0:i1, None]
 
-        ey = np.linalg.norm(inc(a.y) - inc(b.y), axis=2)
-        dc = cross_norm(np.arange(i0, i1)[:, None], np.arange(j0, j1))
+        def increments(ca, cb):
+            return _plane_norm((inc(u) - inc(v) for u, v in zip(ca, cb)),
+                               len(ca))
+
+        ey = increments(a.y.T, b.y.T)
+        dc = _plane_norm((u - v for u, v in zip(planes_a(i0, i1, j0, j1),
+                                                planes_b(i0, i1, j0, j1))),
+                         a.d * a.m)
         if shared:
             return ey, dc
-        return np.linalg.norm(inc(a.x) - inc(b.x), axis=2), ey, dc
+        return increments(a.x.T, b.x.T), ey, dc
 
     def difference(va, vb):
         return lambda i, j: np.linalg.norm((va[j] - va[i]) - (vb[j] - vb[i]),

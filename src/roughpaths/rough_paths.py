@@ -422,6 +422,44 @@ def _increment_norm(v: np.ndarray):
     return lambda i, j: np.linalg.norm(v[j] - v[i], axis=-1)
 
 
+def _plane_norm(planes, width: int) -> np.ndarray:
+    """Euclidean norm across `width` >= 1 equal-shape arrays drawn from
+    the iterable planes: bit for bit np.linalg.norm over the last axis of
+    their stack, without the stack.
+
+    np.linalg.norm squares each entry and sums with np.add.reduce, which
+    sums a contiguous axis pairwise: below 8 entries one after another;
+    up to 128 in eight running sums, of entries k, k + 8, ..., combined
+    as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
+    remainder one after another; beyond 128 as the sum of two halves
+    split at a multiple of 8.  The planes are summed in that order, one
+    array operation per entry, and drawn one at a time.
+    """
+    return np.sqrt(_sum_squares(iter(planes), width))
+
+
+def _sum_squares(planes, k: int) -> np.ndarray:
+    """The squares of the next k arrays of the iterator planes, summed in
+    np.add.reduce's order (see _plane_norm)."""
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        return _sum_squares(planes, half) + _sum_squares(planes, k - half)
+    squares = (v * v for v in planes)
+    if k < 8:
+        total = next(squares)
+        for _ in range(k - 1):
+            total += next(squares)
+        return total
+    r = [next(squares) for _ in range(8)]
+    for _ in range(k // 8 - 1):
+        for q in range(8):
+            r[q] += next(squares)
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for _ in range(k % 8):
+        total += next(squares)
+    return total
+
+
 def _triangle_bound(n: int, v: np.ndarray) -> np.ndarray:
     """Per tile, a bound on |v_t - v_s| over its pairs (triangle inequality
     through the inner corners)."""
@@ -552,12 +590,24 @@ def pvar_norm(rp: RoughPath, p: float) -> float:
         db = b[j] - b[i] - u[i][..., :, None] * du[..., None, :]
         return np.linalg.norm(db.reshape(db.shape[:-2] + (-1,)), axis=-1)
 
+    # the tiles compute on columns, one (n,) view per entry of u and of
+    # b, so numpy's inner loops run along a row of the tile: entry
+    # k = (a, c) of b(s,t) is a (rows, cols) plane
+    # (b_k(t) - b_k(s)) - u_a(s) du_c, the operations of level2, and
+    # _plane_norm sums the squared planes in np.linalg.norm's order (one
+    # after another below 8 entries, in eight running sums up to 128,
+    # in halves beyond), so each pair's norms keep their bits
+    m = rp.m
+    uc, bc = u.T, b.reshape(n, -1).T
+
     def norms(i0, i1, j0, j1):
-        du = u[None, j0:j1] - u[i0:i1, None]
-        db = (b[None, j0:j1] - b[i0:i1, None]
-              - u[i0:i1, None, :, None] * du[:, :, None, :])
-        return (np.linalg.norm(du, axis=2),
-                np.linalg.norm(db.reshape(db.shape[:2] + (-1,)), axis=2))
+        def inc(col):
+            return col[j0:j1] - col[i0:i1, None]
+
+        du = [inc(col) for col in uc]
+        db = (inc(bc[k]) - uc[k // m, i0:i1, None] * du[k % m]
+              for k in range(m * m))
+        return _plane_norm(du, m), _plane_norm(db, m * m)
 
     r1, a1, c1 = _tile_spreads(n, _increment_norm(u))
     r2, a2, c2 = _tile_spreads(n, level2)

@@ -50,10 +50,11 @@ def on_driver_of(a, b):
     return PartialRoughPath(a.times, a.x, a.x2_inc, b.y, b.cross_inc, a.p)
 
 
-@pytest.mark.parametrize("m", [1, 2])
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d, m", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1),
+                                  (3, 2), (3, 3), (9, 1), (2, 4)])
 def test_cross_measures_equal_row_oracles(d, m):
-    # random triples on non-uniform grids: equal, not close
+    # random triples on non-uniform grids: equal, not close; d m >= 8
+    # sums a pair's cross norm in numpy's eight running sums
     rng = np.random.default_rng(80 + 10 * d + m)
     for n in (2, 3, 17, 40):
         a = random_triple(rng, n, d, m)
@@ -126,6 +127,55 @@ def test_pair_scan_memory_is_capped(monkeypatch):
     monkeypatch.setattr(rough_paths, "_TILE_ROWS", 10**9)
     assert rough_paths._tile_side(32769) == 64
     assert value == pvar_norm(x, 2.3)
+
+
+def test_pvar_distance_memory_is_capped():
+    # 32,769 points, d = m = 2, unrelated drivers: every tile computes x,
+    # y and cross planes.  Tiles of (rows, cols, d, m) arrays peaked at
+    # 11.1 MB, the per-entry planes at 10.7 MB: they read x and y through
+    # column views and the cross prefix sums from columns that replace
+    # their row layout, so no copy of the triples is made
+    rng = np.random.default_rng(9)
+    a = random_triple(rng, 32769, 2, 2)
+    b = random_triple(rng, 32769, 2, 2, times=a.times)
+    tracemalloc.start()
+    try:
+        pvar_distance(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6
+
+
+def test_plane_norm_sums_in_numpys_order():
+    # the tiles' norms sum squared planes in the order np.linalg.norm
+    # sums a vector (np.add.reduce's pairwise order); a numpy that sums
+    # in another order fails here, not as bits shifted in every measure
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    edges = [1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257, 300]
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True,
+                  database=None)
+    @hyp.given(seed=st.integers(0, 2**32 - 1),
+               width=st.one_of(st.sampled_from(edges), st.integers(1, 300)),
+               kind=st.sampled_from(["row", "column", "tile"]),
+               side=st.integers(1, 64), low=st.integers(-150, 150),
+               span=st.sampled_from([0, 1, 16, 300]))
+    def equal(seed, width, kind, side, low, span):
+        # entries of one magnitude (span 0), where the order shows in
+        # the last bits, up to entries over 300 decades
+        rng = np.random.default_rng(seed)
+        shape = {"row": (1, side), "column": (side, 1),
+                 "tile": (64, 64)}[kind] + (width,)
+        exponent = rng.uniform(low, min(low + span, 150), size=shape)
+        stack = rng.normal(size=shape) * 10.0 ** exponent
+        stack[rng.uniform(size=shape) < 0.05] = 0.0
+        got = rough_paths._plane_norm(
+            (stack[..., k] for k in range(width)), width)
+        assert got.tobytes() == np.linalg.norm(stack, axis=-1).tobytes()
+
+    equal()
 
 
 def test_one_point_grid_has_no_pairs():
@@ -405,6 +455,13 @@ def test_pvar_distance_equals_blocked_scan_on_large_grids(tiles):
     d = random_triple(rng, 700, 2, 1, times=c.times)
     assert pvar_distance(c, d) == pvar_distance_blocked(c, d)
     assert skipped(tiles)
+    # a shared driver with d m = 9 entries of the cross integral: eight
+    # running sums and one more, and tiles skipped in this scan too
+    c = random_triple(rng, 1025, 3, 3)
+    d = on_driver_of(c, random_triple(rng, 1025, 3, 3, times=c.times))
+    before = dict(tiles)
+    assert pvar_distance(c, d) == pvar_distance_blocked(c, d)
+    assert skipped({k: tiles[k] - before[k] for k in tiles})
 
 
 def test_tied_maxima_equal_blocked_scan(tiles):

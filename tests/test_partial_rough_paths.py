@@ -182,6 +182,20 @@ def test_distance_rejects_grid_mismatch():
         pvar_distance(a, b)
 
 
+@pytest.mark.parametrize("d, m", [(3, 2), (2, 3), (1, 1)])
+def test_distance_rejects_dimension_mismatch(d, m):
+    # one grid, other shapes: the message names both triples' (d, m)
+    rng = np.random.default_rng(44)
+    a = random_prp(rng, n=8, d=2, m=2)
+    b = random_prp(rng, n=8, d=d, m=m)
+    for first, second in ((a, b), (b, a)):
+        with pytest.raises(ValueError) as raised:
+            pvar_distance(first, second)
+        assert str(raised.value) == (
+            f"dimensions do not match: (d, m) = ({first.d}, {first.m}) "
+            f"and ({second.d}, {second.m})")
+
+
 def test_distance_rejects_times_that_differ_within_allclose():
     # times off by a relative 5e-6, inside np.allclose's rtol of 1e-5:
     # the same values on another grid are not at distance 0
