@@ -120,6 +120,10 @@ def _merged(command: str, user: dict) -> dict:
 
     A field of another `name` or a driver of another `kind` replaces the
     default object instead of updating it: its parameters are its own.
+    Values are checked where the commands read them; among those checks,
+    convergence's `meshes` with fewer than two entries (no order to
+    estimate), decompose's `max_csv_rows` below 1 and a lift `input`
+    that is not a path string are config errors (exit 2).
     """
     if not isinstance(user, dict):
         raise ConfigError("config must be a JSON object")
@@ -359,13 +363,17 @@ def cmd_changevar_check(cfg: dict, out: str, seed: int) -> list:
 
 
 def cmd_decompose(cfg: dict, out: str, seed: int) -> list:
+    rows = cfg["max_csv_rows"]
+    if isinstance(rows, bool) or not isinstance(rows, int) or rows < 1:
+        raise ConfigError(f"max_csv_rows must be a positive integer, "
+                          f"got {rows!r}")
     x = driver_from_config(cfg["driver"], seed)
     kind = cfg["driver"]["kind"]
     geo, drift = decompose(x)
     gd_x = geometricity_defect(x)
     gd_geo = geometricity_defect(geo)
     n, m, T = x.n_points, x.m, x.T
-    stride = max(1, n // int(cfg["max_csv_rows"]))
+    stride = max(1, n // rows)
     _write_csv(os.path.join(out, "beta.csv"),
                ["t"] + [f"beta_{i+1}{j+1}" for i in range(m) for j in range(m)],
                np.column_stack([drift.times,
@@ -434,6 +442,9 @@ def cmd_convergence(cfg: dict, out: str, seed: int) -> list:
     T = float(cfg["T"])
     field, a, x, exact = _convergence_problem(name, T)
     meshes = [_check_mesh(v) for v in cfg["meshes"]]
+    if len(meshes) < 2:
+        raise ConfigError(f"meshes needs at least two meshes to estimate an "
+                          f"order, got {len(meshes)}")
     errs = []
     for mesh in meshes:
         sol = solve_rde(x, field, a, T, _solver_config(cfg, mesh=mesh))
@@ -463,8 +474,9 @@ def cmd_convergence(cfg: dict, out: str, seed: int) -> list:
 
 
 def cmd_lift(cfg: dict, out: str, seed: int) -> list:
-    if not cfg.get("input"):
-        raise ConfigError("lift needs 'input': a polyline CSV path")
+    if not isinstance(cfg["input"], str) or not cfg["input"]:
+        raise ConfigError(f"lift needs 'input': a polyline CSV path, got "
+                          f"{cfg['input']!r}")
     times, pts = read_polyline_csv(cfg["input"])
     rp = lift_piecewise_linear(pts, times)
     dest = os.path.join(out, cfg["output"])

@@ -9,20 +9,27 @@ which is exactly the first-order-plus-area expansion whose sewn limit
 defines the solution; on smooth drivers it reduces to a second-order
 Taylor scheme.  One step map serves the mesh loop and the bisection
 that locates where |y| first crosses r_max (the operational stand-in for
-blow-up).  The step runs on Python floats, fed by one call of the
-field's jet per step (a field is its jet: VectorField.jet) and summed
+blow-up).  The step runs on Python floats, fed by the field's jet
+once per step (a field is its jet: VectorField.jet) and summed
 left to right: at these sizes numpy's per-call overhead would be the
 cost, and no bit of the step depends on a BLAS kernel.  Each solve
-generates the step as straight-line Python for its d, m and route and
-compiles it, so no interpreted loop walks index pairs per step; every
-sum starts from 0.0, which keeps the loop's sign of zero (0.0 + -0.0 is
-+0.0).  In the traced `explosion` benchmark run (2-vCPU Xeon, Python
-3.11.7) this took the corrected step from 2.9 to 1.8-2.0 us; generating
-and compiling costs about 0.2 ms per solve at d = 2.  A solution is
-its partial rough path (x, y, int dy (x) dx): the cross integral against
-the driver is stored per interval, f(y_i) paired with the driver's
-level 2.  The module also carries the partition rule and a-priori sup
-bound for bounded fields.
+generates, as straight-line Python for its d, m and route, the step and
+the loop that runs it over a block of mesh rows with the state in
+locals, both from the same lines, and compiles them, so no interpreted
+loop runs per step; every sum starts from 0.0, which keeps the loop's
+sign of zero (0.0 + -0.0 is +0.0).  While a field's jet is the function
+compiled from its source lines (the counterexample and zero fields'),
+the loop runs those lines in place of the call.  In the traced
+`explosion` benchmark run (seed 3, 2-vCPU Xeon, Python 3.11.7) a
+corrected step took 0.81 us, against 1.34 us with the step called from
+an interpreted loop; generating and compiling the step and the loop
+costs 0.4-0.6 ms per solve at d = 2 (0.2 ms for the step alone) and
+1.9 ms at d = m = 3 on the unfused route.
+
+A solution is its partial rough path (x, y, int dy (x) dx): the cross
+integral against the driver is stored per interval, f(y_i) paired with
+the driver's level 2.  The module also carries the partition rule and
+a-priori sup bound for bounded fields.
 
 A corrected variant integrates against a decomposed driver: the rough
 step uses the geometric part while a Young term h2(y) dbeta adds the
@@ -159,9 +166,10 @@ def _separate_h2(f: VectorField, young: tuple | None):
     return None if getattr(h2, "source", None) is f else h2
 
 
-def _davie_step(x: RoughPath, f: VectorField, young: tuple | None):
-    """The Davie step map on Python floats and the per-interval inputs it
-    takes on a mesh.
+def _davie_step(x: RoughPath, f: VectorField, young: tuple | None,
+                proj=None):
+    """The Davie step map on Python floats, the solve loop around it and
+    the per-interval inputs they take on a mesh.
 
     increments(mesh) returns the driver's level 1 at the mesh times, its
     level-2 increments and one row of step inputs per interval,
@@ -178,12 +186,22 @@ def _davie_step(x: RoughPath, f: VectorField, young: tuple | None):
 
     each sum taken left to right from 0.0 in the order written, so that
     no bit depends on a BLAS kernel; the b term is contracted without
-    assembling the derived field.  step is straight-line code, generated
-    for f's d and m and the route (plain, fused or unfused) and compiled
-    once per solve: each sum is written out as `0.0 + t0 + t1 + ...`
+    assembling the derived field.  loop(y, rows, n2_max, ys, fs) steps
+    the state y over rows, the step inputs of consecutive intervals as one
+    flat list, appending f(y) to fs and each state it accepts, after proj
+    if given, to ys; it returns the last state accepted (as a list) and
+    the last step's squared norm, at the end of the rows or at the first
+    step whose squared norm fails n2 <= n2_max.
+
+    Both are straight-line code, generated for f's d and m and the route
+    (plain, fused or unfused) from the same lines and compiled once per
+    solve: each sum is written out as `0.0 + t0 + t1 + ...`
     (vector_fields._sum_lines), which rounds as the loop `s = 0.0;
     s += t0; ...` does.  The leading 0.0 is not redundant: it makes a
-    sum of -0.0 terms +0.0, as that loop does.
+    sum of -0.0 terms +0.0, as that loop does.  While f.jet is the
+    function compiled from source lines (jet.lines, as the counterexample
+    and zero fields' are), those lines stand in for the call, and the
+    state lives in locals y0..y{d-1}.
     """
     d, m = f.d, f.m
     h2 = _separate_h2(f, young)
@@ -200,34 +218,60 @@ def _davie_step(x: RoughPath, f: VectorField, young: tuple | None):
             cols.append(dbeta.reshape(len(u), mm))
         return level1, x2, np.concatenate(cols, axis=1)
 
-    # P_jc pairs b^T (r[m:m + mm]) with f; row a pairs f with u (r[:m]),
-    # grad f with P and h2 with dbeta (r[m + mm:])
-    body = ["F, G = f_jet(y)"]
+    # Y: the state's entries, y_list: the state as a list, F and G: the
+    # templates of f's and grad f's entries, F_all: f as a sequence
+    lines = getattr(f.jet, "lines", None)
+    if lines is None:
+        Y, y_list = [f"y[{a}]" for a in range(d)], "y"
+        F, G, F_all = "F[{}]", "G[{}]", "F"
+        head, unpack_y = ["F, G = f_jet(y)"], []
+    else:
+        Y = [f"y{a}" for a in range(d)]
+        y_list = "[" + ", ".join(Y) + "]"
+        F, G = "F{}", "G{}"
+        F_all = "(" + ", ".join(F.format(k) for k in range(md)) + ",)"
+        head, unpack_y = list(lines), [", ".join(Y) + ", = y"]
+    R = [f"r{k}" for k in range(m + mm + (0 if h2 is None else mm))]
+    # P_jc pairs b^T (R[m:m + mm]) with f; row a pairs f with u (R[:m]),
+    # grad f with P and h2 with dbeta (R[m + mm:])
+    body = []
     for j in range(m):
         for c in range(d):
-            body += _sum_lines(f"P{j}_{c}",
-                               [f"r[{m + j * m + i}] * F[{c * m + i}]"
-                                for i in range(m)])
+            body += _sum_lines(f"P{j}_{c}", [f"{R[m + j * m + i]} * "
+                                             f"{F.format(c * m + i)}"
+                                             for i in range(m)])
     if h2 is not None:
-        body.append("H = h2_jet(y)")
+        body.append(f"H = h2_jet({y_list})")
     for a in range(d):
-        body += _sum_lines("s", [f"F[{a * m + i}] * r[{i}]" for i in range(m)])
-        body += _sum_lines("t", [f"G[{a * md + j * d + c}] * P{j}_{c}"
+        body += _sum_lines("s", [f"{F.format(a * m + i)} * {R[i]}"
+                                 for i in range(m)])
+        body += _sum_lines("t", [f"{G.format(a * md + j * d + c)} * P{j}_{c}"
                                  for j in range(m) for c in range(d)])
         body.append("s = s + t")
         if h2 is not None:
-            body += _sum_lines("t", [f"H[{a * mm + k}] * r[{m + mm + k}]"
+            body += _sum_lines("t", [f"H[{a * mm + k}] * {R[m + mm + k]}"
                                      for k in range(mm)])
             body.append("s = s + t")
-        body.append(f"v{a} = y[{a}] + s")
+        body.append(f"v{a} = {Y[a]} + s")
     body += _sum_lines("n2", [f"v{a} * v{a}" for a in range(d)])
-    body.append("return [" + ", ".join(f"v{a}" for a in range(d))
-                + "], F, n2")
+    V = "[" + ", ".join(f"v{a}" for a in range(d)) + "]"
+    accept = [f"y = {V}" if proj is None else f"y = proj({V})", "ys += y",
+              *unpack_y]
     route = "plain" if young is None else "fused" if h2 is None else "unfused"
-    step = _compiled("step", "y, r", body,
-                     f"<davie step d={d} m={m} {route}>", f_jet=f.jet,
-                     h2_jet=None if h2 is None else h2.jet)
-    return increments, step
+    env = dict(getattr(f.jet, "env", {}), f_jet=f.jet, proj=proj,
+               h2_jet=None if h2 is None else h2.jet)
+    step = _compiled("step", "y, r", [*unpack_y, *head, ", ".join(R)
+                                      + ", = r", *body,
+                                      f"return {V}, {F_all}, n2"],
+                     f"<davie step d={d} m={m} {route}>", **env)
+    loop = _compiled("loop", "y, rows, n2_max, ys, fs", [
+        *unpack_y, "it = iter(rows)",
+        f"for {', '.join(R)}, in zip({', '.join(['it'] * len(R))}):",
+        *(f"    {s}" for s in [*head, *body, f"fs += {F_all}",
+                               "if not n2 <= n2_max:",
+                               f"    return {y_list}, n2", *accept]),
+        f"return {y_list}, n2"], f"<davie loop d={d} m={m} {route}>", **env)
+    return increments, step, loop
 
 
 def _entry_checks(x: RoughPath, f: VectorField, a, T: float,
@@ -298,10 +342,12 @@ def _solution(x: RoughPath, times, traj, fes, level1, x2_all,
     return RDESolution(times, level1, x2_all, traj, cross_inc, cfg.p, blow)
 
 
-# steps whose inputs are read, and whose states and field values are
-# written, as one block of Python floats: the per-block numpy calls cost
-# nothing measurable at this size, and the block's float objects add no
-# measurable peak memory (blocks of 1024 added 0.25 MB to explosion-demo)
+# steps the generated loop takes per call: their inputs are read, and
+# their states and field values written, as one block of Python floats.
+# The per-block numpy calls and the call itself cost nothing measurable
+# at this size (on explosion-demo's fine solve, blocks of 64 to 512 took
+# the same time within the run-to-run noise and blocks of 4096 were
+# slower), and the block's float objects add no measurable peak memory
 _BLOCK = 256
 
 
@@ -310,23 +356,22 @@ def _davie_loop(x: RoughPath, f: VectorField, a, T: float,
     """The stepping loop of one trajectory; young = (h2, beta) adds the
     drift term.
 
-    The state is stepped as Python floats; states and field values are
-    written into the preallocated trajectory arrays a block at a time.
-    A step whose state leaves the ball of radius r_max is bisected for
-    the crossing time (_crossing); one whose squared norm is not a
-    finite float raises FieldEvaluationError with the state it stepped
-    from, whatever r_max is.
+    The generated loop steps the state as Python floats a block of rows
+    at a time; states and field values are written into the preallocated
+    trajectory arrays per block.  A step whose state leaves the ball of
+    radius r_max is bisected for the crossing time (_crossing); one whose
+    squared norm is not a finite float raises FieldEvaluationError with
+    the state it stepped from, whatever r_max is.
     """
     d, m = f.d, f.m
     y0, mesh = _entry_checks(x, f, a, T, cfg, young)
     K = len(mesh) - 1
-    increments, step = _davie_step(x, f, young)
+    increments, step, loop = _davie_step(x, f, young, cfg.state_projection)
     level1, x2_all, rows = increments(mesh)
     traj = np.empty((K + 1, d))
     traj[0] = y0
     fes = np.empty((K, d, m))
     traj_flat, fes_flat = traj.reshape(-1), fes.reshape(-1)
-    proj = cfg.state_projection
     # clamped, so that an infinite r_max still stops a non-finite state
     r2 = min(cfg.r_max * cfg.r_max, sys.float_info.max)
     y = y0.tolist()
@@ -334,22 +379,16 @@ def _davie_loop(x: RoughPath, f: VectorField, a, T: float,
     last = K
     for lo in range(0, K, _BLOCK):
         ys, fs = [], []
-        for i, r in enumerate(rows[lo:lo + _BLOCK].tolist(), lo):
-            y_new, F, n2 = step(y, r)
-            fs.extend(F)
-            if not (n2 <= r2):
-                if not math.isfinite(n2):
-                    raise FieldEvaluationError(mesh[i], y)
-                blow, y_cross = _crossing(increments, step, y, mesh[i],
-                                          mesh[i + 1], cfg.r_max)
-                ys.extend(y_cross)
-                last = i + 1
-                mesh = np.concatenate([mesh[:i + 1], [blow.crossing_time]])
-                break
-            if proj is not None:
-                y_new = proj(y_new)
-            ys.extend(y_new)
-            y = y_new
+        y, n2 = loop(y, rows[lo:lo + _BLOCK].ravel().tolist(), r2, ys, fs)
+        if not (n2 <= r2):
+            i = lo + len(ys) // d
+            if not math.isfinite(n2):
+                raise FieldEvaluationError(mesh[i], y)
+            blow, y_cross = _crossing(increments, step, y, mesh[i],
+                                      mesh[i + 1], cfg.r_max)
+            ys.extend(y_cross)
+            last = i + 1
+            mesh = np.concatenate([mesh[:i + 1], [blow.crossing_time]])
         traj_flat[(lo + 1) * d:(lo + 1) * d + len(ys)] = ys
         fes_flat[lo * d * m:lo * d * m + len(fs)] = fs
         if blow is not None:

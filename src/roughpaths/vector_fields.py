@@ -16,6 +16,13 @@ solver step:
 
 Gradients are always analytic; finite differences are kept as a
 validation oracle only and never substituted into a solver.
+
+The builtins whose jet is fixed float code, counterexample_field and
+zero_field, write it once, as source lines that set F0.., G0.. from
+y0..y{d-1}; their jet is compiled from those lines when the field is
+made, and the Davie solve loop runs the same lines in place of the call
+while the field's jet is that function.  linear_field and tanh_field
+close over numpy arrays and stay callables.
 """
 
 from __future__ import annotations
@@ -139,6 +146,24 @@ def _compiled(name: str, args: str, body: list[str], filename: str, **env):
     return env[name]
 
 
+def _jet_of_lines(d: int, m: int, lines: list[str], name: str, **env):
+    """The jet compiled from source lines that set F0..F{d*m-1} and
+    G0..G{d*m*d-1}, f and grad f flat row-major, from the state's entries
+    y0..y{d-1}, with env as its globals.  The jet keeps its lines and env
+    (jet.lines, jet.env), so that a solve loop can run them in place of
+    the call; any other local they set is named after neither F, G, y
+    nor a name of the Davie step's own lines."""
+    def names(v, n):
+        return ", ".join(f"{v}{k}" for k in range(n)) + ","
+
+    jet = _compiled("jet", "y", [f"{names('y', d)} = y", *lines,
+                                 f"return ({names('F', d * m)}), "
+                                 f"({names('G', d * m * d)})"],
+                    f"<{name} jet d={d} m={m}>", **env)
+    jet.lines, jet.env = lines, env
+    return jet
+
+
 def f_dot_grad_f(vf: VectorField) -> SecondOrderField:
     """The derived field contracting f into grad f.
 
@@ -209,13 +234,11 @@ def counterexample_field() -> VectorField:
     is quadratic, which is what drives the finite-time explosion under a
     pure-area driver.
     """
-
-    def _jet(y):
-        y0, y1 = y
-        s = math.sin(y1)
-        return (s * y0, y0), (s, y0 * math.cos(y1), 1.0, 0.0)
-
-    return VectorField(2, 1, _jet, gamma=1.0, name="counterexample")
+    lines = ["sin_y1 = sin(y1)", "F0 = sin_y1 * y0", "F1 = y0",
+             "G0 = sin_y1", "G1 = y0 * cos(y1)", "G2 = 1.0", "G3 = 0.0"]
+    return VectorField(2, 1, _jet_of_lines(2, 1, lines, "counterexample",
+                                           sin=math.sin, cos=math.cos),
+                       gamma=1.0, name="counterexample")
 
 
 def tanh_field(d: int = 2, m: int = 1, scale: float = 1.0,
@@ -238,13 +261,12 @@ def tanh_field(d: int = 2, m: int = 1, scale: float = 1.0,
 
 
 def zero_field(d: int = 1, m: int = 1) -> VectorField:
-    zeros = (0.0,) * (d * m), (0.0,) * (d * m * d)
-
-    def _jet(y):
-        return zeros
-
-    return VectorField(d, m, _jet, gamma=1.0, bounds=FieldBounds(0.0, 0.0),
-                       name="zero")
+    if d < 1 or m < 1:
+        raise ValueError(f"zero_field needs d, m >= 1, got d={d}, m={m}")
+    lines = [f"{v}{k} = 0.0" for v, n in (("F", d * m), ("G", d * m * d))
+             for k in range(n)]
+    return VectorField(d, m, _jet_of_lines(d, m, lines, "zero"), gamma=1.0,
+                       bounds=FieldBounds(0.0, 0.0), name="zero")
 
 
 _FIELDS = {"linear": linear_field, "counterexample": counterexample_field,

@@ -211,6 +211,34 @@ def test_bad_config_exits_two(tmp_path, capsys):
     assert run(tmp_path, "lift", {}) == 2
 
 
+@pytest.mark.parametrize("rows", [0, -1, 2.5, True])
+def test_decompose_rejects_max_csv_rows_below_one(tmp_path, capsys, rows):
+    # 0 used to divide by zero, and -1 wrote every row and passed
+    driver = {"kind": "brownian-ito", "steps": 64, "m": 2, "T": 1.0}
+    assert run(tmp_path, "decompose",
+               {"driver": driver, "max_csv_rows": rows}) == 2
+    err = capsys.readouterr().err
+    assert "max_csv_rows" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "beta.csv").exists()
+
+
+@pytest.mark.parametrize("value", [5, 0, ["poly.csv"], ""])
+def test_lift_rejects_an_input_that_is_not_a_path(tmp_path, capsys, value):
+    # an int used to reach open() as a file descriptor
+    assert run(tmp_path, "lift", {"input": value}) == 2
+    err = capsys.readouterr().err
+    assert "'input'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("meshes", [[], [64]])
+def test_convergence_rejects_fewer_than_two_meshes(tmp_path, capsys, meshes):
+    # [] used to print `median order : nan` and exit 1
+    assert run(tmp_path, "convergence", {"meshes": meshes}) == 2
+    err = capsys.readouterr().err
+    assert "meshes" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "convergence.csv").exists()
+
+
 @pytest.mark.parametrize("command, config", [
     ("convergence", {"meshes": [64, 128.5]}),   # not truncated to 128
     ("convergence", {"meshes": [64, 128.0]}),
@@ -229,6 +257,7 @@ def test_non_integer_mesh_exits_two(tmp_path, capsys, command, config):
     {"a": [1, 2]},                  # state shape does not match the field
     {"T": 2.0},                     # horizon past the driver's range
     {"field": {"name": "tanh"}},    # d = 2 field against a 1-d state
+    {"field": {"name": "zero", "d": 0}},   # its jet has no lines to run
     {"solver": {"r_max": float("nan")}},   # written as NaN, which JSON reads
     {"T": float("nan")},            # rejected before the first step
     {"T": 0.0},

@@ -252,7 +252,9 @@ def max_grad_on_circle(h, d, rho, rng, n=200):
 
 
 def test_chart_field_of_a_bounded_gradient_has_a_bounded_gradient():
-    # result 1's class: for f(y) = A y, h = N (A theta - A b e^-rho), so
+    # f(y) = A y has a bounded gradient, which result 1 does not ask for
+    # (its class is linear growth, with no gradient bound), and so does
+    # its chart field: h = N (A theta - A b e^-rho), so
     # |grad h| <= C |A| (1 + |b| e^-rho) for every rho >= 0.  Measured
     # before this test on 400 draws like these (d = 1-3, m = 1-2, |A| up
     # to 2 per entry, |b| up to 4 per entry, 200 theta per rho): C <= 1.65.
@@ -279,7 +281,8 @@ def test_chart_field_of_a_bounded_gradient_has_a_bounded_gradient():
 
 
 def test_counterexample_chart_field_gradient_grows_like_the_radius():
-    # outside result 1's class: grad f grows like |z| (d f_1 / d xi_2 =
+    # in result 1's class (linear growth, no gradient bound) but without a
+    # bounded gradient: grad f grows like |z| (d f_1 / d xi_2 =
     # xi_1 cos xi_2), and max|grad h| grows about tenfold per decade of
     # |z| = e^rho, while max|h| stays between 1.2 and 1.5.  Pinned as
     # measured with b = (2, 0)

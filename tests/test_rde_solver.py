@@ -151,7 +151,7 @@ def test_crossing_state_is_one_loop_step():
         sol = (solve_rde(x, vf, a, 1.5, cfg) if young is None else
                solve_rde_corrected(x, young[1], vf, young[0], a, 1.5, cfg))
         assert sol.blowup is not None, name
-        increments, step = rde_solver._davie_step(x, vf, young)
+        increments, step, _ = rde_solver._davie_step(x, vf, young)
         _, x2, rows = increments(sol.times[-2:])
         y, fe, _ = step(sol.y[-2].tolist(), rows[0].tolist())
         assert np.array_equal(y, sol.y[-1]), name

@@ -28,7 +28,7 @@ from roughpaths.rough_paths import (AreaDrift, decompose,
                                     lift_piecewise_linear, pure_area_path)
 from roughpaths.vector_fields import (SecondOrderField, VectorField,
                                       counterexample_field, f_dot_grad_f,
-                                      linear_field, tanh_field)
+                                      linear_field, tanh_field, zero_field)
 
 from oracles import (counterexample_eval_lists, counterexample_grad_lists,
                      davie_solve_floats, davie_solve_matmul, field_of_arrays,
@@ -202,11 +202,162 @@ def test_each_route_calls_the_field_jet_once_per_step(route):
     assert calls[0] == a.tolist()
 
 
+def loop_fields(kind, d, m, rng):
+    """(field, oracle field) of a kind: builtins whose jet is compiled
+    from source lines the generated loop inlines, and bare callables it
+    calls once a step (linear_field's jet is a closure)."""
+    if kind == "counterexample":
+        return counterexample_field(), lists_field()
+    if kind == "zero":
+        return zero_field(d, m), field_of_arrays(
+            d, m, lambda y: np.zeros((d, m)), lambda y: np.zeros((d, m, d)))
+    if kind == "bare counterexample":
+        jet = counterexample_field().jet
+        return VectorField(2, 1, lambda y: jet(y)), lists_field()
+    lin = linear_field(rng.normal(0.0, 0.7, size=(d, m, d)))
+    return lin, lin
+
+
+def halve_tail(w):
+    """A state projection that never lengthens the state.  The ball test
+    comes before the projection, so one that lengthens an accepted state
+    past r_max (as the sphere projection can, when |q| < 1) has the
+    crossing bisection end at the start of the step, and the solve
+    raises ValueError on its repeated time."""
+    return [w[0], *(0.5 * v for v in w[1:])]
+
+
+def float_norm(v):
+    n2 = 0.0
+    for w in np.asarray(v, dtype=float).tolist():
+        n2 += w * w
+    return math.sqrt(n2)
+
+
+@pytest.mark.parametrize("route", ["plain", "fused", "unfused", "projected"])
+@pytest.mark.parametrize("kind", ["counterexample", "zero",
+                                  "bare counterexample", "bare linear"])
+def test_generated_loop_equals_the_float_oracle(route, kind):
+    # for inlined builtins and bare callables alike: the solve at
+    # r_max = inf, then one at an r_max its states cross, each == to the
+    # oracle, crossing record and FieldEvaluationError state included;
+    # the pure-area driver takes the counterexample field past the
+    # largest float within the solve, and a start of 1e155 overflows
+    # |y|^2 at once
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    K = 64
+    seen = set()
+
+    def solve(f, so, x, beta, a, T, r_max):
+        cfg = SolverConfig(base_mesh=K, r_max=r_max, state_projection=(
+            halve_tail if route == "projected" else None))
+        if route in ("plain", "projected"):
+            return solve_rde(x, f, a, T, cfg)
+        return solve_rde_corrected(x, beta, f, so, a, T, cfg)
+
+    def oracle(f_ref, so_ref, x, beta, a, mesh, r_max):
+        young = None if route in ("plain", "projected") else (so_ref, beta)
+        return davie_solve_floats(x, f_ref, a, mesh, young, r_max, (
+            halve_tail if route == "projected" else None))
+
+    @hyp.settings(max_examples=24, deadline=None, derandomize=True,
+                  database=None)
+    @hyp.given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 3),
+               m=st.integers(1, 2), pure_area=st.booleans(),
+               scale=st.sampled_from([1.0, 1e155]))
+    def agree(seed, d, m, pure_area, scale):
+        rng = np.random.default_rng(seed)
+        f, f_ref = loop_fields(kind, d, m, rng)
+        assert hasattr(f.jet, "lines") == (kind in ("counterexample",
+                                                    "zero"))
+        so, so_ref = f_dot_grad_f(f), f_dot_grad_f(f_ref)
+        if route == "unfused":
+            so, so_ref = SecondOrderField(f.d, f.m, so.jet), f_ref
+        if pure_area and f.m == 1:
+            T = 2.0
+            x = pure_area_path(T)
+            x_hat, beta = decompose(x)
+            x = x if route in ("plain", "projected") else x_hat
+            a = np.array([rng.uniform(1.0, 2.0), *[0.0] * (f.d - 1)])
+        else:
+            T = 1.0
+            x = random_polyline(rng, f.m)
+            beta = random_drift(rng, x.times, f.m)
+            a = rng.normal(0.0, 1.0, size=f.d)
+        a = scale * a
+        mesh = np.linspace(0.0, T, K + 1)
+        r_max = math.inf
+        for _ in range(2):
+            try:
+                sol = solve(f, so, x, beta, a, T, r_max)
+            except FieldEvaluationError as err:
+                k = int(np.flatnonzero(mesh == err.t)[0])
+                y = a[None] if k == 0 else oracle(
+                    f_ref, so_ref, x, beta, a, mesh[:k + 1], r_max)[0]
+                assert bits(err.y) == bits(y[-1])
+                with pytest.raises(AssertionError):   # its n2 check
+                    oracle(f_ref, so_ref, x, beta, a, mesh[:k + 2], r_max)
+                seen.add("non-finite" if k else "non-finite at once")
+            else:
+                ref = oracle(f_ref, so_ref, x, beta, a, mesh, r_max)
+                assert_same(sol, ref, seed)
+                if sol.blowup is not None:
+                    assert sol.blowup.threshold == r_max
+                    assert (sol.blowup.last_value_norm
+                            == float_norm(ref[0][-1]))
+                    seen.add("crossing")
+                y = ref[0]
+            sup = max(float_norm(v) for v in y)
+            if not sup > float_norm(a):
+                break
+            r_max = 0.5 * (float_norm(a) + sup)
+
+    agree()
+    assert "non-finite at once" in seen
+    if kind != "zero":
+        assert "crossing" in seen
+    if "counterexample" in kind:
+        assert "non-finite" in seen
+
+
+@pytest.mark.parametrize("route", ["plain", "fused", "unfused"])
+@pytest.mark.parametrize("builtin", [counterexample_field,
+                                     lambda: zero_field(2, 2)])
+def test_a_replaced_builtin_jet_is_called_once_per_step(route, builtin):
+    # the loop inlines a builtin's source lines only while its jet is
+    # the function compiled from them: a jet put in its place runs, one
+    # entry check and then once per step, never a stale inlined copy
+    rng = np.random.default_rng(809)
+    f = builtin()
+    jet, calls = f.jet, []
+
+    def counting_jet(y):
+        calls.append(y)
+        return jet(y)
+
+    f.jet = counting_jet
+    x = random_polyline(rng, f.m)
+    a = rng.normal(0.0, 1.0, size=f.d)
+    cfg = SolverConfig(base_mesh=K)
+    if route == "plain":
+        sol = solve_rde(x, f, a, 1.0, cfg)
+    else:
+        so = f_dot_grad_f(f)
+        h2 = so if route == "fused" else SecondOrderField(f.d, f.m, so.jet)
+        sol = solve_rde_corrected(x, random_drift(rng, x.times, f.m), f, h2,
+                                  a, 1.0, cfg)
+    assert sol.blowup is None
+    # the unfused h2 is f's derived field, whose jet calls f's once more
+    # per call of its own
+    assert len(calls) == (K + 1) * (2 if route == "unfused" else 1)
+
+
 @pytest.mark.parametrize("route", ["plain", "fused", "unfused"])
 def test_a_traceback_through_generated_code_shows_its_lines(route):
     # the jet passes the entry check at y = 0 and fails once the state
-    # passes 0.5, inside the generated step (and, on the unfused route,
-    # also inside the generated f . grad f jet when called alone)
+    # passes 0.5, inside the generated solve loop (and, on the unfused
+    # route, also inside the generated f . grad f jet when called alone)
     def jet(y):
         if y[0] > 0.5:
             raise ArithmeticError("the jet failed")
@@ -225,7 +376,7 @@ def test_a_traceback_through_generated_code_shows_its_lines(route):
             h2 = so if route == "fused" else SecondOrderField(1, 1, so.jet)
             solve_rde_corrected(x, beta, f, h2, a, 1.0, cfg)
     text = "".join(traceback.format_exception(info.value))
-    assert f'File "<davie step d=1 m=1 {route}>", line 2, in step' in text
+    assert f'File "<davie loop d=1 m=1 {route}>", line 4, in loop' in text
     assert "    F, G = f_jet(y)\n" in text
     with pytest.raises(ArithmeticError) as info:
         so.jet([1.0])
