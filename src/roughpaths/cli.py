@@ -122,8 +122,9 @@ def _merged(command: str, user: dict) -> dict:
     default object instead of updating it: its parameters are its own.
     Values are checked where the commands read them; among those checks,
     convergence's `meshes` with fewer than two entries (no order to
-    estimate), decompose's `max_csv_rows` below 1 and a lift `input`
-    that is not a path string are config errors (exit 2).
+    estimate), decompose's `max_csv_rows` below 1, a lift `input` that
+    is not a path string and a bad number key (_number) are config
+    errors (exit 2).
     """
     if not isinstance(user, dict):
         raise ConfigError("config must be a JSON object")
@@ -157,11 +158,27 @@ def _check_mesh(n) -> int:
     return n
 
 
+def _number(cfg: dict, key: str) -> float:
+    """The one reader of the number keys: cfg[key] as a float ("solver.x"
+    reads cfg["solver"]["x"]).  A value that is not a JSON number (a
+    string, a bool), or a tolerance (*tol) not >= 0, is a ConfigError
+    naming the key."""
+    value = cfg
+    for part in key.split("."):
+        value = value[part]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    if key.endswith("tol") and not value >= 0:
+        raise ConfigError(f"{key} is a tolerance and must be >= 0, "
+                          f"got {value!r}")
+    return float(value)
+
+
 def _solver_config(cfg: dict, mesh: int | None = None, **extra) -> SolverConfig:
     return SolverConfig(
         base_mesh=mesh if mesh is not None else _check_mesh(cfg["mesh"]),
-        r_max=float(cfg["solver"]["r_max"]),
-        p=float(cfg["p"]),
+        r_max=_number(cfg, "solver.r_max"),
+        p=_number(cfg, "p"),
         **extra,
     )
 
@@ -251,13 +268,14 @@ def _report(rows, out_dir) -> bool:
 
 
 def cmd_explosion_demo(cfg: dict, out: str, seed: int) -> list:
-    a1 = float(cfg["a1"])
+    a1 = _number(cfg, "a1")
     if a1 <= 0:
         raise ConfigError("a1 must be positive")
+    traj_tol, time_tol = _number(cfg, "traj_tol"), _number(cfg, "time_tol")
     t_star = 1.0 / a1
     field = make_field("counterexample")
     h2 = f_dot_grad_f(field)
-    horizon = t_star * float(cfg["horizon_factor"])
+    horizon = t_star * _number(cfg, "horizon_factor")
     geo, drift = decompose(pure_area_path(horizon))
     a = np.array([a1, 0.0])
 
@@ -289,12 +307,11 @@ def cmd_explosion_demo(cfg: dict, out: str, seed: int) -> list:
         f"explosion-demo  a1={a1:g}  threshold={coarse.r_max:g}",
         Check("crossing time estimate",
               "none" if crossing is None else f"{crossing:.6f}",
-              f"target {t_star:g} +/- {cfg['time_tol']:g}",
-              crossing is not None
-              and abs(crossing - t_star) <= cfg["time_tol"]),
+              f"target {t_star:g} +/- {time_tol:g}",
+              crossing is not None and abs(crossing - t_star) <= time_tol),
         Check("sup |y2|", f"{y2_sup:.3e}", "<= 1e-10", y2_sup <= 1e-10),
         Check("rel traj error t<=0.9t*", f"{rel:.3e}",
-              f"<= {cfg['traj_tol']:g}", rel <= float(cfg["traj_tol"])),
+              f"<= {traj_tol:g}", rel <= traj_tol),
     ]
 
 
@@ -303,7 +320,7 @@ def cmd_growth_demo(cfg: dict, out: str, seed: int) -> list:
     x = driver_from_config(cfg["driver"], seed)
     scfg = _solver_config(cfg)
     rep = growth_bound_check(field, x, np.asarray(cfg["a"], dtype=float),
-                             float(cfg["T"]), scfg,
+                             _number(cfg, "T"), scfg,
                              lambdas=tuple(cfg["lambdas"]))
     rows = [(r["lam"], r["pvar"], r["s"], r["sup_y"], r["log_sup"],
              int(r["explosion"])) for r in rep.rows]
@@ -330,7 +347,7 @@ def cmd_changevar_check(cfg: dict, out: str, seed: int) -> list:
     field = field_from_config(cfg["field"])
     x = driver_from_config(cfg["driver"], seed)
     a = np.asarray(cfg["a"], dtype=float)
-    T = float(cfg["T"])
+    T, tol = _number(cfg, "T"), _number(cfg, "tol")
     mesh = _check_mesh(cfg["mesh"])
     sol_y = solve_rde(x, field, a, T, _solver_config(cfg, mesh=mesh))
     shift_spec = cfg["shift"]
@@ -357,8 +374,8 @@ def cmd_changevar_check(cfg: dict, out: str, seed: int) -> list:
         Check("min |b+y|", f"{min_rad:.4f}", f">= {shift.r_min:g}",
               min_rad >= shift.r_min - 1e-9),
         f"  min rho along z-route  : {min_rho:.4f}{rho_note}",
-        Check("sup |psi(y_t) - z_t|", f"{diff:.3e}", f"<= {cfg['tol']:g}",
-              diff <= float(cfg["tol"])),
+        Check("sup |psi(y_t) - z_t|", f"{diff:.3e}", f"<= {tol:g}",
+              diff <= tol),
     ]
 
 
@@ -439,7 +456,7 @@ def _convergence_problem(name: str, T: float):
 
 def cmd_convergence(cfg: dict, out: str, seed: int) -> list:
     name = cfg["problem"]
-    T = float(cfg["T"])
+    T = _number(cfg, "T")
     field, a, x, exact = _convergence_problem(name, T)
     meshes = [_check_mesh(v) for v in cfg["meshes"]]
     if len(meshes) < 2:
@@ -497,7 +514,7 @@ def cmd_solve(cfg: dict, out: str, seed: int) -> list:
     field = field_from_config(cfg["field"])
     x = driver_from_config(cfg["driver"], seed)
     sol = solve_rde(x, field, np.asarray(cfg["a"], dtype=float),
-                    float(cfg["T"]), _solver_config(cfg))
+                    _number(cfg, "T"), _solver_config(cfg))
     write_solution_csv(sol, os.path.join(out, cfg["output"]))
     lines = [f"solve  field={cfg['field'].get('name')}  "
              f"driver={cfg['driver'].get('kind')}",

@@ -7,24 +7,22 @@ For dy = f(y) dx driven by a level-2 rough path the step over
 
 which is exactly the first-order-plus-area expansion whose sewn limit
 defines the solution; on smooth drivers it reduces to a second-order
-Taylor scheme.  One step map serves the mesh loop and the bisection
-that locates where |y| first crosses r_max (the operational stand-in for
-blow-up).  The step runs on Python floats, fed by the field's jet
-once per step (a field is its jet: VectorField.jet) and summed
-left to right: at these sizes numpy's per-call overhead would be the
-cost, and no bit of the step depends on a BLAS kernel.  Each solve
-generates, as straight-line Python for its d, m and route, the step and
-the loop that runs it over a block of mesh rows with the state in
-locals, both from the same lines, and compiles them, so no interpreted
-loop runs per step; every sum starts from 0.0, which keeps the loop's
-sign of zero (0.0 + -0.0 is +0.0).  While a field's jet is the function
-compiled from its source lines (the counterexample and zero fields'),
-the loop runs those lines in place of the call.  In the traced
-`explosion` benchmark run (seed 3, 2-vCPU Xeon, Python 3.11.7) a
-corrected step took 0.81 us, against 1.34 us with the step called from
-an interpreted loop; generating and compiling the step and the loop
-costs 0.4-0.6 ms per solve at d = 2 (0.2 ms for the step alone) and
-1.9 ms at d = m = 3 on the unfused route.
+Taylor scheme.  Each solve generates and compiles one function, the
+loop, as straight-line Python for its d, m and route: it steps a block
+of mesh rows on Python floats with the state in locals, fed by the
+field's jet once per step (a field is its jet: VectorField.jet), or by
+the jet's source lines in place of the call (the counterexample and
+zero fields'), so no interpreted loop runs per step, no numpy call
+costs its overhead per step and no bit depends on a BLAS kernel.  Every
+sum runs left to right from 0.0, which keeps the signs of zero a loop
+`s = 0.0; s += t` gives.  The bisection that locates where |y| first
+crosses r_max (the operational stand-in for blow-up) runs the same
+loop, and the ball test is taken after any state projection, on the
+state the loop stores.  In the traced `explosion` benchmark run (seed
+3, 2-vCPU Xeon, Python 3.11.7) a corrected step took 0.81 us, against
+1.34 us with the step called from an interpreted loop; generating and
+compiling the loop costs 0.2-0.3 ms per solve at d = 2 (fused route)
+and 0.7-1.1 ms at d = m = 3 (unfused).
 
 A solution is its partial rough path (x, y, int dy (x) dx): the cross
 integral against the driver is stored per interval, f(y_i) paired with
@@ -101,9 +99,11 @@ class FieldEvaluationError(RuntimeError):
 @dataclass
 class SolverConfig:
     """Stepping and detection parameters.  state_projection, if set,
-    maps each state the loop accepts, a list of d Python floats, to the
-    d floats it steps from next (its input or a reused buffer will do:
-    the loop copies the values out), e.g. sphere_state_projection."""
+    maps each state a step gives, a list of d Python floats, to the d
+    floats the loop tests against r_max, stores and steps from next (its
+    input or a reused buffer will do: the loop copies the values out).
+    The crossing bisection relies on it mapping a state it returned to
+    itself, up to rounding, as sphere_state_projection does."""
 
     base_mesh: int = 4096
     r_max: float = 1e6
@@ -168,40 +168,36 @@ def _separate_h2(f: VectorField, young: tuple | None):
 
 def _davie_step(x: RoughPath, f: VectorField, young: tuple | None,
                 proj=None):
-    """The Davie step map on Python floats, the solve loop around it and
-    the per-interval inputs they take on a mesh.
+    """The Davie solve loop on Python floats, and the per-interval inputs
+    it takes on a mesh.
 
     increments(mesh) returns the driver's level 1 at the mesh times, its
     level-2 increments and one row of step inputs per interval,
     r = (u, b^T, db) flattened: the driver's level-1 increment, b = x2,
     or x2 + dbeta when h2 is f's own derived field, and dbeta when h2 is
-    a separate Young term.  step(y, r) takes the d entries of a state as
-    floats and returns the new state, f(y) (flat, as f.jet gives it) and
-    the new state's squared norm, with one call of f's jet and, for a
-    separate Young term, one of h2's:
+    a separate Young term.  loop(y, rows, n2_max, ys, fs) steps the state
+    y (d floats) over rows, the inputs of consecutive intervals as one
+    flat list, with one call of f's jet and, for a separate Young term,
+    one of h2's per step:
 
         y+_a = y_a + ((sum_i f_ai u_i + sum_jc grad f_ajc P_jc)
                       + sum_ij h2_aij dbeta_ij),
         P_jc = sum_i b_ij f_ci,
 
-    each sum taken left to right from 0.0 in the order written, so that
-    no bit depends on a BLAS kernel; the b term is contracted without
-    assembling the derived field.  loop(y, rows, n2_max, ys, fs) steps
-    the state y over rows, the step inputs of consecutive intervals as one
-    flat list, appending f(y) to fs and each state it accepts, after proj
-    if given, to ys; it returns the last state accepted (as a list) and
-    the last step's squared norm, at the end of the rows or at the first
-    step whose squared norm fails n2 <= n2_max.
+    then y+ = proj(y+) if proj is given, and n2 = |y+|^2.  It appends
+    f(y) to fs and each y+ with n2 <= n2_max to ys, and returns the last
+    state accepted (a list) and the last n2, at the end of the rows or
+    at the first step that fails the test.
 
-    Both are straight-line code, generated for f's d and m and the route
-    (plain, fused or unfused) from the same lines and compiled once per
-    solve: each sum is written out as `0.0 + t0 + t1 + ...`
-    (vector_fields._sum_lines), which rounds as the loop `s = 0.0;
-    s += t0; ...` does.  The leading 0.0 is not redundant: it makes a
-    sum of -0.0 terms +0.0, as that loop does.  While f.jet is the
-    function compiled from source lines (jet.lines, as the counterexample
-    and zero fields' are), those lines stand in for the call, and the
-    state lives in locals y0..y{d-1}.
+    The loop is straight-line code for f's d and m and the route (plain,
+    fused or unfused), compiled once per solve.  Each sum is written out
+    as `0.0 + t0 + t1 + ...` (vector_fields._sum_lines), which rounds as
+    the loop `s = 0.0; s += t0; ...` does, -0.0 terms summing to +0.0,
+    so no bit depends on a BLAS kernel.  The state lives in locals
+    y0.. (and in the list y the jets take), f in F0.. and grad f in
+    G0..: set by f.jet's source lines while f.jet is the function
+    compiled from them (jet.lines, as the counterexample and zero
+    fields'), else by one call of f's jet, unpacked.
     """
     d, m = f.d, f.m
     h2 = _separate_h2(f, young)
@@ -211,26 +207,21 @@ def _davie_step(x: RoughPath, f: VectorField, young: tuple | None,
     def increments(mesh):
         level1, level2 = x.at(mesh)
         u, x2 = _grid_increments(level1, level2)
-        dbeta = None if beta is None else beta.increments_on_mesh(mesh)
+        dbeta = None if beta is None else np.diff(beta.at(mesh), axis=0)
         b = x2 + dbeta if dbeta is not None and h2 is None else x2
         cols = [u, b.swapaxes(1, 2).reshape(len(u), mm)]
         if h2 is not None:
             cols.append(dbeta.reshape(len(u), mm))
         return level1, x2, np.concatenate(cols, axis=1)
 
-    # Y: the state's entries, y_list: the state as a list, F and G: the
-    # templates of f's and grad f's entries, F_all: f as a sequence
+    def names(v, n):
+        return ", ".join(f"{v}{k}" for k in range(n))
+
+    Y, V = names("y", d), names("v", d)
+    F, G = names("F", md), names("G", md * d)
     lines = getattr(f.jet, "lines", None)
-    if lines is None:
-        Y, y_list = [f"y[{a}]" for a in range(d)], "y"
-        F, G, F_all = "F[{}]", "G[{}]", "F"
-        head, unpack_y = ["F, G = f_jet(y)"], []
-    else:
-        Y = [f"y{a}" for a in range(d)]
-        y_list = "[" + ", ".join(Y) + "]"
-        F, G = "F{}", "G{}"
-        F_all = "(" + ", ".join(F.format(k) for k in range(md)) + ",)"
-        head, unpack_y = list(lines), [", ".join(Y) + ", = y"]
+    head = (list(lines) if lines is not None else
+            ["F, G = f_jet(y)", f"{F}, = F", f"{G}, = G"])
     R = [f"r{k}" for k in range(m + mm + (0 if h2 is None else mm))]
     # P_jc pairs b^T (R[m:m + mm]) with f; row a pairs f with u (R[:m]),
     # grad f with P and h2 with dbeta (R[m + mm:])
@@ -238,40 +229,35 @@ def _davie_step(x: RoughPath, f: VectorField, young: tuple | None,
     for j in range(m):
         for c in range(d):
             body += _sum_lines(f"P{j}_{c}", [f"{R[m + j * m + i]} * "
-                                             f"{F.format(c * m + i)}"
+                                             f"F{c * m + i}"
                                              for i in range(m)])
     if h2 is not None:
-        body.append(f"H = h2_jet({y_list})")
+        body.append("H = h2_jet(y)")
     for a in range(d):
-        body += _sum_lines("s", [f"{F.format(a * m + i)} * {R[i]}"
-                                 for i in range(m)])
-        body += _sum_lines("t", [f"{G.format(a * md + j * d + c)} * P{j}_{c}"
+        body += _sum_lines("s", [f"F{a * m + i} * {R[i]}" for i in range(m)])
+        body += _sum_lines("t", [f"G{a * md + j * d + c} * P{j}_{c}"
                                  for j in range(m) for c in range(d)])
         body.append("s = s + t")
         if h2 is not None:
             body += _sum_lines("t", [f"H[{a * mm + k}] * {R[m + mm + k]}"
                                      for k in range(mm)])
             body.append("s = s + t")
-        body.append(f"v{a} = {Y[a]} + s")
+        body.append(f"v{a} = y{a} + s")
+    if proj is not None:
+        body.append(f"{V}, = proj([{V}])")
     body += _sum_lines("n2", [f"v{a} * v{a}" for a in range(d)])
-    V = "[" + ", ".join(f"v{a}" for a in range(d)) + "]"
-    accept = [f"y = {V}" if proj is None else f"y = proj({V})", "ys += y",
-              *unpack_y]
     route = "plain" if young is None else "fused" if h2 is None else "unfused"
     env = dict(getattr(f.jet, "env", {}), f_jet=f.jet, proj=proj,
                h2_jet=None if h2 is None else h2.jet)
-    step = _compiled("step", "y, r", [*unpack_y, *head, ", ".join(R)
-                                      + ", = r", *body,
-                                      f"return {V}, {F_all}, n2"],
-                     f"<davie step d={d} m={m} {route}>", **env)
     loop = _compiled("loop", "y, rows, n2_max, ys, fs", [
-        *unpack_y, "it = iter(rows)",
+        f"{Y}, = y", "it = iter(rows)",
         f"for {', '.join(R)}, in zip({', '.join(['it'] * len(R))}):",
-        *(f"    {s}" for s in [*head, *body, f"fs += {F_all}",
+        *(f"    {s}" for s in [*head, *body, f"fs += ({F},)",
                                "if not n2 <= n2_max:",
-                               f"    return {y_list}, n2", *accept]),
-        f"return {y_list}, n2"], f"<davie loop d={d} m={m} {route}>", **env)
-    return increments, step, loop
+                               f"    return [{Y}], n2", f"y = [{V}]",
+                               "ys += y", f"{Y}, = y"]),
+        f"return [{Y}], n2"], f"<davie loop d={d} m={m} {route}>", **env)
+    return increments, loop
 
 
 def _entry_checks(x: RoughPath, f: VectorField, a, T: float,
@@ -307,15 +293,16 @@ def _entry_checks(x: RoughPath, f: VectorField, a, T: float,
     return y, _solve_mesh(T, cfg)
 
 
-def _crossing(increments, step, y, t0: float, t1: float,
+def _crossing(increments, loop, y, t0: float, t1: float,
               r_max: float) -> tuple[BlowupRecord, list]:
-    """Bisect [t0, t1], a step from y that leaves the ball of radius
-    r_max, for the crossing time, with the same step map run from t0 to
-    tau; returns the record and the state at the crossing."""
+    """Bisect [t0, t1], a step from y whose stored state leaves the ball
+    of radius r_max, for the crossing time, each trial the solve loop
+    over the one row [t0, tau] with no ball to leave; returns the record
+    and the state at the crossing."""
 
     def state_at(tau):
-        r = increments(np.array([t0, tau]))[2][0]
-        y_tau, _, n2 = step(y, r.tolist())
+        row = increments(np.array([t0, tau]))[2]
+        y_tau, n2 = loop(y, row.ravel().tolist(), math.inf, [], [])
         return y_tau, math.sqrt(n2)
 
     lo, hi = t0, t1
@@ -356,17 +343,17 @@ def _davie_loop(x: RoughPath, f: VectorField, a, T: float,
     """The stepping loop of one trajectory; young = (h2, beta) adds the
     drift term.
 
-    The generated loop steps the state as Python floats a block of rows
-    at a time; states and field values are written into the preallocated
-    trajectory arrays per block.  A step whose state leaves the ball of
-    radius r_max is bisected for the crossing time (_crossing); one whose
-    squared norm is not a finite float raises FieldEvaluationError with
-    the state it stepped from, whatever r_max is.
+    The generated loop steps a block of rows at a time; states and field
+    values are written into the preallocated trajectory arrays per
+    block.  A step whose stored state leaves the ball of radius r_max is
+    bisected for the crossing time (_crossing); one whose squared norm is
+    not a finite float raises FieldEvaluationError with the state it
+    stepped from, whatever r_max is.
     """
     d, m = f.d, f.m
     y0, mesh = _entry_checks(x, f, a, T, cfg, young)
     K = len(mesh) - 1
-    increments, step, loop = _davie_step(x, f, young, cfg.state_projection)
+    increments, loop = _davie_step(x, f, young, cfg.state_projection)
     level1, x2_all, rows = increments(mesh)
     traj = np.empty((K + 1, d))
     traj[0] = y0
@@ -384,7 +371,7 @@ def _davie_loop(x: RoughPath, f: VectorField, a, T: float,
             i = lo + len(ys) // d
             if not math.isfinite(n2):
                 raise FieldEvaluationError(mesh[i], y)
-            blow, y_cross = _crossing(increments, step, y, mesh[i],
+            blow, y_cross = _crossing(increments, loop, y, mesh[i],
                                       mesh[i + 1], cfg.r_max)
             ys.extend(y_cross)
             last = i + 1

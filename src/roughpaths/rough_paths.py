@@ -140,13 +140,13 @@ class RoughPath:
         return float(self.times[-1])
 
     def increment(self, i: int, j: int) -> GroupElement2:
-        """Increment between grid indices i <= j in [0, n_points)."""
+        """Increment between grid indices i <= j in [0, n_points): one row
+        of _grid_increments on the stored values."""
         n = self.n_points
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"grid indices must lie in [0, {n})")
-        du = self.level1[j] - self.level1[i]
-        db = self.level2[j] - self.level2[i] - np.outer(self.level1[i], du)
-        return GroupElement2(du, db)
+        du, db = _grid_increments(self.level1, self.level2, [i], [j])
+        return GroupElement2(du[0], db[0])
 
     def at(self, t) -> tuple[np.ndarray, np.ndarray]:
         """Absolute value at arbitrary times via geodesic interpolation.
@@ -172,27 +172,10 @@ class RoughPath:
             return u_abs[0], b_abs[0]
         return u_abs, b_abs
 
-    def increments_on_mesh(self, mesh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Increments over consecutive intervals of an arbitrary mesh."""
-        return _grid_increments(*self.at(mesh))
-
-    def increments_between(self, s: np.ndarray,
-                           t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Increments x_s^-1 (x) x_t for 1-d arrays of times s, t (K each).
-
-        Returns (level1 (K, m), level2 (K, m, m)), from one `at` query
-        for all of s and one for all of t, with
-        b_t - b_s - u_s (x) (u_t - u_s) row by row (_grid_increments
-        takes the same steps on values already queried).
-        """
-        us, bs = self.at(s)
-        ut, bt = self.at(t)
-        du = ut - us
-        return du, bt - bs - np.einsum("ki,kj->kij", us, du)
-
     def increment_between(self, s: float, t: float) -> GroupElement2:
-        """Increment between two times: one row of increments_between."""
-        du, db = self.increments_between(np.array([s]), np.array([t]))
+        """Increment x_s^-1 (x) x_t between two times: the one row of
+        _grid_increments on the values of one `at` query of s and t."""
+        du, db = _grid_increments(*self.at(np.array([s, t], dtype=float)))
         return GroupElement2(du[0], db[0])
 
 
@@ -227,9 +210,6 @@ class AreaDrift:
         w = (tq - self.times[k]) / (self.times[k + 1] - self.times[k])
         out = (1 - w)[:, None, None] * self.beta[k] + w[:, None, None] * self.beta[k + 1]
         return out[0] if np.ndim(t) == 0 else out
-
-    def increments_on_mesh(self, mesh: np.ndarray) -> np.ndarray:
-        return np.diff(self.at(mesh), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +284,18 @@ def brownian_lift(seed: int, steps: int, T: float, m: int,
 
 
 def dilate(rp: RoughPath, lam: float) -> RoughPath:
-    """Dilation by lam: level1 scales by lam, level2 by lam^2."""
-    return RoughPath(rp.times, lam * rp.level1, lam * lam * rp.level2)
+    """Dilation by lam: level1 scales by lam, level2 by lam^2.  ValueError
+    if lam^2 or a dilated value is not finite, checked on the largest
+    entries (rounding is monotone) before numpy could warn."""
+    lam = float(lam)
+    lam2 = lam * lam
+    top1 = float(np.max(np.abs(rp.level1), initial=0.0)) * abs(lam)
+    top2 = float(np.max(np.abs(rp.level2), initial=0.0)) * lam2
+    if not (math.isfinite(lam2) and math.isfinite(top1)
+            and math.isfinite(top2)):
+        raise ValueError(f"dilation by lambda = {lam!r}: lambda^2 or the "
+                         f"dilated values are not finite")
+    return RoughPath(rp.times, lam * rp.level1, lam2 * rp.level2)
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +323,10 @@ def _grid_triples(n: int, exhaustive_limit: int,
 def _grid_increments(u: np.ndarray, b: np.ndarray, p=slice(None, -1),
                      q=slice(1, None)) -> tuple[np.ndarray, np.ndarray]:
     """Increments from grid point p to grid point q (index arrays, or by
-    default each point to the next) of the point values (u, b), as
-    increments_between forms them."""
+    default each point to the next) of the point values (u, b):
+    u_q - u_p and b_q - b_p - u_p (x) (u_q - u_p), row by row.  The one
+    increment formula: RoughPath.increment and increment_between, the
+    solver's mesh rows and chen_defect's triples are its rows."""
     du = u[q] - u[p]
     return du, b[q] - b[p] - np.einsum("ki,kj->kij", u[p], du)
 
@@ -352,11 +344,11 @@ def chen_defect(rp: RoughPath) -> float:
     The point values come from one rp.at query over the whole grid (not
     the stored values: at the last grid time `at` interpolates the last
     interval at alpha = 1, which rounds differently), so each triple's
-    increments are the bits rp.increment_between gives, since `at` works
-    row by row.  The triples are then evaluated _CHEN_CHUNK at a time by
-    indexing those values; each triple gets the same floating-point
-    operations whatever the chunk size, so the result does not depend on
-    it.  NaN increments raise ValueError.
+    increments are the bits rp.increment_between gives: both are rows of
+    _grid_increments, and `at` works row by row.  The triples are then
+    evaluated _CHEN_CHUNK at a time by indexing those values; each triple
+    gets the same floating-point operations whatever the chunk size, so
+    the result does not depend on it.  NaN increments raise ValueError.
     """
     n = rp.n_points
     if n < 3:

@@ -349,13 +349,23 @@ def f_dot_grad_f_lists(vf, y):
     return H
 
 
+def mesh_increments(x, ts):
+    """The driver's increments over consecutive intervals of the times
+    ts, from one `at` query: u_t - u_s and b_t - b_s - u_s (x) (u_t -
+    u_s), as the library's RoughPath queries form them."""
+    u, b = x.at(ts)
+    du = u[1:] - u[:-1]
+    return du, b[1:] - b[:-1] - np.einsum("ki,kj->kij", u[:-1], du)
+
+
 def davie_solve_matmul(x, f, a, mesh, young=None, r_max=1e6, projection=None):
     """The Davie loop on a mesh, stepping with @ products.
 
     young = (h2, beta) adds the drift term; projection takes and gives a
-    state as floats, as SolverConfig.state_projection does.  An h2 whose
-    `source` is f is fused into the level-2 input; otherwise h2 is a
-    first-order field g that stands for a separate derived field
+    state as floats, as SolverConfig.state_projection does, and the
+    step ends with it, so that the ball test sees the projected state.
+    An h2 whose `source` is f is fused into the level-2 input; otherwise
+    h2 is a first-order field g that stands for a separate derived field
     g . grad g, which the step forms with an @ product
     (f_dot_grad_f_matmul).  A step leaving the r_max ball is bisected 60
     times with the same step map.  Returns (y, cross_inc, crossing_time
@@ -367,10 +377,10 @@ def davie_solve_matmul(x, f, a, mesh, young=None, r_max=1e6, projection=None):
         h2 = None
 
     def increments(ts):
-        u, x2 = x.increments_on_mesh(ts)
+        u, x2 = mesh_increments(x, ts)
         if beta is None:
             return u, x2, None
-        dbeta = beta.increments_on_mesh(ts)
+        dbeta = np.diff(beta.at(ts), axis=0)
         if h2 is None:
             return u, x2 + dbeta, None
         return u, x2, dbeta.reshape(len(u), m * m)
@@ -381,6 +391,8 @@ def davie_solve_matmul(x, f, a, mesh, young=None, r_max=1e6, projection=None):
         dy = fe @ u + f.grad(y).reshape(d, m * d) @ w.reshape(m * d)
         if db is not None:
             dy = dy + f_dot_grad_f_matmul(h2)(y).reshape(d, m * m) @ db
+        if projection is not None:
+            return np.array(projection((y + dy).tolist()), dtype=float), fe
         return y + dy, fe
 
     mesh = np.asarray(mesh, dtype=float)
@@ -412,11 +424,9 @@ def davie_solve_matmul(x, f, a, mesh, young=None, r_max=1e6, projection=None):
             crossing = hi
             mesh = np.concatenate([mesh[:i + 1], [hi]])
             break
-        if projection is not None:
-            y_new = np.array(projection(y_new.tolist()), dtype=float)
         y = y_new
         traj.append(y)
-    x2_inc = x.increments_on_mesh(mesh[:len(traj)])[1]
+    x2_inc = mesh_increments(x, mesh[:len(traj)])[1]
     cross_inc = np.einsum("kdm,kmn->kdn", np.array(fes), x2_inc)
     return np.array(traj), cross_inc, crossing
 
@@ -432,7 +442,8 @@ def davie_solve_floats(x, f, a, mesh, young=None, r_max=1e6,
     field g, is g's derived field contracted on nested lists
     (f_dot_grad_f_lists).  Otherwise as davie_solve_matmul, with the
     ball test |y|^2 <= min(r_max^2, largest float) and the bisection on
-    sqrt(|y|^2) >= r_max.  Returns (y, cross_inc, crossing_time or None).
+    sqrt(|y|^2) >= r_max, |y|^2 taken after the projection.  Returns (y,
+    cross_inc, crossing_time or None).
     """
     d, m = f.d, f.m
     h2, beta = young if young is not None else (None, None)
@@ -440,10 +451,10 @@ def davie_solve_floats(x, f, a, mesh, young=None, r_max=1e6,
         h2 = None
 
     def increments(ts):
-        u, x2 = x.increments_on_mesh(ts)
+        u, x2 = mesh_increments(x, ts)
         if beta is None:
             return u.tolist(), x2.tolist(), None
-        dbeta = beta.increments_on_mesh(ts)
+        dbeta = np.diff(beta.at(ts), axis=0)
         if h2 is None:
             return u.tolist(), (x2 + dbeta).tolist(), None
         return u.tolist(), x2.tolist(), dbeta.tolist()
@@ -476,6 +487,8 @@ def davie_solve_floats(x, f, a, mesh, young=None, r_max=1e6,
                         t += H[k][i][j] * db[i][j]
                 s += t
             out.append(y[k] + s)
+        if projection is not None:
+            out = list(projection(out))
         n2 = 0.0
         for v in out:
             n2 += v * v
@@ -514,11 +527,9 @@ def davie_solve_floats(x, f, a, mesh, young=None, r_max=1e6,
             crossing = hi
             mesh = np.concatenate([mesh[:i + 1], [hi]])
             break
-        if projection is not None:
-            y_new = list(projection(y_new))
         y = y_new
         traj.append(y)
-    x2_inc = x.increments_on_mesh(mesh[:len(traj)])[1]
+    x2_inc = mesh_increments(x, mesh[:len(traj)])[1]
     cross_inc = np.einsum("kdm,kmn->kdn", np.array(fes), x2_inc)
     return np.array(traj), cross_inc, crossing
 

@@ -281,6 +281,49 @@ def test_unknown_config_keys_exit_two(tmp_path, capsys, command, config, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, config, key", [
+    ("solve", {"p": "2"}, "p"),
+    ("solve", {"p": True}, "p"),
+    ("solve", {"T": "1"}, "T"),
+    ("solve", {"solver": {"r_max": "5"}}, "solver.r_max"),
+    ("growth-demo", {"T": False}, "T"),
+    ("convergence", {"T": "1"}, "T"),
+    ("changevar-check", {"T": [1.0]}, "T"),
+    ("changevar-check", {"tol": -1}, "tol"),
+    ("changevar-check", {"tol": "1e-4"}, "tol"),
+    ("explosion-demo", {"a1": "1"}, "a1"),
+    ("explosion-demo", {"horizon_factor": True}, "horizon_factor"),
+    ("explosion-demo", {"traj_tol": -1}, "traj_tol"),
+    ("explosion-demo", {"time_tol": -1}, "time_tol"),
+    ("explosion-demo", {"time_tol": "0.05"}, "time_tol"),
+])
+def test_number_keys_reject_non_numbers_and_negative_tolerances(
+        tmp_path, capsys, command, config, key):
+    # a string or bool was cast by float() and ran (exit 0), and a
+    # negative tolerance reported a (<= -1) -> FAIL row (exit 1); both
+    # are rejected before anything is solved or written
+    assert run(tmp_path, command, config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} ") and "Traceback" not in err
+    assert not (tmp_path / "out" / "report.txt").exists()
+
+
+def test_growth_demo_rejects_an_overflowing_lambda_under_w_error(tmp_path):
+    # lambda^2 = inf used to multiply into inf * 0 = NaN, which warns
+    # first: a traceback (exit 1) under -W error, exit 2 without it
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"lambdas": [1.0, 1e200], "mesh": 64}))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "roughpaths.cli", "growth-demo",
+         "--config", str(cfg_path), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 2, done.stderr
+    assert "lambda = 1e+200" in done.stderr
+    assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+
+
 def test_malformed_config_exits_two(tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text("{\"mesh\": ")

@@ -7,13 +7,15 @@ import pytest
 from scipy.linalg import expm
 
 from roughpaths import rde_solver
+from roughpaths.log_sphere_map import sphere_state_projection
 from roughpaths.partial_rough_paths import PartialRoughPath
 from roughpaths.rough_paths import (AreaDrift, brownian_lift, decompose,
                                     dilate, geometricity_defect,
                                     lift_piecewise_linear, pure_area_path,
                                     pvar_norm, recompose)
-from roughpaths.rde_solver import (FieldEvaluationError, SolverConfig,
-                                   adaptive_partition, apriori_sup_bound,
+from roughpaths.rde_solver import (BlowupRecord, FieldEvaluationError,
+                                   SolverConfig, adaptive_partition,
+                                   apriori_sup_bound,
                                    blowup_json, growth_bound_check,
                                    solution_to_partial, solve_rde,
                                    solve_rde_corrected, write_solution_csv)
@@ -22,7 +24,8 @@ from roughpaths.vector_fields import (FieldBounds, SecondOrderField,
                                       f_dot_grad_f, linear_field, tanh_field,
                                       zero_field)
 
-from oracles import field_of_arrays, rk4_polyline, rough_integral_along
+from oracles import (davie_solve_floats, field_of_arrays, mesh_increments,
+                     rk4_polyline, rough_integral_along)
 
 
 def time_lift(T=1.0):
@@ -141,9 +144,10 @@ def _blowup_routes():
 
 
 def test_crossing_state_is_one_loop_step():
-    # the blow-up bisection applies the loop's step map: one step of it
-    # from the last state before the crossing, over the interval to the
-    # crossing time, lands on the reported crossing state bit for bit
+    # the blow-up bisection runs the solve loop itself: the loop over the
+    # one row from the last state before the crossing to the crossing
+    # time, with no ball to leave, lands on the reported crossing state
+    # bit for bit
     vf = counterexample_field()
     a = np.array([1.0, 0.0])
     cfg = SolverConfig(base_mesh=512, r_max=1e6)
@@ -151,14 +155,71 @@ def test_crossing_state_is_one_loop_step():
         sol = (solve_rde(x, vf, a, 1.5, cfg) if young is None else
                solve_rde_corrected(x, young[1], vf, young[0], a, 1.5, cfg))
         assert sol.blowup is not None, name
-        increments, step, _ = rde_solver._davie_step(x, vf, young)
+        increments, loop = rde_solver._davie_step(x, vf, young)
         _, x2, rows = increments(sol.times[-2:])
-        y, fe, _ = step(sol.y[-2].tolist(), rows[0].tolist())
-        assert np.array_equal(y, sol.y[-1]), name
+        ys, fs = [], []
+        y, n2 = loop(sol.y[-2].tolist(), rows.ravel().tolist(), math.inf,
+                     ys, fs)
+        assert ys == y and np.array_equal(y, sol.y[-1]), name
+        assert math.sqrt(n2) == sol.blowup.last_value_norm, name
         assert np.array_equal(x2, sol.x2_inc[-1:]), name
-        fe = np.array(fe).reshape(1, vf.d, vf.m)
+        fe = np.array(fs).reshape(1, vf.d, vf.m)
         assert np.array_equal(np.einsum("kdm,kmn->kdn", fe, x2),
                               sol.cross_inc[-1:]), name
+
+
+def test_a_projection_that_lengthens_the_state_crosses_after_the_start():
+    # the sphere projection takes a = (0.1, 1) to (1, 1), out of the
+    # ball of radius 1.2, on the first step and on any part of it: the
+    # ball test and the bisection both see the projected state, so the
+    # crossing lands after t = 0 with the projected state stored.  With
+    # the ball tested before the projection, the bisection of a later
+    # step collapsed onto its start and the solve raised ValueError on
+    # the repeated time
+    f = linear_field(np.diag([0.0, 1.0]))
+    x = time_lift()
+    a = np.array([0.1, 1.0])
+    proj = sphere_state_projection(1)
+    sol = solve_rde(x, f, a, 1.0, SolverConfig(base_mesh=64, r_max=1.2,
+                                               state_projection=proj))
+    assert isinstance(sol.blowup, BlowupRecord)
+    assert 0.0 < sol.blowup.crossing_time <= 1.0 / 64
+    assert sol.times.tolist() == [0.0, sol.blowup.crossing_time]
+    assert sol.y[-1].tolist() == proj(sol.y[-1].tolist())
+    assert sol.blowup.last_value_norm == float(np.linalg.norm(sol.y[-1]))
+    y, _, crossing = davie_solve_floats(x, f, a, np.linspace(0.0, 1.0, 65),
+                                        r_max=1.2, projection=proj)
+    assert crossing == sol.blowup.crossing_time
+    assert np.array_equal(y, sol.y)
+
+
+@pytest.mark.parametrize("route", ["plain", "fused", "unfused",
+                                   "projected"])
+def test_each_solve_compiles_one_step_map(monkeypatch, route):
+    # the loop is the one function a solve generates: the crossing
+    # bisection runs it too, so a solve that crosses compiles once (the
+    # projected route takes the identity, which keeps the plain route's
+    # explosion)
+    compiled = []
+    real = rde_solver._compiled
+
+    def counting(*args, **kwargs):
+        compiled.append(args[3])
+        return real(*args, **kwargs)
+
+    vf = counterexample_field()
+    a = np.array([1.0, 0.0])
+    routes = {name: (x, young) for name, x, young in _blowup_routes()}
+    x, young = routes.get(route, routes["plain"])
+    proj = (lambda w: w) if route == "projected" else None
+    monkeypatch.setattr(rde_solver, "_compiled", counting)
+    for T, r_max in ((0.5, math.inf), (1.5, 50.0)):
+        cfg = SolverConfig(base_mesh=256, r_max=r_max, state_projection=proj)
+        sol = (solve_rde(x, vf, a, T, cfg) if young is None else
+               solve_rde_corrected(x, young[1], vf, young[0], a, T, cfg))
+        assert (sol.blowup is None) == (r_max == math.inf), route
+        assert len(compiled) == 1, compiled
+        compiled.clear()
 
 
 def test_solution_to_partial_carries_the_interval_arrays():
@@ -175,7 +236,7 @@ def test_solution_to_partial_carries_the_interval_arrays():
     for k in (0, 100, 255):
         assert np.array_equal(sol.cross_inc[k],
                               vf.eval(sol.y[k]) @ sol.x2_inc[k])
-    assert np.array_equal(sol.x2_inc, x.increments_on_mesh(sol.times)[1])
+    assert np.array_equal(sol.x2_inc, mesh_increments(x, sol.times)[1])
 
 
 def test_solution_to_partial_keeps_the_solve_p():

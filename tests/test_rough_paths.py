@@ -1,8 +1,11 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
 from roughpaths import rough_paths
-from roughpaths.rough_paths import (AreaDrift, RoughPath,
+from roughpaths.rough_paths import (AreaDrift, RoughPath, _grid_increments,
                                     beta_path, brownian_lift, chen_defect,
                                     decompose, dilate, geometricity_defect,
                                     lift_piecewise_linear, pure_area_path,
@@ -90,7 +93,7 @@ def test_at_rejects_one_point_path():
     with pytest.raises(ValueError, match="one-point"):
         x.at(0.0)
     with pytest.raises(ValueError, match="one-point"):
-        x.increments_on_mesh(np.array([0.0, 0.0]))
+        x.increment_between(0.0, 0.0)
 
 
 def test_polyline_interpolation_is_exact():
@@ -173,15 +176,36 @@ def test_chen_defect_rejects_nan_increments():
         chen_defect(rp)
 
 
-def test_increment_between_is_one_row_of_increments_between():
-    rp = random_rough_path(np.random.default_rng(24), 9, 3)
-    s = np.array([0.0, 0.7, 1.3, rp.times[4]])
-    t = np.array([0.5, 2.1, rp.T, rp.T])
-    level1, level2 = rp.increments_between(s, t)
-    for row, (a, b) in enumerate(zip(s, t)):
-        g = rp.increment_between(a, b)
-        assert np.array_equal(g.level1, level1[row])
-        assert np.array_equal(g.level2, level2[row])
+def test_increments_are_rows_of_grid_increments():
+    # increment and increment_between are one row of the one increment
+    # formula, on the stored values and on one `at` query of both times;
+    # that row has the bits of the formula written out on the two times
+    # queried apart (as increment_between computed it before)
+    rng = np.random.default_rng(24)
+    for _ in range(20):
+        rp = brownian_lift(int(rng.integers(1000)), 16, 2.0, 3)
+        for s, t in rng.uniform(0.0, rp.T, size=(50, 2)).tolist() + [
+                (0.0, rp.T), (rp.times[4], rp.T), (rp.times[3], 0.7)]:
+            g = rp.increment_between(s, t)
+            u, b = rp.at(np.array([s, t]))
+            du, db = _grid_increments(u, b)
+            assert bits(g.level1) == bits(du[0])
+            assert bits(g.level2) == bits(db[0])
+            (us, bs), (ut, bt) = rp.at(s), rp.at(t)
+            assert bits(g.level1) == bits(ut - us)
+            assert bits(g.level2) == bits(bt - bs - np.outer(us, ut - us))
+        for i, j in rng.integers(0, rp.n_points, size=(50, 2)).tolist():
+            g = rp.increment(i, j)
+            du, db = _grid_increments(rp.level1, rp.level2, [i], [j])
+            assert bits(g.level1) == bits(du[0])
+            assert bits(g.level2) == bits(db[0])
+            u, b = rp.level1, rp.level2
+            assert bits(g.level2) == bits(b[j] - b[i]
+                                          - np.outer(u[i], u[j] - u[i]))
+
+
+def bits(arr):
+    return arr.dtype, arr.shape, arr.tobytes()
 
 
 def test_chen_defect_needs_three_points():
@@ -214,6 +238,28 @@ def test_pvar_homogeneous_under_dilation():
     for lam in (0.5, 2.0, 7.0):
         assert pvar_norm(dilate(x, lam), 2.3) == pytest.approx(lam * base,
                                                                rel=1e-12)
+
+
+@pytest.mark.parametrize("lam, level1_top", [
+    (1e200, 1.0), (-1e200, 1.0), (float("inf"), 1.0), (float("nan"), 1.0),
+    (1e154, 1.0),    # lambda^2 = 1e308 is finite, 2e308 is not
+    (1e10, 1e300),   # lambda^2 is finite, one level-1 value is not
+])
+def test_dilate_rejects_a_lambda_whose_values_overflow(lam, level1_top):
+    # checked before any multiplication: no RuntimeWarning on the way
+    def path(top):
+        return RoughPath(np.array([0.0, 1.0, 2.0]),
+                         np.array([[0.0], [top], [0.5]]),
+                         np.array([[[0.0]], [[2.0]], [[-1.0]]]))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"lambda = {lam!r}")):
+            dilate(path(level1_top), lam)
+        x = path(1.0)
+        y = dilate(x, 1e153)   # the largest entries' products stay finite
+    assert np.array_equal(y.level1, 1e153 * x.level1)
+    assert np.array_equal(y.level2, (1e153 * 1e153) * x.level2)
 
 
 def test_pvar_monotone_under_subgrid():

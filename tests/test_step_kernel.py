@@ -219,11 +219,11 @@ def loop_fields(kind, d, m, rng):
 
 
 def halve_tail(w):
-    """A state projection that never lengthens the state.  The ball test
-    comes before the projection, so one that lengthens an accepted state
-    past r_max (as the sphere projection can, when |q| < 1) has the
-    crossing bisection end at the start of the step, and the solve
-    raises ValueError on its repeated time."""
+    """A state projection that never lengthens the state, so that the
+    crossing bisection finds states in the ball near the start of the
+    step (which holds as well for a projection that maps a state it
+    returned to itself, the case test_rde_solver's sphere projection
+    test covers)."""
     return [w[0], *(0.5 * v for v in w[1:])]
 
 
@@ -376,7 +376,7 @@ def test_a_traceback_through_generated_code_shows_its_lines(route):
             h2 = so if route == "fused" else SecondOrderField(1, 1, so.jet)
             solve_rde_corrected(x, beta, f, h2, a, 1.0, cfg)
     text = "".join(traceback.format_exception(info.value))
-    assert f'File "<davie loop d=1 m=1 {route}>", line 4, in loop' in text
+    assert f'File "<davie loop d=1 m=1 {route}>", line 5, in loop' in text
     assert "    F, G = f_jet(y)\n" in text
     with pytest.raises(ArithmeticError) as info:
         so.jet([1.0])
