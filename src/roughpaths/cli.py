@@ -3,11 +3,11 @@
 Every command reads a JSON config (all keys optional unless noted),
 writes CSV/SVG/JSON artifacts and report.txt into the output directory,
 and prints the report.  Each check is one report row,
-`  {label:<23}: {value}  ({bound}) -> {verdict}`, and the exit code is 0
-exactly when every check passed, so runs can gate CI; 1 when one
-failed; 2 when the config is bad (an unknown key, a field or driver
-parameter its builder does not take, or a value the library rejects
-with ValueError).  Outputs are deterministic given (config, seed).
+`  {label:<23}: {value}  ({bound}) -> {verdict}`.  The exit code is 0
+exactly when every check passed, so runs can gate CI; 1 when one failed
+(even where the config can only fail it, as with explosion-demo's
+horizon_factor < 1: it ran, and a check failed); 2 when the config or
+its input is bad.  Outputs are deterministic given (config, seed).
 
 Commands
 --------
@@ -20,15 +20,11 @@ convergence      mesh-refinement table against exact solutions
 lift             polyline CSV -> rough path CSV
 solve            generic solve: solution CSV (+ blow-up JSON)
 
-Config schema (shared keys)
----------------------------
+Config schema (`rde --help` lists each key's default and check)
   field:  {"name": "linear"|"counterexample"|"tanh"|"zero", ...params}
   driver: {"kind": "zigzag"|"random-polyline"|"polyline"|
            "brownian-ito"|"brownian-stratonovich"|"pure-area"|"csv", ...}
-  a: initial state (list); T: horizon; p: variation exponent;
-  mesh: solver steps (power of two); seed: RNG seed;
   solver: {"r_max": blow-up threshold on |y|}
-Command-specific keys are listed in the defaults table below.
 """
 
 from __future__ import annotations
@@ -50,168 +46,168 @@ from .rough_paths import (RoughPath, _write_csv, brownian_lift, chen_defect,
                           lift_piecewise_linear, pure_area_path,
                           read_polyline_csv, read_roughpath_csv,
                           write_roughpath_csv)
-from .rde_solver import (SolverConfig, blowup_json, growth_bound_check,
-                         solve_rde, solve_rde_corrected, write_solution_csv)
+from .rde_solver import (FieldEvaluationError, SolverConfig, blowup_json,
+                         growth_bound_check, solve_rde, solve_rde_corrected,
+                         write_solution_csv)
 from .svg import line_plot
 from .vector_fields import f_dot_grad_f, make_field
 
 __all__ = ["main"]
 
+_SOLVE = {"p": 2.0, "solver": {"r_max": 1e6}}   # every solve's keys
 DEFAULTS = {
-    "common": {
-        "seed": 42,
-        "p": 2.0,
-        "mesh": 4096,
-        "solver": {"r_max": 1e6},
-    },
-    "explosion-demo": {
-        "a1": 1.0,
-        "fine_mesh": 262144,
-        "coarse_mesh": 4096,
-        "horizon_factor": 1.5,
-        "traj_tol": 1e-4,
-        "time_tol": 0.05,
-    },
+    "explosion-demo": {**_SOLVE, "a1": 1.0, "fine_mesh": 262144,
+                       "coarse_mesh": 4096, "horizon_factor": 1.5,
+                       "traj_tol": 1e-4, "time_tol": 0.05},
     "growth-demo": {
+        "seed": 42, **_SOLVE, "mesh": 4096,
         "field": {"name": "counterexample"},
         "driver": {"kind": "zigzag", "n": 10, "amplitude": 0.15, "m": 1,
                    "T": 5.0},
-        "a": [1.0, 0.0],
-        "T": 5.0,
-        "lambdas": [1.0, 2.0, 4.0, 8.0],
-    },
+        "a": [1.0, 0.0], "T": 5.0, "lambdas": [1.0, 2.0, 4.0, 8.0]},
     "changevar-check": {
+        "seed": 42, **_SOLVE, "mesh": 1024,
         "field": {"name": "counterexample"},
         "driver": {"kind": "zigzag", "n": 8, "amplitude": 0.2, "m": 1,
                    "T": 1.0},
-        "a": [1.0, 0.0],
-        "T": 1.0,
-        "mesh": 1024,
-        "tol": 1e-4,
-        "shift": "auto",
-    },
+        "a": [1.0, 0.0], "T": 1.0, "tol": 1e-4, "shift": "auto"},
     "decompose": {
+        "seed": 42,
         "driver": {"kind": "brownian-ito", "steps": 100000, "m": 2, "T": 1.0},
-        "max_csv_rows": 4096,
-    },
-    "convergence": {
-        "problem": "exp",
-        "meshes": [64, 128, 256, 512, 1024, 2048, 4096],
-        "T": 1.0,
-    },
+        "max_csv_rows": 4096},
+    "convergence": {**_SOLVE, "problem": "exp",
+                    "meshes": [64, 128, 256, 512, 1024, 2048, 4096],
+                    "T": 1.0},
     "lift": {"input": None, "output": "roughpath.csv"},
     "solve": {
+        "seed": 42, **_SOLVE, "mesh": 4096,
         "field": {"name": "linear", "A": 1.0},
         "driver": {"kind": "zigzag", "n": 6, "amplitude": 0.3, "m": 1,
                    "T": 1.0},
-        "a": [1.0],
-        "T": 1.0,
-        "output": "solution.csv",
-    },
+        "a": [1.0], "T": 1.0, "output": "solution.csv"},
 }
+
+
+def _is_int(v, lo=1) -> bool:
+    return type(v) is int and v >= lo      # not a bool
+
+
+def _is_num(v) -> bool:     # not a bool; a float holds it
+    return type(v) is float or type(v) is int and abs(v) <= sys.float_info.max
+
+
+def _is_finite(v) -> bool:
+    return _is_num(v) and math.isfinite(v)
+
+
+def _is_mesh(v) -> bool:
+    return _is_int(v) and v & (v - 1) == 0
+
+
+def _is_path(v) -> bool:
+    return type(v) is str and v != ""
+
+
+# One check per key name (see _merged).  The library checks the ranges
+# of p, r_max, the horizon and the lambdas.
+_RULES = [
+    ("mesh fine_mesh coarse_mesh", "an integer power of two", _is_mesh),
+    ("meshes", "two or more meshes; each mesh must be an integer power of "
+     "two", lambda v: type(v) is list and len(v) > 1
+     and all(map(_is_mesh, v))),
+    ("n m d steps max_csv_rows", "an integer >= 1", _is_int),
+    ("seed", "an integer >= 0", lambda v: _is_int(v, 0)),
+    ("p T amplitude scale horizon_factor", "a finite number", _is_finite),
+    ("a1", "a positive finite number", lambda v: _is_finite(v) and v > 0),
+    ("r_max", "a number", _is_num),
+    ("tol traj_tol time_tol", "a number >= 0",
+     lambda v: _is_num(v) and v >= 0),
+    ("a lambdas", "a list of numbers",
+     lambda v: type(v) is list and all(map(_is_num, v))),
+    ("input", "a non-empty string (lift's 'input' CSV)", _is_path),
+    ("output path", "a non-empty string", _is_path),
+    ("shift", '"auto" or a finite number',
+     lambda v: v == "auto" or _is_finite(v)),
+    ("field driver solver", "a JSON object", lambda v: type(v) is dict),
+]
+CHECKS = {name: (what, ok) for names, what, ok in _RULES
+          for name in names.split()}
+# read as floats
+_FLOATS = ("p T amplitude scale horizon_factor a1 r_max tol traj_tol "
+           "time_tol").split()
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _merged(command: str, user: dict) -> dict:
-    """Defaults overlaid with the user's config; unknown keys are errors.
+def _checked(path: str, name: str, value):
+    """value as read (a number key's as a float), or a ConfigError."""
+    if name in CHECKS:
+        what, ok = CHECKS[name]
+        if not ok(value):
+            raise ConfigError(f"{path} must be {what}, got {value!r}")
+    return float(value) if name in _FLOATS else value
 
-    A field of another `name` or a driver of another `kind` replaces the
-    default object instead of updating it: its parameters are its own.
-    Values are checked where the commands read them; among those checks,
-    convergence's `meshes` with fewer than two entries (no order to
-    estimate), decompose's `max_csv_rows` below 1, a lift `input` that
-    is not a path string and a bad number key (_number) are config
-    errors (exit 2).
+
+def _merged(command: str, user: dict) -> dict:
+    """DEFAULTS[command] overlaid with the user's config (no other keys);
+    each value is checked before any work, at the top level and in
+    `solver`, `field` and `driver`.  A field of another `name` or a
+    driver of another `kind` replaces the default object.
     """
     if not isinstance(user, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = sorted(set(user) - set(DEFAULTS["common"])
-                     - set(DEFAULTS[command]))
-    unknown += [f"solver.{k}" for k in sorted(
-        set(user.get("solver", {})) - set(DEFAULTS["common"]["solver"]))]
+    defaults = DEFAULTS[command]
+    solver = user.get("solver") if type(user.get("solver")) is dict else {}
+    unknown = sorted(set(user) - set(defaults)) + sorted(
+        f"solver.{k}" for k in set(solver) - set(defaults.get("solver", ())))
     if unknown:
-        raise ConfigError(f"unknown config keys for {command}: "
-                          + ", ".join(unknown))
+        raise ConfigError(f"{', '.join(unknown)}: unknown config "
+                          f"key{'s' * (len(unknown) > 1)} for {command}")
     cfg = {}
-    for src in (DEFAULTS["common"], DEFAULTS[command]):
-        for k, v in src.items():
-            cfg[k] = dict(v) if isinstance(v, dict) else v
-    for k, v in user.items():
-        base = cfg.get(k)
-        if isinstance(v, dict) and isinstance(base, dict) and all(
+    for k, base in defaults.items():
+        v = user.get(k, base)
+        if type(v) is dict and type(base) is dict and all(
                 v.get(tag, base.get(tag)) == base.get(tag)
                 for tag in ("name", "kind")):
-            base.update(v)
-        else:
-            cfg[k] = v
+            v = {**base, **v}
+        v = _checked(k, k, v)
+        cfg[k] = ({pk: _checked(f"{k}.{pk}", pk, pv) for pk, pv in v.items()}
+                  if type(v) is dict else v)
     return cfg
 
 
-def _check_mesh(n) -> int:
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ConfigError(f"mesh must be an integer, got {n!r}")
-    if n < 1 or (n & (n - 1)) != 0:
-        raise ConfigError(f"mesh must be a power of two, got {n}")
-    return n
-
-
-def _number(cfg: dict, key: str) -> float:
-    """The one reader of the number keys: cfg[key] as a float ("solver.x"
-    reads cfg["solver"]["x"]).  A value that is not a JSON number (a
-    string, a bool), or a tolerance (*tol) not >= 0, is a ConfigError
-    naming the key."""
-    value = cfg
-    for part in key.split("."):
-        value = value[part]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    if key.endswith("tol") and not value >= 0:
-        raise ConfigError(f"{key} is a tolerance and must be >= 0, "
-                          f"got {value!r}")
-    return float(value)
-
-
-def _solver_config(cfg: dict, mesh: int | None = None, **extra) -> SolverConfig:
-    return SolverConfig(
-        base_mesh=mesh if mesh is not None else _check_mesh(cfg["mesh"]),
-        r_max=_number(cfg, "solver.r_max"),
-        p=_number(cfg, "p"),
-        **extra,
-    )
+def _solver_config(cfg: dict, mesh: int, **extra) -> SolverConfig:
+    return SolverConfig(base_mesh=mesh, r_max=cfg["solver"]["r_max"],
+                        p=cfg["p"], **extra)
 
 
 def field_from_config(spec: dict):
-    if not isinstance(spec, dict) or "name" not in spec:
-        raise ConfigError("field config needs a 'name'")
     return make_field(**spec)
 
 
 def _zigzag(T=1.0, m=1, n=8, amplitude=0.2) -> RoughPath:
     pattern = np.array([1.0, -0.6, 0.8, -0.4, 0.9, -0.7])
-    n, m = int(n), int(m)
     step = np.arange(n)[:, None] + 2 * np.arange(m)
-    inc = float(amplitude) * pattern[step % len(pattern)]
+    inc = amplitude * pattern[step % len(pattern)]
     pts = np.vstack([np.zeros(m), np.cumsum(inc, axis=0)])
-    return lift_piecewise_linear(pts, np.linspace(0.0, float(T), n + 1))
+    return lift_piecewise_linear(pts, np.linspace(0.0, T, n + 1))
 
 
 def _random_polyline(seed, T=1.0, m=1, n=8, scale=0.2) -> RoughPath:
-    rng = np.random.default_rng(int(seed))
-    n, m = int(n), int(m)
+    rng = np.random.default_rng(seed)
     pts = np.zeros((n + 1, m))
-    pts[1:] = np.cumsum(rng.normal(0.0, float(scale), size=(n, m)), axis=0)
-    return lift_piecewise_linear(pts, np.linspace(0.0, float(T), n + 1))
+    pts[1:] = np.cumsum(rng.normal(0.0, scale, size=(n, m)), axis=0)
+    return lift_piecewise_linear(pts, np.linspace(0.0, T, n + 1))
 
 
 def _brownian(convention, seed, T=1.0, m=1, steps=1024) -> RoughPath:
-    return brownian_lift(int(seed), int(steps), float(T), int(m), convention)
+    return brownian_lift(seed, steps, T, m, convention)
 
 
 def _pure_area(T=1.0, m=1, area=None) -> RoughPath:
-    return pure_area_path(float(T), int(m), area)
+    return pure_area_path(T, m, area)
 
 
 _DRIVERS = {
@@ -232,9 +228,9 @@ def driver_from_config(spec: dict, seed: int) -> RoughPath:
     arguments, so a parameter it does not take raises TypeError."""
     params = dict(spec)
     kind = params.pop("kind", None)
-    if kind not in _DRIVERS:
-        raise ConfigError("driver config needs a 'kind'" if kind is None
-                          else f"unknown driver kind {kind!r}")
+    if kind not in list(_DRIVERS):
+        raise ConfigError(f"driver.kind must be one of {', '.join(_DRIVERS)}"
+                          f", got {kind!r}")
     if kind in _SEEDED:
         params.setdefault("seed", seed)
     return _DRIVERS[kind](**params)
@@ -268,23 +264,20 @@ def _report(rows, out_dir) -> bool:
 
 
 def cmd_explosion_demo(cfg: dict, out: str, seed: int) -> list:
-    a1 = _number(cfg, "a1")
-    if a1 <= 0:
-        raise ConfigError("a1 must be positive")
-    traj_tol, time_tol = _number(cfg, "traj_tol"), _number(cfg, "time_tol")
+    a1, traj_tol, time_tol = cfg["a1"], cfg["traj_tol"], cfg["time_tol"]
     t_star = 1.0 / a1
     field = make_field("counterexample")
     h2 = f_dot_grad_f(field)
-    horizon = t_star * _number(cfg, "horizon_factor")
+    horizon = t_star * cfg["horizon_factor"]
     geo, drift = decompose(pure_area_path(horizon))
     a = np.array([a1, 0.0])
 
-    coarse = _solver_config(cfg, mesh=_check_mesh(cfg["coarse_mesh"]))
+    coarse = _solver_config(cfg, cfg["coarse_mesh"])
     sol_b = solve_rde_corrected(geo, drift, field, h2, a, horizon, coarse)
 
     t_fine = 0.9 * t_star
     geo_f, drift_f = decompose(pure_area_path(t_fine))
-    fine = _solver_config(cfg, mesh=_check_mesh(cfg["fine_mesh"]))
+    fine = _solver_config(cfg, cfg["fine_mesh"])
     sol_f = solve_rde_corrected(geo_f, drift_f, field, h2, a, t_fine, fine)
     exact = a1 / (1.0 - a1 * sol_f.times)
     rel = float(np.max(np.abs(sol_f.y[:, 0] - exact) / exact))
@@ -318,10 +311,9 @@ def cmd_explosion_demo(cfg: dict, out: str, seed: int) -> list:
 def cmd_growth_demo(cfg: dict, out: str, seed: int) -> list:
     field = field_from_config(cfg["field"])
     x = driver_from_config(cfg["driver"], seed)
-    scfg = _solver_config(cfg)
     rep = growth_bound_check(field, x, np.asarray(cfg["a"], dtype=float),
-                             _number(cfg, "T"), scfg,
-                             lambdas=tuple(cfg["lambdas"]))
+                             cfg["T"], _solver_config(cfg, cfg["mesh"]),
+                             lambdas=cfg["lambdas"])
     rows = [(r["lam"], r["pvar"], r["s"], r["sup_y"], r["log_sup"],
              int(r["explosion"])) for r in rep.rows]
     _write_csv(os.path.join(out, "growth_table.csv"),
@@ -334,7 +326,7 @@ def cmd_growth_demo(cfg: dict, out: str, seed: int) -> list:
               title="growth under driver scaling",
               xlabel="||x||^p * omega(0,T)", ylabel="log(sup|y|+1)")
     return [
-        f"growth-demo  field={cfg['field'].get('name')}  "
+        f"growth-demo  field={cfg['field']['name']}  "
         f"geometricity defect={rep.geometricity_defect:.2e}",
         Check("explosions", "NONE" if not rep.any_explosion else
               "DETECTED (falsifies the geometric growth bound)", "",
@@ -347,19 +339,17 @@ def cmd_changevar_check(cfg: dict, out: str, seed: int) -> list:
     field = field_from_config(cfg["field"])
     x = driver_from_config(cfg["driver"], seed)
     a = np.asarray(cfg["a"], dtype=float)
-    T, tol = _number(cfg, "T"), _number(cfg, "tol")
-    mesh = _check_mesh(cfg["mesh"])
-    sol_y = solve_rde(x, field, a, T, _solver_config(cfg, mesh=mesh))
-    shift_spec = cfg["shift"]
-    if shift_spec == "auto":
+    T, tol, mesh = cfg["T"], cfg["tol"], cfg["mesh"]
+    sol_y = solve_rde(x, field, a, T, _solver_config(cfg, mesh))
+    if cfg["shift"] == "auto":
         radius = float(np.max(np.linalg.norm(sol_y.y, axis=1)))
         shift = choose_shift(a, 1.5 * radius)
     else:
-        shift = ShiftedMap(np.full(field.d, shift_spec, dtype=float))
+        shift = ShiftedMap(np.full(field.d, cfg["shift"], dtype=float))
     min_rad = float(np.min(_radii(shift.b + sol_y.y)))
     h = transformed_field(field, shift)
     sol_z = solve_rde(x, h, shift.state_of(a), T, _solver_config(
-        cfg, mesh=mesh, state_projection=sphere_state_projection(field.d)))
+        cfg, mesh, state_projection=sphere_state_projection(field.d)))
     mapped = shift.state_of(sol_y.y)
     diff = float(np.max(np.abs(mapped - sol_z.y)))
     min_rho = float(np.min(sol_z.y[:, -1]))
@@ -370,7 +360,7 @@ def cmd_changevar_check(cfg: dict, out: str, seed: int) -> list:
                + [f"direct{i+1}" for i in range(field.d + 1)],
                np.column_stack([sol_y.times, mapped, sol_z.y]))
     return [
-        f"changevar-check  field={cfg['field'].get('name')}  mesh={mesh}",
+        f"changevar-check  field={cfg['field']['name']}  mesh={mesh}",
         Check("min |b+y|", f"{min_rad:.4f}", f">= {shift.r_min:g}",
               min_rad >= shift.r_min - 1e-9),
         f"  min rho along z-route  : {min_rho:.4f}{rho_note}",
@@ -380,17 +370,13 @@ def cmd_changevar_check(cfg: dict, out: str, seed: int) -> list:
 
 
 def cmd_decompose(cfg: dict, out: str, seed: int) -> list:
-    rows = cfg["max_csv_rows"]
-    if isinstance(rows, bool) or not isinstance(rows, int) or rows < 1:
-        raise ConfigError(f"max_csv_rows must be a positive integer, "
-                          f"got {rows!r}")
     x = driver_from_config(cfg["driver"], seed)
     kind = cfg["driver"]["kind"]
     geo, drift = decompose(x)
     gd_x = geometricity_defect(x)
     gd_geo = geometricity_defect(geo)
     n, m, T = x.n_points, x.m, x.T
-    stride = max(1, n // rows)
+    stride = max(1, n // cfg["max_csv_rows"])
     _write_csv(os.path.join(out, "beta.csv"),
                ["t"] + [f"beta_{i+1}{j+1}" for i in range(m) for j in range(m)],
                np.column_stack([drift.times,
@@ -455,16 +441,11 @@ def _convergence_problem(name: str, T: float):
 
 
 def cmd_convergence(cfg: dict, out: str, seed: int) -> list:
-    name = cfg["problem"]
-    T = _number(cfg, "T")
+    name, T, meshes = cfg["problem"], cfg["T"], cfg["meshes"]
     field, a, x, exact = _convergence_problem(name, T)
-    meshes = [_check_mesh(v) for v in cfg["meshes"]]
-    if len(meshes) < 2:
-        raise ConfigError(f"meshes needs at least two meshes to estimate an "
-                          f"order, got {len(meshes)}")
     errs = []
     for mesh in meshes:
-        sol = solve_rde(x, field, a, T, _solver_config(cfg, mesh=mesh))
+        sol = solve_rde(x, field, a, T, _solver_config(cfg, mesh))
         errs.append(float(np.max(np.linalg.norm(
             sol.y - exact(sol.times), axis=1))))
     orders = [float("nan")]
@@ -491,9 +472,6 @@ def cmd_convergence(cfg: dict, out: str, seed: int) -> list:
 
 
 def cmd_lift(cfg: dict, out: str, seed: int) -> list:
-    if not isinstance(cfg["input"], str) or not cfg["input"]:
-        raise ConfigError(f"lift needs 'input': a polyline CSV path, got "
-                          f"{cfg['input']!r}")
     times, pts = read_polyline_csv(cfg["input"])
     rp = lift_piecewise_linear(pts, times)
     dest = os.path.join(out, cfg["output"])
@@ -514,10 +492,10 @@ def cmd_solve(cfg: dict, out: str, seed: int) -> list:
     field = field_from_config(cfg["field"])
     x = driver_from_config(cfg["driver"], seed)
     sol = solve_rde(x, field, np.asarray(cfg["a"], dtype=float),
-                    _number(cfg, "T"), _solver_config(cfg))
+                    cfg["T"], _solver_config(cfg, cfg["mesh"]))
     write_solution_csv(sol, os.path.join(out, cfg["output"]))
-    lines = [f"solve  field={cfg['field'].get('name')}  "
-             f"driver={cfg['driver'].get('kind')}",
+    lines = [f"solve  field={cfg['field']['name']}  "
+             f"driver={cfg['driver']['kind']}",
              f"  steps={len(sol.times) - 1}  "
              f"sup|y|={sol.sup_norm():.6g}"]
     bj = blowup_json(sol)
@@ -541,11 +519,16 @@ COMMANDS = {
 
 
 def _defaults_table() -> str:
-    rows = ["defaults (override via --config JSON):"]
-    for section, vals in DEFAULTS.items():
-        rows.append(f"  [{section}]")
-        for k, v in vals.items():
-            rows.append(f"    {k} = {json.dumps(v)}")
+    rows = ["defaults (override via --config JSON) and each name's check "
+            "wherever it appears (none shown: checked where read):"]
+    what = {n: f": {w}" for n, (w, _) in CHECKS.items()}
+    for command, defaults in DEFAULTS.items():
+        rows.append(f"  [{command}]")
+        rows += [f"    {k} = {json.dumps(v)}{what.get(k, '')}"
+                 for k, v in defaults.items()]
+    rows.append("  [solver, field and driver parameters]")
+    rows += [f"    {n}{w}" for n, w in what.items()
+             if not any(n in d for d in DEFAULTS.values())]
     return "\n".join(rows)
 
 
@@ -568,13 +551,14 @@ def main(argv=None) -> int:
             with open(args.config) as fh:
                 user = json.load(fh)
         cfg = _merged(args.command, user)
-        seed = args.seed if args.seed is not None else int(cfg["seed"])
+        seed = (cfg.get("seed") if args.seed is None
+                else _checked("--seed", "seed", args.seed))
         os.makedirs(args.out, exist_ok=True)
         rows = COMMANDS[args.command](cfg, args.out, seed)
-    except (ValueError, FileNotFoundError, KeyError, TypeError) as exc:
-        # a ValueError (ConfigError among them) means the config asked for
-        # something the library rejects, and a TypeError a parameter its
-        # builder does not take: a bad config, not a failed check
+    except (ValueError, OSError, KeyError, TypeError, OverflowError,
+            FieldEvaluationError) as exc:
+        # a bad config or input (an unreadable path, a solve that
+        # overflows), not a failed check
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if _report(rows, args.out) else 1

@@ -231,12 +231,14 @@ def lift_piecewise_linear(points, times) -> RoughPath:
     if pts.shape[0] != len(t):
         raise ValueError("points and times must have equal length")
     n, m = pts.shape
-    u = pts - pts[0]
-    delta = np.diff(pts, axis=0)
-    b_inc = 0.5 * np.einsum("ki,kj->kij", delta, delta)
-    cross = np.einsum("ki,kj->kij", u[:-1], delta)
-    b = np.zeros((n, m, m))
-    np.cumsum(b_inc + cross, axis=0, out=b[1:])
+    # a level 2 that overflows is left to RoughPath's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = pts - pts[0]
+        delta = np.diff(pts, axis=0)
+        b_inc = 0.5 * np.einsum("ki,kj->kij", delta, delta)
+        cross = np.einsum("ki,kj->kij", u[:-1], delta)
+        b = np.zeros((n, m, m))
+        np.cumsum(b_inc + cross, axis=0, out=b[1:])
     return RoughPath(t, u, b)
 
 
@@ -247,10 +249,12 @@ def pure_area_path(T: float, m: int = 1, area: np.ndarray | None = None,
     With the default area matrix [[1]] this is the non-geometric driver
     (1, 0, t) whose decomposition gives beta(t) = t.
     """
+    _require_finite(T=T)     # before linspace, which warns on inf
     a = np.eye(m) if area is None else np.asarray(area, dtype=float)
     t = np.linspace(0.0, T, max(2, n_points))
     u = np.zeros((len(t), m))
-    b = t[:, None, None] * a[None, :, :]
+    with np.errstate(over="ignore", invalid="ignore"):   # RoughPath checks
+        b = t[:, None, None] * a[None, :, :]
     return RoughPath(t, u, b)
 
 
@@ -271,15 +275,17 @@ def brownian_lift(seed: int, steps: int, T: float, m: int,
     h = T / steps
     dW = rng.normal(0.0, math.sqrt(h), size=(steps, m))
     t = np.linspace(0.0, T, steps + 1)
-    u = np.zeros((steps + 1, m))
-    np.cumsum(dW, axis=0, out=u[1:])
-    if convention == "stratonovich":
-        b_inc = 0.5 * np.einsum("ki,kj->kij", dW, dW)
-    else:
-        b_inc = np.zeros((steps, m, m))
-    cross = np.einsum("ki,kj->kij", u[:-1], dW)
-    b = np.zeros((steps + 1, m, m))
-    np.cumsum(b_inc + cross, axis=0, out=b[1:])
+    # values that overflow are left to RoughPath's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.zeros((steps + 1, m))
+        np.cumsum(dW, axis=0, out=u[1:])
+        if convention == "stratonovich":
+            b_inc = 0.5 * np.einsum("ki,kj->kij", dW, dW)
+        else:
+            b_inc = np.zeros((steps, m, m))
+        cross = np.einsum("ki,kj->kij", u[:-1], dW)
+        b = np.zeros((steps + 1, m, m))
+        np.cumsum(b_inc + cross, axis=0, out=b[1:])
     return RoughPath(t, u, b)
 
 
@@ -622,10 +628,13 @@ def beta_path(rp: RoughPath) -> np.ndarray:
     """Area-drift values beta(t) = sym(b_t) - 0.5 u_t (x) u_t per grid time.
 
     The two-parameter geometricity excess sym(b(s,t)) - 0.5 u(s,t)(x)u(s,t)
-    telescopes exactly to beta(t) - beta(s).
+    telescopes exactly to beta(t) - beta(s).  Values that overflow come
+    out as inf or NaN, without a warning, for the caller to reject.
     """
     u, b = rp.level1, rp.level2
-    return 0.5 * (b + np.swapaxes(b, 1, 2)) - 0.5 * np.einsum("ki,kj->kij", u, u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (0.5 * (b + np.swapaxes(b, 1, 2))
+                - 0.5 * np.einsum("ki,kj->kij", u, u))
 
 
 def geometricity_defect(rp: RoughPath) -> float:
@@ -649,7 +658,8 @@ def geometricity_defect(rp: RoughPath) -> float:
     every such pair as computed, so the result is the full scan's, bit
     for bit.  Exact duplicates are dropped too (their pairs repeat the
     first copy's squares): a constant stretch costs one point.  A
-    non-finite beta raises ValueError.
+    non-finite beta, or a largest squared sum that overflows, raises
+    ValueError.
     """
     flat = beta_path(rp).reshape(rp.n_points, -1)
     _require_finite(beta=flat)
@@ -662,19 +672,28 @@ def geometricity_defect(rp: RoughPath) -> float:
             sq += d * d
         return (sq,)
 
-    r = np.linalg.norm(flat - 0.5 * (flat.max(axis=0) + flat.min(axis=0)),
-                       axis=1)
-    far, longest = int(np.argmax(r)), 0.0
-    for _ in range(3):
-        sq = squares(far, far + 1, 0, len(flat))[0][0]
-        far = int(np.argmax(sq))
-        longest = max(longest, float(sq[far]))
-    reach = _inflate(r + r.max(), math.sqrt(np.finfo(float).tiny))
-    keep = np.flatnonzero(reach >= math.sqrt(longest))
-    keep = np.sort(keep[np.unique(flat[keep], axis=0, return_index=True)[1]])
-    cols = np.ascontiguousarray(cols[:, keep])   # squares scans these now
-    bound = _inflate(_triangle_bound(len(keep), flat[keep]) ** 2)
-    return math.sqrt(_pair_sup(rp.times[keep], (0.0,), squares, (bound,))[0])
+    # an overflow gives inf (no NaN: beta is finite), which only widens
+    # the pruning test and the tile bounds, or is the largest sum
+    with np.errstate(over="ignore"):
+        r = np.linalg.norm(
+            flat - 0.5 * (flat.max(axis=0) + flat.min(axis=0)), axis=1)
+        far, longest = int(np.argmax(r)), 0.0
+        for _ in range(3):
+            sq = squares(far, far + 1, 0, len(flat))[0][0]
+            far = int(np.argmax(sq))
+            longest = max(longest, float(sq[far]))
+        if math.isfinite(longest):
+            reach = _inflate(r + r.max(), math.sqrt(np.finfo(float).tiny))
+            keep = np.flatnonzero(reach >= math.sqrt(longest))
+            keep = np.sort(
+                keep[np.unique(flat[keep], axis=0, return_index=True)[1]])
+            cols = np.ascontiguousarray(cols[:, keep])   # squares scans these
+            bound = _inflate(_triangle_bound(len(keep), flat[keep]) ** 2)
+            longest = _pair_sup(rp.times[keep], (0.0,), squares, (bound,))[0]
+    if not math.isfinite(longest):
+        raise ValueError("the geometricity defect overflowed: a squared "
+                         "beta difference is not a finite float")
+    return math.sqrt(longest)
 
 
 def decompose(rp: RoughPath) -> tuple[RoughPath, AreaDrift]:

@@ -421,3 +421,96 @@ def test_decompose_reports_the_exact_defect_at_its_defaults(tmp_path):
                        f"{geometricity_defect(x):.4e}")
     assert rows[2] == (f"  {'geometric part defect':<23}: "
                        f"{geometricity_defect(geo):.3e}  (<= 1e-10) -> PASS")
+
+
+ZIGZAG = {"kind": "zigzag", "n": 6, "amplitude": 0.3, "m": 1, "T": 1.0}
+
+
+@pytest.mark.parametrize("command, config, key", [
+    # keys a command does not read, which used to be accepted and ignored
+    ("lift", {"mesh": 7, "p": 99, "solver": {"r_max": -1}}, "mesh"),
+    ("explosion-demo", {"mesh": 3}, "mesh"),
+    ("decompose", {"p": 99, "mesh": 5, "solver": {"r_max": "x"}}, "mesh"),
+    # values that used to be cast (n 4.7 ran with n = 4) or ignored
+    ("solve", {"driver": dict(ZIGZAG, n=4.7)}, "driver.n"),
+    ("solve", {"driver": dict(ZIGZAG, n=True)}, "driver.n"),
+    ("solve", {"driver": dict(ZIGZAG, m=1.9)}, "driver.m"),
+    ("solve", {"driver": dict(ZIGZAG, amplitude="0.3")}, "driver.amplitude"),
+    ("solve", {"driver": dict(ZIGZAG, T="1")}, "driver.T"),
+    ("solve", {"seed": "42"}, "seed"),
+    ("solve", {"seed": 4.7}, "seed"),
+    ("solve", {"seed": True}, "seed"),
+    ("decompose", {"driver": {"kind": "brownian-ito", "steps": 64.9, "m": 2,
+                              "T": 1.0}}, "driver.steps"),
+    ("decompose", {"driver": {"kind": "pure-area", "m": 1.5, "T": 1.0}},
+     "driver.m"),
+    ("solve", {"a": [True]}, "a"),
+    ("growth-demo", {"lambdas": [True, 2]}, "lambdas"),
+    ("changevar-check", {"shift": True}, "shift"),
+    ("changevar-check", {"shift": "10"}, "shift"),
+    ("solve", {"output": ""}, "output"),    # was IsADirectoryError, exit 1
+])
+def test_the_table_rejects_what_was_ignored_or_coerced(tmp_path, capsys,
+                                                       command, config, key):
+    assert run(tmp_path, command, config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}") and "Traceback" not in err
+    assert not (tmp_path / "out" / "report.txt").exists()
+
+
+def test_a_negative_seed_option_exits_two(tmp_path, capsys):
+    assert run(tmp_path, "solve", {"mesh": 64}, seed=-1) == 2
+    assert capsys.readouterr().err.startswith("error: --seed ")
+
+
+SMALL_EXPLOSION = {"fine_mesh": 4096, "coarse_mesh": 1024}
+
+
+@pytest.mark.parametrize("command, config, message", [
+    # a solve whose state overflows raised FieldEvaluationError (exit 1)
+    ("growth-demo", {"lambdas": [1.0, 1e150], "mesh": 64}, "squared norm"),
+    ("solve", {"a": [1e200]}, "squared norm"),
+    ("explosion-demo", dict(SMALL_EXPLOSION, a1=1e200), "squared norm"),
+    ("explosion-demo", dict(SMALL_EXPLOSION, a1=1e-300), "squared norm"),
+    # a level 2 or a defect that overflows warned first (exit 1 under -W
+    # error); RoughPath or geometricity_defect now reject it
+    ("solve", {"driver": dict(ZIGZAG, amplitude=1e200)}, "finite"),
+    ("solve", {"driver": {"kind": "random-polyline", "n": 8, "scale": 1e200,
+                          "m": 1, "T": 1.0}}, "finite"),
+    ("decompose", {"driver": {"kind": "pure-area", "T": 1e308, "m": 1}},
+     "finite"),
+    ("decompose", {"driver": {"kind": "brownian-ito", "T": 1e300,
+                              "steps": 64, "m": 2}}, "overflowed"),
+    ("explosion-demo", dict(SMALL_EXPLOSION, horizon_factor=1e308), "finite"),
+    # t* = 1 / a1 is inf: pure_area_path rejects it before linspace warns
+    ("explosion-demo", dict(SMALL_EXPLOSION, a1=5e-324), "T must be finite"),
+    # an int no float holds, where the library reads it (OverflowError)
+    ("solve", {"field": {"name": "linear", "A": 10 ** 400}}, "too large"),
+    ("growth-demo", {"driver": {"kind": "zigzag", "n": 10, "amplitude": 1e100,
+                                "m": 1, "T": 5.0}, "mesh": 64}, "overflowed"),
+])
+def test_overflows_exit_two_without_a_warning(tmp_path, capsys, command,
+                                              config, message):
+    # warnings are errors in this suite, as under python -W error
+    assert run(tmp_path, command, config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out" / "report.txt").exists()
+
+
+def test_growth_demo_no_longer_calls_an_overflowed_defect_non_geometric(
+        tmp_path, capsys):
+    # the defect used to come out inf, reported as "driver is not
+    # geometric (defect inf)"
+    run(tmp_path, "growth-demo", {"driver": {
+        "kind": "zigzag", "n": 10, "amplitude": 1e100, "m": 1, "T": 5.0},
+        "mesh": 64})
+    assert "not geometric" not in capsys.readouterr().err
+
+
+def test_a_directory_as_lift_input_exits_two(tmp_path, capsys):
+    # open() on a directory raised IsADirectoryError (exit 1)
+    assert run(tmp_path, "lift", {"input": str(tmp_path)}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err
+    assert not (tmp_path / "out" / "report.txt").exists()

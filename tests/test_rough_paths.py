@@ -341,6 +341,31 @@ def test_geometricity_defect_equals_row_oracle():
                 assert abs(got - ref) <= 2 * np.spacing(ref)
 
 
+@pytest.mark.parametrize("top, u", [(1e200, 0.0), (8.9e307, 4.5e153)])
+def test_geometricity_defect_rejects_a_defect_that_overflows(top, u):
+    # beta runs from top to -top - u^2 / 2, so the squared difference
+    # (top = 1e200) or the difference itself (about 1.9e308) overflows:
+    # this used to warn and return inf, which growth_bound_check reported
+    # as a non-geometric driver
+    b = np.array([0.0, top, -top])[:, None, None]
+    rp = RoughPath(np.array([0.0, 0.5, 1.0]), np.array([[0.0], [0.0], [u]]),
+                   b)
+    with pytest.raises(ValueError, match="overflowed"):
+        geometricity_defect(rp)
+
+
+def test_beta_path_overflows_without_a_warning():
+    # warnings are errors in this suite: sym(b) overflows quietly and the
+    # non-finite beta is rejected by its callers
+    b = np.array([0.0, 1.5e308])[:, None, None]
+    rp = RoughPath(np.array([0.0, 1.0]), np.zeros((2, 1)), b)
+    assert np.isinf(beta_path(rp)[1, 0, 0])
+    with pytest.raises(ValueError, match="level2 must be finite"):
+        decompose(rp)
+    with pytest.raises(ValueError, match="beta must be finite"):
+        geometricity_defect(rp)
+
+
 def test_decompose_geometric_input_has_zero_drift():
     rng = np.random.default_rng(16)
     pts = np.vstack([np.zeros(2), np.cumsum(rng.normal(size=(5, 2)), axis=0)])
@@ -463,6 +488,16 @@ def test_ito_lift_drift_toward_minus_half_identity():
     _, drift = decompose(x)
     err = np.linalg.norm(drift.beta[-1] + 0.5 * T * np.eye(2), "fro")
     assert err <= 0.05 * T
+
+
+def test_lifts_whose_level2_overflows_raise_without_a_warning():
+    # the overflow (and inf - inf in the running sum) is left to
+    # RoughPath's finiteness check instead of warning first
+    with pytest.raises(ValueError, match="level2 must be finite"):
+        lift_piecewise_linear([[0.0], [1e200], [-1e200], [0.0]],
+                              [0.0, 0.25, 0.5, 1.0])
+    with pytest.raises(ValueError, match="level2 must be finite"):
+        brownian_lift(3, 1, 1e308, 2, "stratonovich")
 
 
 def test_brownian_lift_validation():
