@@ -41,8 +41,8 @@ import numpy as np
 
 from .log_sphere_map import (ShiftedMap, _radii, choose_shift,
                              sphere_state_projection, transformed_field)
-from .rough_paths import (RoughPath, _write_csv, brownian_lift, chen_defect,
-                          decompose, geometricity_defect,
+from .rough_paths import (RoughPath, _rewrite, _write_csv, brownian_lift,
+                          chen_defect, decompose, geometricity_defect,
                           lift_piecewise_linear, pure_area_path,
                           read_polyline_csv, read_roughpath_csv,
                           write_roughpath_csv)
@@ -191,7 +191,9 @@ def _zigzag(T=1.0, m=1, n=8, amplitude=0.2) -> RoughPath:
     pattern = np.array([1.0, -0.6, 0.8, -0.4, 0.9, -0.7])
     step = np.arange(n)[:, None] + 2 * np.arange(m)
     inc = amplitude * pattern[step % len(pattern)]
-    pts = np.vstack([np.zeros(m), np.cumsum(inc, axis=0)])
+    with np.errstate(over="ignore"):
+        # a sum that overflows is rejected by RoughPath (not finite)
+        pts = np.vstack([np.zeros(m), np.cumsum(inc, axis=0)])
     return lift_piecewise_linear(pts, np.linspace(0.0, T, n + 1))
 
 
@@ -254,7 +256,7 @@ def _report(rows, out_dir) -> bool:
                      + (" -> PASS" if row.passed else " -> FAIL")
                      for row in rows)
     print(text)
-    with open(os.path.join(out_dir, "report.txt"), "w") as fh:
+    with _rewrite(os.path.join(out_dir, "report.txt")) as fh:
         fh.write(text + "\n")
     return all(row.passed for row in rows if isinstance(row, Check))
 
@@ -283,16 +285,15 @@ def cmd_explosion_demo(cfg: dict, out: str, seed: int) -> list:
     rel = float(np.max(np.abs(sol_f.y[:, 0] - exact) / exact))
     y2_sup = float(np.max(np.abs(sol_f.y[:, 1])))
 
+    t, y, ex = sol_f.times[::256], sol_f.y[::256], exact[::256]
     _write_csv(os.path.join(out, "explosion_trajectory.csv"),
-               ["t", "y1", "y2", "exact"],
-               np.column_stack([sol_f.times, sol_f.y, exact])[::256])
+               ["t", "y1", "y2", "exact"], np.column_stack([t, y, ex]))
     bj = blowup_json(sol_b)
     if bj is not None:
-        with open(os.path.join(out, "explosion_blowup.json"), "w") as fh:
+        with _rewrite(os.path.join(out, "explosion_blowup.json")) as fh:
             fh.write(bj + "\n")
     line_plot(os.path.join(out, "explosion.svg"),
-              [("numeric", sol_f.times[::256], sol_f.y[::256, 0]),
-               ("exact", sol_f.times[::256], exact[::256])],
+              [("numeric", t, y[:, 0]), ("exact", t, ex)],
               title=f"blow-up toward t* = {t_star:g}", xlabel="t",
               ylabel="y1 (log)", logy=True)
     crossing = sol_b.blowup.crossing_time if sol_b.blowup else None
@@ -443,6 +444,10 @@ def _convergence_problem(name: str, T: float):
 def cmd_convergence(cfg: dict, out: str, seed: int) -> list:
     name, T, meshes = cfg["problem"], cfg["T"], cfg["meshes"]
     field, a, x, exact = _convergence_problem(name, T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.all(np.isfinite(exact(np.array([T])))):
+            raise ConfigError(f"T must keep the exact solution finite, "
+                              f"got {T!r}")
     errs = []
     for mesh in meshes:
         sol = solve_rde(x, field, a, T, _solver_config(cfg, mesh))
@@ -500,7 +505,7 @@ def cmd_solve(cfg: dict, out: str, seed: int) -> list:
              f"sup|y|={sol.sup_norm():.6g}"]
     bj = blowup_json(sol)
     if bj is not None:
-        with open(os.path.join(out, "blowup.json"), "w") as fh:
+        with _rewrite(os.path.join(out, "blowup.json")) as fh:
             fh.write(bj + "\n")
         lines.append(f"  blow-up threshold crossed at "
                      f"t={sol.blowup.crossing_time:.6g}")

@@ -23,8 +23,11 @@ lifts, left-point and trapezoidal Brownian lifts, pure-area paths).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -752,18 +755,44 @@ def read_polyline_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return data[:, 0], data[:, 1:]
 
 
+@contextlib.contextmanager
+def _rewrite(path, newline=None):
+    """The one writer of files: open(path, "w") but without truncating
+    an existing file to zero first.
+
+    The text goes over the old bytes in place, and on the way out (an
+    error included) a regular file is truncated at the final position,
+    so it ends with exactly the bytes written.  Like open(path, "w"), it
+    follows symlinks, keeps an existing file's mode and hard links,
+    creates a new one with mode 0o666 minus the umask, and accepts
+    /dev/null and FIFOs.  On ext4 a truncation to zero makes close()
+    flush the new data to disk (auto_da_alloc), which made every
+    overwrite cost tens of ms.  A crash part-way through can leave the
+    old tail where it used to leave a short file.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", newline=newline) as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+
+
 def _write_csv(path, header, rows) -> None:
     """The one CSV writer: LF rows, floats (and their subclasses) as
-    %.17g, anything else str().
+    %.17g, anything else str(); through _rewrite, so the file ends with
+    the bytes of a fresh write.
 
     Each row is written with one `%`, by a row format built once per
-    tuple of value types; a float64 array's rows go through tolist() one
-    at a time (the whole array as lists of floats would add about 1.5 MB
-    of peak memory to a 4097 x 7 write).
+    tuple of value types, and streamed: a float64 array's rows go
+    through tolist() one at a time.  On a 4097 x 7 write, the whole
+    array as lists of floats would add about 1.5 MB of peak memory, and
+    the whole file as one string about 0.7 MB.
     """
     floats = isinstance(rows, np.ndarray) and rows.dtype == np.float64
     formats = {}
-    with open(path, "w", newline="") as fh:
+    with _rewrite(path, newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             row = tuple(row.tolist() if floats else row)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+from .rough_paths import _rewrite
+
 __all__ = ["line_plot"]
 
 _PALETTE = ["#1f6fb4", "#d1495b", "#2e933c", "#8332ac", "#e28413", "#3b3b3b"]
@@ -108,5 +110,5 @@ def line_plot(path, series, title: str = "", xlabel: str = "",
                      f'stroke-width="2"/>')
         lines.append(f'<text x="{_ML + pw - 104}" y="{ly}">{label}</text>')
     lines.append("</svg>")
-    with open(path, "w") as fh:
+    with _rewrite(path) as fh:
         fh.write("\n".join(lines) + "\n")

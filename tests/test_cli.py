@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -488,6 +489,15 @@ SMALL_EXPLOSION = {"fine_mesh": 4096, "coarse_mesh": 1024}
     ("solve", {"field": {"name": "linear", "A": 10 ** 400}}, "too large"),
     ("growth-demo", {"driver": {"kind": "zigzag", "n": 10, "amplitude": 1e100,
                                 "m": 1, "T": 5.0}, "mesh": 64}, "overflowed"),
+    # the zigzag's running sum overflowed (a RuntimeWarning)
+    ("growth-demo", {"driver": {"kind": "zigzag", "n": 10, "amplitude": 1e308,
+                                "m": 1, "T": 5.0}, "mesh": 64},
+     "level1 must be finite"),
+    ("solve", {"driver": dict(ZIGZAG, n=10, amplitude=-1e308)},
+     "level1 must be finite"),
+    # exp(T) overflowed: inf errors, a nan median order and exit 1
+    ("convergence", {"T": 2.0 ** 62, "meshes": [64, 128]},
+     "T must keep the exact solution finite"),
 ])
 def test_overflows_exit_two_without_a_warning(tmp_path, capsys, command,
                                               config, message):
@@ -514,3 +524,47 @@ def test_a_directory_as_lift_input_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Is a directory" in err
     assert not (tmp_path / "out" / "report.txt").exists()
+
+
+# a second, smaller run into the same --out directory: every file it
+# writes ends with the bytes a fresh directory gets (files are rewritten
+# in place, not truncated first)
+RERUNS = {
+    "explosion-demo": (dict(SMALL_EXPLOSION, fine_mesh=8192), SMALL_EXPLOSION),
+    "growth-demo": ({"mesh": 64}, {"mesh": 64, "lambdas": [1.0, 2.0]}),
+    "changevar-check": ({"mesh": 128}, {"mesh": 64}),
+    "decompose": ({"driver": {"kind": "brownian-ito", "steps": 128, "m": 2,
+                              "T": 1.0}},
+                  {"driver": {"kind": "brownian-ito", "steps": 64, "m": 2,
+                              "T": 1.0}}),
+    "convergence": ({"meshes": [64, 128, 256]}, {"meshes": [64, 128]}),
+    "lift": ({"input": "poly.csv"}, {"input": "poly.csv"}),
+    "solve": ({"mesh": 256}, {"mesh": 64}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(RERUNS))
+def test_a_rerun_into_one_directory_writes_the_bytes_of_a_fresh_run(
+        tmp_path, monkeypatch, command):
+    assert set(RERUNS) == set(cli.COMMANDS)
+    first, second = RERUNS[command]
+    polylines = ["t,x1,x2\n0,0,0\n0.25,1,2\n0.5,0.3,-0.2\n1,0.1,0.4\n",
+                 "t,x1,x2\n0,0,0\n0.5,0.3,-0.2\n1,0.1,0.4\n"]
+    codes = []
+    # relative paths, so that the reports of both directories agree
+    for where, runs in (("rerun", [(first, polylines[0]),
+                                   (second, polylines[1])]),
+                        ("fresh", [(second, polylines[1])])):
+        (tmp_path / where).mkdir()
+        monkeypatch.chdir(tmp_path / where)
+        for config, polyline in runs:
+            Path("poly.csv").write_text(polyline)
+            Path("cfg.json").write_text(json.dumps(config))
+            codes.append(main([command, "--config", "cfg.json",
+                               "--out", "out"]))
+    assert codes[1] == codes[2] and codes[2] in (0, 1)
+    fresh = sorted(p.name for p in (tmp_path / "fresh" / "out").iterdir())
+    assert "report.txt" in fresh
+    for name in fresh:
+        assert ((tmp_path / "rerun" / "out" / name).read_bytes()
+                == (tmp_path / "fresh" / "out" / name).read_bytes()), name

@@ -23,20 +23,24 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 NAN, INF = float("nan"), float("inf")
-POOL = ["1", True, None, [], {}, NAN, INF, -INF, 0, -1, 0.5]
+# the last three are finite numbers whose arithmetic overflows: a zigzag
+# amplitude of +/-1e308 (its running sum) and convergence's T = 2**62
+# (exp(T)); 2**62 as a float, which no size key accepts
+POOL = ["1", True, None, [], {}, NAN, INF, -INF, 0, -1, 0.5, 1e308, -1e308,
+        2.0 ** 62]
 
 # what the table accepts of POOL, as indices, by key name; a name left
 # out is checked where the library reads it
-_NONE, _NUMBERS = set(), {8, 9, 10}
+_NONE, _NUMBERS = set(), {8, 9, 10, 11, 12, 13}
 ACCEPTED = {
     **dict.fromkeys(["mesh", "fine_mesh", "coarse_mesh", "meshes", "n", "m",
                      "d", "steps", "max_csv_rows"], _NONE),
     "seed": {8},
     **dict.fromkeys(["p", "T", "amplitude", "scale", "horizon_factor",
                      "shift"], _NUMBERS),
-    "a1": {10},
-    "r_max": {5, 6, 7, 8, 9, 10},
-    **dict.fromkeys(["tol", "traj_tol", "time_tol"], {6, 8, 10}),
+    "a1": {10, 11, 13},
+    "r_max": {5, 6, 7} | _NUMBERS,
+    **dict.fromkeys(["tol", "traj_tol", "time_tol"], {6, 8, 10, 11, 13}),
     **dict.fromkeys(["a", "lambdas"], {3}),
     **dict.fromkeys(["input", "output", "path"], {0}),
     **dict.fromkeys(["field", "driver", "solver"], {4}),
@@ -128,6 +132,13 @@ def test_every_rejected_value_exits_two_naming_its_key():
         for index in range(len(POOL)):
             if name in ACCEPTED and index not in ACCEPTED[name]:
                 _check_case(command, path, name, index)
+
+
+def test_every_key_takes_the_values_whose_arithmetic_overflows():
+    # cheap at the base configs, so every key of every command runs
+    for command, path, name in CASES:
+        for index in range(len(POOL) - 3, len(POOL)):
+            _check_case(command, path, name, index)
 
 
 def test_every_default_key_has_a_check_or_is_left_to_the_library():

@@ -7,15 +7,25 @@ they give the same bits and the same bytes.  Where they part, the new
 reader is the stricter: float() read `1_0` as 10, loadtxt rejects it,
 and an empty file raised StopIteration.  Every rejected file raises
 ValueError, with warnings as errors.
+
+Every file the library writes goes through rough_paths._rewrite, which
+rewrites an existing file in place instead of truncating it first; a
+file it writes ends with the bytes open(path, "w") would have left, and
+an AST guard keeps every other write mode out of src/roughpaths.
 """
 
+import ast
+import os
+import stat
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from roughpaths.rough_paths import (_read_csv, _write_csv, read_polyline_csv,
-                                    read_roughpath_csv)
+from roughpaths import rough_paths
+from roughpaths.rough_paths import (_read_csv, _rewrite, _write_csv,
+                                    read_polyline_csv, read_roughpath_csv)
 
 from oracles import read_csv_floats, write_csv_values
 
@@ -85,11 +95,14 @@ def test_writer_gives_the_bytes_of_one_value_per_call(tmp_path_factory, m, n,
     cases = [rows, list(rows), single,
              [tuple(r) for r in rows.tolist()],
              data.draw(st.lists(st.tuples(*[mixed] * (m + 1)), max_size=6))]
+    # each case to fresh files: the oracle's open(path, "w") truncates an
+    # existing file, which can cost a disk flush per call
     d = tmp_path_factory.mktemp("csv")
-    for rows in cases:
-        write_csv_values(d / "old.csv", header(m), rows)
-        _write_csv(d / "new.csv", header(m), rows)
-        assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+    for k, rows in enumerate(cases):
+        old, new = d / f"old{k}.csv", d / f"new{k}.csv"
+        write_csv_values(old, header(m), rows)
+        _write_csv(new, header(m), rows)
+        assert new.read_bytes() == old.read_bytes()
 
 
 def test_writer_matches_growth_table_rows(tmp_path):
@@ -102,6 +115,144 @@ def test_writer_matches_growth_table_rows(tmp_path):
     raw = (tmp_path / "new.csv").read_bytes()
     assert raw == (tmp_path / "old.csv").read_bytes()
     assert raw.splitlines()[2] == (b"8,0.33333333333333331,7.25,3,1.5,1")
+
+
+def test_a_shorter_csv_over_a_longer_one_leaves_no_stale_tail(tmp_path):
+    path = tmp_path / "out.csv"
+    _write_csv(path, header(2), np.arange(30.0).reshape(10, 3))
+    _write_csv(path, header(1), [(0.5, 1.5)])
+    assert path.read_bytes() == b"t,x1\n0.5,1.5\n"
+
+
+class Unprintable:
+    def __str__(self):
+        raise RuntimeError("no str()")
+
+
+def test_a_row_that_fails_leaves_exactly_the_prefix_written(tmp_path):
+    # as open(path, "w") did: the rows before the failing one, and none
+    # of the longer file that was there before
+    rows = [(0.0, 1.0), (0.5, "a"), (1.0, Unprintable()), (2.0, 3.0)]
+    new = tmp_path / "new.csv"
+    new.write_bytes(b"an older, longer file\n" * 100)
+    for path, write in ((tmp_path / "old.csv", write_csv_values),
+                        (new, _write_csv)):
+        with pytest.raises(RuntimeError, match="no str"):
+            write(path, header(1), rows)
+    assert new.read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert new.read_bytes() == b"t,x1\n0,1\n0.5,a\n"
+
+
+def test_a_symlink_is_written_through_and_stays_a_link(tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_bytes(b"an older, longer file\n" * 100)
+    link.symlink_to(target)
+    _write_csv(link, header(1), [(0.0, 1.0)])
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == b"t,x1\n0,1\n"
+
+
+def test_the_mode_and_hard_links_of_a_file_are_kept(tmp_path):
+    path, other = tmp_path / "out.csv", tmp_path / "hard.csv"
+    path.write_bytes(b"an older, longer file\n" * 100)
+    path.chmod(0o600)
+    os.link(path, other)
+    _write_csv(path, header(1), [(0.0, 1.0)])
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    assert path.stat().st_nlink == 2
+    assert other.read_bytes() == path.read_bytes() == b"t,x1\n0,1\n"
+
+
+def test_a_new_file_gets_the_mode_open_gives_it(tmp_path):
+    # 0o666 minus the umask, read off a file open(path, "w") creates
+    with open(tmp_path / "by_open", "w"):
+        pass
+    _write_csv(tmp_path / "new.csv", header(1), [(0.0, 1.0)])
+    assert ((tmp_path / "new.csv").stat().st_mode
+            == (tmp_path / "by_open").stat().st_mode)
+
+
+def test_dev_null_is_written_without_a_truncation():
+    # not a regular file: truncating it raises
+    _write_csv(os.devnull, header(1), [(0.0, 1.0)])
+    with _rewrite(os.devnull) as fh:
+        fh.write("text\n")
+
+
+def test_a_fifo_gets_the_bytes(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    # a reader first, so the writer's open does not wait for one
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        _write_csv(fifo, header(1), [(0.0, 1.0)])
+        assert os.read(reader, 1024) == b"t,x1\n0,1\n"
+    finally:
+        os.close(reader)
+
+
+# ---------------------------------------------------------------------------
+# no module writes a file but through _rewrite
+
+WRITER = "_rewrite"
+MODULES = ("io", "os", "builtins", "codecs", "gzip", "bz2", "lzma")
+
+
+def _writes(tree):
+    """(line, function) of each call in tree that can write a file:
+    open() with a write mode (w, a, x or +) or a mode that is not a
+    literal, os.open, and the helpers that write a whole path."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            owner = getattr(getattr(func, "value", None), "id", None)
+            # open(file, mode) and io.open(file, mode), but a path
+            # object's .open(mode)
+            at = 1 if isinstance(func, ast.Name) or owner in MODULES else 0
+            mode = (node.args[at] if len(node.args) > at else next(
+                (k.value for k in node.keywords if k.arg == "mode"), None))
+            if name == "open" and owner == "os" or name in (
+                    "write_text", "write_bytes", "savetxt", "tofile"):
+                found.append((node.lineno, where))
+            elif name in ("open", "fdopen") and mode is not None:
+                text = getattr(mode, "value", None)
+                if not isinstance(text, str) or set(text) & set("wax+"):
+                    found.append((node.lineno, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_no_module_writes_a_file_but_through_the_writer():
+    src = Path(rough_paths.__file__).parent
+    writer = []
+    for module in sorted(src.glob("*.py")):
+        for line, where in _writes(ast.parse(module.read_text())):
+            assert where == WRITER, (
+                f"{module.name}:{line}: a file opened for writing in "
+                f"{where}; write it through rough_paths.{WRITER}")
+            writer.append(module.name)
+    # the writer itself is seen (os.open and its open(fd, "w")), so a
+    # renamed writer fails here rather than exempting nothing
+    assert writer == ["rough_paths.py"] * 2
+
+
+@pytest.mark.parametrize("code, n", [
+    ('open(p, "w")', 1), ('open(p, mode="a")', 1), ('io.open(p, "r+")', 1),
+    ('open(p, "xb")', 1), ("open(p, mode)", 1), ('os.open(p, flags)', 1),
+    ('Path(p).write_text("")', 1), ('open(p)', 0), ('open(p, "rb")', 0),
+    ('open(p, newline="")', 0), ('Path(p).open("w")', 1),
+    ('Path(p).open()', 0), ('os.fdopen(fd, "w")', 1),
+])
+def test_the_guard_sees_each_kind_of_write(code, n):
+    assert len(_writes(ast.parse(f"def f(p):\n    {code}\n"))) == n
 
 
 REJECTED = {
