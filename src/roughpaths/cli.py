@@ -265,6 +265,20 @@ def _report(rows, out_dir) -> bool:
 # commands: each returns its report rows (plain lines and Checks)
 
 
+def _write_blowup(path, sol) -> None:
+    """Write sol's blow-up record to path as JSON, or, when the solve
+    crossed no threshold, remove the file an earlier run left there."""
+    bj = blowup_json(sol)
+    if bj is None:
+        try:
+            os.remove(path)
+        except FileNotFoundError:
+            pass
+        return
+    with _rewrite(path) as fh:
+        fh.write(bj + "\n")
+
+
 def cmd_explosion_demo(cfg: dict, out: str, seed: int) -> list:
     a1, traj_tol, time_tol = cfg["a1"], cfg["traj_tol"], cfg["time_tol"]
     t_star = 1.0 / a1
@@ -288,10 +302,7 @@ def cmd_explosion_demo(cfg: dict, out: str, seed: int) -> list:
     t, y, ex = sol_f.times[::256], sol_f.y[::256], exact[::256]
     _write_csv(os.path.join(out, "explosion_trajectory.csv"),
                ["t", "y1", "y2", "exact"], np.column_stack([t, y, ex]))
-    bj = blowup_json(sol_b)
-    if bj is not None:
-        with _rewrite(os.path.join(out, "explosion_blowup.json")) as fh:
-            fh.write(bj + "\n")
+    _write_blowup(os.path.join(out, "explosion_blowup.json"), sol_b)
     line_plot(os.path.join(out, "explosion.svg"),
               [("numeric", t, y[:, 0]), ("exact", t, ex)],
               title=f"blow-up toward t* = {t_star:g}", xlabel="t",
@@ -377,7 +388,7 @@ def cmd_decompose(cfg: dict, out: str, seed: int) -> list:
     gd_x = geometricity_defect(x)
     gd_geo = geometricity_defect(geo)
     n, m, T = x.n_points, x.m, x.T
-    stride = max(1, n // cfg["max_csv_rows"])
+    stride = -(-n // cfg["max_csv_rows"])     # at most max_csv_rows rows
     _write_csv(os.path.join(out, "beta.csv"),
                ["t"] + [f"beta_{i+1}{j+1}" for i in range(m) for j in range(m)],
                np.column_stack([drift.times,
@@ -503,10 +514,8 @@ def cmd_solve(cfg: dict, out: str, seed: int) -> list:
              f"driver={cfg['driver']['kind']}",
              f"  steps={len(sol.times) - 1}  "
              f"sup|y|={sol.sup_norm():.6g}"]
-    bj = blowup_json(sol)
-    if bj is not None:
-        with _rewrite(os.path.join(out, "blowup.json")) as fh:
-            fh.write(bj + "\n")
+    _write_blowup(os.path.join(out, "blowup.json"), sol)
+    if sol.blowup is not None:
         lines.append(f"  blow-up threshold crossed at "
                      f"t={sol.blowup.crossing_time:.6g}")
     return lines

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rough_paths import (_EPS, _grid_triples, _increment_norm, _inflate,
+from .rough_paths import (_EPS, _grid_triples, _increment_norms, _inflate,
                           _pair_sup, _plane_norm, _require_finite,
                           _tile_spreads)
 
@@ -99,10 +99,8 @@ class PartialRoughPath:
         return len(self.times)
 
     def _cross_pairs(self):
-        """cross(t_i, t_j) for broadcast arrays of grid indices, shape
-        broadcast(i, j) + (d, m); the error bound E of every computed
-        value: |computed - exact| <= E in Frobenius norm; and the same
-        values on a tile of the pair scan, as planes.
+        """The planes of cross(t_i, t_j), and the error bound E of every
+        computed value: |computed - exact| <= E in Frobenius norm.
 
         The one extension of cross_inc to pairs.  With P_j the sum of
         cross_inc[k] + y_k (x) dx_k over k < j,
@@ -114,10 +112,11 @@ class PartialRoughPath:
         using n + 8.
 
         The prefix sums are stored a column per matrix entry.
-        planes(i0, i1, j0, j1) yields, for start points i0..i1-1 and end
-        points j0..j1-1, one (rows, cols) plane per entry (a, c) in
-        row-major order, (P_ac(t) - P_ac(s)) - y_a(s) (x_c(t) - x_c(s)):
-        the operations of cross, so each value has cross's bits.
+        planes(i, j) yields, for broadcast grid-index selectors i and j
+        (integer arrays, or a tile's (slice(i0, i1), None) and
+        slice(j0, j1)), one plane of shape broadcast(i, j) per entry
+        (a, c) in row-major order:
+        (P_ac(t_j) - P_ac(t_i)) - y_a(t_i) (x_c(t_j) - x_c(t_i)).
         """
         n, d, m = self.n_points, self.d, self.m
         dx = np.diff(self.x, axis=0)
@@ -125,35 +124,30 @@ class PartialRoughPath:
         prefix = columns.T.reshape(n, d, m)     # a view of the columns
         np.cumsum(self.cross_inc + self.y[:-1, :, None] * dx[:, None, :],
                   axis=0, out=prefix[1:])
-        y, x = self.y, self.x
+        yc = self.y.T
 
-        def cross(i, j):
-            return (prefix[j] - prefix[i]
-                    - y[i][..., :, None] * (x[j] - x[i])[..., None, :])
-
-        def planes(i0, i1, j0, j1):
-            def inc(col):
-                return col[j0:j1] - col[i0:i1, None]
-
-            dxc = [inc(col) for col in x.T]
+        def planes(i, j):
+            dxc = [col[j] - col[i] for col in self.x.T]
             for k, col in enumerate(columns):
-                yield inc(col) - y[i0:i1, k // m, None] * dxc[k % m]
+                yield (col[j] - col[i]) - yc[k // m][i] * dxc[k % m]
 
         total = (np.sum(np.linalg.norm(
             self.cross_inc.reshape(n - 1, d * m), axis=1))
-                 + 2.0 * np.max(np.linalg.norm(y, axis=1))
+                 + 2.0 * np.max(np.linalg.norm(self.y, axis=1))
                  * np.sum(np.linalg.norm(dx, axis=1)))
-        return cross, (n + 8) * _EPS * total, planes
+        return planes, (n + 8) * _EPS * total
 
     def cross_between(self, i, j) -> np.ndarray:
         """cross(t_i, t_j), shape broadcast(i, j) + (d, m), for grid
         indices i and j in [0, n_points): ints, or integer arrays that
-        broadcast.  See _cross_pairs for the formula and its error."""
+        broadcast.  See _cross_pairs for the formula and its error: its
+        planes, stacked."""
         n = self.n_points
         for v in (i, j):
             if np.min(v, initial=0) < 0 or np.max(v, initial=0) >= n:
                 raise IndexError(f"grid indices must lie in [0, {n})")
-        return self._cross_pairs()[0](i, j)
+        c = np.stack(list(self._cross_pairs()[0](i, j)), axis=-1)
+        return c.reshape(c.shape[:-1] + (self.d, self.m))
 
     def additivity_defect(self) -> float:
         """Max additivity violation of cross over sampled grid triples."""
@@ -174,16 +168,16 @@ def pvar_distance(a: PartialRoughPath, b: PartialRoughPath) -> float:
     (t - s)^(2/p), with a's p.  When a and b share their driver (equal x
     arrays), its difference is 0 on every pair and is not scanned.
 
-    Each tile of the pair scan computes on columns, one (n,) array per
-    vector or matrix entry: the columns of x and y (views) and of the
-    cross prefix sums (stored a contiguous column per entry, see
-    _cross_pairs).  An entry of a tile is then a (rows, cols) plane of
-    the differences at every pair, built by the per-pair operations of
-    cross_between and the increments, and each pair's norm sums the
-    squared planes in the order np.linalg.norm sums a vector's entries
-    (rough_paths._plane_norm): every per-pair value has the bits of
-    np.linalg.norm on that pair's vector, and numpy's inner loops run
-    along a row of the tile, not along the d m entries of one pair.
+    One function, pair_norms, computes every per-pair norm, for the
+    tiles of the pair scan and for the anchors of their bounds alike.
+    It computes on columns, one (n,) array per vector or matrix entry:
+    the columns of x and y (views) and of the cross prefix sums (stored
+    a contiguous column per entry, see _cross_pairs).  An entry is then
+    a plane of the differences at every pair, and each pair's norm sums
+    the squared planes in the order np.linalg.norm sums a vector's
+    entries (rough_paths._plane_norm): every per-pair value has the bits
+    of np.linalg.norm on that pair's vector, and numpy's inner loops run
+    along a row of a tile, not along the d m entries of one pair.
     """
     if not np.array_equal(a.times, b.times):
         raise ValueError("grids do not match: the time arrays differ")
@@ -192,32 +186,20 @@ def pvar_distance(a: PartialRoughPath, b: PartialRoughPath) -> float:
                          f" and ({b.d}, {b.m})")
     n = a.n_points
     shared = np.array_equal(a.x, b.x)
-    cross_a, error_a, planes_a = a._cross_pairs()
-    cross_b, error_b, planes_b = b._cross_pairs()
+    planes_a, error_a = a._cross_pairs()
+    planes_b, error_b = b._cross_pairs()
 
-    def cross_norm(i, j):
-        dc = cross_a(i, j) - cross_b(i, j)
-        return np.linalg.norm(dc.reshape(dc.shape[:-2] + (-1,)), axis=-1)
+    def difference(ca, cb, i, j):
+        return _plane_norm(((u[j] - u[i]) - (v[j] - v[i])
+                            for u, v in zip(ca, cb)), len(ca))
 
-    def norms(i0, i1, j0, j1):
-        def inc(col):
-            return col[j0:j1] - col[i0:i1, None]
-
-        def increments(ca, cb):
-            return _plane_norm((inc(u) - inc(v) for u, v in zip(ca, cb)),
-                               len(ca))
-
-        ey = increments(a.y.T, b.y.T)
-        dc = _plane_norm((u - v for u, v in zip(planes_a(i0, i1, j0, j1),
-                                                planes_b(i0, i1, j0, j1))),
-                         a.d * a.m)
+    def pair_norms(i, j):
+        ey = difference(a.y.T, b.y.T, i, j)
+        dc = _plane_norm((u - v for u, v in zip(planes_a(i, j),
+                                                planes_b(i, j))), a.d * a.m)
         if shared:
             return ey, dc
-        return increments(a.x.T, b.x.T), ey, dc
-
-    def difference(va, vb):
-        return lambda i, j: np.linalg.norm((va[j] - va[i]) - (vb[j] - vb[i]),
-                                           axis=-1)
+        return difference(a.x.T, b.x.T, i, j), ey, dc
 
     def magnitude(va, vb):
         # each computed difference of increments, and each of the three
@@ -226,9 +208,9 @@ def pvar_distance(a: PartialRoughPath, b: PartialRoughPath) -> float:
         return 16 * va.shape[1] * _EPS * (np.max(np.abs(va))
                                           + np.max(np.abs(vb)))
 
-    rd, ad, cd = _tile_spreads(n, cross_norm)
-    ry, ay, cy = _tile_spreads(n, difference(a.y, b.y))
-    _, ax, cx = _tile_spreads(n, _increment_norm(a.x))
+    spreads = _tile_spreads(n, pair_norms)
+    (ry, ay, cy), (rd, ad, cd) = spreads[-2:]
+    (_, ax, cx), (rb, ab, _) = _tile_spreads(n, _increment_norms(a.x, b.y))
     # the additivity identity of each triple at s* and t*, subtracted:
     # with e = a - b on increments,
     # dc(s,t) = dc(s,s*) + dc(s*,t*) + dc(t*,t)
@@ -238,15 +220,14 @@ def pvar_distance(a: PartialRoughPath, b: PartialRoughPath) -> float:
     cross = rd + ad + cd + ry * (ax + cx) + ay * cx
     powers, bounds = [], []
     if not shared:
-        rx, axx, cxx = _tile_spreads(n, difference(a.x, b.x))
-        rb, ab, _ = _tile_spreads(n, _increment_norm(b.y))
+        rx, axx, cxx = spreads[0]
         cross = cross + rb * (axx + cxx) + ab * cxx
         powers.append(1.0 / a.p)
         bounds.append(_inflate(rx + axx + cxx, magnitude(a.x, b.x)))
     powers += [1.0 / a.p, 2.0 / a.p]
     bounds += [_inflate(ry + ay + cy, magnitude(a.y, b.y)),
                _inflate(cross, 4 * (error_a + error_b))]
-    return max(_pair_sup(a.times, powers, norms, bounds))
+    return max(_pair_sup(a.times, powers, pair_norms, bounds))
 
 
 def pushforward(prp: PartialRoughPath, phi: SmoothMap) -> PartialRoughPath:

@@ -316,15 +316,11 @@ def _crossing(increments, loop, y, t0: float, t1: float,
     return BlowupRecord(r_max, hi, norm), y_cross
 
 
-def _solution(x: RoughPath, times, traj, fes, level1, x2_all,
-              cfg: SolverConfig, blow) -> RDESolution:
+def _solution(times, traj, fes, level1, x2_all, cfg: SolverConfig,
+              blow) -> RDESolution:
     """The solution over times (the mesh up to the last step taken, or
     to the crossing time) from the states and field values stepped and
-    the driver's values on the mesh; a crossing queries x at times once
-    more (`at` works row by row, so each row keeps its bits)."""
-    if blow is not None:
-        level1, level2 = x.at(times)
-        x2_all = _grid_increments(level1, level2)[1]
+    the driver's level 1 and level-2 increments at those times."""
     cross_inc = np.einsum("kdm,kmn->kdn", fes, x2_all)
     return RDESolution(times, level1, x2_all, traj, cross_inc, cfg.p, blow)
 
@@ -376,11 +372,14 @@ def _davie_loop(x: RoughPath, f: VectorField, a, T: float,
             ys.extend(y_cross)
             last = i + 1
             mesh = np.concatenate([mesh[:i + 1], [blow.crossing_time]])
+            # the driver at the solution's times: one more query (`at`
+            # works row by row, so each row keeps its bits)
+            level1, x2_all = increments(mesh)[:2]
         traj_flat[(lo + 1) * d:(lo + 1) * d + len(ys)] = ys
         fes_flat[lo * d * m:lo * d * m + len(fs)] = fs
         if blow is not None:
             break
-    return _solution(x, mesh[:last + 1], traj[:last + 1], fes[:last], level1,
+    return _solution(mesh[:last + 1], traj[:last + 1], fes[:last], level1,
                      x2_all, cfg, blow)
 
 

@@ -160,9 +160,7 @@ class RoughPath:
         tq, k = _locate(self.times, t)
         dt = self.times[k + 1] - self.times[k]
         alpha = np.clip((tq - self.times[k]) / dt, 0.0, 1.0)
-        du = self.level1[k + 1] - self.level1[k]
-        db = (self.level2[k + 1] - self.level2[k]
-              - np.einsum("ki,kj->kij", self.level1[k], du))
+        du, db = _grid_increments(self.level1, self.level2, k, k + 1)
         a = alpha[:, None]
         ua = a * du
         # geodesic power: b(alpha) = alpha*b + 0.5*alpha*(alpha-1) u (x) u
@@ -233,16 +231,24 @@ def lift_piecewise_linear(points, times) -> RoughPath:
         raise ValueError("times must be strictly increasing")
     if pts.shape[0] != len(t):
         raise ValueError("points and times must have equal length")
-    n, m = pts.shape
     # a level 2 that overflows is left to RoughPath's finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
         u = pts - pts[0]
         delta = np.diff(pts, axis=0)
-        b_inc = 0.5 * np.einsum("ki,kj->kij", delta, delta)
-        cross = np.einsum("ki,kj->kij", u[:-1], delta)
-        b = np.zeros((n, m, m))
-        np.cumsum(b_inc + cross, axis=0, out=b[1:])
+        b = _chain(u, delta, 0.5 * np.einsum("ki,kj->kij", delta, delta))
     return RoughPath(t, u, b)
+
+
+def _chain(u: np.ndarray, delta: np.ndarray, b_inc: np.ndarray) -> np.ndarray:
+    """Level-2 point values of a lift with level-1 point values u, level-1
+    interval increments delta and level-2 interval increments b_inc:
+    intervals chained by the group product, as the running sum of
+    b_inc + u_k (x) delta_k from 0."""
+    n, m = u.shape
+    b = np.zeros((n, m, m))
+    np.cumsum(b_inc + np.einsum("ki,kj->kij", u[:-1], delta), axis=0,
+              out=b[1:])
+    return b
 
 
 def pure_area_path(T: float, m: int = 1, area: np.ndarray | None = None,
@@ -286,9 +292,7 @@ def brownian_lift(seed: int, steps: int, T: float, m: int,
             b_inc = 0.5 * np.einsum("ki,kj->kij", dW, dW)
         else:
             b_inc = np.zeros((steps, m, m))
-        cross = np.einsum("ki,kj->kij", u[:-1], dW)
-        b = np.zeros((steps + 1, m, m))
-        np.cumsum(b_inc + cross, axis=0, out=b[1:])
+        b = _chain(u, dW, b_inc)
     return RoughPath(t, u, b)
 
 
@@ -335,7 +339,8 @@ def _grid_increments(u: np.ndarray, b: np.ndarray, p=slice(None, -1),
     default each point to the next) of the point values (u, b):
     u_q - u_p and b_q - b_p - u_p (x) (u_q - u_p), row by row.  The one
     increment formula: RoughPath.increment and increment_between, the
-    solver's mesh rows and chen_defect's triples are its rows."""
+    interval increments `at` interpolates, the solver's mesh rows and
+    chen_defect's triples are its rows."""
     du = u[q] - u[p]
     return du, b[q] - b[p] - np.einsum("ki,kj->kij", u[p], du)
 
@@ -400,27 +405,32 @@ def _tile_corners(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return first, np.minimum(first + side, n - 1) - 1, first + 1
 
 
-def _tile_spreads(n: int, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The anchor terms of a tile bound for a two-parameter quantity.
+def _tile_spreads(n: int, q) -> list[tuple[np.ndarray, np.ndarray,
+                                             np.ndarray]]:
+    """The anchor terms of the tile bounds for two-parameter quantities.
 
-    q(i, j) returns |X(t_i, t_j)| for broadcast arrays of grid indices.
-    Returns, for rows I and columns J of tiles with inner corners s*, t*,
-    max over s in I of q(s, s*) (a column), q(s*, t*) (rows by columns)
-    and max over t in J of q(t*, t) (a row).
+    q(i, j) returns a tuple of norms |X(t_i, t_j)| for broadcast arrays
+    of grid indices.  pvar_norm and pvar_distance pass their pair_norms,
+    the function their tiles run, so an anchor has the bits of that
+    pair's norm in a tile.  Returns, per entry of the tuple, for rows I
+    and columns J of tiles with inner corners s*, t*: (max over s in I
+    of q(s, s*) (a column), q(s*, t*) (rows by columns), max over t in J
+    of q(t*, t) (a row)).
     """
-    if n < 2:
-        return np.zeros((0, 1)), np.zeros((0, 0)), np.zeros((1, 0))
     first, s_star, t_star = _tile_corners(n)
     s = np.arange(n - 1)
     tile = s // _tile_side(n)
-    rows = np.maximum.reduceat(q(s, s_star[tile]), first)
-    cols = np.maximum.reduceat(q(t_star[tile], s + 1), first)
-    return rows[:, None], q(s_star[:, None], t_star[None, :]), cols[None, :]
+    return [(np.maximum.reduceat(rows, first)[:, None], corner,
+             np.maximum.reduceat(cols, first)[None, :])
+            for rows, corner, cols in zip(
+                q(s, s_star[tile]), q(s_star[:, None], t_star[None, :]),
+                q(t_star[tile], s + 1))]
 
 
-def _increment_norm(v: np.ndarray):
-    """q(i, j) = |v_j - v_i|, Euclidean over the last axis."""
-    return lambda i, j: np.linalg.norm(v[j] - v[i], axis=-1)
+def _increment_norms(*vs: np.ndarray):
+    """q(i, j) = (|v_j - v_i| for v in vs), Euclidean over the last axis."""
+    return lambda i, j: tuple(np.linalg.norm(v[j] - v[i], axis=-1)
+                              for v in vs)
 
 
 def _plane_norm(planes, width: int) -> np.ndarray:
@@ -461,13 +471,6 @@ def _sum_squares(planes, k: int) -> np.ndarray:
     return total
 
 
-def _triangle_bound(n: int, v: np.ndarray) -> np.ndarray:
-    """Per tile, a bound on |v_t - v_s| over its pairs (triangle inequality
-    through the inner corners)."""
-    rows, corner, cols = _tile_spreads(n, _increment_norm(v))
-    return rows + corner + cols
-
-
 def _inflate(bound: np.ndarray, absolute: float = 0.0) -> np.ndarray:
     """A tile bound made to dominate the norms as computed, not only the
     exact ones.
@@ -505,17 +508,18 @@ def _tile_tops(t, powers, norms, i0, i1, j0, j1, diagonal):
     return tops
 
 
-def _pair_sup(times, powers, tile_norms, bounds) -> list[float]:
+def _pair_sup(times, powers, pair_norms, bounds) -> list[float]:
     """Largest norm / (t - s)^power over grid pairs s < t, per norm.
 
     The scan behind every sup-over-pairs measure.  The pairs are cut into
     tiles of side start points (a row of tiles) by side end points (a
     column), side = _tile_side(n); _tile_corners gives the layout.
-    tile_norms(i0, i1, j0, j1) returns one fresh (i1 - i0, j1 - j0)
-    array per entry of powers: the norms from start points i0..i1-1 to
-    end points j0..j1-1.  It is a pure function of the tile, computing
-    each pair the same way in any tile, so no visit order changes the
-    result.
+    pair_norms(i, j) returns one fresh array per entry of powers, the
+    norms from grid points i to grid points j for broadcast selectors;
+    a tile calls it with i = (slice(i0, i1), None) and j = slice(j0, j1),
+    the (i1 - i0, j1 - j0) pairs from start points i0..i1-1 to end
+    points j0..j1-1.  It computes each pair the same way in any tile, so
+    no visit order changes the result.
     bounds holds, per norm, a (rows, columns) array bounding every norm
     of each tile as computed (see _inflate).  The times must increase
     strictly, so t - s > 0 on every pair.
@@ -557,8 +561,9 @@ def _pair_sup(times, powers, tile_norms, bounds) -> list[float]:
         i0, i1 = int(first[row]), int(s_star[row]) + 1
         j0 = int(t_star[col])
         j1 = min(j0 + side, n)
-        np.maximum(best, _tile_tops(t, powers, tile_norms(i0, i1, j0, j1),
-                                    i0, i1, j0, j1, col == row), out=best)
+        norms = pair_norms((slice(i0, i1), None), slice(j0, j1))
+        np.maximum(best, _tile_tops(t, powers, norms, i0, i1, j0, j1,
+                                    col == row), out=best)
 
     for k in np.flatnonzero(fixed):
         evaluate(k)
@@ -584,34 +589,22 @@ def pvar_norm(rp: RoughPath, p: float) -> float:
     if not (2.0 <= p < 3.0):
         raise ValueError("p must lie in [2, 3)")
     u, b = rp.level1, rp.level2
-    n = rp.n_points
-
-    def level2(i, j):
-        du = u[j] - u[i]
-        db = b[j] - b[i] - u[i][..., :, None] * du[..., None, :]
-        return np.linalg.norm(db.reshape(db.shape[:-2] + (-1,)), axis=-1)
-
-    # the tiles compute on columns, one (n,) view per entry of u and of
-    # b, so numpy's inner loops run along a row of the tile: entry
-    # k = (a, c) of b(s,t) is a (rows, cols) plane
-    # (b_k(t) - b_k(s)) - u_a(s) du_c, the operations of level2, and
-    # _plane_norm sums the squared planes in np.linalg.norm's order (one
-    # after another below 8 entries, in eight running sums up to 128,
-    # in halves beyond), so each pair's norms keep their bits
-    m = rp.m
+    n, m = rp.n_points, rp.m
+    # the norms are computed on columns, one (n,) view per entry of u and
+    # of b, so numpy's inner loops run along a row of a tile: entry
+    # k = (a, c) of b(s,t) is a plane (b_k(t) - b_k(s)) - u_a(s) du_c,
+    # and _plane_norm sums the squared planes in np.linalg.norm's order
+    # (one after another below 8 entries, in eight running sums up to
+    # 128, in halves beyond), so each pair's norms are np.linalg.norm's
     uc, bc = u.T, b.reshape(n, -1).T
 
-    def norms(i0, i1, j0, j1):
-        def inc(col):
-            return col[j0:j1] - col[i0:i1, None]
-
-        du = [inc(col) for col in uc]
-        db = (inc(bc[k]) - uc[k // m, i0:i1, None] * du[k % m]
-              for k in range(m * m))
+    def pair_norms(i, j):
+        du = [col[j] - col[i] for col in uc]
+        db = ((col[j] - col[i]) - uc[k // m][i] * du[k % m]
+              for k, col in enumerate(bc))
         return _plane_norm(du, m), _plane_norm(db, m * m)
 
-    r1, a1, c1 = _tile_spreads(n, _increment_norm(u))
-    r2, a2, c2 = _tile_spreads(n, level2)
+    (r1, a1, c1), (r2, a2, c2) = _tile_spreads(n, pair_norms)
     # Chen: X(s,t) = X(s,s*) (x) X(s*,t*) (x) X(t*,t), exact for the
     # stored increments; its level 2 adds the three b terms and the
     # three cross products of the level-1 terms.  Each computed b entry
@@ -623,7 +616,7 @@ def pvar_norm(rp: RoughPath, p: float) -> float:
     bounds = (_inflate(r1 + a1 + c1),
               _inflate(r2 + a2 + c2 + r1 * a1 + r1 * c1 + a1 * c1,
                        level2_error))
-    c1, c2sq = _pair_sup(rp.times, (1.0 / p, 2.0 / p), norms, bounds)
+    c1, c2sq = _pair_sup(rp.times, (1.0 / p, 2.0 / p), pair_norms, bounds)
     return max(c1, math.sqrt(c2sq))
 
 
@@ -668,10 +661,10 @@ def geometricity_defect(rp: RoughPath) -> float:
     _require_finite(beta=flat)
     cols = np.ascontiguousarray(flat.T)
 
-    def squares(i0, i1, j0, j1):
-        sq = np.zeros((i1 - i0, j1 - j0))
+    def squares(i, j):
+        sq = 0.0
         for col in cols:
-            d = col[None, j0:j1] - col[i0:i1, None]
+            d = col[j] - col[i]
             sq += d * d
         return (sq,)
 
@@ -682,7 +675,7 @@ def geometricity_defect(rp: RoughPath) -> float:
             flat - 0.5 * (flat.max(axis=0) + flat.min(axis=0)), axis=1)
         far, longest = int(np.argmax(r)), 0.0
         for _ in range(3):
-            sq = squares(far, far + 1, 0, len(flat))[0][0]
+            sq = squares(far, slice(None))[0]
             far = int(np.argmax(sq))
             longest = max(longest, float(sq[far]))
         if math.isfinite(longest):
@@ -691,7 +684,10 @@ def geometricity_defect(rp: RoughPath) -> float:
             keep = np.sort(
                 keep[np.unique(flat[keep], axis=0, return_index=True)[1]])
             cols = np.ascontiguousarray(cols[:, keep])   # squares scans these
-            bound = _inflate(_triangle_bound(len(keep), flat[keep]) ** 2)
+            # the triangle inequality through each tile's inner corners
+            (rows, corner, ends), = _tile_spreads(
+                len(keep), _increment_norms(flat[keep]))
+            bound = _inflate((rows + corner + ends) ** 2)
             longest = _pair_sup(rp.times[keep], (0.0,), squares, (bound,))[0]
     if not math.isfinite(longest):
         raise ValueError("the geometricity defect overflowed: a squared "

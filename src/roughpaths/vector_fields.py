@@ -103,9 +103,6 @@ class SecondOrderField:
         H = self.jet(np.asarray(y, dtype=float).tolist())
         return np.array(H, dtype=float).reshape(self.d, self.m, self.m)
 
-    def __call__(self, y) -> np.ndarray:
-        return self.eval(y)
-
 
 # ---------------------------------------------------------------------------
 # generated float code: the one place that fixes the order of a sum

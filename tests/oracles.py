@@ -196,6 +196,55 @@ def pvar_distance_rows(a, b):
 
 
 # ---------------------------------------------------------------------------
+# the array forms of the per-pair formulas, which the tile bounds once
+# evaluated beside the tiles' column forms: q(i, j) for broadcast arrays
+# of grid indices, each pair's vector or matrix built whole, then
+# np.linalg.norm over its entries
+
+
+def increment_norm(v):
+    """q(i, j) = |v_j - v_i|."""
+    return lambda i, j: np.linalg.norm(v[j] - v[i], axis=-1)
+
+
+def level2_norm(rp):
+    """q(i, j) = ||b(t_i, t_j)||_F of a rough path's level 2."""
+    u, b = rp.level1, rp.level2
+
+    def level2(i, j):
+        du = u[j] - u[i]
+        db = b[j] - b[i] - u[i][..., :, None] * du[..., None, :]
+        return np.linalg.norm(db.reshape(db.shape[:-2] + (-1,)), axis=-1)
+
+    return level2
+
+
+def difference(va, vb):
+    """q(i, j) = |(va_j - va_i) - (vb_j - vb_i)|."""
+    return lambda i, j: np.linalg.norm((va[j] - va[i]) - (vb[j] - vb[i]),
+                                       axis=-1)
+
+
+def cross_pairs(prp):
+    """cross(t_i, t_j), shape broadcast(i, j) + (d, m), from the prefix
+    sums: P_j - P_i - y_i (x) (x_j - x_i)."""
+    P, y, x = _cross_prefix(prp), prp.y, prp.x
+    return lambda i, j: (P[j] - P[i]
+                         - y[i][..., :, None] * (x[j] - x[i])[..., None, :])
+
+
+def cross_norm(a, b):
+    """q(i, j) = ||cross_a(t_i, t_j) - cross_b(t_i, t_j)||_F."""
+    ca, cb = cross_pairs(a), cross_pairs(b)
+
+    def norm(i, j):
+        dc = ca(i, j) - cb(i, j)
+        return np.linalg.norm(dc.reshape(dc.shape[:-2] + (-1,)), axis=-1)
+
+    return norm
+
+
+# ---------------------------------------------------------------------------
 # the blocked row scan that the tiled pair scan replaced, kept as the fast
 # reference for the three sup-over-pairs measures on large grids (the
 # pair-by-pair pvar_norm_pairs is too slow there): every pair of every

@@ -198,6 +198,42 @@ def test_solve_reports_blowup(tmp_path):
     assert (tmp_path / "out" / "blowup.json").exists()
 
 
+def _files(path):
+    return {f.name: f.read_bytes() for f in sorted(path.iterdir())}
+
+
+@pytest.mark.parametrize("command, first, second, blowup", [
+    ("solve", {"solver": {"r_max": 1.5}}, {}, "blowup.json"),
+    ("explosion-demo", {"fine_mesh": 4096},
+     {"fine_mesh": 4096, "horizon_factor": 0.5}, "explosion_blowup.json")])
+def test_rerun_without_a_crossing_leaves_no_stale_blowup(
+        tmp_path, command, first, second, blowup):
+    # a run that crosses r_max, then one that does not, into one --out:
+    # the files and bytes of a fresh run of the second, each time
+    run(tmp_path, command, second, name="fresh")
+    fresh = _files(tmp_path / "fresh")
+    assert blowup not in fresh
+    run(tmp_path, command, first, name="out")
+    assert (tmp_path / "out" / blowup).exists()
+    for _ in range(2):
+        run(tmp_path, command, second, name="out")
+        assert _files(tmp_path / "out") == fresh
+
+
+@pytest.mark.parametrize("n, cap", [(101, 1), (101, 2), (101, 10),
+                                    (101, 34), (101, 100), (101, 101),
+                                    (101, 500), (2, 1), (25, 24)])
+def test_decompose_writes_at_most_max_csv_rows(tmp_path, n, cap):
+    # the stride used to be n // cap: 4167 rows for 100,001 points and a
+    # cap of 4096
+    driver = {"kind": "brownian-ito", "steps": n - 1, "m": 1, "T": 1.0}
+    run(tmp_path, "decompose", {"driver": driver, "max_csv_rows": cap})
+    lines = (tmp_path / "out" / "beta.csv").read_text().splitlines()
+    rows = len(lines) - 1
+    assert min(n, cap) / 2 <= rows <= min(n, cap)
+    assert lines[1].startswith("0,")
+
+
 def test_outputs_are_deterministic(tmp_path):
     assert run(tmp_path, "growth-demo", {"mesh": 512}, name="a") == 0
     assert run(tmp_path, "growth-demo", {"mesh": 512}, name="b") == 0

@@ -27,8 +27,10 @@ from roughpaths.rough_paths import (RoughPath, beta_path, brownian_lift,
                                     lift_piecewise_linear, pvar_norm)
 from roughpaths.vector_fields import counterexample_field
 
-from oracles import (geometricity_defect_blocked, pvar_distance_blocked,
-                     pvar_distance_rows, pvar_norm_blocked)
+from oracles import (cross_norm, cross_pairs, difference,
+                     geometricity_defect_blocked, increment_norm, level2_norm,
+                     pvar_distance_blocked, pvar_distance_rows,
+                     pvar_norm_blocked)
 
 
 def random_grid(rng, n):
@@ -225,10 +227,12 @@ def _fake_scan(monkeypatch, seed, n, side, powers):
                                 for b, pw in zip(bounds, powers)]
     calls = []
 
-    def tile_norms(i0, i1, j0, j1):
-        a, c = i0 // side, (j0 - 1) // side
+    def tile_norms(i, j):
+        (rows, _), cols = i, j
+        a, c = rows.start // side, (cols.start - 1) // side
         calls.append((a, c))
-        return [np.full((i1 - i0, j1 - j0), v[a, c]) for v in values]
+        return [np.full((rows.stop - rows.start, cols.stop - cols.start),
+                        v[a, c]) for v in values]
 
     result = rough_paths._pair_sup(times, powers, tile_norms, list(bounds))
     return tops, scaled, fixed, calls, result
@@ -495,7 +499,7 @@ def every_tile(monkeypatch):
                 i0, i1, j0 = first[a], s_star[a] + 1, t_star[c]
                 j1 = min(j0 + rough_paths._tile_side(n), n)
                 live = np.arange(j0, j1)[None, :] > np.arange(i0, i1)[:, None]
-                norms = tile_norms(i0, i1, j0, j1)
+                norms = tile_norms((slice(i0, i1), None), slice(j0, j1))
                 for v, bound in zip(norms, bounds):
                     assert np.max(v[live], initial=0.0) <= bound[a, c]
                 checked.append((a, c))
@@ -542,3 +546,111 @@ def test_tile_bounds_dominate_every_norm(every_tile, n):
     d = random_triple(rng, n, 2, 3, times=c.times)
     pvar_distance(c, d)
     assert len(every_tile) > 0
+
+
+# ---------------------------------------------------------------------------
+# the tile-bound anchors: each measure's pair_norms, run on index arrays,
+# against the array-form formulas, bit for bit.  The CLI, the demos and
+# the benchmark never reach an unshared driver or a width of 8 or more
+# entries, so these are the tests that do
+
+
+def _anchors(monkeypatch, measure, *args):
+    """The anchors of the first _tile_spreads call the measure makes,
+    whose q is its pair_norms."""
+    spreads = rough_paths._tile_spreads
+    calls = []
+
+    def spy(n, q):
+        calls.append(spreads(n, q))
+        return calls[-1]
+
+    monkeypatch.setattr(rough_paths, "_tile_spreads", spy)
+    monkeypatch.setattr(partial_rough_paths, "_tile_spreads", spy)
+    measure(*args)
+    return calls[0]
+
+
+def _same_bits(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for x, y in zip(g, w):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _scaled(rng, shape):
+    # entries over a few decades, a few of them zero
+    v = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+    v[rng.uniform(size=shape) < 0.05] = 0.0
+    return v
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_pvar_norm_anchors_equal_the_array_formulas(m):
+    # m m >= 8 entries of level 2 sum in eight running sums, m = 12's
+    # 144 in two halves
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=8, deadline=None, derandomize=True,
+                  database=None)
+    @hyp.given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
+               side=st.integers(1, 8))
+    def equal(seed, n, side):
+        rng = np.random.default_rng(seed)
+        u, b = _scaled(rng, (n, m)), _scaled(rng, (n, m, m))
+        u[0], b[0] = 0.0, 0.0
+        x = RoughPath(random_grid(rng, n), u, b)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rough_paths, "_TILE", side)
+            got = _anchors(mp, pvar_norm, x, 2.3)
+            want = rough_paths._tile_spreads(
+                n, lambda i, j: (increment_norm(u)(i, j),
+                                 level2_norm(x)(i, j)))
+        _same_bits(got, want)
+
+    equal()
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_pvar_distance_anchors_equal_the_array_formulas(shared):
+    # up to 9 entries of y and 36 of the cross integral: the eight
+    # running sums of np.linalg.norm
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True,
+                  database=None)
+    @hyp.given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
+               d=st.integers(1, 9), m=st.integers(1, 4),
+               side=st.integers(1, 8))
+    def equal(seed, n, d, m, side):
+        rng = np.random.default_rng(seed)
+        a = random_triple(rng, n, d, m)
+        b = random_triple(rng, n, d, m, times=a.times)
+        if shared:
+            b = on_driver_of(a, b)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rough_paths, "_TILE", side)
+            got = _anchors(mp, pvar_distance, a, b)
+            forms = [difference(a.y, b.y), cross_norm(a, b)]
+            if not shared:
+                forms.insert(0, difference(a.x, b.x))
+            want = rough_paths._tile_spreads(
+                n, lambda i, j: tuple(q(i, j) for q in forms))
+        _same_bits(got, want)
+
+    equal()
+
+
+def test_cross_between_equals_the_array_formula():
+    rng = np.random.default_rng(33)
+    for d, m in [(1, 1), (2, 3), (3, 3), (9, 1)]:
+        prp = random_triple(rng, 30, d, m)
+        want = cross_pairs(prp)
+        i = rng.integers(0, 30, size=(7, 1))
+        j = rng.integers(0, 30, size=(1, 5))
+        for args in ((i, j), (i[:3, 0], j[0, :3]), (4, j), (i, 9), (3, 17)):
+            got = prp.cross_between(*args)
+            assert got.shape == want(*args).shape
+            assert np.array_equal(got, want(*args))

@@ -12,6 +12,12 @@ In a fresh temporary directory this runs
 - `rde changevar-check` with the user shift `{"shift": 10.0}`, the
   branch that builds ShiftedMap from the config rather than from
   choose_shift;
+- `rde solve` with `r_max` 1.5 (`solve-cross`), which crosses it, so
+  the digest covers the solve's blow-up JSON;
+- a default `rde solve` into `solve-cross`'s directory (`solve-rerun`,
+  hashing what is there afterwards), which crosses nothing: the
+  directory then holds what a fresh default run writes, the earlier
+  blow-up JSON removed;
 - the eight demos, with the temporary directory as the working
   directory, so their `demos/out` files land there.
 
@@ -79,10 +85,11 @@ def main() -> int:
             lines.append(f"exit {proc.returncode}  {name}")
             digest(f"{name}/stdout", proc.stdout)
 
-        def rde(name, *args) -> None:
+        def rde(name, *args, out=None) -> None:
+            out = out or name
             run(name, ["-W", "error", "-m", "roughpaths.cli", *args,
-                       "--out", name])
-            for path in sorted((tmp_path / name).glob("*")):
+                       "--out", out])
+            for path in sorted((tmp_path / out).glob("*")):
                 digest(f"{name}/{path.name}", path.read_bytes())
 
         for command in COMMANDS:
@@ -102,6 +109,10 @@ def main() -> int:
             {"shift": 10.0}))
         rde("changevar-shift", "changevar-check", "--config",
             "changevar-shift.json")
+        (tmp_path / "solve-cross.json").write_text(json.dumps(
+            {"solver": {"r_max": 1.5}}))
+        rde("solve-cross", "solve", "--config", "solve-cross.json")
+        rde("solve-rerun", "solve", out="solve-cross")
         for demo in sorted((ROOT / "demos").glob("0*.py")):
             run(f"demos/{demo.stem}", ["-W", "error", str(demo)])
         for path in sorted((tmp_path / "demos" / "out").glob("*")):
