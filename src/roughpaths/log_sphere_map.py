@@ -150,10 +150,10 @@ def choose_shift(a, predicted_radius: float) -> ShiftedMap:
 def sphere_state_projection(d: int):
     """Per-step renormalizer of the angular part q, the first d entries,
     of a state (q, rho), for SolverConfig.state_projection: on the
-    solver's floats, q/|q| with |q|^2 summed left to right from 0.0, as
-    every Davie sum is, and the entries after q as they are; a state
-    whose |q| is 0 or not finite is returned itself.  Straight-line code
-    generated for d."""
+    solver's floats, q/|q| with |q|^2 summed left to right from 0.0 (the
+    bits of the Davie loop's |y|^2), and the entries after q as they
+    are; a state whose |q| is 0 or not finite is returned itself.
+    Straight-line code generated for d."""
     body = [*_sum_lines("n", [f"w[{k}] * w[{k}]" for k in range(d)]),
             "n = sqrt(n)",
             "if n == 0.0 or not isfinite(n):",

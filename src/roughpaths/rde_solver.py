@@ -14,15 +14,16 @@ field's jet once per step (a field is its jet: VectorField.jet), or by
 the jet's source lines in place of the call (the counterexample and
 zero fields'), so no interpreted loop runs per step, no numpy call
 costs its overhead per step and no bit depends on a BLAS kernel.  Every
-sum runs left to right from 0.0, which keeps the signs of zero a loop
-`s = 0.0; s += t` gives.  The bisection that locates where |y| first
-crosses r_max (the operational stand-in for blow-up) runs the same
-loop, and the ball test is taken after any state projection, on the
-state the loop stores.  In the traced `explosion` benchmark run (seed
-3, 2-vCPU Xeon, Python 3.11.7) a corrected step took 0.81 us, against
-1.34 us with the step called from an interpreted loop; generating and
-compiling the loop costs 0.2-0.3 ms per solve at d = 2 (fused route)
-and 0.7-1.1 ms at d = m = 3 (unfused).
+sum runs left to right, with the bits, signs of zero included, of a loop
+`s = 0.0; s += t` (_davie_step: only each state row's first inner sum
+needs the 0.0).  The bisection that locates where |y| first crosses
+r_max (the operational stand-in for blow-up) runs the same loop, and
+the ball test is taken after any state projection, on the state the
+loop stores.  In the traced benchmark runs (seed 5, 2-vCPU AMD EPYC,
+Python 3.11.7) a corrected step took 0.32 us on `explosion` and a plain
+one 0.35 us on `growth` (0.37 and 0.40-0.42 us with every sum from 0.0);
+generating and compiling the loop costs 0.09 ms per solve at d = 2
+(fused route) and 0.27 ms at d = m = 3 (unfused).
 
 A solution is its partial rough path (x, y, int dy (x) dx): the cross
 integral against the driver is stored per interval, f(y_i) paired with
@@ -89,11 +90,11 @@ class FieldEvaluationError(RuntimeError):
     squared norm overflows."""
 
     def __init__(self, t, y):
-        super().__init__(f"the step from t={t!r}, "
-                         f"y={np.asarray(y).tolist()!r} gave a state whose "
-                         f"squared norm is not a finite float")
-        self.t = t
+        self.t = float(t)      # a Python float, not a mesh's np.float64
         self.y = np.array(y)   # an array of its own
+        super().__init__(f"the step from t={self.t!r}, "
+                         f"y={self.y.tolist()!r} gave a state whose "
+                         f"squared norm is not a finite float")
 
 
 @dataclass
@@ -190,14 +191,18 @@ def _davie_step(x: RoughPath, f: VectorField, young: tuple | None,
     at the first step that fails the test.
 
     The loop is straight-line code for f's d and m and the route (plain,
-    fused or unfused), compiled once per solve.  Each sum is written out
-    as `0.0 + t0 + t1 + ...` (vector_fields._sum_lines), which rounds as
-    the loop `s = 0.0; s += t0; ...` does, -0.0 terms summing to +0.0,
-    so no bit depends on a BLAS kernel.  The state lives in locals
-    y0.. (and in the list y the jets take), f in F0.. and grad f in
-    G0..: set by f.jet's source lines while f.jet is the function
-    compiled from them (jet.lines, as the counterexample and zero
-    fields'), else by one call of f's jet, unpacked.
+    fused or unfused), compiled once per solve: each state row is one
+    expression, y_a + ((0.0 + f . u) + (grad f . P) [+ (h2 . dbeta)]),
+    its sums left to right (vector_fields._sum_lines), no BLAS kernel.
+    Only f . u starts from 0.0, yet every bit is that of sums all from
+    0.0 (`s = 0.0; s += t0; ...`): a sum from 0.0 is never -0.0, so
+    adding to it a sum that differs from its 0.0-started form at most in
+    the sign of a zero gives the same float; P reaches y+ only through
+    such a sum; and n2 sums squares, never -0.0.  The state lives in
+    locals y0.. (a list y where a called jet takes it), f in F0.. and
+    grad f in G0..: set by f.jet's source lines while f.jet is the
+    function compiled from them (jet.lines, as the counterexample and
+    zero fields'), else by one call of f's jet, unpacked.
     """
     d, m = f.d, f.m
     h2 = _separate_h2(f, young)
@@ -219,43 +224,51 @@ def _davie_step(x: RoughPath, f: VectorField, young: tuple | None,
 
     Y, V = names("y", d), names("v", d)
     F, G = names("F", md), names("G", md * d)
-    lines = getattr(f.jet, "lines", None)
-    head = (list(lines) if lines is not None else
-            ["F, G = f_jet(y)", f"{F}, = F", f"{G}, = G"])
     R = [f"r{k}" for k in range(m + mm + (0 if h2 is None else mm))]
+    lines = getattr(f.jet, "lines", None)
+    # a called jet takes the state as a list
+    body = [f"y = [{Y}]"] if lines is None or h2 is not None else []
+    body += (list(lines) if lines is not None else
+             ["F, G = f_jet(y)", f"{F}, = F", f"{G}, = G"])
+
+    def summed(name, terms):
+        # terms summed left to right, as an expression: the last of the
+        # lines _sum_lines writes, the lines before it (a sum too long
+        # for one line) set into body
+        *before, last = _sum_lines(name, terms[1:], terms[0])
+        body.extend(before)
+        return "(" + last.partition(" = ")[2] + ")"
+
     # P_jc pairs b^T (R[m:m + mm]) with f; row a pairs f with u (R[:m]),
     # grad f with P and h2 with dbeta (R[m + mm:])
-    body = []
     for j in range(m):
         for c in range(d):
-            body += _sum_lines(f"P{j}_{c}", [f"{R[m + j * m + i]} * "
-                                             f"F{c * m + i}"
-                                             for i in range(m)])
+            body.append(f"P{j}_{c} = " + summed("p", [
+                f"{R[m + j * m + i]} * F{c * m + i}" for i in range(m)]))
     if h2 is not None:
         body.append("H = h2_jet(y)")
     for a in range(d):
-        body += _sum_lines("s", [f"F{a * m + i} * {R[i]}" for i in range(m)])
-        body += _sum_lines("t", [f"G{a * md + j * d + c} * P{j}_{c}"
-                                 for j in range(m) for c in range(d)])
-        body.append("s = s + t")
+        row = [summed("s", ["0.0", *(f"F{a * m + i} * {R[i]}"
+                                     for i in range(m))]),
+               summed("t", [f"G{a * md + j * d + c} * P{j}_{c}"
+                            for j in range(m) for c in range(d)])]
         if h2 is not None:
-            body += _sum_lines("t", [f"H[{a * mm + k}] * {R[m + mm + k]}"
-                                     for k in range(mm)])
-            body.append("s = s + t")
-        body.append(f"v{a} = y{a} + s")
+            row.append(summed("h", [f"H[{a * mm + k}] * {R[m + mm + k]}"
+                                    for k in range(mm)]))
+        body.append(f"v{a} = y{a} + ({' + '.join(row)})")
     if proj is not None:
         body.append(f"{V}, = proj([{V}])")
-    body += _sum_lines("n2", [f"v{a} * v{a}" for a in range(d)])
+    body.append("n2 = " + summed("n2", [f"v{a} * v{a}" for a in range(d)]))
     route = "plain" if young is None else "fused" if h2 is None else "unfused"
     env = dict(getattr(f.jet, "env", {}), f_jet=f.jet, proj=proj,
                h2_jet=None if h2 is None else h2.jet)
     loop = _compiled("loop", "y, rows, n2_max, ys, fs", [
         f"{Y}, = y", "it = iter(rows)",
         f"for {', '.join(R)}, in zip({', '.join(['it'] * len(R))}):",
-        *(f"    {s}" for s in [*head, *body, f"fs += ({F},)",
+        *(f"    {s}" for s in [*body, f"fs += ({F},)",
                                "if not n2 <= n2_max:",
-                               f"    return [{Y}], n2", f"y = [{V}]",
-                               "ys += y", f"{Y}, = y"]),
+                               f"    return [{Y}], n2", f"ys += ({V},)",
+                               *(f"y{a} = v{a}" for a in range(d))]),
         f"return [{Y}], n2"], f"<davie loop d={d} m={m} {route}>", **env)
     return increments, loop
 

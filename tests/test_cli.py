@@ -544,6 +544,16 @@ def test_overflows_exit_two_without_a_warning(tmp_path, capsys, command,
     assert not (tmp_path / "out" / "report.txt").exists()
 
 
+def test_a_field_evaluation_error_prints_its_time_as_a_float(tmp_path,
+                                                            capsys):
+    # the mesh time was an np.float64, printed as t=np.float64(0.0)
+    assert run(tmp_path, "growth-demo",
+               {"lambdas": [1.0, 1e150], "mesh": 64}) == 2
+    assert capsys.readouterr().err == (
+        "error: the step from t=0.0, y=[1.0, 0.0] gave a state whose "
+        "squared norm is not a finite float\n")
+
+
 def test_growth_demo_no_longer_calls_an_overflowed_defect_non_geometric(
         tmp_path, capsys):
     # the defect used to come out inf, reported as "driver is not

@@ -39,9 +39,14 @@ from oracles import (counterexample_eval_lists, counterexample_grad_lists,
 K = 128
 
 
-def random_polyline(rng, m, n=6, scale=0.3):
+def random_polyline(rng, m, n=6, scale=0.3, flat=False):
+    """A polyline of n random segments; flat leaves about half of them
+    still (zero level-1 increments)."""
+    steps = rng.normal(0.0, scale, size=(n, m))
+    if flat:
+        steps[rng.random(n) < 0.5] = 0.0
     pts = np.zeros((n + 1, m))
-    pts[1:] = np.cumsum(rng.normal(0.0, scale, size=(n, m)), axis=0)
+    pts[1:] = np.cumsum(steps, axis=0)
     return lift_piecewise_linear(pts, np.linspace(0.0, 1.0, n + 1))
 
 
@@ -243,7 +248,9 @@ def test_generated_loop_equals_the_float_oracle(route, kind):
     # oracle, crossing record and FieldEvaluationError state included;
     # the pure-area driver takes the counterexample field past the
     # largest float within the solve, and a start of 1e155 overflows
-    # |y|^2 at once
+    # |y|^2 at once; zeros draws a start of +-0.0 entries and, off the
+    # pure-area driver, a polyline with flat segments, so that every
+    # product of a row can be a signed zero
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     K = 64
@@ -265,8 +272,8 @@ def test_generated_loop_equals_the_float_oracle(route, kind):
                   database=None)
     @hyp.given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 3),
                m=st.integers(1, 2), pure_area=st.booleans(),
-               scale=st.sampled_from([1.0, 1e155]))
-    def agree(seed, d, m, pure_area, scale):
+               scale=st.sampled_from([1.0, 1e155]), zeros=st.booleans())
+    def agree(seed, d, m, pure_area, scale, zeros):
         rng = np.random.default_rng(seed)
         f, f_ref = loop_fields(kind, d, m, rng)
         assert hasattr(f.jet, "lines") == (kind in ("counterexample",
@@ -282,9 +289,11 @@ def test_generated_loop_equals_the_float_oracle(route, kind):
             a = np.array([rng.uniform(1.0, 2.0), *[0.0] * (f.d - 1)])
         else:
             T = 1.0
-            x = random_polyline(rng, f.m)
+            x = random_polyline(rng, f.m, flat=zeros)
             beta = random_drift(rng, x.times, f.m)
             a = rng.normal(0.0, 1.0, size=f.d)
+        if zeros:
+            a = rng.choice([0.0, -0.0], size=f.d)
         a = scale * a
         mesh = np.linspace(0.0, T, K + 1)
         r_max = math.inf
@@ -376,7 +385,8 @@ def test_a_traceback_through_generated_code_shows_its_lines(route):
             h2 = so if route == "fused" else SecondOrderField(1, 1, so.jet)
             solve_rde_corrected(x, beta, f, h2, a, 1.0, cfg)
     text = "".join(traceback.format_exception(info.value))
-    assert f'File "<davie loop d=1 m=1 {route}>", line 5, in loop' in text
+    # line 5 builds the list y the called jet takes, line 6 calls it
+    assert f'File "<davie loop d=1 m=1 {route}>", line 6, in loop' in text
     assert "    F, G = f_jet(y)\n" in text
     with pytest.raises(ArithmeticError) as info:
         so.jet([1.0])
@@ -385,21 +395,26 @@ def test_a_traceback_through_generated_code_shows_its_lines(route):
     assert "    F, G = f_jet(y)\n" in text
 
 
-@pytest.mark.parametrize("route", ["plain", "fused", "unfused"])
+@pytest.mark.parametrize("route", ["plain", "fused", "unfused", "projected"])
 def test_a_sum_of_negative_zeros_is_positive_zero(route):
-    # f = 0 and grad f = -0.0: every product in the step is a signed
-    # zero, and a sum from 0.0 makes +0.0 of them, as the oracle's loop
-    # does; without the leading 0.0 the state would step to -0.0
+    # f = 0 and grad f = -0.0 at a start of -0.0: every product in the
+    # step is a signed zero, and a sum from 0.0 makes +0.0 of them, as
+    # the oracle's loop does; without the row's leading 0.0 the state
+    # would stay -0.0.  f . u is -0.0 on every route, grad f . P on the
+    # fused one where b = x2 + dbeta >= 0 and h2 . dbeta on the unfused
+    # one where dbeta < 0
     f = VectorField(1, 1, lambda y: ((0.0,), (-0.0,)))
     x = lift_piecewise_linear(np.array([[0.0], [-1.0]]), [0.0, 1.0])
     mesh = np.linspace(0.0, 1.0, K + 1)
     a = np.array([-0.0])
-    cfg = SolverConfig(base_mesh=K)
-    if route == "plain":
+    proj = (lambda w: w) if route == "projected" else None
+    cfg = SolverConfig(base_mesh=K, state_projection=proj)
+    if route in ("plain", "projected"):
         sol, ref = (solve_rde(x, f, a, 1.0, cfg),
-                    davie_solve_floats(x, f, a, mesh))
+                    davie_solve_floats(x, f, a, mesh, projection=proj))
     else:
-        beta = AreaDrift(x.times, -0.25 * x.times[:, None, None])
+        slope = 0.25 if route == "fused" else -0.25
+        beta = AreaDrift(x.times, slope * x.times[:, None, None])
         so = f_dot_grad_f(f)
         assert bits(np.array(so.jet([-0.0]))) == bits(np.array([0.0]))
         h2, h2_ref = (so, so) if route == "fused" else (
@@ -505,6 +520,7 @@ def test_field_error_reports_the_last_finite_state(projected):
     with pytest.raises(FieldEvaluationError) as err:
         solve_rde(x, bad, np.array([1.0]), 1.0, cfg)
     mesh = np.linspace(0.0, 1.0, K + 1)
+    assert type(err.value.t) is float
     k = int(np.flatnonzero(mesh == err.value.t)[0])
     # the uniform mesh to T = mesh[k] holds the same dyadic points
     before = solve_rde(x, bad, np.array([1.0]), mesh[k],

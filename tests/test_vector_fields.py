@@ -1,4 +1,6 @@
 import math
+import struct
+from itertools import product
 
 import numpy as np
 import pytest
@@ -204,6 +206,24 @@ def test_generated_sums_round_as_a_loop_from_zero():
             s += t
         assert math.copysign(1.0, total(v)) == math.copysign(1.0, s)
         assert total(v) == s, n
+
+
+def test_a_sum_from_zero_takes_any_zero_added_to_it_as_plus_zero():
+    # the rule the Davie loop's rows and |y|^2 rest on.  A = 0.0 + a is
+    # never -0.0, so A + B has the bits of A + (0.0 + B), B differing
+    # from 0.0 + B at most in the sign of a zero; and a square is never
+    # -0.0, so a sum of squares needs no leading 0.0
+    def bits(v):
+        return struct.pack("<d", v)
+
+    values = (0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, math.inf, -math.inf,
+              math.nan)
+    for a, b, c in product(values, repeat=3):
+        A = 0.0 + a
+        for B in (b, b + c, b * c):
+            assert bits(A + B) == bits(A + (0.0 + B)), (a, b, c)
+        assert (bits(a * a + b * b + c * c)
+                == bits(0.0 + a * a + b * b + c * c)), (a, b, c)
 
 
 def test_field_registry():
