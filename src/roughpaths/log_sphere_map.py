@@ -254,7 +254,7 @@ def transformed_field(f: VectorField, shift: ShiftedMap) -> VectorField:
              '{rho:.6g}")',
              "return h, gh"]
     return VectorField(W, m, _chart_jet("chart field", f, shift, body),
-                       gamma=f.gamma, name=f"logsphere({f.name})")
+                       name=f"logsphere({f.name})")
 
 
 def h1_h2(f: VectorField, shift: ShiftedMap):

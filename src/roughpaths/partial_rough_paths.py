@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rough_paths import (_EPS, _grid_triples, _increment_norms, _inflate,
-                          _pair_sup, _plane_norm, _require_finite,
-                          _tile_spreads)
+from .rough_paths import (_EPS, _grid_times, _grid_triples,
+                          _increment_norms, _inflate, _pair_sup, _plane_norm,
+                          _require_finite, _tile_spreads)
 
 __all__ = [
     "SmoothMap",
@@ -66,7 +66,7 @@ class PartialRoughPath:
     p: float = 2.0
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
+        t = _grid_times(self.times)
         x = np.asarray(self.x, dtype=float)
         y = np.asarray(self.y, dtype=float)
         x2 = np.asarray(self.x2_inc, dtype=float)
@@ -79,9 +79,7 @@ class PartialRoughPath:
             raise ValueError("x2_inc/cross_inc must have one row per interval")
         if not (2.0 <= self.p < 3.0):
             raise ValueError("p must lie in [2, 3)")
-        _require_finite(times=t, x=x, y=y, x2_inc=x2, cross_inc=cr)
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("times must be strictly increasing")
+        _require_finite(x=x, y=y, x2_inc=x2, cross_inc=cr)
         for name, arr in (("times", t), ("x", x), ("y", y),
                           ("x2_inc", x2), ("cross_inc", cr)):
             object.__setattr__(self, name, arr)

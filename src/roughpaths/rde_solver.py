@@ -21,9 +21,8 @@ r_max (the operational stand-in for blow-up) runs the same loop, and
 the ball test is taken after any state projection, on the state the
 loop stores.  In the traced benchmark runs (seed 5, 2-vCPU AMD EPYC,
 Python 3.11.7) a corrected step took 0.32 us on `explosion` and a plain
-one 0.35 us on `growth` (0.37 and 0.40-0.42 us with every sum from 0.0);
-generating and compiling the loop costs 0.09 ms per solve at d = 2
-(fused route) and 0.27 ms at d = m = 3 (unfused).
+one 0.35 us on `growth`; generating and compiling the loop costs 0.09 ms
+per solve at d = 2 (fused route) and 0.27 ms at d = m = 3 (unfused).
 
 A solution is its partial rough path (x, y, int dy (x) dx): the cross
 integral against the driver is stored per interval, f(y_i) paired with
@@ -42,7 +41,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -97,9 +97,11 @@ class FieldEvaluationError(RuntimeError):
                          f"squared norm is not a finite float")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    """Stepping and detection parameters.  state_projection, if set,
+    """Stepping and detection parameters, frozen and checked in full when
+    built: base_mesh, the solve's number of uniform steps, an integer in
+    [1, _MAX_STEPS]; r_max > 0; p in [2, 3).  state_projection, if set,
     maps each state a step gives, a list of d Python floats, to the d
     floats the loop tests against r_max, stores and steps from next (its
     input or a reused buffer will do: the loop copies the values out).
@@ -112,6 +114,10 @@ class SolverConfig:
     state_projection: object | None = None
 
     def __post_init__(self):
+        if not (isinstance(self.base_mesh, Integral)
+                and 1 <= self.base_mesh <= _MAX_STEPS):
+            raise ValueError(f"base_mesh must be an integer in [1, "
+                             f"{_MAX_STEPS}], got {self.base_mesh!r}")
         if not (self.r_max > 0):
             raise ValueError("r_max must be positive")
         if not (2.0 <= self.p < 3.0):
@@ -152,12 +158,6 @@ class RDESolution(PartialRoughPath):
 
     def sup_norm(self) -> float:
         return float(np.max(np.linalg.norm(self.y, axis=1)))
-
-
-def _solve_mesh(T: float, cfg: SolverConfig) -> np.ndarray:
-    if cfg.base_mesh < 1 or cfg.base_mesh > _MAX_STEPS:
-        raise ValueError("base_mesh out of range")
-    return np.linspace(0.0, T, cfg.base_mesh + 1)
 
 
 def _separate_h2(f: VectorField, young: tuple | None):
@@ -281,8 +281,6 @@ def _entry_checks(x: RoughPath, f: VectorField, a, T: float,
     at the start state, so that one giving a wrong number of values
     raises ValueError here rather than stepping on it."""
     d, m = f.d, f.m
-    if 2.0 + f.gamma <= cfg.p:
-        raise ValueError("need 2 + gamma > p")
     y = np.asarray(a, dtype=float).copy()
     if not np.all(np.isfinite(y)):
         raise ValueError("initial state must be finite")
@@ -303,7 +301,7 @@ def _entry_checks(x: RoughPath, f: VectorField, a, T: float,
         if n != d * m * m:
             raise ValueError(f"h2 (d={d}, m={m}): its jet gave {n} values, "
                              f"expected {d * m * m}")
-    return y, _solve_mesh(T, cfg)
+    return y, np.linspace(0.0, T, cfg.base_mesh + 1)
 
 
 def _crossing(increments, loop, y, t0: float, t1: float,
@@ -327,15 +325,6 @@ def _crossing(increments, loop, y, t0: float, t1: float,
             lo = mid
     y_cross, norm = state_at(hi)
     return BlowupRecord(r_max, hi, norm), y_cross
-
-
-def _solution(times, traj, fes, level1, x2_all, cfg: SolverConfig,
-              blow) -> RDESolution:
-    """The solution over times (the mesh up to the last step taken, or
-    to the crossing time) from the states and field values stepped and
-    the driver's level 1 and level-2 increments at those times."""
-    cross_inc = np.einsum("kdm,kmn->kdn", fes, x2_all)
-    return RDESolution(times, level1, x2_all, traj, cross_inc, cfg.p, blow)
 
 
 # steps the generated loop takes per call: their inputs are read, and
@@ -392,8 +381,9 @@ def _davie_loop(x: RoughPath, f: VectorField, a, T: float,
         fes_flat[lo * d * m:lo * d * m + len(fs)] = fs
         if blow is not None:
             break
-    return _solution(mesh[:last + 1], traj[:last + 1], fes[:last], level1,
-                     x2_all, cfg, blow)
+    cross_inc = np.einsum("kdm,kmn->kdn", fes[:last], x2_all)
+    return RDESolution(mesh[:last + 1], level1, x2_all, traj[:last + 1],
+                       cross_inc, cfg.p, blow)
 
 
 def solve_rde(x: RoughPath, f: VectorField, a, T: float,
@@ -450,6 +440,21 @@ def _horizon(x: RoughPath, T: float | None) -> float:
     return T
 
 
+def _bounded_rule(caller: str, x: RoughPath, bounds: FieldBounds,
+                  T: float | None, p: float):
+    """The bounded-field rule's inputs (T, ||x||, L) at p, with
+    L = (K mu / (|h|_inf + mu |grad h|_inf))^p, inf for a vanishing
+    field.  Rejects undeclared bounds, naming caller, then a horizon
+    outside (0, x.T]."""
+    if not (math.isfinite(bounds.f_inf) and math.isfinite(bounds.grad_inf)):
+        raise ValueError(f"{caller} needs declared finite bounds")
+    T = _horizon(x, T)
+    norm = pvar_norm(x, p)
+    denom = bounds.f_inf + _MU * bounds.grad_inf
+    L = math.inf if denom == 0.0 else (_STEP_RULE_K * _MU / denom) ** p
+    return T, norm, L
+
+
 def adaptive_partition(x: RoughPath, bounds: FieldBounds,
                        cfg: SolverConfig | None = None,
                        T: float | None = None) -> PartitionResult:
@@ -463,17 +468,12 @@ def adaptive_partition(x: RoughPath, bounds: FieldBounds,
     (0, x.T], and raises RuntimeError before building a partition of
     over _MAX_STEPS intervals.
     """
-    cfg = cfg or SolverConfig()
-    if not (math.isfinite(bounds.f_inf) and math.isfinite(bounds.grad_inf)):
-        raise ValueError("adaptive_partition needs declared finite bounds")
-    T = _horizon(x, T)
-    norm = pvar_norm(x, cfg.p)
-    denom = bounds.f_inf + _MU * bounds.grad_inf
-    if norm == 0.0 or denom == 0.0:
+    p = (cfg or SolverConfig()).p
+    T, norm, L = _bounded_rule("adaptive_partition", x, bounds, T, p)
+    if norm == 0.0 or L == math.inf:
         # a frozen driver or a vanishing field never moves the state
         return PartitionResult(np.array([0.0, T]), math.inf, math.inf, norm)
-    L = (_STEP_RULE_K * _MU / denom) ** cfg.p
-    target = L * norm ** (-cfg.p)
+    target = L * norm ** (-p)
     if not T <= _MAX_STEPS * target:
         raise RuntimeError(f"partition exceeds the cap of {_MAX_STEPS} "
                            f"intervals")
@@ -492,17 +492,10 @@ def apriori_sup_bound(bounds: FieldBounds, x: RoughPath,
     The calibrated K and mu make it too loose to gate on: on growth-demo's
     driver it gave log sup|y| <= 24 to 303 where solves gave 0.10 to 0.64.
     """
-    cfg = cfg or SolverConfig()
-    if not (math.isfinite(bounds.f_inf) and math.isfinite(bounds.grad_inf)):
-        raise ValueError("apriori_sup_bound needs declared finite bounds")
-    T = _horizon(x, T)
-    norm = pvar_norm(x, cfg.p)
-    denom = bounds.f_inf + _MU * bounds.grad_inf
-    if denom == 0.0:
-        return _MU * (1.0 + norm ** cfg.p * T)
-    L = (_STEP_RULE_K * _MU / denom) ** cfg.p
-    C = _MU + _MU / L
-    return C * (1.0 + norm ** cfg.p * T)
+    p = (cfg or SolverConfig()).p
+    T, norm, L = _bounded_rule("apriori_sup_bound", x, bounds, T, p)
+    # mu / L is 0.0 for a vanishing field (L = inf)
+    return (_MU + _MU / L) * (1.0 + norm ** p * T)
 
 
 @dataclass
@@ -602,9 +595,4 @@ def write_solution_csv(sol: RDESolution, path) -> None:
 def blowup_json(sol: RDESolution) -> str | None:
     if sol.blowup is None:
         return None
-    return json.dumps({
-        "threshold": sol.blowup.threshold,
-        "crossing_time": sol.blowup.crossing_time,
-        "last_value_norm": sol.blowup.last_value_norm,
-        "note": sol.blowup.note,
-    }, indent=2, sort_keys=True)
+    return json.dumps(asdict(sol.blowup), indent=2, sort_keys=True)

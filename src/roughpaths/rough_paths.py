@@ -88,6 +88,18 @@ def _require_finite(**arrays) -> None:
             raise ValueError(f"{name} must be finite")
 
 
+def _grid_times(times) -> np.ndarray:
+    """Every grid container's times as a float array: 1-d with at least
+    one point, finite and strictly increasing, else ValueError."""
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or len(t) < 1:
+        raise ValueError("times must be a 1-d array")
+    _require_finite(times=t)
+    if np.any(np.diff(t) <= 0):
+        raise ValueError("times must be strictly increasing")
+    return t
+
+
 def _locate(times: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
     """Query times as a 1-d array, and the grid interval k holding each.
 
@@ -113,14 +125,10 @@ class RoughPath:
     level2: np.ndarray           # (N+1, m, m), level2[0] = 0
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
+        t = _grid_times(self.times)
         u = np.asarray(self.level1, dtype=float)
         b = np.asarray(self.level2, dtype=float)
-        if t.ndim != 1 or len(t) < 1:
-            raise ValueError("times must be a 1-d array")
-        _require_finite(times=t, level1=u, level2=b)
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("times must be strictly increasing")
+        _require_finite(level1=u, level2=b)
         n, m = u.shape
         if n != len(t) or b.shape != (n, m, m):
             raise ValueError("level1/level2 shapes do not match times")
@@ -188,13 +196,11 @@ class AreaDrift:
     beta: np.ndarray             # (N+1, m, m), each symmetric
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
+        t = _grid_times(self.times)
         b = np.asarray(self.beta, dtype=float)
         if b.ndim != 3 or b.shape[0] != len(t) or b.shape[1] != b.shape[2]:
             raise ValueError("beta must be (len(times), m, m)")
-        _require_finite(times=t, beta=b)
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("times must be strictly increasing")
+        _require_finite(beta=b)
         asym = np.max(np.abs(b - np.swapaxes(b, 1, 2)), initial=0.0)
         if asym > 1e-12:
             raise ValueError(f"beta matrices not symmetric (max asymmetry {asym:.2e})")
@@ -226,9 +232,7 @@ def lift_piecewise_linear(points, times) -> RoughPath:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] == 1 and pts.shape[1] > 1 and np.ndim(points) == 1:
         pts = pts.T
-    t = np.asarray(times, dtype=float)
-    if np.any(np.diff(t) <= 0):
-        raise ValueError("times must be strictly increasing")
+    t = _grid_times(times)
     if pts.shape[0] != len(t):
         raise ValueError("points and times must have equal length")
     # a level 2 that overflows is left to RoughPath's finiteness check

@@ -57,9 +57,6 @@ class AlmostRoughPath:
     fn: object
     theta: float
 
-    def __call__(self, s: float, t: float):
-        return self.fn(s, t)
-
 
 def _dyadic_product(arp: AlmostRoughPath, s: float, t: float, level: int):
     """Ordered product of arp over the 2^level dyadic subintervals of [s, t]."""

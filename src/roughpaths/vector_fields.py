@@ -2,9 +2,8 @@
 
 A field is its jet: one callable that gives f and its analytic gradient
 at one state, on Python floats (eval and grad are the jet's values as
-arrays), and a Holder exponent gamma for the gradient's modulus.
-Result 1 (global existence under a geometric driver) assumes what the
-paper's abstract states: the field has linear growth,
+arrays).  Result 1 (global existence under a geometric driver) assumes
+what the paper's abstract states: the field has linear growth,
 |f(v)| <= c0 + c1 |v|, with no bound on the gradient.  The field both
 results share, counterexample_field, f(xi) = (sin(xi2) xi1, xi1), grows
 linearly while its gradient does not: d f1 / d xi2 = xi1 cos xi2.  The
@@ -64,15 +63,15 @@ class VectorField:
     d*m*d, grad[a, i, c] = d f[a, i] / d y[c]; at these sizes the
     per-call overhead is the cost, so it may use math on floats.  eval(y)
     and grad(y) are its values at a 1-d state as fresh (d, m) and
-    (d, m, d) arrays.  gamma in (0, 1] is the Holder exponent of the
-    gradient; bounds are optional declarations used by the a-priori
-    bound machinery (the field itself may be unbounded).
+    (d, m, d) arrays.  There is no Holder exponent: a gradient is taken as
+    locally Lipschitz (gamma = 1), so 2 + gamma > p holds for every p < 3
+    a SolverConfig accepts.  bounds are optional declarations used by the
+    a-priori bound machinery (the field itself may be unbounded).
     """
 
     d: int
     m: int
     jet: object
-    gamma: float = 1.0
     bounds: FieldBounds = field(default_factory=FieldBounds)
     name: str = ""
 
@@ -197,7 +196,9 @@ def linear_field(A=1.0, c=None, m: int | None = None) -> VectorField:
 
     For m == 1, A is the usual d x d matrix acting on the state and the
     single driver column is A y + c.  For m > 1 supply A of shape
-    (d, m, d) mapping the state into each driver column.
+    (d, m, d) mapping the state into each driver column.  An A whose
+    last axis is not d, or a c of other than d*m values, raises
+    ValueError when the field is built.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim == 0:
@@ -213,7 +214,14 @@ def linear_field(A=1.0, c=None, m: int | None = None) -> VectorField:
         A3 = A
     else:
         raise ValueError("A must be scalar, (d,d) or (d,m,d)")
-    cv = np.zeros((d, m)) if c is None else np.asarray(c, dtype=float).reshape(d, m)
+    if A.shape[-1] != d:
+        raise ValueError(f"A has shape {A.shape}, expected "
+                         f"{A.shape[:-1] + (d,)}: its last axis is the state")
+    cv = np.zeros((d, m)) if c is None else np.asarray(c, dtype=float)
+    if cv.size != d * m:
+        raise ValueError(f"c has shape {cv.shape}, expected d*m = {d * m} "
+                         f"values for A of shape {A.shape}")
+    cv = cv.reshape(d, m)
 
     G = tuple(A3.ravel().tolist())
 
@@ -221,7 +229,7 @@ def linear_field(A=1.0, c=None, m: int | None = None) -> VectorField:
         return (np.einsum("aic,...c->...ai", A3, np.array(y))
                 + cv).ravel().tolist(), G
 
-    return VectorField(d, m, _jet, gamma=1.0, name="linear")
+    return VectorField(d, m, _jet, name="linear")
 
 
 def counterexample_field() -> VectorField:
@@ -235,7 +243,7 @@ def counterexample_field() -> VectorField:
              "G0 = sin_y1", "G1 = y0 * cos(y1)", "G2 = 1.0", "G3 = 0.0"]
     return VectorField(2, 1, _jet_of_lines(2, 1, lines, "counterexample",
                                            sin=math.sin, cos=math.cos),
-                       gamma=1.0, name="counterexample")
+                       name="counterexample")
 
 
 def tanh_field(d: int = 2, m: int = 1, scale: float = 1.0,
@@ -253,7 +261,7 @@ def tanh_field(d: int = 2, m: int = 1, scale: float = 1.0,
     f_inf = scale * np.sqrt(d * m)
     g_inf = scale * float(np.linalg.norm(W.reshape(-1)))
     return VectorField(
-        d, m, _jet, gamma=1.0, bounds=FieldBounds(f_inf=f_inf, grad_inf=g_inf),
+        d, m, _jet, bounds=FieldBounds(f_inf=f_inf, grad_inf=g_inf),
         name="tanh")
 
 
@@ -262,7 +270,7 @@ def zero_field(d: int = 1, m: int = 1) -> VectorField:
         raise ValueError(f"zero_field needs d, m >= 1, got d={d}, m={m}")
     lines = [f"{v}{k} = 0.0" for v, n in (("F", d * m), ("G", d * m * d))
              for k in range(n)]
-    return VectorField(d, m, _jet_of_lines(d, m, lines, "zero"), gamma=1.0,
+    return VectorField(d, m, _jet_of_lines(d, m, lines, "zero"),
                        bounds=FieldBounds(0.0, 0.0), name="zero")
 
 

@@ -843,7 +843,7 @@ def rough_integral_along(prp: PartialRoughPath, g) -> PartialRoughPath:
     cross integral); the integral's own cross increment pairs g(y_i)
     with the driver's level 2.  Returns the triple (x, I, cross_I).
     """
-    if 2.0 + g.gamma <= prp.p:
+    if 2.0 + getattr(g, "gamma", 1.0) <= prp.p:
         raise ValueError("need 2 + gamma > p for the integrand's gradient")
     n = prp.n_points - 1
     g0 = np.asarray(g.eval(prp.y[0]), dtype=float)

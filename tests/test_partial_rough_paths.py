@@ -174,6 +174,15 @@ def test_triple_rejects_times_not_strictly_increasing(times):
                          np.zeros((3, 1, 1)))
 
 
+def test_triple_rejects_a_column_of_times():
+    # an (N+1, 1) time array is rejected when the triple is built, not
+    # later inside pvar_distance
+    with pytest.raises(ValueError, match="times must be a 1-d array"):
+        PartialRoughPath(np.array([[0.0], [0.5], [1.0]]), np.zeros((3, 1)),
+                         np.zeros((2, 1, 1)), np.zeros((3, 1)),
+                         np.zeros((2, 1, 1)))
+
+
 def test_distance_rejects_grid_mismatch():
     rng = np.random.default_rng(43)
     a = random_prp(rng, n=8)

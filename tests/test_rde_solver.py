@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 import warnings
@@ -115,6 +116,20 @@ def test_mesh_over_the_step_cap_rejected():
     with pytest.raises(ValueError, match="base_mesh"):
         solve_rde(time_lift(), linear_field(1.0), np.array([1.0]), 1.0,
                   SolverConfig(base_mesh=rde_solver._MAX_STEPS + 1))
+
+
+@pytest.mark.parametrize("mesh", [0, 4096.0])
+def test_config_rejects_a_mesh_that_is_not_a_step_count(mesh):
+    # when the config is built, before any solve
+    with pytest.raises(ValueError, match="base_mesh must be an integer"):
+        SolverConfig(base_mesh=mesh)
+
+
+def test_config_is_frozen():
+    cfg = SolverConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.p = 3.5
+    assert cfg.p == 2.0
 
 
 def test_mesh_refinement_improves_solution():

@@ -432,6 +432,13 @@ def test_area_drift_rejects_times_not_strictly_increasing(times):
         AreaDrift(np.array(times), np.zeros((4, 1, 1)))
 
 
+def test_area_drift_rejects_a_column_of_times():
+    # an (N+1, 1) time array is rejected when the drift is built, not
+    # later inside a query
+    with pytest.raises(ValueError, match="times must be a 1-d array"):
+        AreaDrift(np.array([[0.0], [0.5], [1.0]]), np.zeros((3, 1, 1)))
+
+
 def test_area_drift_at_rejects_one_point_drift():
     drift = AreaDrift(np.array([0.0]), np.zeros((1, 1, 1)))
     with pytest.raises(ValueError, match="one-point"):

@@ -27,8 +27,9 @@ from roughpaths.rde_solver import (FieldEvaluationError, SolverConfig,
 from roughpaths.rough_paths import (AreaDrift, decompose,
                                     lift_piecewise_linear, pure_area_path)
 from roughpaths.vector_fields import (SecondOrderField, VectorField,
-                                      counterexample_field, f_dot_grad_f,
-                                      linear_field, tanh_field, zero_field)
+                                      _jet_of_lines, counterexample_field,
+                                      f_dot_grad_f, linear_field, tanh_field,
+                                      zero_field)
 
 from oracles import (counterexample_eval_lists, counterexample_grad_lists,
                      davie_solve_floats, davie_solve_matmul, field_of_arrays,
@@ -223,6 +224,16 @@ def loop_fields(kind, d, m, rng):
     return lin, lin
 
 
+def signed_zero_field(kind):
+    """f = -0.0 and grad f = +0.0 at every state (d = 2, m = 1), its jet
+    compiled from source lines the loop inlines for a builtin kind, else
+    a bare callable."""
+    if kind in ("counterexample", "zero"):
+        lines = ["F0 = -0.0", "F1 = -0.0", *(f"G{k} = 0.0" for k in range(4))]
+        return VectorField(2, 1, _jet_of_lines(2, 1, lines, "signed zero"))
+    return VectorField(2, 1, lambda y: ((-0.0, -0.0), (0.0,) * 4))
+
+
 def halve_tail(w):
     """A state projection that never lengthens the state, so that the
     crossing bisection finds states in the ball near the start of the
@@ -250,7 +261,11 @@ def test_generated_loop_equals_the_float_oracle(route, kind):
     # largest float within the solve, and a start of 1e155 overflows
     # |y|^2 at once; zeros draws a start of +-0.0 entries and, off the
     # pure-area driver, a polyline with flat segments, so that every
-    # product of a row can be a signed zero
+    # product of a row can be a signed zero.  A fixed case makes every
+    # product of the first step's rows -0.0 on every route: f = -0.0,
+    # grad f = +0.0 and a separate h2 = -0.0 from a start of (-0.0, -0.0),
+    # with u > 0 and dbeta > 0 (so b > 0 and P = -0.0), where a row
+    # summed without its leading 0.0 would stay -0.0
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
     K = 64
@@ -267,6 +282,35 @@ def test_generated_loop_equals_the_float_oracle(route, kind):
         young = None if route in ("plain", "projected") else (so_ref, beta)
         return davie_solve_floats(x, f_ref, a, mesh, young, r_max, (
             halve_tail if route == "projected" else None))
+
+    def check(f, f_ref, so, so_ref, x, beta, a, T):
+        mesh = np.linspace(0.0, T, K + 1)
+        r_max = math.inf
+        for _ in range(2):
+            try:
+                sol = solve(f, so, x, beta, a, T, r_max)
+            except FieldEvaluationError as err:
+                k = int(np.flatnonzero(mesh == err.t)[0])
+                y = a[None] if k == 0 else oracle(
+                    f_ref, so_ref, x, beta, a, mesh[:k + 1], r_max)[0]
+                assert bits(err.y) == bits(y[-1])
+                with pytest.raises(AssertionError):   # its n2 check
+                    oracle(f_ref, so_ref, x, beta, a, mesh[:k + 2], r_max)
+                seen.add("non-finite" if k else "non-finite at once")
+            else:
+                ref = oracle(f_ref, so_ref, x, beta, a, mesh, r_max)
+                assert_same(sol, ref, a)
+                if sol.blowup is not None:
+                    assert sol.blowup.threshold == r_max
+                    assert (sol.blowup.last_value_norm
+                            == float_norm(ref[0][-1]))
+                    seen.add("crossing")
+                y = ref[0]
+            sup = max(float_norm(v) for v in y)
+            if not sup > float_norm(a):
+                break
+            r_max = 0.5 * (float_norm(a) + sup)
+        return y
 
     @hyp.settings(max_examples=24, deadline=None, derandomize=True,
                   database=None)
@@ -294,35 +338,19 @@ def test_generated_loop_equals_the_float_oracle(route, kind):
             a = rng.normal(0.0, 1.0, size=f.d)
         if zeros:
             a = rng.choice([0.0, -0.0], size=f.d)
-        a = scale * a
-        mesh = np.linspace(0.0, T, K + 1)
-        r_max = math.inf
-        for _ in range(2):
-            try:
-                sol = solve(f, so, x, beta, a, T, r_max)
-            except FieldEvaluationError as err:
-                k = int(np.flatnonzero(mesh == err.t)[0])
-                y = a[None] if k == 0 else oracle(
-                    f_ref, so_ref, x, beta, a, mesh[:k + 1], r_max)[0]
-                assert bits(err.y) == bits(y[-1])
-                with pytest.raises(AssertionError):   # its n2 check
-                    oracle(f_ref, so_ref, x, beta, a, mesh[:k + 2], r_max)
-                seen.add("non-finite" if k else "non-finite at once")
-            else:
-                ref = oracle(f_ref, so_ref, x, beta, a, mesh, r_max)
-                assert_same(sol, ref, seed)
-                if sol.blowup is not None:
-                    assert sol.blowup.threshold == r_max
-                    assert (sol.blowup.last_value_norm
-                            == float_norm(ref[0][-1]))
-                    seen.add("crossing")
-                y = ref[0]
-            sup = max(float_norm(v) for v in y)
-            if not sup > float_norm(a):
-                break
-            r_max = 0.5 * (float_norm(a) + sup)
+        check(f, f_ref, so, so_ref, x, beta, scale * a, T)
 
     agree()
+    f = signed_zero_field(kind)
+    x = lift_piecewise_linear(np.array([[0.0], [1.0]]), [0.0, 1.0])
+    beta = AreaDrift(x.times, 0.25 * x.times[:, None, None])
+    so, so_ref = f_dot_grad_f(f), f_dot_grad_f(f)
+    if route == "unfused":
+        # the oracle's h2 is f's derived field, +0.0 where the solver's
+        # is -0.0: a sum from 0.0 takes either to the same bits
+        so, so_ref = SecondOrderField(2, 1, lambda y: [-0.0, -0.0]), f
+    y = check(f, f, so, so_ref, x, beta, np.array([-0.0, -0.0]), 1.0)
+    assert bits(np.asarray(y[1:])) == bits(np.zeros((K, 2)))
     assert "non-finite at once" in seen
     if kind != "zero":
         assert "crossing" in seen

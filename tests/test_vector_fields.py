@@ -38,6 +38,18 @@ def test_linear_field_gradient_is_exact():
     assert np.max(np.abs(fd - vf.grad(y))) <= 1e-9
 
 
+@pytest.mark.parametrize("A, c, shapes", [
+    ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], None, r"\(2, 3\).*\(2, 2\)"),
+    (np.zeros((2, 2, 3)), None, r"\(2, 2, 3\).*\(2, 2, 2\)"),
+    (np.eye(2), [1.0, 2.0, 3.0], r"\(3,\).*\(2, 2\)"),
+    (np.zeros((2, 3, 2)), np.zeros((2, 2)), r"\(2, 2\).*\(2, 3, 2\)"),
+], ids=["A 2-d", "A 3-d", "c of A 2-d", "c of A 3-d"])
+def test_linear_field_rejects_mismatched_shapes(A, c, shapes):
+    # when the field is built, naming both shapes, not in the first solve
+    with pytest.raises(ValueError, match=shapes):
+        linear_field(A, c)
+
+
 def test_counterexample_gradient_at_unit_point():
     vf = counterexample_field()
     g = vf.grad(np.array([1.0, 0.0]))
