@@ -72,6 +72,10 @@ class PartialRoughPath:
         x2 = np.asarray(self.x2_inc, dtype=float)
         cr = np.asarray(self.cross_inc, dtype=float)
         n = len(t) - 1
+        for name, arr, k in (("x", x, "m"), ("y", y, "d")):
+            if arr.ndim != 2:
+                raise ValueError(f"{name} must have shape (N+1, {k}), got "
+                                 f"{arr.shape}")
         m, d = x.shape[1], y.shape[1]
         if x.shape[0] != n + 1 or y.shape[0] != n + 1:
             raise ValueError("x and y must have one row per grid time")

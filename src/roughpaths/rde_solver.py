@@ -19,10 +19,18 @@ sum runs left to right, with the bits, signs of zero included, of a loop
 needs the 0.0).  The bisection that locates where |y| first crosses
 r_max (the operational stand-in for blow-up) runs the same loop, and
 the ball test is taken after any state projection, on the state the
-loop stores.  In the traced benchmark runs (seed 5, 2-vCPU AMD EPYC,
-Python 3.11.7) a corrected step took 0.32 us on `explosion` and a plain
-one 0.35 us on `growth`; generating and compiling the loop costs 0.09 ms
-per solve at d = 2 (fused route) and 0.27 ms at d = m = 3 (unfused).
+loop stores.
+
+The solve streams its mesh: it queries the driver _CHUNK rows at a
+time, reads each block's inputs from the chunk's rows and packs each
+block's records, one (f(y), y+) per step, into a chunk-sized buffer,
+each with one struct call, so that apart from the solution's own arrays
+nothing it holds grows with the mesh; after a crossing it queries the
+driver once more on the one row [t_i, crossing time].  In the traced
+benchmark runs (seed 17, 2-vCPU AMD EPYC, Python 3.11.7) a corrected
+step took 0.67 us on `explosion` and a plain one 0.78 us on `growth`;
+generating and compiling the loop costs 0.09 ms per solve at d = 2
+(fused route) and 0.27 ms at d = m = 3 (unfused).
 
 A solution is its partial rough path (x, y, int dy (x) dx): the cross
 integral against the driver is stored per interval, f(y_i) paired with
@@ -40,6 +48,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 import sys
 from dataclasses import asdict, dataclass
 from numbers import Integral
@@ -114,7 +123,9 @@ class SolverConfig:
     state_projection: object | None = None
 
     def __post_init__(self):
+        # a bool is an Integral, but not a step count
         if not (isinstance(self.base_mesh, Integral)
+                and not isinstance(self.base_mesh, bool)
                 and 1 <= self.base_mesh <= _MAX_STEPS):
             raise ValueError(f"base_mesh must be an integer in [1, "
                              f"{_MAX_STEPS}], got {self.base_mesh!r}")
@@ -176,19 +187,19 @@ def _davie_step(x: RoughPath, f: VectorField, young: tuple | None,
     level-2 increments and one row of step inputs per interval,
     r = (u, b^T, db) flattened: the driver's level-1 increment, b = x2,
     or x2 + dbeta when h2 is f's own derived field, and dbeta when h2 is
-    a separate Young term.  loop(y, rows, n2_max, ys, fs) steps the state
+    a separate Young term.  loop(y, rows, n2_max, out) steps the state
     y (d floats) over rows, the inputs of consecutive intervals as one
-    flat list, with one call of f's jet and, for a separate Young term,
-    one of h2's per step:
+    flat sequence of floats, with one call of f's jet and, for a separate
+    Young term, one of h2's per step:
 
         y+_a = y_a + ((sum_i f_ai u_i + sum_jc grad f_ajc P_jc)
                       + sum_ij h2_aij dbeta_ij),
         P_jc = sum_i b_ij f_ci,
 
-    then y+ = proj(y+) if proj is given, and n2 = |y+|^2.  It appends
-    f(y) to fs and each y+ with n2 <= n2_max to ys, and returns the last
-    state accepted (a list) and the last n2, at the end of the rows or
-    at the first step that fails the test.
+    then y+ = proj(y+) if proj is given, and n2 = |y+|^2.  It extends out
+    by one record per step with n2 <= n2_max, the floats (f(y), y+), and
+    by f(y) alone at the first step that fails the test, where it stops;
+    it returns the last state accepted (a list) and the last n2.
 
     The loop is straight-line code for f's d and m and the route (plain,
     fused or unfused), compiled once per solve: each state row is one
@@ -262,12 +273,13 @@ def _davie_step(x: RoughPath, f: VectorField, young: tuple | None,
     route = "plain" if young is None else "fused" if h2 is None else "unfused"
     env = dict(getattr(f.jet, "env", {}), f_jet=f.jet, proj=proj,
                h2_jet=None if h2 is None else h2.jet)
-    loop = _compiled("loop", "y, rows, n2_max, ys, fs", [
+    loop = _compiled("loop", "y, rows, n2_max, out", [
         f"{Y}, = y", "it = iter(rows)",
         f"for {', '.join(R)}, in zip({', '.join(['it'] * len(R))}):",
-        *(f"    {s}" for s in [*body, f"fs += ({F},)",
-                               "if not n2 <= n2_max:",
-                               f"    return [{Y}], n2", f"ys += ({V},)",
+        *(f"    {s}" for s in [*body, "if not n2 <= n2_max:",
+                               f"    out += ({F},)",
+                               f"    return [{Y}], n2",
+                               f"out += ({F}, {V},)",
                                *(f"y{a} = v{a}" for a in range(d))]),
         f"return [{Y}], n2"], f"<davie loop d={d} m={m} {route}>", **env)
     return increments, loop
@@ -313,7 +325,7 @@ def _crossing(increments, loop, y, t0: float, t1: float,
 
     def state_at(tau):
         row = increments(np.array([t0, tau]))[2]
-        y_tau, n2 = loop(y, row.ravel().tolist(), math.inf, [], [])
+        y_tau, n2 = loop(y, row.ravel().tolist(), math.inf, [])
         return y_tau, math.sqrt(n2)
 
     lo, hi = t0, t1
@@ -328,12 +340,17 @@ def _crossing(increments, loop, y, t0: float, t1: float,
 
 
 # steps the generated loop takes per call: their inputs are read, and
-# their states and field values written, as one block of Python floats.
-# The per-block numpy calls and the call itself cost nothing measurable
-# at this size (on explosion-demo's fine solve, blocks of 64 to 512 took
-# the same time within the run-to-run noise and blocks of 4096 were
-# slower), and the block's float objects add no measurable peak memory
+# their records written, as one block of Python floats.  The per-block
+# calls cost nothing measurable at this size (on explosion-demo's fine
+# solve, blocks of 64 to 512 took the same time within the run-to-run
+# noise and blocks of 4096 were slower), and the block's float objects
+# add no measurable peak memory
 _BLOCK = 256
+
+# mesh rows the driver is queried for at a time: the query's temporaries,
+# the chunk's step inputs and its record buffer scale with it, not with
+# the mesh
+_CHUNK = 32 * _BLOCK
 
 
 def _davie_loop(x: RoughPath, f: VectorField, a, T: float,
@@ -341,49 +358,67 @@ def _davie_loop(x: RoughPath, f: VectorField, a, T: float,
     """The stepping loop of one trajectory; young = (h2, beta) adds the
     drift term.
 
-    The generated loop steps a block of rows at a time; states and field
-    values are written into the preallocated trajectory arrays per
-    block.  A step whose stored state leaves the ball of radius r_max is
-    bisected for the crossing time (_crossing); one whose squared norm is
-    not a finite float raises FieldEvaluationError with the state it
+    The driver is queried _CHUNK mesh rows at a time, its level 1 and
+    level-2 increments written into the solution's arrays.  The
+    generated loop steps a block of a chunk's rows at a time, its inputs
+    read from the chunk's rows and its records (f(y), y+) packed into
+    the chunk's record buffer, each with one struct call (native 'd' is
+    float64, so no value changes); at the end of a chunk the states go
+    into the trajectory and the cross integral of its f values into
+    cross_inc.  A step whose stored state leaves the ball of radius r_max
+    is bisected for the crossing time (_crossing), and the driver is
+    queried once more on the one row [t_i, crossing time] (`at` works row
+    by row, so every other row keeps its bits); one whose squared norm
+    is not a finite float raises FieldEvaluationError with the state it
     stepped from, whatever r_max is.
     """
     d, m = f.d, f.m
+    md, rec_w = d * m, d * m + d
     y0, mesh = _entry_checks(x, f, a, T, cfg, young)
     K = len(mesh) - 1
     increments, loop = _davie_step(x, f, young, cfg.state_projection)
-    level1, x2_all, rows = increments(mesh)
+    level1 = np.empty((K + 1, m))
+    x2_inc = np.empty((K, m, m))
     traj = np.empty((K + 1, d))
     traj[0] = y0
-    fes = np.empty((K, d, m))
-    traj_flat, fes_flat = traj.reshape(-1), fes.reshape(-1)
+    cross_inc = np.empty((K, d, m))
+    rec = np.empty((min(K, _CHUNK), rec_w))
     # clamped, so that an infinite r_max still stops a non-finite state
     r2 = min(cfg.r_max * cfg.r_max, sys.float_info.max)
     y = y0.tolist()
     blow = None
-    last = K
-    for lo in range(0, K, _BLOCK):
-        ys, fs = [], []
-        y, n2 = loop(y, rows[lo:lo + _BLOCK].ravel().tolist(), r2, ys, fs)
-        if not (n2 <= r2):
-            i = lo + len(ys) // d
-            if not math.isfinite(n2):
-                raise FieldEvaluationError(mesh[i], y)
-            blow, y_cross = _crossing(increments, loop, y, mesh[i],
-                                      mesh[i + 1], cfg.r_max)
-            ys.extend(y_cross)
-            last = i + 1
-            mesh = np.concatenate([mesh[:i + 1], [blow.crossing_time]])
-            # the driver at the solution's times: one more query (`at`
-            # works row by row, so each row keeps its bits)
-            level1, x2_all = increments(mesh)[:2]
-        traj_flat[(lo + 1) * d:(lo + 1) * d + len(ys)] = ys
-        fes_flat[lo * d * m:lo * d * m + len(fs)] = fs
+    for c0 in range(0, K, _CHUNK):
+        c1 = min(c0 + _CHUNK, K)
+        level1[c0:c1 + 1], x2_inc[c0:c1], rows = increments(mesh[c0:c1 + 1])
+        width = rows.shape[1]
+        for lo in range(0, c1 - c0, _BLOCK):
+            n = min(_BLOCK, c1 - c0 - lo)
+            out = []
+            y, n2 = loop(y, struct.unpack_from(f"{n * width}d", rows,
+                                               8 * lo * width), r2, out)
+            if not (n2 <= r2):
+                i = c0 + lo + len(out) // rec_w
+                if not math.isfinite(n2):
+                    raise FieldEvaluationError(mesh[i], y)
+                blow, y_cross = _crossing(increments, loop, y, mesh[i],
+                                          mesh[i + 1], cfg.r_max)
+                out += y_cross
+                c1 = i + 1
+                mesh = np.append(mesh[:c1], blow.crossing_time)
+                l1, x2 = increments(mesh[i:])[:2]
+                level1[c1], x2_inc[i] = l1[1], x2[0]
+            struct.pack_into(f"{len(out)}d", rec, 8 * lo * rec_w, *out)
+            if blow is not None:
+                break
+        k = c1 - c0
+        traj[c0 + 1:c1 + 1] = rec[:k, md:]
+        np.einsum("kdm,kmn->kdn",
+                  np.ascontiguousarray(rec[:k, :md]).reshape(k, d, m),
+                  x2_inc[c0:c1], out=cross_inc[c0:c1])
         if blow is not None:
             break
-    cross_inc = np.einsum("kdm,kmn->kdn", fes[:last], x2_all)
-    return RDESolution(mesh[:last + 1], level1, x2_all, traj[:last + 1],
-                       cross_inc, cfg.p, blow)
+    return RDESolution(mesh, level1[:c1 + 1], x2_inc[:c1], traj[:c1 + 1],
+                       cross_inc[:c1], cfg.p, blow)
 
 
 def solve_rde(x: RoughPath, f: VectorField, a, T: float,

@@ -95,7 +95,8 @@ def _grid_times(times) -> np.ndarray:
     if t.ndim != 1 or len(t) < 1:
         raise ValueError("times must be a 1-d array")
     _require_finite(times=t)
-    if np.any(np.diff(t) <= 0):
+    # compared in place: a diff would be a float temporary as long as t
+    if np.any(t[1:] <= t[:-1]):
         raise ValueError("times must be strictly increasing")
     return t
 
@@ -128,6 +129,9 @@ class RoughPath:
         t = _grid_times(self.times)
         u = np.asarray(self.level1, dtype=float)
         b = np.asarray(self.level2, dtype=float)
+        if u.ndim != 2:
+            raise ValueError(f"level1 must have shape (N+1, m), got "
+                             f"{u.shape}")
         _require_finite(level1=u, level2=b)
         n, m = u.shape
         if n != len(t) or b.shape != (n, m, m):

@@ -183,6 +183,17 @@ def test_triple_rejects_a_column_of_times():
                          np.zeros((2, 1, 1)))
 
 
+@pytest.mark.parametrize("name, k", [("x", "m"), ("y", "d")])
+def test_triple_names_the_state_shape_it_expects(name, k):
+    # a 1-d x or y is rejected with the shape it should have had
+    arrays = {"x": np.zeros((3, 1)), "y": np.zeros((3, 1)), name: np.zeros(3)}
+    with pytest.raises(ValueError, match=rf"{name} must have shape "
+                                         rf"\(N\+1, {k}\), got \(3,\)"):
+        PartialRoughPath(np.linspace(0.0, 1.0, 3), arrays["x"],
+                         np.zeros((2, 1, 1)), arrays["y"],
+                         np.zeros((2, 1, 1)))
+
+
 def test_distance_rejects_grid_mismatch():
     rng = np.random.default_rng(43)
     a = random_prp(rng, n=8)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -118,9 +119,10 @@ def test_mesh_over_the_step_cap_rejected():
                   SolverConfig(base_mesh=rde_solver._MAX_STEPS + 1))
 
 
-@pytest.mark.parametrize("mesh", [0, 4096.0])
+@pytest.mark.parametrize("mesh", [0, 4096.0, True])
 def test_config_rejects_a_mesh_that_is_not_a_step_count(mesh):
-    # when the config is built, before any solve
+    # when the config is built, before any solve; a bool is an Integral
+    # but not a step count
     with pytest.raises(ValueError, match="base_mesh must be an integer"):
         SolverConfig(base_mesh=mesh)
 
@@ -172,15 +174,39 @@ def test_crossing_state_is_one_loop_step():
         assert sol.blowup is not None, name
         increments, loop = rde_solver._davie_step(x, vf, young)
         _, x2, rows = increments(sol.times[-2:])
-        ys, fs = [], []
+        out = []
         y, n2 = loop(sol.y[-2].tolist(), rows.ravel().tolist(), math.inf,
-                     ys, fs)
+                     out)
+        # the one step's record: f at the state it stepped from, then y+
+        fs, ys = out[:vf.d * vf.m], out[vf.d * vf.m:]
         assert ys == y and np.array_equal(y, sol.y[-1]), name
         assert math.sqrt(n2) == sol.blowup.last_value_norm, name
         assert np.array_equal(x2, sol.x2_inc[-1:]), name
         fe = np.array(fs).reshape(1, vf.d, vf.m)
         assert np.array_equal(np.einsum("kdm,kmn->kdn", fe, x2),
                               sol.cross_inc[-1:]), name
+
+
+def test_a_fine_solve_holds_little_beyond_its_solution():
+    # the driver is queried a chunk of mesh rows at a time, so the fine
+    # explosion solve (2**18 fused steps) peaks at its solution's arrays
+    # and a rest that does not grow with the mesh, where one whole-mesh
+    # query held about 10 MB more
+    f = counterexample_field()
+    so = f_dot_grad_f(f)
+    geo, drift = decompose(pure_area_path(0.9))
+    cfg = SolverConfig(base_mesh=2 ** 18)
+    tracemalloc.start()
+    try:
+        sol = solve_rde_corrected(geo, drift, f, so, np.array([1.0, 0.0]),
+                                  0.9, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    own = sum(v.nbytes for v in (sol.times, sol.x, sol.x2_inc, sol.y,
+                                 sol.cross_inc))
+    assert sol.blowup is None and own > 14e6
+    assert peak - own <= 3e6, (peak, own)
 
 
 def test_a_projection_that_lengthens_the_state_crosses_after_the_start():

@@ -439,6 +439,14 @@ def test_area_drift_rejects_a_column_of_times():
         AreaDrift(np.array([[0.0], [0.5], [1.0]]), np.zeros((3, 1, 1)))
 
 
+@pytest.mark.parametrize("level1", [np.zeros(3), np.zeros((3, 1, 1))],
+                         ids=["1-d", "3-d"])
+def test_rough_path_names_the_level1_shape_it_expects(level1):
+    with pytest.raises(ValueError, match=r"level1 must have shape "
+                                         r"\(N\+1, m\), got"):
+        RoughPath(np.linspace(0.0, 1.0, 3), level1, np.zeros((3, 1, 1)))
+
+
 def test_area_drift_at_rejects_one_point_drift():
     drift = AreaDrift(np.array([0.0]), np.zeros((1, 1, 1)))
     with pytest.raises(ValueError, match="one-point"):

@@ -22,8 +22,9 @@ import pytest
 from roughpaths.log_sphere_map import (ShiftedMap, choose_shift, grad_phi,
                                        sphere_state_projection,
                                        transformed_field)
-from roughpaths.rde_solver import (FieldEvaluationError, SolverConfig,
-                                   solve_rde, solve_rde_corrected)
+from roughpaths.rde_solver import (_CHUNK, FieldEvaluationError,
+                                   SolverConfig, solve_rde,
+                                   solve_rde_corrected)
 from roughpaths.rough_paths import (AreaDrift, decompose,
                                     lift_piecewise_linear, pure_area_path)
 from roughpaths.vector_fields import (SecondOrderField, VectorField,
@@ -33,7 +34,7 @@ from roughpaths.vector_fields import (SecondOrderField, VectorField,
 
 from oracles import (counterexample_eval_lists, counterexample_grad_lists,
                      davie_solve_floats, davie_solve_matmul, field_of_arrays,
-                     grad_phi_norm, sphere_state_projection_floats,
+                     grad_phi_norm, mesh_increments, sphere_state_projection_floats,
                      sphere_state_projection_norm, state_of_norm,
                      transformed_field_loops)
 
@@ -576,6 +577,103 @@ def test_crossing_matches_the_matmul_step():
                                   (f_dot_grad_f(f_ref), drift), r_max=50.0),
                     "fused")
     assert plain.blowup is not None and fused.blowup is not None
+
+
+# two chunks and three rows: the solve crosses block and chunk
+# boundaries, and its last chunk is shorter than a block
+LONG_K = 2 * _CHUNK + 3
+ROUTES = ["plain", "fused", "unfused", "projected"]
+
+
+def long_solve(route, f, x, beta, a, T, r_max=math.inf):
+    """The solver on one route over LONG_K steps: a corrected route
+    takes f's derived field, fused or (unfused) as a separate h2, and
+    the projected route is the plain one with halve_tail."""
+    cfg = SolverConfig(base_mesh=LONG_K, r_max=r_max, state_projection=(
+        halve_tail if route == "projected" else None))
+    if route in ("plain", "projected"):
+        return solve_rde(x, f, a, T, cfg)
+    so = f_dot_grad_f(f)
+    if route == "unfused":
+        so = SecondOrderField(f.d, f.m, so.jet)
+    return solve_rde_corrected(x, beta, f, so, a, T, cfg)
+
+
+def long_oracle(route, f_ref, x, beta, a, T, r_max=math.inf):
+    """davie_solve_floats on long_solve's route and mesh, its h2 given
+    as in route_solves; it queries the driver on the whole mesh, and
+    after a crossing on the whole truncated one."""
+    young = None if route in ("plain", "projected") else (
+        f_ref if route == "unfused" else f_dot_grad_f(f_ref), beta)
+    return davie_solve_floats(
+        x, f_ref, a, np.linspace(0.0, T, LONG_K + 1), young, r_max,
+        halve_tail if route == "projected" else None)
+
+
+def assert_driver_rows(sol, x, label):
+    # the solution's level 1 and level-2 increments are those of one
+    # `at` query on all of its times
+    assert bits(sol.x) == bits(x.at(sol.times)[0]), label
+    assert bits(sol.x2_inc) == bits(mesh_increments(x, sol.times)[1]), label
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_solver_equals_the_float_oracle_across_chunks(route):
+    # the solver queries the driver a chunk at a time and packs its
+    # records block by block; every bit is still the oracle's.  With
+    # m = 2 each chunk's cross integral sums over m
+    rng = np.random.default_rng(811)
+    f = tanh_field(3, 2, scale=0.8, seed=5)
+    x = random_polyline(rng, 2)
+    beta = random_drift(rng, x.times, 2)
+    a = rng.normal(0.0, 1.0, size=3)
+    sol = long_solve(route, f, x, beta, a, 1.0)
+    assert len(sol.times) == LONG_K + 1
+    assert_same(sol, long_oracle(route, f, x, beta, a, 1.0), route)
+    assert_driver_rows(sol, x, route)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("step", [2 * _CHUNK - 1, 2 * _CHUNK + 1])
+def test_a_crossing_in_a_later_chunk_equals_the_float_oracle(route, step):
+    # on the pure-area driver |y| = y1 grows at every step, so an r_max
+    # between |y| at mesh points step and step + 1 makes that step
+    # cross: on the last row of the second chunk, whose one-row
+    # re-query writes the chunk's boundary row, and inside the third
+    f = counterexample_field()
+    x = pure_area_path(0.9)
+    geo, drift = decompose(x)
+    drv = x if route in ("plain", "projected") else geo
+    a = np.array([1.0, 0.0])
+    free = long_solve(route, f, drv, drift, a, 0.9)
+    r_max = 0.5 * (float_norm(free.y[step]) + float_norm(free.y[step + 1]))
+    sol = long_solve(route, f, drv, drift, a, 0.9, r_max)
+    assert len(sol.times) == step + 2 and sol.blowup is not None
+    ref = long_oracle(route, lists_field(), drv, drift, a, 0.9, r_max)
+    assert_same(sol, ref, route)
+    assert sol.blowup.last_value_norm == float_norm(ref[0][-1])
+    assert_driver_rows(sol, drv, route)
+
+
+@pytest.mark.parametrize("projected", [False, True])
+def test_a_field_error_in_a_later_chunk_reports_its_last_state(projected):
+    # dy = y dx on the time lift passes 2.5 near t = log 2.5, in the
+    # second chunk; the step from there raises with the state it
+    # stepped from, the oracle's state at that mesh time
+    def ev(y):
+        return np.array([[np.nan]]) if y[0] > 2.5 else np.array([[y[0]]])
+
+    bad = field_of_arrays(1, 1, ev, lambda y: np.array([[[1.0]]]))
+    x = lift_piecewise_linear(np.array([[0.0], [1.0]]), [0.0, 1.0])
+    cfg = SolverConfig(base_mesh=LONG_K,
+                       state_projection=(lambda w: w) if projected else None)
+    with pytest.raises(FieldEvaluationError) as err:
+        solve_rde(x, bad, np.array([1.0]), 1.0, cfg)
+    mesh = np.linspace(0.0, 1.0, LONG_K + 1)
+    k = int(np.flatnonzero(mesh == err.value.t)[0])
+    assert _CHUNK <= k < 2 * _CHUNK
+    ref = davie_solve_floats(x, bad, np.array([1.0]), mesh[:k + 1])[0]
+    assert bits(err.value.y) == bits(ref[-1])
 
 
 def bits(arr):

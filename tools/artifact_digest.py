@@ -18,6 +18,10 @@ In a fresh temporary directory this runs
   hashing what is there afterwards), which crosses nothing: the
   directory then holds what a fresh default run writes, the earlier
   blow-up JSON removed;
+- `rde solve` with `mesh` 32768 and `r_max` 1.5 (`solve-cross-late`),
+  which crosses at step 25,193, in the fourth chunk of mesh rows the
+  solver queries the driver for (`rde_solver._CHUNK`), so the digest
+  covers a crossing past the first chunk;
 - the eight demos, with the temporary directory as the working
   directory, so their `demos/out` files land there.
 
@@ -113,6 +117,9 @@ def main() -> int:
             {"solver": {"r_max": 1.5}}))
         rde("solve-cross", "solve", "--config", "solve-cross.json")
         rde("solve-rerun", "solve", out="solve-cross")
+        (tmp_path / "solve-cross-late.json").write_text(json.dumps(
+            {"mesh": 32768, "solver": {"r_max": 1.5}}))
+        rde("solve-cross-late", "solve", "--config", "solve-cross-late.json")
         for demo in sorted((ROOT / "demos").glob("0*.py")):
             run(f"demos/{demo.stem}", ["-W", "error", str(demo)])
         for path in sorted((tmp_path / "demos" / "out").glob("*")):
