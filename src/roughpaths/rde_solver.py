@@ -21,16 +21,30 @@ r_max (the operational stand-in for blow-up) runs the same loop, and
 the ball test is taken after any state projection, on the state the
 loop stores.
 
+The driver is read through its segment query (segments._Segments):
+per driver segment k the increment (u_k, b_k) in log coordinates, L_k =
+b_k - 0.5 u_k (x) u_k, so that a mesh row inside segment k, with c =
+(t - s) / dt_k, is (c u_k, c L_k + c^2 0.5 u_k (x) u_k, c dbeta_k), a
+row between grid points is the stored increment, and one that spans
+them the Chen product of a partial head, the stored increment and a
+partial tail.  The formula has two evaluations with equal floats: on
+numpy arrays for a chunk of mesh rows, which also gives the solution's
+level 1 at the mesh times and its level-2 increments, and on Python
+floats for one row, which the crossing bisection steps over; no solve
+calls RoughPath.at.
+
 The solve streams its mesh: it queries the driver _CHUNK rows at a
 time, reads each block's inputs from the chunk's rows and packs each
 block's records, one (f(y), y+) per step, into a chunk-sized buffer,
 each with one struct call, so that apart from the solution's own arrays
 nothing it holds grows with the mesh; after a crossing it queries the
-driver once more on the one row [t_i, crossing time].  In the traced
-benchmark runs (seed 17, 2-vCPU AMD EPYC, Python 3.11.7) a corrected
-step took 0.67 us on `explosion` and a plain one 0.78 us on `growth`;
-generating and compiling the loop costs 0.09 ms per solve at d = 2
-(fused route) and 0.27 ms at d = m = 3 (unfused).
+driver once more on the one row [t_i, crossing time], and returns
+copies of the rows it filled.  In the traced benchmark runs (seed 17,
+2-vCPU Intel Xeon, Python 3.11.7) a step, driver query included, took
+0.58 us on `explosion` (corrected), 0.70 us on `growth` and 0.86 us on
+`changevar` (plain); generating and compiling the loop costs 0.20 ms
+per solve at d = 2 (fused route) and 0.63 ms at d = m = 3 (unfused),
+medians of 50.
 
 A solution is its partial rough path (x, y, int dy (x) dx): the cross
 integral against the driver is stored per interval, f(y_i) paired with
@@ -56,8 +70,8 @@ from numbers import Integral
 import numpy as np
 
 from .partial_rough_paths import PartialRoughPath
-from .rough_paths import (AreaDrift, RoughPath, _grid_increments,
-                          _write_csv, dilate, geometricity_defect, pvar_norm)
+from .rough_paths import (AreaDrift, RoughPath, _write_csv, dilate,
+                          geometricity_defect, pvar_norm)
 from .vector_fields import (FieldBounds, SecondOrderField, VectorField,
                             _compiled, _sum_lines)
 
@@ -181,13 +195,15 @@ def _separate_h2(f: VectorField, young: tuple | None):
 def _davie_step(x: RoughPath, f: VectorField, young: tuple | None,
                 proj=None):
     """The Davie solve loop on Python floats, and the per-interval inputs
-    it takes on a mesh.
+    it takes, from the driver's segment query (segments._Segments).
 
     increments(mesh) returns the driver's level 1 at the mesh times, its
     level-2 increments and one row of step inputs per interval,
     r = (u, b^T, db) flattened: the driver's level-1 increment, b = x2,
     or x2 + dbeta when h2 is f's own derived field, and dbeta when h2 is
-    a separate Young term.  loop(y, rows, n2_max, out) steps the state
+    a separate Young term.  row_of(s, t) is the one row r over [s, t] as a
+    list of Python floats, the floats of increments' row over it.
+    loop(y, rows, n2_max, out) steps the state
     y (d floats) over rows, the inputs of consecutive intervals as one
     flat sequence of floats, with one call of f's jet and, for a separate
     Young term, one of h2's per step:
@@ -217,18 +233,37 @@ def _davie_step(x: RoughPath, f: VectorField, young: tuple | None,
     """
     d, m = f.d, f.m
     h2 = _separate_h2(f, young)
-    beta = None if young is None else young[1]
+    xq = x._segments
+    bq = None if young is None else young[1]._segments
     mm, md = m * m, m * d
+    # b^T row-major: entry (j, i) of the row is b_ij
+    order = [i * m + j for j in range(m) for i in range(m)]
 
     def increments(mesh):
-        level1, level2 = x.at(mesh)
-        u, x2 = _grid_increments(level1, level2)
-        dbeta = None if beta is None else np.diff(beta.at(mesh), axis=0)
-        b = x2 + dbeta if dbeta is not None and h2 is None else x2
+        located = xq.locate(mesh)
+        level1 = xq.values(*located, level2=False)[0]
+        u, x2 = xq.rows(*located)
+        b = x2
+        if bq is not None:
+            # decompose gives both parts one times array
+            dbeta = bq.rows(*(located if bq.times is xq.times
+                              else bq.locate(mesh)))[0]
+            if h2 is None:
+                b = x2 + dbeta.reshape(x2.shape)
         cols = [u, b.swapaxes(1, 2).reshape(len(u), mm)]
         if h2 is not None:
-            cols.append(dbeta.reshape(len(u), mm))
+            cols.append(dbeta)
         return level1, x2, np.concatenate(cols, axis=1)
+
+    def row_of(s, t):
+        r = xq.row(s, t)
+        b = r[m:]
+        if bq is not None:
+            dbeta = bq.row(s, t)
+            if h2 is None:
+                b = [p + q for p, q in zip(b, dbeta)]
+        r[m:] = [b[k] for k in order]
+        return r + dbeta if h2 is not None else r
 
     def names(v, n):
         return ", ".join(f"{v}{k}" for k in range(n))
@@ -282,7 +317,7 @@ def _davie_step(x: RoughPath, f: VectorField, young: tuple | None,
                                f"out += ({F}, {V},)",
                                *(f"y{a} = v{a}" for a in range(d))]),
         f"return [{Y}], n2"], f"<davie loop d={d} m={m} {route}>", **env)
-    return increments, loop
+    return increments, row_of, loop
 
 
 def _entry_checks(x: RoughPath, f: VectorField, a, T: float,
@@ -316,16 +351,15 @@ def _entry_checks(x: RoughPath, f: VectorField, a, T: float,
     return y, np.linspace(0.0, T, cfg.base_mesh + 1)
 
 
-def _crossing(increments, loop, y, t0: float, t1: float,
+def _crossing(row_of, loop, y, t0: float, t1: float,
               r_max: float) -> tuple[BlowupRecord, list]:
     """Bisect [t0, t1], a step from y whose stored state leaves the ball
     of radius r_max, for the crossing time, each trial the solve loop
-    over the one row [t0, tau] with no ball to leave; returns the record
-    and the state at the crossing."""
+    over the one float row [t0, tau] with no ball to leave; returns the
+    record and the state at the crossing."""
 
     def state_at(tau):
-        row = increments(np.array([t0, tau]))[2]
-        y_tau, n2 = loop(y, row.ravel().tolist(), math.inf, [])
+        y_tau, n2 = loop(y, row_of(t0, tau), math.inf, [])
         return y_tau, math.sqrt(n2)
 
     lo, hi = t0, t1
@@ -366,17 +400,19 @@ def _davie_loop(x: RoughPath, f: VectorField, a, T: float,
     float64, so no value changes); at the end of a chunk the states go
     into the trajectory and the cross integral of its f values into
     cross_inc.  A step whose stored state leaves the ball of radius r_max
-    is bisected for the crossing time (_crossing), and the driver is
-    queried once more on the one row [t_i, crossing time] (`at` works row
-    by row, so every other row keeps its bits); one whose squared norm
-    is not a finite float raises FieldEvaluationError with the state it
-    stepped from, whatever r_max is.
+    is bisected for the crossing time (_crossing), the driver is queried
+    once more on the one row [t_i, crossing time] (the query works row
+    by row, so every other row keeps its bits), and the solution gets
+    copies of the rows filled, not views of the whole mesh's buffers;
+    a step whose squared norm is not a finite float raises
+    FieldEvaluationError with the state it stepped from, whatever r_max
+    is.
     """
     d, m = f.d, f.m
     md, rec_w = d * m, d * m + d
     y0, mesh = _entry_checks(x, f, a, T, cfg, young)
     K = len(mesh) - 1
-    increments, loop = _davie_step(x, f, young, cfg.state_projection)
+    increments, row_of, loop = _davie_step(x, f, young, cfg.state_projection)
     level1 = np.empty((K + 1, m))
     x2_inc = np.empty((K, m, m))
     traj = np.empty((K + 1, d))
@@ -400,8 +436,8 @@ def _davie_loop(x: RoughPath, f: VectorField, a, T: float,
                 i = c0 + lo + len(out) // rec_w
                 if not math.isfinite(n2):
                     raise FieldEvaluationError(mesh[i], y)
-                blow, y_cross = _crossing(increments, loop, y, mesh[i],
-                                          mesh[i + 1], cfg.r_max)
+                blow, y_cross = _crossing(row_of, loop, y, float(mesh[i]),
+                                          float(mesh[i + 1]), cfg.r_max)
                 out += y_cross
                 c1 = i + 1
                 mesh = np.append(mesh[:c1], blow.crossing_time)
@@ -417,8 +453,11 @@ def _davie_loop(x: RoughPath, f: VectorField, a, T: float,
                   x2_inc[c0:c1], out=cross_inc[c0:c1])
         if blow is not None:
             break
-    return RDESolution(mesh, level1[:c1 + 1], x2_inc[:c1], traj[:c1 + 1],
-                       cross_inc[:c1], cfg.p, blow)
+    arrays = [level1[:c1 + 1], x2_inc[:c1], traj[:c1 + 1], cross_inc[:c1]]
+    if c1 < K:
+        # views would keep the whole mesh's buffers alive
+        arrays = [v.copy() for v in arrays]
+    return RDESolution(mesh, *arrays, cfg.p, blow)
 
 
 def solve_rde(x: RoughPath, f: VectorField, a, T: float,

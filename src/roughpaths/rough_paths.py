@@ -1,17 +1,20 @@
 """Level-2 rough paths on a time grid.
 
 A rough path is stored as absolute group values x_t = (1, u_t, b_t) at
-grid times, with x_0 the identity.  Increments between any two times are
-recovered as x_s^-1 (x) x_t, which makes the multiplicative (Chen)
-relation hold by construction; the closed forms are
+grid times, with x_0 the identity.  Increments between grid points are
+x_s^-1 (x) x_t, which makes the multiplicative (Chen) relation hold by
+construction; the closed forms are
 
     u(s,t) = u_t - u_s
     b(s,t) = b_t - b_s - u_s (x) (u_t - u_s).
 
-Between grid points, values are interpolated along the group geodesic of
-the enclosing interval's increment (the path that traverses the chord at
-constant speed).  For polyline lifts this interpolation is exact at
-every time, so a solver may evaluate driver increments on any mesh.
+Between grid points the path follows the group geodesic of each
+segment's increment (the path that traverses the chord at constant
+speed).  For polyline lifts this is exact at every time, so a solver may
+evaluate driver increments on any mesh.  Every query between grid
+points (`at`, `increment_between`, the solver's mesh rows) goes through
+one formula in the segments' log coordinates, segments._Segments, which
+each RoughPath and AreaDrift builds on first use and keeps.
 
 The module also measures paths (p-variation norm against t - s, Chen
 defect, geometricity defect; the sup-over-grid-pairs measures,
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import math
 import os
 import stat
@@ -32,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .segments import _grid_increments, _Segments
 from .tensor_algebra import GroupElement2
 
 __all__ = [
@@ -57,8 +62,8 @@ __all__ = [
 _CHEN_EXHAUSTIVE_LIMIT = 120
 _CHEN_SAMPLES = 20000
 
-# Triples per array pass of the Chen audit, which indexes the grid values
-# of one `at` query: enough to amortise the numpy overhead of each pass,
+# Triples per array pass of the Chen audit, which indexes the stored grid
+# values: enough to amortise the numpy overhead of each pass,
 # few enough that the passes' temporaries stay small (one pass over all
 # sampled triples costs more peak memory than the path it audits).
 _CHEN_CHUNK = 2048
@@ -99,22 +104,6 @@ def _grid_times(times) -> np.ndarray:
     if np.any(t[1:] <= t[:-1]):
         raise ValueError("times must be strictly increasing")
     return t
-
-
-def _locate(times: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
-    """Query times as a 1-d array, and the grid interval k holding each.
-
-    ValueError on a one-point grid or outside [times[0], times[-1]].
-    """
-    if len(times) < 2:
-        raise ValueError("a one-point path has no interval to "
-                         "interpolate on")
-    tq = np.atleast_1d(np.asarray(t, dtype=float))
-    if tq.min() < times[0] - 1e-12 or tq.max() > times[-1] + 1e-12:
-        raise ValueError("query time outside the path's time range")
-    k = np.clip(np.searchsorted(times, tq, side="right") - 1,
-                0, len(times) - 2)
-    return tq, k
 
 
 @dataclass(frozen=True)
@@ -163,33 +152,33 @@ class RoughPath:
         du, db = _grid_increments(self.level1, self.level2, [i], [j])
         return GroupElement2(du[0], db[0])
 
-    def at(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """Absolute value at arbitrary times via geodesic interpolation.
+    @functools.cached_property
+    def _segments(self) -> _Segments:
+        """The segment query (_Segments), built on first use and kept."""
+        return _Segments(self.times, self.level1, self.level2)
 
-        Accepts a scalar or an array of times inside [times[0], times[-1]];
+    def at(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Absolute value at arbitrary times: the stored values at every
+        grid time; between grid times, the value at the enclosing
+        segment's start (x) the segment query's row from it.
+
+        Accepts a scalar or an array of times inside [times[0],
+        times[-1]] (a time at most 1e-12 outside is clamped to it);
         returns (level1, level2) with a leading axis matching t's shape.
         """
-        tq, k = _locate(self.times, t)
-        dt = self.times[k + 1] - self.times[k]
-        alpha = np.clip((tq - self.times[k]) / dt, 0.0, 1.0)
-        du, db = _grid_increments(self.level1, self.level2, k, k + 1)
-        a = alpha[:, None]
-        ua = a * du
-        # geodesic power: b(alpha) = alpha*b + 0.5*alpha*(alpha-1) u (x) u
-        ba = (alpha[:, None, None] * db
-              + 0.5 * (alpha * (alpha - 1.0))[:, None, None]
-              * np.einsum("ki,kj->kij", du, du))
-        u_abs = self.level1[k] + ua
-        b_abs = self.level2[k] + ba + np.einsum("ki,kj->kij", self.level1[k], ua)
+        q = self._segments
+        u, b = q.values(*q.locate(t))
         if np.ndim(t) == 0:
-            return u_abs[0], b_abs[0]
-        return u_abs, b_abs
+            return u[0], b[0]
+        return u, b
 
     def increment_between(self, s: float, t: float) -> GroupElement2:
-        """Increment x_s^-1 (x) x_t between two times: the one row of
-        _grid_increments on the values of one `at` query of s and t."""
-        du, db = _grid_increments(*self.at(np.array([s, t], dtype=float)))
-        return GroupElement2(du[0], db[0])
+        """Increment x_s^-1 (x) x_t for s <= t in the path's time range:
+        one row of the segment query on Python floats (_Segments.row),
+        the stored increment when s and t are grid times."""
+        r = self._segments.row(float(s), float(t))
+        m = self.m
+        return GroupElement2(np.array(r[:m]), np.array(r[m:]).reshape(m, m))
 
 
 @dataclass(frozen=True)
@@ -215,12 +204,19 @@ class AreaDrift:
     def m(self) -> int:
         return self.beta.shape[1]
 
+    @functools.cached_property
+    def _segments(self) -> _Segments:
+        """beta as a level-1 path of width m*m (_Segments), built on first
+        use and kept: its increments are differences."""
+        return _Segments(self.times, self.beta.reshape(len(self.times), -1))
+
     def at(self, t) -> np.ndarray:
-        """Linear interpolation of beta at times inside [times[0], times[-1]]."""
-        tq, k = _locate(self.times, t)
-        w = (tq - self.times[k]) / (self.times[k + 1] - self.times[k])
-        out = (1 - w)[:, None, None] * self.beta[k] + w[:, None, None] * self.beta[k + 1]
-        return out[0] if np.ndim(t) == 0 else out
+        """beta at times inside [times[0], times[-1]]: the stored values
+        at grid times, linear in between."""
+        q = self._segments
+        v = q.values(*q.locate(t), level2=False)[0]
+        v = v.reshape(len(v), self.m, self.m)
+        return v[0] if np.ndim(t) == 0 else v
 
 
 # ---------------------------------------------------------------------------
@@ -341,18 +337,6 @@ def _grid_triples(n: int, exhaustive_limit: int,
     return idx[:, 0], idx[:, 1], idx[:, 2]
 
 
-def _grid_increments(u: np.ndarray, b: np.ndarray, p=slice(None, -1),
-                     q=slice(1, None)) -> tuple[np.ndarray, np.ndarray]:
-    """Increments from grid point p to grid point q (index arrays, or by
-    default each point to the next) of the point values (u, b):
-    u_q - u_p and b_q - b_p - u_p (x) (u_q - u_p), row by row.  The one
-    increment formula: RoughPath.increment and increment_between, the
-    interval increments `at` interpolates, the solver's mesh rows and
-    chen_defect's triples are its rows."""
-    du = u[q] - u[p]
-    return du, b[q] - b[p] - np.einsum("ki,kj->kij", u[p], du)
-
-
 def chen_defect(rp: RoughPath) -> float:
     """Max multiplicativity defect of a rough path's increments.
 
@@ -363,19 +347,16 @@ def chen_defect(rp: RoughPath) -> float:
     beyond it, the triples of _CHEN_SAMPLES seeded draws (default_rng(0),
     sorted, kept when strictly increasing).
 
-    The point values come from one rp.at query over the whole grid (not
-    the stored values: at the last grid time `at` interpolates the last
-    interval at alpha = 1, which rounds differently), so each triple's
-    increments are the bits rp.increment_between gives: both are rows of
-    _grid_increments, and `at` works row by row.  The triples are then
-    evaluated _CHEN_CHUNK at a time by indexing those values; each triple
-    gets the same floating-point operations whatever the chunk size, so
-    the result does not depend on it.  NaN increments raise ValueError.
+    The increments are rows of _grid_increments on the stored values,
+    the bits rp.increment and rp.increment_between give on grid times.
+    The triples are evaluated _CHEN_CHUNK at a time; each triple gets the
+    same floating-point operations whatever the chunk size, so the
+    result does not depend on it.  NaN increments raise ValueError.
     """
     n = rp.n_points
     if n < 3:
         raise ValueError("need at least 3 grid points")
-    u, b = rp.at(rp.times)
+    u, b = rp.level1, rp.level2
     i, j, k = _grid_triples(n, _CHEN_EXHAUSTIVE_LIMIT, _CHEN_SAMPLES)
     worst = 0.0
     for c0 in range(0, len(i), _CHEN_CHUNK):

@@ -8,6 +8,7 @@ and writer that parsed and formatted one value per Python call, and the
 chart jets and sphere projection as loops on Python floats.
 """
 
+import bisect
 import csv
 import math
 import sys
@@ -398,13 +399,117 @@ def f_dot_grad_f_lists(vf, y):
     return H
 
 
+def _segment_query(times, level1, level2):
+    """The increments of a path over consecutive query times, on nested
+    lists of Python floats: the segment formula written out.
+
+    times are the grid times, level1[k] the level-1 vector at grid time
+    k and level2[k] the level-2 matrix, or level2 None for a path whose
+    increments are differences (an area drift, its matrices flattened
+    row-major into level1).  A query time is clamped to [times[0],
+    times[-1]] and located at the last grid point k at or before it.
+    Over [s, t] the increment is the stored one when s and t are both
+    grid points; exp(c log g_k) = (c u_k, c L_k + (c c) Q_k), c = (t - s)
+    / (t_k+1 - t_k), when no grid point lies strictly between them, with
+    (u_k, b_k) segment k's stored increment, Q_k = 0.5 (u_k (x) u_k) and
+    L_k = b_k - Q_k; otherwise the Chen product (head (x) stored) (x)
+    tail through the first grid point at or after s and the last at or
+    before t, a head or tail of zero length being 0.0.  Returns
+    increments(ts) -> (level-1 rows, level-2 rows or None) and
+    values(ts) -> the level-1 values at ts.
+    """
+    w = len(level1[0])
+    m = 0 if level2 is None else len(level2[0])
+
+    def locate(t):
+        t = min(max(t, times[0]), times[-1])
+        k = bisect.bisect_right(times, t) - 1
+        return t, k, times[k] == t
+
+    def stored(p, q):
+        d1 = [level1[q][i] - level1[p][i] for i in range(w)]
+        d2 = [[(level2[q][i][j] - level2[p][i][j]) - level1[p][i] * d1[j]
+               for j in range(m)] for i in range(m)]
+        return d1, d2
+
+    def geodesic(c, k):
+        u, b = stored(k, k + 1)
+        cc = c * c
+        q = [[0.5 * (u[i] * u[j]) for j in range(m)] for i in range(m)]
+        return ([c * v for v in u],
+                [[c * (b[i][j] - q[i][j]) + cc * q[i][j] for j in range(m)]
+                 for i in range(m)])
+
+    def chen(a, b):
+        return ([a[0][i] + b[0][i] for i in range(w)],
+                [[(a[1][i][j] + b[1][i][j]) + a[0][i] * b[0][j]
+                  for j in range(m)] for i in range(m)])
+
+    def dt(k):
+        return times[k + 1] - times[k]
+
+    def increment(s, t):
+        s, ks, ns = locate(s)
+        t, kt, nt = locate(t)
+        if ns and nt:
+            return stored(ks, kt)
+        last_inside = kt - 1 if nt else kt
+        if last_inside <= ks:
+            return geodesic((t - s) / dt(ks), ks)
+        i, j = (ks if ns else ks + 1), kt
+        zero = ([0.0] * w, [[0.0] * m for _ in range(m)])
+        head = zero if ns else geodesic((times[i] - s) / dt(ks), ks)
+        tail = zero if nt else geodesic((t - times[j]) / dt(j), j)
+        return chen(chen(head, stored(i, j)), tail)
+
+    def increments(ts):
+        ts = list(ts)
+        rows = [increment(s, t) for s, t in zip(ts, ts[1:])]
+        d1 = np.array([r[0] for r in rows]).reshape(len(rows), w)
+        if level2 is None:
+            return d1, None
+        return d1, np.array([r[1] for r in rows]).reshape(len(rows), m, m)
+
+    def values(ts):
+        out = []
+        for t in ts:
+            t, k, node = locate(t)
+            if node:
+                out.append(list(level1[k]))
+            else:
+                alpha = (t - times[k]) / dt(k)
+                out.append([level1[k][i] + alpha * (level1[k + 1][i]
+                                                    - level1[k][i])
+                            for i in range(w)])
+        return np.array(out).reshape(len(out), w)
+
+    return increments, values
+
+
 def mesh_increments(x, ts):
-    """The driver's increments over consecutive intervals of the times
-    ts, from one `at` query: u_t - u_s and b_t - b_s - u_s (x) (u_t -
-    u_s), as the library's RoughPath queries form them."""
-    u, b = x.at(ts)
-    du = u[1:] - u[:-1]
-    return du, b[1:] - b[:-1] - np.einsum("ki,kj->kij", u[:-1], du)
+    """The rough path x's increments (level 1, level 2) over consecutive
+    times of ts, by the segment formula on Python floats."""
+    return _segment_query(x.times.tolist(), x.level1.tolist(),
+                          x.level2.tolist())[0](np.asarray(ts).tolist())
+
+
+def mesh_level1(x, ts):
+    """The rough path x's level 1 at the times ts: the stored value at a
+    grid time, else the enclosing segment's start plus alpha times its
+    level-1 increment, alpha = (t - t_k) / (t_k+1 - t_k)."""
+    return _segment_query(x.times.tolist(), x.level1.tolist(),
+                          x.level2.tolist())[1](np.asarray(ts).tolist())
+
+
+def drift_increments(beta, ts):
+    """The AreaDrift beta's increments over consecutive times of ts, as
+    (K, m, m): the segment formula for a path whose increments are
+    differences."""
+    n, m = len(beta.times), beta.m
+    d1 = _segment_query(beta.times.tolist(),
+                        beta.beta.reshape(n, m * m).tolist(),
+                        None)[0](np.asarray(ts).tolist())[0]
+    return d1.reshape(len(d1), m, m)
 
 
 def davie_solve_matmul(x, f, a, mesh, young=None, r_max=1e6, projection=None):
@@ -429,7 +534,7 @@ def davie_solve_matmul(x, f, a, mesh, young=None, r_max=1e6, projection=None):
         u, x2 = mesh_increments(x, ts)
         if beta is None:
             return u, x2, None
-        dbeta = np.diff(beta.at(ts), axis=0)
+        dbeta = drift_increments(beta, ts)
         if h2 is None:
             return u, x2 + dbeta, None
         return u, x2, dbeta.reshape(len(u), m * m)
@@ -503,7 +608,7 @@ def davie_solve_floats(x, f, a, mesh, young=None, r_max=1e6,
         u, x2 = mesh_increments(x, ts)
         if beta is None:
             return u.tolist(), x2.tolist(), None
-        dbeta = np.diff(beta.at(ts), axis=0)
+        dbeta = drift_increments(beta, ts)
         if h2 is None:
             return u.tolist(), (x2 + dbeta).tolist(), None
         return u.tolist(), x2.tolist(), dbeta.tolist()

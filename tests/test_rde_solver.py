@@ -11,8 +11,8 @@ from scipy.linalg import expm
 from roughpaths import rde_solver
 from roughpaths.log_sphere_map import sphere_state_projection
 from roughpaths.partial_rough_paths import PartialRoughPath
-from roughpaths.rough_paths import (AreaDrift, brownian_lift, decompose,
-                                    dilate, geometricity_defect,
+from roughpaths.rough_paths import (AreaDrift, RoughPath, brownian_lift,
+                                    decompose, dilate, geometricity_defect,
                                     lift_piecewise_linear, pure_area_path,
                                     pvar_norm, recompose)
 from roughpaths.rde_solver import (BlowupRecord, FieldEvaluationError,
@@ -162,9 +162,9 @@ def _blowup_routes():
 
 def test_crossing_state_is_one_loop_step():
     # the blow-up bisection runs the solve loop itself: the loop over the
-    # one row from the last state before the crossing to the crossing
-    # time, with no ball to leave, lands on the reported crossing state
-    # bit for bit
+    # one float row from the last state before the crossing to the
+    # crossing time, with no ball to leave, lands on the reported
+    # crossing state bit for bit, and that row is the numpy query's
     vf = counterexample_field()
     a = np.array([1.0, 0.0])
     cfg = SolverConfig(base_mesh=512, r_max=1e6)
@@ -172,11 +172,12 @@ def test_crossing_state_is_one_loop_step():
         sol = (solve_rde(x, vf, a, 1.5, cfg) if young is None else
                solve_rde_corrected(x, young[1], vf, young[0], a, 1.5, cfg))
         assert sol.blowup is not None, name
-        increments, loop = rde_solver._davie_step(x, vf, young)
+        increments, row_of, loop = rde_solver._davie_step(x, vf, young)
         _, x2, rows = increments(sol.times[-2:])
+        row = row_of(*sol.times[-2:].tolist())
+        assert row == rows.ravel().tolist(), name
         out = []
-        y, n2 = loop(sol.y[-2].tolist(), rows.ravel().tolist(), math.inf,
-                     out)
+        y, n2 = loop(sol.y[-2].tolist(), row, math.inf, out)
         # the one step's record: f at the state it stepped from, then y+
         fs, ys = out[:vf.d * vf.m], out[vf.d * vf.m:]
         assert ys == y and np.array_equal(y, sol.y[-1]), name
@@ -185,6 +186,24 @@ def test_crossing_state_is_one_loop_step():
         fe = np.array(fs).reshape(1, vf.d, vf.m)
         assert np.array_equal(np.einsum("kdm,kmn->kdn", fe, x2),
                               sol.cross_inc[-1:]), name
+
+
+def test_no_solve_queries_the_driver_through_at(monkeypatch):
+    # the chunks, the crossing's float rows and the re-query after it
+    # all come from the segment query
+    def at(self, t):
+        raise AssertionError("a solve called at")
+
+    monkeypatch.setattr(RoughPath, "at", at)
+    monkeypatch.setattr(AreaDrift, "at", at)
+    vf = counterexample_field()
+    cfg = SolverConfig(base_mesh=512, r_max=1e6)
+    for name, x, young in _blowup_routes():
+        sol = (solve_rde(x, vf, np.array([1.0, 0.0]), 1.5, cfg)
+               if young is None else
+               solve_rde_corrected(x, young[1], vf, young[0],
+                                   np.array([1.0, 0.0]), 1.5, cfg))
+        assert sol.blowup is not None, name
 
 
 def test_a_fine_solve_holds_little_beyond_its_solution():
@@ -207,6 +226,28 @@ def test_a_fine_solve_holds_little_beyond_its_solution():
                                  sol.cross_inc))
     assert sol.blowup is None and own > 14e6
     assert peak - own <= 3e6, (peak, own)
+
+
+def test_an_early_crossing_holds_only_its_solution():
+    # a 2**20-step fused solve that crosses r_max = 1.5 at step 388,362
+    # returns arrays of its own, not views that keep the whole mesh's
+    # buffers alive (51 MiB where its arrays are 21 MiB)
+    f = counterexample_field()
+    so = f_dot_grad_f(f)
+    geo, drift = decompose(pure_area_path(0.9))
+    cfg = SolverConfig(base_mesh=2 ** 20, r_max=1.5)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sol = solve_rde_corrected(geo, drift, f, so, np.array([1.0, 0.0]),
+                                  0.9, cfg)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    own = sum(v.nbytes for v in (sol.times, sol.x, sol.x2_inc, sol.y,
+                                 sol.cross_inc))
+    assert sol.blowup is not None and len(sol.times) == 388_363
+    assert held - own <= 1e6, (held, own)
 
 
 def test_a_projection_that_lengthens_the_state_crosses_after_the_start():

@@ -14,7 +14,7 @@ from roughpaths.rough_paths import (AreaDrift, RoughPath, _grid_increments,
                                     write_roughpath_csv)
 
 from oracles import (chen_defect_triples, geometricity_defect_rows,
-                     pvar_norm_pairs, shoelace_area)
+                     mesh_increments, pvar_norm_pairs, shoelace_area)
 
 
 def random_rough_path(rng, n, m):
@@ -177,24 +177,15 @@ def test_chen_defect_rejects_nan_increments():
 
 
 def test_increments_are_rows_of_grid_increments():
-    # increment and increment_between are one row of the one increment
-    # formula, on the stored values and on one `at` query of both times;
-    # that row has the bits of the formula written out on the two times
-    # queried apart (as increment_between computed it before)
+    # increment is one row of the one increment formula on the stored
+    # values, and increment_between on two grid times is that row: the
+    # stored increment, bit for bit.  Between grid times it is the row of
+    # the segment formula, as the float oracle writes it out
     rng = np.random.default_rng(24)
     for _ in range(20):
         rp = brownian_lift(int(rng.integers(1000)), 16, 2.0, 3)
-        for s, t in rng.uniform(0.0, rp.T, size=(50, 2)).tolist() + [
-                (0.0, rp.T), (rp.times[4], rp.T), (rp.times[3], 0.7)]:
-            g = rp.increment_between(s, t)
-            u, b = rp.at(np.array([s, t]))
-            du, db = _grid_increments(u, b)
-            assert bits(g.level1) == bits(du[0])
-            assert bits(g.level2) == bits(db[0])
-            (us, bs), (ut, bt) = rp.at(s), rp.at(t)
-            assert bits(g.level1) == bits(ut - us)
-            assert bits(g.level2) == bits(bt - bs - np.outer(us, ut - us))
-        for i, j in rng.integers(0, rp.n_points, size=(50, 2)).tolist():
+        for i, j in np.sort(rng.integers(0, rp.n_points, size=(50, 2)),
+                            axis=1).tolist() + [(0, rp.n_points - 1)]:
             g = rp.increment(i, j)
             du, db = _grid_increments(rp.level1, rp.level2, [i], [j])
             assert bits(g.level1) == bits(du[0])
@@ -202,6 +193,16 @@ def test_increments_are_rows_of_grid_increments():
             u, b = rp.level1, rp.level2
             assert bits(g.level2) == bits(b[j] - b[i]
                                           - np.outer(u[i], u[j] - u[i]))
+            h = rp.increment_between(rp.times[i], rp.times[j])
+            assert bits(h.level1) == bits(g.level1)
+            assert bits(h.level2) == bits(g.level2)
+        for s, t in np.sort(rng.uniform(0.0, rp.T, size=(50, 2)),
+                            axis=1).tolist() + [
+                (0.0, rp.T), (rp.times[4], rp.T), (rp.times[3], 0.7)]:
+            g = rp.increment_between(s, t)
+            du, db = mesh_increments(rp, [s, t])
+            assert bits(g.level1) == bits(du[0])
+            assert bits(g.level2) == bits(db[0])
 
 
 def bits(arr):

@@ -34,7 +34,8 @@ from roughpaths.vector_fields import (SecondOrderField, VectorField,
 
 from oracles import (counterexample_eval_lists, counterexample_grad_lists,
                      davie_solve_floats, davie_solve_matmul, field_of_arrays,
-                     grad_phi_norm, mesh_increments, sphere_state_projection_floats,
+                     grad_phi_norm, mesh_increments, mesh_level1,
+                     sphere_state_projection_floats,
                      sphere_state_projection_norm, state_of_norm,
                      transformed_field_loops)
 
@@ -585,11 +586,11 @@ LONG_K = 2 * _CHUNK + 3
 ROUTES = ["plain", "fused", "unfused", "projected"]
 
 
-def long_solve(route, f, x, beta, a, T, r_max=math.inf):
+def long_solve(route, f, x, beta, a, T, r_max=math.inf, steps=LONG_K):
     """The solver on one route over LONG_K steps: a corrected route
     takes f's derived field, fused or (unfused) as a separate h2, and
     the projected route is the plain one with halve_tail."""
-    cfg = SolverConfig(base_mesh=LONG_K, r_max=r_max, state_projection=(
+    cfg = SolverConfig(base_mesh=steps, r_max=r_max, state_projection=(
         halve_tail if route == "projected" else None))
     if route in ("plain", "projected"):
         return solve_rde(x, f, a, T, cfg)
@@ -599,20 +600,21 @@ def long_solve(route, f, x, beta, a, T, r_max=math.inf):
     return solve_rde_corrected(x, beta, f, so, a, T, cfg)
 
 
-def long_oracle(route, f_ref, x, beta, a, T, r_max=math.inf):
+def long_oracle(route, f_ref, x, beta, a, T, r_max=math.inf, steps=LONG_K):
     """davie_solve_floats on long_solve's route and mesh, its h2 given
     as in route_solves; it queries the driver on the whole mesh, and
     after a crossing on the whole truncated one."""
     young = None if route in ("plain", "projected") else (
         f_ref if route == "unfused" else f_dot_grad_f(f_ref), beta)
     return davie_solve_floats(
-        x, f_ref, a, np.linspace(0.0, T, LONG_K + 1), young, r_max,
+        x, f_ref, a, np.linspace(0.0, T, steps + 1), young, r_max,
         halve_tail if route == "projected" else None)
 
 
 def assert_driver_rows(sol, x, label):
-    # the solution's level 1 and level-2 increments are those of one
-    # `at` query on all of its times
+    # the solution's level 1 and level-2 increments are the segment
+    # formula's on all of its times, and its level 1 is `at`'s
+    assert bits(sol.x) == bits(mesh_level1(x, sol.times)), label
     assert bits(sol.x) == bits(x.at(sol.times)[0]), label
     assert bits(sol.x2_inc) == bits(mesh_increments(x, sol.times)[1]), label
 
@@ -630,6 +632,33 @@ def test_solver_equals_the_float_oracle_across_chunks(route):
     sol = long_solve(route, f, x, beta, a, 1.0)
     assert len(sol.times) == LONG_K + 1
     assert_same(sol, long_oracle(route, f, x, beta, a, 1.0), route)
+    assert_driver_rows(sol, x, route)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("steps", [16, 24])
+def test_a_mesh_coarser_than_the_driver_equals_the_float_oracle(route,
+                                                                 steps):
+    # 64 driver segments on 16 steps (every row a pair of grid points)
+    # or 24 (rows spanning grid points with a partial head and tail);
+    # then a crossing bisected inside such a row, through the float row
+    rng = np.random.default_rng(812)
+    f = tanh_field(3, 2, scale=0.8, seed=5)
+    x = random_polyline(rng, 2, n=64)
+    beta = random_drift(rng, x.times, 2)
+    a = rng.normal(0.0, 1.0, size=3)
+    free = long_solve(route, f, x, beta, a, 1.0, steps=steps)
+    assert_same(free, long_oracle(route, f, x, beta, a, 1.0, steps=steps),
+                route)
+    assert_driver_rows(free, x, route)
+    norms = [float_norm(y) for y in free.y]
+    j = next(k for k in range(steps // 2, steps)
+             if norms[k + 1] > max(norms[:k + 1]))
+    r_max = 0.5 * (max(norms[:j + 1]) + norms[j + 1])
+    sol = long_solve(route, f, x, beta, a, 1.0, r_max, steps)
+    assert len(sol.times) == j + 2 and sol.blowup is not None
+    assert_same(sol, long_oracle(route, f, x, beta, a, 1.0, r_max, steps),
+                route)
     assert_driver_rows(sol, x, route)
 
 

@@ -22,6 +22,11 @@ In a fresh temporary directory this runs
   which crosses at step 25,193, in the fourth chunk of mesh rows the
   solver queries the driver for (`rde_solver._CHUNK`), so the digest
   covers a crossing past the first chunk;
+- `rde solve` on a 63-segment `random-polyline` driver at `mesh` 16
+  (`solve-coarse`): each mesh row spans driver grid points, and all but
+  the first and last start and end between them, so the digest covers
+  the rows that the segment query (`segments._Segments`) forms as
+  Chen products of a partial head, stored increment and partial tail;
 - the eight demos, with the temporary directory as the working
   directory, so their `demos/out` files land there.
 
@@ -120,6 +125,9 @@ def main() -> int:
         (tmp_path / "solve-cross-late.json").write_text(json.dumps(
             {"mesh": 32768, "solver": {"r_max": 1.5}}))
         rde("solve-cross-late", "solve", "--config", "solve-cross-late.json")
+        (tmp_path / "solve-coarse.json").write_text(json.dumps(
+            {"mesh": 16, "driver": {"kind": "random-polyline", "n": 63}}))
+        rde("solve-coarse", "solve", "--config", "solve-coarse.json")
         for demo in sorted((ROOT / "demos").glob("0*.py")):
             run(f"demos/{demo.stem}", ["-W", "error", str(demo)])
         for path in sorted((tmp_path / "demos" / "out").glob("*")):
