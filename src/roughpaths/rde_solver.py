@@ -29,9 +29,10 @@ row between grid points is the stored increment, and one that spans
 them the Chen product of a partial head, the stored increment and a
 partial tail.  The formula has two evaluations with equal floats: on
 numpy arrays for a chunk of mesh rows, which also gives the solution's
-level 1 at the mesh times and its level-2 increments, and on Python
-floats for one row, which the crossing bisection steps over; no solve
-calls RoughPath.at.
+level 1 at the mesh times and its level-2 increments, and, for one row
+inside a driver segment, on Python floats (any other single row is one
+numpy row), which the crossing bisection steps over; no solve calls
+RoughPath.at.
 
 The solve streams its mesh: it queries the driver _CHUNK rows at a
 time, reads each block's inputs from the chunk's rows and packs each

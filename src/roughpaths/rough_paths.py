@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .segments import _grid_increments, _Segments
-from .tensor_algebra import GroupElement2
+from .tensor_algebra import GroupElement2, inv
 
 __all__ = [
     "RoughPath",
@@ -93,6 +93,15 @@ def _require_finite(**arrays) -> None:
             raise ValueError(f"{name} must be finite")
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of a: what a path stores, so that its values
+    and the segment tables built from them (_Segments) stay in step.
+    The view does not copy, so the caller's array is not frozen."""
+    v = a.view()
+    v.flags.writeable = False
+    return v
+
+
 def _grid_times(times) -> np.ndarray:
     """Every grid container's times as a float array: 1-d with at least
     one point, finite and strictly increasing, else ValueError."""
@@ -108,7 +117,12 @@ def _grid_times(times) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RoughPath:
-    """Sampled level-2 rough path: finite group values per grid time."""
+    """Sampled level-2 rough path: finite group values per grid time.
+
+    The arrays are kept as read-only views of those passed in, not
+    copies: the segment query built on first use (_segments) reads
+    them, so the values must not change after construction.
+    """
 
     times: np.ndarray            # (N+1,) strictly increasing, times[0] = 0
     level1: np.ndarray           # (N+1, m), level1[0] = 0
@@ -127,9 +141,9 @@ class RoughPath:
             raise ValueError("level1/level2 shapes do not match times")
         if np.any(u[0] != 0.0) or np.any(b[0] != 0.0):
             raise ValueError("value at the initial time must be the identity")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "level1", u)
-        object.__setattr__(self, "level2", b)
+        object.__setattr__(self, "times", _read_only(t))
+        object.__setattr__(self, "level1", _read_only(u))
+        object.__setattr__(self, "level2", _read_only(b))
 
     @property
     def m(self) -> int:
@@ -173,17 +187,21 @@ class RoughPath:
         return u, b
 
     def increment_between(self, s: float, t: float) -> GroupElement2:
-        """Increment x_s^-1 (x) x_t for s <= t in the path's time range:
-        one row of the segment query on Python floats (_Segments.row),
-        the stored increment when s and t are grid times."""
-        r = self._segments.row(float(s), float(t))
+        """Increment x_s^-1 (x) x_t for two times in the path's time
+        range: for s <= t one row of the segment query (_Segments.row),
+        the stored increment when s and t are grid times; for s > t the
+        group inverse of the row over [t, s]."""
+        s, t = float(s), float(t)
+        r = self._segments.row(min(s, t), max(s, t))
         m = self.m
-        return GroupElement2(np.array(r[:m]), np.array(r[m:]).reshape(m, m))
+        g = GroupElement2(np.array(r[:m]), np.array(r[m:]).reshape(m, m))
+        return inv(g) if s > t else g
 
 
 @dataclass(frozen=True)
 class AreaDrift:
-    """Symmetric area-drift path beta(t), beta(0) = 0 (finite, per time)."""
+    """Symmetric area-drift path beta(t), beta(0) = 0 (finite, per time);
+    its arrays are read-only views, as RoughPath's."""
 
     times: np.ndarray            # (N+1,) strictly increasing
     beta: np.ndarray             # (N+1, m, m), each symmetric
@@ -197,8 +215,8 @@ class AreaDrift:
         asym = np.max(np.abs(b - np.swapaxes(b, 1, 2)), initial=0.0)
         if asym > 1e-12:
             raise ValueError(f"beta matrices not symmetric (max asymmetry {asym:.2e})")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "beta", b)
+        object.__setattr__(self, "times", _read_only(t))
+        object.__setattr__(self, "beta", _read_only(b))
 
     @property
     def m(self) -> int:

@@ -10,8 +10,8 @@ difference of two absolute values, which cancels O(|b|) numbers.  An
 interval that spans grid points is the Chen product of its partial
 head, the stored increment between the grid points and its partial
 tail; one between two grid points is the stored increment.  The formula
-has two evaluations with equal floats, on numpy rows and on Python
-floats (_Segments).
+has two evaluations with equal floats, on numpy rows and, for a row
+inside one segment, on Python floats (_Segments).
 """
 
 from __future__ import annotations
@@ -62,9 +62,10 @@ class _Segments:
     The path is its grid times, level 1 (a vector of width w per time)
     and, for a rough path, level 2 (m x m per time); an AreaDrift is a
     level-1 path of width m*m, whose increments are differences.  Per
-    segment k the tables hold dt_k, u_k and, with a level 2, Q_k =
-    0.5 u_k (x) u_k and L_k = b_k - Q_k, where (u_k, b_k) is the
-    segment's row of _grid_increments.  The increment over [s, t] is
+    segment k the tables hold dt_k, u_k and, with a level 2, L_k =
+    b_k - Q_k, where (u_k, b_k) is the segment's row of
+    _grid_increments and Q_k = 0.5 u_k (x) u_k, which is recomputed
+    where it is used (_half_square).  The increment over [s, t] is
     - between two grid points: the stored increment (_stored);
     - inside segment k, no grid point strictly between s and t (and not
       both ends on one): exp(c log g_k) = (c u_k, c L_k + (c c) Q_k),
@@ -76,10 +77,12 @@ class _Segments:
       increment from i to j, where (a1, a2) (x) (b1, b2) = (a1 + b1,
       (a2 + b2) + a1 (x) b1).
     Outer products are single products, so each float is the same IEEE
-    operations in both evaluations.  row reads a segment's floats out of
-    the tables only when it needs them, and keeps those of the segment
-    it used last, which it tries before it locates one: a crossing's
-    bisection queries one segment again and again.
+    operations in both evaluations.  row evaluates a row inside one
+    segment on Python floats, reading that segment's floats out of the
+    tables only when it needs them and keeping those of the segment it
+    used last, which it tries before it locates one: a crossing's
+    bisection queries one segment again and again.  Any other row it
+    takes from rows.
     """
 
     def __init__(self, times, level1, level2=None):
@@ -92,8 +95,7 @@ class _Segments:
             self.u, self.L = np.diff(level1, axis=0), None
         else:
             self.u, b = _grid_increments(level1, level2)
-            self.Q = 0.5 * np.einsum("ki,kj->kij", self.u, self.u)
-            self.L = b - self.Q
+            self.L = b - _half_square(self.u)
         self._geo = None
         # (t_k, t_k+1, dt_k, floats) of the segment row used last
         self._last = (math.inf, -math.inf, 1.0, ())
@@ -161,15 +163,15 @@ class _Segments:
         return d1, d2
 
     def _geodesic(self, c, k, level2=True):
-        # in place: c u, then c L + (c c) Q, as products commute
-        d1 = self.u.take(k, axis=0)
-        d1 *= c[:, None]
+        # c u, then c L + (c c) Q, in place where products commute
+        u = self.u.take(k, axis=0)
+        d1 = u * c[:, None]
         if self.L is None or not level2:
             return d1, None
         c = c[:, None, None]
         d2 = self.L.take(k, axis=0)
         d2 *= c
-        q = self.Q.take(k, axis=0)
+        q = _half_square(u)
         q *= c * c
         d2 += q
         return d1, d2
@@ -199,46 +201,31 @@ class _Segments:
         return self._row(s, t)
 
     def _row(self, s, t):
-        (s, t), (ks, kt), (ns, nt) = (a.tolist() for a in self.locate([s, t]))
+        located = self.locate([s, t])
+        (s, t), (ks, kt), (ns, nt) = (a.tolist() for a in located)
         if not s <= t:
             raise ValueError(f"an increment needs s <= t, got s = {s!r}, "
                              f"t = {t!r}")
-        geo = self._geo = _float_geodesic(self.w, self.m)
-        if ns and nt:
-            return self._stored_floats(ks, kt)
-        if kt - nt <= ks:
+        if kt - nt <= ks and not (ns and nt):
+            self._geo = _float_geodesic(self.w, self.m)
             lo, hi, dt, g = self._last = self._segment(ks)
-            return geo((t - s) / dt, g)
-        i, j = ks + (not ns), kt
-        zero = [0.0] * (self.w + self.m * self.m)
-        if ns:
-            head = zero
-        else:
-            lo, hi, dt, g = self._segment(ks)
-            head = geo((hi - s) / dt, g)
-        if nt:
-            tail = zero
-        else:
-            lo, hi, dt, g = self._segment(j)
-            tail = geo((t - lo) / dt, g)
-        return self._chen_floats(
-            self._chen_floats(head, self._stored_floats(i, j)), tail)
-
-    def _segment(self, k: int) -> tuple:
-        g = self.u[k].tolist()
-        if self.L is not None:
-            g += self.L[k].ravel().tolist() + self.Q[k].ravel().tolist()
-        return (*self.times[k:k + 2].tolist(), self.dt[k].item(), tuple(g))
-
-    def _stored_floats(self, p: int, q: int) -> list:
-        d1, d2 = self._stored([p], [q])
+            return self._geo((t - s) / dt, g)
+        d1, d2 = self.rows(*located)
         return d1[0].tolist() + ([] if d2 is None else d2[0].ravel().tolist())
 
-    def _chen_floats(self, a: list, b: list) -> list:
-        w, m = self.w, self.m
-        return ([a[i] + b[i] for i in range(w)]
-                + [(a[w + p] + b[w + p]) + a[p // m] * b[p % m]
-                   for p in range(m * m)])
+    def _segment(self, k: int) -> tuple:
+        # Q_k's floats as _half_square forms them
+        u = self.u[k].tolist()
+        g = u if self.L is None else (u + self.L[k].ravel().tolist()
+                                      + [0.5 * (a * b) for a in u for b in u])
+        return (*self.times[k:k + 2].tolist(), self.dt[k].item(), tuple(g))
+
+
+def _half_square(u):
+    """Q_k = 0.5 u_k (x) u_k, row by row: one product u_i u_j, halved."""
+    q = np.einsum("ki,kj->kij", u, u)
+    q *= 0.5
+    return q
 
 
 def _chen_rows(a, b):

@@ -12,6 +12,7 @@ from roughpaths.rough_paths import (AreaDrift, RoughPath, _grid_increments,
                                     pvar_norm, read_polyline_csv,
                                     read_roughpath_csv, recompose,
                                     write_roughpath_csv)
+from roughpaths.tensor_algebra import GroupElement2, increment, inv
 
 from oracles import (chen_defect_triples, geometricity_defect_rows,
                      mesh_increments, pvar_norm_pairs, shoelace_area)
@@ -177,15 +178,17 @@ def test_chen_defect_rejects_nan_increments():
 
 
 def test_increments_are_rows_of_grid_increments():
-    # increment is one row of the one increment formula on the stored
-    # values, and increment_between on two grid times is that row: the
-    # stored increment, bit for bit.  Between grid times it is the row of
-    # the segment formula, as the float oracle writes it out
+    # increment(i, j), i and j in either order, is one row of the one
+    # increment formula on the stored values, and increment_between on
+    # two grid times is that row for i <= j: the stored increment, bit
+    # for bit.  Between grid times it is the row of the segment formula,
+    # as the float oracle writes it out; for s > t it is the group
+    # inverse of the row over [t, s], which is x_s^-1 (x) x_t
     rng = np.random.default_rng(24)
     for _ in range(20):
         rp = brownian_lift(int(rng.integers(1000)), 16, 2.0, 3)
-        for i, j in np.sort(rng.integers(0, rp.n_points, size=(50, 2)),
-                            axis=1).tolist() + [(0, rp.n_points - 1)]:
+        for i, j in rng.integers(0, rp.n_points, size=(50, 2)).tolist() + [
+                (0, rp.n_points - 1), (rp.n_points - 1, 0)]:
             g = rp.increment(i, j)
             du, db = _grid_increments(rp.level1, rp.level2, [i], [j])
             assert bits(g.level1) == bits(du[0])
@@ -194,15 +197,23 @@ def test_increments_are_rows_of_grid_increments():
             assert bits(g.level2) == bits(b[j] - b[i]
                                           - np.outer(u[i], u[j] - u[i]))
             h = rp.increment_between(rp.times[i], rp.times[j])
+            if i > j:
+                g = inv(rp.increment(j, i))
             assert bits(h.level1) == bits(g.level1)
             assert bits(h.level2) == bits(g.level2)
-        for s, t in np.sort(rng.uniform(0.0, rp.T, size=(50, 2)),
-                            axis=1).tolist() + [
-                (0.0, rp.T), (rp.times[4], rp.T), (rp.times[3], 0.7)]:
-            g = rp.increment_between(s, t)
-            du, db = mesh_increments(rp, [s, t])
-            assert bits(g.level1) == bits(du[0])
-            assert bits(g.level2) == bits(db[0])
+        for s, t in rng.uniform(0.0, rp.T, size=(50, 2)).tolist() + [
+                (0.0, rp.T), (rp.times[4], rp.T), (rp.times[3], 0.7),
+                (rp.T, 0.0), (0.7, rp.times[3])]:
+            h = rp.increment_between(s, t)
+            du, db = mesh_increments(rp, sorted([s, t]))
+            g = GroupElement2(du[0], db[0])
+            if s > t:
+                g = inv(g)
+            assert bits(h.level1) == bits(g.level1)
+            assert bits(h.level2) == bits(g.level2)
+            e = increment(GroupElement2(*rp.at(s)), GroupElement2(*rp.at(t)))
+            assert np.allclose(h.level1, e.level1, rtol=0.0, atol=1e-12)
+            assert np.allclose(h.level2, e.level2, rtol=0.0, atol=1e-12)
 
 
 def bits(arr):

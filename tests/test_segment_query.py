@@ -22,6 +22,8 @@ from roughpaths.rough_paths import (AreaDrift, RoughPath,  # noqa: E402
                                     _grid_increments, brownian_lift,
                                     lift_piecewise_linear)
 
+from roughpaths.tensor_algebra import inv, mul  # noqa: E402
+
 from oracles import drift_increments, mesh_increments  # noqa: E402
 
 # derandomized so that the tier-1 suite is reproducible run to run
@@ -246,7 +248,30 @@ def test_a_query_past_the_end_by_the_horizon_slack_is_the_end():
         x.at(1.0 + 1e-11)
 
 
-def test_increment_between_needs_ordered_times():
+def test_increment_between_reversed_is_the_inverse():
+    # for s > t, increment_between(s, t) is the group inverse of the row
+    # over [t, s], so the two multiply to the identity; the float row
+    # itself takes s <= t only
     x = brownian_lift(2, 16, 1.0, 2)
+    for s, t in [(0.5, 0.25), (0.53, 0.51), (1.0, 0.0), (0.5, 0.01)]:
+        back, fwd = x.increment_between(s, t), x.increment_between(t, s)
+        e = inv(fwd)
+        assert bits(back.level1) == bits(e.level1)
+        assert bits(back.level2) == bits(e.level2)
+        one = mul(fwd, back)
+        assert np.allclose(one.level1, 0.0, rtol=0.0, atol=1e-15)
+        assert np.allclose(one.level2, 0.0, rtol=0.0, atol=1e-15)
     with pytest.raises(ValueError, match="s <= t"):
-        x.increment_between(0.5, 0.25)
+        x._segments.row(0.5, 0.25)
+
+
+def test_a_path_keeps_read_only_views_of_its_arrays():
+    # the segment tables are built from the values on first use, so the
+    # path's arrays cannot be edited in place; the caller's stay writable
+    times, u, b = np.linspace(0.0, 1.0, 5), np.zeros((5, 2)), np.zeros((5, 2, 2))
+    x = RoughPath(times, u, b)
+    drift = AreaDrift(times, b)
+    for a in (x.times, x.level1, x.level2, drift.times, drift.beta):
+        with pytest.raises(ValueError, match="read-only"):
+            a[-1] = 1.0
+    assert u.flags.writeable and b.flags.writeable and times.flags.writeable
