@@ -47,20 +47,19 @@ from .rough_paths import (RoughPath, _rewrite, _write_csv, brownian_lift,
                           read_polyline_csv, read_roughpath_csv,
                           write_roughpath_csv)
 from .rde_solver import (FieldEvaluationError, SolverConfig, blowup_json,
-                         growth_bound_check, solve_rde, solve_rde_corrected,
-                         write_solution_csv)
+                         growth_bound_check, solve_rde, write_solution_csv)
 from .svg import line_plot
-from .vector_fields import f_dot_grad_f, make_field
+from .vector_fields import make_field
 
 __all__ = ["main"]
 
-_SOLVE = {"p": 2.0, "solver": {"r_max": 1e6}}   # every solve's keys
+_SOLVE = {"solver": {"r_max": 1e6}}   # every solve's keys
 DEFAULTS = {
     "explosion-demo": {**_SOLVE, "a1": 1.0, "fine_mesh": 262144,
                        "coarse_mesh": 4096, "horizon_factor": 1.5,
                        "traj_tol": 1e-4, "time_tol": 0.05},
     "growth-demo": {
-        "seed": 42, **_SOLVE, "mesh": 4096,
+        "seed": 42, "p": 2.0, **_SOLVE, "mesh": 4096,
         "field": {"name": "counterexample"},
         "driver": {"kind": "zigzag", "n": 10, "amplitude": 0.15, "m": 1,
                    "T": 5.0},
@@ -180,7 +179,7 @@ def _merged(command: str, user: dict) -> dict:
 
 def _solver_config(cfg: dict, mesh: int, **extra) -> SolverConfig:
     return SolverConfig(base_mesh=mesh, r_max=cfg["solver"]["r_max"],
-                        p=cfg["p"], **extra)
+                        **extra)
 
 
 def field_from_config(spec: dict):
@@ -283,18 +282,15 @@ def cmd_explosion_demo(cfg: dict, out: str, seed: int) -> list:
     a1, traj_tol, time_tol = cfg["a1"], cfg["traj_tol"], cfg["time_tol"]
     t_star = 1.0 / a1
     field = make_field("counterexample")
-    h2 = f_dot_grad_f(field)
     horizon = t_star * cfg["horizon_factor"]
-    geo, drift = decompose(pure_area_path(horizon))
     a = np.array([a1, 0.0])
 
     coarse = _solver_config(cfg, cfg["coarse_mesh"])
-    sol_b = solve_rde_corrected(geo, drift, field, h2, a, horizon, coarse)
+    sol_b = solve_rde(pure_area_path(horizon), field, a, horizon, coarse)
 
     t_fine = 0.9 * t_star
-    geo_f, drift_f = decompose(pure_area_path(t_fine))
     fine = _solver_config(cfg, cfg["fine_mesh"])
-    sol_f = solve_rde_corrected(geo_f, drift_f, field, h2, a, t_fine, fine)
+    sol_f = solve_rde(pure_area_path(t_fine), field, a, t_fine, fine)
     exact = a1 / (1.0 - a1 * sol_f.times)
     rel = float(np.max(np.abs(sol_f.y[:, 0] - exact) / exact))
     y2_sup = float(np.max(np.abs(sol_f.y[:, 1])))
@@ -324,7 +320,8 @@ def cmd_growth_demo(cfg: dict, out: str, seed: int) -> list:
     field = field_from_config(cfg["field"])
     x = driver_from_config(cfg["driver"], seed)
     rep = growth_bound_check(field, x, np.asarray(cfg["a"], dtype=float),
-                             cfg["T"], _solver_config(cfg, cfg["mesh"]),
+                             cfg["T"],
+                             _solver_config(cfg, cfg["mesh"], p=cfg["p"]),
                              lambdas=cfg["lambdas"])
     rows = [(r["lam"], r["pvar"], r["s"], r["sup_y"], r["log_sup"],
              int(r["explosion"])) for r in rep.rows]

@@ -41,22 +41,22 @@ each with one struct call, so that apart from the solution's own arrays
 nothing it holds grows with the mesh; after a crossing it queries the
 driver once more on the one row [t_i, crossing time], and returns
 copies of the rows it filled.  In the traced benchmark runs (seed 17,
-2-vCPU Intel Xeon, Python 3.11.7) a step, driver query included, took
-0.58 us on `explosion` (corrected), 0.70 us on `growth` and 0.86 us on
-`changevar` (plain); generating and compiling the loop costs 0.20 ms
-per solve at d = 2 (fused route) and 0.63 ms at d = m = 3 (unfused),
-medians of 50.
+2-vCPU Intel Xeon, Python 3.11.7) a step on the plain route, driver
+query included, took 0.64 us on `explosion`, 0.77 us on `growth` and
+1.28 us on `changevar`; generating and compiling the loop costs
+0.21 ms per solve at d = 2 (0.24 ms corrected) and 0.51 ms at
+d = m = 3 (0.66 ms corrected), medians of 50.
 
 A solution is its partial rough path (x, y, int dy (x) dx): the cross
 integral against the driver is stored per interval, f(y_i) paired with
 the driver's level 2.  The module also carries the partition rule and
 a-priori sup bound for bounded fields.
 
-A corrected variant integrates against a decomposed driver: the rough
+The corrected route integrates against a decomposed driver: the rough
 step uses the geometric part while a Young term h2(y) dbeta adds the
 area-drift contribution, read from h2's jet (SecondOrderField.jet) on
 the same floats.  With (h1, h2) = (f, f . grad f) and
-(x_hat, beta) = decompose(x) the two routes agree step for step.
+(x_hat, beta) = decompose(x) the two routes agree up to rounding.
 """
 
 from __future__ import annotations
@@ -186,13 +186,6 @@ class RDESolution(PartialRoughPath):
         return float(np.max(np.linalg.norm(self.y, axis=1)))
 
 
-def _separate_h2(f: VectorField, young: tuple | None):
-    """The h2 of young = (h2, beta) the step calls, or None when there is
-    none or it is f's own derived field, which is fused into b."""
-    h2 = None if young is None else young[0]
-    return None if getattr(h2, "source", None) is f else h2
-
-
 def _davie_step(x: RoughPath, f: VectorField, young: tuple | None,
                 proj=None):
     """The Davie solve loop on Python floats, and the per-interval inputs
@@ -200,14 +193,14 @@ def _davie_step(x: RoughPath, f: VectorField, young: tuple | None,
 
     increments(mesh) returns the driver's level 1 at the mesh times, its
     level-2 increments and one row of step inputs per interval,
-    r = (u, b^T, db) flattened: the driver's level-1 increment, b = x2,
-    or x2 + dbeta when h2 is f's own derived field, and dbeta when h2 is
-    a separate Young term.  row_of(s, t) is the one row r over [s, t] as a
-    list of Python floats, the floats of increments' row over it.
-    loop(y, rows, n2_max, out) steps the state
-    y (d floats) over rows, the inputs of consecutive intervals as one
-    flat sequence of floats, with one call of f's jet and, for a separate
-    Young term, one of h2's per step:
+    r = (u, b^T[, dbeta]) flattened: the driver's level-1 increment, its
+    level-2 increment b = x2 and, given young = (h2, beta), beta's
+    increment.  row_of(s, t) is the one row r over [s, t] as a list of
+    Python floats, the floats of increments' row over it.
+    loop(y, rows, n2_max, out) steps the state y (d floats) over rows,
+    the inputs of consecutive intervals as one flat sequence of floats,
+    with one call of f's jet and, on the corrected route, one of h2's
+    per step:
 
         y+_a = y_a + ((sum_i f_ai u_i + sum_jc grad f_ajc P_jc)
                       + sum_ij h2_aij dbeta_ij),
@@ -218,8 +211,8 @@ def _davie_step(x: RoughPath, f: VectorField, young: tuple | None,
     by f(y) alone at the first step that fails the test, where it stops;
     it returns the last state accepted (a list) and the last n2.
 
-    The loop is straight-line code for f's d and m and the route (plain,
-    fused or unfused), compiled once per solve: each state row is one
+    The loop is straight-line code for f's d and m and the route (plain
+    or corrected), compiled once per solve: each state row is one
     expression, y_a + ((0.0 + f . u) + (grad f . P) [+ (h2 . dbeta)]),
     its sums left to right (vector_fields._sum_lines), no BLAS kernel.
     Only f . u starts from 0.0, yet every bit is that of sums all from
@@ -233,7 +226,7 @@ def _davie_step(x: RoughPath, f: VectorField, young: tuple | None,
     zero fields'), else by one call of f's jet, unpacked.
     """
     d, m = f.d, f.m
-    h2 = _separate_h2(f, young)
+    h2 = None if young is None else young[0]
     xq = x._segments
     bq = None if young is None else young[1]._segments
     mm, md = m * m, m * d
@@ -244,27 +237,17 @@ def _davie_step(x: RoughPath, f: VectorField, young: tuple | None,
         located = xq.locate(mesh)
         level1 = xq.values(*located, level2=False)[0]
         u, x2 = xq.rows(*located)
-        b = x2
+        cols = [u, x2.swapaxes(1, 2).reshape(len(u), mm)]
         if bq is not None:
             # decompose gives both parts one times array
-            dbeta = bq.rows(*(located if bq.times is xq.times
-                              else bq.locate(mesh)))[0]
-            if h2 is None:
-                b = x2 + dbeta.reshape(x2.shape)
-        cols = [u, b.swapaxes(1, 2).reshape(len(u), mm)]
-        if h2 is not None:
-            cols.append(dbeta)
+            cols.append(bq.rows(*(located if bq.times is xq.times
+                                  else bq.locate(mesh)))[0])
         return level1, x2, np.concatenate(cols, axis=1)
 
     def row_of(s, t):
         r = xq.row(s, t)
-        b = r[m:]
-        if bq is not None:
-            dbeta = bq.row(s, t)
-            if h2 is None:
-                b = [p + q for p, q in zip(b, dbeta)]
-        r[m:] = [b[k] for k in order]
-        return r + dbeta if h2 is not None else r
+        r[m:] = [r[m + k] for k in order]
+        return r if bq is None else r + bq.row(s, t)
 
     def names(v, n):
         return ", ".join(f"{v}{k}" for k in range(n))
@@ -306,7 +289,7 @@ def _davie_step(x: RoughPath, f: VectorField, young: tuple | None,
     if proj is not None:
         body.append(f"{V}, = proj([{V}])")
     body.append("n2 = " + summed("n2", [f"v{a} * v{a}" for a in range(d)]))
-    route = "plain" if young is None else "fused" if h2 is None else "unfused"
+    route = "plain" if h2 is None else "corrected"
     env = dict(getattr(f.jet, "env", {}), f_jet=f.jet, proj=proj,
                h2_jet=None if h2 is None else h2.jet)
     loop = _compiled("loop", "y, rows, n2_max, out", [
@@ -325,9 +308,10 @@ def _entry_checks(x: RoughPath, f: VectorField, a, T: float,
                   cfg: SolverConfig,
                   young: tuple | None) -> tuple[np.ndarray, np.ndarray]:
     """The checks made before stepping; returns the start state (a fresh
-    copy) and the mesh.  f's jet, and a separate h2's, are called once
-    at the start state, so that one giving a wrong number of values
-    raises ValueError here rather than stepping on it."""
+    copy) and the mesh.  f's jet, and h2's given young = (h2, beta), are
+    called once at the start state, so that one giving a wrong number of
+    values raises ValueError here rather than stepping on it; beta's grid
+    must cover [0, T]."""
     d, m = f.d, f.m
     y = np.asarray(a, dtype=float).copy()
     if not np.all(np.isfinite(y)):
@@ -343,8 +327,12 @@ def _entry_checks(x: RoughPath, f: VectorField, a, T: float,
         raise ValueError(f"field {f.name!r} (d={d}, m={m}): its jet gave "
                          f"{len(F)} values of f and {len(G)} of grad f, "
                          f"expected {d * m} and {d * m * d}")
-    h2 = _separate_h2(f, young)
-    if h2 is not None:
+    if young is not None:
+        h2, beta = young
+        bt = beta.times
+        if not (bt[0] <= 1e-12 and T <= bt[-1] + 1e-12):
+            raise ValueError(f"beta's grid [{bt[0]}, {bt[-1]}] does not "
+                             f"cover the horizon [0, {T}]")
         n = len(h2.jet(y.tolist()))
         if n != d * m * m:
             raise ValueError(f"h2 (d={d}, m={m}): its jet gave {n} values, "
@@ -478,9 +466,10 @@ def solve_rde_corrected(x_hat: RoughPath, beta: AreaDrift, h1: VectorField,
     """Solve dz = h1(z) dx_hat + h2(z) dbeta (rough step plus Young term).
 
     h2 is a SecondOrderField (else TypeError) with h1's d and m, and beta
-    has x_hat's m (else ValueError); with (x_hat, beta) = decompose(x) and
-    (h1, h2) = (f, f . grad f) the result matches solve_rde on the
-    recomposed driver.
+    has x_hat's m and a grid that covers [0, T] (else ValueError, before
+    the first step); with (x_hat, beta) = decompose(x) and (h1, h2) =
+    (f, f . grad f) the result matches solve_rde on the recomposed driver
+    up to rounding.
     """
     if not isinstance(h2, SecondOrderField):
         raise TypeError(f"h2 is a {type(h2).__name__}, not a SecondOrderField")

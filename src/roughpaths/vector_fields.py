@@ -88,15 +88,12 @@ class VectorField:
 class SecondOrderField:
     """Map y -> (d, m, m), pairing with level-2 matrices by full
     contraction, given by its jet: d floats to the d*m*m entries, flat
-    row-major (eval(y) gives them as a fresh array).  source records the
-    first-order field a derived f . grad f came from, letting the solver
-    reuse one field evaluation per step.
+    row-major (eval(y) gives them as a fresh array).
     """
 
     d: int
     m: int
     jet: object
-    source: "VectorField | None" = None
 
     def eval(self, y) -> np.ndarray:
         H = self.jet(np.asarray(y, dtype=float).tolist())
@@ -173,7 +170,7 @@ def f_dot_grad_f(vf: VectorField) -> SecondOrderField:
     jet = _compiled("jet", "y", ["F, G = f_jet(y)", *body,
                                  "return [" + ", ".join(M) + "]"],
                     f"<f . grad f d={d} m={m}>", f_jet=vf.jet)
-    return SecondOrderField(d, m, jet, source=vf)
+    return SecondOrderField(d, m, jet)
 
 
 def _fdf_lines(d: int, m: int) -> tuple[list[str], list[str]]:

@@ -518,8 +518,7 @@ def davie_solve_matmul(x, f, a, mesh, young=None, r_max=1e6, projection=None):
     young = (h2, beta) adds the drift term; projection takes and gives a
     state as floats, as SolverConfig.state_projection does, and the
     step ends with it, so that the ball test sees the projected state.
-    An h2 whose `source` is f is fused into the level-2 input; otherwise
-    h2 is a first-order field g that stands for a separate derived field
+    h2 is a first-order field g that stands for the derived field
     g . grad g, which the step forms with an @ product
     (f_dot_grad_f_matmul).  A step leaving the r_max ball is bisected 60
     times with the same step map.  Returns (y, cross_inc, crossing_time
@@ -527,17 +526,12 @@ def davie_solve_matmul(x, f, a, mesh, young=None, r_max=1e6, projection=None):
     """
     d, m = f.d, f.m
     h2, beta = young if young is not None else (None, None)
-    if getattr(h2, "source", None) is f:
-        h2 = None
 
     def increments(ts):
         u, x2 = mesh_increments(x, ts)
         if beta is None:
             return u, x2, None
-        dbeta = drift_increments(beta, ts)
-        if h2 is None:
-            return u, x2 + dbeta, None
-        return u, x2, dbeta.reshape(len(u), m * m)
+        return u, x2, drift_increments(beta, ts).reshape(len(u), m * m)
 
     def step(y, u, b, db):
         fe = f.eval(y)
@@ -592,8 +586,8 @@ def davie_solve_floats(x, f, a, mesh, young=None, r_max=1e6,
     The step's sums run left to right from 0.0 over the nested eval,
     grad and h2 values: P[j][c] = sum_i b[i][j] F[c][i], then y_a +
     ((sum_i F[a][i] u[i] + sum_j sum_c G[a][j][c] P[j][c]) + sum_i sum_j
-    H[a][i][j] dbeta[i][j]), where a separate h2, given as a first-order
-    field g, is g's derived field contracted on nested lists
+    H[a][i][j] dbeta[i][j]), where h2, given as a first-order field g,
+    is g's derived field contracted on nested lists
     (f_dot_grad_f_lists).  Otherwise as davie_solve_matmul, with the
     ball test |y|^2 <= min(r_max^2, largest float) and the bisection on
     sqrt(|y|^2) >= r_max, |y|^2 taken after the projection.  Returns (y,
@@ -601,17 +595,12 @@ def davie_solve_floats(x, f, a, mesh, young=None, r_max=1e6,
     """
     d, m = f.d, f.m
     h2, beta = young if young is not None else (None, None)
-    if getattr(h2, "source", None) is f:
-        h2 = None
 
     def increments(ts):
         u, x2 = mesh_increments(x, ts)
         if beta is None:
             return u.tolist(), x2.tolist(), None
-        dbeta = drift_increments(beta, ts)
-        if h2 is None:
-            return u.tolist(), (x2 + dbeta).tolist(), None
-        return u.tolist(), x2.tolist(), dbeta.tolist()
+        return u.tolist(), x2.tolist(), drift_increments(beta, ts).tolist()
 
     def step(y, u, b, db):
         yv = np.array(y)

@@ -290,7 +290,7 @@ def test_non_integer_mesh_exits_two(tmp_path, capsys, command, config):
 
 
 @pytest.mark.parametrize("config", [
-    {"p": 3.5},                     # outside [2, 3)
+    {"field": {"name": "linear", "A": [[1.0, 2.0, 3.0]]}},   # A not (d, d)
     {"a": [1, 2]},                  # state shape does not match the field
     {"T": 2.0},                     # horizon past the driver's range
     {"field": {"name": "tanh"}},    # d = 2 field against a 1-d state
@@ -305,12 +305,24 @@ def test_library_value_errors_exit_two(tmp_path, capsys, config):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_a_p_outside_its_range_exits_two(tmp_path, capsys):
+    # growth-demo is the one command that reads p; SolverConfig checks
+    # its range
+    assert run(tmp_path, "growth-demo", {"p": 3.5}) == 2
+    assert capsys.readouterr().err == "error: p must lie in [2, 3)\n"
+
+
 @pytest.mark.parametrize("command, config, key", [
     ("solve", {"mesh_size": 7}, "mesh_size"),
     ("solve", {"solver": {"rmax": 10.0}}, "solver.rmax"),
     ("growth-demo", {"a1": 2.0}, "a1"),        # explosion-demo's key
     ("convergence", {"problem": "exp", "mesh": 64, "bogus": 1}, "bogus"),
     ("solve", {"solver": {"K": 2.0}}, "solver.K"),
+    # p changes no output of these commands: only growth-demo reads it
+    ("explosion-demo", {"p": 2.0}, "p"),
+    ("changevar-check", {"p": 2.0}, "p"),
+    ("convergence", {"p": 2.0}, "p"),
+    ("solve", {"p": 2.0}, "p"),
 ])
 def test_unknown_config_keys_exit_two(tmp_path, capsys, command, config, key):
     assert run(tmp_path, command, config) == 2
@@ -319,8 +331,8 @@ def test_unknown_config_keys_exit_two(tmp_path, capsys, command, config, key):
 
 
 @pytest.mark.parametrize("command, config, key", [
-    ("solve", {"p": "2"}, "p"),
-    ("solve", {"p": True}, "p"),
+    ("growth-demo", {"p": "2"}, "p"),
+    ("growth-demo", {"p": True}, "p"),
     ("solve", {"T": "1"}, "T"),
     ("solve", {"solver": {"r_max": "5"}}, "solver.r_max"),
     ("growth-demo", {"T": False}, "T"),

@@ -154,9 +154,9 @@ def test_every_default_key_has_a_check_or_is_left_to_the_library():
 
 def test_each_command_reads_every_key_of_its_defaults(tmp_path,
                                                      monkeypatch):
-    # each command's DEFAULTS lists exactly the keys it reads: 46
-    # settable values (11 fewer than when every command took seed, p,
-    # mesh and solver.r_max)
+    # each command's DEFAULTS lists exactly the keys it reads: 42
+    # settable values (15 fewer than when every command took seed, p,
+    # mesh and solver.r_max; only growth-demo takes p)
     class Reads(dict):
         def __init__(self, values):
             super().__init__(values)
@@ -190,7 +190,7 @@ def test_each_command_reads_every_key_of_its_defaults(tmp_path,
         if "solver" in seen[command]:
             assert seen[command]["solver"].read == {"r_max"}
     assert sum(len(d) - ("solver" in d) + len(d.get("solver", ()))
-               for d in DEFAULTS.values()) == 46
+               for d in DEFAULTS.values()) == 42
 
 
 def test_readme_config_example_passes_the_table():
@@ -214,14 +214,15 @@ def test_help_lists_each_key_with_its_check(capsys):
 
 
 def test_number_keys_are_read_as_floats(tmp_path):
-    cfg = _merged("solve", {"p": 2, "T": 1, "solver": {"r_max": 10},
+    cfg = _merged("solve", {"T": 1, "solver": {"r_max": 10},
                             "driver": {"kind": "zigzag", "T": 1,
                                        "amplitude": 1}})
-    for v in (cfg["p"], cfg["T"], cfg["solver"]["r_max"], cfg["driver"]["T"],
+    for v in (cfg["T"], cfg["solver"]["r_max"], cfg["driver"]["T"],
               cfg["driver"]["amplitude"]):
         assert type(v) is float
     assert type(cfg["driver"]["n"]) is int
-    assert _merged("growth-demo", {"lambdas": [1, 2]})["lambdas"] == [1, 2]
+    cfg = _merged("growth-demo", {"p": 2, "lambdas": [1, 2]})
+    assert type(cfg["p"]) is float and cfg["lambdas"] == [1, 2]
     # so an int threshold is written as the float it was read as
     cfg = {"field": {"name": "linear", "A": 8.0}, "mesh": 2048,
            "driver": {"kind": "zigzag", "n": 2, "amplitude": 2.0, "m": 1,

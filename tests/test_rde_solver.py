@@ -149,15 +149,14 @@ def test_mesh_refinement_improves_solution():
 
 
 def _blowup_routes():
-    # (name, driver, young) for the plain route, the corrected route with
-    # f's own derived field (fused into the level-2 input) and the
-    # corrected route with an h2 the solver cannot fuse; young = (h2,
-    # beta) as the stepping loop takes it
-    so = f_dot_grad_f(counterexample_field())
+    # (name, driver, young) for the plain route and the corrected route
+    # with f's derived field; young = (h2, beta) as the stepping loop
+    # takes it
     x = pure_area_path(1.5)
     geo, drift = decompose(x)
-    return [("plain", x, None), ("fused", geo, (so, drift)),
-            ("unfused", geo, (SecondOrderField(2, 1, so.jet), drift))]
+    return [("plain", x, None),
+            ("corrected", geo, (f_dot_grad_f(counterexample_field()),
+                                drift))]
 
 
 def test_crossing_state_is_one_loop_step():
@@ -208,17 +207,15 @@ def test_no_solve_queries_the_driver_through_at(monkeypatch):
 
 def test_a_fine_solve_holds_little_beyond_its_solution():
     # the driver is queried a chunk of mesh rows at a time, so the fine
-    # explosion solve (2**18 fused steps) peaks at its solution's arrays
-    # and a rest that does not grow with the mesh, where one whole-mesh
-    # query held about 10 MB more
+    # explosion solve (2**18 steps on the pure-area driver) peaks at its
+    # solution's arrays and a rest that does not grow with the mesh,
+    # where one whole-mesh query held about 10 MB more
     f = counterexample_field()
-    so = f_dot_grad_f(f)
-    geo, drift = decompose(pure_area_path(0.9))
+    x = pure_area_path(0.9)
     cfg = SolverConfig(base_mesh=2 ** 18)
     tracemalloc.start()
     try:
-        sol = solve_rde_corrected(geo, drift, f, so, np.array([1.0, 0.0]),
-                                  0.9, cfg)
+        sol = solve_rde(x, f, np.array([1.0, 0.0]), 0.9, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -229,18 +226,16 @@ def test_a_fine_solve_holds_little_beyond_its_solution():
 
 
 def test_an_early_crossing_holds_only_its_solution():
-    # a 2**20-step fused solve that crosses r_max = 1.5 at step 388,362
-    # returns arrays of its own, not views that keep the whole mesh's
-    # buffers alive (51 MiB where its arrays are 21 MiB)
+    # a 2**20-step solve on the pure-area driver that crosses r_max = 1.5
+    # at step 388,362 returns arrays of its own, not views that keep the
+    # whole mesh's buffers alive (51 MiB where its arrays are 21 MiB)
     f = counterexample_field()
-    so = f_dot_grad_f(f)
-    geo, drift = decompose(pure_area_path(0.9))
+    x = pure_area_path(0.9)
     cfg = SolverConfig(base_mesh=2 ** 20, r_max=1.5)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        sol = solve_rde_corrected(geo, drift, f, so, np.array([1.0, 0.0]),
-                                  0.9, cfg)
+        sol = solve_rde(x, f, np.array([1.0, 0.0]), 0.9, cfg)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -275,8 +270,7 @@ def test_a_projection_that_lengthens_the_state_crosses_after_the_start():
     assert np.array_equal(y, sol.y)
 
 
-@pytest.mark.parametrize("route", ["plain", "fused", "unfused",
-                                   "projected"])
+@pytest.mark.parametrize("route", ["plain", "corrected", "projected"])
 def test_each_solve_compiles_one_step_map(monkeypatch, route):
     # the loop is the one function a solve generates: the crossing
     # bisection runs it too, so a solve that crosses compiles once (the
@@ -341,15 +335,14 @@ def test_solution_to_partial_rejects_another_driver():
 
 
 def test_solution_cross_additivity_over_random_drivers():
-    # a property over every route (the plain loop, and the corrected
-    # loop with f's own derived field fused into the level-2 input or with
-    # a separate h2), m in {1, 2}, random polylines
+    # a property over both routes (the plain loop and the corrected
+    # loop with f's derived field), m in {1, 2}, random polylines
     # (with a linear area drift on the corrected routes), linear fields
     # and an r_max low enough (|a| = 1.118) to end some of the solves
     # early: each solution is its partial rough path
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
-    routes = ("plain", "fused", "unfused")
+    routes = ("plain", "corrected")
     truncated, drawn = [], set()
 
     @hyp.settings(max_examples=25, deadline=None, derandomize=True,
@@ -371,9 +364,8 @@ def test_solution_cross_additivity_over_random_drivers():
             S = rng.normal(0.0, 0.5, size=(m, m))
             drift = AreaDrift(x.times,
                               x.times[:, None, None] * (S + S.T)[None])
-            so = f_dot_grad_f(f)
-            h2 = so if route == "fused" else SecondOrderField(2, m, so.jet)
-            sol = solve_rde_corrected(x, drift, f, h2, a, 1.0, cfg)
+            sol = solve_rde_corrected(x, drift, f, f_dot_grad_f(f), a, 1.0,
+                                      cfg)
         truncated.append(sol.blowup is not None)
         drawn.add(route)
         assert isinstance(sol, PartialRoughPath)
@@ -542,6 +534,90 @@ def test_corrected_route_checks_its_shapes_before_stepping(case):
     with pytest.raises(ValueError, match=want):
         solve_rde_corrected(geo, drift, f, h2, a, 1.0,
                             SolverConfig(base_mesh=64))
+
+
+@pytest.mark.parametrize("grid, covers", [
+    ([0.0, 0.5], False),           # ends before the horizon
+    ([0.25, 1.0], False),          # starts after 0
+    ([0.0, 1.0 - 5e-13], True),    # short of it within the horizon's slack
+])
+def test_corrected_route_checks_the_drift_covers_the_horizon(grid, covers):
+    # x on [0, 1], 2**14 steps: a drift grid that missed part of [0, 1]
+    # used to step a whole 8192-row chunk before its query raised; the
+    # check comes before the first step, so f's jet runs at most in the
+    # entry checks (once itself, once through h2's jet)
+    f = counterexample_field()
+    jet, calls = f.jet, []
+
+    def counting_jet(y):
+        calls.append(y)
+        return jet(y)
+
+    f.jet = counting_jet
+    geo, _ = decompose(pure_area_path(1.0))
+    drift = AreaDrift(grid, 0.1 * np.array(grid)[:, None, None])
+    cfg = SolverConfig(base_mesh=2 ** 14)
+    args = (geo, drift, f, f_dot_grad_f(f), np.array([1.0, 0.0]), 1.0, cfg)
+    if covers:
+        assert solve_rde_corrected(*args).times[-1] == 1.0
+        return
+    with pytest.raises(ValueError, match=r"beta's grid .* does not cover "
+                                         r"the horizon \[0, 1.0\]"):
+        solve_rde_corrected(*args)
+    assert len(calls) <= 2
+
+
+def test_corrected_route_equals_the_plain_route_on_random_drivers():
+    # solve_rde(x) against solve_rde_corrected(*decompose(x), f,
+    # f . grad f) over non-geometric drivers: point-value rough paths
+    # with random level 2 and left-point (Ito) Brownian lifts, m in
+    # {1, 2}.  The two routes differ only in rounding, x2 against x_hat2
+    # + dbeta and grad f . P(x2) against grad f . P(x_hat2) + h2 . dbeta,
+    # so every state agrees within C eps max(1, |y|); C = 32 was set
+    # after a run of 1500 draws of this property (linear and tanh
+    # fields, meshes of 16 to 256 steps), whose largest gap was
+    # 9.1 eps max(1, |y|)
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    eps = np.finfo(float).eps
+    drawn = set()
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True,
+                  database=None)
+    @hyp.given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 2),
+               kind=st.sampled_from(["points", "ito"]),
+               field=st.sampled_from(["linear", "tanh"]),
+               mesh=st.sampled_from([16, 64, 256]))
+    def agree(seed, m, kind, field, mesh):
+        rng = np.random.default_rng(seed)
+        if kind == "points":
+            n = int(rng.integers(3, 20))
+            u = np.cumsum(rng.normal(0.0, 0.3, size=(n - 1, m)), axis=0)
+            b = rng.normal(0.0, 0.1, size=(n - 1, m, m))
+            x = RoughPath(np.linspace(0.0, 1.0, n),
+                          np.vstack([np.zeros((1, m)), u]),
+                          np.vstack([np.zeros((1, m, m)), b]))
+        else:
+            x = brownian_lift(int(rng.integers(2**31)),
+                              int(rng.integers(4, 128)), 1.0, m, "ito")
+        f = (linear_field(rng.normal(0.0, 0.5, size=(2, m, 2)))
+             if field == "linear" else
+             tanh_field(2, m, scale=0.8, seed=int(rng.integers(1000))))
+        a = rng.normal(0.0, 1.0, size=2)
+        cfg = SolverConfig(base_mesh=mesh)
+        direct = solve_rde(x, f, a, 1.0, cfg)
+        geo, drift = decompose(x)
+        corrected = solve_rde_corrected(geo, drift, f, f_dot_grad_f(f), a,
+                                        1.0, cfg)
+        assert direct.blowup is None and corrected.blowup is None
+        assert np.array_equal(direct.times, corrected.times)
+        gap = np.max(np.abs(direct.y - corrected.y), axis=1)
+        scale = np.maximum(1.0, np.linalg.norm(direct.y, axis=1))
+        assert np.all(gap <= 32.0 * eps * scale), np.max(gap / scale) / eps
+        drawn.add((kind, m))
+
+    agree()
+    assert drawn == {(k, m) for k in ("points", "ito") for m in (1, 2)}
 
 
 @pytest.mark.parametrize("case", ["f-long", "f-short", "grad-short",

@@ -1,7 +1,7 @@
 """The Davie step on Python floats, and the numpy forms it leans on.
 
 The solver steps on Python floats with left-to-right sums, one field
-jet per step (and one of h2's on the unfused route); its output is
+jet per step (and one of h2's on the corrected route); its output is
 compared with `==` against the nested-list float oracle in oracles.py on
 every route, and with the @-product step (whose BLAS kernels may fuse
 multiply-adds) within a tolerance set from float64 eps.
@@ -91,9 +91,9 @@ def assert_same(sol, ref, label):
 
 def route_solves(rng, route, f, f_ref, oracle):
     """(solver, oracle) outputs on one route from a random polyline and
-    start: the oracle runs on f_ref.  On the unfused route the solver
-    takes f's derived field as a separate h2 (no source), and the oracle
-    f_ref, whose derived field it contracts in its own arithmetic."""
+    start: the oracle runs on f_ref.  On the corrected route the solver
+    takes f's derived field as h2, and the oracle f_ref, whose derived
+    field it contracts in its own arithmetic."""
     mesh = np.linspace(0.0, 1.0, K + 1)
     x = random_polyline(rng, f.m)
     a = rng.normal(0.0, 1.0, size=f.d)
@@ -101,15 +101,11 @@ def route_solves(rng, route, f, f_ref, oracle):
     if route == "plain":
         return solve_rde(x, f, a, 1.0, cfg), oracle(x, f_ref, a, mesh)
     beta = random_drift(rng, x.times, f.m)
-    so = f_dot_grad_f(f)
-    so_ref = f_dot_grad_f(f_ref)
-    if route == "unfused":
-        so, so_ref = SecondOrderField(f.d, f.m, so.jet), f_ref
-    return (solve_rde_corrected(x, beta, f, so, a, 1.0, cfg),
-            oracle(x, f_ref, a, mesh, (so_ref, beta)))
+    return (solve_rde_corrected(x, beta, f, f_dot_grad_f(f), a, 1.0, cfg),
+            oracle(x, f_ref, a, mesh, (f_ref, beta)))
 
 
-@pytest.mark.parametrize("route", ["plain", "fused", "unfused"])
+@pytest.mark.parametrize("route", ["plain", "corrected"])
 def test_solver_equals_the_float_oracle(route):
     rng = np.random.default_rng(801)
     for name, f, f_ref in field_pairs(rng):
@@ -117,7 +113,7 @@ def test_solver_equals_the_float_oracle(route):
         assert_same(sol, ref, f"{route} {name}")
 
 
-@pytest.mark.parametrize("route", ["plain", "fused", "unfused"])
+@pytest.mark.parametrize("route", ["plain", "corrected"])
 def test_solver_equals_the_float_oracle_where_sums_go_over_lines(route):
     # d = 9, m = 8: the grad f . P sum of each row has 72 terms, more
     # than one generated line holds
@@ -133,7 +129,7 @@ def test_solver_equals_the_float_oracle_where_sums_go_over_lines(route):
 MATMUL_TOL = 8.0 * np.finfo(float).eps
 
 
-@pytest.mark.parametrize("route", ["plain", "fused", "unfused"])
+@pytest.mark.parametrize("route", ["plain", "corrected"])
 def test_solver_matches_the_matmul_step(route):
     rng = np.random.default_rng(801)
     for name, f, f_ref in field_pairs(rng):
@@ -145,9 +141,9 @@ def test_solver_matches_the_matmul_step(route):
         assert np.all(gap <= MATMUL_TOL * scale), (route, name)
 
 
-def test_unfused_route_reads_h2_from_its_jet_once_per_step():
-    # a separate h2 is called as its jet, on the step's Python floats,
-    # once per step; its numpy eval never runs during the solve
+def test_corrected_route_reads_h2_from_its_jet_once_per_step():
+    # h2 is called as its jet, on the step's Python floats, once per
+    # step; its numpy eval never runs during the solve
     rng = np.random.default_rng(806)
     f = tanh_field(2, 2, scale=0.8, seed=3)
     jet = f_dot_grad_f(f).jet
@@ -170,11 +166,10 @@ def test_unfused_route_reads_h2_from_its_jet_once_per_step():
     assert all(type(v) is float for y in calls for v in y)
 
 
-@pytest.mark.parametrize("route", ["plain", "fused", "unfused"])
+@pytest.mark.parametrize("route", ["plain", "corrected"])
 def test_each_route_calls_the_field_jet_once_per_step(route):
     # one jet call on the start state checks its lengths, then one per
-    # step; f's own derived field is fused into the step's level-2
-    # input, so its jet never runs
+    # step, and as many of h2's on the corrected route
     rng = np.random.default_rng(807)
     f = tanh_field(2, 2, scale=0.8, seed=4)
     jet, calls, so_calls = f.jet, [], []
@@ -198,14 +193,12 @@ def test_each_route_calls_the_field_jet_once_per_step(route):
     if route == "plain":
         sol = solve_rde(x, f, a, 1.0, cfg)
     else:
-        h2 = so if route == "fused" else SecondOrderField(2, 2,
-                                                          counting_so_jet)
-        sol = solve_rde_corrected(x, random_drift(rng, x.times, 2), f, h2,
+        sol = solve_rde_corrected(x, random_drift(rng, x.times, 2), f, so,
                                   a, 1.0, cfg)
     assert sol.blowup is None
-    # the unfused h2 is f's derived field, whose jet calls f's once more
-    # per call of its own
-    assert len(so_calls) == (K + 1 if route == "unfused" else 0)
+    # h2 is f's derived field, whose jet calls f's once more per call of
+    # its own
+    assert len(so_calls) == (K + 1 if route == "corrected" else 0)
     assert len(calls) == K + 1 + len(so_calls)
     assert calls[0] == a.tolist()
 
@@ -252,7 +245,7 @@ def float_norm(v):
     return math.sqrt(n2)
 
 
-@pytest.mark.parametrize("route", ["plain", "fused", "unfused", "projected"])
+@pytest.mark.parametrize("route", ["plain", "corrected", "projected"])
 @pytest.mark.parametrize("kind", ["counterexample", "zero",
                                   "bare counterexample", "bare linear"])
 def test_generated_loop_equals_the_float_oracle(route, kind):
@@ -265,8 +258,8 @@ def test_generated_loop_equals_the_float_oracle(route, kind):
     # pure-area driver, a polyline with flat segments, so that every
     # product of a row can be a signed zero.  A fixed case makes every
     # product of the first step's rows -0.0 on every route: f = -0.0,
-    # grad f = +0.0 and a separate h2 = -0.0 from a start of (-0.0, -0.0),
-    # with u > 0 and dbeta > 0 (so b > 0 and P = -0.0), where a row
+    # grad f = +0.0 and h2 = -0.0 from a start of (-0.0, -0.0), with
+    # u > 0 (so b = x2 > 0 and P = -0.0) and dbeta > 0, where a row
     # summed without its leading 0.0 would stay -0.0
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
@@ -324,9 +317,7 @@ def test_generated_loop_equals_the_float_oracle(route, kind):
         f, f_ref = loop_fields(kind, d, m, rng)
         assert hasattr(f.jet, "lines") == (kind in ("counterexample",
                                                     "zero"))
-        so, so_ref = f_dot_grad_f(f), f_dot_grad_f(f_ref)
-        if route == "unfused":
-            so, so_ref = SecondOrderField(f.d, f.m, so.jet), f_ref
+        so, so_ref = f_dot_grad_f(f), f_ref
         if pure_area and f.m == 1:
             T = 2.0
             x = pure_area_path(T)
@@ -346,11 +337,9 @@ def test_generated_loop_equals_the_float_oracle(route, kind):
     f = signed_zero_field(kind)
     x = lift_piecewise_linear(np.array([[0.0], [1.0]]), [0.0, 1.0])
     beta = AreaDrift(x.times, 0.25 * x.times[:, None, None])
-    so, so_ref = f_dot_grad_f(f), f_dot_grad_f(f)
-    if route == "unfused":
-        # the oracle's h2 is f's derived field, +0.0 where the solver's
-        # is -0.0: a sum from 0.0 takes either to the same bits
-        so, so_ref = SecondOrderField(2, 1, lambda y: [-0.0, -0.0]), f
+    # the oracle's h2 is f's derived field, +0.0 where the solver's is
+    # -0.0: a sum from 0.0 takes either to the same bits
+    so, so_ref = SecondOrderField(2, 1, lambda y: [-0.0, -0.0]), f
     y = check(f, f, so, so_ref, x, beta, np.array([-0.0, -0.0]), 1.0)
     assert bits(np.asarray(y[1:])) == bits(np.zeros((K, 2)))
     assert "non-finite at once" in seen
@@ -360,7 +349,7 @@ def test_generated_loop_equals_the_float_oracle(route, kind):
         assert "non-finite" in seen
 
 
-@pytest.mark.parametrize("route", ["plain", "fused", "unfused"])
+@pytest.mark.parametrize("route", ["plain", "corrected"])
 @pytest.mark.parametrize("builtin", [counterexample_field,
                                      lambda: zero_field(2, 2)])
 def test_a_replaced_builtin_jet_is_called_once_per_step(route, builtin):
@@ -382,20 +371,18 @@ def test_a_replaced_builtin_jet_is_called_once_per_step(route, builtin):
     if route == "plain":
         sol = solve_rde(x, f, a, 1.0, cfg)
     else:
-        so = f_dot_grad_f(f)
-        h2 = so if route == "fused" else SecondOrderField(f.d, f.m, so.jet)
-        sol = solve_rde_corrected(x, random_drift(rng, x.times, f.m), f, h2,
-                                  a, 1.0, cfg)
+        sol = solve_rde_corrected(x, random_drift(rng, x.times, f.m), f,
+                                  f_dot_grad_f(f), a, 1.0, cfg)
     assert sol.blowup is None
-    # the unfused h2 is f's derived field, whose jet calls f's once more
-    # per call of its own
-    assert len(calls) == (K + 1) * (2 if route == "unfused" else 1)
+    # the corrected route's h2 is f's derived field, whose jet calls f's
+    # once more per call of its own
+    assert len(calls) == (K + 1) * (2 if route == "corrected" else 1)
 
 
-@pytest.mark.parametrize("route", ["plain", "fused", "unfused"])
+@pytest.mark.parametrize("route", ["plain", "corrected"])
 def test_a_traceback_through_generated_code_shows_its_lines(route):
     # the jet passes the entry check at y = 0 and fails once the state
-    # passes 0.5, inside the generated solve loop (and, on the unfused
+    # passes 0.5, inside the generated solve loop (and, on the corrected
     # route, also inside the generated f . grad f jet when called alone)
     def jet(y):
         if y[0] > 0.5:
@@ -412,8 +399,7 @@ def test_a_traceback_through_generated_code_shows_its_lines(route):
             solve_rde(x, f, a, 1.0, cfg)
         else:
             beta = AreaDrift(x.times, np.zeros((2, 1, 1)))
-            h2 = so if route == "fused" else SecondOrderField(1, 1, so.jet)
-            solve_rde_corrected(x, beta, f, h2, a, 1.0, cfg)
+            solve_rde_corrected(x, beta, f, so, a, 1.0, cfg)
     text = "".join(traceback.format_exception(info.value))
     # line 5 builds the list y the called jet takes, line 6 calls it
     assert f'File "<davie loop d=1 m=1 {route}>", line 6, in loop' in text
@@ -425,14 +411,13 @@ def test_a_traceback_through_generated_code_shows_its_lines(route):
     assert "    F, G = f_jet(y)\n" in text
 
 
-@pytest.mark.parametrize("route", ["plain", "fused", "unfused", "projected"])
+@pytest.mark.parametrize("route", ["plain", "corrected", "projected"])
 def test_a_sum_of_negative_zeros_is_positive_zero(route):
     # f = 0 and grad f = -0.0 at a start of -0.0: every product in the
     # step is a signed zero, and a sum from 0.0 makes +0.0 of them, as
     # the oracle's loop does; without the row's leading 0.0 the state
-    # would stay -0.0.  f . u is -0.0 on every route, grad f . P on the
-    # fused one where b = x2 + dbeta >= 0 and h2 . dbeta on the unfused
-    # one where dbeta < 0
+    # would stay -0.0.  f . u and grad f . P (b = x2 >= 0) are -0.0 on
+    # every route, and h2 . dbeta on the corrected one, where dbeta < 0
     f = VectorField(1, 1, lambda y: ((0.0,), (-0.0,)))
     x = lift_piecewise_linear(np.array([[0.0], [-1.0]]), [0.0, 1.0])
     mesh = np.linspace(0.0, 1.0, K + 1)
@@ -443,14 +428,11 @@ def test_a_sum_of_negative_zeros_is_positive_zero(route):
         sol, ref = (solve_rde(x, f, a, 1.0, cfg),
                     davie_solve_floats(x, f, a, mesh, projection=proj))
     else:
-        slope = 0.25 if route == "fused" else -0.25
-        beta = AreaDrift(x.times, slope * x.times[:, None, None])
+        beta = AreaDrift(x.times, -0.25 * x.times[:, None, None])
         so = f_dot_grad_f(f)
         assert bits(np.array(so.jet([-0.0]))) == bits(np.array([0.0]))
-        h2, h2_ref = (so, so) if route == "fused" else (
-            SecondOrderField(1, 1, so.jet), f)
-        sol = solve_rde_corrected(x, beta, f, h2, a, 1.0, cfg)
-        ref = davie_solve_floats(x, f, a, mesh, (h2_ref, beta))
+        sol = solve_rde_corrected(x, beta, f, so, a, 1.0, cfg)
+        ref = davie_solve_floats(x, f, a, mesh, (f, beta))
     assert_same(sol, ref, route)
     assert bits(sol.y[1:]) == bits(np.zeros((K, 1)))
 
@@ -571,41 +553,37 @@ def test_crossing_matches_the_matmul_step():
     cfg = SolverConfig(base_mesh=512, r_max=50.0)
     f_ref = lists_field()
     plain = solve_rde(x, f, a, 1.5, cfg)
-    fused = solve_rde_corrected(geo, drift, f, f_dot_grad_f(f), a, 1.5, cfg)
+    corrected = solve_rde_corrected(geo, drift, f, f_dot_grad_f(f), a, 1.5,
+                                    cfg)
     for oracle in (davie_solve_floats, davie_solve_matmul):
         assert_same(plain, oracle(x, f_ref, a, mesh, r_max=50.0), "plain")
-        assert_same(fused, oracle(geo, f_ref, a, mesh,
-                                  (f_dot_grad_f(f_ref), drift), r_max=50.0),
-                    "fused")
-    assert plain.blowup is not None and fused.blowup is not None
+        assert_same(corrected, oracle(geo, f_ref, a, mesh, (f_ref, drift),
+                                      r_max=50.0), "corrected")
+    assert plain.blowup is not None and corrected.blowup is not None
 
 
 # two chunks and three rows: the solve crosses block and chunk
 # boundaries, and its last chunk is shorter than a block
 LONG_K = 2 * _CHUNK + 3
-ROUTES = ["plain", "fused", "unfused", "projected"]
+ROUTES = ["plain", "corrected", "projected"]
 
 
 def long_solve(route, f, x, beta, a, T, r_max=math.inf, steps=LONG_K):
-    """The solver on one route over LONG_K steps: a corrected route
-    takes f's derived field, fused or (unfused) as a separate h2, and
-    the projected route is the plain one with halve_tail."""
+    """The solver on one route over LONG_K steps: the corrected route
+    takes f's derived field as h2, and the projected route is the plain
+    one with halve_tail."""
     cfg = SolverConfig(base_mesh=steps, r_max=r_max, state_projection=(
         halve_tail if route == "projected" else None))
     if route in ("plain", "projected"):
         return solve_rde(x, f, a, T, cfg)
-    so = f_dot_grad_f(f)
-    if route == "unfused":
-        so = SecondOrderField(f.d, f.m, so.jet)
-    return solve_rde_corrected(x, beta, f, so, a, T, cfg)
+    return solve_rde_corrected(x, beta, f, f_dot_grad_f(f), a, T, cfg)
 
 
 def long_oracle(route, f_ref, x, beta, a, T, r_max=math.inf, steps=LONG_K):
     """davie_solve_floats on long_solve's route and mesh, its h2 given
     as in route_solves; it queries the driver on the whole mesh, and
     after a crossing on the whole truncated one."""
-    young = None if route in ("plain", "projected") else (
-        f_ref if route == "unfused" else f_dot_grad_f(f_ref), beta)
+    young = None if route in ("plain", "projected") else (f_ref, beta)
     return davie_solve_floats(
         x, f_ref, a, np.linspace(0.0, T, steps + 1), young, r_max,
         halve_tail if route == "projected" else None)

@@ -4,8 +4,12 @@ In a fresh temporary directory this runs
 - every `rde` command at its defaults, except `lift`, which needs an
   input and runs on a seeded 51-point m = 2 polyline that this tool
   writes;
-- `rde growth-demo` at the config of the `growth` benchmark workload
-  (`bench/workloads.py`), seed 201;
+- `rde explosion-demo` at a1 = 1.4376431999070005
+  (`explosion-bench`), the a1 the `explosion` benchmark workload
+  (`bench/workloads.py`) draws at seed 7, so the digest covers a blow-up
+  time other than the default's t* = 1;
+- `rde growth-demo` at the config of the `growth` benchmark workload,
+  seed 201;
 - `rde growth-demo` at that config with `mesh` 4096, seed 8, whose
   lambda = 8 row crosses r_max (the run exits 1), so the digest covers
   a growth_bound_check row that ends at a crossing;
@@ -59,6 +63,10 @@ ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = ["changevar-check", "convergence", "decompose", "explosion-demo",
             "growth-demo", "solve"]
 
+# the a1 that the `explosion` workload draws at seed 7:
+# numpy.random.default_rng(7).uniform(0.5, 2.0)
+EXPLOSION_BENCH_A1 = 1.4376431999070005
+
 # the `growth` workload's config at its full sizes
 GROWTH_BENCH = {
     "field": {"name": "counterexample"},
@@ -107,6 +115,10 @@ def main() -> int:
         (tmp_path / "lift.json").write_text(json.dumps(
             {"input": "polyline.csv", "output": "roughpath.csv"}))
         rde("lift", "lift", "--config", "lift.json")
+        (tmp_path / "explosion-bench.json").write_text(json.dumps(
+            {"a1": EXPLOSION_BENCH_A1}))
+        rde("explosion-bench", "explosion-demo", "--config",
+            "explosion-bench.json")
         (tmp_path / "growth-bench.json").write_text(json.dumps(GROWTH_BENCH))
         rde("growth-bench", "growth-demo", "--config", "growth-bench.json",
             "--seed", "201")
