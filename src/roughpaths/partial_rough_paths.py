@@ -12,12 +12,12 @@ of grid points by one formula from prefix sums (see
 PartialRoughPath._cross_pairs, which also bounds its roundoff).
 
 Operations: the p-variation distance between triples (the shared pair
-scan, every tile's cross norms a pure function of the tile, computed a
-matrix entry at a time on column arrays and summed in the order of
-np.linalg.norm, so bit for bit the per-pair norms) and the
-pushforward of the output through a smooth map (which sews the
-almost-multiplicative cross increments grad phi(y_s) cross(s,t)), one
-call of the map and one of its gradient over the whole grid.
+scan, every tile's norms a pure function of the tile, computed a vector
+or matrix entry at a time on column arrays, the squares summed left to
+right) and the pushforward of the output through a smooth map (which
+sews the almost-multiplicative cross increments grad phi(y_s)
+cross(s,t)), one call of the map and one of its gradient over the whole
+grid.
 """
 
 from __future__ import annotations
@@ -163,12 +163,13 @@ class PartialRoughPath:
 
 def pvar_distance(a: PartialRoughPath, b: PartialRoughPath) -> float:
     """Scaled sup distance between two triples on one grid (equal time
-    arrays, else ValueError; equal (d, m), else ValueError naming both).
+    arrays, else ValueError; equal (d, m) and equal p, else ValueError
+    naming both).
 
     Max over grid pairs s < t of the x- and y-increment differences
     divided by (t - s)^(1/p) and the cross difference divided by
-    (t - s)^(2/p), with a's p.  When a and b share their driver (equal x
-    arrays), its difference is 0 on every pair and is not scanned.
+    (t - s)^(2/p).  When a and b share their driver (equal x arrays),
+    its difference is 0 on every pair and is not scanned.
 
     One function, pair_norms, computes every per-pair norm, for the
     tiles of the pair scan and for the anchors of their bounds alike.
@@ -176,29 +177,30 @@ def pvar_distance(a: PartialRoughPath, b: PartialRoughPath) -> float:
     the columns of x and y (views) and of the cross prefix sums (stored
     a contiguous column per entry, see _cross_pairs).  An entry is then
     a plane of the differences at every pair, and each pair's norm sums
-    the squared planes in the order np.linalg.norm sums a vector's
-    entries (rough_paths._plane_norm): every per-pair value has the bits
-    of np.linalg.norm on that pair's vector, and numpy's inner loops run
-    along a row of a tile, not along the d m entries of one pair.
+    the squared planes left to right (rough_paths._plane_norm), so
+    numpy's inner loops run along a row of a tile, not along the d m
+    entries of one pair.
     """
     if not np.array_equal(a.times, b.times):
         raise ValueError("grids do not match: the time arrays differ")
     if a.m != b.m or a.d != b.d:
         raise ValueError(f"dimensions do not match: (d, m) = ({a.d}, {a.m})"
                          f" and ({b.d}, {b.m})")
+    if a.p != b.p:
+        raise ValueError(f"p does not match: {a.p} and {b.p}")
     n = a.n_points
     shared = np.array_equal(a.x, b.x)
     planes_a, error_a = a._cross_pairs()
     planes_b, error_b = b._cross_pairs()
 
     def difference(ca, cb, i, j):
-        return _plane_norm(((u[j] - u[i]) - (v[j] - v[i])
-                            for u, v in zip(ca, cb)), len(ca))
+        return _plane_norm((u[j] - u[i]) - (v[j] - v[i])
+                           for u, v in zip(ca, cb))
 
     def pair_norms(i, j):
         ey = difference(a.y.T, b.y.T, i, j)
-        dc = _plane_norm((u - v for u, v in zip(planes_a(i, j),
-                                                planes_b(i, j))), a.d * a.m)
+        dc = _plane_norm(u - v for u, v in zip(planes_a(i, j),
+                                               planes_b(i, j)))
         if shared:
             return ey, dc
         return difference(a.x.T, b.x.T, i, j), ey, dc

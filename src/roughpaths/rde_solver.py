@@ -71,7 +71,7 @@ from numbers import Integral
 import numpy as np
 
 from .partial_rough_paths import PartialRoughPath
-from .rough_paths import (AreaDrift, RoughPath, _write_csv, dilate,
+from .rough_paths import (_EPS, AreaDrift, RoughPath, _write_csv, dilate,
                           geometricity_defect, pvar_norm)
 from .vector_fields import (FieldBounds, SecondOrderField, VectorField,
                             _compiled, _sum_lines)
@@ -108,6 +108,12 @@ _MAX_STEPS = 4_000_000
 _STEP_RULE_K = 1.0
 _MU = 1.0
 
+# A start the state projection moves by more than this times
+# eps max(1, |y0|) in any entry is off the projection's image.  The
+# sphere projection moves a chart start (ShiftedMap.state_of) by at
+# most 1.0 eps max(1, |y0|): 80,000 random starts, d = 1-4.
+_PROJECTION_SLACK = 4.0
+
 
 class FieldEvaluationError(RuntimeError):
     """A step from y at time t gave a state that is not finite, or whose
@@ -130,7 +136,8 @@ class SolverConfig:
     floats the loop tests against r_max, stores and steps from next (its
     input or a reused buffer will do: the loop copies the values out).
     The crossing bisection relies on it mapping a state it returned to
-    itself, up to rounding, as sphere_state_projection does."""
+    itself, up to rounding, as sphere_state_projection does, and a solve
+    rejects a start that it moves."""
 
     base_mesh: int = 4096
     r_max: float = 1e6
@@ -310,8 +317,9 @@ def _entry_checks(x: RoughPath, f: VectorField, a, T: float,
     """The checks made before stepping; returns the start state (a fresh
     copy) and the mesh.  f's jet, and h2's given young = (h2, beta), are
     called once at the start state, so that one giving a wrong number of
-    values raises ValueError here rather than stepping on it; beta's grid
-    must cover [0, T]."""
+    values raises ValueError here rather than stepping on it; the
+    driver's grid, and beta's, must cover [0, T]; a state projection
+    must leave the start where it is, up to rounding."""
     d, m = f.d, f.m
     y = np.asarray(a, dtype=float).copy()
     if not np.all(np.isfinite(y)):
@@ -319,6 +327,17 @@ def _entry_checks(x: RoughPath, f: VectorField, a, T: float,
     if y.shape != (d,):
         raise ValueError(f"initial state must have shape ({d},)")
     T = _horizon(x, T)
+    if x.times[0] > 1e-12:
+        raise ValueError(f"the driver's grid [{x.times[0]}, {x.times[-1]}] "
+                         f"does not cover the horizon [0, {T}]")
+    if cfg.state_projection is not None:
+        start = y.tolist()
+        image = [float(v) for v in cfg.state_projection(list(start))]
+        slack = _PROJECTION_SLACK * _EPS * max(1.0, math.hypot(*start))
+        if not all(abs(u - v) <= slack for u, v in zip(image, start)):
+            raise ValueError(f"the state projection moves the start "
+                             f"{start} to {image}: the start is off its "
+                             f"image")
     if x.m != m:
         raise ValueError(f"driver dimension {x.m} does not match field "
                          f"m={m}")

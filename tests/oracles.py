@@ -91,12 +91,21 @@ def riemann_stieltjes(g_vals, d_vals):
     return float(np.sum(g[:-1] * np.diff(d)))
 
 
+def norm_left_to_right(v):
+    """Euclidean norm over the last axis, its squares summed left to
+    right in one running sum (np.add.accumulate is sequential, where
+    np.linalg.norm sums 8 or more entries pairwise)."""
+    v = np.asarray(v)
+    return np.sqrt(np.add.accumulate(v * v, axis=-1)[..., -1])
+
+
 def pvar_norm_pairs(times, level1, level2, p):
     """Grid p-variation norm by visiting every pair s < t on its own.
 
     Each pair gets the same per-element operations as the library's scan
-    (difference, outer-product correction, Euclidean norms, t - s to
-    the power 1/p and 2/p), so the two agree exactly, not just closely.
+    (difference, outer-product correction, Euclidean norms summed left
+    to right, t - s to the power 1/p and 2/p), so the two agree exactly,
+    not just closely.
     """
     n = len(times)
     c1 = 0.0
@@ -105,8 +114,8 @@ def pvar_norm_pairs(times, level1, level2, p):
         for j in range(i + 1, n):
             du = level1[j] - level1[i]
             db = level2[j] - level2[i] - np.outer(level1[i], du)
-            n1 = np.linalg.norm(du, axis=0)
-            n2 = np.linalg.norm(db.ravel(), axis=0)
+            n1 = norm_left_to_right(du)
+            n2 = norm_left_to_right(db.ravel())
             # a 0-d array: numpy's scalar power may round differently
             w = np.asarray(times[j] - times[i])
             c1 = max(c1, float(n1 / w ** (1.0 / p)))
@@ -147,14 +156,15 @@ def chen_defect_triples(inc_fn, times, exhaustive_limit=120, samples=20000):
 
 def geometricity_defect_rows(level1, level2):
     """Geometricity defect as the Frobenius diameter of the beta path,
-    one start point at a time with numpy's Euclidean norm per pair."""
+    one start point at a time with a Euclidean norm per pair, its
+    squares summed left to right."""
     u = np.asarray(level1, dtype=float)
     b = np.asarray(level2, dtype=float)
     beta = 0.5 * (b + np.swapaxes(b, 1, 2)) - 0.5 * np.einsum("ki,kj->kij", u, u)
     flat = beta.reshape(len(beta), -1)
     worst = 0.0
     for i in range(len(flat) - 1):
-        d = np.linalg.norm(flat[i + 1:] - flat[i], axis=1)
+        d = norm_left_to_right(flat[i + 1:] - flat[i])
         worst = max(worst, float(np.max(d)))
     return worst
 
@@ -176,19 +186,19 @@ def _cross_row(prp, i):
 
 
 def pvar_distance_rows(a, b):
-    """pvar_distance one start point at a time, with a's p."""
+    """pvar_distance one start point at a time, at the triples' p."""
     t = a.times
     p = a.p
     worst = 0.0
     for i in range(a.n_points - 1):
         w = t[i + 1:] - t[i]
-        dx = np.linalg.norm((a.x[i + 1:] - a.x[i]) - (b.x[i + 1:] - b.x[i]),
-                            axis=1)
-        dy = np.linalg.norm((a.y[i + 1:] - a.y[i]) - (b.y[i + 1:] - b.y[i]),
-                            axis=1)
+        dx = norm_left_to_right((a.x[i + 1:] - a.x[i])
+                                - (b.x[i + 1:] - b.x[i]))
+        dy = norm_left_to_right((a.y[i + 1:] - a.y[i])
+                                - (b.y[i + 1:] - b.y[i]))
         ca = _cross_row(a, i)
         cb = _cross_row(b, i)
-        dc = np.linalg.norm((ca - cb).reshape(len(ca), -1), axis=1)
+        dc = norm_left_to_right((ca - cb).reshape(len(ca), -1))
         worst = max(worst,
                     float(np.max(dx / w ** (1.0 / p), initial=0.0)),
                     float(np.max(dy / w ** (1.0 / p), initial=0.0)),
@@ -199,13 +209,13 @@ def pvar_distance_rows(a, b):
 # ---------------------------------------------------------------------------
 # the array forms of the per-pair formulas, which the tile bounds once
 # evaluated beside the tiles' column forms: q(i, j) for broadcast arrays
-# of grid indices, each pair's vector or matrix built whole, then
-# np.linalg.norm over its entries
+# of grid indices, each pair's vector or matrix built whole, then its
+# norm over its entries, the squares summed left to right
 
 
 def increment_norm(v):
     """q(i, j) = |v_j - v_i|."""
-    return lambda i, j: np.linalg.norm(v[j] - v[i], axis=-1)
+    return lambda i, j: norm_left_to_right(v[j] - v[i])
 
 
 def level2_norm(rp):
@@ -215,15 +225,15 @@ def level2_norm(rp):
     def level2(i, j):
         du = u[j] - u[i]
         db = b[j] - b[i] - u[i][..., :, None] * du[..., None, :]
-        return np.linalg.norm(db.reshape(db.shape[:-2] + (-1,)), axis=-1)
+        return norm_left_to_right(db.reshape(db.shape[:-2] + (-1,)))
 
     return level2
 
 
 def difference(va, vb):
     """q(i, j) = |(va_j - va_i) - (vb_j - vb_i)|."""
-    return lambda i, j: np.linalg.norm((va[j] - va[i]) - (vb[j] - vb[i]),
-                                       axis=-1)
+    return lambda i, j: norm_left_to_right((va[j] - va[i])
+                                           - (vb[j] - vb[i]))
 
 
 def cross_pairs(prp):
@@ -240,7 +250,7 @@ def cross_norm(a, b):
 
     def norm(i, j):
         dc = ca(i, j) - cb(i, j)
-        return np.linalg.norm(dc.reshape(dc.shape[:-2] + (-1,)), axis=-1)
+        return norm_left_to_right(dc.reshape(dc.shape[:-2] + (-1,)))
 
     return norm
 
@@ -291,8 +301,8 @@ def pvar_norm_blocked(rp, p):
         du = u[None, i0 + 1:] - u[i0:i1, None]
         db = (b[None, i0 + 1:] - b[i0:i1, None]
               - u[i0:i1, None, :, None] * du[:, :, None, :])
-        return (np.linalg.norm(du, axis=2),
-                np.linalg.norm(db.reshape(db.shape[:2] + (-1,)), axis=2))
+        return (norm_left_to_right(du),
+                norm_left_to_right(db.reshape(db.shape[:2] + (-1,))))
 
     c1, c2sq = pair_sup_blocked(rp.times, (1.0 / p, 2.0 / p), norms,
                                 rp.m * rp.m)
@@ -332,11 +342,11 @@ def pvar_distance_blocked(a, b):
         def inc(v):
             return v[None, i0 + 1:] - v[i0:i1, None]
 
-        ex = np.linalg.norm(inc(a.x) - inc(b.x), axis=2)
-        ey = np.linalg.norm(inc(a.y) - inc(b.y), axis=2)
+        ex = norm_left_to_right(inc(a.x) - inc(b.x))
+        ey = norm_left_to_right(inc(a.y) - inc(b.y))
         dc = _cross_block(a, i0, i1)
         dc -= _cross_block(b, i0, i1)
-        return ex, ey, np.linalg.norm(dc, axis=2)
+        return ex, ey, norm_left_to_right(dc)
 
     p = a.p
     return max(pair_sup_blocked(a.times, (1.0 / p, 1.0 / p, 2.0 / p), norms,

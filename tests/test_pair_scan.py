@@ -37,13 +37,19 @@ def random_grid(rng, n):
     return np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, n - 1))])
 
 
-def random_triple(rng, n, d, m, times=None):
+def random_triple(rng, n, d, m, times=None, p=None):
+    """A random triple; its grid and p are drawn where not given."""
     times = random_grid(rng, n) if times is None else times
     return PartialRoughPath(times, rng.normal(size=(n, m)),
                             rng.normal(size=(n - 1, m, m)),
                             rng.normal(size=(n, d)),
                             rng.normal(size=(n - 1, d, m)),
-                            float(rng.choice([2.0, 2.3])))
+                            float(rng.choice([2.0, 2.3])) if p is None else p)
+
+
+def random_partner(rng, a):
+    """A random triple on a's grid at a's p, so pvar_distance takes both."""
+    return random_triple(rng, a.n_points, a.d, a.m, a.times, a.p)
 
 
 def on_driver_of(a, b):
@@ -55,12 +61,12 @@ def on_driver_of(a, b):
 @pytest.mark.parametrize("d, m", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1),
                                   (3, 2), (3, 3), (9, 1), (2, 4)])
 def test_cross_measures_equal_row_oracles(d, m):
-    # random triples on non-uniform grids: equal, not close; d m >= 8
-    # sums a pair's cross norm in numpy's eight running sums
+    # random triples on non-uniform grids: equal, not close, also where
+    # d m >= 8 entries of a pair's cross norm are summed
     rng = np.random.default_rng(80 + 10 * d + m)
     for n in (2, 3, 17, 40):
         a = random_triple(rng, n, d, m)
-        b = random_triple(rng, n, d, m, times=a.times)
+        b = random_partner(rng, a)
         assert pvar_distance(a, b) == pvar_distance_rows(a, b)
         c = on_driver_of(a, b)
         assert pvar_distance(a, c) == pvar_distance_rows(a, c)
@@ -70,7 +76,7 @@ def _measures(n, seed):
     rng = np.random.default_rng(seed)
     x = brownian_lift(seed, n - 1, 1.0, 2, "ito")
     a = random_triple(rng, n, 2, 2, times=x.times)
-    b = random_triple(rng, n, 2, 2, times=x.times)
+    b = random_partner(rng, a)
     return [pvar_norm(x, 2.3), geometricity_defect(x), pvar_distance(a, b),
             pvar_distance(a, on_driver_of(a, b))]
 
@@ -139,7 +145,7 @@ def test_pvar_distance_memory_is_capped():
     # their row layout, so no copy of the triples is made
     rng = np.random.default_rng(9)
     a = random_triple(rng, 32769, 2, 2)
-    b = random_triple(rng, 32769, 2, 2, times=a.times)
+    b = random_partner(rng, a)
     tracemalloc.start()
     try:
         pvar_distance(a, b)
@@ -147,37 +153,6 @@ def test_pvar_distance_memory_is_capped():
     finally:
         tracemalloc.stop()
     assert peak <= 12e6
-
-
-def test_plane_norm_sums_in_numpys_order():
-    # the tiles' norms sum squared planes in the order np.linalg.norm
-    # sums a vector (np.add.reduce's pairwise order); a numpy that sums
-    # in another order fails here, not as bits shifted in every measure
-    hyp = pytest.importorskip("hypothesis")
-    st = hyp.strategies
-    edges = [1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257, 300]
-
-    @hyp.settings(max_examples=300, deadline=None, derandomize=True,
-                  database=None)
-    @hyp.given(seed=st.integers(0, 2**32 - 1),
-               width=st.one_of(st.sampled_from(edges), st.integers(1, 300)),
-               kind=st.sampled_from(["row", "column", "tile"]),
-               side=st.integers(1, 64), low=st.integers(-150, 150),
-               span=st.sampled_from([0, 1, 16, 300]))
-    def equal(seed, width, kind, side, low, span):
-        # entries of one magnitude (span 0), where the order shows in
-        # the last bits, up to entries over 300 decades
-        rng = np.random.default_rng(seed)
-        shape = {"row": (1, side), "column": (side, 1),
-                 "tile": (64, 64)}[kind] + (width,)
-        exponent = rng.uniform(low, min(low + span, 150), size=shape)
-        stack = rng.normal(size=shape) * 10.0 ** exponent
-        stack[rng.uniform(size=shape) < 0.05] = 0.0
-        got = rough_paths._plane_norm(
-            (stack[..., k] for k in range(width)), width)
-        assert got.tobytes() == np.linalg.norm(stack, axis=-1).tobytes()
-
-    equal()
 
 
 def test_one_point_grid_has_no_pairs():
@@ -456,13 +431,13 @@ def test_pvar_distance_equals_blocked_scan_on_large_grids(tiles):
     # unrelated triples on a shared grid
     rng = np.random.default_rng(6)
     c = random_triple(rng, 700, 2, 1)
-    d = random_triple(rng, 700, 2, 1, times=c.times)
+    d = random_partner(rng, c)
     assert pvar_distance(c, d) == pvar_distance_blocked(c, d)
     assert skipped(tiles)
-    # a shared driver with d m = 9 entries of the cross integral: eight
-    # running sums and one more, and tiles skipped in this scan too
+    # a shared driver with d m = 9 entries of the cross integral, and
+    # tiles skipped in this scan too
     c = random_triple(rng, 1025, 3, 3)
-    d = on_driver_of(c, random_triple(rng, 1025, 3, 3, times=c.times))
+    d = on_driver_of(c, random_partner(rng, c))
     before = dict(tiles)
     assert pvar_distance(c, d) == pvar_distance_blocked(c, d)
     assert skipped({k: tiles[k] - before[k] for k in tiles})
@@ -543,7 +518,7 @@ def test_tile_bounds_dominate_every_norm(every_tile, n):
         for pair in ((a, b), (b, a), (a, moved), (moved, b)):
             pvar_distance(*pair)
     c = random_triple(rng, n, 2, 3)
-    d = random_triple(rng, n, 2, 3, times=c.times)
+    d = random_partner(rng, c)
     pvar_distance(c, d)
     assert len(every_tile) > 0
 
@@ -587,8 +562,8 @@ def _scaled(rng, shape):
 
 @pytest.mark.parametrize("m", range(1, 13))
 def test_pvar_norm_anchors_equal_the_array_formulas(m):
-    # m m >= 8 entries of level 2 sum in eight running sums, m = 12's
-    # 144 in two halves
+    # up to m m = 144 entries of level 2, each pair's squares summed
+    # left to right
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
 
@@ -614,8 +589,8 @@ def test_pvar_norm_anchors_equal_the_array_formulas(m):
 
 @pytest.mark.parametrize("shared", [True, False])
 def test_pvar_distance_anchors_equal_the_array_formulas(shared):
-    # up to 9 entries of y and 36 of the cross integral: the eight
-    # running sums of np.linalg.norm
+    # up to 9 entries of y and 36 of the cross integral, each pair's
+    # squares summed left to right
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
 
@@ -627,7 +602,7 @@ def test_pvar_distance_anchors_equal_the_array_formulas(shared):
     def equal(seed, n, d, m, side):
         rng = np.random.default_rng(seed)
         a = random_triple(rng, n, d, m)
-        b = random_triple(rng, n, d, m, times=a.times)
+        b = random_partner(rng, a)
         if shared:
             b = on_driver_of(a, b)
         with pytest.MonkeyPatch.context() as mp:

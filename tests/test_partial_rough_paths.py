@@ -216,6 +216,19 @@ def test_distance_rejects_dimension_mismatch(d, m):
             f"and ({second.d}, {second.m})")
 
 
+def test_distance_rejects_p_mismatch():
+    # the distance scales by (t - s)^(1/p): one p, or the order of the
+    # triples would pick it; the message names both
+    rng = np.random.default_rng(45)
+    a = random_prp(rng, n=8, p=2.0)
+    b = random_prp(rng, n=8, p=2.9)
+    for first, second in ((a, b), (b, a)):
+        with pytest.raises(ValueError) as raised:
+            pvar_distance(first, second)
+        assert str(raised.value) == (
+            f"p does not match: {first.p} and {second.p}")
+
+
 def test_distance_rejects_times_that_differ_within_allclose():
     # times off by a relative 5e-6, inside np.allclose's rtol of 1e-5:
     # the same values on another grid are not at distance 0

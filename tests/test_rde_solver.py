@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import expm
 
 from roughpaths import rde_solver
-from roughpaths.log_sphere_map import sphere_state_projection
+from roughpaths.log_sphere_map import ShiftedMap, sphere_state_projection
 from roughpaths.partial_rough_paths import PartialRoughPath
 from roughpaths.rough_paths import (AreaDrift, RoughPath, brownian_lift,
                                     decompose, dilate, geometricity_defect,
@@ -245,24 +245,59 @@ def test_an_early_crossing_holds_only_its_solution():
     assert held - own <= 1e6, (held, own)
 
 
-def test_a_projection_that_lengthens_the_state_crosses_after_the_start():
-    # the sphere projection takes a = (0.1, 1) to (1, 1), out of the
-    # ball of radius 1.2, on the first step and on any part of it: the
-    # ball test and the bisection both see the projected state, so the
-    # crossing lands after t = 0 with the projected state stored.  With
-    # the ball tested before the projection, the bisection of a later
-    # step collapsed onto its start and the solve raised ValueError on
-    # the repeated time
+def test_a_start_off_the_projections_image_is_rejected():
+    # the sphere projection takes a = (0.1, 1) to (1, 1): a solve that
+    # stored the start as given and stepped from its projection would
+    # begin with a jump, so the start is rejected, naming both
     f = linear_field(np.diag([0.0, 1.0]))
+    cfg = SolverConfig(base_mesh=64, r_max=1.2,
+                       state_projection=sphere_state_projection(1))
+    with pytest.raises(ValueError, match=r"moves the start \[0.1, 1.0\] "
+                                         r"to \[1.0, 1.0\]"):
+        solve_rde(time_lift(), f, np.array([0.1, 1.0]), 1.0, cfg)
+
+
+def test_chart_starts_pass_the_projection_check():
+    # the slack is 4 eps max(1, |y0|) per entry (rde_solver's
+    # _PROJECTION_SLACK): the sphere projection moves a chart start
+    # (ShiftedMap.state_of) by at most 1.0 eps max(1, |y0|), measured on
+    # 80,000 random starts at d = 1-4, 2.9% of them moved at all
+    rng = np.random.default_rng(12)
+    eps = np.finfo(float).eps
+    for d in (1, 2, 3, 4):
+        proj = sphere_state_projection(d)
+        f = zero_field(d + 1, 1)
+        cfg = SolverConfig(base_mesh=1, state_projection=proj)
+        for _ in range(250):
+            b = rng.normal(size=d) * 10.0 ** rng.uniform(-3, 3)
+            y0 = ShiftedMap(b).state_of(rng.normal(size=d))
+            moved = np.max(np.abs(np.array(proj(y0.tolist())) - y0))
+            assert moved <= eps * max(1.0, float(np.linalg.norm(y0)))
+            sol = solve_rde(time_lift(), f, y0, 1.0, cfg)
+            assert sol.y[0].tobytes() == y0.tobytes()
+
+
+def test_a_projection_that_lengthens_the_state_crosses_after_the_start():
+    # from (1, 0.5) on the projection's image, each step shortens q to
+    # 1 - h and the projection lengthens it back to 1, while rho grows
+    # as 0.5 e^t: the projected state leaves the ball of radius 1.2 when
+    # 1 + 0.25 e^(2t) = 1.44, t = 0.283, the unprojected one only at
+    # t = 0.80.  The ball test and the bisection both see the projected
+    # state, so the crossing lands there with the projected state
+    # stored.  With the ball tested before the projection, the
+    # bisection of a later step collapsed onto its start and the solve
+    # raised ValueError on the repeated time
+    f = linear_field(np.diag([-1.0, 1.0]))
     x = time_lift()
-    a = np.array([0.1, 1.0])
+    a = np.array([1.0, 0.5])
     proj = sphere_state_projection(1)
     sol = solve_rde(x, f, a, 1.0, SolverConfig(base_mesh=64, r_max=1.2,
                                                state_projection=proj))
     assert isinstance(sol.blowup, BlowupRecord)
-    assert 0.0 < sol.blowup.crossing_time <= 1.0 / 64
-    assert sol.times.tolist() == [0.0, sol.blowup.crossing_time]
+    assert sol.blowup.crossing_time == pytest.approx(0.5 * math.log(1.76),
+                                                     abs=0.02)
     assert sol.y[-1].tolist() == proj(sol.y[-1].tolist())
+    assert sol.y[:, 0].tolist() == [1.0] * len(sol.y)
     assert sol.blowup.last_value_norm == float(np.linalg.norm(sol.y[-1]))
     y, _, crossing = davie_solve_floats(x, f, a, np.linspace(0.0, 1.0, 65),
                                         r_max=1.2, projection=proj)
@@ -457,6 +492,28 @@ def test_horizon_beyond_driver_rejected():
     with pytest.raises(ValueError, match="driver's range"):
         solve_rde(time_lift(1.0), linear_field(1.0), np.array([1.0]), 2.0,
                   SolverConfig(base_mesh=16))
+
+
+@pytest.mark.parametrize("route", ["plain", "corrected"])
+def test_a_driver_grid_that_starts_after_0_is_rejected(monkeypatch, route):
+    # a RoughPath may start after 0 (the measures take such grids), but
+    # a solve starts at 0: it names the grid and the horizon before any
+    # driver query, where the query used to raise a message naming
+    # neither
+    x = RoughPath([0.5, 1.0], np.zeros((2, 1)), np.zeros((2, 1, 1)))
+    monkeypatch.setattr(RoughPath, "_segments", property(
+        lambda self: pytest.fail("the driver was queried")))
+    f = linear_field(1.0)
+    cfg = SolverConfig(base_mesh=16)
+    with pytest.raises(ValueError, match=r"^the driver's grid \[0.5, 1.0\] "
+                                         r"does not cover the horizon "
+                                         r"\[0, 1.0\]$"):
+        if route == "plain":
+            solve_rde(x, f, np.array([1.0]), 1.0, cfg)
+        else:
+            solve_rde_corrected(x, AreaDrift([0.0, 1.0], np.zeros((2, 1, 1))),
+                                f, f_dot_grad_f(f), np.array([1.0]), 1.0,
+                                cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,9 @@ In a fresh temporary directory this runs
 - `rde growth-demo` at that config with `mesh` 4096, seed 8, whose
   lambda = 8 row crosses r_max (the run exits 1), so the digest covers
   a growth_bound_check row that ends at a crossing;
+- `rde growth-demo` with a 10-segment m = 3 zigzag driver and the
+  d = 2, m = 3 tanh field (`growth-m3`), so the digest covers an m = 3
+  Davie loop and pairs of 9 level-2 entries in the p-variation scan;
 - `rde changevar-check` with the user shift `{"shift": 10.0}`, the
   branch that builds ShiftedMap from the config rather than from
   choose_shift;
@@ -76,6 +79,14 @@ GROWTH_BENCH = {
     "lambdas": [1.0, 2.0, 4.0, 8.0]}
 
 
+# growth-demo at m = 3: every other digest run has m <= 2
+GROWTH_M3 = {
+    "field": {"name": "tanh", "d": 2, "m": 3},
+    "driver": {"kind": "zigzag", "n": 10, "amplitude": 0.15, "m": 3,
+               "T": 5.0},
+    "a": [1.0, 0.0]}
+
+
 def write_polyline(path) -> None:
     rng = np.random.default_rng(51)
     points = np.cumsum(rng.normal(0.0, 0.2, size=(51, 2)), axis=0)
@@ -126,6 +137,8 @@ def main() -> int:
             dict(GROWTH_BENCH, mesh=4096)))
         rde("growth-cross", "growth-demo", "--config", "growth-cross.json",
             "--seed", "8")
+        (tmp_path / "growth-m3.json").write_text(json.dumps(GROWTH_M3))
+        rde("growth-m3", "growth-demo", "--config", "growth-m3.json")
         (tmp_path / "changevar-shift.json").write_text(json.dumps(
             {"shift": 10.0}))
         rde("changevar-shift", "changevar-check", "--config",
