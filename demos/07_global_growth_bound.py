@@ -36,7 +36,7 @@ print("passed:", rep.passed)
 
 # %%
 os.makedirs("demos/out", exist_ok=True)
-s = [r["pvar"] ** 2 * 5.0 for r in rep.rows]
+s = [r["s"] for r in rep.rows]
 line_plot("demos/out/growth_envelope.svg",
           [("log(sup|y|+1)", s, [r["log_sup"] for r in rep.rows]),
            ("affine envelope", s, [rep.c1 + rep.c2 * v for v in s])],

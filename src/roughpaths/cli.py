@@ -295,7 +295,10 @@ def cmd_explosion_demo(cfg: dict, out: str, seed: int) -> list:
     rel = float(np.max(np.abs(sol_f.y[:, 0] - exact) / exact))
     y2_sup = float(np.max(np.abs(sol_f.y[:, 1])))
 
-    t, y, ex = sol_f.times[::256], sol_f.y[::256], exact[::256]
+    # about 1024 rows of the fine solve's K steps, the last one always
+    K = len(sol_f.times) - 1
+    rows = np.r_[0:K:max(1, K // 1024), K]
+    t, y, ex = sol_f.times[rows], sol_f.y[rows], exact[rows]
     _write_csv(os.path.join(out, "explosion_trajectory.csv"),
                ["t", "y1", "y2", "exact"], np.column_stack([t, y, ex]))
     _write_blowup(os.path.join(out, "explosion_blowup.json"), sol_b)

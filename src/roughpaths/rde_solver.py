@@ -27,11 +27,13 @@ b_k - 0.5 u_k (x) u_k, so that a mesh row inside segment k, with c =
 (t - s) / dt_k, is (c u_k, c L_k + c^2 0.5 u_k (x) u_k, c dbeta_k), a
 row between grid points is the stored increment, and one that spans
 them the Chen product of a partial head, the stored increment and a
-partial tail.  The formula has two evaluations with equal floats: on
-numpy arrays for a chunk of mesh rows, which also gives the solution's
-level 1 at the mesh times and its level-2 increments, and, for one row
-inside a driver segment, on Python floats (any other single row is one
-numpy row), which the crossing bisection steps over; no solve calls
+partial tail.  The loop reads each row's level 2 row-major, as the
+query returns it, so neither a chunk nor a single row is permuted.  The
+formula has two evaluations with equal floats: on numpy arrays for a
+chunk of mesh rows, which also gives the solution's level 1 at the
+mesh times and its level-2 increments, and, for one row inside a
+driver segment, on Python floats (any other single row is one numpy
+row), which the crossing bisection steps over; no solve calls
 RoughPath.at.
 
 The solve streams its mesh: it queries the driver _CHUNK rows at a
@@ -200,10 +202,11 @@ def _davie_step(x: RoughPath, f: VectorField, young: tuple | None,
 
     increments(mesh) returns the driver's level 1 at the mesh times, its
     level-2 increments and one row of step inputs per interval,
-    r = (u, b^T[, dbeta]) flattened: the driver's level-1 increment, its
-    level-2 increment b = x2 and, given young = (h2, beta), beta's
-    increment.  row_of(s, t) is the one row r over [s, t] as a list of
-    Python floats, the floats of increments' row over it.
+    r = (u, b[, dbeta]) flattened, b row-major as the segment query
+    returns it: the driver's level-1 increment, its level-2 increment
+    b = x2 and, given young = (h2, beta), beta's increment.
+    row_of(s, t) is the one row r over [s, t] as a list of Python
+    floats, the floats of increments' row over it.
     loop(y, rows, n2_max, out) steps the state y (d floats) over rows,
     the inputs of consecutive intervals as one flat sequence of floats,
     with one call of f's jet and, on the corrected route, one of h2's
@@ -237,14 +240,12 @@ def _davie_step(x: RoughPath, f: VectorField, young: tuple | None,
     xq = x._segments
     bq = None if young is None else young[1]._segments
     mm, md = m * m, m * d
-    # b^T row-major: entry (j, i) of the row is b_ij
-    order = [i * m + j for j in range(m) for i in range(m)]
 
     def increments(mesh):
         located = xq.locate(mesh)
         level1 = xq.values(*located, level2=False)[0]
         u, x2 = xq.rows(*located)
-        cols = [u, x2.swapaxes(1, 2).reshape(len(u), mm)]
+        cols = [u, x2.reshape(len(u), mm)]
         if bq is not None:
             # decompose gives both parts one times array
             cols.append(bq.rows(*(located if bq.times is xq.times
@@ -253,7 +254,6 @@ def _davie_step(x: RoughPath, f: VectorField, young: tuple | None,
 
     def row_of(s, t):
         r = xq.row(s, t)
-        r[m:] = [r[m + k] for k in order]
         return r if bq is None else r + bq.row(s, t)
 
     def names(v, n):
@@ -276,12 +276,12 @@ def _davie_step(x: RoughPath, f: VectorField, young: tuple | None,
         body.extend(before)
         return "(" + last.partition(" = ")[2] + ")"
 
-    # P_jc pairs b^T (R[m:m + mm]) with f; row a pairs f with u (R[:m]),
-    # grad f with P and h2 with dbeta (R[m + mm:])
+    # P_jc pairs b (R[m:m + mm], row-major) with f; row a pairs f with u
+    # (R[:m]), grad f with P and h2 with dbeta (R[m + mm:])
     for j in range(m):
         for c in range(d):
             body.append(f"P{j}_{c} = " + summed("p", [
-                f"{R[m + j * m + i]} * F{c * m + i}" for i in range(m)]))
+                f"{R[m + i * m + j]} * F{c * m + i}" for i in range(m)]))
     if h2 is not None:
         body.append("H = h2_jet(y)")
     for a in range(d):

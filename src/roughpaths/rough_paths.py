@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .segments import _grid_increments, _Segments
-from .tensor_algebra import GroupElement2, inv
+from .tensor_algebra import GroupElement2, _half_square, _mul, inv
 
 __all__ = [
     "RoughPath",
@@ -258,7 +258,7 @@ def lift_piecewise_linear(points, times) -> RoughPath:
     with np.errstate(over="ignore", invalid="ignore"):
         u = pts - pts[0]
         delta = np.diff(pts, axis=0)
-        b = _chain(u, delta, 0.5 * np.einsum("ki,kj->kij", delta, delta))
+        b = _chain(u, delta, _half_square(delta))
     return RoughPath(t, u, b)
 
 
@@ -312,7 +312,7 @@ def brownian_lift(seed: int, steps: int, T: float, m: int,
         u = np.zeros((steps + 1, m))
         np.cumsum(dW, axis=0, out=u[1:])
         if convention == "stratonovich":
-            b_inc = 0.5 * np.einsum("ki,kj->kij", dW, dW)
+            b_inc = _half_square(dW)
         else:
             b_inc = np.zeros((steps, m, m))
         b = _chain(u, dW, b_inc)
@@ -381,11 +381,10 @@ def chen_defect(rp: RoughPath) -> float:
     for c0 in range(0, len(i), _CHEN_CHUNK):
         p, q, r = (a[c0:c0 + _CHEN_CHUNK] for a in (i, j, k))
         w1, w2 = _grid_increments(u, b, p, r)
-        l1, l2 = _grid_increments(u, b, p, q)
-        r1, r2 = _grid_increments(u, b, q, r)
-        d1 = np.max(np.abs(w1 - (l1 + r1)), initial=0.0)
-        d2 = np.max(np.abs(w2 - (l2 + r2 + np.einsum("ki,kj->kij", l1, r1))),
-                    initial=0.0)
+        c1, c2 = _mul(_grid_increments(u, b, p, q),
+                      _grid_increments(u, b, q, r))
+        d1 = np.max(np.abs(w1 - c1), initial=0.0)
+        d2 = np.max(np.abs(w2 - c2), initial=0.0)
         if np.isnan(d1) or np.isnan(d2):
             raise ValueError("the increments are NaN")
         worst = max(worst, float(d1), float(d2))
@@ -615,8 +614,7 @@ def beta_path(rp: RoughPath) -> np.ndarray:
     """
     u, b = rp.level1, rp.level2
     with np.errstate(over="ignore", invalid="ignore"):
-        return (0.5 * (b + np.swapaxes(b, 1, 2))
-                - 0.5 * np.einsum("ki,kj->kij", u, u))
+        return 0.5 * (b + np.swapaxes(b, 1, 2)) - _half_square(u)
 
 
 def geometricity_defect(rp: RoughPath) -> float:

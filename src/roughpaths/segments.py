@@ -9,9 +9,11 @@ a short sub-interval's level 2 is computed at its own size, not as the
 difference of two absolute values, which cancels O(|b|) numbers.  An
 interval that spans grid points is the Chen product of its partial
 head, the stored increment between the grid points and its partial
-tail; one between two grid points is the stored increment.  The formula
-has two evaluations with equal floats, on numpy rows and, for a row
-inside one segment, on Python floats (_Segments).
+tail; one between two grid points is the stored increment.  The group
+product and Q_k are tensor_algebra's (_mul, _half_square), and level 2
+comes out row-major.  The formula has two evaluations with equal
+floats, on numpy rows and, for a row inside one segment, on Python
+floats (_Segments).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import math
 
 import numpy as np
 
+from .tensor_algebra import _half_square, _mul
 from .vector_fields import _compiled
 
 
@@ -65,7 +68,8 @@ class _Segments:
     segment k the tables hold dt_k, u_k and, with a level 2, L_k =
     b_k - Q_k, where (u_k, b_k) is the segment's row of
     _grid_increments and Q_k = 0.5 u_k (x) u_k, which is recomputed
-    where it is used (_half_square).  The increment over [s, t] is
+    where it is used (tensor_algebra._half_square).  The increment over
+    [s, t] is
     - between two grid points: the stored increment (_stored);
     - inside segment k, no grid point strictly between s and t (and not
       both ends on one): exp(c log g_k) = (c u_k, c L_k + (c c) Q_k),
@@ -74,8 +78,7 @@ class _Segments:
       last at or before t: the Chen product (head (x) middle) (x) tail
       of the head [s, t_i] and the tail [t_j, t] inside their segments
       (exactly 0.0 where s or t is a grid point) and the stored
-      increment from i to j, where (a1, a2) (x) (b1, b2) = (a1 + b1,
-      (a2 + b2) + a1 (x) b1).
+      increment from i to j, the product tensor_algebra._mul.
     Outer products are single products, so each float is the same IEEE
     operations in both evaluations.  row evaluates a row inside one
     segment on Python floats, reading that segment's floats out of the
@@ -125,17 +128,13 @@ class _Segments:
         or when not asked for."""
         seg = np.minimum(k, self.n - 1)
         alpha = (tq - self.times.take(seg)) / self.dt.take(seg)
-        r1, r2 = self._geodesic(alpha, seg, level2)
+        r = self._geodesic(alpha, seg, level2)
+        v1, v2 = _mul((self.level1.take(seg, axis=0), None if r[1] is None
+                       else self.level2.take(seg, axis=0)), r)
         on = np.flatnonzero(node)
-        v1 = self.level1.take(seg, axis=0)
-        v1 += r1
         v1[on] = self.level1.take(k[on], axis=0)
-        if r2 is None:
-            return v1, None
-        v2 = self.level2.take(seg, axis=0)
-        v2 += r2
-        v2 += np.einsum("ki,kj->kij", self.level1.take(seg, axis=0), r1)
-        v2[on] = self.level2.take(k[on], axis=0)
+        if v2 is not None:
+            v2[on] = self.level2.take(k[on], axis=0)
         return v1, v2
 
     def rows(self, tq, k, node):
@@ -190,7 +189,7 @@ class _Segments:
             for a in piece:
                 if a is not None:
                     a[empty] = 0.0
-        return _chen_rows(_chen_rows(head, self._stored(i, j)), tail)
+        return _mul(_mul(head, self._stored(i, j)), tail)
 
     def row(self, s: float, t: float) -> list:
         """The increment over [s, t], s <= t, as Python floats: d1, then
@@ -220,18 +219,3 @@ class _Segments:
                                       + [0.5 * (a * b) for a in u for b in u])
         return (*self.times[k:k + 2].tolist(), self.dt[k].item(), tuple(g))
 
-
-def _half_square(u):
-    """Q_k = 0.5 u_k (x) u_k, row by row: one product u_i u_j, halved."""
-    q = np.einsum("ki,kj->kij", u, u)
-    q *= 0.5
-    return q
-
-
-def _chen_rows(a, b):
-    """The Chen product of rows a = (a1, a2) and b, row by row: (a1 + b1,
-    (a2 + b2) + a1 (x) b1); a2 and b2 None for a level-1 path."""
-    d1 = a[0] + b[0]
-    if a[1] is None:
-        return d1, None
-    return d1, (a[1] + b[1]) + np.einsum("ki,kj->kij", a[0], b[0])

@@ -56,10 +56,27 @@ def mul(a: GroupElement2, b: GroupElement2) -> GroupElement2:
     """
     if a.m != b.m:
         raise ValueError(f"dimension mismatch: {a.m} vs {b.m}")
-    return GroupElement2(
-        a.level1 + b.level1,
-        a.level2 + b.level2 + np.outer(a.level1, b.level1),
-    )
+    return GroupElement2(*_mul((a.level1, a.level2), (b.level1, b.level2)))
+
+
+def _mul(a, b):
+    """The group law on (level1, level2) pairs of arrays, one element or
+    rows of them (any leading axes): (a1 + b1, (a2 + b2) + a1 (x) b1),
+    each outer-product entry one product.  a2 None (a level-1 path)
+    gives level 2 None."""
+    d1 = a[0] + b[0]
+    if a[1] is None:
+        return d1, None
+    return d1, (a[1] + b[1]) + np.einsum("...i,...j->...ij", a[0], b[0])
+
+
+def _half_square(u):
+    """0.5 u (x) u, one vector or rows of them (any leading axes): one
+    product u_i u_j, halved; the level 2 of a straight segment with
+    increment u."""
+    q = np.einsum("...i,...j->...ij", u, u)
+    q *= 0.5
+    return q
 
 
 def inv(a: GroupElement2) -> GroupElement2:

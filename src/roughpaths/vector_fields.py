@@ -188,12 +188,12 @@ def _fdf_lines(d: int, m: int) -> tuple[list[str], list[str]]:
 # builtins
 
 
-def linear_field(A=1.0, c=None, m: int | None = None) -> VectorField:
+def linear_field(A=1.0, c=None) -> VectorField:
     """f(y) = A y + c reshaped to (d, m); exact first-order expansion.
 
-    For m == 1, A is the usual d x d matrix acting on the state and the
-    single driver column is A y + c.  For m > 1 supply A of shape
-    (d, m, d) mapping the state into each driver column.  An A whose
+    A scalar or a d x d A acts on the state and gives the single driver
+    column (m = 1) A y + c; an A of shape (d, m, d) maps the state into
+    each of m driver columns, so m is always read off A.  An A whose
     last axis is not d, or a c of other than d*m values, raises
     ValueError when the field is built.
     """
@@ -201,16 +201,12 @@ def linear_field(A=1.0, c=None, m: int | None = None) -> VectorField:
     if A.ndim == 0:
         A = A.reshape(1, 1)
     if A.ndim == 2:
-        d = A.shape[0]
-        m = 1 if m is None else m
-        if m != 1:
-            raise ValueError("2-d A implies a scalar driver (m = 1)")
         A3 = A[:, None, :]
     elif A.ndim == 3:
-        d, m = A.shape[0], A.shape[1]
         A3 = A
     else:
         raise ValueError("A must be scalar, (d,d) or (d,m,d)")
+    d, m = A3.shape[:2]
     if A.shape[-1] != d:
         raise ValueError(f"A has shape {A.shape}, expected "
                          f"{A.shape[:-1] + (d,)}: its last axis is the state")

@@ -115,6 +115,28 @@ def test_explosion_demo_command_small(tmp_path, capsys):
     assert (tmp_path / "out" / "explosion.svg").exists()
 
 
+def test_explosion_trajectory_keeps_the_end_on_small_meshes(tmp_path):
+    # rows 0, s, 2s, ... with s = max(1, K // 1024) and always row K: at
+    # fine_mesh 128 every row, and the last at 0.9 t*
+    cfg = {"fine_mesh": 128, "coarse_mesh": 1024, "traj_tol": 1.0}
+    assert run(tmp_path, "explosion-demo", cfg) == 0
+    rows = (tmp_path / "out" / "explosion_trajectory.csv").read_text()
+    t = [float(r.split(",")[0]) for r in rows.splitlines()[1:]]
+    assert t == list(np.linspace(0.0, 0.9, 129))
+    cfg["fine_mesh"] = 4096       # s = 4: rows 0, 4, ..., 4096
+    assert run(tmp_path, "explosion-demo", cfg, name="coarse") == 0
+    rows = (tmp_path / "coarse" / "explosion_trajectory.csv").read_text()
+    assert len(rows.splitlines()) == 1 + 1025
+
+
+def test_linear_field_config_with_m_exits_two(tmp_path, capsys):
+    # m is read off A; a config that also gives it is a bad config
+    cfg = {"field": {"name": "linear", "A": np.ones((2, 3, 2)).tolist(),
+                     "m": 5}}
+    assert run(tmp_path, "solve", cfg) == 2
+    assert "unexpected keyword argument 'm'" in capsys.readouterr().err
+
+
 def test_lift_and_solve_commands(tmp_path):
     src = tmp_path / "poly.csv"
     src.write_text("t,x1\n0,0\n0.5,0.3\n1,0.1\n")

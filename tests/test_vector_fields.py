@@ -50,6 +50,17 @@ def test_linear_field_rejects_mismatched_shapes(A, c, shapes):
         linear_field(A, c)
 
 
+@pytest.mark.parametrize("A, m", [(2.0, 1), (np.eye(3), 1),
+                                  (np.ones((2, 3, 2)), 3)],
+                         ids=["scalar", "d x d", "d x m x d"])
+def test_linear_field_reads_m_off_A_and_takes_no_m(A, m):
+    # m is A.shape[1] for a 3-d A, else 1: a second source for it could
+    # only disagree, as an m = 5 beside a (2, 3, 2) A once did silently
+    assert linear_field(A).m == m
+    with pytest.raises(TypeError, match="'m'"):
+        linear_field(A, m=5)
+
+
 def test_counterexample_gradient_at_unit_point():
     vf = counterexample_field()
     g = vf.grad(np.array([1.0, 0.0]))

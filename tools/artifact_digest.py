@@ -29,6 +29,12 @@ In a fresh temporary directory this runs
   which crosses at step 25,193, in the fourth chunk of mesh rows the
   solver queries the driver for (`rde_solver._CHUNK`), so the digest
   covers a crossing past the first chunk;
+- `rde solve` with a d = 2, m = 2 linear field on an m = 2 pure-area
+  driver whose area matrix is not symmetric, at `r_max` 2.0
+  (`solve-cross-m2`), which crosses it at t = 0.421217: on polyline
+  lifts every row inside a segment has a symmetric level 2, so this is
+  the run whose crossing moves if the Davie loop reads the driver's
+  level 2 transposed;
 - `rde solve` on a 63-segment `random-polyline` driver at `mesh` 16
   (`solve-coarse`): each mesh row spans driver grid points, and all but
   the first and last start and end between them, so the digest covers
@@ -85,6 +91,15 @@ GROWTH_M3 = {
     "driver": {"kind": "zigzag", "n": 10, "amplitude": 0.15, "m": 3,
                "T": 5.0},
     "a": [1.0, 0.0]}
+
+
+# solve at m = 2 on a driver with a non-symmetric level 2, crossing r_max
+SOLVE_M2 = {
+    "field": {"name": "linear",
+              "A": [[[0.0, 1.0], [1.0, 0.5]], [[-1.0, 0.3], [0.2, 0.0]]]},
+    "driver": {"kind": "pure-area", "T": 1.0, "m": 2,
+               "area": [[0.0, 3.0], [-1.0, 0.0]]},
+    "a": [1.0, 0.5], "solver": {"r_max": 2.0}}
 
 
 def write_polyline(path) -> None:
@@ -153,6 +168,8 @@ def main() -> int:
         (tmp_path / "solve-coarse.json").write_text(json.dumps(
             {"mesh": 16, "driver": {"kind": "random-polyline", "n": 63}}))
         rde("solve-coarse", "solve", "--config", "solve-coarse.json")
+        (tmp_path / "solve-cross-m2.json").write_text(json.dumps(SOLVE_M2))
+        rde("solve-cross-m2", "solve", "--config", "solve-cross-m2.json")
         for demo in sorted((ROOT / "demos").glob("0*.py")):
             run(f"demos/{demo.stem}", ["-W", "error", str(demo)])
         for path in sorted((tmp_path / "demos" / "out").glob("*")):
