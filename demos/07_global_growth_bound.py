@@ -4,10 +4,13 @@
 # For geometric drivers, linear growth of the field is enough for
 # global solutions, with sup|y| controlled by exp(C ||x||^p omega).
 # Scaling one driver by lambda in {1, 2, 4, 8} sweeps the bound's
-# abscissa; log(sup|y| + 1) must stay beneath an affine envelope in
-# ||x_lam||^p * omega(0, T), and no scaling may explode.  The same
-# field explodes under the pure-area driver of the previous demo, so
-# the geometry of the driver is doing real work here.
+# abscissa, and no scaling may explode: an explosion is the one outcome
+# a finite run can hold against the bound, whose constant C is not
+# known.  The affine envelope of log(sup|y| + 1) in
+# ||x_lam||^p * omega(0, T), its intercept lifted over every run, is
+# shown as information.  The same field explodes under the pure-area
+# driver of the previous demo, so the geometry of the driver is doing
+# real work here.
 
 # %%
 import os
@@ -30,9 +33,8 @@ print("lambda   ||x||_p      sup|y|      log(sup+1)  explosion")
 for r in rep.rows:
     print(f"{r['lam']:>6g}   {r['pvar']:.4f}     {r['sup_y']:.4f}     "
           f"{r['log_sup']:.4f}      {r['explosion']}")
-print(f"\nenvelope: c1 = {rep.c1:.4f}, c2 = {rep.c2:.4f}, "
-      f"min slack = {rep.min_slack:.2e}")
-print("passed:", rep.passed)
+print(f"\nenvelope fit: c1 = {rep.c1:.4f}, c2 = {rep.c2:.4f}")
+print("explosions:", "detected" if rep.any_explosion else "none")
 
 # %%
 os.makedirs("demos/out", exist_ok=True)

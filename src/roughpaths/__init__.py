@@ -12,7 +12,7 @@ Capabilities, one module each:
 - ``partial_rough_paths``: cross-iterated integrals, their p-variation
   distance and pushforwards.
 - ``rde_solver``: second-order stepping, blow-up detection, partition rule
-  and a-priori bounds, growth-envelope checks.
+  and a-priori bounds, the no-explosion check across driver dilations.
 - ``log_sphere_map``: the change of variable that turns linear-growth
   fields into bounded fields on a cylinder (their gradients need not be).
 - ``cli``: the ``rde`` experiment runner.

@@ -41,11 +41,11 @@ import numpy as np
 
 from .log_sphere_map import (ShiftedMap, _radii, choose_shift,
                              sphere_state_projection, transformed_field)
-from .rough_paths import (RoughPath, _rewrite, _write_csv, brownian_lift,
-                          chen_defect, decompose, geometricity_defect,
-                          lift_piecewise_linear, pure_area_path,
-                          read_polyline_csv, read_roughpath_csv,
-                          write_roughpath_csv)
+from .rough_paths import (RoughPath, _level2_scale, _rewrite, _write_csv,
+                          brownian_lift, chen_defect, decompose,
+                          geometricity_defect, lift_piecewise_linear,
+                          pure_area_path, read_polyline_csv,
+                          read_roughpath_csv, write_roughpath_csv)
 from .rde_solver import (FieldEvaluationError, SolverConfig, blowup_json,
                          growth_bound_check, solve_rde, write_solution_csv)
 from .svg import line_plot
@@ -374,7 +374,7 @@ def cmd_changevar_check(cfg: dict, out: str, seed: int) -> list:
     return [
         f"changevar-check  field={cfg['field']['name']}  mesh={mesh}",
         Check("min |b+y|", f"{min_rad:.4f}", f">= {shift.r_min:g}",
-              min_rad >= shift.r_min - 1e-9),
+              min_rad >= shift.r_min),
         f"  min rho along z-route  : {min_rho:.4f}{rho_note}",
         Check("sup |psi(y_t) - z_t|", f"{diff:.3e}", f"<= {tol:g}",
               diff <= tol),
@@ -398,22 +398,25 @@ def cmd_decompose(cfg: dict, out: str, seed: int) -> list:
                 drift.beta[::stride, i, j])
                for i in range(m) for j in range(m)],
               title="area drift", xlabel="t", ylabel="beta")
-    defect = Check("geometricity defect", f"{gd_x:.4e}", "<= 0.02",
-                   gd_x <= 0.02)
+    bound = 1e-12 * _level2_scale(geo)      # as `rde lift` bounds it
     report = [f"decompose  driver={kind}",
-              defect if kind == "brownian-stratonovich"
-              else f"  {defect.label:<23}: {defect.value}",
-              Check("geometric part defect", f"{gd_geo:.3e}", "<= 1e-10",
-                    gd_geo <= 1e-10)]
+              f"  {'geometricity defect':<23}: {gd_x:.4e}",
+              Check("geometric part defect", f"{gd_geo:.3e}",
+                    f"<= {bound:.2e}", gd_geo <= bound)]
     if kind == "brownian-ito":
         err = float(np.linalg.norm(
             drift.beta[-1] + 0.5 * T * np.eye(m), "fro"))
         report.append(Check("||beta(T) + T/2 I||", f"{err:.4e}",
                             f"<= {0.05 * T:g}", err <= 0.05 * T))
     elif kind == "pure-area":
-        err = float(np.max(np.abs(drift.beta[:, 0, 0] - drift.times)))
-        report.append(Check("|beta(t) - t| sup", f"{err:.2e}", "<= 1e-12",
-                            err <= 1e-12))
+        # beta(t) = t sym(A), A the config's area (I by default)
+        A = cfg["driver"].get("area")
+        A = np.eye(m) if A is None else np.asarray(A, dtype=float)
+        err = float(np.max(np.abs(
+            drift.beta - drift.times[:, None, None] * (0.5 * (A + A.T)))))
+        bound = 1e-12 * _level2_scale(x)
+        report.append(Check("|beta - t sym(A)| sup", f"{err:.2e}",
+                            f"<= {bound:.2e}", err <= bound))
     return report
 
 
@@ -494,9 +497,7 @@ def cmd_lift(cfg: dict, out: str, seed: int) -> list:
     write_roughpath_csv(rp, dest)
     cd = chen_defect(rp)
     gd = geometricity_defect(rp)
-    # both defects are roundoff in the level-2 values, so the bound
-    # follows their scale; paths with |level2| <= 1 get an absolute 1e-12
-    bound = 1e-12 * max(1.0, float(np.max(np.abs(rp.level2), initial=0.0)))
+    bound = 1e-12 * _level2_scale(rp)   # both defects: level-2 roundoff
     return [f"lift  {cfg['input']} -> {dest}",
             f"  points={rp.n_points}  m={rp.m}",
             Check("chen defect", f"{cd:.2e}", f"<= {bound:.2e}", cd <= bound),

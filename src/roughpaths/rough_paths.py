@@ -356,6 +356,11 @@ def _grid_triples(n: int, exhaustive_limit: int,
     return idx[:, 0], idx[:, 1], idx[:, 2]
 
 
+def _level2_scale(rp: RoughPath) -> float:
+    """max(1, max|level2|), the scale of roundoff in rp's level 2."""
+    return max(1.0, float(np.max(np.abs(rp.level2), initial=0.0)))
+
+
 def chen_defect(rp: RoughPath) -> float:
     """Max multiplicativity defect of a rough path's increments.
 
@@ -364,7 +369,8 @@ def chen_defect(rp: RoughPath) -> float:
     pure float roundoff, since the increments come from point values.
     Every triple is visited up to _CHEN_EXHAUSTIVE_LIMIT grid points;
     beyond it, the triples of _CHEN_SAMPLES seeded draws (default_rng(0),
-    sorted, kept when strictly increasing).
+    sorted, kept when strictly increasing).  A grid of fewer than 3
+    points has no triple: 0.0.
 
     The increments are rows of _grid_increments on the stored values,
     the bits rp.increment and rp.increment_between give on grid times.
@@ -372,11 +378,8 @@ def chen_defect(rp: RoughPath) -> float:
     same floating-point operations whatever the chunk size, so the
     result does not depend on it.  NaN increments raise ValueError.
     """
-    n = rp.n_points
-    if n < 3:
-        raise ValueError("need at least 3 grid points")
     u, b = rp.level1, rp.level2
-    i, j, k = _grid_triples(n, _CHEN_EXHAUSTIVE_LIMIT, _CHEN_SAMPLES)
+    i, j, k = _grid_triples(rp.n_points, _CHEN_EXHAUSTIVE_LIMIT, _CHEN_SAMPLES)
     worst = 0.0
     for c0 in range(0, len(i), _CHEN_CHUNK):
         p, q, r = (a[c0:c0 + _CHEN_CHUNK] for a in (i, j, k))

@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 from roughpaths import cli
 from roughpaths.cli import Check, _merged, main
-from roughpaths.rough_paths import decompose, geometricity_defect
+from roughpaths.rough_paths import AreaDrift, decompose, geometricity_defect
 
 
 def run(tmp_path, command, config=None, seed=None, name="out"):
@@ -105,6 +105,20 @@ def test_decompose_command_pure_area(tmp_path):
     assert run(tmp_path, "decompose", cfg) == 0
 
 
+def test_decompose_pure_area_row_compares_with_the_config_area(
+        tmp_path, monkeypatch):
+    # a drift of t I in place of t sym(A) = 2t I fails the row
+    def halved(x):
+        geo, drift = decompose(x)
+        return geo, AreaDrift(drift.times, 0.5 * drift.beta)
+
+    monkeypatch.setattr(cli, "decompose", halved)
+    cfg = {"driver": {"kind": "pure-area", "area": [[2.0]]}}
+    assert run(tmp_path, "decompose", cfg) == 1
+    assert (tmp_path / "out" / "report.txt").read_text().splitlines()[-1] == (
+        f"  {'|beta - t sym(A)| sup':<23}: 1.00e+00  (<= 2.00e-12) -> FAIL")
+
+
 def test_explosion_demo_command_small(tmp_path, capsys):
     # reduced fine mesh for test runtime; tolerance scaled accordingly
     cfg = {"fine_mesh": 16384, "traj_tol": 2e-3, "coarse_mesh": 4096}
@@ -180,6 +194,14 @@ def test_lift_bound_scales_with_level2(tmp_path):
     assert run(tmp_path, "lift", {"input": str(src)}) == 0
     report = (tmp_path / "out" / "report.txt").read_text()
     assert "FAIL" not in report
+
+
+def test_lift_takes_a_one_segment_polyline(tmp_path):
+    src = tmp_path / "seg.csv"
+    src.write_text("t,x1\n0,0\n1,1\n")
+    assert run(tmp_path, "lift", {"input": str(src)}) == 0
+    report = (tmp_path / "out" / "report.txt").read_text()
+    assert f"  {'chen defect':<23}: 0.00e+00  (<= 1.00e-12) -> PASS" in report
 
 
 def test_lift_rejects_non_finite_polyline(tmp_path, capsys):
@@ -439,6 +461,23 @@ GATED = [
     ("convergence", {"meshes": [64, 64]}, 1),
     ("lift", {}, 0),
     ("lift", {}, 1),
+    # the geometric part's defect, 3.5e-10, is roundoff at max|level2| ~ 1e6
+    ("decompose", {"driver": {"kind": "brownian-ito", "steps": 2000, "m": 2,
+                              "T": 1e6}}, 0),
+    # so is the Stratonovich lift's own defect, 7.0, at T = 1e15: a row of
+    # information, as for every other driver kind
+    ("decompose", {"driver": {"kind": "brownian-stratonovich", "steps": 2000,
+                              "m": 2, "T": 1e15}}, 0),
+    # beta(t) = t sym(A) for the config's area A
+    ("decompose", {"driver": {"kind": "pure-area", "area": [[2.0]]}}, 0),
+    ("decompose", {"driver": {"kind": "pure-area", "m": 2,
+                              "area": [[0.0, 1.0], [-1.0, 0.0]]}}, 0),
+    # the zero field keeps y at a, so with shift 0, min |b + y| = |a|,
+    # which the row holds to the bound it prints, >= 1
+    ("changevar-check", {"field": {"name": "zero", "d": 2, "m": 1},
+                         "a": [1.0, 0.0], "shift": 0.0}, 0),
+    ("changevar-check", {"field": {"name": "zero", "d": 2, "m": 1},
+                         "a": [1.0 - 1e-10, 0.0], "shift": 0.0}, 1),
 ]
 
 
@@ -483,15 +522,18 @@ def test_unknown_field_and_driver_parameters_exit_two(tmp_path, capsys,
 
 def test_decompose_reports_the_exact_defect_at_its_defaults(tmp_path):
     # the default 100,001-point driver: both rows carry the exact
-    # geometricity defect (the diameter of the beta path)
+    # geometricity defect (the diameter of the beta path), the second
+    # against 1e-12 max(1, max|level2|) of the geometric part
     assert run(tmp_path, "decompose", seed=3) == 0
     x = cli.driver_from_config(cli.DEFAULTS["decompose"]["driver"], 3)
     geo, _ = decompose(x)
+    bound = 1e-12 * max(1.0, float(np.max(np.abs(geo.level2))))
     rows = (tmp_path / "out" / "report.txt").read_text().splitlines()
     assert rows[1] == (f"  {'geometricity defect':<23}: "
                        f"{geometricity_defect(x):.4e}")
     assert rows[2] == (f"  {'geometric part defect':<23}: "
-                       f"{geometricity_defect(geo):.3e}  (<= 1e-10) -> PASS")
+                       f"{geometricity_defect(geo):.3e}  (<= {bound:.2e}) "
+                       f"-> PASS")
 
 
 ZIGZAG = {"kind": "zigzag", "n": 6, "amplitude": 0.3, "m": 1, "T": 1.0}

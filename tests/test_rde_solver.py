@@ -865,8 +865,6 @@ def test_growth_check_counterexample_no_explosion():
     rep = growth_bound_check(counterexample_field(), x, np.array([1.0, 0.0]),
                              5.0, SolverConfig(base_mesh=4096))
     assert not rep.any_explosion
-    assert rep.passed
-    assert rep.min_slack >= -1e-9
 
 
 def test_growth_check_exponential_is_exactly_log_linear():
@@ -922,13 +920,58 @@ def test_growth_check_takes_a_large_geometric_driver():
     rep = growth_bound_check(zero_field(2, 1), x, np.array([1.0, 0.0]), 1.0,
                              SolverConfig(base_mesh=16), lambdas=(1.0,))
     assert 1e-8 < rep.geometricity_defect < 1e-8 * np.max(np.abs(x.level2))
-    assert rep.passed
 
 
 def test_growth_check_rejects_nongeometric_driver():
     with pytest.raises(ValueError, match="not geometric"):
         growth_bound_check(counterexample_field(), pure_area_path(5.0),
                            np.array([1.0, 0.0]), 5.0)
+
+
+# ---------------------------------------------------------------------------
+# reparametrisation
+
+
+def test_a_dyadic_time_scaling_moves_no_bit():
+    # scaling a driver's grid and the horizon by 2^j scales the mesh
+    # times exactly and leaves every segment fraction (t - s) / dt, so
+    # the solve's states and increments keep their bits
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=100, deadline=None, derandomize=True,
+                  database=None)
+    @hyp.given(seed=st.integers(0, 2 ** 32 - 1), j=st.integers(-6, 6),
+               n=st.integers(1, 40), m=st.integers(1, 2),
+               mesh=st.sampled_from([1, 8, 64, 512]),
+               corrected=st.booleans())
+    def check(seed, j, n, m, mesh, corrected):
+        rng = np.random.default_rng(seed)
+        times = np.concatenate([[0.0],
+                                np.cumsum(rng.uniform(0.05, 1.0, n))])
+        u = np.zeros((n + 1, m))
+        b = np.zeros((n + 1, m, m))
+        u[1:] = np.cumsum(rng.normal(0.0, 0.3, (n, m)), axis=0)
+        b[1:] = rng.normal(0.0, 0.1, (n, m, m))
+        f = tanh_field(2, m)
+        a = rng.normal(0.0, 1.0, 2)
+        cfg = SolverConfig(base_mesh=mesh)
+        sols = []
+        for scale in (1.0, 2.0 ** j):
+            x = RoughPath(times * scale, u, b)
+            T = x.times[-1]
+            if corrected:
+                geo, drift = decompose(x)
+                sols.append(solve_rde_corrected(geo, drift, f, f_dot_grad_f(f),
+                                                a, T, cfg))
+            else:
+                sols.append(solve_rde(x, f, a, T, cfg))
+        base, scaled = sols
+        assert np.array_equal(scaled.times, base.times * 2.0 ** j)
+        for name in ("y", "x2_inc", "cross_inc"):
+            assert np.array_equal(getattr(scaled, name), getattr(base, name))
+
+    check()
 
 
 # ---------------------------------------------------------------------------

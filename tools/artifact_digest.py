@@ -16,6 +16,13 @@ In a fresh temporary directory this runs
 - `rde growth-demo` with a 10-segment m = 3 zigzag driver and the
   d = 2, m = 3 tanh field (`growth-m3`), so the digest covers an m = 3
   Davie loop and pairs of 9 level-2 entries in the p-variation scan;
+- `rde decompose` on a 2000-step m = 2 `brownian-ito` driver at T = 1e6
+  (`decompose-large`), whose geometric part's defect, 3.5e-10, is
+  roundoff at its level 2's scale of 1e6, and on an m = 2 pure-area
+  driver with the skew area [[0, 1], [-1, 0]] (`decompose-area`), whose
+  drift is t sym(A) = 0, so the digest covers the bounds of both rows;
+- `rde lift` on a one-segment polyline (`lift-segment`), a grid with no
+  triple for the Chen audit;
 - `rde changevar-check` with the user shift `{"shift": 10.0}`, the
   branch that builds ShiftedMap from the config rather than from
   choose_shift;
@@ -102,6 +109,15 @@ SOLVE_M2 = {
     "a": [1.0, 0.5], "solver": {"r_max": 2.0}}
 
 
+# decompose where a bound must follow the driver: level 2 of size 1e6,
+# and a pure-area driver whose area is not I
+DECOMPOSE = {
+    "decompose-large": {"kind": "brownian-ito", "steps": 2000, "m": 2,
+                        "T": 1e6},
+    "decompose-area": {"kind": "pure-area", "m": 2,
+                       "area": [[0.0, 1.0], [-1.0, 0.0]]}}
+
+
 def write_polyline(path) -> None:
     rng = np.random.default_rng(51)
     points = np.cumsum(rng.normal(0.0, 0.2, size=(51, 2)), axis=0)
@@ -141,6 +157,14 @@ def main() -> int:
         (tmp_path / "lift.json").write_text(json.dumps(
             {"input": "polyline.csv", "output": "roughpath.csv"}))
         rde("lift", "lift", "--config", "lift.json")
+        (tmp_path / "segment.csv").write_text("t,x1\n0,0\n1,1\n")
+        (tmp_path / "lift-segment.json").write_text(json.dumps(
+            {"input": "segment.csv", "output": "roughpath.csv"}))
+        rde("lift-segment", "lift", "--config", "lift-segment.json")
+        for name, driver in DECOMPOSE.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(
+                {"driver": driver}))
+            rde(name, "decompose", "--config", f"{name}.json")
         (tmp_path / "explosion-bench.json").write_text(json.dumps(
             {"a1": EXPLOSION_BENCH_A1}))
         rde("explosion-bench", "explosion-demo", "--config",
